@@ -55,7 +55,7 @@ def measure_size(words: int, tmp_dir) -> dict[str, float]:
     editor = Editor(document, prevalidate=False)
     lines = list(document.elements(tag="line"))
 
-    store = GoddagStore(tmp_dir / f"e11-{words}.sqlite", backend="sqlite")
+    store = GoddagStore(tmp_dir / f"e11-{words}.sqlite")
     conn = store._sqlite._conn
     try:
         store.save_indexed(document, "ms", manager)

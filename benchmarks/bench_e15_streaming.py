@@ -77,7 +77,7 @@ def _db_digest(path: str) -> str:
 
 def _ingest_materialized(sources, path: str) -> str:
     document = parse_concurrent(sources)
-    store = GoddagStore(path, backend="sqlite")
+    store = GoddagStore(path)
     store.save_indexed(document, "doc", manager=IndexManager(document))
     store.close()
     return _db_digest(path)

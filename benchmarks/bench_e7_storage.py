@@ -2,13 +2,13 @@
 
 The paper lists persistent storage as work underway; the repository
 builds it, and this bench characterizes it: save and load throughput
-for both backends, and the selective-query claim — answering a span
+of the sqlite store, and the selective-query claim — answering a span
 query *in storage* beats loading the document and querying in memory.
 """
 
 import pytest
 
-from repro.storage import GoddagStore, save_file, load_file, scan_spans
+from repro.storage import GoddagStore
 
 from conftest import paper_row, workload
 
@@ -39,21 +39,6 @@ def test_e7_sqlite_load(benchmark, words, tmp_path):
         loaded = benchmark(store.load, "doc")
     assert loaded.element_count() == document.element_count()
     paper_row(benchmark, experiment="E7", backend="sqlite", op="load",
-              words=words)
-
-
-@pytest.mark.parametrize("words", SIZES)
-def test_e7_binary_save_load(benchmark, words, tmp_path):
-    document = workload(words=words)
-    path = tmp_path / "doc.gdag"
-
-    def roundtrip():
-        save_file(document, path, "doc")
-        return load_file(path)
-
-    loaded = benchmark.pedantic(roundtrip, rounds=5, iterations=1)
-    assert loaded.element_count() == document.element_count()
-    paper_row(benchmark, experiment="E7", backend="binary", op="save+load",
               words=words)
 
 
@@ -117,18 +102,3 @@ def test_e7_storage_query_beats_full_load(tmp_path):
         load_time = time.perf_counter() - t0
 
     assert storage_time * 5 < load_time, (storage_time, load_time)
-
-
-def test_e7_binary_scan_without_load(tmp_path):
-    """The binary backend's table scan answers span queries reading
-    only header + element table."""
-    document = workload(words=8000)
-    path = tmp_path / "doc.gdag"
-    save_file(document, path, "doc")
-    hits = scan_spans(path, 100, 160)
-    expected = sum(
-        1
-        for e in document.elements()
-        if not e.is_empty and e.start < 160 and e.end > 100
-    )
-    assert len(hits) == expected

@@ -9,10 +9,10 @@ the synthetic corpora of ``workloads/generator.py``:
 * **contains** — a full-text predicate (``//w[contains(., 'gar')]``):
   unindexed, one substring scan per candidate; indexed, one binary
   search over the term index's occurrence offsets;
-* **overlap** — a storage-level stabbing sweep over a stored document
-  (binary backend): unindexed, a full table scan per probe
-  (``scan_spans``); indexed, an interval query over the ``.gidx``
-  sidecar — the document is never materialized.
+* **overlap** — a storage-level stabbing sweep over a document stored
+  in sqlite: unindexed, an element-row range query per probe
+  (``elements_intersecting``); indexed, a range probe of the persisted
+  overlap index (``query_spans``) — the document is never materialized.
 
 The **editing scenario** measures what incremental index maintenance
 buys an authoring session: k edits (milestone insertions, markup
@@ -92,18 +92,20 @@ def measure_size(words: int, tmp_dir) -> dict[str, float]:
     row["contains_indexed_s"] = indexed_contains
     row["contains_baseline_s"] = baseline_contains
 
-    # -- overlap: stored document, sidecar index vs table scan.
-    store = GoddagStore(tmp_dir / f"e9-{words}", backend="binary")
-    store.save(document, "ms")
+    # -- overlap: stored document, persisted index vs element rows.
     offsets = overlap_probe_offsets(document.length)
-
-    def sweep():
-        return [store.query_spans("ms", o, o + 1) for o in offsets]
-
-    baseline_sweep = best_of(sweep, n=3)
-    store.build_index("ms")
-    store.query_spans("ms", 0, 1)  # pre-warm the sidecar cache
-    indexed_sweep = best_of(sweep, n=3)
+    with GoddagStore(tmp_dir / f"e9-{words}.sqlite") as store:
+        store.save(document, "ms")
+        baseline_sweep = best_of(
+            lambda: [store.elements_intersecting("ms", o, o + 1)
+                     for o in offsets],
+            n=3,
+        )
+        store.build_index("ms")
+        indexed_sweep = best_of(
+            lambda: [store.query_spans("ms", o, o + 1) for o in offsets],
+            n=3,
+        )
     row["overlap"] = baseline_sweep / indexed_sweep
     row["overlap_indexed_s"] = indexed_sweep
     row["overlap_baseline_s"] = baseline_sweep

@@ -96,8 +96,7 @@ def main() -> None:
           f"  deltas applied: {census['index.deltas']}")
 
     # Persisting keeps the stored index in step too: save_indexed applies
-    # the same deltas to the backend (row-level on sqlite, a sidecar
-    # re-stamp on the binary backend) instead of dropping the index.
+    # the same deltas to the stored rows instead of dropping the index.
     with tempfile.TemporaryDirectory() as tmp:
         with GoddagStore(Path(tmp) / "edition.sqlite") as store:
             store.save_indexed(editor.document, "consolation", manager)

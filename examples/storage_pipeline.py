@@ -2,8 +2,7 @@
 
 The paper lists persistent storage as work underway; this example runs
 the layer the repository builds for it: a SQLite store with SQL-side
-span/overlap queries, and a binary one-file-per-document archive whose
-element table can be scanned without loading the document.
+span/overlap queries that never load the document.
 
 Run:  python examples/storage_pipeline.py
 """
@@ -12,7 +11,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.storage import GoddagStore, file_stats, save_file, scan_spans
+from repro.storage import GoddagStore
 from repro.workloads import WorkloadSpec, generate, workload_summary
 
 
@@ -21,7 +20,6 @@ def main() -> None:
     print("document:", workload_summary(doc))
 
     with tempfile.TemporaryDirectory() as tmp:
-        print("\n--- sqlite backend ---")
         with GoddagStore(str(Path(tmp) / "editions.db")) as store:
             t0 = time.perf_counter()
             store.save(doc, "boethius-36v")
@@ -42,15 +40,6 @@ def main() -> None:
 
             pairs = store.overlapping_pairs("boethius-36v", "vline", "line")
             print(f"overlap join in SQL: {len(pairs)} (vline, line) pairs")
-
-        print("\n--- binary backend ---")
-        path = Path(tmp) / "edition.gdag"
-        save_file(doc, path, "boethius-36v")
-        print("file layout:", file_stats(path))
-        t0 = time.perf_counter()
-        records = scan_spans(path, 100, 160)
-        print(f"table scan without load: {len(records)} elements, "
-              f"{1000 * (time.perf_counter() - t0):.2f} ms")
 
 
 if __name__ == "__main__":

@@ -9,9 +9,9 @@ from typing import Iterable, Iterator, Sequence, TypeVar
 T = TypeVar("T")
 
 
-# The persisted index formats (GIDX1 sidecars, sqlite blobs) are defined
-# as little-endian u32; Python only guarantees array("I") a *minimum* of
-# 2 bytes, so pick whichever code is exactly 4 bytes on this platform.
+# The persisted index blobs in sqlite are defined as little-endian u32;
+# Python only guarantees array("I") a *minimum* of 2 bytes, so pick
+# whichever code is exactly 4 bytes on this platform.
 for _code in ("I", "L"):
     if array(_code).itemsize == 4:
         _U32 = _code

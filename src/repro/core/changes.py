@@ -30,7 +30,7 @@ purpose — the journal is an in-memory, same-process protocol; persisted
 deltas travel as the plain-value forms produced by the index manager.
 
 Every record names its element's birth ``ordinal`` — the persistent
-``elem_id`` both storage backends key element rows by — which is what
+``elem_id`` the store keys element rows by — which is what
 lets :class:`ElementRowCoalescer` fold a whole journal window into the
 minimal set of row-level storage writes (:class:`UpdateElementRow`): N
 edits to one element collapse to one upsert, an insert undone by its

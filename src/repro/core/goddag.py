@@ -236,8 +236,8 @@ class GoddagDocument:
     def _next_ordinal(self) -> int:
         """The next birth ordinal (1-based; the shared root is 0).
 
-        Ordinals are the document's *persistent identity*: storage
-        backends persist them as ``elem_id`` and reconstruction restores
+        Ordinals are the document's *persistent identity*: the store
+        persists them as ``elem_id`` and reconstruction restores
         them, so the counter must never re-issue a loaded value.  The
         builder bumps ``_ordinal`` past the maximum explicit ordinal
         before materializing (see :meth:`GoddagBuilder.build`), which

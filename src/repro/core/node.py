@@ -163,7 +163,7 @@ class Element(Node):
     Elements span a contiguous character range; within their hierarchy the
     ranges properly nest.  ``ordinal`` is a document-unique birth stamp used
     for stable tie-breaking and — as :attr:`elem_id` — for *persistent*
-    identity: both storage backends store it as the element's row id, and
+    identity: the store keeps it as the element's row id, and
     reconstruction preserves it, so an ordinal observed in one session
     names the same element after any number of save → load round trips
     (see :meth:`repro.storage.store.GoddagStore.element`).
@@ -236,8 +236,8 @@ class Element(Node):
     def elem_id(self) -> int:
         """The element's stable persistent identity: its birth ordinal.
 
-        Round-trip stable — ``save → load`` preserves it on both storage
-        backends (the shared root is always 0) — so it can be handed
+        Round-trip stable — ``save → load`` preserves it (the shared
+        root is always 0) — so it can be handed
         across sessions and resolved with
         :meth:`~repro.core.goddag.GoddagDocument.element_by_ordinal` or,
         without materializing the document, with

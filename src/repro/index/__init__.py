@@ -15,7 +15,7 @@ Four cooperating indexes plus a manager:
   materializing the GODDAG;
 * :class:`IndexManager` — builds all four, tracks document versions,
   keeps them warm across edits via the delta protocol, and is what the
-  Extended XPath planner and the storage backends consult.
+  Extended XPath planner and the store consult.
 
 Attach to a document and every compiled query runs under a cost-based
 access-path plan (:mod:`repro.xpath.planner`)::
@@ -53,17 +53,15 @@ full rebuild when
 Applied deltas also queue for persistence: ``GoddagStore.save_indexed``
 drains them (``IndexManager.pending_persist``) into row-level sqlite
 upserts — interval rows inserted/deleted individually, only dirty
-label-path partition rows rewritten — or a ``.gidx`` sidecar re-stamp
-from the in-memory payload, so saving an edited document no longer
-invalidates its stored index wholesale.  The differential harness in
-``tests/test_index_incremental.py`` holds all of this to the
+label-path partition rows rewritten — so saving an edited document no
+longer invalidates its stored index wholesale.  The differential
+harness in ``tests/test_index_incremental.py`` holds all of this to the
 byte-identical bar against both a fresh rebuild and the unindexed
 engine after every step of randomized edit sessions.
 """
 
 from .manager import IndexManager
 from .overlap import HierarchyIntervals, OverlapIndex
-from .sidecar import read_sidecar, sidecar_path, write_sidecar
 from .structural import StructuralSummary
 from .term import AttributeIndex, TermIndex, tokenize
 
@@ -74,8 +72,5 @@ __all__ = [
     "OverlapIndex",
     "StructuralSummary",
     "TermIndex",
-    "read_sidecar",
-    "sidecar_path",
     "tokenize",
-    "write_sidecar",
 ]

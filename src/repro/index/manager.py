@@ -25,9 +25,8 @@ Applied deltas are additionally queued for persistence: a storage layer
 calls :meth:`IndexManager.pending_persist` to fetch the row-level
 operations (overlap row inserts/deletes plus dirty label-path
 partitions) accumulated since the last :meth:`IndexManager.mark_persisted`,
-and ``GoddagStore.save_indexed`` turns them into sqlite upserts or a
-``.gidx`` sidecar re-stamp instead of dropping the stored index
-wholesale.
+and ``GoddagStore.save_indexed`` turns them into sqlite upserts instead
+of dropping the stored index wholesale.
 """
 
 from __future__ import annotations
@@ -534,7 +533,7 @@ class IndexManager:
             )
 
     def payload(self, name: str = "") -> dict:
-        """The serializable form consumed by both storage backends.
+        """The serializable form the store persists.
 
         Args:
             name: the stored-document name stamped into the payload.
@@ -598,10 +597,6 @@ class IndexManager:
         ``index.stale``           1 when the document mutated after the last
                                   build
         ========================  ==============================================
-
-        The pre-unification flat keys (``elements``, ``builds``, ...)
-        still answer for one release via a deprecation shim that warns
-        and reads the new key.
         """
         built = self._structural is not None and self._overlap is not None
         counts = {
@@ -620,16 +615,8 @@ class IndexManager:
             "index.deltas": self.delta_count,
             "index.stale": int(self.is_stale),
         }
-        aliases = {
-            legacy: ("counts", f"index.{legacy}")
-            for legacy in (
-                "elements", "solid_elements", "label_paths", "terms",
-                "postings", "attr_keys", "attr_postings", "builds",
-                "deltas", "stale",
-            )
-        }
         return stats_dict(
-            "index.manager", counts, aliases=aliases,
+            "index.manager", counts,
             last_rebuild_reason=self.last_rebuild_reason,
         )
 

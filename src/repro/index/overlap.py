@@ -6,7 +6,7 @@ hierarchy.  Those structures live and die with the document object; this
 module is their *persistent* counterpart: per-hierarchy
 :class:`~repro.index.kernels.IntervalTable` columns — parallel sorted
 ``array('q')`` arrays of ``(start, end, ordinal)`` plus a tag list —
-that serialize to storage (SQLite rows or a binary ``.gidx`` sidecar)
+that serialize to storage (SQLite rows)
 and answer stabbing, intersection and proper-overlap queries on
 *stored* documents without materializing a single GODDAG node — the
 overlap-index design of Hasibi & Bratsberg applied to the framework's
@@ -206,20 +206,6 @@ class OverlapIndex:
             }
             for name, table in self.tables.items()
         }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, dict[str, list]]) -> "OverlapIndex":
-        return cls(
-            {
-                name: HierarchyIntervals(
-                    name,
-                    list(entry["starts"]),
-                    list(entry["ends"]),
-                    list(entry["tags"]),
-                )
-                for name, entry in payload.items()
-            }
-        )
 
 
 def _hit_key(hit: SpanHit) -> tuple[int, int, str, str]:

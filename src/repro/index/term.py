@@ -26,7 +26,7 @@ This module also hosts the **attribute-value posting table**
 ``(attribute name, value)``.  Unlike the term postings it indexes
 *markup*, not text, so it is maintained through the same delta protocol
 as the structural summary (:meth:`AttributeIndex.apply`) and persisted
-alongside the other index sections by both storage backends.  A
+alongside the other index sections by the store.  A
 worked example::
 
     >>> index = TermIndex.from_text("sing a song of sixpence")
@@ -173,13 +173,6 @@ class TermIndex:
         for term in sorted(self._postings):
             yield term, self._postings[term]
 
-    @classmethod
-    def from_items(
-        cls, text_length: int, items
-    ) -> "TermIndex":
-        """Rebuild from persisted ``(term, starts)`` pairs."""
-        return cls(text_length, {term: list(starts) for term, starts in items})
-
 
 class AttributeIndex:
     """Attribute-value posting lists: ``(name, value)`` → elements.
@@ -302,7 +295,7 @@ class AttributeIndex:
 def occurrences_from_terms(rows, needle: str) -> list[int]:
     """Occurrence offsets of ``needle`` from raw ``(term, starts)`` rows.
 
-    The storage backends use this to answer term queries from persisted
+    The store uses this to answer term queries from persisted
     posting rows without instantiating a :class:`TermIndex`.
     """
     out: list[int] = []

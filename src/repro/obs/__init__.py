@@ -44,7 +44,7 @@ import warnings
 
 from .drift import DriftRecord, DriftRing, RING_CAPACITY, ring
 from .metrics import MetricsRegistry, metrics
-from .stats import STATS_SCHEMA, DeprecatedKeyDict, stats_dict
+from .stats import STATS_SCHEMA, stats_dict
 from .trace import SPAN_LIMIT, Span, Tracer, current_tracer, tracing
 
 #: Environment switch: when set to "1", silent fallbacks (index rebuild
@@ -124,7 +124,6 @@ __all__ = [
     "MetricsRegistry",
     "metrics",
     "STATS_SCHEMA",
-    "DeprecatedKeyDict",
     "stats_dict",
     "SPAN_LIMIT",
     "Span",

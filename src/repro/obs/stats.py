@@ -1,4 +1,4 @@
-"""The unified ``stats()`` dict shape, and the legacy-key shim.
+"""The unified ``stats()`` dict shape.
 
 Three layers historically grew three divergent stats schemas:
 ``IndexManager.stats()`` (flat build/patch counters), the planner's
@@ -15,89 +15,24 @@ counts.  They now all return the same envelope:
 ``counts`` keys are dotted, namespaced names from the metric catalog in
 docs/ARCHITECTURE.md, so a stats dict from any layer can be merged into
 one report without collisions.
-
-For one release the old flat keys keep working: callers indexing the
-returned mapping with a legacy key (``stats["builds"]``) get the value
-from its new home plus a ``DeprecationWarning`` naming the replacement.
-The shim is :class:`DeprecatedKeyDict`; the legacy aliases live with
-each producer.
 """
 
 from __future__ import annotations
-
-import warnings
 
 #: Version tag carried by every unified stats dict.
 STATS_SCHEMA = "repro-stats/1"
 
 
-class DeprecatedKeyDict(dict):
-    """Dict that answers legacy keys from their replacements, loudly.
-
-    ``aliases`` maps legacy key -> path of the replacement inside this
-    dict (a tuple of keys, e.g. ``("counts", "index.builds")``).  Plain
-    keys behave normally; a legacy key resolves through its alias and
-    raises a :class:`DeprecationWarning` pointing at the new name.
-
-        >>> stats = DeprecatedKeyDict(
-        ...     {"counts": {"index.builds": 3}},
-        ...     aliases={"builds": ("counts", "index.builds")},
-        ... )
-        >>> import warnings
-        >>> with warnings.catch_warnings():
-        ...     warnings.simplefilter("ignore")
-        ...     stats["builds"]
-        3
-    """
-
-    def __init__(self, *args, aliases: dict | None = None, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._aliases = dict(aliases or {})
-
-    def _resolve(self, key):
-        value = self
-        for part in self._aliases[key]:
-            value = dict.__getitem__(value, part) if value is self else value[part]
-        return value
-
-    def __getitem__(self, key):
-        if not dict.__contains__(self, key) and key in self._aliases:
-            path = self._aliases[key]
-            warnings.warn(
-                f"stats key {key!r} is deprecated; read "
-                f"{'.'.join(map(str, path))} from the repro-stats/1 shape "
-                "instead (see docs/ARCHITECTURE.md, Observability)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return self._resolve(key)
-        return dict.__getitem__(self, key)
-
-    def get(self, key, default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def __contains__(self, key) -> bool:
-        return dict.__contains__(self, key) or key in self._aliases
-
-
-def stats_dict(
-    source: str,
-    counts: dict,
-    aliases: dict | None = None,
-    **extra,
-) -> DeprecatedKeyDict:
+def stats_dict(source: str, counts: dict, **extra) -> dict:
     """Build a unified repro-stats/1 dict.
 
     ``source`` names the producing layer, ``counts`` holds the dotted
-    metric names, ``aliases`` maps legacy flat keys to their new paths,
-    and ``extra`` carries source-specific sections verbatim.
+    metric names, and ``extra`` carries source-specific sections
+    verbatim.
     """
     payload = {"schema": STATS_SCHEMA, "source": source, "counts": dict(counts)}
     payload.update(extra)
-    return DeprecatedKeyDict(payload, aliases=aliases)
+    return payload
 
 
-__all__ = ["STATS_SCHEMA", "DeprecatedKeyDict", "stats_dict"]
+__all__ = ["STATS_SCHEMA", "stats_dict"]

@@ -403,14 +403,15 @@ class DocumentService:
         try:
             with self._pool.connection() as backend:
                 document, generation = self._snapshot(backend, name)
+                token = GoddagStore.over(backend).artifact_token(
+                    name, generation
+                )
             manager = IndexManager(document).attach()
             # The stored artifact is exactly this manager's state (a
             # publish writes document and index in one stamped
             # transaction), so delta accounting can start here: the
             # session's publish row-patches instead of rewriting.
-            manager.mark_persisted(
-                ("sqlite", self.location, name, generation)
-            )
+            manager.mark_persisted(token)
             session = WriteSession(
                 self, name, document, manager, generation, lock,
                 prevalidate=prevalidate,

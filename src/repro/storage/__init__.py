@@ -1,13 +1,10 @@
 """Persistent storage for GODDAG documents (the paper's "underway" part).
 
-Two backends behind one facade:
-
-* SQLite — multi-document stores, SQL-side span/overlap queries;
-* GDAG1 binary files — one document per file, fixed-width element table
-  scannable without loading the document.
+One on-disk format: a SQLite store holding many documents, their
+persisted indexes, and the collection summary, with span and overlap
+queries answered in SQL without reconstructing a document.
 """
 
-from .binary_backend import file_stats, load_file, save_file, scan_spans
 from .schema import (
     DocumentRow,
     ElementRow,
@@ -30,8 +27,4 @@ __all__ = [
     "StoredElement",
     "decode_document",
     "encode_document",
-    "file_stats",
-    "load_file",
-    "save_file",
-    "scan_spans",
 ]

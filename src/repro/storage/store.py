@@ -1,22 +1,20 @@
-"""The storage facade: one API over both backends.
+"""The storage facade over the sqlite store.
 
 ``GoddagStore`` is what applications use: save/load by name, list, and
-storage-level queries, with the backend chosen at construction
-(``sqlite`` for multi-document stores with SQL-side queries, ``binary``
-for one-file-per-document archives with table scans).
+storage-level queries answered in SQL without reconstructing the
+document.
 
-Stored documents can carry *persisted indexes* (:meth:`GoddagStore.build_index`):
-the sqlite backend keeps them in dedicated tables, the binary backend in
-``.gidx`` sidecar files next to the document.  Index-aware queries —
-:meth:`query_spans`, :meth:`term_occurrences`, :meth:`count_tag` — answer
-from the persisted index when one exists (without materializing the
-document) and fall back to the unindexed storage paths when it does not,
-returning the same answers either way.  A plain :meth:`GoddagStore.save`
-over (or delete of) a document drops its index; editing sessions use
+Stored documents can carry *persisted indexes* (:meth:`GoddagStore.build_index`)
+kept in dedicated tables.  Index-aware queries — :meth:`query_spans`,
+:meth:`term_occurrences`, :meth:`count_tag` — answer from the persisted
+index when one exists (without materializing the document) and fall
+back to the unindexed storage paths when it does not, returning the
+same answers either way.  A plain :meth:`GoddagStore.save` over (or
+delete of) a document drops its index; editing sessions use
 :meth:`GoddagStore.save_indexed` instead, which re-saves the document
-*and* propagates the index manager's applied deltas — sqlite row-level
-upserts under a stable ``doc_id``, or a ``.gidx`` sidecar re-stamp — so
-the stored index never invalidates wholesale.
+*and* propagates the index manager's applied deltas as row-level
+upserts under a stable ``doc_id``, so the stored index never
+invalidates wholesale.
 """
 
 from __future__ import annotations
@@ -29,58 +27,17 @@ from ..errors import StorageError
 from ..index.manager import IndexManager
 from ..obs.metrics import metrics
 from ..obs.trace import current_tracer
-from ..index.overlap import OverlapIndex
-from ..index.sidecar import (
-    read_sidecar,
-    read_sidecar_header,
-    sidecar_path,
-    write_sidecar,
-)
 from ..index.term import TermIndex, find_all
-from .binary_backend import (
-    file_stats,
-    load_file,
-    read_element,
-    read_text,
-    save_file,
-    scan_spans,
-)
 from .sqlite_backend import SqliteStore, StoredElement
-
-
-def _file_identity(path: Path) -> tuple[int, int] | None:
-    """A cheap generation mark for a stored document file —
-    ``(mtime_ns, size)``, or ``None`` when the file does not exist.
-    Two writes of the same logical document produce different marks, so
-    an editing session can tell its own artifact from a replacement."""
-    try:
-        stat = path.stat()
-    except OSError:
-        return None
-    return (stat.st_mtime_ns, stat.st_size)
 
 
 class GoddagStore:
     """Persistent storage for GODDAG documents."""
 
-    def __init__(self, location: str | Path = ":memory:",
-                 backend: str = "sqlite") -> None:
-        if backend not in ("sqlite", "binary"):
-            raise StorageError(f"unknown backend {backend!r}")
-        self.backend = backend
+    def __init__(self, location: str | Path = ":memory:") -> None:
         self.location = location
-        # Per-name cache of sidecar sections loaded for the binary
-        # backend (the sqlite backend queries its tables directly).
-        self._sidecars: dict[str, dict] = {}
         self._owns_backend = True
-        if backend == "sqlite":
-            self._sqlite: SqliteStore | None = SqliteStore(str(location))
-        else:
-            self._sqlite = None
-            self._directory = Path(location)
-            if str(location) == ":memory:":
-                raise StorageError("the binary backend needs a directory")
-            self._directory.mkdir(parents=True, exist_ok=True)
+        self._sqlite = SqliteStore(str(location))
 
     @classmethod
     def over(cls, backend: SqliteStore) -> "GoddagStore":
@@ -91,23 +48,13 @@ class GoddagStore:
         :meth:`close` on the returned store is a no-op, so releasing a
         pooled connection back is always safe afterwards."""
         store = cls.__new__(cls)
-        store.backend = "sqlite"
         store.location = backend.path
-        store._sidecars = {}
         store._owns_backend = False
         store._sqlite = backend
         return store
 
-    # -- helpers -----------------------------------------------------------------
-
-    def _file(self, name: str) -> Path:
-        return self._directory / f"{name}.gdag"
-
-    def _sidecar_file(self, name: str) -> Path:
-        return sidecar_path(self._file(name))
-
     def close(self) -> None:
-        if self._sqlite is not None and self._owns_backend:
+        if self._owns_backend:
             self._sqlite.close()
 
     def __enter__(self) -> "GoddagStore":
@@ -116,52 +63,33 @@ class GoddagStore:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def artifact_token(self, name: str, generation: str | None) -> tuple:
+        """The identity of one stored artifact *generation* — the token
+        an :class:`IndexManager` keys its delta accounting to
+        (:meth:`IndexManager.mark_persisted`).  Deltas accumulated
+        against another store, another name, or a generation someone
+        replaced since never row-apply."""
+        return ("sqlite", str(self.location), name, generation)
+
     # -- save / load / list -----------------------------------------------------------
 
     def save(self, document: GoddagDocument, name: str,
              overwrite: bool = False) -> None:
-        if self._sqlite is not None:
-            # Overwriting replaces the document row; its index rows die
-            # with the old doc_id (ON DELETE CASCADE).
-            self._sqlite.save(document, name, overwrite=overwrite)
-            return
-        target = self._file(name)
-        if target.exists() and not overwrite:
-            raise StorageError(f"document {name!r} already stored")
-        # A pre-existing sidecar indexed the overwritten content; drop
-        # it *before* writing, so a crash mid-save can only lose the
-        # index (queries fall back) — never pair a stale index with the
-        # new document.
-        self._invalidate_sidecar(name)
-        save_file(document, target, name)
+        # Overwriting replaces the document row; its index rows die
+        # with the old doc_id (ON DELETE CASCADE).
+        self._sqlite.save(document, name, overwrite=overwrite)
 
     def load(self, name: str) -> GoddagDocument:
-        if self._sqlite is not None:
-            return self._sqlite.load(name)
-        target = self._file(name)
-        if not target.exists():
-            raise StorageError(f"no stored document {name!r}")
-        return load_file(target)
+        return self._sqlite.load(name)
 
     def delete(self, name: str) -> None:
-        if self._sqlite is not None:
-            self._sqlite.delete(name)
-            return
-        target = self._file(name)
-        if not target.exists():
-            raise StorageError(f"no stored document {name!r}")
-        target.unlink()
-        self._invalidate_sidecar(name)
+        self._sqlite.delete(name)
 
     def names(self) -> list[str]:
-        if self._sqlite is not None:
-            return self._sqlite.names()
-        return sorted(path.stem for path in self._directory.glob("*.gdag"))
+        return self._sqlite.names()
 
     def has(self, name: str) -> bool:
-        if self._sqlite is not None:
-            return self._sqlite.has(name)
-        return self._file(name).exists()
+        return self._sqlite.has(name)
 
     # -- persisted indexes --------------------------------------------------------------
 
@@ -170,18 +98,13 @@ class GoddagStore:
 
         Loads the document once, builds the four indexes (structural
         summary, term index, attribute postings, overlap index),
-        persists them to the backend — sqlite tables or a ``.gidx``
-        sidecar — and returns the size census.  Subsequent index-aware
-        queries answer without loading the document again.
+        persists them to the index tables, and returns the size census.
+        Subsequent index-aware queries answer without loading the
+        document again.
         """
         document = self.load(name)
         manager = IndexManager(document)
-        payload = manager.payload(name)
-        if self._sqlite is not None:
-            self._sqlite.save_index(name, payload)
-        else:
-            write_sidecar(self._sidecar_file(name), payload)
-            self._sidecars.pop(name, None)
+        self._sqlite.save_index(name, manager.payload(name))
         return manager.stats()
 
     def save_indexed(self, document: GoddagDocument, name: str,
@@ -193,39 +116,30 @@ class GoddagStore:
 
         ``manager`` defaults to the document's attached index manager;
         it is refreshed (incrementally, when the delta journal allows)
-        and its applied deltas propagate to the backend instead of
-        invalidating the stored index wholesale:
-
-        * **sqlite** — one transaction brings the stored rows in step
-          under their existing ``doc_id``: when the manager can supply
-          deltas *for this store and name*, the journal's coalesced
-          :class:`~repro.core.changes.UpdateElementRow` set upserts and
-          deletes exactly the element rows the session touched (keyed
-          by persistent ``elem_id`` — an attribute-only edit writes
-          O(1) rows) and the index rows are patched likewise; anything
-          else (journal overflow, untracked mutations, foreign
-          artifacts) takes a full rewrite.  Either way the transaction
-          is atomic, so a crash can never pair a newer document with a
-          stale index;
-        * **binary** — the ``.gidx`` sidecar is re-stamped from the
-          manager's in-memory payload, skipping the document load and
-          index rebuild that :meth:`build_index` would pay.  (The
-          sidecar is dropped before the document write, preserving the
-          crash invariant of :meth:`save`: a stale index never pairs
-          with a newer document.)
+        and its applied deltas propagate to the store instead of
+        invalidating the stored index wholesale: one transaction brings
+        the stored rows in step under their existing ``doc_id``.  When
+        the manager can supply deltas *for this store and name*, the
+        journal's coalesced :class:`~repro.core.changes.UpdateElementRow`
+        set upserts and deletes exactly the element rows the session
+        touched (keyed by persistent ``elem_id`` — an attribute-only
+        edit writes O(1) rows) and the index rows are patched likewise;
+        anything else (journal overflow, untracked mutations, foreign
+        artifacts) takes a full rewrite.  Either way the transaction is
+        atomic, so a crash can never pair a newer document with a stale
+        index.
 
         Re-saving the session's own artifact — the exact generation this
-        manager wrote last, verified via a stamp stored with the index
-        (sqlite) or the document file's identity (binary) — needs no
-        consent; anything else already stored under ``name`` (including
-        a replacement some other writer slipped in mid-session) requires
-        ``overwrite=True``, like :meth:`save`, and always gets a full
-        index write rather than a row-level patch.
+        manager wrote last, verified via a stamp stored with the index —
+        needs no consent; anything else already stored under ``name``
+        (including a replacement some other writer slipped in
+        mid-session) requires ``overwrite=True``, like :meth:`save`, and
+        always gets a full index write rather than a row-level patch.
 
-        ``strict_stamp=True`` (sqlite only) is the document service's
-        publish contract: instead of demanding ``overwrite=True`` when
-        the stored artifact is not this session's — or silently
-        rewriting a racing writer's rows when the in-transaction stamp
+        ``strict_stamp=True`` is the document service's publish
+        contract: instead of demanding ``overwrite=True`` when the
+        stored artifact is not this session's — or silently rewriting a
+        racing writer's rows when the in-transaction stamp
         re-verification fails — the save raises the typed
         :class:`~repro.errors.WriteConflictError` and leaves the store
         exactly as the other writer published it.
@@ -245,7 +159,7 @@ class GoddagStore:
                 self._save_indexed(document, name, manager, overwrite,
                                    strict_stamp)
         else:
-            with tracer.span("save", document=name, backend=self.backend):
+            with tracer.span("save", document=name):
                 with metrics.time("storage.save"):
                     self._save_indexed(document, name, manager, overwrite,
                                        strict_stamp)
@@ -254,76 +168,42 @@ class GoddagStore:
     def _save_indexed(self, document: GoddagDocument, name: str,
                       manager: IndexManager, overwrite: bool,
                       strict_stamp: bool = False) -> None:
-        # The token pins delta accounting to one exact artifact
-        # *generation*: deltas accumulated against another store,
-        # another name, or an artifact someone replaced since our last
-        # write never row-apply here.
-        if self._sqlite is not None:
-            exists = self._sqlite.has(name)
-            generation = self._sqlite.index_stamp(name) if exists else None
-            token = (self.backend, str(self.location), name, generation)
-            deltas = manager.pending_persist(token)  # refreshes the manager
-            if exists and not overwrite and not manager.persisted_to(token):
-                if strict_stamp:
-                    from ..errors import WriteConflictError
+        exists = self._sqlite.has(name)
+        generation = self._sqlite.index_stamp(name) if exists else None
+        token = self.artifact_token(name, generation)
+        deltas = manager.pending_persist(token)  # refreshes the manager
+        if exists and not overwrite and not manager.persisted_to(token):
+            if strict_stamp:
+                from ..errors import WriteConflictError
 
-                    metrics.incr("service.conflicts")
-                    raise WriteConflictError(
-                        f"document {name!r} was published by another "
-                        "writer during this session; nothing was written",
-                        name=name, found=generation or "",
-                    )
-                raise StorageError(
-                    f"document {name!r} already stored and is not this "
-                    "session's artifact; pass overwrite=True to replace it"
+                metrics.incr("service.conflicts")
+                raise WriteConflictError(
+                    f"document {name!r} was published by another "
+                    "writer during this session; nothing was written",
+                    name=name, found=generation or "",
                 )
-            stamp = uuid4().hex
-            if exists:
-                self._sqlite.resave_with_index(
-                    document, name, deltas,
-                    lambda hierarchy, path: [
-                        (e.start, e.end)
-                        for e in manager.structural.partition(hierarchy, path)
-                    ],
-                    lambda: manager.payload(name),
-                    stamp=stamp,
-                    expected_stamp=generation,
-                    attr_spans=manager.attrs.spans,
-                    strict_stamp=strict_stamp,
-                )
-            else:
-                self._sqlite.save(document, name)
-                self._sqlite.save_index(name, manager.payload(name), stamp)
-            manager.mark_persisted(
-                (self.backend, str(self.location), name, stamp)
+            raise StorageError(
+                f"document {name!r} already stored and is not this "
+                "session's artifact; pass overwrite=True to replace it"
+            )
+        stamp = uuid4().hex
+        if exists:
+            self._sqlite.resave_with_index(
+                document, name, deltas,
+                lambda hierarchy, path: [
+                    (e.start, e.end)
+                    for e in manager.structural.partition(hierarchy, path)
+                ],
+                lambda: manager.payload(name),
+                stamp=stamp,
+                expected_stamp=generation,
+                attr_spans=manager.attrs.spans,
+                strict_stamp=strict_stamp,
             )
         else:
-            target = self._file(name)
-            generation = _file_identity(target)
-            token = (self.backend, str(self.location), name, generation)
-            manager.refresh()
-            if (
-                generation is not None
-                and not overwrite
-                and not manager.persisted_to(token)
-            ):
-                raise StorageError(
-                    f"document {name!r} already stored and is not this "
-                    "session's artifact; pass overwrite=True to replace it"
-                )
-            # The consent check above is check-then-write (no file
-            # locking), but the write is a whole-artifact rewrite:
-            # losing the race can only clobber a concurrent writer's
-            # document wholesale (as plain save(overwrite=True) can) —
-            # never pair our deltas with a stranger's index.
-            self._invalidate_sidecar(name)
-            save_file(document, target, name)
-            write_sidecar(self._sidecar_file(name), manager.payload(name))
-            metrics.incr("storage.sidecar_restamps")
-            manager.mark_persisted(
-                (self.backend, str(self.location), name,
-                 _file_identity(target))
-            )
+            self._sqlite.save(document, name)
+            self._sqlite.save_index(name, manager.payload(name), stamp)
+        manager.mark_persisted(self.artifact_token(name, stamp))
 
     def save_stream(self, sources, name: str, *, overwrite: bool = False,
                     chunk_elements: int = 1024,
@@ -335,123 +215,36 @@ class GoddagStore:
         sources (strings, paths, open files, or zero-argument factories
         returning fresh chunk iterators — the scan makes two passes),
         and the stored rows — document, elements, and the full persisted
-        index — are byte-identical to the materialized path.  On the
-        sqlite backend the write proceeds in chunked transactions while
-        the SACX merge runs (see :func:`repro.streaming.ingest
-        .stream_save`), never holding the whole document; readers see
-        nothing under ``name`` until the final rename publishes it.
+        index — are byte-identical to the materialized path.  The write
+        proceeds in chunked transactions while the SACX merge runs (see
+        :func:`repro.streaming.ingest.stream_save`), never holding the
+        whole document; readers see nothing under ``name`` until the
+        final rename publishes it.
 
-        The binary backend has no row-level surface to stream into, so
-        it materializes — reported on the ``storage.stream_save``
-        fallback metric — then saves and indexes as usual.
-
-        Returns the index generation stamp (sqlite; ``""`` on the
-        binary fallback).
+        Returns the index generation stamp.
         """
-        if self._sqlite is not None:
-            from ..streaming.ingest import stream_save
+        from ..streaming.ingest import stream_save
 
-            return stream_save(
-                self._sqlite, sources, name, overwrite=overwrite,
-                chunk_elements=chunk_elements, chunk_chars=chunk_chars,
-            )
-        from ..obs import fallback as _obs_fallback
-        from ..streaming.parse import parse_streaming
-
-        _obs_fallback("storage.stream_save", "backend-unsupported",
-                      f"binary backend materializes {name!r}")
-        document = parse_streaming(sources, chunk_chars=chunk_chars)
-        self.save(document, name, overwrite=overwrite)
-        self.build_index(name)
-        return ""
+        return stream_save(
+            self._sqlite, sources, name, overwrite=overwrite,
+            chunk_elements=chunk_elements, chunk_chars=chunk_chars,
+        )
 
     def lazy(self, name: str):
         """An on-demand :class:`~repro.streaming.lazy.LazyDocument` view
         over a stored document — rows hydrate as queries touch them,
-        nothing is materialized up front.  Sqlite backend only: the
-        binary format is a sequential archive with no keyed row access.
-        """
-        if self._sqlite is None:
-            raise StorageError(
-                "lazy loading needs the sqlite backend "
-                "(the binary archive has no row-level access)"
-            )
+        nothing is materialized up front."""
         from ..streaming.lazy import LazyDocument
 
         return LazyDocument(self._sqlite, name)
 
     def has_index(self, name: str) -> bool:
         """True when a persisted index exists for ``name``."""
-        if self._sqlite is not None:
-            return self._sqlite.has_index(name)
-        if not self._file(name).exists():
-            raise StorageError(f"no stored document {name!r}")
-        return self._sidecar_file(name).exists()
+        return self._sqlite.has_index(name)
 
     def drop_index(self, name: str) -> None:
         """Remove the persisted index (the document itself is untouched)."""
-        if self._sqlite is not None:
-            self._sqlite.drop_index(name)
-            return
-        if not self._file(name).exists():
-            raise StorageError(f"no stored document {name!r}")
-        self._invalidate_sidecar(name)
-
-    def _invalidate_sidecar(self, name: str) -> None:
-        self._sidecars.pop(name, None)
-        sidecar = self._sidecar_file(name)
-        if sidecar.exists():
-            sidecar.unlink()
-
-    def _sidecar_section(self, name: str, section: str):
-        """A lazily loaded, cached sidecar section (binary backend).
-
-        The cache is stamped with the sidecar file's ``(mtime, size)``
-        so another store (or process) rewriting the document and its
-        index on the same directory cannot leave this one serving stale
-        sections.  Any read failure — the sidecar dropped between our
-        ``has_index`` and the read, a crashed write left it short —
-        surfaces as the module's usual :class:`StorageError`.
-        """
-        sidecar = self._sidecar_file(name)
-        try:
-            stat = sidecar.stat()
-        except OSError as exc:
-            self._sidecars.pop(name, None)
-            raise StorageError(
-                f"cannot read the index sidecar of {name!r}: {exc}"
-            ) from exc
-        stamp = (stat.st_mtime_ns, stat.st_size)
-        cached = self._sidecars.get(name)
-        if cached is None or cached.get("stamp") != stamp:
-            cached = {"stamp": stamp}
-            self._sidecars[name] = cached
-        if section not in cached:
-            try:
-                if section == "header":
-                    payload = read_sidecar_header(sidecar)
-                else:
-                    payload = read_sidecar(sidecar, sections=(section,))
-            except OSError as exc:
-                self._sidecars.pop(name, None)
-                raise StorageError(
-                    f"cannot read the index sidecar of {name!r}: {exc}"
-                ) from exc
-            except StorageError as exc:
-                self._sidecars.pop(name, None)
-                raise StorageError(
-                    f"{exc} — drop_index({name!r}) removes the bad "
-                    "sidecar and restores unindexed queries"
-                ) from exc
-            if section == "overlap":
-                cached[section] = OverlapIndex.from_payload(payload["overlap"])
-            elif section == "terms":
-                cached[section] = TermIndex.from_items(
-                    payload["doc_length"], payload["terms"].items()
-                )
-            else:  # "header"
-                cached[section] = payload
-        return cached[section]
+        self._sqlite.drop_index(name)
 
     # -- storage-level queries -----------------------------------------------------------
 
@@ -459,13 +252,11 @@ class GoddagStore:
         self, name: str, start: int, end: int
     ) -> list[tuple[str, str, int, int]]:
         """Solid elements intersecting a span, without reconstruction."""
-        if self._sqlite is not None:
-            return [
-                (e.hierarchy, e.tag, e.start, e.end)
-                for e in self._sqlite.elements_intersecting(name, start, end)
-                if e.start < e.end
-            ]
-        return scan_spans(self._file(name), start, end)
+        return [
+            (e.hierarchy, e.tag, e.start, e.end)
+            for e in self._sqlite.elements_intersecting(name, start, end)
+            if e.start < e.end
+        ]
 
     def element(self, name: str, elem_id: int) -> StoredElement | None:
         """Resolve a cross-session node handle without materializing
@@ -473,53 +264,31 @@ class GoddagStore:
 
         ``elem_id`` is the stable persistent identity of an element —
         its birth ordinal, :attr:`repro.core.node.Element.elem_id` —
-        which both backends store and preserve across every save → load
-        round trip.  Returns the element's stored state as a
-        :class:`StoredElement` (one keyed SQL probe on sqlite, one
-        fixed-width table scan on the binary backend), or ``None`` when
-        no element with that id exists.  To resolve the handle against a
-        materialized document instead, use
+        which the store preserves across every save → load round trip.
+        Returns the element's stored state as a :class:`StoredElement`
+        (one keyed SQL probe), or ``None`` when no element with that id
+        exists.  To resolve the handle against a materialized document
+        instead, use
         :meth:`~repro.core.goddag.GoddagDocument.element_by_ordinal`.
         """
-        if self._sqlite is not None:
-            return self._sqlite.element(name, elem_id)
-        target = self._file(name)
-        if not target.exists():
-            raise StorageError(f"no stored document {name!r}")
-        found = read_element(target, elem_id)
-        if found is None:
-            return None
-        hierarchy, tag, start, end, attributes = found
-        return StoredElement(elem_id, hierarchy, tag, start, end, attributes)
+        return self._sqlite.element(name, elem_id)
 
     def query_spans(
         self, name: str, start: int, end: int
     ) -> list[tuple[str, str, int, int]]:
         """Index-aware span query: solid elements intersecting [start, end).
 
-        With a persisted index the answer comes from the overlap index —
-        an SQL range probe (sqlite) or an ``O(log n + k)`` interval query
-        over the sidecar tables (binary) — without materializing the
-        document.  Without one it falls back to
-        :meth:`elements_intersecting`.  Either way the result is the
-        same set, ordered by ``(start, -end, hierarchy, tag)``.
+        With a persisted index the answer comes from an SQL range probe
+        of the overlap index, without materializing the document.
+        Without one it falls back to :meth:`elements_intersecting`.
+        Either way the result is the same set, ordered by
+        ``(start, -end, hierarchy, tag)``.
         """
-        if self._sqlite is not None:
-            hits = self._sqlite.index_overlap_query(name, start, end)
-            if hits is not None:
-                return hits  # the SQL ORDER BY emits this exact order
-        elif self.has_index(name):
-            overlap: OverlapIndex = self._sidecar_section(name, "overlap")
-            return overlap.intersecting(start, end)  # sorted by contract
-        # Unindexed fallback: the producers emit storage order, and the
-        # binary scan reports zero-width anchors strictly inside the
-        # window while the overlap index (like the sqlite facade) serves
-        # solid elements only — filter and sort for identical answers.
-        hits = [
-            hit
-            for hit in self.elements_intersecting(name, start, end)
-            if hit[2] < hit[3]
-        ]
+        hits = self._sqlite.index_overlap_query(name, start, end)
+        if hits is not None:
+            return hits  # the SQL ORDER BY emits this exact order
+        # Unindexed fallback: the element rows come in storage order.
+        hits = self.elements_intersecting(name, start, end)
         hits.sort(key=lambda hit: (hit[2], -hit[3], hit[0], hit[1]))
         return hits
 
@@ -532,127 +301,61 @@ class GoddagStore:
         reconstruction.
         """
         if TermIndex.is_indexable(needle):
-            if self._sqlite is not None:
-                occurrences = self._sqlite.index_term_occurrences(name, needle)
-                if occurrences is not None:
-                    return occurrences
-            elif self.has_index(name):
-                terms: TermIndex = self._sidecar_section(name, "terms")
-                return terms.occurrences(needle)
-        if self._sqlite is not None:
-            return find_all(self._sqlite.text(name), needle)
-        if not self._file(name).exists():
-            raise StorageError(f"no stored document {name!r}")
-        return find_all(read_text(self._file(name)), needle)
+            occurrences = self._sqlite.index_term_occurrences(name, needle)
+            if occurrences is not None:
+                return occurrences
+        return find_all(self._sqlite.text(name), needle)
 
     def count_tag(self, name: str, tag: str) -> int:
         """Number of elements with ``tag``, via the structural summary
         when indexed (a metadata read) and a storage count otherwise."""
-        if self._sqlite is not None:
-            count = self._sqlite.index_tag_count(name, tag)
-            if count is not None:
-                return count
-        elif self.has_index(name):
-            # Populations live in the header's partition rows
-            # (hierarchy, path, tag, count, offset) — no region I/O.
-            header = self._sidecar_section(name, "header")
-            return sum(
-                row[3] for row in header["path_rows"] if row[2] == tag
-            )
+        count = self._sqlite.index_tag_count(name, tag)
+        if count is not None:
+            return count
         return self.count_elements(name, tag)
 
     def count_attribute(self, name: str, attr: str, value: str) -> int:
         """Number of elements with attribute ``attr`` = ``value``.
 
         With a persisted format-2 index the answer comes from the
-        attribute posting rows (sqlite) or the sidecar header's posting
-        populations (binary) — a metadata read, no document
-        materialization.  Older or missing indexes fall back to a
-        storage scan (sqlite: element-row attribute JSON; binary: one
-        document load).  The shared root's attributes are not counted —
-        attribute postings index elements, matching the in-memory
-        :class:`~repro.index.term.AttributeIndex`.
+        attribute posting rows — a metadata read, no document
+        materialization.  Older or missing indexes fall back to a scan
+        of the element rows' attribute JSON.  The shared root's
+        attributes are not counted — attribute postings index elements,
+        matching the in-memory :class:`~repro.index.term.AttributeIndex`.
         """
-        if self._sqlite is not None:
-            count = self._sqlite.index_attr_count(name, attr, value)
-            if count is not None:
-                return count
-            return self._sqlite.count_attribute_scan(name, attr, value)
-        if self.has_index(name):
-            header = self._sidecar_section(name, "header")
-            rows = header.get("attr_rows")
-            if rows is not None:  # format ≥ 2: populations live in the header
-                return sum(
-                    row[2] for row in rows
-                    if row[0] == attr and row[1] == value
-                )
-        document = self.load(name)
-        return sum(
-            1
-            for element in document.elements()
-            if element.attributes.get(attr) == value
-        )
+        count = self._sqlite.index_attr_count(name, attr, value)
+        if count is not None:
+            return count
+        return self._sqlite.count_attribute_scan(name, attr, value)
 
     def count_elements(self, name: str, tag: str | None = None) -> int:
-        if self._sqlite is not None:
-            return self._sqlite.count_elements(name, tag)
-        document = self.load(name)
-        if tag is None:
-            return document.element_count()
-        return sum(1 for _ in document.elements(tag=tag))
+        return self._sqlite.count_elements(name, tag)
 
     def overlapping_pairs(self, name: str, tag_a: str, tag_b: str):
-        """Overlap join in storage (sqlite backend only)."""
-        if self._sqlite is None:
-            raise StorageError(
-                "overlap joins need the sqlite backend; the binary "
-                "backend loads and queries in memory instead"
-            )
+        """Overlap join in storage."""
         return self._sqlite.overlapping_pairs(name, tag_a, tag_b)
 
     def stats(self, name: str | None = None) -> dict:
         """Stored-document counts in the unified ``repro-stats/1`` shape
-        (see docs/ARCHITECTURE.md, Observability): element row count on
-        sqlite, size accounting on the binary backend.  The old flat
-        keys (``elements``, ``total_bytes``, ...) still answer for one
-        release via the deprecation shim.
+        (see docs/ARCHITECTURE.md, Observability): the element row
+        count of document ``name``.
 
         ``name=None`` reports on the whole store instead: document and
         element-row totals plus the collection summary's size by
-        feature family (sqlite), or document count and total bytes
-        (binary) — the corpus-level view :meth:`repro.collection.Corpus.stats`
-        serves over its pool.
+        feature family — the corpus-level view
+        :meth:`repro.collection.Corpus.stats` serves over its pool.
         """
         from ..obs.stats import stats_dict
 
         if name is None:
-            if self._sqlite is not None:
-                raw = self._sqlite.corpus_counts()
-                counts = {
-                    f"collection.{key}": value for key, value in raw.items()
-                }
-            else:
-                names = self.names()
-                counts = {
-                    "collection.documents": len(names),
-                    "collection.total_bytes": sum(
-                        file_stats(self._file(member))["total_bytes"]
-                        for member in names
-                    ),
-                }
-            return stats_dict(
-                "storage.corpus", counts, backend=self.backend,
-            )
-        if self._sqlite is not None:
-            raw = {"elements": self._sqlite.count_elements(name)}
-        else:
-            raw = file_stats(self._file(name))
-        counts = {f"storage.{key}": value for key, value in raw.items()}
-        aliases = {key: ("counts", f"storage.{key}") for key in raw}
-        return stats_dict(
-            "storage.store", counts, aliases=aliases,
-            name=name, backend=self.backend,
-        )
+            counts = {
+                f"collection.{key}": value
+                for key, value in self._sqlite.corpus_counts().items()
+            }
+            return stats_dict("storage.corpus", counts)
+        counts = {"storage.elements": self._sqlite.count_elements(name)}
+        return stats_dict("storage.store", counts, name=name)
 
 
 __all__ = ["GoddagStore", "SqliteStore", "StoredElement"]

@@ -24,8 +24,8 @@ planner-off arm of the differential harness).
 
 Element identity is keyed, never positional: the ``element-by-id()``
 function (:mod:`repro.xpath.functions`) resolves a persistent
-``elem_id`` through the document's ordinal map — and because both
-storage backends round-trip ordinals, a handle captured before a save
+``elem_id`` through the document's ordinal map — and because the
+store round-trips ordinals, a handle captured before a save
 resolves to the same element after ``GoddagStore.load``, with no
 re-matching of spans or document order.
 """

@@ -303,7 +303,7 @@ def fn_element_by_id(context, args):
     such element exists.
 
     The query-language face of the cross-session node-handle contract:
-    ids survive ``save → load`` on both storage backends, so a handle
+    ids survive ``save → load`` through the store, so a handle
     recorded in one session resolves keyedly here in any later one —
     no positional re-matching against spans or document order.  (The
     shared root is deliberately not addressable: ``id 0`` yields the

@@ -396,14 +396,8 @@ class QueryPlan:
         for choice in self.choices():
             key = f"plan.choice.{choice.lower()}"
             counts[key] = counts.get(key, 0) + 1
-        aliases = {
-            "served": ("counts", "plan.served"),
-            "fallbacks": ("counts", "plan.fallbacks"),
-            "rows_examined": ("counts", "plan.rows_examined"),
-            "rows_produced": ("counts", "plan.rows_produced"),
-        }
         return stats_dict(
-            "xpath.plan", counts, aliases=aliases,
+            "xpath.plan", counts,
             expression=self.expression, indexed=self.indexed,
         )
 

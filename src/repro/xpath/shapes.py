@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .ast import Binary, Expr, Literal, LocationPath, Step
+from .ast import Expr, LocationPath, Step
+from .optimizer import indexable_attr_eq
 
 
 @dataclass(frozen=True)
@@ -30,29 +31,6 @@ class DescendantTagShape:
     hierarchy: Optional[str]
     attr: Optional[str] = None
     value: Optional[str] = None
-
-
-def _attribute_equality(predicate: Expr) -> tuple[str, str] | None:
-    """``(name, value)`` when ``predicate`` is ``@name = 'value'``
-    (either operand order), else ``None``."""
-    if not isinstance(predicate, Binary) or predicate.op != "=":
-        return None
-    for path, literal in ((predicate.left, predicate.right),
-                          (predicate.right, predicate.left)):
-        if not isinstance(literal, Literal):
-            continue
-        if not isinstance(path, LocationPath) or path.absolute:
-            continue
-        if len(path.steps) != 1:
-            continue
-        step = path.steps[0]
-        if step.axis != "attribute" or step.predicates:
-            continue
-        test = step.test
-        if test.kind != "name" or test.name == "*" or test.hierarchy:
-            continue
-        return test.name, literal.value
-    return None
 
 
 def descendant_tag_shape(ast: Expr) -> DescendantTagShape | None:
@@ -71,7 +49,7 @@ def descendant_tag_shape(ast: Expr) -> DescendantTagShape | None:
         return DescendantTagShape(test.name, test.hierarchy)
     if len(step.predicates) != 1:
         return None
-    equality = _attribute_equality(step.predicates[0])
+    equality = indexable_attr_eq(step.predicates[0])
     if equality is None:
         return None
     return DescendantTagShape(test.name, test.hierarchy,

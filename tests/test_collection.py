@@ -9,18 +9,13 @@ arm of the same property lives in ``test_collection_differential.py``.
 
 from __future__ import annotations
 
-import json
-import struct
-
 import pytest
 
 from repro import Corpus, DocumentService, GoddagStore
 from repro.collection import routing_features, split_collection_expression
 from repro.collection.fanout import node_rows
-from repro.editing import Editor
 from repro.errors import ServiceError, StorageError
 from repro.index.manager import IndexManager
-from repro.storage import binary_backend
 from repro.storage.sqlite_backend import (
     KIND_ATTR,
     KIND_PATH,
@@ -330,16 +325,6 @@ def test_store_corpus_stats_sqlite(tmp_path):
     store.close()
 
 
-def test_store_corpus_stats_binary(tmp_path):
-    store = GoddagStore(tmp_path / "docs", backend="binary")
-    store.save(generate(WorkloadSpec(words=20, hierarchies=2, seed=3)), "a")
-    store.save(generate(WorkloadSpec(words=25, hierarchies=2, seed=4)), "b")
-    stats = store.stats()
-    assert stats["source"] == "storage.corpus"
-    assert stats["counts"]["collection.documents"] == 2
-    assert stats["counts"]["collection.total_bytes"] > 0
-
-
 # -- service integration -----------------------------------------------------------
 
 
@@ -353,61 +338,3 @@ def test_service_collection_query_shares_the_pool(tmp_path):
     assert result.hits == service.corpus.query(
         "collection()//line", routing=False).hits
     service.close()
-
-
-# -- binary read_element probe (satellite) -----------------------------------------
-
-
-def test_binary_probe_matches_scan(tmp_path):
-    doc = generate(WorkloadSpec(words=60, hierarchies=3, seed=7))
-    target = tmp_path / "d.gdag"
-    binary_backend.save_file(doc, target, "d")
-    with open(target, "rb") as fh:
-        header = binary_backend._read_header(fh)
-    assert header.ids_sorted
-    for element in doc.elements():
-        assert binary_backend.read_element(target, element.elem_id) == (
-            element.hierarchy, element.tag, element.start, element.end,
-            element.attributes,
-        )
-    assert binary_backend.read_element(target, 10 ** 6) is None
-    assert binary_backend.read_element(target, 0) is None  # the root
-
-
-def test_binary_probe_falls_back_when_ids_unsorted(tmp_path):
-    doc = generate(WorkloadSpec(words=60, hierarchies=3, seed=8))
-    words = sorted(doc.elements(tag="w"), key=lambda e: e.start)
-    Editor(doc).insert_markup("linguistic", "phrase",
-                              words[1].start, words[3].end)
-    target = tmp_path / "d.gdag"
-    binary_backend.save_file(doc, target, "d")
-    with open(target, "rb") as fh:
-        header = binary_backend._read_header(fh)
-    assert not header.ids_sorted  # late ordinal nested mid-table
-    for element in doc.elements():
-        assert binary_backend.read_element(target, element.elem_id) == (
-            element.hierarchy, element.tag, element.start, element.end,
-            element.attributes,
-        )
-
-
-def test_binary_pre_flag_headers_stay_readable(tmp_path):
-    doc = generate(WorkloadSpec(words=30, hierarchies=2, seed=9))
-    target = tmp_path / "d.gdag"
-    binary_backend.save_file(doc, target, "d")
-    raw = target.read_bytes()
-    (header_length,) = struct.unpack("<I", raw[6:10])
-    data = json.loads(raw[10:10 + header_length])
-    del data["ids_sorted"]  # a file written before the flag existed
-    old_header = json.dumps(data, sort_keys=True).encode("utf-8")
-    target.write_bytes(
-        b"GDAG1\n" + struct.pack("<I", len(old_header)) + old_header
-        + raw[10 + header_length:]
-    )
-    element = max(doc.elements(), key=lambda e: len(e.attributes))
-    assert binary_backend.read_element(target, element.elem_id) == (
-        element.hierarchy, element.tag, element.start, element.end,
-        element.attributes,
-    )
-    assert binary_backend.load_file(target).element_count() == \
-        doc.element_count()

@@ -112,7 +112,7 @@ def test_observability_identifiers_are_real():
     from repro.obs.benchjson import BENCH_SCHEMA, compare  # noqa: F401
     from repro.obs.drift import DriftRing
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.stats import STATS_SCHEMA, DeprecatedKeyDict  # noqa: F401
+    from repro.obs.stats import STATS_SCHEMA, stats_dict  # noqa: F401
     from repro.obs.trace import SPAN_LIMIT, Tracer
 
     for name in ("enable", "disable", "report", "tracing", "fallback",

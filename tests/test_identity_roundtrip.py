@@ -1,7 +1,7 @@
 """Persistent element identity: the round-trip contract.
 
 The birth ordinal of every element is its persistent ``elem_id`` —
-both storage backends store it, reconstruction preserves it, and the
+the store keeps it, reconstruction preserves it, and the
 fresh-ordinal counter resumes past the loaded maximum.  The property
 asserted here is the strong form: after ``save → load → edit →
 save_indexed → load``, the reloaded document is indistinguishable from
@@ -20,8 +20,6 @@ from repro.index import IndexManager
 from repro.storage import GoddagStore
 from repro.workloads import WorkloadSpec, generate
 from repro.xpath import ExtendedXPath
-
-from _helpers import location
 
 EDIT_TAGS = ("seg", "note", "mark")
 
@@ -75,7 +73,7 @@ def random_edits(document, seed, steps=25, removals=True):
             pass  # identical failure on identical replicas; keep going
 
 
-@pytest.mark.parametrize("backend", ["sqlite", "binary"])
+@pytest.mark.parametrize("backend", ["sqlite"])
 @pytest.mark.parametrize("seed", [3, 17])
 class TestIdentitySurvivesPersistence:
     def test_save_load_edit_save_load_matches_never_persisted(
@@ -86,8 +84,7 @@ class TestIdentitySurvivesPersistence:
         persisted = generate(spec)
         witness = generate(spec)  # never touches storage
         manager = IndexManager.for_document(persisted)
-        with GoddagStore(location(backend, tmp_path),
-                         backend=backend) as store:
+        with GoddagStore(tmp_path / "store.sqlite") as store:
             store.save_indexed(persisted, "d", manager)
             loaded = store.load("d")
             assert identity_census(loaded) == identity_census(witness)
@@ -116,8 +113,7 @@ class TestIdentitySurvivesPersistence:
         persisted = generate(spec)
         witness = generate(spec)
         manager = IndexManager.for_document(persisted)
-        with GoddagStore(location(backend, tmp_path),
-                         backend=backend) as store:
+        with GoddagStore(tmp_path / "store.sqlite") as store:
             store.save_indexed(persisted, "d", manager)
             loaded = store.load("d")
             random_edits(loaded, seed=seed + 1, removals=False)
@@ -145,8 +141,7 @@ class TestIdentitySurvivesPersistence:
         persisted = generate(spec)
         witness = generate(spec)
         manager = IndexManager.for_document(persisted)
-        with GoddagStore(location(backend, tmp_path),
-                         backend=backend) as store:
+        with GoddagStore(tmp_path / "store.sqlite") as store:
             store.save_indexed(persisted, "d", manager)
             loaded = store.load("d")
             random_edits(loaded, seed=seed + 1)
@@ -181,13 +176,12 @@ class TestCrossSessionHandles:
         builder.add_annotation("l", "s", 4, 19, {"n": "1"})
         return builder.build()
 
-    @pytest.mark.parametrize("backend", ["sqlite", "binary"])
+    @pytest.mark.parametrize("backend", ["sqlite"])
     def test_handle_resolves_across_sessions(self, backend, tmp_path):
         document = self._narrative()
         target = next(document.elements(tag="s"))
         handle = target.elem_id
-        with GoddagStore(location(backend, tmp_path),
-                         backend=backend) as store:
+        with GoddagStore(tmp_path / "store.sqlite") as store:
             store.save(document, "d")
             # Storage-level resolution: no document materialized.
             stored = store.element("d", handle)
@@ -219,8 +213,7 @@ class TestCrossSessionHandles:
 
     def test_ordinals_never_collide_after_reload(self, tmp_path):
         document = self._narrative()
-        with GoddagStore(location("sqlite", tmp_path),
-                         backend="sqlite") as store:
+        with GoddagStore(tmp_path / "store.sqlite") as store:
             store.save(document, "d")
             loaded = store.load("d")
             highest = max(e.elem_id for e in loaded.elements())

@@ -2,7 +2,7 @@
 
 Covers the three indexes and the manager in isolation, the engine
 equivalence guarantee (indexed query results byte-identical to the
-unindexed engine), and index persistence on both storage backends.
+unindexed engine), and index persistence in the sqlite store.
 """
 
 import pytest
@@ -13,9 +13,7 @@ from repro.index import (
     OverlapIndex,
     StructuralSummary,
     TermIndex,
-    read_sidecar,
     tokenize,
-    write_sidecar,
 )
 from repro.storage import GoddagStore
 from repro.workloads import WorkloadSpec, generate
@@ -98,12 +96,6 @@ class TestTermIndex:
         assert index.occurrences("song") == [2, 10]  # cache unpoisoned
         assert index.span_contains(9, 14, "song")
         assert not index.span_contains(11, 14, "song")
-
-    def test_items_roundtrip(self):
-        index = TermIndex.from_text("a song of song")
-        rebuilt = TermIndex.from_items(index.text_length, index.items())
-        assert rebuilt.postings("song") == index.postings("song")
-        assert rebuilt.occurrences("on") == index.occurrences("on")
 
 
 # -- structural summary --------------------------------------------------------
@@ -212,12 +204,6 @@ class TestOverlapIndex:
             assert not (start <= 100 and 160 <= end)  # not containing
             assert not (100 <= start and end <= 160)  # not contained
 
-    def test_payload_roundtrip(self, corpus):
-        index = OverlapIndex.from_document(corpus)
-        rebuilt = OverlapIndex.from_payload(index.payload())
-        assert rebuilt.intersecting(90, 200) == index.intersecting(90, 200)
-        assert rebuilt.element_count() == index.element_count()
-
     def test_hierarchy_filter(self, corpus):
         index = OverlapIndex.from_document(corpus)
         only = index.intersecting(0, 200, hierarchy="verse")
@@ -324,47 +310,15 @@ class TestEngineEquivalence:
         assert plain == indexed == bound
 
 
-# -- sidecar I/O ---------------------------------------------------------------
-
-class TestSidecar:
-    def test_roundtrip(self, corpus, tmp_path):
-        payload = IndexManager(corpus).payload("ms")
-        path = tmp_path / "ms.gidx"
-        write_sidecar(path, payload)
-        back = read_sidecar(path)
-        assert back["overlap"] == payload["overlap"]
-        assert back["terms"] == payload["terms"]
-        assert [tuple(r) for r in back["paths"]] == (
-            [tuple(r) for r in payload["paths"]]
-        )
-
-    def test_partial_read(self, corpus, tmp_path):
-        payload = IndexManager(corpus).payload("ms")
-        path = tmp_path / "ms.gidx"
-        write_sidecar(path, payload)
-        overlap_only = read_sidecar(path, sections=("overlap",))
-        assert "overlap" in overlap_only
-        assert "terms" not in overlap_only and "paths" not in overlap_only
-
-    def test_bad_magic(self, tmp_path):
-        from repro.errors import StorageError
-
-        path = tmp_path / "junk.gidx"
-        path.write_bytes(b"NOPE\n\x00\x00\x00\x00")
-        with pytest.raises(StorageError):
-            read_sidecar(path)
-
-
 # -- storage persistence -------------------------------------------------------
 
-@pytest.mark.parametrize("backend", ["sqlite", "binary"])
+@pytest.mark.parametrize("backend", ["sqlite"])
 class TestStoredIndexes:
-    def _store(self, backend, tmp_path):
-        location = tmp_path / ("db.sqlite" if backend == "sqlite" else "docs")
-        return GoddagStore(location, backend=backend)
+    def _store(self, tmp_path):
+        return GoddagStore(tmp_path / "db.sqlite")
 
     def test_query_spans_indexed_equals_fallback(self, backend, tmp_path, corpus):
-        with self._store(backend, tmp_path) as store:
+        with self._store(tmp_path) as store:
             store.save(corpus, "ms")
             windows = [(0, 60), (100, 101), (250, 500), (0, corpus.length)]
             plain = [store.query_spans("ms", s, e) for s, e in windows]
@@ -374,17 +328,17 @@ class TestStoredIndexes:
                 assert store.query_spans("ms", s, e) == expected
 
     def test_index_survives_reopen(self, backend, tmp_path, corpus):
-        location = tmp_path / ("db.sqlite" if backend == "sqlite" else "docs")
-        with GoddagStore(location, backend=backend) as store:
+        location = tmp_path / "db.sqlite"
+        with GoddagStore(location) as store:
             store.save(corpus, "ms")
             store.build_index("ms")
             expected = store.query_spans("ms", 90, 180)
-        with GoddagStore(location, backend=backend) as fresh:
+        with GoddagStore(location) as fresh:
             assert fresh.has_index("ms")
             assert fresh.query_spans("ms", 90, 180) == expected
 
     def test_term_occurrences(self, backend, tmp_path, corpus):
-        with self._store(backend, tmp_path) as store:
+        with self._store(tmp_path) as store:
             store.save(corpus, "ms")
             store.build_index("ms")
             text = corpus.text
@@ -396,7 +350,7 @@ class TestStoredIndexes:
                 assert store.term_occurrences("ms", needle) == brute
 
     def test_count_tag(self, backend, tmp_path, corpus):
-        with self._store(backend, tmp_path) as store:
+        with self._store(tmp_path) as store:
             store.save(corpus, "ms")
             unindexed = store.count_tag("ms", "line")
             store.build_index("ms")
@@ -404,7 +358,7 @@ class TestStoredIndexes:
             assert store.count_tag("ms", "nope") == 0
 
     def test_overwrite_drops_index(self, backend, tmp_path, corpus):
-        with self._store(backend, tmp_path) as store:
+        with self._store(tmp_path) as store:
             store.save(corpus, "ms")
             store.build_index("ms")
             store.save(corpus, "ms", overwrite=True)
@@ -414,14 +368,14 @@ class TestStoredIndexes:
             assert hits == store.elements_intersecting("ms", 0, 80) or hits
 
     def test_drop_index(self, backend, tmp_path, corpus):
-        with self._store(backend, tmp_path) as store:
+        with self._store(tmp_path) as store:
             store.save(corpus, "ms")
             store.build_index("ms")
             store.drop_index("ms")
             assert not store.has_index("ms")
 
     def test_delete_document_removes_index(self, backend, tmp_path, corpus):
-        with self._store(backend, tmp_path) as store:
+        with self._store(tmp_path) as store:
             store.save(corpus, "ms")
             store.build_index("ms")
             store.delete("ms")
@@ -436,7 +390,7 @@ class TestStoredIndexes:
         builder.add_annotation("h", "b", 0, 5)
         builder.add_annotation("h", "a/b", 6, 11)
         document = builder.build()
-        with self._store(backend, tmp_path) as store:
+        with self._store(tmp_path) as store:
             store.save(document, "d")
             store.build_index("d")  # must not collide on the path key
             assert store.count_tag("d", "a/b") == 1
@@ -446,7 +400,7 @@ class TestStoredIndexes:
     def test_second_store_rewrite_is_seen(self, backend, tmp_path):
         """Two stores on one location: a rewrite + reindex through store B
         must not leave store A serving the old index from its cache."""
-        location = tmp_path / ("db.sqlite" if backend == "sqlite" else "docs")
+        location = tmp_path / "db.sqlite"
 
         def doc(tag, text):
             builder = GoddagBuilder(text)
@@ -454,8 +408,8 @@ class TestStoredIndexes:
             builder.add_annotation("p", tag, 0, 4)
             return builder.build()
 
-        store_a = GoddagStore(location, backend=backend)
-        store_b = GoddagStore(location, backend=backend)
+        store_a = GoddagStore(location)
+        store_b = GoddagStore(location)
         try:
             store_a.save(doc("x", "abcd efgh"), "d")
             store_a.build_index("d")
@@ -471,19 +425,14 @@ class TestStoredIndexes:
             store_b.close()
 
     def test_payload_roundtrip_through_backend(self, backend, tmp_path, corpus):
-        with self._store(backend, tmp_path) as store:
+        with self._store(tmp_path) as store:
             store.save(corpus, "ms")
             store.build_index("ms")
             payload = IndexManager(corpus).payload("ms")
-            if backend == "sqlite":
-                stored = store._sqlite.load_index("ms")
-                assert stored["terms"] == payload["terms"]
-                for name, entry in payload["overlap"].items():
-                    got = stored["overlap"][name]
-                    assert sorted(zip(got["starts"], got["ends"], got["tags"])) \
-                        == sorted(zip(entry["starts"], entry["ends"],
-                                      entry["tags"]))
-            else:
-                stored = read_sidecar(store._sidecar_file("ms"))
-                assert stored["overlap"] == payload["overlap"]
-                assert stored["terms"] == payload["terms"]
+            stored = store._sqlite.load_index("ms")
+            assert stored["terms"] == payload["terms"]
+            for name, entry in payload["overlap"].items():
+                got = stored["overlap"][name]
+                assert sorted(zip(got["starts"], got["ends"], got["tags"])) \
+                    == sorted(zip(entry["starts"], entry["ends"],
+                                  entry["tags"]))

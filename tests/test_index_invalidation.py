@@ -220,38 +220,12 @@ class TestEditingSessionEquivalence:
 
 
 class TestStoreLevelInvalidation:
-    def test_crash_during_overwrite_cannot_leave_stale_sidecar(self, tmp_path):
-        """Binary backend: the old index must be gone before the new
-        document is written, so a crash mid-save only loses the index."""
-        import repro.storage.store as store_module
-        from repro.storage import GoddagStore
-
-        document = build_document()
-        with GoddagStore(tmp_path / "docs", backend="binary") as store:
-            store.save(document, "ms")
-            store.build_index("ms")
-            original = store_module.save_file
-
-            def crashing(*args, **kwargs):
-                raise RuntimeError("simulated crash mid-save")
-
-            store_module.save_file = crashing
-            try:
-                with pytest.raises(RuntimeError):
-                    store.save(document, "ms", overwrite=True)
-            finally:
-                store_module.save_file = original
-            # The stale sidecar is gone; queries fall back correctly.
-            assert not store.has_index("ms")
-            assert store.query_spans("ms", 0, 19)
-
-    @pytest.mark.parametrize("backend", ["sqlite", "binary"])
+    @pytest.mark.parametrize("backend", ["sqlite"])
     def test_edited_document_resave_invalidates(self, backend, tmp_path):
         from repro.storage import GoddagStore
 
-        location = tmp_path / ("db.sqlite" if backend == "sqlite" else "docs")
         document = build_document()
-        with GoddagStore(location, backend=backend) as store:
+        with GoddagStore(tmp_path / "db.sqlite") as store:
             store.save(document, "ms")
             store.build_index("ms")
             before = store.count_tag("ms", "w")

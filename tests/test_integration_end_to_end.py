@@ -82,9 +82,10 @@ class TestAuthorThenQueryThenStore:
             hop2 = store.load("edition")
         assert [(w.start, w.end) for w in query.nodes(hop2)] == reference
 
-        # hop 3: binary storage round trip
-        with GoddagStore(tmp_path / "docs", backend="binary") as store:
-            store.save(hop2, "edition")
+        # hop 3: reopen the sqlite store and load again
+        with GoddagStore(str(tmp_path / "e.db")) as store:
+            store.save(hop2, "edition", overwrite=True)
+        with GoddagStore(str(tmp_path / "e.db")) as store:
             hop3 = store.load("edition")
         assert [(w.start, w.end) for w in query.nodes(hop3)] == reference
         assert documents_isomorphic(edition, hop3)

@@ -1,16 +1,15 @@
-"""The observability subsystem: tracer, metrics, stats shim, fallbacks.
+"""The observability subsystem: tracer, metrics, stats envelope, fallbacks.
 
 Drift capture and ``explain(analyze=True)`` have their own module
 (``tests/test_obs_drift.py``); this one covers the plumbing — span
 nesting and export, registry semantics (including the no-op default),
-the unified ``repro-stats/1`` envelope with its deprecation shim, the
-reason-coded fallback metrics, and strict-mode warnings.
+the unified ``repro-stats/1`` envelope, the reason-coded fallback
+metrics, and strict-mode warnings.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
@@ -20,7 +19,7 @@ from repro.editing import Editor
 from repro.index import IndexManager
 from repro.obs.benchjson import compare, load, scenario, write_bench_json
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.stats import DeprecatedKeyDict, stats_dict
+from repro.obs.stats import stats_dict
 from repro.obs.trace import Tracer
 from repro.storage import GoddagStore
 from repro.workloads import WorkloadSpec, generate
@@ -146,22 +145,6 @@ class TestStatsEnvelope:
         assert stats["source"] == "index.manager"
         assert stats["counts"]["index.builds"] == 1
         assert stats["extra"] == 7
-
-    def test_legacy_key_warns_and_resolves(self):
-        stats = DeprecatedKeyDict(
-            {"counts": {"index.builds": 3}},
-            aliases={"builds": ("counts", "index.builds")},
-        )
-        with pytest.warns(DeprecationWarning, match="counts.index.builds"):
-            assert stats["builds"] == 3
-        assert "builds" in stats
-        with pytest.warns(DeprecationWarning):
-            assert stats.get("builds") == 3
-        assert stats.get("missing", "default") == "default"
-        # Real keys answer silently.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert stats["counts"] == {"index.builds": 3}
 
     def test_all_three_producers_share_the_envelope(self, tmp_path):
         document = generate(WorkloadSpec(words=60, hierarchies=2, seed=9))

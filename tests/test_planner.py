@@ -284,13 +284,8 @@ class TestAttributeIndex:
                     "postings", "attr_keys", "attr_postings", "builds",
                     "deltas", "stale"):
             assert f"index.{key}" in counts, key
-            assert key in stats, key  # legacy keys answer via the shim
         assert counts["index.attr_postings"] >= counts["index.attr_keys"] > 0
         assert counts["index.postings"] >= counts["index.terms"] > 0
-        # The one-release shim resolves a legacy key to the new value,
-        # but loudly.
-        with pytest.warns(DeprecationWarning, match="index.builds"):
-            assert stats["builds"] == counts["index.builds"]
 
 
 class TestExplainSurface:
@@ -325,11 +320,10 @@ class TestExplainSurface:
 
 
 class TestStoredAttributeCounts:
-    @pytest.mark.parametrize("backend", ["sqlite", "binary"])
+    @pytest.mark.parametrize("backend", ["sqlite"])
     def test_count_attribute_indexed_vs_fallback(self, backend, tmp_path):
         document = generate(WorkloadSpec(words=160, hierarchies=3, seed=6))
-        where = tmp_path / ("s.sqlite" if backend == "sqlite" else "docs")
-        with GoddagStore(where, backend=backend) as store:
+        with GoddagStore(tmp_path / "s.sqlite") as store:
             store.save(document, "ms")
             unindexed = store.count_attribute("ms", "n", "2")
             assert unindexed == sum(

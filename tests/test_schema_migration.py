@@ -66,7 +66,7 @@ class TestLegacyArtifactMigration:
         rows_before = element_payload(conn)
         tables_before = table_names(conn)
         conn.close()
-        with GoddagStore(where, backend="sqlite") as store:
+        with GoddagStore(where) as store:
             assert store.names() == ["legacy"]
             conn = store._sqlite._conn
             # Additive: the stamp column and every current table exist...
@@ -82,7 +82,7 @@ class TestLegacyArtifactMigration:
 
     def test_loads_and_queries_through_the_old_index(self, fixture, tmp_path):
         where = materialize(fixture, tmp_path)
-        with GoddagStore(where, backend="sqlite") as store:
+        with GoddagStore(where) as store:
             assert store.has_index("legacy")
             assert store.count_tag("legacy", "line") == 1
             assert store.term_occurrences("legacy", "world") == [6]
@@ -106,7 +106,7 @@ class TestLegacyArtifactMigration:
         self, fixture, tmp_path
     ):
         where = materialize(fixture, tmp_path)
-        with GoddagStore(where, backend="sqlite") as store:
+        with GoddagStore(where) as store:
             before = element_payload(store._sqlite._conn)
             document = store.load("legacy")
             manager = IndexManager.for_document(document)

@@ -1,4 +1,4 @@
-"""Tests for the persistent storage layer (both backends)."""
+"""Tests for the persistent storage layer."""
 
 import pytest
 
@@ -9,10 +9,6 @@ from repro.storage import (
     SqliteStore,
     decode_document,
     encode_document,
-    file_stats,
-    load_file,
-    save_file,
-    scan_spans,
 )
 from repro.workloads import WorkloadSpec, figure_one_document, generate
 
@@ -223,46 +219,6 @@ class TestAttributeScanPrefilter:
             assert store.count_attribute_scan("near", "note", "target") == 1
 
 
-class TestBinaryBackend:
-    def test_roundtrip(self, doc, tmp_path):
-        path = tmp_path / "doc.gdag"
-        save_file(doc, path, "figure1")
-        assert documents_isomorphic(doc, load_file(path))
-
-    def test_scan_spans_without_loading(self, doc, tmp_path):
-        path = tmp_path / "doc.gdag"
-        save_file(doc, path)
-        res = next(doc.elements(tag="res"))
-        hits = scan_spans(path, res.start, res.end)
-        tags = {tag for (_, tag, _, _) in hits}
-        assert "res" in tags and "line" in tags
-
-    def test_scan_matches_memory(self, tmp_path):
-        document = generate(WorkloadSpec(words=300, seed=5))
-        path = tmp_path / "syn.gdag"
-        save_file(document, path)
-        window = (50, 120)
-        expected = {
-            (e.hierarchy, e.tag, e.start, e.end)
-            for e in document.elements()
-            if not e.is_empty and e.start < window[1] and e.end > window[0]
-        }
-        assert set(scan_spans(path, *window)) == expected
-
-    def test_file_stats(self, doc, tmp_path):
-        path = tmp_path / "doc.gdag"
-        save_file(doc, path)
-        stats = file_stats(path)
-        assert stats["elements"] == doc.element_count()
-        assert stats["total_bytes"] > stats["text_bytes"]
-
-    def test_magic_check(self, tmp_path):
-        path = tmp_path / "junk.gdag"
-        path.write_bytes(b"not a gdag file")
-        with pytest.raises(StorageError):
-            load_file(path)
-
-
 class TestGoddagStoreFacade:
     def test_sqlite_facade(self, doc):
         with GoddagStore() as store:
@@ -270,33 +226,13 @@ class TestGoddagStoreFacade:
             assert store.names() == ["f"]
             assert documents_isomorphic(doc, store.load("f"))
 
-    def test_binary_facade(self, doc, tmp_path):
-        with GoddagStore(tmp_path / "docs", backend="binary") as store:
+    def test_facade_span_query_agreement(self, doc):
+        window = (10, 40)
+        expected = {
+            (e.hierarchy, e.tag, e.start, e.end)
+            for e in doc.elements()
+            if not e.is_empty and e.start < window[1] and e.end > window[0]
+        }
+        with GoddagStore() as store:
             store.save(doc, "f")
-            assert store.names() == ["f"]
-            assert documents_isomorphic(doc, store.load("f"))
-            store.delete("f")
-            assert store.names() == []
-
-    def test_binary_needs_directory(self):
-        with pytest.raises(StorageError):
-            GoddagStore(backend="binary")
-
-    def test_unknown_backend(self):
-        with pytest.raises(StorageError):
-            GoddagStore(backend="papyrus")
-
-    def test_facade_span_query_agreement(self, doc, tmp_path):
-        with GoddagStore() as sql_store:
-            sql_store.save(doc, "f")
-            sql_hits = set(sql_store.elements_intersecting("f", 10, 40))
-        with GoddagStore(tmp_path / "docs", backend="binary") as bin_store:
-            bin_store.save(doc, "f")
-            bin_hits = set(bin_store.elements_intersecting("f", 10, 40))
-        assert sql_hits == bin_hits
-
-    def test_binary_overlap_join_unsupported(self, doc, tmp_path):
-        with GoddagStore(tmp_path / "docs", backend="binary") as store:
-            store.save(doc, "f")
-            with pytest.raises(StorageError):
-                store.overlapping_pairs("f", "a", "b")
+            assert set(store.elements_intersecting("f", *window)) == expected

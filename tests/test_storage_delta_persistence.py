@@ -1,12 +1,10 @@
 """Storage-side index maintenance: delta-applied partial updates.
 
 ``GoddagStore.save_indexed`` must keep a stored document and its
-persisted index in step across an editing session — sqlite via row-level
-upserts under a stable ``doc_id``, the binary backend via a ``.gidx``
-sidecar re-stamp — and every index-aware query afterwards must answer
-exactly as a from-scratch ``build_index`` would.  Also covered: the
-corrupt-artifact → ``StorageError`` recovery path when a second store
-rewrites (or mangles) the shared location concurrently.
+persisted index in step across an editing session — via row-level
+upserts under a stable ``doc_id`` — and every index-aware query
+afterwards must answer exactly as a from-scratch ``build_index`` would.
+Also covered: the corrupt-artifact → ``StorageError`` recovery path.
 """
 
 import pytest
@@ -19,12 +17,10 @@ from repro.storage import GoddagStore
 from repro.workloads import WorkloadSpec, generate
 from repro.xpath import ExtendedXPath
 
-from _helpers import location
 
-
-def fresh_answers(document, tmp_path, windows, tags, needles):
+def fresh_answers(document, windows, tags, needles):
     """Ground truth: a throwaway store indexed from scratch."""
-    with GoddagStore(tmp_path / "truth-docs", backend="binary") as store:
+    with GoddagStore() as store:
         store.save(document, "truth")
         store.build_index("truth")
         return {
@@ -53,19 +49,19 @@ def edit_session(document):
     return editor
 
 
-@pytest.mark.parametrize("backend", ["sqlite", "binary"])
+@pytest.mark.parametrize("backend", ["sqlite"])
 class TestDeltaAppliedRoundTrip:
     def test_queries_fresh_after_partial_update(self, backend, tmp_path):
         spec = WorkloadSpec(words=150, hierarchies=2, overlap_density=0.3)
         document = generate(spec)
         manager = IndexManager.for_document(document)
-        with GoddagStore(location(backend, tmp_path), backend=backend) as store:
+        with GoddagStore(tmp_path / "store.sqlite") as store:
             store.save_indexed(document, "ms", manager)
             assert store.has_index("ms")
             edit_session(document)
             store.save_indexed(document, "ms", manager)
             assert store.has_index("ms")  # never invalidated wholesale
-            truth = fresh_answers(document, tmp_path, WINDOWS, TAGS, NEEDLES)
+            truth = fresh_answers(document, WINDOWS, TAGS, NEEDLES)
             for (s, e), expected in zip(WINDOWS, truth["spans"]):
                 assert store.query_spans("ms", s, e) == expected
             for tag, expected in truth["tags"].items():
@@ -77,7 +73,7 @@ class TestDeltaAppliedRoundTrip:
         spec = WorkloadSpec(words=120, hierarchies=2)
         document = generate(spec)
         manager = IndexManager.for_document(document)
-        with GoddagStore(location(backend, tmp_path), backend=backend) as store:
+        with GoddagStore(tmp_path / "store.sqlite") as store:
             store.save_indexed(document, "ms", manager)
             edit_session(document)
             store.save_indexed(document, "ms", manager)
@@ -96,7 +92,7 @@ class TestDeltaAppliedRoundTrip:
         manager = IndexManager.for_document(document)
         editor = Editor(document, prevalidate=False)
         query = ExtendedXPath("//seg")
-        with GoddagStore(location(backend, tmp_path), backend=backend) as store:
+        with GoddagStore(tmp_path / "store.sqlite") as store:
             store.save_indexed(document, "ms", manager)
             lines = list(document.elements(tag="line"))
             for round_number in range(4):
@@ -111,12 +107,12 @@ class TestDeltaAppliedRoundTrip:
 
     def test_attribute_postings_follow_the_delta_path(self, backend, tmp_path):
         """Attribute edits must reach the persisted attribute posting
-        rows through save_indexed (sqlite row-level upserts / sidecar
-        re-stamp), answering exactly as a from-scratch build_index."""
+        rows through save_indexed's row-level upserts, answering
+        exactly as a from-scratch build_index."""
         document = generate(WorkloadSpec(words=140, hierarchies=2, seed=8))
         manager = IndexManager.for_document(document)
         editor = Editor(document, prevalidate=False)
-        with GoddagStore(location(backend, tmp_path), backend=backend) as store:
+        with GoddagStore(tmp_path / "store.sqlite") as store:
             store.save_indexed(document, "ms", manager)
             line = next(document.elements(tag="line"))
             editor.set_attribute(line, "rev", "a")
@@ -128,8 +124,7 @@ class TestDeltaAppliedRoundTrip:
             store.save_indexed(document, "ms", manager)
             keys = [("rev", "a"), ("rev", "b"), ("resp", "ed"),
                     ("n", "2"), ("n", "nope")]
-            with GoddagStore(tmp_path / "truth-docs",
-                             backend="binary") as truth:
+            with GoddagStore() as truth:
                 truth.save(document, "t")
                 truth.build_index("t")
                 for attr, value in keys:
@@ -148,8 +143,7 @@ class TestSqliteRowLevelPath:
         needed again — the delta path alone keeps the rows fresh."""
         document = generate(WorkloadSpec(words=120, hierarchies=2))
         manager = IndexManager.for_document(document)
-        with GoddagStore(location("sqlite", tmp_path),
-                         backend="sqlite") as store:
+        with GoddagStore(tmp_path / "store.sqlite") as store:
             store.save_indexed(document, "ms", manager)
 
             def forbidden(name, payload):
@@ -163,8 +157,7 @@ class TestSqliteRowLevelPath:
     def test_doc_id_survives_partial_update(self, tmp_path):
         document = generate(WorkloadSpec(words=100, hierarchies=2))
         manager = IndexManager.for_document(document)
-        with GoddagStore(location("sqlite", tmp_path),
-                         backend="sqlite") as store:
+        with GoddagStore(tmp_path / "store.sqlite") as store:
             store.save_indexed(document, "ms", manager)
             (doc_id_before,) = store._sqlite._conn.execute(
                 "SELECT doc_id FROM documents WHERE name = 'ms'"
@@ -185,8 +178,7 @@ class TestSqliteRowLevelPath:
 
         document = generate(WorkloadSpec(words=100, hierarchies=2))
         manager = IndexManager.for_document(document)
-        with GoddagStore(location("sqlite", tmp_path),
-                         backend="sqlite") as store:
+        with GoddagStore(tmp_path / "store.sqlite") as store:
             store.save_indexed(document, "ms", manager)
             elements_before = store.count_elements("ms")
             editor = Editor(document, prevalidate=False)
@@ -220,8 +212,7 @@ class TestSqliteRowLevelPath:
         the transaction detects it and the deltas are not row-applied."""
         document = generate(WorkloadSpec(words=100, hierarchies=2))
         manager = IndexManager.for_document(document)
-        with GoddagStore(location("sqlite", tmp_path),
-                         backend="sqlite") as store:
+        with GoddagStore(tmp_path / "store.sqlite") as store:
             store.save_indexed(document, "ms", manager)
             editor = Editor(document, prevalidate=False)
             line = next(document.elements(tag="line"))
@@ -249,8 +240,7 @@ class TestSqliteRowLevelPath:
         must notice and re-persist the full payload, still correctly."""
         document = generate(WorkloadSpec(words=100, hierarchies=2))
         manager = IndexManager.for_document(document)
-        with GoddagStore(location("sqlite", tmp_path),
-                         backend="sqlite") as store:
+        with GoddagStore(tmp_path / "store.sqlite") as store:
             store.save_indexed(document, "ms", manager)
             Editor(document, prevalidate=False).insert_markup(
                 "physical", "seg", 0, 20)
@@ -268,7 +258,7 @@ class TestElementRowDeltas:
     def _session(self, tmp_path, words=400):
         document = generate(WorkloadSpec(words=words, hierarchies=2))
         manager = IndexManager.for_document(document)
-        store = GoddagStore(location("sqlite", tmp_path), backend="sqlite")
+        store = GoddagStore(tmp_path / "store.sqlite")
         store.save_indexed(document, "ms", manager)
         return document, manager, store
 
@@ -368,7 +358,7 @@ class TestBackwardCompatibilityAndBacklog:
         conn.close()
         document = generate(WorkloadSpec(words=60, hierarchies=2))
         manager = IndexManager.for_document(document)
-        with GoddagStore(where, backend="sqlite") as store:
+        with GoddagStore(where) as store:
             store.save_indexed(document, "ms", manager)
             assert store.has_index("ms")
             assert store._sqlite.index_stamp("ms")
@@ -379,8 +369,7 @@ class TestBackwardCompatibilityAndBacklog:
         backlog instead of accumulating add/remove pairs."""
         document = generate(WorkloadSpec(words=80, hierarchies=2))
         manager = IndexManager.for_document(document)
-        with GoddagStore(location("sqlite", tmp_path),
-                         backend="sqlite") as store:
+        with GoddagStore(tmp_path / "store.sqlite") as store:
             store.save_indexed(document, "ms", manager)
             editor = Editor(document, prevalidate=False)
             line = next(document.elements(tag="line"))
@@ -401,8 +390,7 @@ class TestBackwardCompatibilityAndBacklog:
         monkeypatch.setattr(PersistDeltas, "LIMIT", 5)
         document = generate(WorkloadSpec(words=120, hierarchies=2))
         manager = IndexManager.for_document(document)
-        with GoddagStore(location("sqlite", tmp_path),
-                         backend="sqlite") as store:
+        with GoddagStore(tmp_path / "store.sqlite") as store:
             store.save_indexed(document, "ms", manager)
             editor = Editor(document, prevalidate=False)
             for line in list(document.elements(tag="line"))[:8]:
@@ -413,25 +401,25 @@ class TestBackwardCompatibilityAndBacklog:
 
 
 class TestSaveIndexedGuards:
-    @pytest.mark.parametrize("backend", ["sqlite", "binary"])
+    @pytest.mark.parametrize("backend", ["sqlite"])
     def test_needs_a_matching_manager(self, backend, tmp_path):
         document = generate(WorkloadSpec(words=60, hierarchies=1))
         other = generate(WorkloadSpec(words=60, hierarchies=1, seed=7))
-        with GoddagStore(location(backend, tmp_path), backend=backend) as store:
+        with GoddagStore(tmp_path / "store.sqlite") as store:
             with pytest.raises(StorageError):
                 store.save_indexed(document, "ms")  # nothing attached
             foreign = IndexManager(other)
             with pytest.raises(StorageError):
                 store.save_indexed(document, "ms", foreign)
 
-    @pytest.mark.parametrize("backend", ["sqlite", "binary"])
+    @pytest.mark.parametrize("backend", ["sqlite"])
     def test_clobbering_a_foreign_document_needs_overwrite(
         self, backend, tmp_path
     ):
         precious = generate(WorkloadSpec(words=60, hierarchies=1))
         session = generate(WorkloadSpec(words=60, hierarchies=1, seed=7))
         manager = IndexManager.for_document(session)
-        with GoddagStore(location(backend, tmp_path), backend=backend) as store:
+        with GoddagStore(tmp_path / "store.sqlite") as store:
             store.save(precious, "keep")
             with pytest.raises(StorageError):
                 store.save_indexed(session, "keep", manager)
@@ -441,7 +429,7 @@ class TestSaveIndexedGuards:
             # needed for further saves.
             store.save_indexed(session, "keep", manager)
 
-    @pytest.mark.parametrize("backend", ["sqlite", "binary"])
+    @pytest.mark.parametrize("backend", ["sqlite"])
     def test_mid_session_replacement_is_not_silently_patched(
         self, backend, tmp_path
     ):
@@ -450,7 +438,7 @@ class TestSaveIndexedGuards:
         refuse (no consent) rather than row-patch a stranger's index."""
         session = generate(WorkloadSpec(words=100, hierarchies=2))
         manager = IndexManager.for_document(session)
-        with GoddagStore(location(backend, tmp_path), backend=backend) as store:
+        with GoddagStore(tmp_path / "store.sqlite") as store:
             store.save_indexed(session, "ms", manager)
             # The interloper replaces the artifact wholesale.
             intruder = generate(WorkloadSpec(words=40, hierarchies=1, seed=5))
@@ -475,8 +463,7 @@ class TestSaveIndexedGuards:
         full, correct write instead of a silent mis-patch."""
         document = generate(WorkloadSpec(words=100, hierarchies=2))
         manager = IndexManager.for_document(document)
-        with GoddagStore(location("sqlite", tmp_path),
-                         backend="sqlite") as store:
+        with GoddagStore(tmp_path / "store.sqlite") as store:
             store.save_indexed(document, "a", manager)
             editor = Editor(document, prevalidate=False)
             line = next(document.elements(tag="line"))
@@ -501,48 +488,8 @@ class TestCorruptArtifactRecovery:
         builder.add_annotation("p", tag, 0, 4)
         return builder.build()
 
-    def test_concurrent_resave_is_picked_up_not_stale_served(self, tmp_path):
-        """Store A has warm sidecar caches; store B save_indexed's over
-        the same location.  A must serve the new answers, not its cache."""
-        where = location("binary", tmp_path)
-        store_a = GoddagStore(where, backend="binary")
-        store_b = GoddagStore(where, backend="binary")
-        try:
-            document = self._small_doc("x")
-            manager = IndexManager.for_document(document)
-            store_a.save_indexed(document, "d", manager)
-            assert store_a.query_spans("d", 0, 4) == [("p", "x", 0, 4)]
-            other = self._small_doc("y")
-            store_b.save_indexed(other, "d", IndexManager.for_document(other),
-                                 overwrite=True)
-            assert store_a.query_spans("d", 0, 4) == [("p", "y", 0, 4)]
-        finally:
-            store_a.close()
-            store_b.close()
-
-    def test_corrupt_sidecar_raises_then_recovers(self, tmp_path):
-        where = location("binary", tmp_path)
-        with GoddagStore(where, backend="binary") as store:
-            document = self._small_doc()
-            manager = IndexManager.for_document(document)
-            store.save_indexed(document, "d", manager)
-            sidecar = store._sidecar_file("d")
-            # A concurrent writer dies mid-rewrite: the header survives
-            # but every packed region is gone.
-            import struct
-
-            raw = sidecar.read_bytes()
-            (header_length,) = struct.unpack_from("<I", raw, 6)
-            sidecar.write_bytes(raw[: 10 + header_length])
-            with pytest.raises(StorageError) as excinfo:
-                store.query_spans("d", 0, 4)
-            assert "drop_index" in str(excinfo.value)
-            store.drop_index("d")
-            assert store.query_spans("d", 0, 4) == [("p", "x", 0, 4)]
-
     def test_corrupt_sqlite_blob_raises_then_recovers(self, tmp_path):
-        with GoddagStore(location("sqlite", tmp_path),
-                         backend="sqlite") as store:
+        with GoddagStore(tmp_path / "store.sqlite") as store:
             document = self._small_doc()
             manager = IndexManager.for_document(document)
             store.save_indexed(document, "d", manager)

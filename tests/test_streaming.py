@@ -128,7 +128,7 @@ def stored_rows(path: str) -> dict[str, list]:
 
 def save_materialized(sources, path: str) -> None:
     document = parse_concurrent(sources)
-    with GoddagStore(path, backend="sqlite") as store:
+    with GoddagStore(path) as store:
         store.save_indexed(document, "doc", manager=IndexManager(document))
 
 
@@ -379,14 +379,13 @@ class TestStreamSave:
         sources = sources_for("two-overlapping")
         path = str(tmp_path / "doc.db")
         save_streaming(sources, path)
-        with GoddagStore(path, backend="sqlite") as store:
+        with GoddagStore(path) as store:
             document = store.load("doc")
             assert census(document) == census(parse_concurrent(sources))
             assert store.has_index("doc")
 
     def test_store_facade_save_stream(self, tmp_path):
-        with GoddagStore(str(tmp_path / "doc.db"),
-                         backend="sqlite") as store:
+        with GoddagStore(str(tmp_path / "doc.db")) as store:
             stamp = store.save_stream(HAND, "doc")
             assert stamp
             assert store.names() == ["doc"]
@@ -437,7 +436,7 @@ def lazy_fixture(tmp_path_factory):
 
 class TestLazyDocument:
     SERVED = ["//w", "//line", "//seg", "//page", "//w[@n='3']",
-              "//line[@n='2']"]
+              "//line[@n='2']", "//w['3'=@n]"]
     FALLBACK = ["//seg//w", "//line[2]", "//w[contains(., 'a')]"]
 
     @pytest.mark.parametrize("query", SERVED)
@@ -514,8 +513,7 @@ class TestLazyDocument:
         assert lazy.rows_decoded == first
 
     def test_lazy_facade_requires_sqlite(self, tmp_path):
-        with GoddagStore(str(tmp_path / "doc.db"),
-                         backend="sqlite") as store:
+        with GoddagStore(str(tmp_path / "doc.db")) as store:
             store.save_stream(HAND, "doc")
             lazy = store.lazy("doc")
             assert lazy.root_tag == "d"
