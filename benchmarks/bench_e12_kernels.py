@@ -1,6 +1,6 @@
-"""E12 — batch interval kernels and the compiled-plan cache.
+"""E12 — batch kernels and the compiled-plan cache.
 
-Three studies on the standard synthetic corpora:
+Two studies on the standard synthetic corpora:
 
 * **batch vs object walk** — the hot query shapes of E9/E10 evaluated
   twice under the *same* cost-based plan choices: once through the flat
@@ -12,9 +12,6 @@ Three studies on the standard synthetic corpora:
   ≥ 5x at the largest size; the micro shapes (already tens of
   microseconds before this layer) must clear ≥ 2x.  Every pair of runs
   must return byte-identical node lists;
-* **interval-kernel parity** — ``IntervalTable`` row queries timed
-  against the object-level ``StaticIntervalIndex`` on identical span
-  sets, results row-for-row identical;
 * **compiled-plan cache** — a repeated one-shot query served from the
   process-wide plan cache vs the same query re-parsed and re-planned
   every call (cache cleared between calls).
@@ -32,9 +29,7 @@ from __future__ import annotations
 
 import time
 
-from repro.core.intervals import StaticIntervalIndex
 from repro.index import IndexManager
-from repro.index.kernels import IntervalTable
 from repro.workloads import WorkloadSpec, generate
 from repro.xpath import Evaluator, ExtendedXPath, Planner, clear_plan_cache
 from repro.xpath import xpath as xpath_once
@@ -54,7 +49,6 @@ HOT_QUERIES = (
 )
 
 CACHE_QUERY = "//line[@n='7']"
-PARITY_PROBES = 300
 
 
 def corpus(words: int):
@@ -111,38 +105,6 @@ def measure_batch(document, manager, words: int) -> list[dict]:
     return rows
 
 
-def measure_parity(document, manager, words: int) -> dict:
-    """IntervalTable vs StaticIntervalIndex on the corpus's own spans."""
-    solid = [e for e in document.ordered_elements() if not e.is_empty]
-    ordered = sorted(solid, key=lambda e: (e.start, -e.end, e.tag))
-    table = IntervalTable(
-        [e.start for e in ordered], [e.end for e in ordered],
-        [e.tag for e in ordered],
-    )
-    reference = StaticIntervalIndex(ordered)
-    length = len(document.text)
-    step = max(1, length // PARITY_PROBES)
-    offsets = list(range(0, length, step))[:PARITY_PROBES]
-    for offset in offsets:
-        got = [(table.starts[i], table.ends[i], table.tags[i])
-               for i in table.rows_stabbing(offset)]
-        want = [(e.start, e.end, e.tag) for e in reference.stabbing(offset)]
-        assert got == want, offset
-    table_time = best_of(
-        lambda: [table.rows_stabbing(offset) for offset in offsets]
-    )
-    object_time = best_of(
-        lambda: [reference.stabbing(offset) for offset in offsets]
-    )
-    return {
-        "words": words,
-        "probes": len(offsets),
-        "table_ms": table_time * 1e3,
-        "object_ms": object_time * 1e3,
-        "ratio": object_time / table_time,
-    }
-
-
 def measure_plan_cache(document, words: int) -> dict:
     """One-shot queries with the plan cache vs re-compiling every call."""
     clear_plan_cache()
@@ -179,20 +141,6 @@ def report_batch(rows) -> str:
     return "\n".join(lines)
 
 
-def report_parity(rows) -> str:
-    lines = [
-        "E12 — IntervalTable vs StaticIntervalIndex "
-        f"({PARITY_PROBES} stab probes, identical results)",
-        f"{'words':>6} {'object':>10} {'table':>10} {'ratio':>7}",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row['words']:>6} {row['object_ms']:>8.3f}ms "
-            f"{row['table_ms']:>8.3f}ms {row['ratio']:>6.2f}x"
-        )
-    return "\n".join(lines)
-
-
 def report_cache(rows) -> str:
     lines = [
         "E12 — compiled-plan cache (one-shot xpath, cached vs cold)",
@@ -225,37 +173,29 @@ def collect_scenarios(kind: str, rows) -> None:
             _SCENARIOS.append(scenario(
                 f"batch:{row['query']}", row["words"],
                 [row["batch_ms"] / 1e3], speedup=round(row["speedup"], 2)))
-        elif kind == "parity":
-            _SCENARIOS.append(scenario(
-                "parity:stabbing", row["words"],
-                [row["table_ms"] / 1e3], ratio=round(row["ratio"], 2)))
         else:
             _SCENARIOS.append(scenario(
                 f"plan-cache:{row['query']}", row["words"],
                 [row["cached_ms"] / 1e3], speedup=round(row["speedup"], 2)))
 
 
-def run_all() -> tuple[list[dict], list[dict], list[dict]]:
+def run_all() -> tuple[list[dict], list[dict]]:
     batch_rows: list[dict] = []
-    parity_rows: list[dict] = []
     cache_rows: list[dict] = []
     for words in SIZES:
         document, manager = corpus(words)
         batch_rows.extend(measure_batch(document, manager, words))
-        parity_rows.append(measure_parity(document, manager, words))
         cache_rows.append(measure_plan_cache(document, words))
-    return batch_rows, parity_rows, cache_rows
+    return batch_rows, cache_rows
 
 
 def test_e12_kernel_speedup_and_identity():
     """Acceptance bar: the heavy E9/E10 shapes clear ≥ 5x through the
     kernel path at the largest size, results byte-identical."""
-    batch_rows, parity_rows, cache_rows = run_all()
+    batch_rows, cache_rows = run_all()
     print("\n" + report_batch(batch_rows))
-    print("\n" + report_parity(parity_rows))
     print("\n" + report_cache(cache_rows))
     collect_scenarios("batch", batch_rows)
-    collect_scenarios("parity", parity_rows)
     collect_scenarios("cache", cache_rows)
     emit_json()
     largest = [row for row in batch_rows if row["words"] == max(SIZES)]
@@ -269,10 +209,7 @@ if __name__ == "__main__":
     rows = run_all()
     print(report_batch(rows[0]))
     print()
-    print(report_parity(rows[1]))
-    print()
-    print(report_cache(rows[2]))
+    print(report_cache(rows[1]))
     collect_scenarios("batch", rows[0])
-    collect_scenarios("parity", rows[1])
-    collect_scenarios("cache", rows[2])
+    collect_scenarios("cache", rows[1])
     emit_json()

@@ -16,7 +16,6 @@ from .hierarchy import (
     minimal_hierarchies,
     partition_tags,
 )
-from .intervals import StaticIntervalIndex
 from .navigation import (
     all_nodes,
     compare,
@@ -57,7 +56,6 @@ __all__ = [
     "Root",
     "Span",
     "SpanTable",
-    "StaticIntervalIndex",
     "all_nodes",
     "coextensive",
     "compare",

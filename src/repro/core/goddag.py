@@ -26,7 +26,7 @@ Placement conventions (documented here once, relied upon everywhere):
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from contextlib import contextmanager
 from heapq import merge as heap_merge
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -35,7 +35,6 @@ from ..errors import HierarchyError, MarkupConflictError, SpanError
 from ..obs.metrics import metrics as _metrics
 from .changes import ChangeRecord, InsertMarkup, RemoveMarkup, SetAttribute
 from .hierarchy import Hierarchy
-from .intervals import StaticIntervalIndex
 from .node import Element, Leaf, Node, Root
 from .spans import Span, SpanTable
 
@@ -64,7 +63,10 @@ class GoddagDocument:
         self._hierarchies: dict[str, Hierarchy] = {}
         self._h_top: dict[str, list[Element]] = {}
         self._h_all: dict[str, list[Element]] = {}
-        self._h_index: dict[str, StaticIntervalIndex[Element] | None] = {}
+        # Per-hierarchy containment cache: solid elements stable-sorted
+        # by (start, -end) plus their parallel start offsets; built on
+        # first use, dropped by _dirty.
+        self._h_sorted: dict[str, tuple[list[Element], list[int]] | None] = {}
         self._ordinal = 0
         self._version = 0
         self._ordered_cache: list[Element] = []
@@ -120,7 +122,7 @@ class GoddagDocument:
 
         Version bumps invalidate the version-stamped caches: the
         ordered-element cache, cached order keys, and an attached index
-        manager.  The per-hierarchy interval indexes are reset
+        manager.  The per-hierarchy containment caches are reset
         explicitly by the structural mutators (see :meth:`_dirty`).
 
         Tracked mutations pass their :class:`~repro.core.changes.ChangeRecord`;
@@ -294,7 +296,7 @@ class GoddagDocument:
         self._hierarchies[name] = hierarchy
         self._h_top[name] = []
         self._h_all[name] = []
-        self._h_index[name] = None
+        self._h_sorted[name] = None
         self.touch()
         return hierarchy
 
@@ -467,16 +469,22 @@ class GoddagDocument:
 
     # -- span-based cross-hierarchy queries -------------------------------------------
 
-    def _index(self, hierarchy: str) -> StaticIntervalIndex[Element]:
-        index = self._h_index.get(hierarchy)
-        if index is None:
-            solid = [e for e in self._h_all[hierarchy] if not e.is_empty]
-            index = StaticIntervalIndex(solid)
-            self._h_index[hierarchy] = index
-        return index
+    def _sorted_solid(self, hierarchy: str) -> tuple[list[Element], list[int]]:
+        """Solid elements of ``hierarchy`` stable-sorted by ``(start,
+        -end)`` — outermost first among elements that begin together —
+        and their start offsets, for bisecting."""
+        cached = self._h_sorted.get(hierarchy)
+        if cached is None:
+            solid = sorted(
+                (e for e in self._h_all[hierarchy] if not e.is_empty),
+                key=lambda e: (e._start, -e._end),
+            )
+            cached = (solid, [e._start for e in solid])
+            self._h_sorted[hierarchy] = cached
+        return cached
 
     def _dirty(self, hierarchy: str, change: ChangeRecord | None = None) -> None:
-        self._h_index[hierarchy] = None
+        self._h_sorted[hierarchy] = None
         self.touch(change)
 
     def _stab_chain(self, hierarchy: str, offset: int) -> list[Element]:
@@ -502,6 +510,14 @@ class GoddagDocument:
             children = candidate._children
         return out
 
+    def _query_names(self, hierarchy: str | None) -> tuple[str, ...]:
+        """The hierarchies a span query visits: ``hierarchy`` alone (a
+        :class:`~repro.errors.HierarchyError` when unknown) or all."""
+        if hierarchy:
+            self.hierarchy(hierarchy)
+            return (hierarchy,)
+        return self.hierarchy_names()
+
     def covering_element(self, hierarchy: str, start: int, end: int) -> Element:
         """Innermost element of ``hierarchy`` covering ``[start, end)``.
 
@@ -519,9 +535,9 @@ class GoddagDocument:
     ) -> list[Element]:
         """Elements properly overlapping ``element`` (always other
         hierarchies: within one hierarchy overlap cannot exist)."""
+        names = self._query_names(hierarchy)
         if element.is_empty or element.is_root:
             return []
-        names = (hierarchy,) if hierarchy else self.hierarchy_names()
         start, end = element.start, element.end
         out: list[Element] = []
         for name in names:
@@ -542,9 +558,9 @@ class GoddagDocument:
         self, element: Element, hierarchy: str | None = None
     ) -> list[Element]:
         """Elements of *other* hierarchies whose span contains ``element``'s."""
+        names = self._query_names(hierarchy)
         if element.is_root:
             return []
-        names = (hierarchy,) if hierarchy else self.hierarchy_names()
         start, end = element.start, element.end
         out: list[Element] = []
         for name in names:
@@ -573,27 +589,31 @@ class GoddagDocument:
     def contained_elements(
         self, element: Element, hierarchy: str | None = None
     ) -> list[Element]:
-        """Elements of *other* hierarchies contained in ``element``'s span."""
+        """Elements of *other* hierarchies contained in ``element``'s span,
+        solid ones only, ordered per hierarchy by ``(start, -end)``."""
+        names = self._query_names(hierarchy)
         if element.is_empty:
             return []
+        out: list[Element] = []
         if element.is_root:
-            names = (hierarchy,) if hierarchy else self.hierarchy_names()
-            out: list[Element] = []
             for name in names:
-                out.extend(self._index(name).all_items())
+                out.extend(self._sorted_solid(name)[0])
             return out
-        names = (hierarchy,) if hierarchy else self.hierarchy_names()
-        out = []
+        start, end = element.start, element.end
         for name in names:
             if name == element.hierarchy:
                 continue
-            out.extend(self._index(name).contained_in(element.start, element.end))
+            solid, starts = self._sorted_solid(name)
+            lo = bisect_left(starts, start)
+            hi = bisect_right(starts, end)
+            out.extend(e for e in solid[lo:hi] if e._end <= end)
         return out
 
     def coextensive_elements(
         self, element: Element, hierarchy: str | None = None
     ) -> list[Element]:
         """Elements of other hierarchies covering exactly the same text."""
+        self._query_names(hierarchy)
         if element.is_root or element.is_empty:
             return []
         return [

@@ -1,6 +1,6 @@
 """Query-acceleration indexes for GODDAG documents.
 
-Four cooperating indexes plus a manager:
+Three cooperating indexes plus a manager:
 
 * :class:`StructuralSummary` — DescribeX-style label-path partitioning
   per hierarchy, resolving name tests to candidate element lists (from
@@ -10,10 +10,7 @@ Four cooperating indexes plus a manager:
 * :class:`AttributeIndex` — ``(name, value)`` → document-order posting
   lists, serving ``@name='value'`` predicates and attribute-driven
   candidate enumeration;
-* :class:`OverlapIndex` — serializable per-hierarchy interval tables,
-  answering stabbing/overlap queries on *stored* documents without
-  materializing the GODDAG;
-* :class:`IndexManager` — builds all four, tracks document versions,
+* :class:`IndexManager` — builds all three, tracks document versions,
   keeps them warm across edits via the delta protocol, and is what the
   Extended XPath planner and the store consult.
 
@@ -37,8 +34,8 @@ removal, attribute set/delete, and each undo/redo of those — emits one
 typed change record (:mod:`repro.core.changes`) into the document's
 bounded delta journal (``GoddagDocument.changes_since``).  A stale
 manager catches up by replaying the journal: the structural summary
-re-paths exactly the partitions the edit touched and the overlap index
-patches the affected interval rows, so an editing session keeps its
+re-paths exactly the partitions the edit touched and the attribute
+table patches the affected postings, so an editing session keeps its
 indexes warm instead of rebuilding them per edit (the ``bench_e9``
 editing scenario measures the difference).  Replay falls back to one
 full rebuild when
@@ -54,22 +51,22 @@ Applied deltas also queue for persistence: ``GoddagStore.save_indexed``
 drains them (``IndexManager.pending_persist``) into row-level sqlite
 upserts — interval rows inserted/deleted individually, only dirty
 label-path partition rows rewritten — so saving an edited document no
-longer invalidates its stored index wholesale.  The differential
+longer invalidates its stored index wholesale.  The persisted
+per-hierarchy overlap rows (``index_overlap``), which answer span
+queries on *stored* documents in SQL, are derived from the document at
+payload time rather than kept as an in-memory structure.  The differential
 harness in ``tests/test_index_incremental.py`` holds all of this to the
 byte-identical bar against both a fresh rebuild and the unindexed
 engine after every step of randomized edit sessions.
 """
 
 from .manager import IndexManager
-from .overlap import HierarchyIntervals, OverlapIndex
 from .structural import StructuralSummary
 from .term import AttributeIndex, TermIndex, tokenize
 
 __all__ = [
     "AttributeIndex",
-    "HierarchyIntervals",
     "IndexManager",
-    "OverlapIndex",
     "StructuralSummary",
     "TermIndex",
     "tokenize",

@@ -1,28 +1,14 @@
 """Batch kernels: flat ``array('q')`` columns behind the index fast paths.
 
-Two data layouts live here, both plain parallel columns of signed
-64-bit integers (``array('q')``) instead of per-node Python objects:
-
-* :class:`IntervalTable` — one hierarchy's sorted interval table as
-  ``starts`` / ``ends`` / ``ordinals`` columns plus a ``tags`` list,
-  with an implicit max-end segment tree for ``O(log n + k)`` stabbing,
-  intersection, and containment.  It is the flat-array counterpart of
-  :class:`~repro.core.intervals.StaticIntervalIndex` and answers with
-  the same *anchored* zero-width semantics (the PR 1 contract): a
-  zero-width query window ``[a, a)`` behaves like the position ``a``,
-  and items are matched per ``item.start < window.end and item.end >
-  window.start`` after anchoring.  The delta-maintained overlap tables
-  (:mod:`repro.index.overlap`) are built on it, so the incremental and
-  rebuilt paths share one kernel.
-
-* :class:`CandidateVector` — a document-order candidate list
-  (structural-summary posting or attribute posting) captured once as
-  ``starts`` / ``ends`` / ``ordinals`` columns next to the element
-  list.  Batch query execution (:mod:`repro.xpath.planner`'s
-  :class:`~repro.xpath.planner.BatchProgram`) filters *row indices*
-  through the merge-walk kernels below and materializes ``Element``
-  objects only for the rows that survive every filter — the
-  ordinal-vector flow of the batch pipeline.
+:class:`CandidateVector` captures a document-order candidate list
+(structural-summary posting or attribute posting) once as plain
+parallel ``starts`` / ``ends`` / ``ordinals`` columns of signed 64-bit
+integers (``array('q')``) next to the element list, instead of per-node
+Python objects.  Batch query execution (:mod:`repro.xpath.planner`'s
+:class:`~repro.xpath.planner.BatchProgram`) filters *row indices*
+through the merge-walk kernels below and materializes ``Element``
+objects only for the rows that survive every filter — the
+ordinal-vector flow of the batch pipeline.
 
 The filter kernels (:func:`rows_span_contains`,
 :func:`rows_span_starts_with`) are single merge walks: candidate rows
@@ -43,7 +29,7 @@ and without the kernels.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -52,182 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 #: Type code of every integer column: signed 64-bit.
 COLUMN_TYPECODE = "q"
 
-#: Segment-tree sentinel below any real end offset.
-_NEG_INF = -(2 ** 62)
-
-#: Ordinal column value for rows whose element identity is unknown
-#: (tables reloaded from persisted payloads, which carry no ordinals).
-NO_ORDINAL = -1
-
-
 def column(values: Iterable[int] = ()) -> array:
     """A fresh signed 64-bit column holding ``values``."""
     return array(COLUMN_TYPECODE, values)
-
-
-class IntervalTable:
-    """Parallel sorted interval columns with a max-end segment tree.
-
-    Rows are kept sorted by ``(start, -end, tag)`` — widest-first among
-    rows that begin together, ties broken by tag so the order is
-    deterministic under incremental maintenance.  ``ordinals`` rides
-    along untouched by the sort (it is payload, not key); rows loaded
-    from persisted artifacts use :data:`NO_ORDINAL`.
-
-    The segment tree is rebuilt lazily after any row mutation; queries
-    return **row indices** in table order (callers map them to hits or
-    elements), so no Python object is touched until the caller decides
-    to materialize.
-    """
-
-    __slots__ = ("starts", "ends", "ordinals", "tags", "_tree")
-
-    def __init__(
-        self,
-        starts: Iterable[int] = (),
-        ends: Iterable[int] = (),
-        tags: Iterable[str] = (),
-        ordinals: Iterable[int] | None = None,
-    ) -> None:
-        self.starts = column(starts)
-        self.ends = column(ends)
-        self.tags = list(tags)
-        if ordinals is None:
-            self.ordinals = column([NO_ORDINAL] * len(self.starts))
-        else:
-            self.ordinals = column(ordinals)
-        if not (
-            len(self.starts) == len(self.ends)
-            == len(self.tags) == len(self.ordinals)
-        ):
-            raise ValueError("parallel interval columns must agree in length")
-        self._tree: array | None = None
-
-    def __len__(self) -> int:
-        return len(self.starts)
-
-    # -- the implicit max-(anchored-)end segment tree --------------------------
-
-    def _max_tree(self) -> array:
-        """Max anchored-end per implicit segment; leaf ``i`` holds row
-        ``i``'s end, with zero-width rows anchored at ``start + 1`` so
-        intersection sees them as their anchor position (the
-        :class:`~repro.core.intervals.StaticIntervalIndex` contract)."""
-        tree = self._tree
-        if tree is not None:
-            return tree
-        n = len(self.starts)
-        tree_len = 1
-        while tree_len < max(1, n):
-            tree_len *= 2
-        tree = column([_NEG_INF]) * (2 * tree_len)
-        starts, ends = self.starts, self.ends
-        for i in range(n):
-            end = ends[i]
-            start = starts[i]
-            tree[tree_len + i] = end if end > start else start + 1
-        for i in range(tree_len - 1, 0, -1):
-            left, right = tree[2 * i], tree[2 * i + 1]
-            tree[i] = left if left >= right else right
-        self._tree = tree
-        return tree
-
-    def _rows_gt(self, hi: int, threshold: int) -> list[int]:
-        """Rows in ``[0, hi)`` whose anchored end > ``threshold``, in
-        table order (the segment-tree descent visits leaves left to
-        right)."""
-        out: list[int] = []
-        if hi <= 0 or not len(self.starts):
-            return out
-        tree = self._max_tree()
-        leaves = len(tree) // 2
-
-        def descend(node: int, node_lo: int, node_hi: int) -> None:
-            if node_lo >= hi or tree[node] <= threshold:
-                return
-            if node_hi - node_lo == 1:
-                out.append(node_lo)
-                return
-            mid = (node_lo + node_hi) // 2
-            descend(2 * node, node_lo, mid)
-            descend(2 * node + 1, mid, node_hi)
-
-        descend(1, 0, leaves)
-        return out
-
-    # -- queries (row indices, table order) ------------------------------------
-
-    def rows_intersecting(self, start: int, end: int) -> list[int]:
-        """Rows sharing at least one position with ``[start, end)``;
-        zero-width rows anchored at ``a`` are included when ``start <=
-        a < end``."""
-        hi = bisect_left(self.starts, end)
-        return self._rows_gt(hi, start)
-
-    def rows_stabbing(self, offset: int) -> list[int]:
-        """Rows whose span contains the position ``offset`` (including
-        zero-width rows anchored exactly there)."""
-        return self.rows_intersecting(offset, offset + 1)
-
-    def rows_containing(self, start: int, end: int) -> list[int]:
-        """Rows whose span contains ``[start, end)`` entirely (allows
-        equal); boundary-inclusive for zero-width targets."""
-        hi = bisect_right(self.starts, start)
-        ends = self.ends
-        return [i for i in self._rows_gt(hi, end - 1) if ends[i] >= end]
-
-    def rows_contained_in(self, start: int, end: int) -> list[int]:
-        """Rows whose span lies entirely within ``[start, end)``; a
-        zero-width row anchored at ``a`` qualifies when ``start <= a <=
-        end``."""
-        starts, ends = self.starts, self.ends
-        lo = bisect_left(starts, start)
-        hi = bisect_right(starts, end)
-        return [i for i in range(lo, hi) if ends[i] <= end]
-
-    # -- incremental maintenance -----------------------------------------------
-
-    def row_position(self, start: int, end: int, tag: str) -> int:
-        """Leftmost position for ``(start, -end, tag)`` in sort order."""
-        starts, ends, tags = self.starts, self.ends, self.tags
-        return bisect_left(
-            range(len(starts)),
-            (start, -end, tag),
-            key=lambda row: (starts[row], -ends[row], tags[row]),
-        )
-
-    def insert_row(
-        self, start: int, end: int, tag: str, ordinal: int = NO_ORDINAL
-    ) -> int:
-        """Insert one row at its sorted position; returns the position."""
-        position = self.row_position(start, end, tag)
-        self.starts.insert(position, start)
-        self.ends.insert(position, end)
-        self.tags.insert(position, tag)
-        self.ordinals.insert(position, ordinal)
-        self._tree = None
-        return position
-
-    def remove_row(self, start: int, end: int, tag: str) -> int:
-        """Remove the leftmost row matching ``(start, end, tag)``;
-        returns its former position.  Rows are content-identified —
-        duplicates are interchangeable, so the ordinal column is not
-        part of the match.  Raises :class:`ValueError` when absent.
-        """
-        position = self.row_position(start, end, tag)
-        if (
-            position >= len(self.starts)
-            or self.starts[position] != start
-            or self.ends[position] != end
-            or self.tags[position] != tag
-        ):
-            raise ValueError(f"no interval row ({start}, {end}, {tag!r})")
-        del self.starts[position]
-        del self.ends[position]
-        del self.tags[position]
-        del self.ordinals[position]
-        self._tree = None
-        return position
 
 
 class CandidateVector:

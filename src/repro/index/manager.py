@@ -1,16 +1,15 @@
 """The index manager: builds, refreshes, and serves the document indexes.
 
 One :class:`IndexManager` owns, for one document, a structural summary
-(:mod:`.structural`), a term index and attribute-value posting table
-(:mod:`.term`), and an overlap index (:mod:`.overlap`).  It is version-stamped against the document exactly
-like the lazy interval indexes of :mod:`repro.core.intervals`: any
+(:mod:`.structural`) plus a term index and attribute-value posting
+table (:mod:`.term`).  It is version-stamped against the document: any
 mutation bumps ``document.version``, which marks the manager stale.  On
 the next index access the manager catches up — preferably by replaying
 the document's delta journal (:meth:`GoddagDocument.changes_since`) and
-patching the structural summary and overlap tables *in place*, falling
-back to a full rebuild when the journal cannot bridge the gap, the
-backlog exceeds :attr:`IndexManager.delta_threshold`, or a record turns
-out inconsistent with the index state.  The term index is keyed to the
+patching the structural summary *in place*, falling back to a full
+rebuild when the journal cannot bridge the gap, the backlog exceeds
+:attr:`IndexManager.delta_threshold`, or a record turns out
+inconsistent with the index state.  The term index is keyed to the
 immutable document text and therefore survives everything; the
 attribute posting table is patched per record like the summary.
 
@@ -40,7 +39,6 @@ from ..obs import fallback as _obs_fallback
 from ..obs.metrics import metrics
 from ..obs.stats import stats_dict
 from .kernels import CandidateVector
-from .overlap import OverlapIndex
 from .structural import StructuralSummary, encode_path
 from .term import AttributeIndex, TermIndex
 
@@ -129,6 +127,22 @@ class PersistDeltas:
                     self.overlap_remove.append(row)
 
 
+def _overlap_rows(document: "GoddagDocument", hierarchy: str) -> dict:
+    """One hierarchy's overlap section: its solid elements sorted by
+    ``(start, -end, tag)`` as parallel ``starts``/``ends``/``tags``
+    lists (zero-width elements carry no interval)."""
+    rows = sorted(
+        (element.start, -element.end, element.tag)
+        for element in document.elements(hierarchy=hierarchy)
+        if not element.is_empty
+    )
+    return {
+        "starts": [start for start, _, _ in rows],
+        "ends": [-negated for _, negated, _ in rows],
+        "tags": [tag for _, _, tag in rows],
+    }
+
+
 class IndexManager:
     """Query-acceleration indexes over one GODDAG document."""
 
@@ -153,7 +167,6 @@ class IndexManager:
         self._catch_up_reason: str | None = None
         self._built_version = -1
         self._structural: StructuralSummary | None = None
-        self._overlap: OverlapIndex | None = None
         self._terms: TermIndex | None = None
         self._attrs: AttributeIndex | None = None
         # None: the persisted form (if any) needs a full re-write;
@@ -204,8 +217,8 @@ class IndexManager:
         """Bring the indexes up to the document version.
 
         Stale managers first try to replay the document's delta journal
-        in place; a full rebuild of the structural, overlap, and
-        attribute indexes happens only when forced, on first build, or
+        in place; a full rebuild of the structural and attribute
+        indexes happens only when forced, on first build, or
         when deltas cannot bridge the gap.  The term index is built
         once: the text is immutable.
 
@@ -249,7 +262,6 @@ class IndexManager:
             metrics.incr("index.rebuilds", reason=reason)
         with metrics.time("index.rebuild"):
             self._structural = StructuralSummary(self.document)
-            self._overlap = OverlapIndex.from_document(self.document)
             self._attrs = AttributeIndex.from_document(self.document)
             if self._terms is None:
                 self._terms = TermIndex.from_text(self.document.text)
@@ -280,7 +292,6 @@ class IndexManager:
             with metrics.time("index.catch_up"):
                 for change in changes:
                     touched = self._structural.apply(change)
-                    self._overlap.apply(change)
                     touched_attrs = self._attrs.apply(change)
                     if self._pending is not None:
                         self._pending.record(change, touched, touched_attrs)
@@ -337,12 +348,6 @@ class IndexManager:
         """The label-path structural summary (refreshed first)."""
         self.refresh()
         return self._structural
-
-    @property
-    def overlap(self) -> OverlapIndex:
-        """The per-hierarchy interval tables (refreshed first)."""
-        self.refresh()
-        return self._overlap
 
     @property
     def terms(self) -> TermIndex:
@@ -516,8 +521,9 @@ class IndexManager:
             "name": name,
             "doc_length": self.document.length,
         }
-        for hierarchy, table in self.overlap.payload().items():
-            yield "overlap", (hierarchy, table)
+        document = self.document
+        for hierarchy in document.hierarchy_names():
+            yield "overlap", (hierarchy, _overlap_rows(document, hierarchy))
         for hierarchy, path, count in self.structural.label_paths():
             yield "paths", (
                 hierarchy, encode_path(path), path[-1], count,
@@ -540,10 +546,11 @@ class IndexManager:
 
         Returns:
             A JSON-shaped dict with ``format`` (see ``PAYLOAD_FORMAT``),
-            ``name``, ``doc_length``, ``overlap`` interval tables,
-            ``terms`` posting lists, ``paths`` label-path partition
-            rows, and ``attrs`` attribute-value posting rows — the
-            whole :meth:`payload_stream`, reassembled.
+            ``name``, ``doc_length``, ``overlap`` per-hierarchy
+            interval rows of the solid elements, ``terms`` posting
+            lists, ``paths`` label-path partition rows, and ``attrs``
+            attribute-value posting rows — the whole
+            :meth:`payload_stream`, reassembled.
         """
         payload: dict = {"overlap": {}, "terms": {}, "paths": [],
                          "attrs": []}
@@ -579,8 +586,6 @@ class IndexManager:
         ========================  ==============================================
         ``index.elements``        elements in the structural summary's flat
                                   lists
-        ``index.solid_elements``  interval rows in the overlap index
-                                  (zero-width elements carry no interval)
         ``index.label_paths``     label-path partitions in the structural
                                   summary
         ``index.terms``           distinct tokens in the term index vocabulary
@@ -598,12 +603,10 @@ class IndexManager:
                                   build
         ========================  ==============================================
         """
-        built = self._structural is not None and self._overlap is not None
+        built = self._structural is not None
         counts = {
             "index.elements":
                 self._structural.element_count() if built else 0,
-            "index.solid_elements":
-                self._overlap.element_count() if built else 0,
             "index.label_paths":
                 self._structural.partition_count() if built else 0,
             "index.terms": self._terms.term_count if self._terms else 0,

@@ -11,8 +11,7 @@ element table.
 
 The summary is a snapshot the owning :class:`~repro.index.manager.IndexManager`
 keeps current in one of two ways: lazily rebuilt when the document
-version moves (the contract of the lazy interval indexes in
-:mod:`repro.core.intervals`), or — on the editing hot path — patched in
+version moves, or — on the editing hot path — patched in
 place by :meth:`StructuralSummary.apply` from the typed change records
 of :mod:`repro.core.changes`, which is DescribeX-style maintenance
 under updates: each insert/remove refines or coarsens exactly the

@@ -148,6 +148,7 @@ class PredicatePlan:
     index_served: bool      #: an index answers it without generic evaluation
     safe: bool              #: provably order-insensitive (reorder_safe)
     key: tuple[str, str] | None = None  #: the (name, value) of an attr-eq
+    needle: str | None = None  #: the literal of a contains/starts-with
 
     def describe(self) -> str:
         served = "index-served" if self.index_served else "generic"
@@ -556,16 +557,8 @@ class Planner:
                 return None
             if splan.choice == ATTR and position == splan.attr_pred:
                 continue  # consumed by the candidate source
-            predicate = step.predicates[position]
             if pplan.kind in ("contains", "starts-with"):
-                needle = (
-                    indexable_contains(predicate)
-                    if pplan.kind == "contains"
-                    else indexable_starts_with(predicate)
-                )
-                if needle is None or not self.manager.supports_contains(needle):
-                    return None
-                filters.append(BatchFilter(pplan.kind, needle=needle))
+                filters.append(BatchFilter(pplan.kind, needle=pplan.needle))
             elif pplan.kind == "attr-eq" and pplan.key is not None:
                 filters.append(BatchFilter("attr-eq", key=pplan.key))
             else:
@@ -753,6 +746,7 @@ class Planner:
             index_served=index_served,
             safe=reorder_safe(predicate),
             key=key,
+            needle=needle,
         )
 
     def _best_attr_predicate(self, predicates, all_safe):
@@ -1015,7 +1009,7 @@ class Planner:
         implementations in :mod:`repro.xpath.axes` /
         :meth:`~repro.core.goddag.GoddagDocument.containing_elements`
         directly: other hierarchies only, solid members only (the
-        classic interval index holds solid elements), proper
+        classic containment cache holds solid elements), proper
         containment (``span != node.span``).  Zero-width *context*
         nodes fall back — their boundary-inclusive containment rules
         live in the classic path.

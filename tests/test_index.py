@@ -10,7 +10,6 @@ import pytest
 from repro.core.goddag import GoddagBuilder
 from repro.index import (
     IndexManager,
-    OverlapIndex,
     StructuralSummary,
     TermIndex,
     tokenize,
@@ -176,41 +175,6 @@ class TestStructuralSummary:
         assert summary.candidates("w")  # internal partition untouched
 
 
-# -- overlap index -------------------------------------------------------------
-
-class TestOverlapIndex:
-    def test_matches_brute_force(self, corpus):
-        index = OverlapIndex.from_document(corpus)
-        solid = [e for e in corpus.elements() if not e.is_empty]
-        for start, end in ((0, 40), (100, 101), (250, 400)):
-            expected = sorted(
-                (e.hierarchy, e.tag, e.start, e.end)
-                for e in solid
-                if e.start < end and e.end > start
-            )
-            assert sorted(index.intersecting(start, end)) == expected
-
-    def test_stabbing(self, corpus):
-        index = OverlapIndex.from_document(corpus)
-        hits = index.stabbing(120)
-        assert hits == index.intersecting(120, 121)
-        assert all(s <= 120 < e for (_, _, s, e) in hits)
-
-    def test_proper_overlap_only(self, corpus):
-        index = OverlapIndex.from_document(corpus)
-        for hierarchy, tag, start, end in index.overlapping(100, 160):
-            assert start < end
-            assert start < 160 and end > 100          # intersects
-            assert not (start <= 100 and 160 <= end)  # not containing
-            assert not (100 <= start and end <= 160)  # not contained
-
-    def test_hierarchy_filter(self, corpus):
-        index = OverlapIndex.from_document(corpus)
-        only = index.intersecting(0, 200, hierarchy="verse")
-        assert only and all(h == "verse" for (h, _, _, _) in only)
-        assert index.intersecting(0, 200, hierarchy="nope") == []
-
-
 # -- the manager ---------------------------------------------------------------
 
 class TestIndexManager:
@@ -238,6 +202,19 @@ class TestIndexManager:
         assert set(payload["overlap"]) == set(corpus.hierarchy_names())
         assert payload["terms"]
         assert all(len(row) == 5 for row in payload["paths"])
+
+    def test_payload_overlap_rows_are_sorted_solid_elements(self, corpus):
+        overlap = IndexManager(corpus).payload("ms")["overlap"]
+        for hierarchy in corpus.hierarchy_names():
+            rows = sorted(
+                (e.start, -e.end, e.tag)
+                for e in corpus.elements(hierarchy=hierarchy)
+                if not e.is_empty
+            )
+            table = overlap[hierarchy]
+            assert table["starts"] == [s for s, _, _ in rows]
+            assert table["ends"] == [-n for _, n, _ in rows]
+            assert table["tags"] == [t for _, _, t in rows]
 
 
 # -- engine equivalence --------------------------------------------------------

@@ -1,11 +1,10 @@
 """Index invalidation after edits.
 
-The IndexManager mirrors the lazy-rebuild contract of the per-hierarchy
-interval indexes in :mod:`repro.core.intervals`: every mutation bumps
-``document.version``, which marks the manager stale; the next index
-access rebuilds transparently.  These tests drive mutations through the
-xTagger editing layer (:mod:`repro.editing.editor`) and assert that
-queries against the attached index never serve stale answers.
+Every mutation bumps ``document.version``, which marks the
+IndexManager stale; the next index access catches up transparently.
+These tests drive mutations through the xTagger editing layer
+(:mod:`repro.editing.editor`) and assert that queries against the
+attached index never serve stale answers.
 """
 
 import pytest

@@ -1,26 +1,16 @@
 """Differential and edge-case tests for the flat-column batch kernels.
 
-``IntervalTable`` must agree row-for-row with ``StaticIntervalIndex``
-(the object-level structure it was ported from) on every geometric
-query, on every construction path — bulk-built, delta-maintained via
-``insert_row``/``remove_row``, and churned.  The span/ordinal filter
-kernels must agree with the naive per-element string and dict probes.
-The shared zero-width/touching-interval fixtures pin the anchored
-semantics that PR 1 fixed in ``StaticIntervalIndex`` onto the
-delta-maintained tables as well (ISSUE 7 satellite: the delta path
-never had its own edge-case coverage).
+The span/ordinal filter kernels must agree with the naive per-element
+string and dict probes, and the manager's span predicates with plain
+string operations on the document text.
 """
 
 import random
-from dataclasses import dataclass
 
 import pytest
 
-from repro.core.intervals import StaticIntervalIndex
 from repro.index.kernels import (
-    NO_ORDINAL,
     CandidateVector,
-    IntervalTable,
     rows_in_ordinal_set,
     rows_span_contains,
     rows_span_starts_with,
@@ -28,209 +18,6 @@ from repro.index.kernels import (
 from repro.index.manager import IndexManager
 from repro.index.term import TermIndex
 from repro.workloads import WorkloadSpec, generate
-
-
-@dataclass(frozen=True)
-class Span:
-    start: int
-    end: int
-    tag: str
-
-
-# -- shared edge-case fixtures (satellite: zero-width / touching edges) --------
-
-EDGE_FIXTURES = {
-    "empty": [],
-    "single": [(3, 7, "a")],
-    "zero_width_at_zero": [(0, 0, "z"), (0, 5, "a")],
-    "zero_width_interior": [(2, 2, "z"), (0, 4, "a")],
-    "zero_width_at_shared_edge": [(0, 5, "a"), (5, 10, "b"), (5, 5, "z")],
-    "zero_width_at_document_end": [(0, 8, "a"), (8, 8, "z")],
-    "touching": [(0, 5, "a"), (5, 10, "b")],
-    "identical_spans": [(1, 4, "a"), (1, 4, "a"), (1, 4, "b")],
-    "nested_with_zero_width": [(0, 10, "a"), (2, 8, "b"), (4, 6, "c"),
-                               (5, 5, "z")],
-    "crossing": [(0, 6, "a"), (3, 9, "b")],
-    "stack_of_zero_widths": [(4, 4, "x"), (4, 4, "y"), (4, 4, "z")],
-}
-
-QUERY_WINDOW = range(0, 12)
-
-
-def table_variants(spans):
-    """Every construction path a live table can have taken."""
-    ordered = sorted(spans, key=lambda s: (s[0], -s[1], s[2]))
-    bulk = IntervalTable(
-        [s for s, _, _ in ordered], [e for _, e, _ in ordered],
-        [t for _, _, t in ordered],
-    )
-    shuffled = list(spans)
-    random.Random(17).shuffle(shuffled)
-    delta = IntervalTable()
-    for start, end, tag in shuffled:
-        delta.insert_row(start, end, tag)
-    churned = IntervalTable()
-    for start, end, tag in shuffled:
-        churned.insert_row(start, end, tag)
-    for start, end, tag in ((0, 3, "tmp"), (6, 6, "tmp"), (2, 9, "tmp")):
-        churned.insert_row(start, end, tag)
-        churned.rows_stabbing(start)  # force a tree build between edits
-        churned.remove_row(start, end, tag)
-    return {"bulk": bulk, "delta": delta, "churned": churned}
-
-
-def table_rows(table, rows):
-    return [(table.starts[i], table.ends[i], table.tags[i]) for i in rows]
-
-
-def static_items(items):
-    return [(item.start, item.end, item.tag) for item in items]
-
-
-def reference_index(spans):
-    """A StaticIntervalIndex in the table's canonical row order.
-
-    The table breaks (start, -end) ties by tag; the object index is
-    stable on input order, and every production build feeds it rows
-    already sorted the same way (``OverlapIndex.from_document``), so the
-    reference gets that order too.
-    """
-    ordered = sorted(spans, key=lambda s: (s[0], -s[1], s[2]))
-    return StaticIntervalIndex([Span(*s) for s in ordered])
-
-
-@pytest.mark.parametrize("name", sorted(EDGE_FIXTURES))
-def test_edge_fixtures_match_static_index_on_every_path(name):
-    spans = EDGE_FIXTURES[name]
-    reference = reference_index(spans)
-    for variant, table in table_variants(spans).items():
-        for offset in QUERY_WINDOW:
-            assert table_rows(table, table.rows_stabbing(offset)) == \
-                static_items(reference.stabbing(offset)), \
-                (name, variant, "stab", offset)
-        for start in QUERY_WINDOW:
-            for end in QUERY_WINDOW:
-                if end < start:
-                    continue
-                window = (start, end)
-                assert table_rows(
-                    table, table.rows_intersecting(start, end)
-                ) == static_items(reference.intersecting(start, end)), \
-                    (name, variant, "intersecting", window)
-                assert table_rows(
-                    table, table.rows_containing(start, end)
-                ) == static_items(reference.containing(start, end)), \
-                    (name, variant, "containing", window)
-                assert table_rows(
-                    table, table.rows_contained_in(start, end)
-                ) == static_items(reference.contained_in(start, end)), \
-                    (name, variant, "contained_in", window)
-
-
-def test_zero_width_rows_are_anchored_not_invisible():
-    # The PR 1 anchored-semantics contract, asserted directly against
-    # the delta-maintained path: a zero-width row at ``a`` answers stabs
-    # at ``a``, intersections of any window covering ``a``, and
-    # containment both ways at its anchor.
-    table = IntervalTable()
-    table.insert_row(5, 5, "z")
-    table.insert_row(0, 10, "a")
-    assert table_rows(table, table.rows_stabbing(5)) == \
-        [(0, 10, "a"), (5, 5, "z")]
-    assert table.rows_stabbing(4) == [0]
-    assert table_rows(table, table.rows_intersecting(3, 6)) == \
-        [(0, 10, "a"), (5, 5, "z")]
-    assert table_rows(table, table.rows_containing(5, 5)) == \
-        [(0, 10, "a"), (5, 5, "z")]
-    assert table_rows(table, table.rows_contained_in(5, 5)) == [(5, 5, "z")]
-
-
-def test_touching_intervals_do_not_intersect():
-    table = IntervalTable()
-    table.insert_row(0, 5, "a")
-    table.insert_row(5, 10, "b")
-    assert table_rows(table, table.rows_stabbing(5)) == [(5, 10, "b")]
-    assert table_rows(table, table.rows_intersecting(0, 5)) == [(0, 5, "a")]
-    assert table_rows(table, table.rows_intersecting(4, 6)) == \
-        [(0, 5, "a"), (5, 10, "b")]
-
-
-# -- randomized differential: table vs object index ----------------------------
-
-def random_spans(rng, n, width=60):
-    spans = []
-    for _ in range(n):
-        a, b = rng.randrange(width), rng.randrange(width)
-        start, end = min(a, b), max(a, b)
-        if rng.random() < 0.15:
-            end = start  # zero-width
-        spans.append((start, end, rng.choice("abcde")))
-    return spans
-
-
-def test_random_tables_match_static_index():
-    rng = random.Random(41)
-    for _ in range(60):
-        spans = random_spans(rng, rng.randrange(0, 40))
-        reference = reference_index(spans)
-        table = IntervalTable()
-        for start, end, tag in spans:
-            table.insert_row(start, end, tag)
-        for _ in range(30):
-            a, b = rng.randrange(62), rng.randrange(62)
-            start, end = min(a, b), max(a, b)
-            assert table_rows(table, table.rows_intersecting(start, end)) == \
-                static_items(reference.intersecting(start, end))
-            assert table_rows(table, table.rows_containing(start, end)) == \
-                static_items(reference.containing(start, end))
-            assert table_rows(table, table.rows_contained_in(start, end)) == \
-                static_items(reference.contained_in(start, end))
-            assert table_rows(table, table.rows_stabbing(a)) == \
-                static_items(reference.stabbing(a))
-
-
-def test_delta_maintenance_matches_rebuild():
-    # An arbitrary insert/remove script must land on exactly the columns
-    # a from-scratch build over the surviving rows produces.
-    rng = random.Random(99)
-    for _ in range(40):
-        live = IntervalTable()
-        alive = []
-        for _ in range(rng.randrange(5, 60)):
-            if alive and rng.random() < 0.4:
-                victim = alive.pop(rng.randrange(len(alive)))
-                live.remove_row(*victim)
-            else:
-                span = random_spans(rng, 1)[0]
-                alive.append(span)
-                live.insert_row(*span)
-            if rng.random() < 0.2:
-                live.rows_intersecting(0, 60)  # interleave tree builds
-        ordered = sorted(alive, key=lambda s: (s[0], -s[1], s[2]))
-        rebuilt = IntervalTable(
-            [s for s, _, _ in ordered], [e for _, e, _ in ordered],
-            [t for _, _, t in ordered],
-        )
-        assert live.starts == rebuilt.starts
-        assert live.ends == rebuilt.ends
-        assert live.tags == rebuilt.tags
-
-
-def test_remove_missing_row_raises():
-    table = IntervalTable()
-    table.insert_row(0, 5, "a")
-    with pytest.raises(ValueError):
-        table.remove_row(0, 5, "b")
-    with pytest.raises(ValueError):
-        table.remove_row(1, 5, "a")
-    table.remove_row(0, 5, "a")
-    with pytest.raises(ValueError):
-        table.remove_row(0, 5, "a")
-
-
-def test_ragged_columns_rejected():
-    with pytest.raises(ValueError):
-        IntervalTable([0, 1], [5], ["a", "b"])
 
 
 # -- span filter kernels vs the naive per-row probes ---------------------------

@@ -170,6 +170,30 @@ class TestIndexServedPredicates:
         assert predicate.kind == "starts-with" and not predicate.index_served
         assert_equivalent("//w[starts-with(., 'g r')]", manuscript)
 
+    @pytest.mark.parametrize("expression, kind, needle", [
+        ("//w[contains(., 'gar')]", "contains", "gar"),
+        ("//w[starts-with(., 'gar')]", "starts-with", "gar"),
+        ("//w[contains(., 'g r')]", "contains", "g r"),
+        ("//line[@n='3']", "attr-eq", None),
+        ("//w[@n]", "generic", None),
+    ])
+    def test_predicate_plan_keeps_its_literal(
+        self, manuscript, expression, kind, needle
+    ):
+        predicate = ExtendedXPath(expression).explain(manuscript) \
+            .steps[0].predicates[0]
+        assert (predicate.kind, predicate.needle) == (kind, needle)
+
+    def test_batch_filters_read_the_planned_literals(self, manuscript):
+        expr = ExtendedXPath("//w[contains(., 'gar')][starts-with(., 'ga')]")
+        plan = Planner(manuscript, manuscript.index_manager).plan(expr.ast)
+        program = plan.whole_program
+        assert program is not None
+        assert sorted((f.kind, f.needle) for f in program.filters) == \
+            [("contains", "gar"), ("starts-with", "ga")]
+        assert_equivalent("//w[contains(., 'gar')][starts-with(., 'ga')]",
+                          manuscript)
+
     def test_attr_predicate_on_unserved_steps_still_shortcuts(self, manuscript):
         assert_equivalent("//line/following-sibling::line[@n='3']",
                           manuscript)
@@ -280,10 +304,11 @@ class TestAttributeIndex:
         assert stats["schema"] == "repro-stats/1"
         assert stats["source"] == "index.manager"
         counts = stats["counts"]
-        for key in ("elements", "solid_elements", "label_paths", "terms",
+        for key in ("elements", "label_paths", "terms",
                     "postings", "attr_keys", "attr_postings", "builds",
                     "deltas", "stale"):
             assert f"index.{key}" in counts, key
+        assert "index.solid_elements" not in counts
         assert counts["index.attr_postings"] >= counts["index.attr_keys"] > 0
         assert counts["index.postings"] >= counts["index.terms"] > 0
 
