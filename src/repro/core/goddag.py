@@ -8,10 +8,11 @@ editing primitives used by the xTagger layer (:meth:`insert_element`,
 :meth:`remove_element`), and the cross-hierarchy span queries behind the
 Extended XPath axes.
 
-:class:`GoddagBuilder` constructs documents either from parser events
-(preserving source nesting) or from bags of offset annotations (nesting
+:class:`GoddagBuilder` constructs documents from parser events
+(preserving source nesting), from bags of offset annotations (nesting
 derived from spans), which is how every import driver and the synthetic
-workload generator produce GODDAGs.
+workload generator produce GODDAGs, or from stored element rows (the
+nesting they record), which is how storage restores them.
 
 Placement conventions (documented here once, relied upon everywhere):
 
@@ -29,9 +30,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from contextlib import contextmanager
 from heapq import merge as heap_merge
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ..errors import HierarchyError, MarkupConflictError, SpanError
+from ..errors import HierarchyError, MarkupConflictError, SpanError, StorageError
 from ..obs.metrics import metrics as _metrics
 from .changes import ChangeRecord, InsertMarkup, RemoveMarkup, SetAttribute
 from .hierarchy import Hierarchy
@@ -44,14 +46,22 @@ from .spans import Span, SpanTable
 JOURNAL_LIMIT = 512
 
 
-def _sibling_key(element: Element) -> tuple[int, int, int, int]:
+def _sibling_order(start: int, end: int, tiebreak: int) -> tuple[int, bool, int, int]:
+    """Sibling order ``(start, zero-width-first, -end, tiebreak)``.
+
+    Elements break ties by birth ordinal (the module docstring's order),
+    builder records by input sequence, stored rows by child rank.
+    """
+    return (start, start != end, -end, tiebreak)
+
+
+def _sibling_key(element: Element) -> tuple[int, bool, int, int]:
     """Total order of siblings; see the module docstring."""
-    return (
-        element.start,
-        0 if element.is_empty else 1,
-        -element.end,
-        element.ordinal,
-    )
+    return _sibling_order(element._start, element._end, element.ordinal)
+
+
+#: An element's cached order key (stamped by ``ordered_elements``).
+_okey_of = attrgetter("_okey")
 
 
 class GoddagDocument:
@@ -241,7 +251,7 @@ class GoddagDocument:
         Ordinals are the document's *persistent identity*: the store
         persists them as ``elem_id`` and reconstruction restores
         them, so the counter must never re-issue a loaded value.  The
-        builder bumps ``_ordinal`` past the maximum explicit ordinal
+        builder bumps ``_ordinal`` past the maximum stored ordinal
         before materializing (see :meth:`GoddagBuilder.build`), which
         keeps ``save → load → edit`` sessions collision-free.
         """
@@ -432,14 +442,35 @@ class GoddagDocument:
         structural summary's candidate lists, and incremental index
         maintenance all agree positionally.)
 
-        The query engine's descendant axis runs off this list; the cache
-        invalidates automatically on any mutation (version bump).
+        One preorder walk per hierarchy computes every element's key —
+        the depth is its parent's plus one, so no parent chain is walked
+        — and stamps it as the element's cached ``order_key``; the walk
+        output is then sorted by those keys.  The query engine's
+        descendant axis runs off this list; the cache invalidates
+        automatically on any mutation (version bump).
         """
         if self._ordered_cache_version != self._version:
-            from .navigation import order_key
+            from .navigation import element_key
 
-            self._ordered_cache = sorted(self.elements(), key=order_key)
-            self._ordered_cache_version = self._version
+            version = self._version
+            ordered: list[Element] = []
+            for name, hierarchy in self._hierarchies.items():
+                rank = hierarchy.rank
+                stack = [(top, 0) for top in reversed(self._h_top[name])]
+                while stack:
+                    element, depth = stack.pop()
+                    element._okey = element_key(element, rank, depth)
+                    element._okey_version = version
+                    ordered.append(element)
+                    if element._children:
+                        depth += 1
+                        stack.extend(
+                            (child, depth)
+                            for child in reversed(element._children)
+                        )
+            ordered.sort(key=_okey_of)
+            self._ordered_cache = ordered
+            self._ordered_cache_version = version
         return self._ordered_cache
 
     def element_count(self, hierarchy: str | None = None) -> int:
@@ -806,8 +837,14 @@ class GoddagDocument:
     def check_invariants(self) -> list[str]:
         """Verify structural invariants; returns a list of violations.
 
-        An empty list means the document is internally consistent.  Used
-        heavily by tests and by the editing layer after mutations.
+        An empty list means the document is internally consistent: every
+        sibling list is sorted and overlap-free, every element sits in
+        its own hierarchy's tree under a correct parent pointer and
+        inside its parent's span, ordinals are unique, and every element
+        boundary is in the leaf table.  :meth:`GoddagBuilder.build` runs
+        it on every document it makes; the editing primitives keep the
+        invariants by construction and do not call it.  Spans are read
+        straight from the elements' ``_start``/``_end`` slots.
         """
         problems: list[str] = []
         boundaries = set(self._spans.boundaries)
@@ -826,6 +863,7 @@ class GoddagDocument:
                     )
                 previous: Element | None = None
                 for child in children:
+                    start, end = child._start, child._end
                     if child.hierarchy != name:
                         problems.append(
                             f"{name}: foreign element {child!r} in tree"
@@ -833,7 +871,7 @@ class GoddagDocument:
                     if child.ordinal in seen_ordinals:
                         problems.append(f"duplicate ordinal {child.ordinal}")
                     seen_ordinals.add(child.ordinal)
-                    if child.start not in boundaries or child.end not in boundaries:
+                    if start not in boundaries or end not in boundaries:
                         problems.append(
                             f"{name}: {child!r} boundaries missing from table"
                         )
@@ -842,7 +880,7 @@ class GoddagDocument:
                             problems.append(
                                 f"{name}: bad parent pointer on {child!r}"
                             )
-                        if not parent.span.contains(child.span):
+                        if start < parent._start or end > parent._end:
                             problems.append(
                                 f"{name}: {child!r} escapes parent {parent!r}"
                             )
@@ -850,18 +888,15 @@ class GoddagDocument:
                         problems.append(
                             f"{name}: top-level {child!r} has a parent pointer"
                         )
-                    if (
-                        previous is not None
-                        and not previous.is_empty
-                        and not child.is_empty
-                        and child.start < previous.end
-                    ):
-                        problems.append(
-                            f"{name}: siblings {previous!r} / {child!r} overlap"
-                        )
-                    if not child.is_empty:
+                    if start != end:
+                        if previous is not None and start < previous._end:
+                            problems.append(
+                                f"{name}: siblings {previous!r} / {child!r} "
+                                f"overlap"
+                            )
                         previous = child
-                    stack.append((child, child._children))
+                    if child._children:
+                        stack.append((child, child._children))
         return problems
 
     def stats(self) -> dict[str, object]:
@@ -899,47 +934,50 @@ class GoddagDocument:
 class _OpenElement:
     """Builder-internal record of an element whose end tag is pending."""
 
-    __slots__ = ("tag", "start", "end", "attributes", "children", "seq",
-                 "ordinal")
+    __slots__ = ("tag", "start", "end", "attributes", "children", "seq")
 
     def __init__(self, tag: str, start: int, attributes: dict[str, str],
-                 seq: int, ordinal: int | None = None):
+                 seq: int):
         self.tag = tag
         self.start = start
         self.end = -1
         self.attributes = attributes
         self.children: list[_OpenElement] = []
         self.seq = seq
-        self.ordinal = ordinal
 
 
-def _walk_open_elements(records: Iterable["_OpenElement"]) -> Iterator["_OpenElement"]:
-    """All builder records of some trees, preorder (identity pre-scan)."""
-    stack = list(records)
-    while stack:
-        record = stack.pop()
-        yield record
-        stack.extend(record.children)
+def _record_sibling_key(record: _OpenElement) -> tuple[int, bool, int, int]:
+    """Builder records keep their input order among equal spans."""
+    return _sibling_order(record.start, record.end, record.seq)
+
+
+def _stored_sibling_key(row: Sequence) -> tuple[int, bool, int, int]:
+    """Rows are ``ElementRow`` fields: start, end, child rank at 3, 4, 6."""
+    return _sibling_order(row[3], row[4], row[6])
 
 
 class GoddagBuilder:
-    """Constructs a :class:`GoddagDocument` from events or annotations.
+    """Constructs a :class:`GoddagDocument` from events, annotations or
+    stored rows.
 
-    Two input styles, freely mixable across hierarchies:
+    Three input styles, freely mixable across hierarchies (one hierarchy
+    takes stored rows or the other two, not both):
 
     * **event style** (used by parsers): :meth:`start_element`,
       :meth:`end_element`, :meth:`empty_element` with character offsets;
       source nesting is preserved exactly;
     * **annotation style** (used by standoff import, generators, tests):
       :meth:`add_annotation` with ``(tag, start, end)``; nesting is derived
-      from spans using the placement conventions of this module.
+      from spans using the placement conventions of this module;
+    * **stored rows** (used by :func:`repro.storage.schema.decode_document`):
+      :meth:`add_rows` with each element's parent and sibling rank; the
+      stored nesting is restored exactly, one element per row, in a
+      single walk at :meth:`build`.
 
-    Every input method accepts an optional explicit ``ordinal`` — the
-    persistent-identity path used by :func:`repro.storage.schema.decode_document`
-    so that reconstruction preserves the birth ordinals the elements were
-    stored under.  Elements without one draw fresh ordinals *above* the
-    largest explicit ordinal, so loaded identity and new identity never
-    collide (``_next_ordinal`` resumes past the loaded maximum).
+    Stored rows keep the birth ordinals their elements were stored under.
+    Event and annotation elements draw fresh ordinals *above* the largest
+    stored one, so loaded identity and new identity never collide
+    (``_next_ordinal`` resumes past the loaded maximum).
     """
 
     def __init__(self, text: str, root_tag: str = "r") -> None:
@@ -953,6 +991,9 @@ class GoddagBuilder:
         # Annotation style state, per hierarchy.
         self._annotations: dict[str, list[tuple[str, int, int, dict[str, str], int]]] = {}
         self._seq = 0
+        # Stored rows, all hierarchies, and their ordinals.
+        self._rows: list[Sequence] = []
+        self._row_ordinals: set[int] = set()
 
     @property
     def text(self) -> str:
@@ -976,30 +1017,16 @@ class GoddagBuilder:
         self._seq += 1
         return self._seq
 
-    @staticmethod
-    def _check_ordinal(ordinal: int | None) -> int | None:
-        if ordinal is not None and ordinal < 1:
-            raise MarkupConflictError(
-                f"explicit element ordinal must be >= 1 (0 is the shared "
-                f"root), got {ordinal}"
-            )
-        return ordinal
-
     # -- event style --------------------------------------------------------------
 
     def start_element(
         self, hierarchy: str, tag: str, offset: int,
         attributes: Mapping[str, str] | None = None,
-        ordinal: int | None = None,
     ) -> None:
-        """Open ``<tag>`` at character position ``offset``.
-
-        ``ordinal`` fixes the element's persistent identity explicitly
-        (storage reconstruction); omitted, a fresh one is assigned.
-        """
+        """Open ``<tag>`` at character position ``offset``."""
         self._check_hierarchy(hierarchy)
         record = _OpenElement(tag, offset, dict(attributes or {}),
-                              self._next_seq(), self._check_ordinal(ordinal))
+                              self._next_seq())
         stack = self._stacks[hierarchy]
         if stack:
             stack[-1].children.append(record)
@@ -1033,12 +1060,11 @@ class GoddagBuilder:
     def empty_element(
         self, hierarchy: str, tag: str, offset: int,
         attributes: Mapping[str, str] | None = None,
-        ordinal: int | None = None,
     ) -> None:
         """Record a zero-width element at ``offset`` (source nesting kept)."""
         self._check_hierarchy(hierarchy)
         record = _OpenElement(tag, offset, dict(attributes or {}),
-                              self._next_seq(), self._check_ordinal(ordinal))
+                              self._next_seq())
         record.end = offset
         stack = self._stacks[hierarchy]
         if stack:
@@ -1051,7 +1077,6 @@ class GoddagBuilder:
     def add_annotation(
         self, hierarchy: str, tag: str, start: int, end: int,
         attributes: Mapping[str, str] | None = None,
-        ordinal: int | None = None,
     ) -> None:
         """Record markup by offsets; nesting is derived at :meth:`build`."""
         self._check_hierarchy(hierarchy)
@@ -1061,9 +1086,118 @@ class GoddagBuilder:
                 f"{len(self._text)}"
             )
         self._annotations[hierarchy].append(
-            (tag, start, end, dict(attributes or {}), self._next_seq(),
-             self._check_ordinal(ordinal))
+            (tag, start, end, dict(attributes or {}), self._next_seq())
         )
+
+    # -- stored rows ----------------------------------------------------------------
+
+    def add_rows(self, rows: Iterable[Sequence]) -> None:
+        """Record stored elements, each to be placed as its row says.
+
+        Each row is ``(ordinal, hierarchy, tag, start, end, parent_ordinal,
+        child_rank, attributes)`` — the field order of
+        :class:`repro.storage.schema.ElementRow`, attributes decoded —
+        with ``parent_ordinal`` 0 for a top-level element.  :meth:`build`
+        makes one element per row under its stored parent; siblings take
+        the order ``(start, zero-width-first, -end, child_rank)``.
+
+        An unknown hierarchy, an ordinal below 1 or an element ending
+        before it starts is rejected here, as by the other inputs.  Rows
+        that cannot be placed raise :class:`~repro.errors.StorageError`
+        naming the row: an ordinal given twice here, and at
+        :meth:`build` a missing parent, a parent chain that never reaches
+        the root, a parent in another hierarchy or a zero-width parent.
+        """
+        known = self._stacks
+        ordinals = self._row_ordinals
+        append = self._rows.append
+        for row in rows:
+            ordinal, hierarchy, tag, start, end, _, _, _ = row
+            if hierarchy not in known:
+                raise HierarchyError(f"unknown hierarchy {hierarchy!r}")
+            if ordinal < 1:
+                raise MarkupConflictError(
+                    f"stored element ordinal must be >= 1 (0 is the shared "
+                    f"root), got {ordinal}"
+                )
+            if end < start:
+                raise SpanError(
+                    f"element <{tag}> ends at {end} before it starts "
+                    f"at {start}"
+                )
+            if ordinal in ordinals:
+                raise StorageError(f"element {ordinal} is stored twice")
+            ordinals.add(ordinal)
+            append(row)
+
+    def _group_rows(self) -> dict[int | str, list[Sequence]]:
+        """The stored rows grouped by parent, each group in sibling order.
+
+        Top-level rows are grouped under their hierarchy's name, every
+        other row under its parent's ordinal.
+        """
+        self._rows.sort(key=_stored_sibling_key)
+        groups: dict[int | str, list[Sequence]] = {}
+        for row in self._rows:
+            parent = row[5] or row[1]
+            group = groups.get(parent)
+            if group is None:
+                groups[parent] = [row]
+            else:
+                group.append(row)
+        ordinals = self._row_ordinals
+        for parent, group in groups.items():
+            if type(parent) is int and parent not in ordinals:
+                raise StorageError(
+                    f"element {group[0][0]} references missing parent "
+                    f"{parent}"
+                )
+        return groups
+
+    def _place_rows(
+        self,
+        document: GoddagDocument,
+        hierarchy: Hierarchy,
+        groups: dict[int | str, list[Sequence]],
+        boundaries: set[int],
+    ) -> list[Element]:
+        """Make the stored elements of ``hierarchy`` in one preorder walk;
+        returns its top-level elements.  Every placed group is taken out
+        of ``groups``."""
+        name = hierarchy.name
+        elements = document._h_all[name]
+        tags: set[str] = set()
+        top: list[Element] = []
+        stack: list[tuple[Sequence, Element | None]] = [
+            (row, None) for row in reversed(groups.pop(name, ()))
+        ]
+        while stack:
+            row, parent = stack.pop()
+            ordinal, _, tag, start, end, _, _, attributes = row
+            element = Element(document, name, tag, start, end, attributes,
+                              ordinal)
+            element._parent = parent
+            (top if parent is None else parent._children).append(element)
+            elements.append(element)
+            boundaries.add(start)
+            boundaries.add(end)
+            tags.add(tag)
+            children = groups.pop(ordinal, None)
+            if children:
+                if start == end:
+                    raise StorageError(
+                        f"zero-width element {ordinal} has children"
+                    )
+                for child in reversed(children):
+                    if child[1] != name:
+                        raise StorageError(
+                            f"element {child[0]} of hierarchy {child[1]!r} "
+                            f"has parent {ordinal} of hierarchy {name!r}"
+                        )
+                    stack.append((child, element))
+        for tag in tags:
+            hierarchy.observe_tag(tag)
+        return top
 
     # -- construction ------------------------------------------------------------------
 
@@ -1075,8 +1209,8 @@ class GoddagBuilder:
         annotations.sort(key=lambda a: (a[1], -a[2], a[4]))
         top = self._toplevel[hierarchy]
         stack: list[_OpenElement] = []
-        for tag, start, end, attributes, seq, ordinal in annotations:
-            record = _OpenElement(tag, start, attributes, seq, ordinal)
+        for tag, start, end, attributes, seq in annotations:
+            record = _OpenElement(tag, start, attributes, seq)
             record.end = end
             while stack:
                 open_span = Span(stack[-1].start, stack[-1].end)
@@ -1114,29 +1248,37 @@ class GoddagBuilder:
             self._nest_annotations(name)
 
         document = GoddagDocument(self._text, self._root_tag)
-        # The identity contract: explicit ordinals (reconstruction) are
-        # preserved verbatim, and the fresh-ordinal counter starts past
-        # their maximum so mixed input — and every element created by a
-        # later editing session — can never collide with a loaded id.
-        document._ordinal = max(
-            (record.ordinal
-             for name in self._hierarchy_names
-             for record in _walk_open_elements(self._toplevel[name])
-             if record.ordinal is not None),
-            default=0,
-        )
+        # The identity contract: stored ordinals are preserved verbatim,
+        # and the fresh-ordinal counter starts past their maximum so mixed
+        # input — and every element created by a later editing session —
+        # can never collide with a loaded id.
+        document._ordinal = max(self._row_ordinals, default=0)
+        groups = self._group_rows()
         boundaries: set[int] = set()
         for name in self._hierarchy_names:
             hierarchy = document.add_hierarchy(name, dtd=self._hierarchy_dtds[name])
             top_elements: list[Element] = []
-            for record in sorted(
-                self._toplevel[name],
-                key=lambda r: (r.start, 0 if r.start == r.end else 1, -r.end, r.seq),
-            ):
+            for record in sorted(self._toplevel[name], key=_record_sibling_key):
                 top_elements.append(
                     self._materialize(document, hierarchy, record, None, boundaries)
                 )
+            if name in groups:
+                if top_elements:
+                    raise MarkupConflictError(
+                        f"hierarchy {name!r} has both stored rows and "
+                        f"event or annotation input"
+                    )
+                top_elements = self._place_rows(document, hierarchy, groups,
+                                                boundaries)
             document._h_top[name] = top_elements
+        if groups:
+            # A group left over hangs below a row that was never placed:
+            # its parent chain loops instead of reaching the root.
+            lost = min(row[0] for group in groups.values() for row in group)
+            raise StorageError(
+                f"element {lost} is not reachable from the root: its "
+                f"parent chain loops"
+            )
         document.spans.add_boundaries(boundaries)
         document.touch()
         if check:
@@ -1162,18 +1304,14 @@ class GoddagBuilder:
             record.start,
             record.end,
             record.attributes,
-            record.ordinal if record.ordinal is not None
-            else document._next_ordinal(),
+            document._next_ordinal(),
         )
         element._parent = parent
         boundaries.add(record.start)
         boundaries.add(record.end)
         hierarchy.observe_tag(record.tag)
         document._h_all[hierarchy.name].append(element)
-        children = sorted(
-            record.children,
-            key=lambda r: (r.start, 0 if r.start == r.end else 1, -r.end, r.seq),
-        )
+        children = sorted(record.children, key=_record_sibling_key)
         element._children = [
             self._materialize(document, hierarchy, child, element, boundaries)
             for child in children

@@ -16,11 +16,15 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .goddag import GoddagDocument
-from .node import Element, Leaf, Node
+from .node import KIND_ELEMENT, KIND_LEAF, Element, Leaf, Node
 
-#: kind ranks inside the order key
-_KIND_ELEMENT = 0
-_KIND_LEAF = 1
+
+def element_key(element: Element, rank: int, depth: int) -> tuple:
+    """The :func:`order_key` of a non-root ``element`` whose hierarchy has
+    ``rank`` and that has ``depth`` proper element ancestors."""
+    start, end = element._start, element._end
+    return (1, start, 0 if start == end else 1, -end, KIND_ELEMENT, rank,
+            depth, element.ordinal)
 
 
 def order_key(node: Node) -> tuple:
@@ -34,7 +38,8 @@ def order_key(node: Node) -> tuple:
     Element keys are cached and stamped with the document version:
     ``depth()`` walks the parent chain, which would otherwise dominate
     large sorts (every structural mutation bumps the version and
-    invalidates the cache).
+    invalidates the cache).  ``GoddagDocument.ordered_elements`` stamps
+    the :func:`element_key` of every element in one tree walk.
     """
     if isinstance(node, Element):
         if node.is_root:
@@ -42,21 +47,12 @@ def order_key(node: Node) -> tuple:
         if node._okey_version == node.document.version:
             return node._okey
         rank = node.document.hierarchy(node.hierarchy).rank
-        key = (
-            1,
-            node.start,
-            0 if node.is_empty else 1,
-            -node.end,
-            _KIND_ELEMENT,
-            rank,
-            node.depth(),
-            node.ordinal,
-        )
+        key = element_key(node, rank, node.depth())
         node._okey = key
         node._okey_version = node.document.version
         return key
     if isinstance(node, Leaf):
-        return (1, node.start, 1, -node.end, _KIND_LEAF, 0, 0, node.index)
+        return (1, node.start, 1, -node.end, KIND_LEAF, 0, 0, node.index)
     raise TypeError(f"not a GODDAG node: {node!r}")
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..core.goddag import GoddagBuilder, GoddagDocument
 from ..core.node import Element
@@ -50,8 +51,10 @@ class HierarchyRow:
     dtd_source: str  # '' when the hierarchy has no DTD
 
 
-@dataclass(frozen=True)
-class ElementRow:
+class ElementRow(NamedTuple):
+    """One stored element; a plain tuple, so a fetched sqlite row becomes
+    one with ``ElementRow._make`` and no per-field work."""
+
     elem_id: int
     hierarchy: str
     tag: str
@@ -146,6 +149,28 @@ def element_row(
     )
 
 
+def decode_attributes(encoded: str, elem_id: int) -> dict[str, str]:
+    """The stored attribute object of element ``elem_id`` (``ROOT_ID``
+    for the document root), decoded.
+
+    Anything but a JSON object raises :class:`~repro.errors.StorageError`
+    naming the element — never a raw ``json`` or ``TypeError``.
+    """
+    if encoded == "{}":
+        return {}
+    try:
+        attributes = json.loads(encoded)
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise StorageError(
+            f"element {elem_id} has malformed attributes {encoded!r}: {exc}"
+        ) from None
+    if not isinstance(attributes, dict):
+        raise StorageError(
+            f"element {elem_id} has attributes {encoded!r}, not a JSON object"
+        )
+    return attributes
+
+
 def decode_document(
     doc_row: DocumentRow,
     hierarchy_rows: list[HierarchyRow],
@@ -153,57 +178,30 @@ def decode_document(
 ) -> GoddagDocument:
     """Rebuild a GODDAG from its relational rows.
 
-    Rebuilding uses the builder's event interface driven by an explicit
-    parent/child-rank walk, so nesting (including equal spans and
-    zero-width placement) is restored exactly as stored.  Every element
-    is reconstructed under its stored ``elem_id`` as its birth ordinal —
-    the persistent-identity half of the round-trip contract — and the
-    builder resumes the fresh-ordinal counter past the loaded maximum,
-    so post-load edits never collide with persisted ids.
+    The element rows go to :meth:`GoddagBuilder.add_rows` with their
+    attributes decoded; the builder places every element under its
+    stored parent at its stored sibling rank in one walk, so nesting
+    (including equal spans and zero-width placement) is restored exactly
+    as stored.  Every element is reconstructed under its stored
+    ``elem_id`` as its birth ordinal — the persistent-identity half of
+    the round-trip contract — and the builder resumes the fresh-ordinal
+    counter past the loaded maximum, so post-load edits never collide
+    with persisted ids.  A row that cannot be placed exactly once, or
+    whose attributes are not a JSON object, raises
+    :class:`~repro.errors.StorageError` naming it.
     """
     builder = GoddagBuilder(doc_row.text, doc_row.root_tag)
-    dtds = {}
     for row in sorted(hierarchy_rows, key=lambda r: r.rank):
         dtd = parse_dtd(row.dtd_source, name=row.name) if row.dtd_source else None
         builder.add_hierarchy(row.name, dtd=dtd)
-        dtds[row.name] = dtd
-
-    children: dict[int, list[ElementRow]] = {}
-    for row in element_rows:
-        children.setdefault(row.parent_id, []).append(row)
-    for rows in children.values():
-        rows.sort(key=lambda r: r.child_rank)
-
-    by_id = {row.elem_id: row for row in element_rows}
-    for row in element_rows:
-        if row.parent_id != ROOT_ID and row.parent_id not in by_id:
-            raise StorageError(
-                f"element {row.elem_id} references missing parent "
-                f"{row.parent_id}"
-            )
-
-    def replay(row: ElementRow) -> None:
-        attributes = json.loads(row.attributes)
-        if row.start == row.end:
-            builder.empty_element(row.hierarchy, row.tag, row.start,
-                                  attributes, ordinal=row.elem_id)
-            for child in children.get(row.elem_id, ()):  # pragma: no cover
-                raise StorageError(
-                    f"zero-width element {row.elem_id} has children"
-                )
-            return
-        builder.start_element(row.hierarchy, row.tag, row.start, attributes,
-                              ordinal=row.elem_id)
-        for child in children.get(row.elem_id, ()):
-            replay(child)
-        builder.end_element(row.hierarchy, row.tag, row.end)
-
-    # Top-level rows must replay grouped by hierarchy (the builder keeps
-    # one open-element stack per hierarchy, so grouping is not required
-    # for correctness, only for readable event order).
-    for row in children.get(ROOT_ID, ()):
-        replay(row)
-
+    builder.add_rows([
+        (elem_id, hierarchy, tag, start, end, parent_id, child_rank,
+         decode_attributes(attributes, elem_id))
+        for elem_id, hierarchy, tag, start, end, parent_id, child_rank,
+        attributes in element_rows
+    ])
     document = builder.build()
-    document.root.attributes.update(json.loads(doc_row.root_attributes))
+    document.root.attributes.update(
+        decode_attributes(doc_row.root_attributes, ROOT_ID)
+    )
     return document

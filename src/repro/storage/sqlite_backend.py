@@ -30,6 +30,7 @@ from .schema import (
     DocumentRow,
     ElementRow,
     HierarchyRow,
+    decode_attributes,
     decode_document,
     encode_document,
     element_row,
@@ -384,14 +385,11 @@ class SqliteStore:
                 " WHERE doc_id = ? ORDER BY rank", (doc_id,),
             )
         ]
-        element_rows = [
-            ElementRow(*row)
-            for row in self._conn.execute(
-                "SELECT elem_id, hierarchy, tag, start, end, parent_id,"
-                " child_rank, attributes FROM elements"
-                " WHERE doc_id = ? ORDER BY elem_id", (doc_id,),
-            )
-        ]
+        element_rows = list(map(ElementRow._make, self._conn.execute(
+            "SELECT elem_id, hierarchy, tag, start, end, parent_id,"
+            " child_rank, attributes FROM elements"
+            " WHERE doc_id = ? ORDER BY elem_id", (doc_id,),
+        )))
         return decode_document(doc_row, hierarchy_rows, element_rows)
 
     def delete(self, name: str) -> None:
@@ -525,13 +523,14 @@ class SqliteStore:
         choice.  That keeps the prefilter complete for any JSON the
         standard encoder can have produced; it is not exact (a longer
         key shares the same token bytes), so each candidate is confirmed
-        by one ``json.loads``.
+        by decoding its attributes; a candidate whose attributes are not
+        a JSON object raises :class:`~repro.errors.StorageError` naming it.
         """
         doc_id, _ = self._document_row(name)
         cursor = self._conn.cursor()
         try:
             cursor.execute(
-                "SELECT attributes FROM elements"
+                "SELECT elem_id, attributes FROM elements"
                 " WHERE doc_id = ? AND attributes != '{}'"
                 " AND instr(attributes, ?) > 0"
                 " AND instr(attributes, ?) > 0",
@@ -539,8 +538,8 @@ class SqliteStore:
                  _json_token_prefix(value)),
             )
             return sum(
-                1 for (encoded,) in cursor
-                if json.loads(encoded).get(attr) == value
+                1 for elem_id, encoded in cursor
+                if decode_attributes(encoded, elem_id).get(attr) == value
             )
         finally:
             cursor.close()
@@ -652,7 +651,7 @@ class SqliteStore:
             f"SELECT {self._ELEMENT_ROW_COLS} FROM elements"
             " WHERE doc_id = ? AND elem_id = ?", (doc_id, elem_id),
         ).fetchone()
-        return ElementRow(*row) if row is not None else None
+        return ElementRow._make(row) if row is not None else None
 
     def element_rows_in_span(
         self, name: str, hierarchy: str, start: int, end: int
@@ -666,14 +665,12 @@ class SqliteStore:
         hierarchy sibling can share the interval.
         """
         doc_id, _ = self._document_row(name)
-        return [
-            ElementRow(*row) for row in self._conn.execute(
-                f"SELECT {self._ELEMENT_ROW_COLS} FROM elements"
-                " WHERE doc_id = ? AND start >= ? AND end <= ?"
-                " AND hierarchy = ? ORDER BY elem_id",
-                (doc_id, start, end, hierarchy),
-            )
-        ]
+        return list(map(ElementRow._make, self._conn.execute(
+            f"SELECT {self._ELEMENT_ROW_COLS} FROM elements"
+            " WHERE doc_id = ? AND start >= ? AND end <= ?"
+            " AND hierarchy = ? ORDER BY elem_id",
+            (doc_id, start, end, hierarchy),
+        )))
 
     def element_rows_by_tag(
         self, name: str, tag: str, hierarchy: str | None = None,
@@ -699,10 +696,8 @@ class SqliteStore:
             params.extend((_json_token_prefix(attr),
                            _json_token_prefix(value)))
         query += " ORDER BY elem_id"
-        return [
-            ElementRow(*row)
-            for row in self._conn.execute(query, tuple(params))
-        ]
+        return list(map(ElementRow._make,
+                        self._conn.execute(query, tuple(params))))
 
     def _insert_index_rows(self, doc_id: int, payload: dict,
                            stamp: str = "") -> None:
@@ -1705,7 +1700,7 @@ class StreamIngestSession:
 def _stored(row) -> StoredElement:
     elem_id, hierarchy, tag, start, end, attributes = row
     return StoredElement(elem_id, hierarchy, tag, start, end,
-                         json.loads(attributes))
+                         decode_attributes(attributes, elem_id))
 
 
 def _json_token_prefix(value: str) -> str:

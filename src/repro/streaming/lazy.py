@@ -24,13 +24,12 @@ the view has hydrated, which is what the benchmarks use to show the
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from ..errors import StorageError
 from ..obs import fallback as _obs_fallback
 from ..obs.metrics import metrics
-from ..storage.schema import ROOT_ID, ElementRow
+from ..storage.schema import ROOT_ID, ElementRow, decode_attributes
 from ..xpath.engine import ExtendedXPath
 from ..xpath.optimizer import optimize
 from ..xpath.parser import parse_xpath
@@ -80,7 +79,7 @@ class LazyDocument:
         doc_id, root_tag, root_attributes, length = backend.document_meta(name)
         self.doc_id = doc_id
         self.root_tag = root_tag
-        self.root_attributes: dict[str, str] = json.loads(root_attributes)
+        self.root_attributes = decode_attributes(root_attributes, ROOT_ID)
         self.length = length
         self.hierarchies = backend.hierarchy_names_of(name)
         self._ranks = {hname: rank
@@ -169,18 +168,19 @@ class LazyDocument:
                 attr=shape.attr, value=shape.value,
             )
             survivors = []
+            decoded: dict[int, dict[str, str]] = {}
             for row in rows:
                 self._remember(row)
-                if shape.attr is not None:
-                    attributes = json.loads(row.attributes)
-                    if attributes.get(shape.attr) != shape.value:
-                        continue  # instr prefilter false positive
+                attributes = decode_attributes(row.attributes, row.elem_id)
+                if (shape.attr is not None
+                        and attributes.get(shape.attr) != shape.value):
+                    continue  # instr prefilter false positive
+                decoded[row.elem_id] = attributes
                 survivors.append(row)
             ordered = self._document_order(survivors)
         return tuple(
             ("element", row.elem_id, row.hierarchy, row.tag,
-             row.start, row.end,
-             tuple(sorted(json.loads(row.attributes).items())))
+             row.start, row.end, tuple(sorted(decoded[row.elem_id].items())))
             for row in ordered
         )
 
