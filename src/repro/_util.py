@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import sys
 from array import array
 from typing import Iterable, Iterator, Sequence, TypeVar
@@ -78,42 +79,45 @@ def escape_attribute(text: str) -> str:
     )
 
 
+#: ``&`` up to the next ``;``: one entity or character reference.
+_REFERENCE = re.compile(r"&([^;]*);")
+
+_PREDEFINED = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
+
+
+def _resolve(match: re.Match) -> str:
+    entity = match[1]
+    char = _PREDEFINED.get(entity)
+    if char is not None:
+        return char
+    if entity.startswith(("#x", "#X")):
+        digits, base = entity[2:], 16
+    elif entity.startswith("#"):
+        digits, base = entity[1:], 10
+    else:
+        # Unknown entity: passed through verbatim.  Nothing downstream
+        # reports it; it stays in the text as written.
+        return match[0]
+    try:
+        code = int(digits, base)
+    except ValueError:
+        raise ValueError(
+            f"malformed character reference {match[0]!r}") from None
+    if not 0 <= code <= 0x10FFFF:
+        raise ValueError(f"character reference {match[0]!r} out of range")
+    return chr(code)
+
+
 def unescape(text: str) -> str:
-    """Resolve the five predefined XML entities and numeric references."""
-    out: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch != "&":
-            out.append(ch)
-            i += 1
-            continue
-        semi = text.find(";", i + 1)
-        if semi == -1:
-            out.append(ch)
-            i += 1
-            continue
-        entity = text[i + 1 : semi]
-        if entity == "amp":
-            out.append("&")
-        elif entity == "lt":
-            out.append("<")
-        elif entity == "gt":
-            out.append(">")
-        elif entity == "quot":
-            out.append('"')
-        elif entity == "apos":
-            out.append("'")
-        elif entity.startswith("#x") or entity.startswith("#X"):
-            out.append(chr(int(entity[2:], 16)))
-        elif entity.startswith("#"):
-            out.append(chr(int(entity[1:])))
-        else:
-            # Unknown entity: leave it verbatim, the scanner reports it.
-            out.append(text[i : semi + 1])
-        i = semi + 1
-    return "".join(out)
+    """Resolve the five predefined XML entities and numeric references.
+
+    Text without ``&`` is returned as is.  A numeric reference that does
+    not name a code point raises :class:`ValueError`; the scanner turns
+    that into a :class:`~repro.errors.WellFormednessError` at the token.
+    """
+    if "&" not in text:
+        return text
+    return _REFERENCE.sub(_resolve, text)
 
 
 def is_name_start_char(ch: str) -> bool:

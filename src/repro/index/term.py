@@ -40,6 +40,7 @@ worked example::
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, insort
 from typing import TYPE_CHECKING, Iterator
 
@@ -62,18 +63,14 @@ def find_all(haystack: str, needle: str) -> list[int]:
     return out
 
 
+#: A maximal alphanumeric run: ``[^\W_]`` is exactly ``str.isalnum``.
+TERM_RUN = re.compile(r"[^\W_]+")
+
+
 def tokenize(text: str) -> Iterator[tuple[int, str]]:
     """Yield ``(start_offset, token)`` for each maximal alphanumeric run."""
-    start = -1
-    for i, ch in enumerate(text):
-        if ch.isalnum():
-            if start < 0:
-                start = i
-        elif start >= 0:
-            yield start, text[start:i]
-            start = -1
-    if start >= 0:
-        yield start, text[start:]
+    for match in TERM_RUN.finditer(text):
+        yield match.start(), match[0]
 
 
 class TermIndex:

@@ -10,7 +10,7 @@ documents over the same text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from ..errors import WellFormednessError
 from . import scanner as sc
@@ -21,8 +21,7 @@ END = "end"
 EMPTY = "empty"
 
 
-@dataclass(frozen=True)
-class MarkupEvent:
+class MarkupEvent(NamedTuple):
     """A tag occurrence at a content offset.
 
     ``seq`` preserves source order among events at the same offset —

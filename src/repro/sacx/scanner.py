@@ -1,4 +1,4 @@
-"""An offset-tracking XML scanner, written from scratch.
+r"""An offset-tracking XML scanner, written from scratch.
 
 SACX needs to know, for every tag, the *character-content offset* at
 which it occurs — the position in the text obtained by stripping all
@@ -8,6 +8,23 @@ document-centric editions use: elements, attributes, character data,
 the five predefined entities plus numeric character references, CDATA
 sections, comments, processing instructions and a skipped DOCTYPE.
 
+Markup is recognized by precompiled patterns, not character by
+character: one match reads a start/empty tag head, one each attribute,
+one the tag close, and one a whole end tag.  Character data runs to the
+next ``<`` (one ``str.find``), and comments, CDATA sections and
+processing instructions to their closing delimiter.  Line and column
+advance once per token.  A construct the fast patterns reject is
+re-walked step by step with the same patterns to name the error and its
+position; a malformed numeric character reference is reported at the
+line and column of the token that holds it.
+
+The patterns agree with the character classes of :mod:`repro._util`
+on every code point: ``[\w:.\-]`` is :func:`~repro._util.is_name_char`
+and ``\s`` is ``str.isspace``.  ``[\w:]`` admits every name-start
+character but also digits and other non-letter alphanumerics, so the
+first character of every name is checked with
+:func:`~repro._util.is_name_start_char`.
+
 The scanner reports *source* positions (line/column) for diagnostics;
 the event layer (:mod:`repro.sacx.events`) converts the token stream
 into content-offset events.
@@ -15,10 +32,10 @@ into content-offset events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+import re
+from typing import Iterator, NamedTuple
 
-from .._util import is_name_char, is_name_start_char, unescape
+from .._util import is_name_start_char, unescape
 from ..errors import WellFormednessError
 
 #: Token kinds.
@@ -30,9 +47,20 @@ COMMENT = "comment"
 PI = "pi"
 DOCTYPE = "doctype"
 
+_NAME = r"[\w:][\w:.\-]*"
 
-@dataclass(frozen=True)
-class Token:
+#: An XML name, first character not yet checked (see the module doc).
+NAME = re.compile(_NAME)
+#: A run of whitespace, possibly empty.
+SPACE = re.compile(r"\s*")
+_START_HEAD = re.compile(f"<({_NAME})")
+_ATTRIBUTE = re.compile(rf"""\s*({_NAME})\s*=\s*(?:"([^"]*)"|'([^']*)')""")
+_TAG_CLOSE = re.compile(r"\s*(/?)>")
+_END_TAG = re.compile(rf"</({_NAME})\s*>")
+_DOCTYPE_MARK = re.compile(r"[\[\]>]")
+
+
+class Token(NamedTuple):
     """One lexical unit of the XML source."""
 
     kind: str
@@ -50,6 +78,9 @@ class Token:
 class XmlScanner:
     """Tokenize an XML source string."""
 
+    #: Source offset of ``source[0]``; a streaming window moves it.
+    _origin = 0
+
     def __init__(self, source: str) -> None:
         self.source = source
         self.pos = 0
@@ -61,24 +92,24 @@ class XmlScanner:
     def _error(self, message: str) -> WellFormednessError:
         return WellFormednessError(
             f"{message} at line {self.line}, column {self.column}",
-            line=self.line, column=self.column, offset=self.pos,
+            line=self.line, column=self.column, offset=self._origin + self.pos,
         )
 
+    def _error_at(self, message: str, at: int) -> WellFormednessError:
+        """Move to window position ``at`` and report ``message`` there."""
+        self._advance(at - self.pos)
+        return self._error(message)
+
     def _advance(self, count: int) -> None:
-        chunk = self.source[self.pos : self.pos + count]
-        newlines = chunk.count("\n")
+        source, pos = self.source, self.pos
+        end = pos + count
+        newlines = source.count("\n", pos, end)
         if newlines:
             self.line += newlines
-            self.column = count - chunk.rfind("\n")
+            self.column = end - source.rfind("\n", pos, end)
         else:
             self.column += count
-        self.pos += count
-
-    def _at_end(self) -> bool:
-        return self.pos >= len(self.source)
-
-    def _peek(self, width: int = 1) -> str:
-        return self.source[self.pos : self.pos + width]
+        self.pos = end
 
     def _find(self, literal: str, label: str) -> int:
         index = self.source.find(literal, self.pos)
@@ -86,127 +117,153 @@ class XmlScanner:
             raise self._error(f"unterminated {label}")
         return index
 
+    def _unescape(self, raw: str, line: int, column: int, start: int) -> str:
+        """Decode ``raw``, blaming a bad reference on the token at ``start``."""
+        try:
+            return unescape(raw)
+        except ValueError as exc:
+            raise WellFormednessError(
+                f"{exc} at line {line}, column {column}",
+                line=line, column=column, offset=self._origin + start,
+            ) from None
+
     # -- tokenization ----------------------------------------------------------------
 
     def tokens(self) -> Iterator[Token]:
         """Yield tokens until the end of the source."""
-        while not self._at_end():
-            if self._peek() == "<":
-                yield from self._markup()
+        source = self.source
+        while self.pos < len(source):
+            if source[self.pos] == "<":
+                yield self._markup()
             else:
                 yield self._text()
 
-    def _text(self) -> Token:
+    def _text(self, end: int | None = None) -> Token:
+        """Character data from here to ``end`` (default: the next ``<``)."""
+        source, pos = self.source, self.pos
         line, column = self.line, self.column
-        end = self.source.find("<", self.pos)
-        if end == -1:
-            end = len(self.source)
-        raw = self.source[self.pos : end]
-        self._advance(end - self.pos)
-        return Token(TEXT, data=unescape(raw), line=line, column=column)
+        if end is None:
+            end = source.find("<", pos)
+            if end == -1:
+                end = len(source)
+        data = source[pos:end]
+        self._advance(end - pos)
+        if "&" in data:
+            data = self._unescape(data, line, column, pos)
+        return Token(TEXT, "", data, (), line, column)
 
-    def _markup(self) -> Iterator[Token]:
+    def _markup(self) -> Token:
+        source, pos = self.source, self.pos
+        second = source[pos + 1 : pos + 2]
+        if second == "!":
+            if source.startswith("<!--", pos):
+                return self._delimited(COMMENT, 4, "-->", "comment")
+            if source.startswith("<![CDATA[", pos):
+                return self._delimited(TEXT, 9, "]]>", "CDATA section")
+            if source[pos : pos + 9].upper() == "<!DOCTYPE":
+                return self._doctype()
+        elif second == "?":
+            return self._delimited(PI, 2, "?>", "processing instruction")
+        elif second == "/":
+            return self._end_tag()
+        return self._start_tag()
+
+    def _delimited(self, kind: str, opener: int, closer: str,
+                   label: str) -> Token:
+        """A construct running from its opener to the first ``closer``."""
         line, column = self.line, self.column
-        if self._peek(4) == "<!--":
-            end = self._find("-->", "comment")
-            data = self.source[self.pos + 4 : end]
-            self._advance(end + 3 - self.pos)
-            yield Token(COMMENT, data=data, line=line, column=column)
-            return
-        if self._peek(9) == "<![CDATA[":
-            end = self._find("]]>", "CDATA section")
-            data = self.source[self.pos + 9 : end]
-            self._advance(end + 3 - self.pos)
-            yield Token(TEXT, data=data, line=line, column=column)
-            return
-        if self._peek(2) == "<?":
-            end = self._find("?>", "processing instruction")
-            data = self.source[self.pos + 2 : end]
-            self._advance(end + 2 - self.pos)
-            yield Token(PI, data=data, line=line, column=column)
-            return
-        if self._peek(9).upper() == "<!DOCTYPE":
-            yield self._doctype(line, column)
-            return
-        if self._peek(2) == "</":
-            self._advance(2)
-            name = self._name()
-            self._skip_ws()
-            if self._peek() != ">":
-                raise self._error(f"malformed end tag </{name}")
-            self._advance(1)
-            yield Token(END, name=name, line=line, column=column)
-            return
-        # start or empty-element tag
-        self._advance(1)
-        name = self._name()
-        attributes = self._attributes()
-        if self._peek(2) == "/>":
-            self._advance(2)
-            yield Token(EMPTY, name=name, attributes=attributes,
-                        line=line, column=column)
-            return
-        if self._peek() == ">":
-            self._advance(1)
-            yield Token(START, name=name, attributes=attributes,
-                        line=line, column=column)
-            return
-        raise self._error(f"malformed start tag <{name}")
+        end = self._find(closer, label)
+        data = self.source[self.pos + opener : end]
+        self._advance(end + len(closer) - self.pos)
+        return Token(kind, "", data, (), line, column)
 
-    def _doctype(self, line: int, column: int) -> Token:
+    def _doctype(self) -> Token:
+        source, start = self.source, self.pos
+        line, column = self.line, self.column
         depth = 0
-        start = self.pos
-        while not self._at_end():
-            ch = self._peek()
-            if ch == "[":
+        for mark in _DOCTYPE_MARK.finditer(source, start):
+            char = mark[0]
+            if char == "[":
                 depth += 1
-            elif ch == "]":
+            elif char == "]":
                 depth -= 1
-            elif ch == ">" and depth == 0:
-                data = self.source[start : self.pos + 1]
-                self._advance(1)
-                return Token(DOCTYPE, data=data, line=line, column=column)
-            self._advance(1)
-        raise self._error("unterminated DOCTYPE")
+            elif depth == 0:
+                self._advance(mark.end() - start)
+                return Token(DOCTYPE, "", source[start : mark.end()], (),
+                             line, column)
+        raise self._error_at("unterminated DOCTYPE", len(source))
 
-    def _name(self) -> str:
-        if self._at_end() or not is_name_start_char(self._peek()):
-            raise self._error("expected a name")
-        start = self.pos
-        while not self._at_end() and is_name_char(self._peek()):
-            self._advance(1)
-        return self.source[start : self.pos]
+    def _end_tag(self) -> Token:
+        source, pos = self.source, self.pos
+        line, column = self.line, self.column
+        match = _END_TAG.match(source, pos)
+        if match is None or not is_name_start_char(source[pos + 2]):
+            name_end = self._name_end(pos + 2)
+            raise self._error_at(
+                f"malformed end tag </{source[pos + 2 : name_end]}",
+                SPACE.match(source, name_end).end(),
+            )
+        self._advance(match.end() - pos)
+        return Token(END, match[1], "", (), line, column)
 
-    def _skip_ws(self) -> None:
-        while not self._at_end() and self._peek().isspace():
-            self._advance(1)
-
-    def _attributes(self) -> tuple[tuple[str, str], ...]:
+    def _start_tag(self) -> Token:
+        source, pos = self.source, self.pos
+        line, column = self.line, self.column
+        head = _START_HEAD.match(source, pos)
+        if head is None or not is_name_start_char(source[pos + 1]):
+            raise self._error_at("expected a name", pos + 1)
+        name = head[1]
+        at = head.end()
         attributes: list[tuple[str, str]] = []
         seen: set[str] = set()
-        while True:
-            self._skip_ws()
-            if self._at_end():
-                raise self._error("unterminated start tag")
-            if self._peek() in (">", "/"):
-                return tuple(attributes)
-            name = self._name()
-            self._skip_ws()
-            if self._peek() != "=":
-                raise self._error(f"attribute {name!r} missing '='")
-            self._advance(1)
-            self._skip_ws()
-            quote = self._peek()
-            if quote not in ("'", '"'):
-                raise self._error(f"attribute {name!r} value must be quoted")
-            self._advance(1)
-            end = self._find(quote, f"attribute {name!r} value")
-            raw = self.source[self.pos : end]
-            self._advance(end + 1 - self.pos)
-            if name in seen:
-                raise self._error(f"duplicate attribute {name!r}")
-            seen.add(name)
-            attributes.append((name, unescape(raw)))
+        while (match := _ATTRIBUTE.match(source, at)) is not None:
+            key = match[1]
+            if not is_name_start_char(key[0]):
+                raise self._error_at("expected a name", match.start(1))
+            raw = match[2]
+            if raw is None:
+                raw = match[3]
+            at = match.end()
+            if key in seen:
+                raise self._error_at(f"duplicate attribute {key!r}", at)
+            seen.add(key)
+            if "&" in raw:
+                raw = self._unescape(raw, line, column, pos)
+            attributes.append((key, raw))
+        close = _TAG_CLOSE.match(source, at)
+        if close is None:
+            raise self._start_tag_error(name, at)
+        self._advance(close.end() - pos)
+        return Token(EMPTY if close[1] else START, name, "",
+                     tuple(attributes), line, column)
+
+    # -- diagnosis of rejected markup ------------------------------------------------
+
+    def _name_end(self, at: int) -> int:
+        """End of the XML name at ``at``; 'expected a name' if there is none."""
+        match = NAME.match(self.source, at)
+        if match is None or not is_name_start_char(self.source[at]):
+            raise self._error_at("expected a name", at)
+        return match.end()
+
+    def _start_tag_error(self, name: str, at: int) -> WellFormednessError:
+        """Name what stops the start tag ``<name`` at ``at``, where neither
+        a whole attribute nor the tag close matched."""
+        source = self.source
+        at = SPACE.match(source, at).end()
+        if at >= len(source):
+            return self._error_at("unterminated start tag", at)
+        if source[at] == "/":  # not "/>", which would have closed the tag
+            return self._error_at(f"malformed start tag <{name}", at)
+        key_end = self._name_end(at)
+        key = source[at:key_end]
+        at = SPACE.match(source, key_end).end()
+        if not source.startswith("=", at):
+            return self._error_at(f"attribute {key!r} missing '='", at)
+        at = SPACE.match(source, at + 1).end()
+        if source[at : at + 1] not in ("'", '"'):
+            return self._error_at(f"attribute {key!r} value must be quoted", at)
+        return self._error_at(f"unterminated attribute {key!r} value", at + 1)
 
 
 def scan(source: str) -> Iterator[Token]:
@@ -272,7 +329,13 @@ class StreamingXmlScanner(XmlScanner):
     the window and retries — truncation errors ("unterminated comment",
     "unterminated start tag", …) are indistinguishable from real ones
     until end of input, so every error is retried until the input is
-    exhausted; and (3) drops the consumed prefix of the window.
+    exhausted; and (3) drops the consumed prefix of the window once it
+    is at least as long as the unconsumed rest.  Dropping it after every
+    token would copy the whole window per token; with this rule each
+    drop copies no more than it discards, so copying costs amortized
+    O(1) per character, and the window stays under twice its unconsumed
+    part plus one token.  Error offsets count from the start of the
+    input, not of the window.
 
     Character data is only emitted once the following ``<`` (or end of
     input) is in the window, so entities are never split mid-reference —
@@ -304,8 +367,10 @@ class StreamingXmlScanner(XmlScanner):
         return True
 
     def _compact(self) -> None:
-        """Drop the consumed window prefix (line/column keep counting)."""
-        if self.pos:
+        """Drop the consumed window prefix once it is at least as long as
+        the rest of the window (line/column keep counting)."""
+        if self.pos >= len(self.source) - self.pos:
+            self._origin += self.pos
             self.source = self.source[self.pos :]
             self.pos = 0
 
@@ -314,25 +379,22 @@ class StreamingXmlScanner(XmlScanner):
             while (not self._eof
                    and len(self.source) - self.pos < _DISPATCH_LOOKAHEAD):
                 self._fill()
-            if self._at_end():
-                if self._eof:
-                    return
-                continue
-            if self._peek() == "<":
+            if self.pos >= len(self.source):  # the loop stops short only at EOF
+                return
+            if self.source[self.pos] == "<":
                 snapshot = (self.pos, self.line, self.column)
                 try:
-                    batch = list(self._markup())
+                    token = self._markup()
                 except WellFormednessError:
                     if self._fill():
                         self.pos, self.line, self.column = snapshot
                         continue
                     raise
-                yield from batch
             else:
                 token = self._buffered_text()
                 if token is None:
                     continue
-                yield token
+            yield token
             self._compact()
 
     def _buffered_text(self) -> Token | None:
@@ -340,7 +402,10 @@ class StreamingXmlScanner(XmlScanner):
 
         Returns ``None`` when more input must be buffered first.
         """
-        if self.source.find("<", self.pos) == -1 and not self._eof:
+        end = self.source.find("<", self.pos)
+        if end != -1:
+            return self._text(end)
+        if not self._eof:
             if len(self.source) - self.pos > _TEXT_FLUSH_CHARS:
                 # No markup in a very long run: flush the entity-safe
                 # prefix (up to the last '&', or everything when the
@@ -349,11 +414,7 @@ class StreamingXmlScanner(XmlScanner):
                 if split == -1:
                     split = len(self.source)
                 if split > self.pos:
-                    line, column = self.line, self.column
-                    raw = self.source[self.pos : split]
-                    self._advance(split - self.pos)
-                    return Token(TEXT, data=unescape(raw),
-                                 line=line, column=column)
+                    return self._text(split)
             self._fill()
             return None
-        return self._text()
+        return self._text(len(self.source))

@@ -45,6 +45,7 @@ from uuid import uuid4
 from .._util import pack_u32
 from ..errors import StorageError
 from ..index.structural import encode_path
+from ..index.term import TERM_RUN
 from ..obs.metrics import metrics
 from ..sacx import events as ev
 from ..sacx import scanner as sc
@@ -110,23 +111,12 @@ class _TermAccumulator:
         base = self._offset - len(self._carry)
         self._offset += len(chunk)
         self._carry = ""
-        emit_to = len(run)
-        if run[-1].isalnum():
-            i = len(run) - 1
-            while i >= 0 and run[i].isalnum():
-                i -= 1
-            emit_to = i + 1
-            self._carry = run[emit_to:]
-        start = -1
-        for i in range(emit_to):
-            if run[i].isalnum():
-                if start < 0:
-                    start = i
-            elif start >= 0:
-                self._post(base + start, run[start:i])
-                start = -1
-        if start >= 0:
-            self._post(base + start, run[start:emit_to])
+        for match in TERM_RUN.finditer(run):
+            if match.end() == len(run):
+                # A run touching the chunk end may continue in the next.
+                self._carry = match[0]
+            else:
+                self._post(base + match.start(), match[0])
 
     def finish(self) -> None:
         if self._carry:

@@ -1,18 +1,26 @@
 """Unit tests for the offset-tracking XML scanner."""
 
+import sqlite3
+
 import pytest
 
+from repro._util import unescape
 from repro.errors import WellFormednessError
+from repro.sacx.parser import parse_concurrent
 from repro.sacx.scanner import (
     COMMENT,
+    DEFAULT_CHUNK_CHARS,
     DOCTYPE,
     EMPTY,
     END,
     PI,
     START,
     TEXT,
+    StreamingXmlScanner,
     scan,
 )
+from repro.storage.sqlite_backend import STAGING_PREFIX, SqliteStore
+from repro.streaming import stream_save
 
 
 def kinds(source):
@@ -90,3 +98,109 @@ class TestScannerErrors:
         with pytest.raises(WellFormednessError) as info:
             list(scan("<r>\n<broken</r>"))
         assert info.value.line == 2
+
+    @pytest.mark.parametrize("chunk_chars", [1, 7, 64])
+    def test_streaming_error_offset_counts_from_input_start(self, chunk_chars):
+        source = "<r>" + "<w>word</w>\n" * 40 + '<w a="1" a="2"/></r>'
+        with pytest.raises(WellFormednessError) as batch:
+            list(scan(source))
+        with pytest.raises(WellFormednessError) as streamed:
+            list(StreamingXmlScanner(source, chunk_chars).tokens())
+        assert streamed.value.offset == batch.value.offset
+        assert source[batch.value.offset - 1] == '"'
+        assert str(streamed.value) == str(batch.value)
+
+
+BAD_REFERENCES = ["&#xZZ;", "&#;", "&#x;", "&#1114112;",
+                  "&#99999999999999999999;"]
+
+
+class TestCharacterReferences:
+    """A numeric reference that names no code point is a well-formedness
+    error at the token holding it, not a raw ``ValueError`` or
+    ``OverflowError`` from decoding."""
+
+    @pytest.mark.parametrize("ref", BAD_REFERENCES)
+    def test_bad_reference_in_text(self, ref):
+        with pytest.raises(WellFormednessError) as info:
+            list(scan(f"<r>\n  <a/>ok {ref} more</r>"))
+        assert (info.value.line, info.value.column) == (2, 7)
+        assert ref in str(info.value)
+        assert str(info.value).endswith("at line 2, column 7")
+
+    @pytest.mark.parametrize("ref", BAD_REFERENCES)
+    def test_bad_reference_in_attribute(self, ref):
+        with pytest.raises(WellFormednessError) as info:
+            list(scan(f'<r>\n <a n="1" v="x{ref}"/></r>'))
+        assert (info.value.line, info.value.column) == (2, 2)
+        assert ref in str(info.value)
+
+    def test_good_references_still_decode(self):
+        tokens = list(scan('<r a="&#x10FFFF;&#0;">&#1114111;&#X41;</r>'))
+        assert tokens[0].attribute_dict == {"a": "\U0010ffff\x00"}
+        assert tokens[1].data == "\U0010ffffA"
+
+    def test_unknown_entity_passes_through_verbatim(self):
+        tokens = list(scan('<r a="&nbsp;">&foo; &a&amp; &amp</r>'))
+        assert tokens[0].attribute_dict == {"a": "&nbsp;"}
+        assert tokens[1].data == "&foo; &a&amp; &amp"
+
+    def test_unescape_leaves_unknown_entities_alone(self):
+        assert unescape("&nbsp;&copy; a & b;") == "&nbsp;&copy; a & b;"
+        assert unescape("no reference") == "no reference"
+
+    @pytest.mark.parametrize("ref", BAD_REFERENCES)
+    def test_unescape_raises_value_error(self, ref):
+        with pytest.raises(ValueError, match="character reference"):
+            unescape(ref)
+
+    @pytest.mark.parametrize("ref", BAD_REFERENCES)
+    def test_parse_concurrent(self, ref):
+        with pytest.raises(WellFormednessError) as info:
+            parse_concurrent({"a": f"<d><w>x{ref}</w></d>",
+                              "b": "<d>xy</d>"})
+        assert (info.value.line, info.value.column) == (1, 7)
+
+    @pytest.mark.parametrize("ref", BAD_REFERENCES)
+    @pytest.mark.parametrize("chunk_chars", [3, DEFAULT_CHUNK_CHARS])
+    def test_streaming_scanner(self, ref, chunk_chars):
+        source = f'<r>\n<a v="{ref}"/></r>'
+        with pytest.raises(WellFormednessError) as info:
+            list(StreamingXmlScanner(source, chunk_chars).tokens())
+        assert (info.value.line, info.value.column) == (2, 1)
+
+    @pytest.mark.parametrize("ref", BAD_REFERENCES)
+    def test_stream_save_leaves_no_staging_rows(self, ref, tmp_path):
+        path = str(tmp_path / "doc.db")
+        reads = []
+
+        def changing():
+            # Well formed for the counting pass, bad for the merge pass,
+            # so the error is raised while staging rows exist.
+            reads.append(1)
+            return f"<d><w>t{'&#65;' if len(reads) == 1 else ref}il</w></d>"
+
+        backend = SqliteStore(path)
+        try:
+            for source in ({"a": f"<d><w>t{ref}il</w></d>",
+                            "b": "<d>tAil</d>"},
+                           {"a": changing, "b": "<d>tAil</d>"}):
+                with pytest.raises(WellFormednessError) as info:
+                    stream_save(backend, source, "doc")
+                assert (info.value.line, info.value.column) == (1, 7)
+                assert backend.names() == []
+            conn = sqlite3.connect(path)
+            try:
+                for table in ("documents", "elements"):
+                    assert conn.execute(
+                        f"SELECT count(*) FROM {table}"
+                    ).fetchone() == (0,), table
+                assert conn.execute(
+                    "SELECT count(*) FROM documents WHERE name GLOB ?",
+                    (STAGING_PREFIX + "*",),
+                ).fetchone() == (0,)
+            finally:
+                conn.close()
+        finally:
+            backend.close()
+        assert len(reads) == 2
