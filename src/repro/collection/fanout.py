@@ -5,10 +5,11 @@ per-document expression against each of them in one of three execution
 modes — ``serial``, ``thread``, ``process`` — and guarantees the merged
 answer is **byte-identical** across all three:
 
-* every document is loaded under the service's snapshot discipline
-  (stamp → load → stamp, retried when a writer publishes in between),
-  so a result row set is always internally consistent with the
-  generation it reports;
+* every document is loaded with its generation stamp in one sqlite
+  read transaction (:meth:`SqliteStore.load_snapshot
+  <repro.storage.sqlite_backend.SqliteStore.load_snapshot>`), so a
+  result row set is always internally consistent with the generation
+  it reports;
 * node results are flattened to plain comparable tuples
   (:func:`node_rows`) — picklable for the process pool and
   order-stable, since the evaluator already emits document order;
@@ -34,32 +35,13 @@ from ..errors import ServiceError
 from ..obs import fallback as _obs_fallback
 from ..obs.metrics import metrics
 from ..storage.sqlite_backend import SqliteStore
-from ..storage.store import GoddagStore
 from ..xpath.axes import AttributeNode, DocumentNode
 from ..xpath.engine import ExtendedXPath
-
-_SNAPSHOT_ATTEMPTS = 8
 
 #: One read-only store connection per (worker process, database path).
 #: Keyed by pid so a connection is never reused across a fork — each
 #: worker opens its own on first use.
 _process_stores: dict[tuple[int, str], SqliteStore] = {}
-
-
-def snapshot_load(backend: SqliteStore, name: str):
-    """``(document, generation)`` under the service's snapshot
-    discipline: the generation stamp is probed before and after the
-    load, and the load retried when a writer published in between."""
-    store = GoddagStore.over(backend)
-    for _ in range(_SNAPSHOT_ATTEMPTS):
-        before = backend.index_stamp(name)
-        document = store.load(name)
-        if backend.index_stamp(name) == before:
-            return document, before
-    raise ServiceError(
-        f"document {name!r} kept being republished while opening "
-        f"a snapshot ({_SNAPSHOT_ATTEMPTS} attempts)"
-    )
 
 
 def node_rows(value) -> tuple:
@@ -104,7 +86,7 @@ def evaluate_documents(
     query = ExtendedXPath(expression)
     out = []
     for name in names:
-        document, generation = snapshot_load(backend, name)
+        document, generation = backend.load_snapshot(name)
         value = query.evaluate(document, index=False)
         out.append((name, generation, node_rows(value)))
     return out
@@ -182,5 +164,5 @@ def _merge(names: list[str], results) -> list:
 
 
 __all__ = [
-    "evaluate_documents", "node_rows", "run_fanout", "snapshot_load",
+    "evaluate_documents", "node_rows", "run_fanout",
 ]

@@ -33,7 +33,13 @@ from heapq import merge as heap_merge
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ..errors import HierarchyError, MarkupConflictError, SpanError, StorageError
+from ..errors import (
+    EditError,
+    HierarchyError,
+    MarkupConflictError,
+    SpanError,
+    StorageError,
+)
 from ..obs.metrics import metrics as _metrics
 from .changes import ChangeRecord, InsertMarkup, RemoveMarkup, SetAttribute
 from .hierarchy import Hierarchy
@@ -99,6 +105,8 @@ class GoddagDocument:
         # a consumer that synced strictly inside such a range cannot be
         # bridged by the remaining records (see touch).
         self._journal_gaps: list[tuple[int, int]] = []
+        # Set by freeze(): every mutator refuses from then on.
+        self._frozen = False
         self._root = Root(self, root_tag)
 
     # -- identity & bookkeeping ------------------------------------------------
@@ -140,7 +148,10 @@ class GoddagDocument:
         up incrementally.  A bare ``touch()`` is an *untracked* mutation:
         it resets the journal floor, forcing consumers behind it into a
         full rebuild (deltas could no longer reconstruct the state).
+        A frozen document refuses either kind with
+        :class:`~repro.errors.EditError`.
         """
+        self._check_mutable()
         self._version += 1
         if change is None:
             if self._journal:
@@ -201,6 +212,52 @@ class GoddagDocument:
             yield
         finally:
             self._speculating = previous
+
+    # -- read-only snapshots ----------------------------------------------------
+
+    def freeze(self) -> None:
+        """Make the document read-only, so threads can share it.
+
+        Every mutator (:meth:`insert_element`,
+        :meth:`insert_empty_element`, :meth:`remove_element`,
+        :meth:`set_attribute`, :meth:`remove_attribute`,
+        :meth:`add_hierarchy`, :meth:`touch`) raises
+        :class:`~repro.errors.EditError` from then on, before it changes
+        any state.  The lazy caches a read fills are made safe to share
+        first: the ordered-element list and its order-key stamps are
+        filled now, and an ordinal map that a reader would patch from
+        the journal is dropped, so readers rebuild it whole and publish
+        it with one store, like the per-hierarchy containment lists (see
+        docs/ARCHITECTURE.md, "Service layer & concurrency contract").
+        Idempotent; there is no thaw.
+        """
+        if self._frozen:
+            return
+        self.ordered_elements()
+        if self._ordinal_map_version != self._version:
+            self._ordinal_map = {}
+            self._ordinal_map_version = -1
+        self._frozen = True
+
+    def _check_mutable(self) -> None:
+        if self._frozen:
+            raise EditError(
+                "the document is frozen: a shared snapshot is read-only"
+            )
+
+    def require_attached(self, element: Element | None) -> None:
+        """Raise :class:`~repro.errors.MarkupConflictError` unless
+        ``element`` is an element of this document that is still in
+        its tree (``None`` — what :meth:`element_by_ordinal` returns for
+        a removed ordinal — is not)."""
+        if not (
+            isinstance(element, Element)
+            and element.document is self
+            and self.element_by_ordinal(element.ordinal) is element
+        ):
+            raise MarkupConflictError(
+                f"element {element!r} is not attached to this document"
+            )
 
     def changes_since(self, version: int) -> list[ChangeRecord] | None:
         """Change records for every version bump after ``version``.
@@ -298,6 +355,7 @@ class GoddagDocument:
 
     def add_hierarchy(self, name: str, dtd=None) -> Hierarchy:
         """Register a markup hierarchy; rank follows registration order."""
+        self._check_mutable()
         if not name:
             raise HierarchyError("hierarchy name must be non-empty")
         if name in self._hierarchies:
@@ -698,6 +756,7 @@ class GoddagDocument:
         hierarchies is exactly what the data model exists for and is
         always allowed.
         """
+        self._check_mutable()
         self.hierarchy(hierarchy)
         if start < 0 or end > self.length or start > end:
             raise SpanError(
@@ -764,6 +823,7 @@ class GoddagDocument:
         attributes: Mapping[str, str] | None = None,
     ) -> Element:
         """Insert a zero-width (milestone-like) element anchored at ``offset``."""
+        self._check_mutable()
         if offset < 0 or offset > self.length:
             raise SpanError(f"anchor {offset} outside document")
         self._spans.add_boundary(offset)
@@ -775,6 +835,7 @@ class GoddagDocument:
         Leaf boundaries are never removed, so the leaf table stays a
         refinement of the minimal partition (harmless and cheap).
         """
+        self._check_mutable()
         if element.is_root:
             raise MarkupConflictError("the shared root cannot be removed")
         hierarchy = element.hierarchy
@@ -816,8 +877,13 @@ class GoddagDocument:
         """Set one attribute on ``element`` (tracked: emits a record).
 
         Attribute values are always strings, so ``old is None`` in the
-        record encodes prior absence unambiguously.
+        record encodes prior absence unambiguously.  A removed (or
+        foreign, or ``None``) element raises
+        :class:`~repro.errors.MarkupConflictError` before anything
+        changes.
         """
+        self._check_mutable()
+        self.require_attached(element)
         old = element.attributes.get(name)
         element.attributes[name] = value
         self.touch(SetAttribute(element=element, name=name, value=value,
@@ -826,7 +892,10 @@ class GoddagDocument:
 
     def remove_attribute(self, element: Element, name: str) -> None:
         """Delete one attribute from ``element`` (tracked; missing names
-        are a no-op mutation that still emits its record)."""
+        are a no-op mutation that still emits its record).  Unattached
+        elements raise like :meth:`set_attribute`."""
+        self._check_mutable()
+        self.require_attached(element)
         old = element.attributes.pop(name, None)
         self.touch(SetAttribute(element=element, name=name, value=None,
                                 old=old)

@@ -154,10 +154,13 @@ class Editor:
         self.history.record(Command(label, do, undo))
 
     def set_attribute(self, element: Element, name: str, value: str) -> None:
-        """Set one attribute (undoable)."""
+        """Set one attribute (undoable).  An element that is not in the
+        document (removed earlier, or ``None``) raises
+        :class:`~repro.errors.MarkupConflictError` before any change."""
+        document = self.document
+        document.require_attached(element)
         had = name in element.attributes
         old = element.attributes.get(name)
-        document = element.document
 
         def do() -> None:
             document.set_attribute(element, name, value)
@@ -173,11 +176,13 @@ class Editor:
         )
 
     def remove_attribute(self, element: Element, name: str) -> None:
-        """Delete one attribute (undoable)."""
+        """Delete one attribute (undoable; unattached elements raise
+        like :meth:`set_attribute`)."""
+        document = self.document
+        document.require_attached(element)
         if name not in element.attributes:
             raise EditError(f"<{element.tag}> has no attribute {name!r}")
         old = element.attributes[name]
-        document = element.document
 
         def do() -> None:
             document.remove_attribute(element, name)

@@ -37,8 +37,11 @@ DEFAULT_THRESHOLD = 0.2
 
 
 def percentile(samples, fraction: float) -> float:
-    """Nearest-rank-interpolated percentile of a non-empty sample list."""
+    """Nearest-rank-interpolated percentile of a non-empty sample list
+    (an empty one raises :class:`ValueError`)."""
     ordered = sorted(samples)
+    if not ordered:
+        raise ValueError("percentile of an empty sample list")
     if len(ordered) == 1:
         return ordered[0]
     rank = fraction * (len(ordered) - 1)

@@ -8,21 +8,31 @@ database file to many threads, each of which works through short-lived
 The concurrency contract (the full version lives in
 docs/ARCHITECTURE.md, "Service layer & concurrency contract"):
 
-* **Nothing mutable is shared across sessions.**  Every session
-  materializes its own :class:`~repro.core.goddag.GoddagDocument` and
-  builds its own :class:`~repro.index.manager.IndexManager` — the same
-  per-evaluator isolation lxml's XPath layer uses (per-evaluator locks,
-  no shared mutable parser state).  The only cross-thread structures
-  are immutable snapshots, the locked compiled-plan cache, and the
+* **Shared snapshots are immutable.**  The service keeps at most one
+  decoded document per name, with its warm
+  :class:`~repro.index.manager.IndexManager`, for the generation it was
+  read at; every read session at that generation shares it instead of
+  decoding its own.  A shared document is frozen
+  (:meth:`~repro.core.goddag.GoddagDocument.freeze`): every mutator
+  raises :class:`~repro.errors.EditError`, and the lazy caches a query
+  fills are either filled before the snapshot is installed or built
+  whole and published with one reference store.  Per-query state lives
+  in the evaluator, never in the shared document — the same rule
+  lxml's XPath layer follows.  The only cross-thread structures are
+  these immutable snapshots, the locked compiled-plan cache, and the
   database file itself (WAL mode: readers on other connections proceed
   while a writer commits).
-* **Read sessions are snapshot-isolated.**  :meth:`read_session` loads
-  the document at one *generation* (the stored index stamp) and the
-  snapshot never changes afterwards — a writer publishing a new version
-  does not disturb open readers.  Staleness is observable, not imposed:
-  :meth:`ReadSession.is_current` / :meth:`ReadSession.require_current`
-  surface a newer published generation as the typed
-  :class:`~repro.errors.SnapshotSupersededError`; re-open to see it.
+* **Read sessions are snapshot-isolated.**  :meth:`read_session` opens
+  the document at one *generation* (the stored index stamp) — the
+  shared snapshot when the stamp matches it, otherwise a fresh load
+  read in one database transaction with its stamp — and the snapshot
+  never changes afterwards: a writer publishing a new version does not
+  disturb open readers.  An empty or missing stamp names no generation,
+  so such a document is loaded per session and never shared.
+  Staleness is observable, not imposed: :meth:`ReadSession.is_current`
+  / :meth:`ReadSession.require_current` surface a newer published
+  generation as the typed :class:`~repro.errors.SnapshotSupersededError`;
+  re-open to see it.
 * **Write sessions serialize per document.**  :meth:`write_session`
   holds the document's write lock (in-process; acquisition waits are
   timed on ``service.lock_wait`` and bounded by the typed
@@ -32,7 +42,13 @@ docs/ARCHITECTURE.md, "Service layer & concurrency contract"):
   row-level element and index patches under in-transaction stamp
   re-verification.  A second writer racing the publish from another
   service instance or process surfaces as the typed
-  :class:`~repro.errors.WriteConflictError`; nothing is written.
+  :class:`~repro.errors.WriteConflictError`; nothing is written.  A
+  publish with no edit since the session's last publish writes nothing
+  and keeps the generation.  Opening a write session drops the name's
+  shared snapshot; closing one that published and has not edited since
+  hands its own document and manager over as the new generation's
+  shared snapshot, so no reader decodes what the writer already holds.
+  A closed write session's document is read-only.
 * **Database work is pooled and bounded.**  Sessions borrow a
   connection from a :class:`~repro.storage.SqliteConnectionPool` only
   while they touch the database (snapshot load, stamp probe, publish)
@@ -43,6 +59,9 @@ docs/ARCHITECTURE.md, "Service layer & concurrency contract"):
 
 Observability: session opens/closes land on the
 ``service.read_sessions.*`` / ``service.write_sessions.*`` counters,
+read sessions served from a shared snapshot on
+``service.snapshots.shared`` and those that loaded on
+``service.snapshots.loaded``,
 publishes on ``service.publishes``, detected conflicts on
 ``service.conflicts``, superseded-snapshot checks on
 ``service.snapshot_checks`` / ``service.snapshots.superseded``, write
@@ -54,7 +73,9 @@ lock waits on the ``service.lock_wait`` timer, and the pool reports
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from pathlib import Path
+from typing import NamedTuple
 
 from ..core.goddag import GoddagDocument
 from ..core.node import Node
@@ -66,19 +87,27 @@ from ..errors import (
 )
 from ..index.manager import IndexManager
 from ..obs.metrics import metrics
-from ..storage.sqlite_backend import SqliteConnectionPool, SqliteStore
+from ..storage.sqlite_backend import SqliteConnectionPool
 from ..storage.store import GoddagStore
 from ..xpath.engine import ExtendedXPath
 from ..xpath.evaluator import XPathValue
 
-#: Bounded attempts to read a (document, generation) pair that did not
-#: change mid-load; each publish between the two stamp probes retries.
-_SNAPSHOT_ATTEMPTS = 8
+#: Document names whose shared snapshot the service keeps; the least
+#: recently opened beyond this are dropped.
+SHARED_SNAPSHOT_LIMIT = 32
+
+
+class _SharedSnapshot(NamedTuple):
+    """One generation of one document, frozen, with its warm index."""
+
+    generation: str
+    document: GoddagDocument
+    manager: IndexManager
 
 
 class _Session:
-    """State shared by read and write sessions: one private snapshot
-    document, one private index manager, one generation mark.
+    """State shared by read and write sessions: one snapshot document,
+    its index manager, one generation mark.
 
     A session object is **not** thread-safe — it belongs to the thread
     that opened it (the service itself is thread-safe and cheap to open
@@ -150,9 +179,11 @@ class _Session:
 class ReadSession(_Session):
     """A snapshot-isolated read view of one stored document.
 
-    The snapshot is a private materialization: queries run on it with a
-    per-session :class:`~repro.index.manager.IndexManager`, sharing no
-    mutable state with any other session, and keep answering at the
+    The snapshot is frozen and usually shared: every read session at
+    the same :attr:`generation` gets the same :attr:`document` and
+    :attr:`manager` objects, and each query keeps its state in its own
+    evaluator.  Mutating the document raises
+    :class:`~repro.errors.EditError`.  Queries keep answering at the
     session's :attr:`generation` no matter how many writers publish
     after it opened.
     """
@@ -173,6 +204,12 @@ class WriteSession(_Session):
     ``with`` exit publishes via :meth:`publish` — the stamped,
     row-level :meth:`~repro.storage.GoddagStore.save_indexed` — while
     an exception discards the session without writing anything.
+
+    Closing freezes the session's document: it is read-only from then
+    on, through :attr:`editor` too.  If the session published and made
+    no edit since, closing hands the document and its manager to the
+    service as the shared snapshot of the published generation; an
+    aborted or unpublished session installs nothing.
     """
 
     def __init__(self, service: "DocumentService", name: str,
@@ -183,6 +220,9 @@ class WriteSession(_Session):
         self._lock = lock
         self.editor = Editor(document, prevalidate=prevalidate)
         self.published = False
+        # The document version the last publish stored as
+        # :attr:`generation` (None: nothing to hand off).
+        self._published_version: int | None = None
 
     def publish(self) -> str | None:
         """Persist the session's edits as one new stored generation.
@@ -198,9 +238,20 @@ class WriteSession(_Session):
         stays locked past the bounded retries raises
         :class:`~repro.errors.StoreBusyError`.  Either way nothing was
         written and the session stays open.
+
+        A publish with no edit since this session's last publish writes
+        nothing and returns the same generation, as long as that is
+        still the stored one — readers are not superseded by a change
+        that changed nothing.
         """
         self._check_open()
         with self._service._pool.connection() as backend:
+            if (
+                self._published_version == self.document.version
+                and backend.index_stamp(self.name) == self.generation
+            ):
+                metrics.incr("service.publishes.unchanged")
+                return self.generation
             store = GoddagStore.over(backend)
             with metrics.time("service.publish"):
                 store.save_indexed(
@@ -208,15 +259,30 @@ class WriteSession(_Session):
                     strict_stamp=True,
                 )
             self.generation = backend.index_stamp(self.name)
+            # Another service may have published after this one: the
+            # document is the stored generation only while the stamp is
+            # the one this manager wrote.
+            ours = self.manager.persisted_to(
+                store.artifact_token(self.name, self.generation)
+            )
+        self._published_version = self.document.version if ours else None
         metrics.incr("service.publishes")
         self.published = True
         return self.generation
 
     def close(self) -> None:
-        """Release the write lock without publishing (idempotent)."""
+        """Release the write lock without publishing (idempotent); the
+        document becomes read-only and, when it is exactly the last
+        published generation, the service's shared snapshot of it."""
         if self._open:
             metrics.incr("service.write_sessions.closed")
-            self._lock.release()
+            try:
+                self.document.freeze()
+                if self._published_version == self.document.version:
+                    self._service._install(self.name, self.generation,
+                                           self.document, self.manager)
+            finally:
+                self._lock.release()
         super().close()
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
@@ -261,6 +327,10 @@ class DocumentService:
         self._locks_guard = threading.Lock()
         self._corpus = None
         self._corpus_guard = threading.Lock()
+        # name -> the shared snapshot of its last seen generation, in
+        # least-recently-opened order.
+        self._snapshots: OrderedDict[str, _SharedSnapshot] = OrderedDict()
+        self._snapshots_guard = threading.Lock()
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -304,23 +374,35 @@ class DocumentService:
         with self._pool.connection() as backend:
             return backend.index_stamp(name)
 
-    def _snapshot(
-        self, backend: SqliteStore, name: str
-    ) -> tuple[GoddagDocument, str | None]:
-        """A (document, generation) pair that is internally consistent:
-        the stamp is re-probed after the load and the load retried when
-        a writer published in between (publishes are one transaction,
-        so equal stamps bracket an untouched row set)."""
-        store = GoddagStore.over(backend)
-        for _ in range(_SNAPSHOT_ATTEMPTS):
-            before = backend.index_stamp(name)
-            document = store.load(name)
-            if backend.index_stamp(name) == before:
-                return document, before
-        raise ServiceError(
-            f"document {name!r} kept being republished while opening "
-            f"a snapshot ({_SNAPSHOT_ATTEMPTS} attempts)"
-        )
+    def _shared(self, name: str, generation: str | None
+                ) -> _SharedSnapshot | None:
+        """The shared snapshot of ``name`` when it is at ``generation``."""
+        if not generation:
+            return None
+        with self._snapshots_guard:
+            entry = self._snapshots.get(name)
+            if entry is None or entry.generation != generation:
+                return None
+            self._snapshots.move_to_end(name)
+            return entry
+
+    def _install(self, name: str, generation: str | None,
+                 document: GoddagDocument, manager: IndexManager) -> None:
+        """Make ``document`` — frozen by the caller — the shared
+        snapshot of ``name`` at ``generation``.  An empty or missing
+        stamp names no generation, so nothing is installed for it."""
+        if not generation:
+            return
+        with self._snapshots_guard:
+            self._snapshots[name] = _SharedSnapshot(generation, document,
+                                                    manager)
+            self._snapshots.move_to_end(name)
+            while len(self._snapshots) > SHARED_SNAPSHOT_LIMIT:
+                self._snapshots.popitem(last=False)
+
+    def _evict(self, name: str) -> None:
+        with self._snapshots_guard:
+            self._snapshots.pop(name, None)
 
     # -- document administration -------------------------------------------------
 
@@ -333,6 +415,7 @@ class DocumentService:
         manager = document.index_manager
         if manager is None or manager.document is not document:
             manager = IndexManager(document)
+        self._evict(name)
         with self._pool.connection() as backend:
             GoddagStore.over(backend).save_indexed(
                 document, name, manager, overwrite=overwrite
@@ -349,6 +432,7 @@ class DocumentService:
                 f"{self.lock_timeout_s:.1f}s"
             )
         try:
+            self._evict(name)
             with self._pool.connection() as backend:
                 GoddagStore.over(backend).delete(name)
         finally:
@@ -367,13 +451,27 @@ class DocumentService:
     def read_session(self, name: str) -> ReadSession:
         """Open a snapshot-isolated read session (see :class:`ReadSession`).
 
-        The database connection is borrowed only for the snapshot load;
-        the returned session holds no pooled resources, so any number
-        of read sessions may be open at once.
+        The stored stamp is probed first: when it names the generation
+        of the shared snapshot, the session uses that snapshot's
+        document and manager.  Otherwise the document is loaded with its
+        stamp in one read transaction, indexed, frozen, and installed as
+        the new shared snapshot.  The database connection is borrowed
+        only for the probe and the load; the returned session holds no
+        pooled resources, so any number of read sessions may be open at
+        once.
         """
         with self._pool.connection() as backend:
-            document, generation = self._snapshot(backend, name)
-        manager = IndexManager(document).attach()
+            shared = self._shared(name, backend.index_stamp(name))
+            if shared is None:
+                document, generation = backend.load_snapshot(name)
+        if shared is not None:
+            metrics.incr("service.snapshots.shared")
+            generation, document, manager = shared
+        else:
+            metrics.incr("service.snapshots.loaded")
+            manager = IndexManager(document).attach()
+            document.freeze()
+            self._install(name, generation, document, manager)
         metrics.incr("service.read_sessions.opened")
         return ReadSession(self, name, document, manager, generation)
 
@@ -388,7 +486,9 @@ class DocumentService:
         manager starts delta accounting against the stored artifact at
         open, so its eventual publish is a row-level patch, and the
         publish verifies the artifact generation in-transaction (see
-        :meth:`WriteSession.publish`).
+        :meth:`WriteSession.publish`).  The session decodes its own
+        mutable copy, and opening drops the name's shared snapshot
+        instead of keeping it beside that copy.
         """
         lock = self._write_lock(name)
         with metrics.time("service.lock_wait"):
@@ -401,8 +501,9 @@ class DocumentService:
                 f"{(self.lock_timeout_s if timeout is None else timeout):.1f}s"
             )
         try:
+            self._evict(name)
             with self._pool.connection() as backend:
-                document, generation = self._snapshot(backend, name)
+                document, generation = backend.load_snapshot(name)
                 token = GoddagStore.over(backend).artifact_token(
                     name, generation
                 )
@@ -425,6 +526,8 @@ class DocumentService:
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
+        with self._snapshots_guard:
+            self._snapshots.clear()
         with self._corpus_guard:
             if self._corpus is not None:
                 self._corpus.close()  # executors only; the pool is ours

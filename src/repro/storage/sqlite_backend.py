@@ -392,6 +392,24 @@ class SqliteStore:
         )))
         return decode_document(doc_row, hierarchy_rows, element_rows)
 
+    def load_snapshot(self, name: str) -> tuple[GoddagDocument, str | None]:
+        """``(document, index stamp)`` of ``name``, read in one sqlite
+        read transaction, so the stamp names exactly the generation the
+        rows belong to.
+
+        A writer that commits between the stamp read and the row reads
+        is invisible to both (WAL gives the transaction one consistent
+        view; in rollback-journal mode the transaction's shared lock
+        holds the writer off until it ends), so no retry is needed.
+        """
+        self._conn.execute("BEGIN")
+        try:
+            stamp = self.index_stamp(name)
+            document = self.load(name)
+        finally:
+            self._conn.execute("COMMIT")
+        return document, stamp
+
     def delete(self, name: str) -> None:
         doc_id, _ = self._document_row(name)
 

@@ -72,6 +72,17 @@ def test_named_identifiers_are_real():
     assert hasattr(ExtendedXPath, "explain")
 
 
+def test_service_identifiers_are_real():
+    """Spot-check the identifiers the Service section leans on."""
+    from repro.core.goddag import GoddagDocument
+    from repro.service.service import SHARED_SNAPSHOT_LIMIT
+    from repro.storage.sqlite_backend import SqliteStore
+
+    assert hasattr(GoddagDocument, "freeze")
+    assert hasattr(SqliteStore, "load_snapshot")
+    assert SHARED_SNAPSHOT_LIMIT == 32
+
+
 def test_streaming_identifiers_are_real():
     """Spot-check the identifiers the Streaming section leans on."""
     import inspect

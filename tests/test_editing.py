@@ -5,7 +5,7 @@ import pytest
 from repro import GoddagBuilder
 from repro.dtd import parse_dtd
 from repro.editing import Editor
-from repro.errors import EditError, PotentialValidityError
+from repro.errors import EditError, MarkupConflictError, PotentialValidityError
 
 EDITION_DTD = parse_dtd(
     """
@@ -77,6 +77,53 @@ class TestBasicEditing:
         page = editor.insert_markup("phys", "page", 0, len(TEXT))
         with pytest.raises(EditError):
             editor.remove_attribute(page, "nope")
+
+
+class TestUnattachedAttributeTargets:
+    """Attribute edits on an element that is not in the document raise
+    :class:`MarkupConflictError` at the call, before any change."""
+
+    def removed_page(self):
+        editor, doc = session(with_dtd=False)
+        page = editor.insert_markup("phys", "page", 0, len(TEXT))
+        editor.set_attribute(page, "n", "1")
+        editor.remove_markup(page)
+        return editor, doc, page
+
+    @pytest.mark.parametrize("target", ["removed", "none"])
+    def test_document_attribute_edits(self, target):
+        _, doc, page = self.removed_page()
+        element = page if target == "removed" else \
+            doc.element_by_ordinal(page.ordinal)
+        version = doc.version
+        with pytest.raises(MarkupConflictError):
+            doc.set_attribute(element, "n", "2")
+        with pytest.raises(MarkupConflictError):
+            doc.remove_attribute(element, "n")
+        assert doc.version == version
+        assert page.attributes == {"n": "1"}
+
+    @pytest.mark.parametrize("target", ["removed", "none"])
+    def test_editor_attribute_edits(self, target):
+        editor, doc, page = self.removed_page()
+        element = page if target == "removed" else \
+            doc.element_by_ordinal(page.ordinal)
+        version = doc.version
+        transcript = editor.transcript()
+        with pytest.raises(MarkupConflictError):
+            editor.set_attribute(element, "n", "2")
+        with pytest.raises(MarkupConflictError):
+            editor.remove_attribute(element, "n")
+        assert doc.version == version
+        assert editor.transcript() == transcript
+
+    def test_element_of_another_document(self):
+        editor, _ = session(with_dtd=False)
+        other_editor, _ = session(with_dtd=False)
+        foreign = other_editor.insert_markup("notes", "note", 0, 3)
+        with pytest.raises(MarkupConflictError):
+            editor.set_attribute(foreign, "n", "1")
+        assert foreign.attributes == {}
 
 
 class TestPrevalidation:

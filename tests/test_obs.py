@@ -290,3 +290,9 @@ class TestBenchJson:
         assert percentile([3.0], 0.9) == 3.0
         assert percentile([1.0, 2.0, 3.0, 4.0, 5.0], 0.5) == 3.0
         assert percentile([1.0, 2.0], 0.9) == pytest.approx(1.9)
+
+    def test_percentile_of_no_samples_is_a_value_error(self):
+        from repro.obs.benchjson import percentile
+
+        with pytest.raises(ValueError, match="empty"):
+            percentile([], 0.5)
