@@ -229,7 +229,8 @@ class GoddagDocument:
         the journal is dropped, so readers rebuild it whole and publish
         it with one store, like the per-hierarchy containment lists (see
         docs/ARCHITECTURE.md, "Service layer & concurrency contract").
-        Idempotent; there is no thaw.
+        Idempotent.  A frozen document stays frozen; to edit one, edit
+        its :meth:`copy`.
         """
         if self._frozen:
             return
@@ -238,6 +239,66 @@ class GoddagDocument:
             self._ordinal_map = {}
             self._ordinal_map_version = -1
         self._frozen = True
+
+    def copy(self) -> "GoddagDocument":
+        """A mutable copy, equal to what decoding this document's stored
+        rows would build.
+
+        The copy keeps the text, the root's tag and attributes, the
+        hierarchies (order, DTDs, observed tags), the leaf boundaries,
+        and every element's ordinal, tag, span, parent and sibling
+        order, with fresh ``attributes`` dicts and child lists.  Each
+        hierarchy's element list is in preorder, as a load makes it.
+        The copy is at this document's version with an empty journal
+        floored there, and is never frozen.  Its fresh-ordinal counter
+        resumes at the largest live ordinal, as
+        :meth:`GoddagBuilder.build` does for stored rows, so a later
+        insert mints the ordinal a reload would.  The ordered-element
+        list, the order-key stamps and the ordinal map are carried over
+        at that version instead of being recomputed.
+
+        A write session copies the service's frozen snapshot this way
+        (see :mod:`repro.service.service`); reading the source changes
+        none of its state once it is frozen.
+        """
+        ordered = self.ordered_elements()  # stamps every order key
+        version = self._version
+        copy = GoddagDocument(self._text, self._root.tag)
+        copy._root.attributes = dict(self._root.attributes)
+        copy._spans = self._spans.copy()
+        copy.journal_tracking = self.journal_tracking
+        by_ordinal: dict[int, Element] = {}
+        for name, hierarchy in self._hierarchies.items():
+            copy._hierarchies[name] = Hierarchy(
+                name, hierarchy.rank, hierarchy.dtd, hierarchy.tags
+            )
+            copy._h_sorted[name] = None
+            top: list[Element] = []
+            elements: list[Element] = []
+            stack: list[tuple[Element, Element | None]] = [
+                (old, None) for old in reversed(self._h_top[name])
+            ]
+            while stack:
+                old, parent = stack.pop()
+                element = Element(copy, name, old.tag, old._start, old._end,
+                                  old.attributes, old.ordinal)
+                element._parent = parent
+                element._okey = old._okey
+                element._okey_version = version
+                (top if parent is None else parent._children).append(element)
+                elements.append(element)
+                by_ordinal[old.ordinal] = element
+                for child in reversed(old._children):
+                    stack.append((child, element))
+            copy._h_top[name] = top
+            copy._h_all[name] = elements
+        copy._ordinal = max(by_ordinal, default=0)
+        copy._version = copy._journal_floor = version
+        copy._ordered_cache = [by_ordinal[old.ordinal] for old in ordered]
+        copy._ordered_cache_version = version
+        copy._ordinal_map = by_ordinal
+        copy._ordinal_map_version = version
+        return copy
 
     def _check_mutable(self) -> None:
         if self._frozen:

@@ -181,6 +181,13 @@ class SpanTable:
             self._boundaries = sorted(merged)
             self._version += 1
 
+    def copy(self) -> "SpanTable":
+        """An independent table with the same boundaries and version."""
+        table = SpanTable(self._length)
+        table._boundaries = list(self._boundaries)
+        table._version = self._version
+        return table
+
     def add_span(self, span: Span) -> None:
         """Record both boundaries of ``span``."""
         if span.end > self._length:

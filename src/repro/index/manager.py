@@ -202,6 +202,39 @@ class IndexManager:
             self.document.detach_index()
         return self
 
+    def carried_to(self, document: "GoddagDocument") -> "IndexManager":
+        """A manager for ``document`` — a
+        :meth:`~repro.core.goddag.GoddagDocument.copy` of this manager's
+        document at its current version — without a rebuild.
+
+        The structural summary and the attribute postings are remapped
+        to the copy's elements by ordinal, in their order; the term
+        index is keyed on the shared immutable text and is shared as-is.
+        The new manager is fresh at the copy's version, has no persist
+        backlog (call :meth:`mark_persisted`), and is not attached.
+        A manager of a frozen document is never stale, so it is only
+        read here and may be carried over while other threads query it.
+        A ``document`` at another version than this manager's is not a
+        copy of its state and raises :class:`ValueError`.
+        """
+        self.refresh()
+        if document.version != self._built_version:
+            raise ValueError(
+                f"document version {document.version} is not the built "
+                f"version {self._built_version}: not a copy of this state"
+            )
+        by_ordinal = {element.ordinal: element
+                      for element in document.ordered_elements()}
+        manager = IndexManager(document, build=False,
+                               incremental=self.incremental,
+                               delta_threshold=self.delta_threshold)
+        manager._structural = self._structural.remapped(by_ordinal)
+        manager._attrs = self._attrs.remapped(by_ordinal)
+        manager._terms = self._terms
+        manager._occ_arrays = dict(self._occ_arrays)
+        manager._built_version = document.version
+        return manager
+
     # -- freshness (the lazy-catch-up contract) -------------------------------
 
     @property

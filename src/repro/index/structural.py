@@ -118,6 +118,21 @@ class StructuralSummary:
         self._partitions = partitions
         self._paths = paths
 
+    def remapped(self, by_ordinal: dict[int, "Element"]) -> "StructuralSummary":
+        """This summary over a copy of its document
+        (:meth:`~repro.core.goddag.GoddagDocument.copy`): every member
+        replaced by the copy's element of the same ordinal, every list
+        kept in its order, every label path kept.  ``by_ordinal`` maps
+        each ordinal to the copy's element."""
+        summary = StructuralSummary.__new__(StructuralSummary)
+        summary._by_tag = remap_members(self._by_tag, by_ordinal)
+        summary._by_hierarchy = remap_members(self._by_hierarchy, by_ordinal)
+        summary._by_pair = remap_members(self._by_pair, by_ordinal)
+        summary._partitions = remap_members(self._partitions, by_ordinal)
+        summary._paths = {by_ordinal[element.ordinal]: path
+                          for element, path in self._paths.items()}
+        return summary
+
     # -- incremental maintenance (the delta protocol) --------------------------
 
     def apply(self, change: "ChangeRecord") -> set[tuple[str, tuple[str, ...]]]:
@@ -353,6 +368,13 @@ class StructuralSummary:
 
     def element_count(self) -> int:
         return sum(len(elements) for elements in self._by_tag.values())
+
+
+def remap_members(table: dict, by_ordinal: dict[int, "Element"]) -> dict:
+    """A keyed member table with each element replaced by the element
+    of the same ordinal in ``by_ordinal``, keys and order kept."""
+    return {key: [by_ordinal[element.ordinal] for element in members]
+            for key, members in table.items()}
 
 
 def _discard(table: dict, key, element: "Element") -> None:

@@ -199,6 +199,13 @@ class AttributeIndex:
                 postings.setdefault((name, value), []).append(element)
         return cls(postings)
 
+    def remapped(self, by_ordinal: "dict[int, Element]") -> "AttributeIndex":
+        """This table over a copy of its document, like
+        :meth:`~repro.index.structural.StructuralSummary.remapped`."""
+        from .structural import remap_members
+
+        return AttributeIndex(remap_members(self._postings, by_ordinal))
+
     # -- incremental maintenance (the delta protocol) --------------------------
 
     def apply(self, change: "ChangeRecord") -> set[tuple[str, str]]:

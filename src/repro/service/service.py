@@ -11,8 +11,9 @@ docs/ARCHITECTURE.md, "Service layer & concurrency contract"):
 * **Shared snapshots are immutable.**  The service keeps at most one
   decoded document per name, with its warm
   :class:`~repro.index.manager.IndexManager`, for the generation it was
-  read at; every read session at that generation shares it instead of
-  decoding its own.  A shared document is frozen
+  read at; every read session at that generation shares it, and every
+  write session copies it, instead of decoding its own.  A shared
+  document is frozen
   (:meth:`~repro.core.goddag.GoddagDocument.freeze`): every mutator
   raises :class:`~repro.errors.EditError`, and the lazy caches a query
   fills are either filled before the snapshot is installed or built
@@ -44,11 +45,18 @@ docs/ARCHITECTURE.md, "Service layer & concurrency contract"):
   service instance or process surfaces as the typed
   :class:`~repro.errors.WriteConflictError`; nothing is written.  A
   publish with no edit since the session's last publish writes nothing
-  and keeps the generation.  Opening a write session drops the name's
-  shared snapshot; closing one that published and has not edited since
-  hands its own document and manager over as the new generation's
-  shared snapshot, so no reader decodes what the writer already holds.
-  A closed write session's document is read-only.
+  and keeps the generation.  A write session starts from the same
+  frozen snapshot read sessions use: it edits a mutable copy of that
+  document, with the snapshot's warm index carried over to the copy, so
+  a shared generation is neither decoded nor re-indexed for a writer.
+  Opening a write session then drops the name's shared snapshot;
+  closing one that published and has not edited since hands its own
+  document and manager over as the new generation's shared snapshot,
+  so no reader decodes what the writer already holds.  Every eviction
+  and hand-off moves the name's install epoch, and a reader installs
+  the snapshot it loaded only if the epoch has not moved since its
+  probe, so a slow load never replaces a newer hand-off.  A closed
+  write session's document is read-only.
 * **Database work is pooled and bounded.**  Sessions borrow a
   connection from a :class:`~repro.storage.SqliteConnectionPool` only
   while they touch the database (snapshot load, stamp probe, publish)
@@ -59,10 +67,12 @@ docs/ARCHITECTURE.md, "Service layer & concurrency contract"):
 
 Observability: session opens/closes land on the
 ``service.read_sessions.*`` / ``service.write_sessions.*`` counters,
-read sessions served from a shared snapshot on
+sessions (read or write) served from a shared snapshot on
 ``service.snapshots.shared`` and those that loaded on
-``service.snapshots.loaded``,
-publishes on ``service.publishes``, detected conflicts on
+``service.snapshots.loaded``, a write session's copy of its snapshot
+on the ``service.snapshot_copy`` timer, publishes on
+``service.publishes`` (those that had nothing to write on
+``service.publishes.unchanged``), detected conflicts on
 ``service.conflicts``, superseded-snapshot checks on
 ``service.snapshot_checks`` / ``service.snapshots.superseded``, write
 lock waits on the ``service.lock_wait`` timer, and the pool reports
@@ -198,8 +208,10 @@ class WriteSession(_Session):
     """The single writer of one document, edits tracked, publish stamped.
 
     Holds the service's per-document write lock from open to close.
-    Edits go through :attr:`editor` (an
-    :class:`~repro.editing.Editor` over the session's private
+    The session's private document is a mutable copy of the service's
+    frozen snapshot of the stored generation, and its manager is that
+    snapshot's warm manager carried over to the copy.  Edits go through
+    :attr:`editor` (an :class:`~repro.editing.Editor` over the private
     document, so every mutation lands in the delta journal); a clean
     ``with`` exit publishes via :meth:`publish` — the stamped,
     row-level :meth:`~repro.storage.GoddagStore.save_indexed` — while
@@ -279,8 +291,12 @@ class WriteSession(_Session):
             try:
                 self.document.freeze()
                 if self._published_version == self.document.version:
-                    self._service._install(self.name, self.generation,
-                                           self.document, self.manager)
+                    self._service._install(
+                        self.name,
+                        _SharedSnapshot(self.generation, self.document,
+                                        self.manager),
+                        None,
+                    )
             finally:
                 self._lock.release()
         super().close()
@@ -330,6 +346,10 @@ class DocumentService:
         # name -> the shared snapshot of its last seen generation, in
         # least-recently-opened order.
         self._snapshots: OrderedDict[str, _SharedSnapshot] = OrderedDict()
+        # name -> install epoch, moved by every eviction and hand-off: a
+        # reader installs its load only if the epoch it read before
+        # loading is still current.
+        self._epochs: dict[str, int] = {}
         self._snapshots_guard = threading.Lock()
 
     # -- plumbing ---------------------------------------------------------------
@@ -374,35 +394,71 @@ class DocumentService:
         with self._pool.connection() as backend:
             return backend.index_stamp(name)
 
-    def _shared(self, name: str, generation: str | None
-                ) -> _SharedSnapshot | None:
-        """The shared snapshot of ``name`` when it is at ``generation``."""
-        if not generation:
-            return None
-        with self._snapshots_guard:
-            entry = self._snapshots.get(name)
-            if entry is None or entry.generation != generation:
-                return None
-            self._snapshots.move_to_end(name)
-            return entry
+    def _snapshot(self, name: str) -> _SharedSnapshot:
+        """The frozen snapshot of ``name`` at its stored generation.
 
-    def _install(self, name: str, generation: str | None,
-                 document: GoddagDocument, manager: IndexManager) -> None:
-        """Make ``document`` — frozen by the caller — the shared
-        snapshot of ``name`` at ``generation``.  An empty or missing
-        stamp names no generation, so nothing is installed for it."""
-        if not generation:
+        The stamp is probed first: when it names the shared snapshot's
+        generation, that snapshot is returned
+        (``service.snapshots.shared``).  Otherwise the document is
+        loaded with its stamp in one read transaction, indexed, frozen
+        and installed as the shared snapshot (``service.snapshots.loaded``)
+        — unless the name was evicted (a writer opened, or a delete or
+        overwrite ran) or a writer handed off since the probe, in which
+        case the load may be older than what is stored now and is only
+        returned.  The database connection is borrowed only for the
+        probe and the load.
+        """
+        with self._pool.connection() as backend:
+            generation = backend.index_stamp(name)
+            with self._snapshots_guard:
+                epoch = self._epochs.get(name, 0)
+                entry = self._snapshots.get(name)
+                if generation and entry is not None \
+                        and entry.generation == generation:
+                    self._snapshots.move_to_end(name)
+                else:
+                    entry = None
+            if entry is None:
+                document, generation = backend.load_snapshot(name)
+        if entry is not None:
+            metrics.incr("service.snapshots.shared")
+            return entry
+        metrics.incr("service.snapshots.loaded")
+        manager = IndexManager(document).attach()
+        document.freeze()
+        entry = _SharedSnapshot(generation, document, manager)
+        self._install(name, entry, epoch)
+        return entry
+
+    def _install(self, name: str, entry: _SharedSnapshot,
+                 epoch: int | None) -> None:
+        """Make ``entry`` — its document frozen by the caller — the
+        shared snapshot of ``name``.
+
+        ``epoch`` is the name's install epoch the caller read before it
+        loaded; when a writer has moved it since, nothing is installed.
+        A writer's hand-off passes ``None``: it moves the epoch and
+        installs.  An empty or missing stamp names no generation, so
+        nothing is installed for it.
+        """
+        if not entry.generation:
             return
         with self._snapshots_guard:
-            self._snapshots[name] = _SharedSnapshot(generation, document,
-                                                    manager)
+            if epoch is None:
+                self._epochs[name] = self._epochs.get(name, 0) + 1
+            elif self._epochs.get(name, 0) != epoch:
+                return
+            self._snapshots[name] = entry
             self._snapshots.move_to_end(name)
             while len(self._snapshots) > SHARED_SNAPSHOT_LIMIT:
                 self._snapshots.popitem(last=False)
 
     def _evict(self, name: str) -> None:
+        """Drop the shared snapshot of ``name`` and move its install
+        epoch, so no load already in flight installs over the change."""
         with self._snapshots_guard:
             self._snapshots.pop(name, None)
+            self._epochs[name] = self._epochs.get(name, 0) + 1
 
     # -- document administration -------------------------------------------------
 
@@ -451,27 +507,14 @@ class DocumentService:
     def read_session(self, name: str) -> ReadSession:
         """Open a snapshot-isolated read session (see :class:`ReadSession`).
 
-        The stored stamp is probed first: when it names the generation
-        of the shared snapshot, the session uses that snapshot's
-        document and manager.  Otherwise the document is loaded with its
-        stamp in one read transaction, indexed, frozen, and installed as
-        the new shared snapshot.  The database connection is borrowed
-        only for the probe and the load; the returned session holds no
-        pooled resources, so any number of read sessions may be open at
-        once.
+        The session uses the frozen snapshot of the stored generation:
+        the shared one when the probed stamp names it, otherwise one
+        loaded, indexed, frozen and installed as the new shared
+        snapshot.  The database connection is borrowed only for the
+        probe and the load; the returned session holds no pooled
+        resources, so any number of read sessions may be open at once.
         """
-        with self._pool.connection() as backend:
-            shared = self._shared(name, backend.index_stamp(name))
-            if shared is None:
-                document, generation = backend.load_snapshot(name)
-        if shared is not None:
-            metrics.incr("service.snapshots.shared")
-            generation, document, manager = shared
-        else:
-            metrics.incr("service.snapshots.loaded")
-            manager = IndexManager(document).attach()
-            document.freeze()
-            self._install(name, generation, document, manager)
+        generation, document, manager = self._snapshot(name)
         metrics.incr("service.read_sessions.opened")
         return ReadSession(self, name, document, manager, generation)
 
@@ -486,9 +529,14 @@ class DocumentService:
         manager starts delta accounting against the stored artifact at
         open, so its eventual publish is a row-level patch, and the
         publish verifies the artifact generation in-transaction (see
-        :meth:`WriteSession.publish`).  The session decodes its own
-        mutable copy, and opening drops the name's shared snapshot
-        instead of keeping it beside that copy.
+        :meth:`WriteSession.publish`).  The session edits a mutable
+        :meth:`~repro.core.goddag.GoddagDocument.copy` of the frozen
+        snapshot of the stored generation — the one read sessions get —
+        with that snapshot's warm manager carried over to the copy
+        (:meth:`~repro.index.manager.IndexManager.carried_to`; the copy
+        is timed on ``service.snapshot_copy``), so nothing is decoded
+        or rebuilt when the snapshot is shared.  Opening then drops the
+        name's shared snapshot instead of keeping it beside the copy.
         """
         lock = self._write_lock(name)
         with metrics.time("service.lock_wait"):
@@ -501,13 +549,15 @@ class DocumentService:
                 f"{(self.lock_timeout_s if timeout is None else timeout):.1f}s"
             )
         try:
+            generation, source, warm = self._snapshot(name)
+            with metrics.time("service.snapshot_copy"):
+                document = source.copy()
+                manager = warm.carried_to(document).attach()
             self._evict(name)
             with self._pool.connection() as backend:
-                document, generation = backend.load_snapshot(name)
                 token = GoddagStore.over(backend).artifact_token(
                     name, generation
                 )
-            manager = IndexManager(document).attach()
             # The stored artifact is exactly this manager's state (a
             # publish writes document and index in one stamped
             # transaction), so delta accounting can start here: the

@@ -83,6 +83,32 @@ def test_service_identifiers_are_real():
     assert SHARED_SNAPSHOT_LIMIT == 32
 
 
+def _metric_catalog() -> set[str]:
+    """Every backticked name in the Metrics section's catalog table."""
+    text = ARCHITECTURE.read_text(encoding="utf-8")
+    section = text.split("### Metrics", 1)[1].split("\n### ", 1)[0]
+    names: set[str] = set()
+    for line in section.splitlines():
+        if line.startswith("|"):
+            names.update(re.findall(r"`([\w.-]+)`", line.split("|")[1]))
+    return names
+
+
+def test_service_metrics_are_in_the_catalog():
+    """Every literal ``service.*`` metric the service layer records is
+    a row of the catalog table, spelled out in full."""
+    source = REPO / "src" / "repro" / "service"
+    recorded = {
+        name
+        for path in source.glob("*.py")
+        for name in re.findall(r"[\"'](service\.[\w.-]+)[\"']",
+                               path.read_text(encoding="utf-8"))
+    }
+    assert "service.snapshot_copy" in recorded
+    missing = sorted(recorded - _metric_catalog())
+    assert not missing, f"service metrics missing from the catalog: {missing}"
+
+
 def test_streaming_identifiers_are_real():
     """Spot-check the identifiers the Streaming section leans on."""
     import inspect

@@ -14,6 +14,9 @@ Two layers of coverage over :class:`repro.service.DocumentService`:
   oracle arm of the differential harness) of the same expression
   against the published document of that generation.  Any divergence,
   deadlock (joins are bounded), or stray exception fails the test.
+* **Copy under readers**: every write session copies the shared
+  snapshot while ``READERS`` threads hold and query it; the same
+  witness check applies, and no write session decodes.
 
 Seeds scale with ``REPRO_DIFF_SEEDS`` like the differential harness;
 the nightly job raises it 10x.
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 import threading
 
 import pytest
@@ -38,6 +42,7 @@ from repro.errors import (
     WriteConflictError,
     WriteLockTimeoutError,
 )
+from repro.obs.metrics import metrics
 from repro.workloads import WorkloadSpec, generate
 
 from test_index_incremental import EDIT_TAGS, QUERIES, snapshot
@@ -361,3 +366,112 @@ def test_stress_readers_match_witness(tmp_path, seed):
     with DocumentService(tmp_path / "svc.db", pool_size=4,
                          lock_timeout_s=30.0) as svc:
         _stress(svc, seed)
+
+
+#: Write sessions per seed in the copy-under-readers harness.
+COPY_ROUNDS = 4
+
+
+@pytest.mark.parametrize("seed", [6000 + n for n in range(SEEDS)])
+def test_writers_copy_the_snapshot_readers_query(tmp_path, seed):
+    """Each round, all ``READERS`` threads hold a read session on the
+    shared snapshot and keep querying it while a write session copies
+    that very snapshot, edits the copy and publishes.  Every answer must
+    match the unindexed witness of its generation, and no write session
+    may decode: after the first read, every snapshot is shared."""
+    metrics.reset()
+    metrics.enable()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave readers inside the copy
+    try:
+        with DocumentService(tmp_path / "svc.db", pool_size=4,
+                             lock_timeout_s=30.0) as svc:
+            base = _seed_doc()
+            witness = {svc.create(base, "doc"): _witness_answers(base)}
+            with svc.read_session("doc"):
+                pass  # the first generation is shared from here on
+            results: list[tuple] = []
+            results_lock = threading.Lock()
+            errors: list[BaseException] = []
+            opened = threading.Barrier(READERS + 1)
+            finished = threading.Barrier(READERS + 1)
+            copied = [threading.Event() for _ in range(COPY_ROUNDS)]
+            sources = []
+
+            def writing():
+                rng = random.Random(seed)
+                try:
+                    for round_ in range(COPY_ROUNDS):
+                        opened.wait(timeout=30)
+                        with svc.write_session("doc") as session:
+                            for _ in range(rng.randrange(1, 4)):
+                                _random_edit(session.editor, rng,
+                                             session.document.length)
+                        witness[session.generation] = _witness_answers(
+                            session.document)
+                        copied[round_].set()
+                        finished.wait(timeout=30)
+                except BaseException as exc:  # noqa: BLE001
+                    errors.append(exc)
+                    opened.abort()
+                    finished.abort()
+
+            def reading(reader_seed: int):
+                rng = random.Random(reader_seed)
+                try:
+                    for round_ in range(COPY_ROUNDS):
+                        with svc.read_session("doc") as session:
+                            with results_lock:
+                                sources.append(session.document)
+                            opened.wait(timeout=30)
+                            mine = []
+                            while True:
+                                last = copied[round_].is_set()
+                                for query in rng.sample(QUERIES, 3):
+                                    mine.append((
+                                        session.generation,
+                                        query.expression,
+                                        snapshot(session.query(
+                                            query.expression))))
+                                if last:
+                                    break
+                        with results_lock:
+                            results.extend(mine)
+                        finished.wait(timeout=30)
+                except BaseException as exc:  # noqa: BLE001
+                    errors.append(exc)
+                    opened.abort()
+                    finished.abort()
+
+            threads = [threading.Thread(target=writing)]
+            threads += [threading.Thread(target=reading,
+                                         args=(seed * 1000 + n,))
+                        for n in range(READERS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads), \
+                "service threads did not finish (deadlock or stuck lock)"
+            assert not errors, errors
+            counters = metrics.snapshot()["counters"]
+    finally:
+        sys.setswitchinterval(interval)
+        metrics.disable()
+        metrics.reset()
+
+    # Each round every reader held the one shared snapshot, and the
+    # writer copied it instead of loading.
+    assert len(sources) == READERS * COPY_ROUNDS
+    for round_ in range(COPY_ROUNDS):
+        held = sources[round_ * READERS:(round_ + 1) * READERS]
+        assert all(document is held[0] for document in held)
+    assert counters["service.snapshots.loaded"] == 1
+    assert counters["service.snapshots.shared"] == \
+        READERS * COPY_ROUNDS + COPY_ROUNDS
+    assert len(witness) == COPY_ROUNDS + 1
+    assert len({generation for generation, _, _ in results}) == COPY_ROUNDS
+    for generation, expression, answer in results:
+        assert answer == witness[generation][expression], (
+            f"generation {generation!r}, query {expression!r}: an answer "
+            "read during a writer's copy diverged from the witness")

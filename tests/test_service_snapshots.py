@@ -15,6 +15,8 @@ overwrites drop the entry.  These tests pin down:
   empty stamp is never shared, deletes and overwrites evict;
 * one consistent read: the stamp and the rows of a load come from one
   database transaction, even when a writer commits in between;
+* a reader whose load finishes after a writer handed off a newer
+  generation does not install its older one over the hand-off;
 * an empty publish keeps its generation;
 * concurrent openers of one cold generation all answer like the
   unindexed witness.
@@ -265,6 +267,49 @@ def test_load_snapshot_stamp_matches_rows_across_a_commit(service,
     assert _witness(document) == old_witness
     assert newer_generation == published["generation"]
     assert len(_witness(newer)["//seg"]) == len(old_witness["//seg"]) + 1
+
+
+# -- a slow load never installs over a hand-off --------------------------------
+
+
+def test_slow_load_does_not_install_over_a_hand_off(service, observed,
+                                                    monkeypatch):
+    real_load = SqliteStore.load_snapshot
+    loaded, handed_off = threading.Event(), threading.Event()
+
+    def load_then_wait(self, name):
+        result = real_load(self, name)
+        if threading.current_thread() is slow_reader:
+            # The reader holds the old generation; a writer publishes
+            # and hands off before this load returns.
+            loaded.set()
+            assert handed_off.wait(timeout=30)
+        return result
+
+    monkeypatch.setattr(SqliteStore, "load_snapshot", load_then_wait)
+    opened = []
+    slow_reader = threading.Thread(
+        target=lambda: opened.append(service.read_session("doc")))
+    slow_reader.start()
+    try:
+        assert loaded.wait(timeout=30)
+        with service.write_session("doc") as writer:
+            _insert_seg(writer)
+    finally:
+        handed_off.set()
+        slow_reader.join(timeout=30)
+    assert not slow_reader.is_alive()
+    stale = opened[0]
+    assert stale.generation != writer.generation
+    assert stale.query("//seg") == []
+    stale.close()
+    before = observed.snapshot()["counters"]["service.snapshots.loaded"]
+    for _ in range(3):
+        with service.read_session("doc") as reader:
+            assert reader.generation == writer.generation
+            assert reader.document is writer.document
+    assert observed.snapshot()["counters"]["service.snapshots.loaded"] == \
+        before
 
 
 # -- empty publish ------------------------------------------------------------
