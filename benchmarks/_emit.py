@@ -23,7 +23,8 @@ except ModuleNotFoundError:
 
 from repro.obs.benchjson import scenario, write_bench_json  # noqa: E402
 
-__all__ = ["scenario", "emit", "output_dir", "measure_peak_rss"]
+__all__ = ["scenario", "emit", "output_dir", "measure_peak_rss",
+           "measure_spawned_peak_rss"]
 
 
 def _rss_child(pipe, fn, args, kwargs):
@@ -38,6 +39,49 @@ def _rss_child(pipe, fn, args, kwargs):
         pipe.send(("err", repr(exc), 0, 0))
     finally:
         pipe.close()
+
+
+def _status_kb(field: str) -> int:
+    with open("/proc/self/status", encoding="ascii") as status:
+        for line in status:
+            if line.startswith(field + ":"):
+                return int(line.split()[1])
+    raise OSError(f"{field} missing from /proc/self/status")
+
+
+def _spawned_rss_child(pipe, fn, args, kwargs):
+    """Like :func:`_rss_child`, but reads Linux's per-address-space
+    peak (``VmHWM``), reset just before the call.  ``ru_maxrss`` would
+    not do here: exec keeps the parent's high-water mark, so a spawned
+    child starts with the caller's peak."""
+    try:
+        before = _status_kb("VmRSS")
+        with open("/proc/self/clear_refs", "w", encoding="ascii") as clear:
+            clear.write("5")
+        result = fn(*args, **kwargs)
+        pipe.send(("ok", result, before, _status_kb("VmHWM")))
+    except BaseException as exc:  # surface the real error in the parent
+        pipe.send(("err", repr(exc), 0, 0))
+    finally:
+        pipe.close()
+
+
+def _in_child(method: str, target, fn, args, kwargs):
+    """Run ``target(pipe, fn, args, kwargs)`` in a ``method`` child and
+    return ``(result, peak_rss_kb)``."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context(method)
+    parent, child = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=target, args=(child, fn, args, kwargs))
+    proc.start()
+    child.close()
+    status, result, before, after = parent.recv()
+    proc.join()
+    parent.close()
+    if status == "err":
+        raise RuntimeError(f"measure_peak_rss child failed: {result}")
+    return result, max(0, after - before)
 
 
 def measure_peak_rss(fn, *args, **kwargs):
@@ -56,28 +100,17 @@ def measure_peak_rss(fn, *args, **kwargs):
     under-read when the process high-water was already above the
     call's peak.
 
+    A forked child inherits the caller's heap, so the delta also
+    depends on how much free heap the caller left behind; use
+    :func:`measure_spawned_peak_rss` when the number is gated.
+
     ``ru_maxrss`` is kilobytes on Linux; the fields inherit that unit.
     """
     import resource
 
     try:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        parent, child = ctx.Pipe(duplex=False)
-        proc = ctx.Process(target=_rss_child,
-                           args=(child, fn, args, kwargs))
-        proc.start()
-        child.close()
-        status, result, before, after = parent.recv()
-        proc.join()
-        parent.close()
-        if status == "err":
-            raise RuntimeError(f"measure_peak_rss child failed: {result}")
-        return result, {
-            "peak_rss_kb": max(0, after - before),
-            "rss_mode": "fork",
-        }
+        result, peak = _in_child("fork", _rss_child, fn, args, kwargs)
+        return result, {"peak_rss_kb": peak, "rss_mode": "fork"}
     except (ImportError, ValueError, OSError, EOFError) as exc:
         from repro.obs import fallback as _obs_fallback
 
@@ -89,6 +122,22 @@ def measure_peak_rss(fn, *args, **kwargs):
             "peak_rss_kb": max(0, after - before),
             "rss_mode": "inline",
         }
+
+
+def measure_spawned_peak_rss(fn, *args, **kwargs):
+    """Like :func:`measure_peak_rss`, but in a freshly spawned
+    interpreter, so no heap of the caller's is shared or reused.
+
+    ``peak_rss_kb`` is the child's peak RSS during the call minus its
+    RSS just before (interpreter, imports and the unpickled arguments
+    excluded), with ``rss_mode`` ``"spawn"``.  ``fn`` must be
+    importable by name.  Needs Linux's ``/proc/self/clear_refs``;
+    elsewhere this falls back to :func:`measure_peak_rss`.
+    """
+    if not os.path.exists("/proc/self/clear_refs"):
+        return measure_peak_rss(fn, *args, **kwargs)
+    result, peak = _in_child("spawn", _spawned_rss_child, fn, args, kwargs)
+    return result, {"peak_rss_kb": peak, "rss_mode": "spawn"}
 
 
 def output_dir() -> Path:

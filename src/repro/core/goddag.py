@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from contextlib import contextmanager
-from heapq import merge as heap_merge
+from heapq import merge as merge_sorted
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -509,7 +509,7 @@ class GoddagDocument:
                 rank[element.hierarchy],
             )
 
-        return list(heap_merge(*iters, key=key))
+        return list(merge_sorted(*iters, key=key))
 
     def elements(
         self, hierarchy: str | None = None, tag: str | None = None
@@ -543,7 +543,7 @@ class GoddagDocument:
                 rank[element.hierarchy],
             )
 
-        stream: Iterator[Element] = heap_merge(
+        stream: Iterator[Element] = merge_sorted(
             *(preorder(name) for name in names), key=key
         )
         if tag is None:

@@ -9,16 +9,37 @@ SAX-style handler.  The default handler builds a GODDAG.
 The merge order is ``(content offset, hierarchy rank, source sequence)``;
 per-hierarchy source order is always preserved, so zero-width elements
 and simultaneous opens/closes keep their meaning.
+
+:class:`EventStream` is the one implementation of that merge.  It pulls
+each part's events incrementally and checks the shared character
+content through a sliding window, so it serves both the materializing
+:class:`SACXParser` here and the bounded-memory consumers in
+:mod:`repro.streaming`.  A ``str`` part is scanned whole by
+:class:`~repro.sacx.scanner.XmlScanner`; paths, file objects and chunk
+iterables go through :class:`~repro.sacx.scanner.StreamingXmlScanner`.
 """
 
 from __future__ import annotations
 
-from heapq import merge as heap_merge
-from typing import Mapping, Sequence
+from heapq import heapify, heappop, heapreplace
+from typing import Callable, Iterator, Mapping, NoReturn, Sequence
 
 from ..core.goddag import GoddagBuilder, GoddagDocument
 from ..errors import TextMismatchError, WellFormednessError
-from .events import EMPTY, END, START, MarkupEvent, ParsedDocument, content_events
+from . import scanner as sc
+from .events import (
+    EMPTY,
+    END,
+    EVENT,
+    START,
+    TEXT,
+    MarkupEvent,
+    iter_content_events,
+)
+
+#: Characters of confirmed text kept behind the confirmation point, so
+#: a mismatch diagnostic can show the 10 characters before its offset.
+_WINDOW_SLACK = 16
 
 
 class ConcurrentHandler:
@@ -97,6 +118,205 @@ class EventCountingHandler(ConcurrentHandler):
         self.empties += 1
 
 
+class _Part:
+    """One hierarchy source reduced to an incremental event cursor."""
+
+    __slots__ = ("name", "rank", "items", "offset")
+
+    def __init__(self, name: str, rank: int, source,
+                 chunk_chars: int) -> None:
+        self.name = name
+        self.rank = rank
+        self.items = iter_content_events(sc.source_tokens(source, chunk_chars))
+        self.offset = 0          # content characters read so far
+
+
+class EventStream:
+    """Merged ``(hierarchy, MarkupEvent)`` pairs of a distributed
+    document, produced incrementally.
+
+    Events come in ``(content offset, hierarchy rank, source sequence)``
+    order.  ``root_tag`` and ``root_attributes`` (of the first part, the
+    reference) are set once iteration starts; ``length`` is set when it
+    completes.  Pass ``text_sink`` to receive the shared character
+    content as confirmed chunks — confirmed means every part has read
+    past them, so the concatenation of all chunks is the document text.
+
+    Only the text between the slowest and the fastest part is held (the
+    window).  A part's text is checked against the window as it is
+    read; root tags are checked as each part opens; part lengths are
+    checked at the end.  Any difference raises
+    :class:`~repro.errors.TextMismatchError` with the offset and the
+    ±10-character windows a whole-text comparison of the reference
+    against the differing part would report.
+    """
+
+    def __init__(
+        self,
+        sources: Mapping[str, object],
+        *,
+        chunk_chars: int = sc.DEFAULT_CHUNK_CHARS,
+        text_sink: Callable[[str], None] | None = None,
+    ) -> None:
+        if not sources:
+            raise WellFormednessError(
+                "a distributed document needs at least one part"
+            )
+        self.hierarchies = list(sources)
+        self.root_tag: str | None = None
+        self.root_attributes: tuple[tuple[str, str], ...] = ()
+        self.length: int | None = None
+        self._sink = text_sink
+        self._parts = [
+            _Part(name, rank, source, chunk_chars)
+            for rank, (name, source) in enumerate(sources.items())
+        ]
+        self._window = ""
+        self._window_base = 0
+        self._confirmed = 0      # text handed to the sink so far
+
+    def __iter__(self) -> Iterator[tuple[str, MarkupEvent]]:
+        parts = self._parts
+        pull = self._pull
+        heads = []               # (offset, rank, seq, part, event)
+        ended = float("inf")     # the shortest finished part's length
+        for part in parts:
+            event = pull(part)
+            if event is None:
+                ended = min(ended, part.offset)
+            else:
+                heads.append((event.offset, part.rank, event.seq, part, event))
+        heapify(heads)
+        trim_at = 0
+        while heads:
+            offset, rank, _, part, event = heads[0]
+            # Every part has read up to ``floor``: the one with the
+            # lowest key is the slowest, unless a part ended before it.
+            floor = offset if offset < ended else ended
+            if floor > trim_at:
+                trim_at = self._confirm(floor)
+            yield (part.name, event)
+            event = pull(part)
+            if event is None:
+                heappop(heads)
+                ended = min(ended, part.offset)
+            else:
+                heapreplace(heads,
+                            (event.offset, rank, event.seq, part, event))
+        reference = parts[0]
+        for part in parts[1:]:
+            if part.offset != reference.offset:
+                self._mismatch(min(reference.offset, part.offset))
+        self.length = reference.offset
+        self._confirm(self.length, final=True)
+
+    # -- internals ---------------------------------------------------------------
+
+    def _pull(self, part: _Part) -> MarkupEvent | None:
+        """Advance ``part`` to its next markup event (None once it is
+        exhausted), checking the text it passes against the window and
+        extending the window with text no part has read yet."""
+        for item in part.items:
+            kind = item[0]
+            if kind == EVENT:
+                return item[1]
+            if kind != TEXT:
+                self._check_root(part, item[1], item[2])
+                continue
+            chunk = item[1]
+            window = self._window
+            rel = part.offset - self._window_base
+            known = len(window) - rel    # window text from the part's offset
+            if known >= len(chunk):
+                if not window.startswith(chunk, rel):
+                    self._text_conflict(part, chunk)
+            else:
+                if not chunk.startswith(window[rel:]):
+                    self._text_conflict(part, chunk)
+                self._window = window + chunk[known:]
+            part.offset += len(chunk)
+        return None
+
+    def _check_root(self, part: _Part, tag: str,
+                    attributes: tuple[tuple[str, str], ...]) -> None:
+        if part.rank == 0:
+            self.root_tag = tag
+            self.root_attributes = attributes
+        elif tag != self.root_tag:
+            reference = self._parts[0]
+            raise TextMismatchError(
+                f"root tags differ: {reference.name!r} has "
+                f"<{self.root_tag}>, {part.name!r} has <{tag}>"
+            )
+
+    def _confirm(self, floor: int, final: bool = False) -> int:
+        """Hand the text before ``floor``, which every part has read, to
+        the sink and drop it from the window, keeping ``_WINDOW_SLACK``
+        characters for diagnostics.
+
+        Unless ``final``, this happens only once the droppable prefix
+        is longer than the rest of the window, so each character is
+        copied O(1) times.  Returns the floor past which a call can
+        drop something.
+        """
+        base = self._window_base
+        keep_from = floor if final else floor - _WINDOW_SLACK
+        if final or 2 * (keep_from - base) > len(self._window):
+            if self._sink is not None and floor > self._confirmed:
+                self._sink(self._window[self._confirmed - base : floor - base])
+            self._confirmed = floor
+            self._window = self._window[keep_from - base :]
+            self._window_base = base = keep_from
+        return base + _WINDOW_SLACK + len(self._window) // 2
+
+    def _text_conflict(self, part: _Part, chunk: str) -> NoReturn:
+        known = self._window[part.offset - self._window_base :]
+        at = part.offset + next(
+            i for i, (a, b) in enumerate(zip(known, chunk)) if a != b
+        )
+        self._mismatch(at, part, chunk)
+
+    def _mismatch(self, at: int, part: _Part | None = None,
+                  chunk: str = "") -> NoReturn:
+        """Raise what a whole-text comparison raises at ``at``: the
+        reference against the lowest-ranked part whose content differs
+        from it there.
+
+        ``chunk`` is text ``part`` read from its offset on, which the
+        window contradicts at ``at``; parts behind ``at`` are read ahead.
+        """
+        lo, hi = max(0, at - 10), at + 10
+        reference, *others = self._parts
+        expected = self._text(reference, lo, hi,
+                              chunk if reference is part else "")
+        mark = expected[at - lo : at - lo + 1]
+        for other in others:
+            found = self._text(other, lo, hi, chunk if other is part else "")
+            if found[at - lo : at - lo + 1] != mark:
+                break
+        raise TextMismatchError(
+            f"text content differs between {reference.name!r} and "
+            f"{other.name!r} at offset {at}: {expected!r} vs {found!r}",
+            offset=at, expected=expected, found=found,
+        )
+
+    def _text(self, part: _Part, lo: int, hi: int, chunk: str = "") -> str:
+        """``part``'s content over ``[lo, hi)``, cut short where it ends:
+        the window up to its offset, then ``chunk`` (its text from
+        there), then text read ahead of it (diagnostics only)."""
+        start = min(lo, part.offset)
+        base = self._window_base
+        text = self._window[start - base : part.offset - base] + chunk
+        try:
+            while start + len(text) < hi:
+                item = next(part.items)
+                if item[0] == TEXT:
+                    text += item[1]
+        except (StopIteration, WellFormednessError):
+            pass  # a defect further on ends the read-ahead, not the report
+        return text[lo - start : hi - start]
+
+
 class SACXParser:
     """Parse a distributed document through a :class:`ConcurrentHandler`."""
 
@@ -104,26 +324,39 @@ class SACXParser:
         self.handler = handler
 
     def parse(
-        self, sources: Mapping[str, str]
+        self,
+        sources: Mapping[str, object],
+        *,
+        chunk_chars: int = sc.DEFAULT_CHUNK_CHARS,
     ) -> GoddagDocument | None:
-        """Parse ``{hierarchy_name: xml_source}``.
+        """Parse ``{hierarchy_name: source}``.
+
+        A source is an XML string, a path, a text file object or an
+        iterable of string chunks; ``chunk_chars`` is the read size for
+        all but strings.  The merged events are collected by one
+        :class:`EventStream` pass, then replayed into the handler after
+        ``start_document`` has the whole text.
 
         With no explicit handler a :class:`GoddagHandler` is used and
         the built document returned; with a custom handler the return
         value is None and the handler holds the result.
+
+        Errors surface in merge order: of several defects, the one the
+        merged pass reaches first wins — a text difference at an early
+        offset is reported before a malformed tag later in any part.
         """
-        if not sources:
-            raise WellFormednessError("a distributed document needs at least one part")
-        parsed = self._scan_parts(sources)
+        text: list[str] = []
+        stream = EventStream(sources, chunk_chars=chunk_chars,
+                             text_sink=text.append)
+        merged = list(stream)
         handler = self.handler
         owns_handler = handler is None
         if owns_handler:
-            handler = GoddagHandler(list(sources))
-        reference = next(iter(parsed.values()))
+            handler = GoddagHandler(stream.hierarchies)
         handler.start_document(
-            reference.text, reference.root_tag, dict(reference.root_attributes)
+            "".join(text), stream.root_tag, dict(stream.root_attributes)
         )
-        for hierarchy, event in self._merged_events(parsed):
+        for hierarchy, event in merged:
             if event.kind == START:
                 handler.start_element(
                     hierarchy, event.tag, event.offset, event.attribute_dict
@@ -139,58 +372,15 @@ class SACXParser:
             return handler.document
         return None
 
-    # -- internals ---------------------------------------------------------------
 
-    def _scan_parts(self, sources: Mapping[str, str]) -> dict[str, ParsedDocument]:
-        parsed: dict[str, ParsedDocument] = {}
-        reference: ParsedDocument | None = None
-        reference_name = ""
-        for name, source in sources.items():
-            document = content_events(source)
-            if reference is None:
-                reference, reference_name = document, name
-            else:
-                self._check_consistency(reference_name, reference, name, document)
-            parsed[name] = document
-        return parsed
+def parse_concurrent(
+    sources: Mapping[str, object],
+    *,
+    chunk_chars: int = sc.DEFAULT_CHUNK_CHARS,
+) -> GoddagDocument:
+    """One-call SACX parse of a distributed document into a GODDAG.
 
-    @staticmethod
-    def _check_consistency(
-        ref_name: str, ref: ParsedDocument, name: str, doc: ParsedDocument
-    ) -> None:
-        if doc.root_tag != ref.root_tag:
-            raise TextMismatchError(
-                f"root tags differ: {ref_name!r} has <{ref.root_tag}>, "
-                f"{name!r} has <{doc.root_tag}>"
-            )
-        if doc.text != ref.text:
-            at = next(
-                (i for i, (a, b) in enumerate(zip(ref.text, doc.text)) if a != b),
-                min(len(ref.text), len(doc.text)),
-            )
-            window = slice(max(0, at - 10), at + 10)
-            raise TextMismatchError(
-                f"text content differs between {ref_name!r} and {name!r} "
-                f"at offset {at}: {ref.text[window]!r} vs {doc.text[window]!r}",
-                offset=at,
-                expected=ref.text[window],
-                found=doc.text[window],
-            )
-
-    @staticmethod
-    def _merged_events(
-        parsed: Mapping[str, ParsedDocument],
-    ) -> "list[tuple[str, MarkupEvent]]":
-        streams = []
-        for rank, (name, document) in enumerate(parsed.items()):
-            streams.append(
-                [(event.offset, rank, event.seq, name, event)
-                 for event in document.events]
-            )
-        merged = heap_merge(*streams)
-        return [(name, event) for (_, _, _, name, event) in merged]
-
-
-def parse_concurrent(sources: Mapping[str, str]) -> GoddagDocument:
-    """One-call SACX parse of a distributed document into a GODDAG."""
-    return SACXParser().parse(sources)
+    Sources may be strings, paths, text file objects or chunk
+    iterables (see :meth:`SACXParser.parse`).
+    """
+    return SACXParser().parse(sources, chunk_chars=chunk_chars)

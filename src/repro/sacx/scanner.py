@@ -287,15 +287,11 @@ _TEXT_FLUSH_CHARS = 1 << 16
 def iter_source_chunks(source, chunk_chars: int = DEFAULT_CHUNK_CHARS):
     """Normalize a source into an iterator of string chunks.
 
-    Accepts a ``str`` (sliced), an open text-mode file object (anything
-    with ``read(n)``), an ``os.PathLike`` (opened and closed here), or
-    any iterable of string chunks (passed through).
+    Accepts an open text-mode file object (anything with ``read(n)``),
+    an ``os.PathLike`` (opened and closed here), or any iterable of
+    string chunks (passed through).  A whole ``str`` is scanned by
+    :class:`XmlScanner` instead; see :func:`source_tokens`.
     """
-    if isinstance(source, str):
-        def _slices() -> Iterator[str]:
-            for at in range(0, len(source), chunk_chars):
-                yield source[at : at + chunk_chars]
-        return _slices()
     read = getattr(source, "read", None)
     if callable(read):
         def _reads() -> Iterator[str]:
@@ -316,6 +312,19 @@ def iter_source_chunks(source, chunk_chars: int = DEFAULT_CHUNK_CHARS):
                     yield chunk
         return _file()
     return iter(source)
+
+
+def source_tokens(source, chunk_chars: int = DEFAULT_CHUNK_CHARS
+                  ) -> Iterator[Token]:
+    """Tokens of one source of any kind.
+
+    A ``str`` is already whole in memory, so :class:`XmlScanner` reads
+    it in place; every other kind (path, file object, chunk iterable)
+    goes through :class:`StreamingXmlScanner` in ``chunk_chars`` reads.
+    """
+    if isinstance(source, str):
+        return XmlScanner(source).tokens()
+    return StreamingXmlScanner(source, chunk_chars).tokens()
 
 
 class StreamingXmlScanner(XmlScanner):

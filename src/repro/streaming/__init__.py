@@ -6,9 +6,10 @@ Everything else in the framework materializes: :func:`repro.sacx.parser
 This package is the bounded-memory counterpart, in three layers:
 
 - :mod:`repro.streaming.parse` — an iterparse-style streaming SACX API.
-  :class:`EventStream` merges the markup events of a distributed
-  document's parts incrementally (scanning each part through
-  :class:`repro.sacx.scanner.StreamingXmlScanner`), verifying shared
+  :class:`EventStream` (defined in :mod:`repro.sacx.parser`, the one
+  SACX merge) merges the markup events of a distributed document's
+  parts incrementally, scanning file and chunk sources through
+  :class:`repro.sacx.scanner.StreamingXmlScanner` and verifying shared
   text through a sliding window instead of held copies.
   :func:`iterparse` turns the merged events into completed
   :class:`Fragment` values under a configurable high-water mark with
@@ -34,7 +35,6 @@ from .parse import (
     Fragment,
     FragmentAssembler,
     iterparse,
-    parse_streaming,
 )
 from .ingest import count_content_events, stream_save
 from .lazy import LazyDocument, LazySubtree
@@ -48,6 +48,5 @@ __all__ = [
     "LazySubtree",
     "count_content_events",
     "iterparse",
-    "parse_streaming",
     "stream_save",
 ]

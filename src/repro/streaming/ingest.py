@@ -49,7 +49,8 @@ from ..index.term import TERM_RUN
 from ..obs.metrics import metrics
 from ..sacx import events as ev
 from ..sacx import scanner as sc
-from .parse import EventStream, Fragment, FragmentAssembler
+from ..sacx.parser import EventStream
+from .parse import Fragment, FragmentAssembler
 
 #: Element rows buffered per chunked transaction.
 DEFAULT_CHUNK_ELEMENTS = 1024
@@ -79,8 +80,7 @@ def count_content_events(
     count = 0
     root_tag = ""
     root_attributes: tuple[tuple[str, str], ...] = ()
-    scanner = sc.StreamingXmlScanner(source, chunk_chars)
-    for item in ev.iter_content_events(scanner.tokens()):
+    for item in ev.iter_content_events(sc.source_tokens(source, chunk_chars)):
         kind = item[0]
         if kind == ev.EVENT:
             if item[1].kind != ev.END:

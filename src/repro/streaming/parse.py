@@ -1,20 +1,11 @@
-"""Incremental SACX: merged event streams, fragments, and iterparse.
+"""Incremental SACX: fragments and iterparse over the merged stream.
 
-The batch parser (:class:`repro.sacx.parser.SACXParser`) scans every
-part of a distributed document to a full :class:`ParsedDocument` before
-merging.  :class:`EventStream` performs the same ``(content offset,
-hierarchy rank, source sequence)`` merge over *incremental* per-part
-scanners, so no part's text or event list is ever held whole:
-
-- each part runs through :class:`repro.sacx.scanner.StreamingXmlScanner`
-  and :func:`repro.sacx.events.iter_content_events`, pulling source
-  chunks on demand;
-- the shared character content is verified through one sliding window
-  covering only the offsets between the slowest and fastest part — the
-  confirmed prefix is handed to an optional ``text_sink`` and dropped;
-- root tags are checked as soon as each part opens, and text or length
-  divergence raises :class:`~repro.errors.TextMismatchError` exactly
-  like the batch parser (at the first differing offset).
+The merge itself is :class:`repro.sacx.parser.EventStream` — the one
+``(content offset, hierarchy rank, source sequence)`` merge, shared
+with the materializing :func:`~repro.sacx.parser.parse_concurrent`.
+Fed paths, file objects or chunk iterables, it scans every part
+incrementally and holds only the text between its slowest and fastest
+part, so no part's text or event list is ever held whole.
 
 Memory note: a k-way merge must know every part's *next* event before
 it can emit anything, so the window spans at most the largest gap
@@ -39,10 +30,9 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Iterator, Mapping
 
-from ..errors import TextMismatchError, WellFormednessError
 from ..sacx import events as ev
 from ..sacx import scanner as sc
-from ..sacx.parser import GoddagHandler
+from ..sacx.parser import EventStream
 
 #: Default cap on retained closed fragments before a flush attempt.
 DEFAULT_HIGH_WATER = 1024
@@ -50,205 +40,6 @@ DEFAULT_HIGH_WATER = 1024
 #: ``parent_ordinal`` of top-level fragments — the shared root, which
 #: matches :data:`repro.storage.schema.ROOT_ID`.
 ROOT_ORDINAL = 0
-
-#: Characters of already-confirmed text kept behind the trim point so
-#: mismatch diagnostics can show a ±10 character window.
-_WINDOW_SLACK = 16
-
-
-class _Part:
-    """One hierarchy source reduced to an incremental event cursor."""
-
-    __slots__ = ("name", "rank", "items", "head", "head_key", "offset",
-                 "finished")
-
-    def __init__(self, name: str, rank: int, source,
-                 chunk_chars: int) -> None:
-        self.name = name
-        self.rank = rank
-        tokens = sc.StreamingXmlScanner(source, chunk_chars).tokens()
-        self.items = ev.iter_content_events(tokens)
-        self.head: ev.MarkupEvent | None = None
-        self.head_key: tuple[int, int, int] | None = None
-        self.offset = 0          # confirmed content length so far
-        self.finished = False
-
-
-class EventStream:
-    """Merged ``(hierarchy, MarkupEvent)`` pairs of a distributed
-    document, produced incrementally.
-
-    Iterating yields events in exactly the order
-    :meth:`SACXParser._merged_events` would produce.  ``root_tag`` and
-    ``root_attributes`` (of the first part, the reference) are set once
-    iteration starts; ``length`` is set when it completes.  Pass
-    ``text_sink`` to receive the shared character content as confirmed
-    chunks — confirmed means every part has scanned past them, so the
-    concatenation of all chunks is the document text.
-    """
-
-    def __init__(
-        self,
-        sources: Mapping[str, object],
-        *,
-        chunk_chars: int = sc.DEFAULT_CHUNK_CHARS,
-        text_sink: Callable[[str], None] | None = None,
-    ) -> None:
-        if not sources:
-            raise WellFormednessError(
-                "a distributed document needs at least one part"
-            )
-        self.hierarchies = list(sources)
-        self.root_tag: str | None = None
-        self.root_attributes: tuple[tuple[str, str], ...] = ()
-        self.length: int | None = None
-        self._sink = text_sink
-        self._parts = [
-            _Part(name, rank, source, chunk_chars)
-            for rank, (name, source) in enumerate(sources.items())
-        ]
-        self._window = ""
-        self._window_base = 0
-        self._confirmed = 0
-
-    def __iter__(self) -> Iterator[tuple[str, ev.MarkupEvent]]:
-        parts = self._parts
-        for part in parts:
-            self._pull(part)
-        while True:
-            best = None
-            for part in parts:
-                if part.head is not None and (
-                    best is None or part.head_key < best.head_key
-                ):
-                    best = part
-            if best is None:
-                break
-            event = best.head
-            best.head = None
-            yield (best.name, event)
-            self._pull(best)
-        reference = parts[0]
-        for part in parts[1:]:
-            if part.offset != reference.offset:
-                self._mismatch(part, min(reference.offset, part.offset), "")
-        self.length = reference.offset
-        self._advance_confirmed(final=True)
-
-    # -- internals ---------------------------------------------------------------
-
-    def _pull(self, part: _Part) -> None:
-        """Advance ``part`` to its next markup event (or exhaustion),
-        folding the text it passes into the shared window."""
-        for item in part.items:
-            kind = item[0]
-            if kind == ev.EVENT:
-                event = item[1]
-                part.head = event
-                part.head_key = (event.offset, part.rank, event.seq)
-                return
-            if kind == ev.TEXT:
-                self._ingest_text(part, item[1])
-            else:  # ev.ROOT
-                self._check_root(part, item[1], item[2])
-        part.finished = True
-        self._advance_confirmed()
-
-    def _check_root(self, part: _Part, tag: str,
-                    attributes: tuple[tuple[str, str], ...]) -> None:
-        if part.rank == 0:
-            self.root_tag = tag
-            self.root_attributes = attributes
-        elif tag != self.root_tag:
-            reference = self._parts[0]
-            raise TextMismatchError(
-                f"root tags differ: {reference.name!r} has "
-                f"<{self.root_tag}>, {part.name!r} has <{tag}>"
-            )
-
-    def _ingest_text(self, part: _Part, chunk: str) -> None:
-        rel = part.offset - self._window_base
-        window = self._window
-        overlap = min(len(chunk), len(window) - rel)
-        if overlap > 0:
-            piece, existing = chunk[:overlap], window[rel : rel + overlap]
-            if piece != existing:
-                at = next(
-                    i for i, (a, b) in enumerate(zip(existing, piece))
-                    if a != b
-                )
-                self._mismatch(part, part.offset + at, chunk)
-            if len(chunk) > overlap:
-                self._window += chunk[overlap:]
-        elif chunk:
-            self._window += chunk
-        part.offset += len(chunk)
-        self._advance_confirmed()
-
-    def _advance_confirmed(self, final: bool = False) -> None:
-        confirmed = min(p.offset for p in self._parts)
-        if confirmed > self._confirmed:
-            if self._sink is not None:
-                lo = self._confirmed - self._window_base
-                self._sink(self._window[lo : confirmed - self._window_base])
-            self._confirmed = confirmed
-        keep_from = confirmed if final else confirmed - _WINDOW_SLACK
-        if keep_from > self._window_base:
-            self._window = self._window[keep_from - self._window_base :]
-            self._window_base = keep_from
-
-    def _mismatch(self, part: _Part, at: int, chunk: str) -> None:
-        reference = self._parts[0]
-        lo = max(self._window_base, at - 10)
-        expected = self._window[
-            lo - self._window_base : at - self._window_base + 10
-        ]
-        shared = self._window[lo - self._window_base : at - self._window_base]
-        found = shared + chunk[at - part.offset : at - part.offset + 10]
-        raise TextMismatchError(
-            f"text content differs between {reference.name!r} and "
-            f"{part.name!r} at offset {at}: {expected!r} vs {found!r}",
-            offset=at, expected=expected, found=found,
-        )
-
-
-def parse_streaming(
-    sources: Mapping[str, object],
-    *,
-    chunk_chars: int = sc.DEFAULT_CHUNK_CHARS,
-) -> "GoddagDocument":
-    """Parse a distributed document like :func:`parse_concurrent`, but
-    scanning every part incrementally.
-
-    The returned document is byte-identical to the batch parser's
-    (same events, same handler, same builder) — this is the
-    materializing convenience on top of :class:`EventStream`; it still
-    holds the merged event list and text while building.  Bounded-
-    memory consumers use :func:`iterparse` or
-    :func:`repro.streaming.ingest.stream_save` instead.
-    """
-    text_parts: list[str] = []
-    stream = EventStream(
-        sources, chunk_chars=chunk_chars, text_sink=text_parts.append
-    )
-    merged = list(stream)
-    handler = GoddagHandler(stream.hierarchies)
-    handler.start_document(
-        "".join(text_parts), stream.root_tag, dict(stream.root_attributes)
-    )
-    for hierarchy, event in merged:
-        if event.kind == ev.START:
-            handler.start_element(
-                hierarchy, event.tag, event.offset, event.attribute_dict
-            )
-        elif event.kind == ev.END:
-            handler.end_element(hierarchy, event.tag, event.offset)
-        else:
-            handler.empty_element(
-                hierarchy, event.tag, event.offset, event.attribute_dict
-            )
-    handler.end_document()
-    return handler.document
 
 
 @dataclass(frozen=True)

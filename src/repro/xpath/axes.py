@@ -17,7 +17,7 @@ as XPath 1.0 specifies for ancestor/preceding axes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import merge as heap_merge
+from heapq import merge as merge_sorted
 from typing import Callable, Iterable
 
 from ..core.goddag import GoddagDocument
@@ -140,7 +140,7 @@ def _all_in_order(document: GoddagDocument, elements_only: bool) -> list[Node]:
     if elements_only:
         return list(document.ordered_elements())
     return list(
-        heap_merge(
+        merge_sorted(
             document.ordered_elements(), iter(document.leaves()), key=order_key
         )
     )

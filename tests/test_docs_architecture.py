@@ -114,6 +114,7 @@ def test_streaming_identifiers_are_real():
     import inspect
 
     from repro.collection.corpus import Corpus
+    from repro.sacx import parse_concurrent
     from repro.storage.sqlite_backend import STAGING_PREFIX
     from repro.storage.store import GoddagStore
     from repro.streaming import (
@@ -122,7 +123,6 @@ def test_streaming_identifiers_are_real():
         LazyDocument,
         count_content_events,
         iterparse,
-        parse_streaming,
         stream_save,
     )
 
@@ -131,7 +131,8 @@ def test_streaming_identifiers_are_real():
     assert "bases" in inspect.signature(iterparse).parameters
     assert "text_sink" in inspect.signature(EventStream.__init__).parameters
     assert hasattr(FragmentAssembler, "open_frontier")
-    assert callable(parse_streaming) and callable(count_content_events)
+    assert "chunk_chars" in inspect.signature(parse_concurrent).parameters
+    assert callable(count_content_events)
     assert "chunk_elements" in inspect.signature(stream_save).parameters
     assert hasattr(GoddagStore, "save_stream")
     assert hasattr(GoddagStore, "lazy")

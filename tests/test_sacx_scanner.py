@@ -27,6 +27,12 @@ def kinds(source):
     return [token.kind for token in scan(source)]
 
 
+def _chunks(source: str, chunk_chars: int) -> list[str]:
+    """``source`` in ``chunk_chars`` pieces, as a streamed input arrives."""
+    return [source[at:at + chunk_chars]
+            for at in range(0, len(source), chunk_chars)]
+
+
 class TestBasicTokens:
     def test_simple_document(self):
         tokens = list(scan("<r>hello</r>"))
@@ -105,7 +111,7 @@ class TestScannerErrors:
         with pytest.raises(WellFormednessError) as batch:
             list(scan(source))
         with pytest.raises(WellFormednessError) as streamed:
-            list(StreamingXmlScanner(source, chunk_chars).tokens())
+            list(StreamingXmlScanner(_chunks(source, chunk_chars)).tokens())
         assert streamed.value.offset == batch.value.offset
         assert source[batch.value.offset - 1] == '"'
         assert str(streamed.value) == str(batch.value)
@@ -166,7 +172,7 @@ class TestCharacterReferences:
     def test_streaming_scanner(self, ref, chunk_chars):
         source = f'<r>\n<a v="{ref}"/></r>'
         with pytest.raises(WellFormednessError) as info:
-            list(StreamingXmlScanner(source, chunk_chars).tokens())
+            list(StreamingXmlScanner(_chunks(source, chunk_chars)).tokens())
         assert (info.value.line, info.value.column) == (2, 1)
 
     @pytest.mark.parametrize("ref", BAD_REFERENCES)

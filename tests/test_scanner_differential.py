@@ -196,8 +196,10 @@ def _assert_same(source: str) -> None:
     expected = _run(oracle.XmlScanner(source))
     assert _run(sc.XmlScanner(source)) == expected, ("batch", source)
     for chunk_chars in CHUNK_SIZES:
-        expected = _run(oracle.StreamingXmlScanner(source, chunk_chars))
-        actual = _run(sc.StreamingXmlScanner(source, chunk_chars))
+        chunks = [source[at:at + chunk_chars]
+                  for at in range(0, len(source), chunk_chars)]
+        expected = _run(oracle.StreamingXmlScanner(chunks))
+        actual = _run(sc.StreamingXmlScanner(chunks))
         assert actual == expected, (chunk_chars, source)
 
 

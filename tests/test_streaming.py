@@ -2,9 +2,10 @@
 
 Every guarantee in :mod:`repro.streaming` is differential:
 
-* the merged event stream equals :class:`SACXParser`'s batch merge at
-  any chunk size;
-* :func:`parse_streaming` builds a byte-identical document;
+* the merged event stream equals the frozen batch merge
+  (``tests/_merge_oracle.py``) at any chunk size;
+* :func:`parse_concurrent` over chunked sources builds a byte-identical
+  document;
 * :func:`iterparse` covers every element with the exact storage
   identity (ordinal, parent, child rank, depth) the builder assigns,
   releases fragments incrementally (before the sources are fully
@@ -31,12 +32,13 @@ import sqlite3
 
 import pytest
 
+import _merge_oracle as oracle
 import repro.obs as obs
 from repro.collection.corpus import Corpus
 from repro.collection.fanout import node_rows
 from repro.errors import StorageError
 from repro.index.manager import IndexManager
-from repro.sacx.parser import SACXParser, parse_concurrent
+from repro.sacx.parser import parse_concurrent
 from repro.serialize.distributed import export_distributed
 from repro.storage.sqlite_backend import STAGING_PREFIX, SqliteStore
 from repro.storage.store import GoddagStore
@@ -45,7 +47,6 @@ from repro.streaming import (
     LazyDocument,
     count_content_events,
     iterparse,
-    parse_streaming,
     stream_save,
 )
 from repro.streaming import ingest as ingest_mod
@@ -82,6 +83,16 @@ def sources_for(case: str) -> dict[str, str]:
 
 
 CASES = ["hand", *SPECS]
+
+
+def chunked(sources, chunk_chars: int) -> dict[str, list[str]]:
+    """Each part as a list of ``chunk_chars``-sized pieces: a ``str``
+    part is scanned whole, so chunk boundaries need a chunk iterable."""
+    return {
+        name: [text[at:at + chunk_chars]
+               for at in range(0, len(text), chunk_chars)]
+        for name, text in sources.items()
+    }
 
 
 def census(document):
@@ -148,26 +159,25 @@ class TestEventStream:
     @pytest.mark.parametrize("chunk_chars", [7, 64, 1 << 16])
     def test_matches_batch_merge(self, case, chunk_chars):
         sources = sources_for(case)
-        parser = SACXParser()
         want = [
             (h, ev.kind, ev.tag, ev.offset, ev.attributes)
-            for h, ev in parser._merged_events(parser._scan_parts(sources))
+            for h, ev in oracle.merged_events(sources)
         ]
-        got = [
-            (h, ev.kind, ev.tag, ev.offset, ev.attributes)
-            for h, ev in EventStream(sources, chunk_chars=chunk_chars)
-        ]
-        assert got == want
+        for fed in (sources, chunked(sources, chunk_chars)):
+            got = [
+                (h, ev.kind, ev.tag, ev.offset, ev.attributes)
+                for h, ev in EventStream(fed, chunk_chars=chunk_chars)
+            ]
+            assert got == want
 
     @pytest.mark.parametrize("case", CASES)
     def test_text_sink_reassembles_document_text(self, case):
         sources = sources_for(case)
         chunks: list[str] = []
-        stream = EventStream(sources, chunk_chars=11,
-                             text_sink=chunks.append)
+        stream = EventStream(chunked(sources, 11), text_sink=chunks.append)
         for _ in stream:
             pass
-        reference = parse_concurrent(sources)
+        reference = oracle.parse_concurrent(sources)
         assert "".join(chunks) == reference.text
         assert stream.length == len(reference.text)
 
@@ -177,17 +187,19 @@ class TestEventStream:
         bad = dict(HAND)
         bad["b"] = bad["b"].replace("rld", "rlX", 1)
         with pytest.raises(TextMismatchError):
-            for _ in EventStream(bad, chunk_chars=5):
+            for _ in EventStream(chunked(bad, 5)):
                 pass
 
 
 class TestParseStreaming:
+    """:func:`parse_concurrent` over streamed (chunked) sources."""
+
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("chunk_chars", [13, 1 << 16])
     def test_document_identity(self, case, chunk_chars):
         sources = sources_for(case)
-        reference = parse_concurrent(sources)
-        document = parse_streaming(sources, chunk_chars=chunk_chars)
+        reference = oracle.parse_concurrent(sources)
+        document = parse_concurrent(chunked(sources, chunk_chars))
         assert document.text == reference.text
         assert census(document) == census(reference)
         assert dict(document.root.attributes) == \
@@ -199,8 +211,8 @@ class TestIterparse:
     @pytest.mark.parametrize("case", CASES)
     def test_coverage_and_builder_identity(self, case):
         sources = sources_for(case)
-        reference = parse_concurrent(sources)
-        fragments = list(iterparse(sources, high_water=4, chunk_chars=17,
+        reference = oracle.parse_concurrent(sources)
+        fragments = list(iterparse(chunked(sources, 17), high_water=4,
                                    bases=counted_bases(sources)))
         by_id = {f.ordinal: f for f in fragments}
         assert len(fragments) == len(by_id) == reference.element_count()
@@ -225,9 +237,8 @@ class TestIterparse:
     @pytest.mark.parametrize("high_water", [0, 1, 4, 1024])
     def test_output_invariant_under_high_water(self, case, high_water):
         sources = sources_for(case)
-        got = list(iterparse(sources, high_water=high_water,
-                             chunk_chars=23))
-        want = list(iterparse(sources, chunk_chars=1 << 16))
+        got = list(iterparse(chunked(sources, 23), high_water=high_water))
+        want = list(iterparse(sources))
         assert got == want
 
     def test_fragments_flow_before_sources_are_drained(self):
