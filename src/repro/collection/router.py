@@ -37,21 +37,15 @@ runs byte-identical across random corpora and edit scripts.
 from __future__ import annotations
 
 from ..index.structural import encode_path
-from ..index.term import TermIndex
 from ..xpath.ast import (
     Binary,
     Expr,
     FilterExpr,
-    FunctionCall,
     LocationPath,
     Step,
     Union,
 )
-from ..xpath.optimizer import (
-    indexable_attr_eq,
-    indexable_contains,
-    indexable_starts_with,
-)
+from ..xpath.classify import ATTR_EQ, predicate_shape
 
 #: A routing feature: ``("root", tag)``, ``("tag", tag)``,
 #: ``("term", needle)``, ``("attr", name, value)``, or
@@ -68,8 +62,6 @@ def _expr_features(expr: Expr) -> set[Feature]:
     if isinstance(expr, LocationPath):
         return _path_features(expr)
     if isinstance(expr, Union):
-        return _expr_features(expr.left) & _expr_features(expr.right)
-    if isinstance(expr, Binary) and expr.op == "|":
         return _expr_features(expr.left) & _expr_features(expr.right)
     if isinstance(expr, FilterExpr):
         feats = _expr_features(expr.primary)
@@ -139,30 +131,23 @@ def _predicate_features(predicate: Expr) -> set[Feature]:
         return _path_features(predicate)
     if isinstance(predicate, (Union, FilterExpr)):
         return _expr_features(predicate)
-    if isinstance(predicate, Binary):
-        if predicate.op == "and":
-            return (_predicate_features(predicate.left)
-                    | _predicate_features(predicate.right))
-        if predicate.op == "or":
-            return (_predicate_features(predicate.left)
-                    & _predicate_features(predicate.right))
-        attr = indexable_attr_eq(predicate)
-        if attr is not None:
-            # Root attributes are not posting rows; the backend backs
-            # this feature with a root-attribute prefilter, so the
-            # extraction stays sound even for predicates that can land
-            # on the root.
-            return {("attr", attr[0], attr[1])}
-        return set()
-    if isinstance(predicate, FunctionCall):
-        for probe in (indexable_contains, indexable_starts_with):
-            literal = probe(predicate)
-            if literal is not None and TermIndex.is_indexable(literal):
-                # The tested text is part of the document text, so some
-                # token must contain the literal (term keys are single
-                # tokens — the backend matches by substring).
-                return {("term", literal)}
-        return set()
+    if isinstance(predicate, Binary) and predicate.op == "and":
+        return (_predicate_features(predicate.left)
+                | _predicate_features(predicate.right))
+    if isinstance(predicate, Binary) and predicate.op == "or":
+        return (_predicate_features(predicate.left)
+                & _predicate_features(predicate.right))
+    shape = predicate_shape(predicate)
+    if shape.kind == ATTR_EQ:
+        # Root attributes are not posting rows; the backend backs this
+        # feature with a root-attribute prefilter, so the extraction
+        # stays sound even for predicates that can land on the root.
+        return {("attr", *shape.key)}
+    if shape.term_indexable:
+        # The tested text is part of the document text, so some token
+        # must contain the literal (term keys are single tokens — the
+        # backend matches by substring).
+        return {("term", shape.needle)}
     return set()
 
 

@@ -417,11 +417,6 @@ class IndexManager:
         """
         return self.structural.candidates(name, hierarchy)
 
-    def supports_contains(self, needle: str) -> bool:
-        """True when ``contains``/``starts-with`` with this literal is
-        index-servable (non-empty, alphanumeric-only)."""
-        return TermIndex.is_indexable(needle)
-
     def contains_span(self, start: int, end: int, needle: str) -> bool:
         """Exactly ``needle in document.text[start:end]``.
 

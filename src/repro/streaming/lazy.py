@@ -9,11 +9,12 @@ stored document that fetches rows only as they are asked for:
   (the ``(doc_id, start, end)`` index serves the candidate superset,
   parent-chain reachability selects the members);
 - :meth:`LazyDocument.text` slices stored text by offset in SQL;
-- :meth:`LazyDocument.xpath` answers row-servable queries (see
-  :mod:`repro.xpath.shapes`) straight from the element rows, hydrating
-  only candidates that can actually appear in the answer, and falls
-  back to a full materialized evaluation — reported on the
-  ``streaming.lazy_xpath`` fallback metric — for every other shape.
+- :meth:`LazyDocument.xpath` answers row-servable queries (``//tag``
+  shapes, read from :func:`repro.xpath.classify.path_shape`) straight
+  from the element rows, hydrating only candidates that can actually
+  appear in the answer, and falls back to a full materialized
+  evaluation — reported on the ``streaming.lazy_xpath`` fallback
+  metric — for every other shape.
 
 Results are :func:`repro.collection.fanout.node_rows`-shaped tuples, so
 a lazy answer can be compared byte-for-byte against a materialized
@@ -30,10 +31,28 @@ from ..errors import StorageError
 from ..obs import fallback as _obs_fallback
 from ..obs.metrics import metrics
 from ..storage.schema import ROOT_ID, ElementRow, decode_attributes
+from ..xpath.ast import Expr
+from ..xpath.classify import ATTR_EQ, path_shape
 from ..xpath.engine import ExtendedXPath
-from ..xpath.optimizer import optimize
-from ..xpath.parser import parse_xpath
-from ..xpath.shapes import descendant_tag_shape
+
+
+def _row_query(ast: Expr) -> tuple | None:
+    """``(tag, hierarchy, attr, value)`` when the tag-indexed element
+    rows answer the optimized ``ast`` — ``//tag`` or ``//h:tag`` with at
+    most one ``[@attr='value']`` predicate (``attr``/``value`` are
+    ``None`` without one) — or ``None`` for any other shape."""
+    shape = path_shape(ast)
+    if (
+        shape is None
+        or not shape.absolute
+        or shape.axis != "descendant"
+        or shape.test.name == "*"
+        or len(shape.predicates) > 1
+        or any(p.kind != ATTR_EQ for p in shape.predicates)
+    ):
+        return None
+    attr, value = shape.predicates[0].key if shape.predicates else (None, None)
+    return shape.test.name, shape.test.hierarchy, attr, value
 
 
 @dataclass(frozen=True)
@@ -156,24 +175,23 @@ class LazyDocument:
         materialized evaluation.  Either way the result is the
         ``node_rows`` tuple encoding of the engine's answer.
         """
-        ast = optimize(parse_xpath(expression))
-        shape = descendant_tag_shape(ast)
-        if shape is None:
-            return self._xpath_materialized(expression, "unsupported-shape")
+        query = ExtendedXPath(expression)
+        served = _row_query(query.ast)
+        if served is None:
+            return self._xpath_materialized(query, "unsupported-shape")
         if not self._backend.has_index(self._name):
-            return self._xpath_materialized(expression, "no-index")
+            return self._xpath_materialized(query, "no-index")
+        tag, hierarchy, attr, value = served
         with metrics.time("lazy.xpath_rows"):
             rows = self._backend.element_rows_by_tag(
-                self._name, shape.tag, hierarchy=shape.hierarchy,
-                attr=shape.attr, value=shape.value,
+                self._name, tag, hierarchy=hierarchy, attr=attr, value=value,
             )
             survivors = []
             decoded: dict[int, dict[str, str]] = {}
             for row in rows:
                 self._remember(row)
                 attributes = decode_attributes(row.attributes, row.elem_id)
-                if (shape.attr is not None
-                        and attributes.get(shape.attr) != shape.value):
+                if attr is not None and attributes.get(attr) != value:
                     continue  # instr prefilter false positive
                 decoded[row.elem_id] = attributes
                 survivors.append(row)
@@ -184,13 +202,13 @@ class LazyDocument:
             for row in ordered
         )
 
-    def _xpath_materialized(self, expression: str, reason: str) -> tuple:
+    def _xpath_materialized(self, query: ExtendedXPath, reason: str) -> tuple:
         from ..collection.fanout import node_rows
 
-        _obs_fallback("streaming.lazy_xpath", reason, detail=expression)
+        _obs_fallback("streaming.lazy_xpath", reason, detail=query.expression)
         document = self._backend.load(self._name)
         self.rows_decoded += document.element_count()
-        value = ExtendedXPath(expression).evaluate(document, index=False)
+        value = query.evaluate(document, index=False)
         return node_rows(value)
 
     # -- document order over rows -----------------------------------------------------

@@ -110,3 +110,31 @@ class Union(Expr):
 
     left: Expr
     right: Expr
+
+
+def children(expr: Expr) -> tuple[Expr, ...]:
+    """The direct subexpressions of ``expr``, step predicates included."""
+    if isinstance(expr, (Binary, Union)):
+        return (expr.left, expr.right)
+    if isinstance(expr, Unary):
+        return (expr.operand,)
+    if isinstance(expr, FunctionCall):
+        return expr.args
+    if isinstance(expr, LocationPath):
+        return tuple(p for step in expr.steps for p in step.predicates)
+    if isinstance(expr, FilterExpr):
+        return (expr.primary, *expr.predicates,
+                *(p for step in expr.steps for p in step.predicates))
+    return ()
+
+
+def depth(expr: Expr) -> int:
+    """Nodes on the longest root-to-leaf path of ``expr`` (no recursion,
+    so any tree can be measured)."""
+    deepest = 0
+    stack = [(expr, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((child, level + 1) for child in children(node))
+    return deepest

@@ -24,6 +24,7 @@ from ..core.goddag import GoddagDocument
 from ..core.navigation import document_order, order_key
 from ..core.node import Element, Leaf, Node
 from ..errors import XPathEvaluationError
+from .ast import NodeTest
 
 
 @dataclass(frozen=True)
@@ -385,6 +386,27 @@ AXES: dict[str, Callable] = {
 #: Axes that accept the elements-only pruning hint (a name test can
 #: never match a leaf, so leaf materialization is skipped).
 _PRUNABLE = frozenset({"child", "descendant", "descendant-or-self"})
+
+
+def node_test_matches(test: NodeTest, node: XNode) -> bool:
+    """True when ``node`` passes the step's node test."""
+    if test.kind == "node":
+        return True
+    if test.kind == "text":
+        return isinstance(node, Leaf)
+    # name test
+    if isinstance(node, AttributeNode):
+        if test.hierarchy and (
+            node.owner.is_root or node.owner.hierarchy != test.hierarchy
+        ):
+            return False
+        return test.name == "*" or node.name == test.name
+    if isinstance(node, Element):
+        if test.hierarchy:
+            if node.is_root or node.hierarchy != test.hierarchy:
+                return False
+        return test.name == "*" or node.tag == test.name
+    return False
 
 
 def apply_axis(axis: str, node: XNode, document: GoddagDocument,

@@ -50,7 +50,6 @@ from .ast import (
     FunctionCall,
     Literal,
     LocationPath,
-    NodeTest,
     Number,
     Step,
     Union,
@@ -58,18 +57,14 @@ from .ast import (
     VariableRef,
 )
 from .axes import (
-    AttributeNode,
     DocumentNode,
     XNode,
     apply_axis,
+    node_test_matches,
     sorted_nodes,
 )
-from .functions import FUNCTIONS, string_value
-from .optimizer import (
-    indexable_attr_eq,
-    indexable_contains,
-    indexable_starts_with,
-)
+from .classify import ATTR_EQ, CONTAINS, PredicateShape
+from .functions import FUNCTIONS, arity_error, string_value
 from .planner import Planner, QueryPlan, SCAN, STAB, StepPlan
 
 XPathValue = object  # list[XNode] | float | str | bool
@@ -347,6 +342,9 @@ class Evaluator:
             raise XPathEvaluationError(
                 f"unknown function {expr.name}()"
             ) from None
+        malformed = arity_error(expr.name, len(expr.args))
+        if malformed is not None:
+            raise XPathEvaluationError(malformed)
         args = [self._eval(arg, context) for arg in expr.args]
         return fn(context, args)
 
@@ -387,8 +385,12 @@ class Evaluator:
                     "predicates/steps require a node-set"
                 )
             nodes = sorted_nodes(value)
+            plan = self._active_plan
             for predicate in expr.predicates:
-                nodes = self._filter_nodes(nodes, predicate)
+                shape = (
+                    plan.filter_shape(predicate) if plan is not None else None
+                )
+                nodes = self._filter_nodes(nodes, predicate, shape)
             if expr.steps:
                 nodes = self._eval_steps(expr.steps, nodes,
                                          self._step_plans(expr))
@@ -513,25 +515,30 @@ class Evaluator:
             selected = [
                 candidate
                 for candidate in candidates
-                if _test_matches(step.test, candidate)
+                if node_test_matches(step.test, candidate)
             ]
         predicates = step.predicates
-        order = (
-            splan.order
-            if splan is not None and len(splan.order) == len(predicates)
-            else range(len(predicates))
-        )
-        for position in order:
+        planned = splan is not None and len(splan.order) == len(predicates)
+        for position in splan.order if planned else range(len(predicates)):
             if consumed_attr and position == splan.attr_pred:
                 continue  # the access path already applied this predicate
-            selected = self._filter_nodes(selected, predicates[position])
+            shape = splan.predicates[position].shape if planned else None
+            selected = self._filter_nodes(
+                selected, predicates[position], shape
+            )
         return selected
 
-    def _filter_nodes(self, nodes: list[XNode], predicate: Expr) -> list[XNode]:
-        """Apply one predicate with correct proximity positions."""
-        fast = self._index_predicate_filter(nodes, predicate)
-        if fast is not None:
-            return fast
+    def _filter_nodes(self, nodes: list[XNode], predicate: Expr,
+                      shape: PredicateShape | None) -> list[XNode]:
+        """Apply one predicate with correct proximity positions.
+
+        ``shape`` is what the plan recorded for ``predicate``; without
+        one the predicate is evaluated generically.
+        """
+        if shape is not None and self.index is not None:
+            fast = self._index_predicate_filter(nodes, shape)
+            if fast is not None:
+                return fast
         size = len(nodes)
         kept: list[XNode] = []
         for index, node in enumerate(nodes):
@@ -546,12 +553,12 @@ class Evaluator:
         return kept
 
     def _index_predicate_filter(
-        self, nodes: list[XNode], predicate: Expr
+        self, nodes: list[XNode], shape: PredicateShape
     ) -> list[XNode] | None:
         """Index-served filtering for the recognized predicate shapes.
 
         ``contains(., 'lit')`` and ``starts-with(., 'lit')`` apply only
-        when the literal is index-servable (alphanumeric, so
+        when the literal is term-indexable (alphanumeric, so
         token-boundary effects cannot arise) and every candidate is a
         span-carrying node of *this* document (variable bindings can
         smuggle in foreign nodes, whose text the term index knows
@@ -562,24 +569,15 @@ class Evaluator:
         unindexed engine stays a fully independent oracle.  ``None``
         means fall back to generic evaluation.
         """
-        manager = self.index
-        if manager is None:
-            return None
-        attr = indexable_attr_eq(predicate)
-        if attr is not None:
-            name, value = attr
+        if shape.kind == ATTR_EQ:
+            name, value = shape.key
             return [
                 node
                 for node in nodes
                 if isinstance(node, Element)
                 and node.attributes.get(name) == value
             ]
-        needle = indexable_contains(predicate)
-        probe = manager.contains_span
-        if needle is None:
-            needle = indexable_starts_with(predicate)
-            probe = manager.starts_with_span
-        if needle is None or not manager.supports_contains(needle):
+        if not shape.term_indexable:
             return None
         if not all(
             isinstance(node, (Element, Leaf))
@@ -587,26 +585,12 @@ class Evaluator:
             for node in nodes
         ):
             return None
+        manager = self.index
+        probe = (
+            manager.contains_span if shape.kind == CONTAINS
+            else manager.starts_with_span
+        )
+        needle = shape.needle
         return [
             node for node in nodes if probe(node.start, node.end, needle)
         ]
-
-
-def _test_matches(test: NodeTest, node: XNode) -> bool:
-    if test.kind == "node":
-        return True
-    if test.kind == "text":
-        return isinstance(node, Leaf)
-    # name test
-    if isinstance(node, AttributeNode):
-        if test.hierarchy and (
-            node.owner.is_root or node.owner.hierarchy != test.hierarchy
-        ):
-            return False
-        return test.name == "*" or node.name == test.name
-    if isinstance(node, Element):
-        if test.hierarchy:
-            if node.is_root or node.hierarchy != test.hierarchy:
-                return False
-        return test.name == "*" or node.tag == test.name
-    return False

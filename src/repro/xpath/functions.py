@@ -87,10 +87,6 @@ def fn_name(context, args):
     return node_name(target) if target is not None else ""
 
 
-def fn_local_name(context, args):
-    return fn_name(context, args)
-
-
 # -- string functions ------------------------------------------------------------
 
 def fn_string(context, args):
@@ -100,8 +96,6 @@ def fn_string(context, args):
 
 
 def fn_concat(context, args):
-    if len(args) < 2:
-        raise XPathEvaluationError("concat() needs at least two arguments")
     return "".join(_as_string(context, a) for a in args)
 
 
@@ -128,18 +122,16 @@ def fn_substring_after(context, args):
 
 
 def fn_substring(context, args):
+    # The characters at 1-based positions p with start <= p < end, after
+    # XPath rounding; NaN compares false, so a NaN bound selects nothing.
     s = _as_string(context, args[0])
-    # XPath is 1-based and rounds its arguments.
-    start = round(_as_number(context, args[1]))
-    if len(args) >= 3:
-        length = round(_as_number(context, args[2]))
-        end = start + length
-    else:
-        end = len(s) + 1
-    begin = max(1, start)
-    if math.isnan(start) or end <= begin:
+    start = _rounded(_as_number(context, args[1]))
+    end = math.inf
+    if len(args) == 3:
+        end = start + _rounded(_as_number(context, args[2]))
+    if not start < end:
         return ""
-    return s[begin - 1 : end - 1]
+    return s[int(max(start, 1.0)) - 1 : int(min(end, len(s) + 1.0)) - 1]
 
 
 def fn_string_length(context, args):
@@ -200,20 +192,27 @@ def fn_sum(context, args):
     return float(sum(context.to_number(string_value(n)) for n in nodes))
 
 
+def _integral(value: float, to_integer) -> float:
+    """``to_integer(value)`` as a float; NaN and the infinities are
+    returned unchanged."""
+    return float(to_integer(value)) if math.isfinite(value) else value
+
+
+def _rounded(value: float) -> float:
+    # XPath rounds .5 towards +infinity.
+    return _integral(value, lambda finite: math.floor(finite + 0.5))
+
+
 def fn_floor(context, args):
-    return float(math.floor(_as_number(context, args[0])))
+    return _integral(_as_number(context, args[0]), math.floor)
 
 
 def fn_ceiling(context, args):
-    return float(math.ceil(_as_number(context, args[0])))
+    return _integral(_as_number(context, args[0]), math.ceil)
 
 
 def fn_round(context, args):
-    value = _as_number(context, args[0])
-    if math.isnan(value) or math.isinf(value):
-        return value
-    # XPath rounds .5 towards +infinity.
-    return float(math.floor(value + 0.5))
+    return _rounded(_as_number(context, args[0]))
 
 
 # -- concurrent-markup extension functions ----------------------------------------------
@@ -262,7 +261,7 @@ def fn_span_length(context, args):
 def fn_overlap_text(context, args):
     """overlap-text(ns) — text shared between the context node and the
     first node of the argument ('' when disjoint)."""
-    if not args or not isinstance(args[0], list):
+    if not isinstance(args[0], list):
         raise XPathEvaluationError("overlap-text() expects a node-set")
     if not args[0]:
         return ""
@@ -278,7 +277,7 @@ def fn_overlap_text(context, args):
 def fn_overlaps(context, args):
     """overlaps(ns) — true when the context element properly overlaps
     any node of the argument."""
-    if not args or not isinstance(args[0], list):
+    if not isinstance(args[0], list):
         raise XPathEvaluationError("overlaps() expects a node-set")
     node = context.node
     if not isinstance(node, Element):
@@ -309,8 +308,6 @@ def fn_element_by_id(context, args):
     shared root is deliberately not addressable: ``id 0`` yields the
     empty set, like any other unknown id.)
     """
-    if len(args) != 1:
-        raise XPathEvaluationError("element-by-id() expects one argument")
     number = context.to_number(args[0])
     if math.isnan(number) or math.isinf(number) or number != int(number):
         return []
@@ -323,7 +320,7 @@ FUNCTIONS: dict[str, Callable] = {
     "position": fn_position,
     "count": fn_count,
     "name": fn_name,
-    "local-name": fn_local_name,
+    "local-name": fn_name,
     "string": fn_string,
     "concat": fn_concat,
     "starts-with": fn_starts_with,
@@ -353,3 +350,32 @@ FUNCTIONS: dict[str, Callable] = {
     "leaf-count": fn_leaf_count,
     "element-by-id": fn_element_by_id,
 }
+
+#: ``(fewest, most)`` arguments of each built-in function.  The evaluator
+#: checks every call against it (:func:`arity_error`) before evaluating
+#: the arguments; functions added by ``register_function`` are unchecked.
+ARITY: dict[str, tuple[int, float]] = {
+    "last": (0, 0), "position": (0, 0), "count": (1, 1),
+    "name": (0, 1), "local-name": (0, 1), "string": (0, 1),
+    "concat": (2, math.inf), "starts-with": (2, 2), "contains": (2, 2),
+    "substring-before": (2, 2), "substring-after": (2, 2),
+    "substring": (2, 3), "string-length": (0, 1),
+    "normalize-space": (0, 1), "translate": (3, 3),
+    "boolean": (1, 1), "not": (1, 1), "true": (0, 0), "false": (0, 0),
+    "number": (0, 1), "sum": (1, 1), "floor": (1, 1), "ceiling": (1, 1),
+    "round": (1, 1),
+    "hierarchy": (0, 1), "start": (0, 1), "end": (0, 1),
+    "span-length": (0, 1), "overlap-text": (1, 1), "overlaps": (1, 1),
+    "leaf-count": (0, 1), "element-by-id": (1, 1),
+}
+
+
+def arity_error(name: str, count: int) -> str | None:
+    """Why a call of ``name`` with ``count`` arguments is malformed, or
+    ``None`` when the count is allowed (or ``name`` is not built in)."""
+    fewest, most = ARITY.get(name, (0, math.inf))
+    if fewest <= count <= most:
+        return None
+    expected = (f"at least {fewest}" if most == math.inf
+                else f"{fewest}" if fewest == most else f"{fewest} to {most}")
+    return f"{name}() takes {expected} argument(s), got {count}"

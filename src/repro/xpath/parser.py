@@ -4,6 +4,13 @@ The grammar is XPath 1.0 (including ``$variable`` references, minus
 namespace nodes) extended with the concurrent-markup axes and
 hierarchy-qualified name tests (``phys:line`` reads "elements *line*
 of hierarchy *phys*").
+
+Nesting is capped at :data:`MAX_DEPTH`: deeper parentheses, predicates
+or function arguments, and ASTs deeper than that (long operator chains
+and unary minus runs nest too), raise :class:`XPathSyntaxError`.  Every
+later pass over a parsed AST — optimizer, classifier, planner, router,
+evaluator — recurses along it, and the cap keeps all of them well
+inside Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .ast import (
     Union,
     Unary,
     VariableRef,
+    depth,
 )
 from .tokens import (
     AT,
@@ -62,6 +70,16 @@ EXTENSION_AXES = frozenset({
 
 ALL_AXES = CLASSICAL_AXES | EXTENSION_AXES
 
+#: Deepest nesting a parsed expression may have (see the module docstring).
+MAX_DEPTH = 64
+
+#: Binary operator precedence, loosest first (``|`` binds tighter than
+#: all of them and is parsed with the path operands).
+_PRECEDENCE = {
+    "or": 0, "and": 1, "=": 2, "!=": 2, "<": 3, "<=": 3, ">": 3, ">=": 3,
+    "+": 4, "-": 4, "*": 5, "div": 5, "mod": 5,
+}
+
 #: The implicit //: descendant-or-self::node()
 _DOS_STEP = Step("descendant-or-self", NodeTest("node"))
 
@@ -71,6 +89,7 @@ class _Parser:
         self.expression = expression
         self.tokens = tokenize(expression)
         self.index = 0
+        self.nesting = 0
 
     # -- cursor helpers -----------------------------------------------------------
 
@@ -105,70 +124,55 @@ class _Parser:
     # -- expression grammar -----------------------------------------------------------
 
     def parse(self) -> Expr:
-        expr = self.parse_or()
+        expr = self.parse_binary()
         if self.current.kind != EOF:
             raise self.error("unexpected trailing input")
+        # Every AST node consumes a token of its own, so only an
+        # expression of more than MAX_DEPTH tokens needs the walk.
+        if len(self.tokens) > MAX_DEPTH and depth(expr) > MAX_DEPTH:
+            raise XPathSyntaxError(
+                f"expression nests deeper than {MAX_DEPTH} levels",
+                position=0, expression=self.expression,
+            )
         return expr
 
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.accept(NAME, "or"):
-            left = Binary("or", left, self.parse_and())
-        return left
+    def parse_nested(self) -> Expr:
+        """An expression one level down: inside parentheses, a predicate
+        or a function argument list."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise self.error(
+                f"expression nests deeper than {MAX_DEPTH} levels"
+            )
+        expr = self.parse_binary()
+        self.nesting -= 1
+        return expr
 
-    def parse_and(self) -> Expr:
-        left = self.parse_equality()
-        while self.accept(NAME, "and"):
-            left = Binary("and", left, self.parse_equality())
-        return left
-
-    def parse_equality(self) -> Expr:
-        left = self.parse_relational()
-        while True:
-            if self.accept(OPERATOR, "="):
-                left = Binary("=", left, self.parse_relational())
-            elif self.accept(OPERATOR, "!="):
-                left = Binary("!=", left, self.parse_relational())
-            else:
-                return left
-
-    def parse_relational(self) -> Expr:
-        left = self.parse_additive()
-        while True:
-            matched = None
-            for op in ("<=", ">=", "<", ">"):
-                if self.accept(OPERATOR, op):
-                    matched = op
-                    break
-            if matched is None:
-                return left
-            left = Binary(matched, left, self.parse_additive())
-
-    def parse_additive(self) -> Expr:
-        left = self.parse_multiplicative()
-        while True:
-            if self.accept(OPERATOR, "+"):
-                left = Binary("+", left, self.parse_multiplicative())
-            elif self.accept(OPERATOR, "-"):
-                left = Binary("-", left, self.parse_multiplicative())
-            else:
-                return left
-
-    def parse_multiplicative(self) -> Expr:
+    def parse_binary(self, loosest: int = 0) -> Expr:
+        """A left-associative chain of binary operators binding at
+        least as tightly as level ``loosest`` (precedence climbing: one
+        frame per precedence level actually used, not one per level of
+        the grammar)."""
         left = self.parse_unary()
         while True:
-            if self.accept(OPERATOR, "*"):
-                left = Binary("*", left, self.parse_unary())
-            elif self.current.kind == NAME and self.current.value in ("div", "mod"):
-                op = self.advance().value
-                left = Binary(op, left, self.parse_unary())
-            else:
+            token = self.current
+            level = (
+                _PRECEDENCE.get(token.value)
+                if token.kind in (NAME, OPERATOR) else None
+            )
+            if level is None or level < loosest:
                 return left
+            self.advance()
+            left = Binary(token.value, left, self.parse_binary(level + 1))
 
     def parse_unary(self) -> Expr:
-        if self.accept(OPERATOR, "-"):
-            return Unary(self.parse_unary())
-        return self.parse_union()
+        negations = 0
+        while self.accept(OPERATOR, "-"):
+            negations += 1
+        expr = self.parse_union()
+        for _ in range(negations):
+            expr = Unary(expr)
+        return expr
 
     def parse_union(self) -> Expr:
         left = self.parse_path()
@@ -287,7 +291,7 @@ class _Parser:
 
     def parse_predicate(self) -> Expr:
         self.expect(LBRACKET)
-        expr = self.parse_or()
+        expr = self.parse_nested()
         self.expect(RBRACKET)
         return expr
 
@@ -297,7 +301,7 @@ class _Parser:
         token = self.current
         if token.kind == LPAREN:
             self.advance()
-            expr = self.parse_or()
+            expr = self.parse_nested()
             self.expect(RPAREN)
             return expr
         if token.kind == STRING:
@@ -314,9 +318,9 @@ class _Parser:
             self.expect(LPAREN)
             args: list[Expr] = []
             if self.current.kind != RPAREN:
-                args.append(self.parse_or())
+                args.append(self.parse_nested())
                 while self.accept(COMMA):
-                    args.append(self.parse_or())
+                    args.append(self.parse_nested())
             self.expect(RPAREN)
             return FunctionCall(name, tuple(args))
         raise self.error("expected an expression")

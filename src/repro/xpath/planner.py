@@ -25,7 +25,8 @@ the applicable access paths, and picks the cheapest:
 
 The planner also orders multi-predicate evaluation by estimated
 selectivity (cheapest / most selective first) when every predicate of
-the step is provably order-insensitive (:func:`~repro.xpath.optimizer.reorder_safe`).
+the step is provably order-insensitive (``reorder_safe`` in the
+predicate's :class:`~repro.xpath.classify.PredicateShape`).
 
 Whatever the plan chooses, results are **byte-identical** to the
 unindexed engine: every serving routine re-checks its preconditions at
@@ -76,12 +77,14 @@ from .ast import (
     Union,
     Unary,
 )
-from .axes import DocumentNode
-from .optimizer import (
-    indexable_attr_eq,
-    indexable_contains,
-    indexable_starts_with,
-    reorder_safe,
+from .axes import DocumentNode, node_test_matches
+from .classify import (
+    ATTR_EQ,
+    CONTAINS,
+    PredicateShape,
+    STARTS_WITH,
+    path_shape,
+    predicate_shape,
 )
 
 # -- access-path labels -------------------------------------------------------
@@ -95,20 +98,6 @@ OVERLAP = "overlap"    #: extension axis via candidate span filtering
 
 #: Axes eligible for summary/subtree/attr candidate service.
 _DESCENDANT_AXES = ("descendant", "descendant-or-self")
-
-#: The evaluator's node-test matcher, resolved lazily (the evaluator
-#: imports this module, so a top-level import would be circular) and
-#: cached so serving pays no per-node import machinery.
-_test_matches = None
-
-
-def _node_test_matcher():
-    global _test_matches
-    if _test_matches is None:
-        from .evaluator import _test_matches as matcher
-
-        _test_matches = matcher
-    return _test_matches
 
 #: Extension axes eligible for candidate-filtered (vs stab) service.
 _OVERLAP_AXES = frozenset({
@@ -142,30 +131,36 @@ class PredicatePlan:
     """One predicate of a step, as the planner sees it."""
 
     position: int           #: index in the step's source predicate order
-    kind: str               #: 'contains' | 'starts-with' | 'attr-eq' | 'generic'
-    detail: str             #: literal / name=value for the recognized kinds
+    shape: PredicateShape   #: what the classifier recognized
     selectivity: float      #: estimated pass rate in [0, 1]
     index_served: bool      #: an index answers it without generic evaluation
-    safe: bool              #: provably order-insensitive (reorder_safe)
-    key: tuple[str, str] | None = None  #: the (name, value) of an attr-eq
-    needle: str | None = None  #: the literal of a contains/starts-with
+
+    @property
+    def kind(self) -> str:
+        """'contains' | 'starts-with' | 'attr-eq' | 'generic'."""
+        return self.shape.kind
+
+    @property
+    def needle(self) -> str | None:
+        """The literal of a contains/starts-with."""
+        return self.shape.needle
+
+    @property
+    def key(self) -> tuple[str, str] | None:
+        """The (name, value) of an attr-eq."""
+        return self.shape.key
 
     def describe(self) -> str:
         served = "index-served" if self.index_served else "generic"
+        detail = ""
+        if self.needle is not None:
+            detail = f" {self.needle!r}"
+        elif self.key is not None:
+            detail = f" @{self.key[0]}={self.key[1]!r}"
         return (
-            f"[{self.position + 1}] {self.kind}"
-            + (f" {self.detail}" if self.detail else "")
-            + f" sel={self.selectivity:.4f} ({served})"
+            f"[{self.position + 1}] {self.kind}{detail}"
+            f" sel={self.selectivity:.4f} ({served})"
         )
-
-
-@dataclass
-class BatchFilter:
-    """One compiled, index-served predicate of a batch program."""
-
-    kind: str                           #: 'contains' | 'starts-with' | 'attr-eq'
-    needle: str = ""                    #: the literal (contains/starts-with)
-    key: tuple[str, str] | None = None  #: the (name, value) of an attr-eq
 
 
 class BatchProgram:
@@ -191,7 +186,7 @@ class BatchProgram:
 
     def __init__(self, manager, test, source: str,
                  attr_key: tuple[str, str] | None,
-                 filters: list[BatchFilter]) -> None:
+                 filters: list[PredicateShape]) -> None:
         self._manager_ref = weakref.ref(manager)
         self.test = test                #: the step's NodeTest
         self.source = source            #: SUMMARY or ATTR
@@ -208,7 +203,7 @@ class BatchProgram:
             # this) — the program no longer represents the plan.
             return None
         test = self.test
-        if _node_test_matcher()(test, document.root):
+        if node_test_matches(test, document.root):
             return None  # root would join the result; classic path handles it
         if self.source == ATTR:
             vector = manager.attr_vector(*self.attr_key)
@@ -235,19 +230,19 @@ class BatchProgram:
         for spec in self.filters:
             if not rows:
                 break
-            if spec.kind == "contains":
+            if spec.kind == CONTAINS:
                 rows = rows_span_contains(
                     vector.starts, vector.ends,
                     manager.occurrence_array(spec.needle),
                     len(spec.needle), rows,
                 )
-            elif spec.kind == "starts-with":
+            elif spec.kind == STARTS_WITH:
                 rows = rows_span_starts_with(
                     vector.starts, vector.ends,
                     manager.occurrence_array(spec.needle),
                     len(spec.needle), rows,
                 )
-            else:  # attr-eq
+            else:  # ATTR_EQ
                 rows = rows_in_ordinal_set(
                     vector.ordinals,
                     manager.attr_ordinal_set(*spec.key), rows,
@@ -349,6 +344,9 @@ class QueryPlan:
         self._programs: dict[int, BatchProgram] = {}
         self._by_expr: dict[int, list[StepPlan]] = {}
         self._exprs: list[Expr] = []  # keeps id() keys alive
+        # Shapes of FilterExpr predicates (step predicates carry theirs
+        # on their PredicatePlan), each kept alive with its predicate.
+        self._filter_shapes: dict[int, tuple[Expr, PredicateShape]] = {}
 
     @property
     def steps(self) -> list[StepPlan]:
@@ -363,6 +361,11 @@ class QueryPlan:
     def steps_for(self, expr: Expr) -> list[StepPlan] | None:
         """The step plans the planner assigned to ``expr``, if any."""
         return self._by_expr.get(id(expr))
+
+    def filter_shape(self, predicate: Expr) -> PredicateShape | None:
+        """The shape the planner recorded for a FilterExpr predicate."""
+        entry = self._filter_shapes.get(id(predicate))
+        return entry[1] if entry is not None else None
 
     def set_program(self, expr: Expr, program: BatchProgram) -> None:
         self._programs[id(expr)] = program
@@ -464,6 +467,22 @@ class QueryPlan:
         return f"QueryPlan({self.expression!r}, steps={self.choices()})"
 
 
+def _extends_one_of(prefixes):
+    """``keep(hierarchy, path)``: the path properly extends a prefix."""
+    return lambda h, p: any(
+        h == ph and len(p) > len(pp) and p[: len(pp)] == pp
+        for ph, pp in prefixes
+    )
+
+
+def _population(rows) -> tuple[float, frozenset]:
+    """Summed count and ``(hierarchy, path)`` set of label-path rows."""
+    return (
+        float(sum(c for _, _, c in rows)),
+        frozenset((h, p) for h, p, _ in rows),
+    )
+
+
 class Planner:
     """Plans and serves access paths for one (document, index) pair.
 
@@ -512,7 +531,7 @@ class Planner:
         location path it contains (nested predicate paths included)."""
         self._take_census()
         plan = QueryPlan(expression, indexed=self.manager is not None)
-        self._walk(expr, plan, toplevel=True)
+        self._walk(expr, plan)
         if self.manager is not None and self.batch:
             for registered in plan._exprs:
                 program = self._compile_batch(registered, plan)
@@ -534,40 +553,33 @@ class Planner:
         index-served — any generic or positional predicate, multi-step
         path, or relative path keeps the object-walking evaluation.
         """
-        if not isinstance(expr, LocationPath) or not expr.absolute:
-            return None
-        if len(expr.steps) != 1:
-            return None
-        step = expr.steps[0]
-        if step.axis not in _DESCENDANT_AXES:
-            return None
-        test = step.test
-        if test.kind != "name" or (test.name == "*" and test.hierarchy is None):
-            return None
         splans = plan.steps_for(expr)
         if splans is None or len(splans) != 1:
             return None
         splan = splans[0]
         if splan.choice not in (SUMMARY, ATTR) or splan.exact_order_only:
             return None
-        filters: list[BatchFilter] = []
+        shape = path_shape(expr)
+        if (
+            shape is None
+            or not shape.absolute
+            or shape.axis not in _DESCENDANT_AXES
+            or (shape.test.name == "*" and shape.test.hierarchy is None)
+        ):
+            return None
+        filters: list[PredicateShape] = []
         for position in splan.order:
             pplan = splan.predicates[position]
-            if not (pplan.safe and pplan.index_served):
-                return None
+            if not pplan.index_served:
+                return None  # generic (all are safe: not exact_order_only)
             if splan.choice == ATTR and position == splan.attr_pred:
                 continue  # consumed by the candidate source
-            if pplan.kind in ("contains", "starts-with"):
-                filters.append(BatchFilter(pplan.kind, needle=pplan.needle))
-            elif pplan.kind == "attr-eq" and pplan.key is not None:
-                filters.append(BatchFilter("attr-eq", key=pplan.key))
-            else:
-                return None
+            filters.append(pplan.shape)
         return BatchProgram(
-            self.manager, test, splan.choice, splan.attr_key, filters
+            self.manager, shape.test, splan.choice, splan.attr_key, filters
         )
 
-    def _walk(self, expr: Expr, plan: QueryPlan, toplevel: bool = False) -> None:
+    def _walk(self, expr: Expr, plan: QueryPlan) -> None:
         if isinstance(expr, LocationPath):
             context = (1.0, DOCUMENT_CONTEXT if expr.absolute else None)
             label = ("/" if expr.absolute else "") + "/".join(
@@ -581,6 +593,9 @@ class Planner:
         elif isinstance(expr, FilterExpr):
             self._walk(expr.primary, plan)
             for predicate in expr.predicates:
+                plan._filter_shapes[id(predicate)] = (
+                    predicate, predicate_shape(predicate)
+                )
                 self._walk(predicate, plan)
             if expr.steps:
                 label = "(filter)/" + "/".join(
@@ -614,7 +629,7 @@ class Planner:
             self._plan_predicate(i, predicate)
             for i, predicate in enumerate(step.predicates)
         ]
-        all_safe = all(p.safe for p in predicates)
+        all_safe = all(p.shape.reorder_safe for p in predicates)
 
         # -- cardinality of the bare axis+test, before predicates.
         pop, out_paths = self._axis_population(step, est_in, paths)
@@ -703,51 +718,21 @@ class Planner:
         return plan, (max(est_out, 0.0), out_paths)
 
     def _plan_predicate(self, position: int, predicate: Expr) -> PredicatePlan:
+        shape = predicate_shape(predicate)
         manager = self.manager
-        kind, detail = "generic", ""
         selectivity = DEFAULT_SELECTIVITY
         index_served = False
-        key = None
-        needle = indexable_contains(predicate)
-        if needle is not None:
-            kind, detail = "contains", repr(needle)
-            if manager is not None and manager.supports_contains(needle):
-                index_served = True
-                selectivity = min(
-                    1.0, manager.occurrence_count(needle) / self._tokens
-                )
-        else:
-            needle = indexable_starts_with(predicate)
-            if needle is not None:
-                kind, detail = "starts-with", repr(needle)
-                if manager is not None and manager.supports_contains(needle):
-                    index_served = True
-                    selectivity = min(
-                        1.0, manager.occurrence_count(needle) / self._tokens
-                    )
-            else:
-                attr = indexable_attr_eq(predicate)
-                if attr is not None:
-                    name, value = attr
-                    kind, detail = "attr-eq", f"@{name}={value!r}"
-                    key = attr
-                    if manager is not None:
-                        index_served = True
-                        selectivity = min(
-                            1.0,
-                            manager.attr_count(name, value)
-                            / max(1.0, self._total),
-                        )
-        return PredicatePlan(
-            position=position,
-            kind=kind,
-            detail=detail,
-            selectivity=selectivity,
-            index_served=index_served,
-            safe=reorder_safe(predicate),
-            key=key,
-            needle=needle,
-        )
+        if manager is not None and shape.term_indexable:
+            index_served = True
+            selectivity = min(
+                1.0, manager.occurrence_count(shape.needle) / self._tokens
+            )
+        elif manager is not None and shape.kind == ATTR_EQ:
+            index_served = True
+            selectivity = min(
+                1.0, manager.attr_count(*shape.key) / max(1.0, self._total)
+            )
+        return PredicatePlan(position, shape, selectivity, index_served)
 
     def _best_attr_predicate(self, predicates, all_safe):
         """The cheapest consumable ``@name='value'`` predicate of a step:
@@ -761,11 +746,9 @@ class Planner:
             return None
         best = None
         for plan in predicates:
-            if plan.kind != "attr-eq" or not plan.index_served:
+            if plan.kind != ATTR_EQ or not plan.index_served:
                 continue
             if plan.position != 0 and not all_safe:
-                continue
-            if plan.key is None:
                 continue
             posting = self.manager.attr_count(*plan.key)
             if best is None or posting < best[2]:
@@ -779,24 +762,16 @@ class Planner:
             return self._total
         return float(self.manager.structural.tag_count(name, hierarchy))
 
-    def _paths_matching(self, name, hierarchy, prefixes=None):
-        """Label-path rows whose last tag matches the test and (when
-        ``prefixes`` is given) properly extend one of the prefixes."""
-        rows = []
-        for h, path, count in self._label_paths:
-            if hierarchy is not None and h != hierarchy:
-                continue
-            if name != "*" and path[-1] != name:
-                continue
-            if prefixes is not None:
-                if not any(
-                    h == ph and len(path) > len(pp)
-                    and path[: len(pp)] == pp
-                    for ph, pp in prefixes
-                ):
-                    continue
-            rows.append((h, path, count))
-        return rows
+    def _paths_matching(self, test, keep=None):
+        """Label-path rows whose last tag passes the name ``test`` and
+        (when given) ``keep(hierarchy, path)``."""
+        return [
+            (h, p, c)
+            for h, p, c in self._label_paths
+            if (test.hierarchy is None or h == test.hierarchy)
+            and (test.name == "*" or p[-1] == test.name)
+            and (keep is None or keep(h, p))
+        ]
 
     def _axis_population(self, step: Step, est_in: float, paths):
         """Estimated result cardinality of the bare step, plus the
@@ -808,28 +783,18 @@ class Planner:
             if paths in _ROOTISH or not self._label_paths:
                 pop = self._name_population(test.name, test.hierarchy)
                 out = (
-                    frozenset(
-                        (h, p)
-                        for h, p, _ in self._paths_matching(
-                            test.name, test.hierarchy
-                        )
-                    )
+                    frozenset((h, p) for h, p, _ in self._paths_matching(test))
                     if paths in _ROOTISH and self._label_paths
                     else None
                 )
                 return pop, out
             if isinstance(paths, frozenset):
-                rows = self._paths_matching(test.name, test.hierarchy, paths)
+                rows = self._paths_matching(test, _extends_one_of(paths))
                 if axis == "descendant-or-self":
-                    rows += [
-                        (h, p, c)
-                        for h, p, c in self._label_paths
-                        if (h, p) in paths
-                        and (test.name == "*" or p[-1] == test.name)
-                        and (test.hierarchy is None or h == test.hierarchy)
-                    ]
-                pop = float(sum(c for _, _, c in rows))
-                return pop, frozenset((h, p) for h, p, _ in rows)
+                    rows += self._paths_matching(
+                        test, lambda h, p: (h, p) in paths
+                    )
+                return _population(rows)
             return self._name_population(test.name, test.hierarchy), None
         if axis == "child" and test.kind == "name":
             if paths == DOCUMENT_CONTEXT:
@@ -838,40 +803,19 @@ class Planner:
             if paths == ROOT_CONTEXT and self._label_paths:
                 # The root element's children are the top-level
                 # (length-1) label-path partitions.
-                rows = [
-                    (h, p, c)
-                    for h, p, c in self._label_paths
-                    if len(p) == 1
-                    and (test.name == "*" or p[-1] == test.name)
-                    and (test.hierarchy is None or h == test.hierarchy)
-                ]
-                return (
-                    float(sum(c for _, _, c in rows)),
-                    frozenset((h, p) for h, p, _ in rows),
+                return _population(
+                    self._paths_matching(test, lambda h, p: len(p) == 1)
                 )
             if isinstance(paths, frozenset) and self._label_paths:
-                rows = [
-                    (h, p, c)
-                    for h, p, c in self._label_paths
-                    if (h, p[:-1]) in paths
-                    and (test.name == "*" or p[-1] == test.name)
-                    and (test.hierarchy is None or h == test.hierarchy)
-                ]
-                return (
-                    float(sum(c for _, _, c in rows)),
-                    frozenset((h, p) for h, p, _ in rows),
-                )
+                return _population(self._paths_matching(
+                    test, lambda h, p: (h, p[:-1]) in paths
+                ))
             return self._name_population(test.name, test.hierarchy) / 2, None
         if axis == "self":
             if isinstance(paths, frozenset) and test.kind == "name":
-                rows = [
-                    (h, p, c)
-                    for h, p, c in self._label_paths
-                    if (h, p) in paths
-                    and (test.name == "*" or p[-1] == test.name)
-                    and (test.hierarchy is None or h == test.hierarchy)
-                ]
-                return est_in, frozenset((h, p) for h, p, _ in rows)
+                return est_in, _population(self._paths_matching(
+                    test, lambda h, p: (h, p) in paths
+                ))[1]
             return est_in, paths
         if axis in _OVERLAP_AXES:
             if test.kind == "name":
@@ -898,14 +842,8 @@ class Planner:
             population = sum(
                 c for h, p, c in self._label_paths if (h, p) in paths
             )
-            below = sum(
-                c
-                for h, p, c in self._label_paths
-                if any(
-                    h == ph and len(p) > len(pp) and p[: len(pp)] == pp
-                    for ph, pp in paths
-                )
-            )
+            extends = _extends_one_of(paths)
+            below = sum(c for h, p, c in self._label_paths if extends(h, p))
             if population > 0:
                 reached = min(max(est_in, 1.0), float(population))
                 below = below * reached / population
@@ -933,7 +871,6 @@ class Planner:
             return None
         if step.axis not in _DESCENDANT_AXES:
             return None
-        _test_matches = _node_test_matcher()
         test = step.test
         document = self.document
         at_document = isinstance(node, DocumentNode)
@@ -948,21 +885,21 @@ class Planner:
                 out = []
                 if (
                     reaches_root
-                    and _test_matches(test, root)
+                    and node_test_matches(test, root)
                     and root.attributes.get(name) == value
                 ):
                     out.append(root)
                 out.extend(
                     e
                     for e in manager.attr_candidates(name, value)
-                    if _test_matches(test, e)
+                    if node_test_matches(test, e)
                 )
                 return out, True
             elements = manager.name_candidates(test.name, test.hierarchy)
             if elements is None:
                 return None
             out = []
-            if reaches_root and _test_matches(test, root):
+            if reaches_root and node_test_matches(test, root):
                 out.append(root)
             out.extend(elements)
             return out, False
@@ -980,12 +917,12 @@ class Planner:
             out = []
             if (
                 include_self
-                and _test_matches(test, node)
+                and node_test_matches(test, node)
                 and node.attributes.get(name) == value
             ):
                 out.append(node)
             for e in manager.attr_candidates(name, value):
-                if _test_matches(test, e) and structural.is_descendant_of(e, node):
+                if node_test_matches(test, e) and structural.is_descendant_of(e, node):
                     out.append(e)
             return out, True
         members = structural.subtree_candidates(
@@ -994,7 +931,7 @@ class Planner:
         if members is None:
             return None
         out = []
-        if include_self and _test_matches(test, node):
+        if include_self and node_test_matches(test, node):
             out.append(node)
         out.extend(members)
         return out, False

@@ -67,7 +67,7 @@ def test_named_identifiers_are_real():
     assert hasattr(IndexManager, "stats")
     assert hasattr(PersistDeltas, "attrs")
     from repro.xpath import ExtendedXPath
-    from repro.xpath.optimizer import reorder_safe  # noqa: F401
+    from repro.xpath.classify import predicate_shape  # noqa: F401
 
     assert hasattr(ExtendedXPath, "explain")
 
@@ -139,7 +139,7 @@ def test_streaming_identifiers_are_real():
     assert hasattr(Corpus, "add_streams")
     for name in ("xpath", "subtree", "text"):
         assert hasattr(LazyDocument, name), name
-    from repro.xpath.shapes import descendant_tag_shape  # noqa: F401
+    from repro.xpath.classify import path_shape  # noqa: F401
 
 
 def test_observability_identifiers_are_real():

@@ -17,11 +17,7 @@ from repro.index import AttributeIndex, IndexManager
 from repro.storage import GoddagStore
 from repro.workloads import WorkloadSpec, generate
 from repro.xpath import ExtendedXPath, Planner
-from repro.xpath.optimizer import (
-    indexable_attr_eq,
-    indexable_starts_with,
-    reorder_safe,
-)
+from repro.xpath.classify import predicate_shape
 from repro.xpath.parser import parse_xpath
 
 
@@ -199,20 +195,23 @@ class TestIndexServedPredicates:
                           manuscript)
 
     def test_shape_analyses(self):
-        assert indexable_starts_with(
-            parse_xpath("starts-with(., 'ab')")) == "ab"
-        assert indexable_starts_with(parse_xpath("starts-with(x, 'ab')")) is None
-        assert indexable_attr_eq(parse_xpath("@n = '2'")) == ("n", "2")
-        assert indexable_attr_eq(parse_xpath("'2' = @n")) == ("n", "2")
-        assert indexable_attr_eq(parse_xpath("@* = '2'")) is None
-        assert indexable_attr_eq(parse_xpath("@n = x")) is None
-        assert reorder_safe(parse_xpath("@n = '2'"))
-        assert reorder_safe(parse_xpath("contains(., 'x')"))
-        assert reorder_safe(parse_xpath("w"))
-        assert not reorder_safe(parse_xpath("2"))
-        assert not reorder_safe(parse_xpath("position() = 2"))
-        assert not reorder_safe(parse_xpath("last()"))
-        assert not reorder_safe(parse_xpath("count(//w)"))
+        def shape(source):
+            return predicate_shape(parse_xpath(source))
+
+        assert shape("starts-with(., 'ab')").kind == "starts-with"
+        assert shape("starts-with(., 'ab')").needle == "ab"
+        assert shape("starts-with(x, 'ab')").kind == "generic"
+        assert shape("@n = '2'").key == ("n", "2")
+        assert shape("'2' = @n").key == ("n", "2")
+        assert shape("@* = '2'").kind == "generic"
+        assert shape("@n = x").kind == "generic"
+        assert shape("@n = '2'").reorder_safe
+        assert shape("contains(., 'x')").reorder_safe
+        assert shape("w").reorder_safe
+        assert not shape("2").reorder_safe
+        assert not shape("position() = 2").reorder_safe
+        assert not shape("last()").reorder_safe
+        assert not shape("count(//w)").reorder_safe
 
 
 class TestTrickyShapesStayByteIdentical:

@@ -13,6 +13,7 @@ from repro import GoddagBuilder
 from repro.errors import XPathEvaluationError
 from repro.xpath import ExtendedXPath, xpath
 from repro.xpath.axes import AttributeNode
+from repro.xpath.parser import MAX_DEPTH
 
 
 TEXT = "swa hwilc swa thas boc raet and raede"
@@ -269,6 +270,78 @@ class TestFunctions:
             xpath(doc, "frobnicate(//w)")
 
 
+class TestXPathNumericEdgeCases:
+    """XPath 1.0 section 4.2/4.4 results for NaN and infinite arguments."""
+
+    def test_substring_with_infinite_length_keeps_everything(self, doc):
+        assert xpath(doc, 'substring("12345", -42, 1 div 0)') == "12345"
+
+    def test_substring_with_nan_start_is_empty(self, doc):
+        assert xpath(doc, 'substring("12345", 0 div 0)') == ""
+
+    def test_substring_rounds_half_up(self, doc):
+        assert xpath(doc, 'substring("12345", 1.5, 2.6)') == "234"
+        assert xpath(doc, 'substring("12345", 2.5, 1)') == "3"
+
+    def test_substring_from_minus_infinity(self, doc):
+        assert xpath(doc, 'substring("12345", -1 div 0)') == "12345"
+        assert xpath(doc, 'substring("12345", -1 div 0, 1 div 0)') == ""
+
+    def test_floor_of_nan_is_nan(self, doc):
+        assert math.isnan(xpath(doc, "floor(0 div 0)"))
+
+    def test_ceiling_of_nan_is_nan(self, doc):
+        assert math.isnan(xpath(doc, "ceiling(0 div 0)"))
+
+    def test_floor_of_infinity_is_infinity(self, doc):
+        assert xpath(doc, "floor(1 div 0)") == math.inf
+        assert xpath(doc, "floor(-1 div 0)") == -math.inf
+
+    def test_ceiling_of_infinity_is_infinity(self, doc):
+        assert xpath(doc, "ceiling(1 div 0)") == math.inf
+        assert xpath(doc, "ceiling(-1 div 0)") == -math.inf
+
+
+class TestArity:
+    """A built-in called with the wrong number of arguments raises
+    XPathEvaluationError (one arity table, checked by the evaluator)."""
+
+    @pytest.mark.parametrize("expression", [
+        "boolean()",
+        "not()",
+        "count()",
+        'starts-with("a")',
+        "contains(1)",
+        'contains(., "a", "b")',
+        'translate("a")',
+        'concat("a")',
+        "element-by-id()",
+        "last(1)",
+    ])
+    def test_wrong_arity_raises(self, doc, expression):
+        with pytest.raises(XPathEvaluationError, match="argument"):
+            xpath(doc, expression)
+
+    def test_wrong_arity_inside_a_predicate_raises_with_an_index(self, doc):
+        from repro.index import IndexManager
+
+        IndexManager.for_document(doc)
+        for index in (None, False):
+            with pytest.raises(XPathEvaluationError):
+                ExtendedXPath(
+                    "//line[contains(., 'a', 'b')][@n='9']"
+                ).evaluate(doc, index=index)
+
+    def test_registered_functions_are_not_checked(self, doc):
+        from repro.xpath import FUNCTIONS, register_function
+
+        register_function("arity-free", lambda context, args: float(len(args)))
+        try:
+            assert xpath(doc, "arity-free(1, 2, 3)") == 3.0
+        finally:
+            del FUNCTIONS["arity-free"]
+
+
 class TestComparisonSemantics:
     def test_nodeset_equals_string_is_existential(self, doc):
         assert xpath(doc, "//w = 'boc'") is True
@@ -330,3 +403,36 @@ class TestVariables:
     def test_unbound_variable_raises(self, doc):
         with pytest.raises(XPathEvaluationError):
             ExtendedXPath("$ghost").evaluate(doc)
+
+
+class TestDeepestAcceptedExpressions:
+    """Every AST the parser accepts runs through the recursive passes —
+    optimizer, classifier, planner, router, evaluator, EXPLAIN ANALYZE —
+    without exhausting the stack."""
+
+    @pytest.mark.parametrize("expression", [
+        "(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH,
+        "//w" + "[self::w" * (MAX_DEPTH - 2) + "[1" + "]" * (MAX_DEPTH - 1),
+        "not(" * (MAX_DEPTH - 1) + "1" + ")" * (MAX_DEPTH - 1),
+        "-" * (MAX_DEPTH - 1) + "1",
+        " or ".join(["//w"] * MAX_DEPTH),
+        "//w[" + " and ".join(["contains(., 'a')"] * (MAX_DEPTH - 2)) + "]",
+    ], ids=["parentheses", "predicates", "calls", "unary-minus", "or-chain",
+            "and-chain"])
+    def test_runs_through_every_pass(self, doc, expression):
+        from repro.collection.router import routing_features
+        from repro.index import IndexManager
+        from repro.xpath.ast import children
+        from repro.xpath.classify import predicate_shape
+
+        IndexManager.for_document(doc)
+        query = ExtendedXPath(expression)
+        stack = [query.ast]
+        while stack:
+            expr = stack.pop()
+            predicate_shape(expr)
+            stack.extend(children(expr))
+        routing_features(query.ast)
+        indexed = query.evaluate(doc)
+        assert indexed == query.evaluate(doc, index=False)
+        query.explain(doc, analyze=True)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import XPathSyntaxError
 from repro.xpath import parse_xpath, tokenize
+from repro.xpath.parser import MAX_DEPTH
 from repro.xpath.ast import (
     Binary,
     FilterExpr,
@@ -183,3 +184,30 @@ class TestExpressionParsing:
     def test_rejects_malformed(self, bad):
         with pytest.raises(XPathSyntaxError):
             parse_xpath(bad)
+
+
+class TestNestingCap:
+    """Deep nesting is a typed syntax error, never a RecursionError."""
+
+    @pytest.mark.parametrize("deep", [
+        "(" * 100 + "1" + ")" * 100,
+        "//w[" * 100 + "1" + "]" * 100,
+        "-" * 5000 + "1",
+        "not(" * 1500 + "1" + ")" * 1500,
+    ], ids=["parentheses", "predicates", "unary-minus", "calls"])
+    def test_deep_input_raises_a_syntax_error(self, deep):
+        with pytest.raises(XPathSyntaxError, match="nests deeper"):
+            parse_xpath(deep)
+
+    def test_long_operator_chains_count_as_nesting(self):
+        parse_xpath(" + ".join(["1"] * MAX_DEPTH))
+        with pytest.raises(XPathSyntaxError):
+            parse_xpath(" + ".join(["1"] * (MAX_DEPTH + 1)))
+
+    def test_the_cap_is_exact(self):
+        parse_xpath("(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH)
+        with pytest.raises(XPathSyntaxError):
+            parse_xpath("(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1))
+        parse_xpath("-" * (MAX_DEPTH - 1) + "1")
+        with pytest.raises(XPathSyntaxError):
+            parse_xpath("-" * MAX_DEPTH + "1")
