@@ -56,7 +56,7 @@ def measure_size(words: int, tmp_dir) -> dict[str, float]:
     lines = list(document.elements(tag="line"))
 
     store = GoddagStore(tmp_dir / f"e11-{words}.sqlite")
-    conn = store._sqlite._conn
+    conn = store._conn
     try:
         store.save_indexed(document, "ms", manager)
         elements = store.count_elements("ms")

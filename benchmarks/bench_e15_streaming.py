@@ -32,7 +32,7 @@ from repro.collection.fanout import node_rows
 from repro.index.manager import IndexManager
 from repro.sacx import parse_concurrent
 from repro.storage.sqlite_backend import SqliteStore
-from repro.storage.store import GoddagStore
+from repro.storage import GoddagStore
 from repro.streaming import LazyDocument, stream_save
 from repro.xpath.engine import ExtendedXPath
 

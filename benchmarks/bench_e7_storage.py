@@ -44,7 +44,8 @@ def test_e7_sqlite_load(benchmark, words, tmp_path):
 
 @pytest.mark.parametrize("words", SIZES)
 def test_e7_storage_level_span_query(benchmark, words, tmp_path):
-    """The selective query, answered without reconstruction."""
+    """The selective query — solid ``(hierarchy, tag, start, end)``
+    rows — answered without reconstruction."""
     document = workload(words=words)
     path = str(tmp_path / "store.db")
     with GoddagStore(path) as store:

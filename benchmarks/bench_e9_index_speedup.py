@@ -13,6 +13,8 @@ the synthetic corpora of ``workloads/generator.py``:
   in sqlite: unindexed, an element-row range query per probe
   (``elements_intersecting``); indexed, a range probe of the persisted
   overlap index (``query_spans``) — the document is never materialized.
+  Both return the same solid ``(hierarchy, tag, start, end)`` rows in
+  the same order, which the sweep checks.
 
 The **editing scenario** measures what incremental index maintenance
 buys an authoring session: k edits (milestone insertions, markup
@@ -106,6 +108,9 @@ def measure_size(words: int, tmp_dir) -> dict[str, float]:
             lambda: [store.query_spans("ms", o, o + 1) for o in offsets],
             n=3,
         )
+        assert all(store.query_spans("ms", o, o + 1)
+                   == store.elements_intersecting("ms", o, o + 1)
+                   for o in offsets)
     row["overlap"] = baseline_sweep / indexed_sweep
     row["overlap_indexed_s"] = indexed_sweep
     row["overlap_baseline_s"] = baseline_sweep

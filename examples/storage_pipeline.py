@@ -28,8 +28,9 @@ def main() -> None:
             t0 = time.perf_counter()
             hits = store.elements_intersecting("boethius-36v", 100, 160)
             dt_storage = time.perf_counter() - t0
-            print(f"span query [100,160) in storage: {len(hits)} elements, "
-                  f"{1000 * dt_storage:.2f} ms")
+            print(f"span query [100,160) in storage: {len(hits)} solid "
+                  f"elements, {1000 * dt_storage:.2f} ms; first "
+                  f"(hierarchy, tag, start, end): {hits[0]}")
 
             t0 = time.perf_counter()
             loaded = store.load("boethius-36v")

@@ -41,7 +41,6 @@ from ..errors import StorageError
 from ..index.manager import IndexManager
 from ..obs.metrics import metrics
 from ..storage.sqlite_backend import SqliteConnectionPool
-from ..storage.store import GoddagStore
 from ..xpath.engine import ExtendedXPath
 from .fanout import run_fanout
 from .router import describe, routing_features
@@ -228,12 +227,11 @@ class Corpus:
 
     def _add_on(self, backend, document: GoddagDocument, name: str,
                 overwrite: bool) -> str | None:
-        store = GoddagStore.over(backend)
         manager = document.index_manager
         if manager is None or manager.document is not document:
             manager = IndexManager(document)
-        store.save_indexed(document, name, manager=manager,
-                           overwrite=overwrite)
+        backend.save_indexed(document, name, manager=manager,
+                             overwrite=overwrite)
         return backend.index_stamp(name)
 
     def remove(self, name: str) -> None:
@@ -253,7 +251,7 @@ class Corpus:
     def document(self, name: str) -> GoddagDocument:
         """A materialized snapshot of one member document."""
         with self._pool.connection() as backend:
-            return GoddagStore.over(backend).load(name)
+            return backend.load(name)
 
     def generation(self, name: str) -> str | None:
         """The document's current generation stamp (its persisted-index

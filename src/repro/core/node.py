@@ -166,7 +166,7 @@ class Element(Node):
     identity: the store keeps it as the element's row id, and
     reconstruction preserves it, so an ordinal observed in one session
     names the same element after any number of save → load round trips
-    (see :meth:`repro.storage.store.GoddagStore.element`).
+    (see :meth:`repro.storage.GoddagStore.element`).
     """
 
     __slots__ = (
@@ -241,7 +241,7 @@ class Element(Node):
         across sessions and resolved with
         :meth:`~repro.core.goddag.GoddagDocument.element_by_ordinal` or,
         without materializing the document, with
-        :meth:`~repro.storage.store.GoddagStore.element`.
+        :meth:`~repro.storage.GoddagStore.element`.
         """
         return self.ordinal
 

@@ -98,7 +98,6 @@ from ..errors import (
 from ..index.manager import IndexManager
 from ..obs.metrics import metrics
 from ..storage.sqlite_backend import SqliteConnectionPool
-from ..storage.store import GoddagStore
 from ..xpath.engine import ExtendedXPath
 from ..xpath.evaluator import XPathValue
 
@@ -264,9 +263,8 @@ class WriteSession(_Session):
             ):
                 metrics.incr("service.publishes.unchanged")
                 return self.generation
-            store = GoddagStore.over(backend)
             with metrics.time("service.publish"):
-                store.save_indexed(
+                backend.save_indexed(
                     self.document, self.name, self.manager,
                     strict_stamp=True,
                 )
@@ -275,7 +273,7 @@ class WriteSession(_Session):
             # document is the stored generation only while the stamp is
             # the one this manager wrote.
             ours = self.manager.persisted_to(
-                store.artifact_token(self.name, self.generation)
+                backend.artifact_token(self.name, self.generation)
             )
         self._published_version = self.document.version if ours else None
         metrics.incr("service.publishes")
@@ -473,7 +471,7 @@ class DocumentService:
             manager = IndexManager(document)
         self._evict(name)
         with self._pool.connection() as backend:
-            GoddagStore.over(backend).save_indexed(
+            backend.save_indexed(
                 document, name, manager, overwrite=overwrite
             )
             return backend.index_stamp(name)
@@ -490,7 +488,7 @@ class DocumentService:
         try:
             self._evict(name)
             with self._pool.connection() as backend:
-                GoddagStore.over(backend).delete(name)
+                backend.delete(name)
         finally:
             lock.release()
 
@@ -555,9 +553,7 @@ class DocumentService:
                 manager = warm.carried_to(document).attach()
             self._evict(name)
             with self._pool.connection() as backend:
-                token = GoddagStore.over(backend).artifact_token(
-                    name, generation
-                )
+                token = backend.artifact_token(name, generation)
             # The stored artifact is exactly this manager's state (a
             # publish writes document and index in one stamped
             # transaction), so delta accounting can start here: the

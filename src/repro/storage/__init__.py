@@ -3,6 +3,8 @@
 One on-disk format: a SQLite store holding many documents, their
 persisted indexes, and the collection summary, with span and overlap
 queries answered in SQL without reconstructing a document.
+``GoddagStore`` is the public name of that store class,
+:class:`~repro.storage.sqlite_backend.SqliteStore`.
 """
 
 from .schema import (
@@ -14,7 +16,8 @@ from .schema import (
     encode_document,
 )
 from .sqlite_backend import SqliteConnectionPool, SqliteStore, StoredElement
-from .store import GoddagStore
+
+GoddagStore = SqliteStore
 
 __all__ = [
     "DocumentRow",

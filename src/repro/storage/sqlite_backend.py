@@ -1,9 +1,27 @@
 """SQLite-backed persistent store for GODDAG documents.
 
-Stores the relational encoding of :mod:`repro.storage.schema` with the
-indexes cross-hierarchy queries need, and answers span/tag/overlap
-queries *in the database* — no document reconstruction — which is what
-makes selective queries on large stored editions cheap (experiment E7).
+:class:`SqliteStore` — public name ``GoddagStore`` — is what
+applications use: save/load by name, list, and storage-level queries
+answered in SQL without reconstructing the document.  It stores the
+relational encoding of :mod:`repro.storage.schema` with the indexes
+cross-hierarchy queries need, which is what makes selective queries on
+large stored editions cheap (experiment E7).
+
+Stored documents can carry *persisted indexes*
+(:meth:`SqliteStore.build_index`) kept in dedicated tables.
+Index-aware queries — :meth:`SqliteStore.query_spans`,
+:meth:`SqliteStore.term_occurrences`, :meth:`SqliteStore.count_tag`,
+:meth:`SqliteStore.count_attribute` — probe once for the index and
+answer from the index rows when one exists, from the element rows when
+it does not, returning the same answers either way.  A plain
+:meth:`SqliteStore.save` over (or delete of) a document drops its
+index; editing sessions use :meth:`SqliteStore.save_indexed` instead,
+which re-saves the document *and* propagates the index manager's
+applied deltas as row-level upserts under a stable ``doc_id``, so the
+stored index never invalidates wholesale.
+
+Every write that replaces a whole document is one transaction, so a
+failure leaves the old generation or the new one, never neither.
 """
 
 from __future__ import annotations
@@ -14,6 +32,7 @@ import threading
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from pathlib import Path
 from uuid import uuid4
 
 from .._util import pack_u32, unpack_u32
@@ -21,10 +40,12 @@ from ..core.goddag import GoddagDocument
 from ..errors import PoolExhaustedError, StorageError, StoreBusyError, \
     WriteConflictError
 from ..index.manager import PAYLOAD_FORMAT as STREAM_PAYLOAD_FORMAT
+from ..index.manager import IndexManager
 from ..index.structural import encode_path
-from ..index.term import occurrences_from_terms
+from ..index.term import TermIndex, find_all, occurrences_from_terms
 from ..obs import fallback as _obs_fallback
 from ..obs.metrics import metrics
+from ..obs.stats import stats_dict
 from ..obs.trace import current_tracer
 from .schema import (
     DocumentRow,
@@ -198,7 +219,7 @@ def _is_busy(exc: sqlite3.OperationalError) -> bool:
 
 
 class SqliteStore:
-    """A persistent multi-document GODDAG store on SQLite.
+    """Persistent storage for GODDAG documents, on SQLite.
 
     One instance owns one connection.  The connection is created with
     ``check_same_thread=False`` so a :class:`SqliteConnectionPool` can
@@ -218,14 +239,14 @@ class SqliteStore:
     ``storage.busy_backoff`` timer.
     """
 
-    def __init__(self, path: str = ":memory:", *, wal: bool = False,
+    def __init__(self, path: str | Path = ":memory:", *, wal: bool = False,
                  busy_timeout_ms: int = 5000) -> None:
-        self.path = path
+        self.path = str(path)
         self.busy_timeout_ms = busy_timeout_ms
-        self._conn = sqlite3.connect(path, check_same_thread=False)
+        self._conn = sqlite3.connect(self.path, check_same_thread=False)
         self._conn.execute("PRAGMA foreign_keys = ON")
         self._conn.execute(f"PRAGMA busy_timeout = {int(busy_timeout_ms)}")
-        self.journal_mode = "memory" if path == ":memory:" else "delete"
+        self.journal_mode = "memory" if self.path == ":memory:" else "delete"
         if wal:
             # WAL only takes on file-backed databases (an in-memory
             # database reports 'memory' and keeps working) — and once
@@ -240,20 +261,38 @@ class SqliteStore:
         self._conn.executescript(_DDL)
         self._migrate()
 
-    def _write_retry(self, operation, what: str):
-        """Run one whole write transaction, retrying on SQLITE_BUSY.
+    @classmethod
+    def over(cls, store: "SqliteStore") -> "SqliteStore":
+        """Return ``store`` itself.
 
-        ``operation`` must be self-contained and idempotent-on-retry: it
-        opens its own ``with self._conn:`` transaction, so a failed
-        attempt is rolled back before the backoff sleep and the next
-        attempt replays it from scratch.  Non-busy errors propagate
-        untouched; exhausting the budget raises
+        Kept only because the end-to-end benchmark workloads
+        (``benchmarks/e2e/workloads.py``), which change only together
+        with the benchmark, call ``over(backend)`` before
+        ``lazy(name)``; new code uses the connection directly.
+        """
+        return store
+
+    def _write_retry(self, operation, what: str):
+        """Run ``operation`` as one whole write transaction, retrying on
+        SQLITE_BUSY.
+
+        The transaction begins (``BEGIN IMMEDIATE``) before
+        ``operation`` runs, so its reads — an existence check, a stamp
+        probe — see the state its writes will commit over; statements
+        the caller left uncommitted on the connection join it.  It commits
+        when ``operation`` returns and rolls back when it raises, so a
+        failed attempt leaves nothing behind and the next attempt
+        replays it from scratch.  Non-busy errors propagate untouched;
+        exhausting the budget raises
         :class:`~repro.errors.StoreBusyError` with the attempt count.
         """
         attempt = 1
         while True:
             try:
-                return operation()
+                with self._conn:
+                    if not self._conn.in_transaction:
+                        self._conn.execute("BEGIN IMMEDIATE")
+                    return operation()
             except sqlite3.OperationalError as exc:
                 if not _is_busy(exc):
                     raise
@@ -295,36 +334,35 @@ class SqliteStore:
         Without this, routing would treat every pre-collection indexed
         document as matching nothing and silently prune it."""
         def transaction() -> None:
-            with self._conn:
-                self._conn.execute("DELETE FROM collection_summary")
-                self._conn.execute(
-                    "INSERT INTO collection_summary"
-                    " SELECT doc_id, ?, tag, SUM(n) FROM index_paths"
-                    " GROUP BY doc_id, tag", (KIND_TAG,),
-                )
-                self._conn.execute(
-                    "INSERT INTO collection_summary"
-                    " SELECT doc_id, ?, path, SUM(n) FROM index_paths"
-                    " GROUP BY doc_id, path", (KIND_PATH,),
-                )
-                self._conn.execute(
-                    "INSERT INTO collection_summary"
-                    " SELECT doc_id, ?, term, length(starts) / 4"
-                    " FROM index_terms", (KIND_TERM,),
-                )
-                # Attribute keys need the injective python-side
-                # encoding, so these rows go through a fetch loop.
-                attr_rows = self._conn.execute(
-                    "SELECT doc_id, name, value, n FROM index_attrs"
-                ).fetchall()
-                self._conn.executemany(
-                    "INSERT INTO collection_summary VALUES (?, ?, ?, ?)",
-                    [(doc_id, KIND_ATTR, encode_path((name, value)), n)
-                     for doc_id, name, value, n in attr_rows],
-                )
-                self._conn.execute(
-                    f"PRAGMA user_version = {int(SCHEMA_VERSION)}"
-                )
+            self._conn.execute("DELETE FROM collection_summary")
+            self._conn.execute(
+                "INSERT INTO collection_summary"
+                " SELECT doc_id, ?, tag, SUM(n) FROM index_paths"
+                " GROUP BY doc_id, tag", (KIND_TAG,),
+            )
+            self._conn.execute(
+                "INSERT INTO collection_summary"
+                " SELECT doc_id, ?, path, SUM(n) FROM index_paths"
+                " GROUP BY doc_id, path", (KIND_PATH,),
+            )
+            self._conn.execute(
+                "INSERT INTO collection_summary"
+                " SELECT doc_id, ?, term, length(starts) / 4"
+                " FROM index_terms", (KIND_TERM,),
+            )
+            # Attribute keys need the injective python-side
+            # encoding, so these rows go through a fetch loop.
+            attr_rows = self._conn.execute(
+                "SELECT doc_id, name, value, n FROM index_attrs"
+            ).fetchall()
+            self._conn.executemany(
+                "INSERT INTO collection_summary VALUES (?, ?, ?, ?)",
+                [(doc_id, KIND_ATTR, encode_path((name, value)), n)
+                 for doc_id, name, value, n in attr_rows],
+            )
+            self._conn.execute(
+                f"PRAGMA user_version = {int(SCHEMA_VERSION)}"
+            )
 
         self._write_retry(transaction, "collection-summary backfill")
 
@@ -339,41 +377,70 @@ class SqliteStore:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def artifact_token(self, name: str, generation: str | None) -> tuple:
+        """The identity of one stored artifact *generation* — the token
+        an :class:`~repro.index.manager.IndexManager` keys its delta
+        accounting to
+        (:meth:`~repro.index.manager.IndexManager.mark_persisted`).
+        Deltas accumulated against another store, another name, or a
+        generation someone replaced since never row-apply."""
+        return ("sqlite", self.path, name, generation)
+
     # -- save / load ---------------------------------------------------------------
 
     def save(self, document: GoddagDocument, name: str,
              overwrite: bool = False) -> int:
-        """Persist ``document`` under ``name``; returns its doc_id."""
-        if self.has(name):
-            if not overwrite:
-                raise StorageError(f"document {name!r} already stored")
-            self.delete(name)
-        doc_row, hierarchy_rows, element_rows = encode_document(document, name)
+        """Persist ``document`` under ``name``; returns its doc_id.
+
+        One transaction checks for a document already stored under
+        ``name`` (a :class:`~repro.errors.StorageError` unless
+        ``overwrite``), deletes it — its index rows die with the old
+        doc_id (ON DELETE CASCADE) — and inserts the new rows, so a
+        failure anywhere leaves the old document in place.
+        """
+        rows = encode_document(document, name)
 
         def transaction() -> int:
-            with self._conn:
-                cursor = self._conn.execute(
-                    "INSERT INTO documents"
-                    " (name, root_tag, text, root_attributes)"
-                    " VALUES (?, ?, ?, ?)",
-                    (doc_row.name, doc_row.root_tag, doc_row.text,
-                     doc_row.root_attributes),
+            found = self._find(name)
+            if found is not None:
+                if not overwrite:
+                    raise StorageError(f"document {name!r} already stored")
+                self._conn.execute(
+                    "DELETE FROM documents WHERE doc_id = ?", (found[0],)
                 )
-                doc_id = cursor.lastrowid
-                self._conn.executemany(
-                    "INSERT INTO hierarchies VALUES (?, ?, ?, ?)",
-                    [(doc_id, row.rank, row.name, row.dtd_source)
-                     for row in hierarchy_rows],
-                )
-                self._conn.executemany(
-                    "INSERT INTO elements VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    [(doc_id, row.elem_id, row.hierarchy, row.tag, row.start,
-                      row.end, row.parent_id, row.child_rank, row.attributes)
-                     for row in element_rows],
-                )
-                return doc_id
+            return self._insert_document(*rows)
 
         return self._write_retry(transaction, f"save {name!r}")
+
+    def _insert_document(self, doc_row: DocumentRow, hierarchy_rows,
+                         element_rows) -> int:
+        """Insert one document: its document row, then its hierarchy
+        and element rows (statements only — the caller owns the
+        transaction).  Returns the new doc_id."""
+        doc_id = self._conn.execute(
+            "INSERT INTO documents (name, root_tag, text, root_attributes)"
+            " VALUES (?, ?, ?, ?)",
+            (doc_row.name, doc_row.root_tag, doc_row.text,
+             doc_row.root_attributes),
+        ).lastrowid
+        self._insert_rows(doc_id, hierarchy_rows, element_rows)
+        return doc_id
+
+    def _insert_rows(self, doc_id: int, hierarchy_rows, element_rows) -> None:
+        """The hierarchy and element INSERTs of every full write
+        (statements only — the caller owns the transaction and has
+        removed any older rows of ``doc_id``)."""
+        self._conn.executemany(
+            "INSERT INTO hierarchies VALUES (?, ?, ?, ?)",
+            [(doc_id, row.rank, row.name, row.dtd_source)
+             for row in hierarchy_rows],
+        )
+        self._conn.executemany(
+            "INSERT INTO elements VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            [(doc_id, row.elem_id, row.hierarchy, row.tag, row.start,
+              row.end, row.parent_id, row.child_rank, row.attributes)
+             for row in element_rows],
+        )
 
     def load(self, name: str) -> GoddagDocument:
         """Reconstruct the full GODDAG for ``name``."""
@@ -414,10 +481,9 @@ class SqliteStore:
         doc_id, _ = self._document_row(name)
 
         def transaction() -> None:
-            with self._conn:
-                self._conn.execute(
-                    "DELETE FROM documents WHERE doc_id = ?", (doc_id,)
-                )
+            self._conn.execute(
+                "DELETE FROM documents WHERE doc_id = ?", (doc_id,)
+            )
 
         self._write_retry(transaction, f"delete {name!r}")
 
@@ -473,17 +539,38 @@ class SqliteStore:
 
     def elements_intersecting(
         self, name: str, start: int, end: int
-    ) -> list[StoredElement]:
-        """Solid elements sharing at least one character with [start, end)."""
-        doc_id, _ = self._document_row(name)
-        return [
-            _stored(row)
-            for row in self._conn.execute(
-                "SELECT elem_id, hierarchy, tag, start, end, attributes"
-                " FROM elements WHERE doc_id = ? AND start < ? AND end > ?"
-                " ORDER BY start, end DESC", (doc_id, end, start),
-            )
-        ]
+    ) -> list[tuple[str, str, int, int]]:
+        """Solid elements sharing at least one character with
+        [start, end), as ``(hierarchy, tag, start, end)`` ordered by
+        ``(start, -end, hierarchy, tag)`` — read from the element rows,
+        without reconstruction.  Zero-width elements share no character
+        with any window and are never returned."""
+        doc_id, _ = self._doc_index_row(name)
+        return self._solid_spans("elements", doc_id, start, end)
+
+    def query_spans(
+        self, name: str, start: int, end: int
+    ) -> list[tuple[str, str, int, int]]:
+        """Index-aware span query: what :meth:`elements_intersecting`
+        returns, in the same order.
+
+        With a persisted index the answer comes from an SQL range probe
+        of the overlap index (which holds one row per solid element);
+        without one, from the element rows.
+        """
+        doc_id, indexed = self._doc_index_row(name)
+        return self._solid_spans(
+            "index_overlap" if indexed else "elements", doc_id, start, end
+        )
+
+    def _solid_spans(self, table: str, doc_id: int, start: int,
+                     end: int) -> list[tuple[str, str, int, int]]:
+        return self._conn.execute(
+            f"SELECT hierarchy, tag, start, end FROM {table}"
+            " WHERE doc_id = ? AND start < ? AND end > ? AND start < end"
+            " ORDER BY start, end DESC, hierarchy, tag",
+            (doc_id, end, start),
+        ).fetchall()
 
     def element(self, name: str, elem_id: int) -> StoredElement | None:
         """The element row with persistent id ``elem_id``, or ``None``.
@@ -525,10 +612,29 @@ class SqliteStore:
         ).fetchall()
         return [(_stored(row[:6]), _stored(row[6:])) for row in rows]
 
-    def count_attribute_scan(self, name: str, attr: str, value: str) -> int:
-        """Elements carrying ``attr`` = ``value``, by scanning the
-        element rows' attribute JSON (the unindexed fallback; the shared
-        root's attributes are not element rows and are not counted).
+    def count_tag(self, name: str, tag: str) -> int:
+        """Number of elements with ``tag``: the structural summary's
+        path counts when indexed (a metadata read), a count of the
+        element rows otherwise."""
+        doc_id, indexed = self._doc_index_row(name)
+        query = (
+            "SELECT COALESCE(SUM(n), 0) FROM index_paths" if indexed
+            else "SELECT COUNT(*) FROM elements"
+        )
+        (count,) = self._conn.execute(
+            query + " WHERE doc_id = ? AND tag = ?", (doc_id, tag)
+        ).fetchone()
+        return count
+
+    def count_attribute(self, name: str, attr: str, value: str) -> int:
+        """Number of elements with attribute ``attr`` = ``value``.
+
+        With a persisted format-2 index the answer comes from the
+        attribute posting rows — a metadata read, no document
+        materialization.  Older or missing indexes fall back to a scan
+        of the element rows' attribute JSON.  The shared root's
+        attributes are not counted — attribute postings index elements,
+        matching the in-memory :class:`~repro.index.term.AttributeIndex`.
 
         The scan streams a dedicated cursor instead of materializing the
         document's attribute blobs, and pushes a cheap prefilter into
@@ -544,7 +650,18 @@ class SqliteStore:
         by decoding its attributes; a candidate whose attributes are not
         a JSON object raises :class:`~repro.errors.StorageError` naming it.
         """
-        doc_id, _ = self._document_row(name)
+        doc_id, indexed = self._doc_index_row(name)
+        if indexed:
+            (fmt,) = self._conn.execute(
+                "SELECT format FROM index_meta WHERE doc_id = ?", (doc_id,)
+            ).fetchone()
+            if fmt >= 2:
+                (count,) = self._conn.execute(
+                    "SELECT COALESCE(SUM(n), 0) FROM index_attrs"
+                    " WHERE doc_id = ? AND name = ? AND value = ?",
+                    (doc_id, attr, value),
+                ).fetchone()
+                return count
         cursor = self._conn.cursor()
         try:
             cursor.execute(
@@ -561,6 +678,52 @@ class SqliteStore:
             )
         finally:
             cursor.close()
+
+    def term_occurrences(self, name: str, needle: str) -> list[int]:
+        """Start offsets of ``needle`` in the stored text (sorted).
+
+        Alphanumeric needles are answered from the persisted term index
+        when one exists; other needles (or unindexed documents) scan the
+        stored text — read on its own, never through a document
+        reconstruction.
+        """
+        doc_id, indexed = self._doc_index_row(name)
+        if indexed and TermIndex.is_indexable(needle):
+            rows = (
+                (term, unpack_u32(starts))
+                for term, starts in self._conn.execute(
+                    "SELECT term, starts FROM index_terms"
+                    " WHERE doc_id = ? AND instr(term, ?) > 0",
+                    (doc_id, needle),
+                )
+            )
+            try:
+                return occurrences_from_terms(rows, needle)
+            except ValueError as exc:
+                raise self._corrupt(name, exc) from exc
+        (text,) = self._conn.execute(
+            "SELECT text FROM documents WHERE doc_id = ?", (doc_id,)
+        ).fetchone()
+        return find_all(text, needle)
+
+    def stats(self, name: str | None = None) -> dict:
+        """Stored-document counts in the unified ``repro-stats/1`` shape
+        (see docs/ARCHITECTURE.md, Observability): the element row
+        count of document ``name``.
+
+        ``name=None`` reports on the whole store instead: document and
+        element-row totals plus the collection summary's size by
+        feature family — the corpus-level view
+        :meth:`repro.collection.Corpus.stats` serves over its pool.
+        """
+        if name is None:
+            counts = {
+                f"collection.{key}": value
+                for key, value in self.corpus_counts().items()
+            }
+            return stats_dict("storage.corpus", counts)
+        counts = {"storage.elements": self.count_elements(name)}
+        return stats_dict("storage.store", counts, name=name)
 
     def text(self, name: str) -> str:
         """The full document text, without reconstructing any element."""
@@ -586,13 +749,150 @@ class SqliteStore:
     def save_index(self, name: str, payload: dict, stamp: str = "") -> None:
         """Persist an ``IndexManager.payload()`` for a stored document."""
         doc_id, _ = self._document_row(name)
+        self._write_retry(
+            lambda: self._write_index_rows(doc_id, payload, stamp),
+            f"save_index {name!r}",
+        )
 
-        def transaction() -> None:
-            with self._conn:
-                self._delete_index_rows(doc_id)
-                self._insert_index_rows(doc_id, payload, stamp)
+    def build_index(self, name: str) -> dict:
+        """Build and persist the index for a stored document.
 
-        self._write_retry(transaction, f"save_index {name!r}")
+        Loads the document once, builds the four indexes (structural
+        summary, term index, attribute postings, overlap index),
+        persists them to the index tables, and returns the size census.
+        Subsequent index-aware queries answer without loading the
+        document again.
+        """
+        manager = IndexManager(self.load(name))
+        self.save_index(name, manager.payload(name))
+        return manager.stats()
+
+    def save_indexed(self, document: GoddagDocument, name: str,
+                     manager: IndexManager | None = None,
+                     overwrite: bool = False,
+                     strict_stamp: bool = False) -> dict:
+        """Save (or re-save) a document *and* keep its persisted index in
+        step — the editing-session alternative to save + :meth:`build_index`.
+
+        ``manager`` defaults to the document's attached index manager;
+        it is refreshed (incrementally, when the delta journal allows)
+        and its applied deltas propagate to the store instead of
+        invalidating the stored index wholesale: one transaction brings
+        the stored rows in step under their existing ``doc_id``.  When
+        the manager can supply deltas *for this store and name*, the
+        journal's coalesced :class:`~repro.core.changes.UpdateElementRow`
+        set upserts and deletes exactly the element rows the session
+        touched (keyed by persistent ``elem_id`` — an attribute-only
+        edit writes O(1) rows) and the index rows are patched likewise;
+        anything else (journal overflow, untracked mutations, foreign
+        artifacts) takes a full rewrite.  A document not stored yet is
+        written whole, document and index in one transaction.  Either
+        way the write is atomic, so a crash can never pair a newer
+        document with a stale index, or leave a document without one.
+
+        Re-saving the session's own artifact — the exact generation this
+        manager wrote last, verified via a stamp stored with the index —
+        needs no consent; anything else already stored under ``name``
+        (including a replacement some other writer slipped in
+        mid-session) requires ``overwrite=True``, like :meth:`save`, and
+        always gets a full index write rather than a row-level patch.
+
+        ``strict_stamp=True`` is the document service's publish
+        contract: instead of demanding ``overwrite=True`` when the
+        stored artifact is not this session's — or silently rewriting a
+        racing writer's rows when the in-transaction stamp
+        re-verification fails — the save raises the typed
+        :class:`~repro.errors.WriteConflictError` and leaves the store
+        exactly as the other writer published it.
+
+        Returns the manager's size census, like :meth:`build_index`.
+        """
+        if manager is None:
+            manager = document.index_manager
+        if manager is None or manager.document is not document:
+            raise StorageError(
+                "save_indexed needs an IndexManager for this document "
+                "(attach one, or pass manager=)"
+            )
+        tracer = current_tracer()
+        if tracer is None:
+            with metrics.time("storage.save"):
+                self._save_indexed(document, name, manager, overwrite,
+                                   strict_stamp)
+        else:
+            with tracer.span("save", document=name):
+                with metrics.time("storage.save"):
+                    self._save_indexed(document, name, manager, overwrite,
+                                       strict_stamp)
+        return manager.stats()
+
+    def _save_indexed(self, document: GoddagDocument, name: str,
+                      manager: IndexManager, overwrite: bool,
+                      strict_stamp: bool) -> None:
+        exists = self.has(name)
+        generation = self.index_stamp(name) if exists else None
+        token = self.artifact_token(name, generation)
+        deltas = manager.pending_persist(token)  # refreshes the manager
+        if exists and not overwrite and not manager.persisted_to(token):
+            if strict_stamp:
+                metrics.incr("service.conflicts")
+                raise WriteConflictError(
+                    f"document {name!r} was published by another "
+                    "writer during this session; nothing was written",
+                    name=name, found=generation or "",
+                )
+            raise StorageError(
+                f"document {name!r} already stored and is not this "
+                "session's artifact; pass overwrite=True to replace it"
+            )
+        stamp = uuid4().hex
+        self.resave_with_index(
+            document, name, deltas,
+            lambda hierarchy, path: [
+                (e.start, e.end)
+                for e in manager.structural.partition(hierarchy, path)
+            ],
+            lambda: manager.payload(name),
+            stamp=stamp,
+            # None tells the transaction that nothing was stored.
+            expected_stamp=(generation or "") if exists else None,
+            attr_spans=manager.attrs.spans,
+            strict_stamp=strict_stamp,
+        )
+        manager.mark_persisted(self.artifact_token(name, stamp))
+
+    def save_stream(self, sources, name: str, *, overwrite: bool = False,
+                    chunk_elements: int = 1024,
+                    chunk_chars: int = 1 << 16) -> str:
+        """Stream-parse a distributed document straight into storage.
+
+        The bounded-memory counterpart of ``parse_concurrent`` +
+        :meth:`save_indexed`: ``sources`` maps hierarchy names to XML
+        sources (strings, paths, open files, or zero-argument factories
+        returning fresh chunk iterators — the scan makes two passes),
+        and the stored rows — document, elements, and the full persisted
+        index — are byte-identical to the materialized path.  The write
+        proceeds in chunked transactions while the SACX merge runs (see
+        :func:`repro.streaming.ingest.stream_save`), never holding the
+        whole document; readers see nothing under ``name`` until the
+        final rename publishes it.
+
+        Returns the index generation stamp.
+        """
+        from ..streaming.ingest import stream_save
+
+        return stream_save(
+            self, sources, name, overwrite=overwrite,
+            chunk_elements=chunk_elements, chunk_chars=chunk_chars,
+        )
+
+    def lazy(self, name: str):
+        """An on-demand :class:`~repro.streaming.lazy.LazyDocument` view
+        over a stored document — rows hydrate as queries touch them,
+        nothing is materialized up front."""
+        from ..streaming.lazy import LazyDocument
+
+        return LazyDocument(self, name)
 
     def begin_stream_ingest(self, name: str, root_tag: str,
                             root_attributes: str, *,
@@ -622,14 +922,12 @@ class SqliteStore:
         staging = STAGING_PREFIX + uuid4().hex
 
         def transaction() -> int:
-            with self._conn:
-                cursor = self._conn.execute(
-                    "INSERT INTO documents"
-                    " (name, root_tag, text, root_attributes)"
-                    " VALUES (?, ?, '', ?)",
-                    (staging, root_tag, root_attributes),
-                )
-                return cursor.lastrowid
+            return self._conn.execute(
+                "INSERT INTO documents"
+                " (name, root_tag, text, root_attributes)"
+                " VALUES (?, ?, '', ?)",
+                (staging, root_tag, root_attributes),
+            ).lastrowid
 
         doc_id = self._write_retry(transaction, f"stream_ingest {name!r}")
         metrics.incr("storage.stream_ingests")
@@ -717,12 +1015,14 @@ class SqliteStore:
         return list(map(ElementRow._make,
                         self._conn.execute(query, tuple(params))))
 
-    def _insert_index_rows(self, doc_id: int, payload: dict,
-                           stamp: str = "") -> None:
-        """Insert the full index payload rows (caller owns the
-        transaction; index rows for ``doc_id`` must be gone already).
-        ``stamp`` is the session generation mark an editing-session
-        writer leaves so it can later recognize its own artifact."""
+    def _write_index_rows(self, doc_id: int, payload: dict,
+                          stamp: str) -> None:
+        """Replace the index rows of ``doc_id`` with the full payload —
+        the index half of every full write (statements only — the
+        caller owns the transaction).  ``stamp`` is the session
+        generation mark an editing-session writer leaves so it can
+        later recognize its own artifact."""
+        self._delete_index_rows(doc_id)
         self._conn.execute(
             "INSERT INTO index_meta VALUES (?, ?, ?, ?)",
             (doc_id, payload.get("format", 1),
@@ -965,7 +1265,7 @@ class SqliteStore:
 
     def corpus_counts(self) -> dict[str, int]:
         """Raw corpus-level counters for the ``repro-stats/1`` stats
-        surfaces (:meth:`repro.storage.GoddagStore.stats` and
+        surfaces (:meth:`stats` and
         :meth:`repro.collection.Corpus.stats`)."""
         counts = {
             "documents": 0, "indexed_documents": 0, "element_rows": 0,
@@ -1033,109 +1333,123 @@ class SqliteStore:
         racing the publish surfaces as a conflict, never as silent
         last-writer-wins corruption of the other session's artifact.
 
+        ``expected_stamp`` is the generation the caller read: ``None``
+        when nothing was stored under ``name``.  The document is then
+        written whole for the first time — document and index rows in
+        the same transaction, and not counted as a fallback — and a
+        document that appeared meanwhile raises
+        :class:`~repro.errors.StorageError` instead of being replaced.
+
         The whole transaction sits behind the bounded SQLITE_BUSY retry
         (:meth:`_write_retry`); a retried attempt re-runs the
         in-transaction stamp verification from scratch, so a writer that
         published during the backoff is still detected.
         """
-        self._write_retry(
-            lambda: self._resave_transaction(
-                document, name, deltas, partition_spans, payload_factory,
-                stamp, expected_stamp, attr_spans, strict_stamp,
-            ),
-            f"resave_with_index {name!r}",
-        )
-
-    def _resave_transaction(self, document: GoddagDocument, name: str,
-                            deltas, partition_spans, payload_factory,
-                            stamp: str, expected_stamp: str | None,
-                            attr_spans, strict_stamp: bool) -> None:
-        doc_id, indexed = self._doc_index_row(name)
         tracer = current_tracer()
         span_cm = (
             tracer.span("transaction", document=name)
             if tracer is not None else nullcontext(None)
         )
-        with span_cm as txn_span, self._conn:
-            # The document row always rewrites: root attributes may have
-            # changed, and it is one row either way.  (The text and the
-            # hierarchy set are immutable within a tracked session — a
-            # hierarchy addition is an untracked touch, which voids the
-            # deltas and lands in the full-rewrite branch below.)
-            doc_row = DocumentRow(
-                name=name,
-                root_tag=document.root.tag,
-                text=document.text,
-                root_attributes=json.dumps(document.root.attributes,
-                                           sort_keys=True),
+        with span_cm as txn_span:
+            row_level, reason = self._write_retry(
+                lambda: self._resave_transaction(
+                    document, name, deltas, partition_spans,
+                    payload_factory, stamp, expected_stamp, attr_spans,
+                    strict_stamp,
+                ),
+                f"resave_with_index {name!r}",
             )
-            self._conn.execute(
-                "UPDATE documents SET root_tag = ?, text = ?,"
-                " root_attributes = ? WHERE doc_id = ?",
-                (doc_row.root_tag, doc_row.text, doc_row.root_attributes,
-                 doc_id),
-            )
-            row_level = False
-            reason = None
-            if deltas is None:
-                reason = "stale-deltas"
-            elif deltas.rows.broken:
-                reason = "broken-coalescer"
-            elif deltas.attrs and attr_spans is None:
-                reason = "missing-attr-spans"
-            elif not indexed:
-                reason = "no-stored-index"
-            else:
-                # Stamp re-verification, inside the transaction: the
-                # conditional UPDATE succeeds only against the exact
-                # artifact generation the deltas describe.
-                metrics.incr("storage.stamp_checks")
-                cursor = self._conn.execute(
-                    "UPDATE index_meta SET stamp = ?"
-                    " WHERE doc_id = ? AND stamp = ?",
-                    (stamp, doc_id, expected_stamp or ""),
-                )
-                row_level = cursor.rowcount == 1
-                if not row_level:
-                    reason = "stamp-mismatch"
-            if reason == "stamp-mismatch" and strict_stamp:
-                # Raising inside the transaction rolls everything back
-                # (including the document-row update above): the racing
-                # writer's artifact stays exactly as it published it.
-                metrics.incr("service.conflicts")
-                raise WriteConflictError(
-                    f"document {name!r} was published by another writer "
-                    "during this session; nothing was written",
-                    name=name, expected=expected_stamp or "",
-                )
-            if row_level:
-                if tracer is not None:
-                    with tracer.span("coalesce") as coalesce_span:
-                        updates = deltas.rows.updates(document)
-                    coalesce_span.set(
-                        records=deltas.rows.records_seen,
-                        row_writes=len(updates),
-                    )
-                else:
-                    updates = deltas.rows.updates(document)
-                deleted = sum(1 for op in updates if op.is_delete)
-                metrics.incr("storage.row_level_saves")
-                metrics.incr("storage.rows_deleted", deleted)
-                metrics.incr("storage.rows_upserted", len(updates) - deleted)
-                self._apply_element_row_deltas(doc_id, updates)
-                self._apply_index_delta_rows(
-                    doc_id, deltas, partition_spans,
-                    attr_spans or (lambda name, value: []),
-                )
-            else:
-                _obs_fallback(
-                    "storage.full_rewrites", reason, f"document {name!r}"
-                )
-                self._rewrite_rows(doc_id, document, name)
-                self._delete_index_rows(doc_id)
-                self._insert_index_rows(doc_id, payload_factory(), stamp)
             if txn_span is not None:
                 txn_span.set(row_level=row_level, reason=reason)
+
+    def _resave_transaction(self, document: GoddagDocument, name: str,
+                            deltas, partition_spans, payload_factory,
+                            stamp: str, expected_stamp: str | None,
+                            attr_spans, strict_stamp: bool
+                            ) -> tuple[bool, str | None]:
+        """The statements of :meth:`resave_with_index`; returns
+        ``(row_level, full-rewrite reason)``."""
+        found = self._find(name)
+        if found is None:
+            if expected_stamp is not None:
+                raise StorageError(f"no stored document {name!r}")
+            doc_id = self._insert_document(*encode_document(document, name))
+            self._write_index_rows(doc_id, payload_factory(), stamp)
+            return False, None
+        if expected_stamp is None:
+            raise StorageError(f"document {name!r} already stored")
+        doc_id, indexed = found
+        # The document row always rewrites: root attributes may have
+        # changed, and it is one row either way.  (The text and the
+        # hierarchy set are immutable within a tracked session — a
+        # hierarchy addition is an untracked touch, which voids the
+        # deltas and lands in the full-rewrite branch below.)
+        self._conn.execute(
+            "UPDATE documents SET root_tag = ?, text = ?,"
+            " root_attributes = ? WHERE doc_id = ?",
+            (document.root.tag, document.text,
+             json.dumps(document.root.attributes, sort_keys=True), doc_id),
+        )
+        row_level = False
+        reason = None
+        if deltas is None:
+            reason = "stale-deltas"
+        elif deltas.rows.broken:
+            reason = "broken-coalescer"
+        elif deltas.attrs and attr_spans is None:
+            reason = "missing-attr-spans"
+        elif not indexed:
+            reason = "no-stored-index"
+        else:
+            # Stamp re-verification, inside the transaction: the
+            # conditional UPDATE succeeds only against the exact
+            # artifact generation the deltas describe.
+            metrics.incr("storage.stamp_checks")
+            cursor = self._conn.execute(
+                "UPDATE index_meta SET stamp = ?"
+                " WHERE doc_id = ? AND stamp = ?",
+                (stamp, doc_id, expected_stamp),
+            )
+            row_level = cursor.rowcount == 1
+            if not row_level:
+                reason = "stamp-mismatch"
+        if reason == "stamp-mismatch" and strict_stamp:
+            # Raising inside the transaction rolls everything back
+            # (including the document-row update above): the racing
+            # writer's artifact stays exactly as it published it.
+            metrics.incr("service.conflicts")
+            raise WriteConflictError(
+                f"document {name!r} was published by another writer "
+                "during this session; nothing was written",
+                name=name, expected=expected_stamp,
+            )
+        if row_level:
+            tracer = current_tracer()
+            if tracer is not None:
+                with tracer.span("coalesce") as coalesce_span:
+                    updates = deltas.rows.updates(document)
+                coalesce_span.set(
+                    records=deltas.rows.records_seen,
+                    row_writes=len(updates),
+                )
+            else:
+                updates = deltas.rows.updates(document)
+            deleted = sum(1 for op in updates if op.is_delete)
+            metrics.incr("storage.row_level_saves")
+            metrics.incr("storage.rows_deleted", deleted)
+            metrics.incr("storage.rows_upserted", len(updates) - deleted)
+            self._apply_element_row_deltas(doc_id, updates)
+            self._apply_index_delta_rows(
+                doc_id, deltas, partition_spans,
+                attr_spans or (lambda name, value: []),
+            )
+        else:
+            _obs_fallback(
+                "storage.full_rewrites", reason, f"document {name!r}"
+            )
+            self._rewrite_rows(doc_id, document, name)
+            self._write_index_rows(doc_id, payload_factory(), stamp)
+        return row_level, reason
 
     def _rewrite_rows(
         self, doc_id: int, document: GoddagDocument, name: str
@@ -1150,17 +1464,7 @@ class SqliteStore:
         self._conn.execute(
             "DELETE FROM elements WHERE doc_id = ?", (doc_id,)
         )
-        self._conn.executemany(
-            "INSERT INTO hierarchies VALUES (?, ?, ?, ?)",
-            [(doc_id, row.rank, row.name, row.dtd_source)
-             for row in hierarchy_rows],
-        )
-        self._conn.executemany(
-            "INSERT INTO elements VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            [(doc_id, row.elem_id, row.hierarchy, row.tag, row.start,
-              row.end, row.parent_id, row.child_rank, row.attributes)
-             for row in element_rows],
-        )
+        self._insert_rows(doc_id, hierarchy_rows, element_rows)
 
     def _apply_element_row_deltas(self, doc_id: int, updates) -> None:
         """Journal-driven element-row maintenance (statements only — the
@@ -1198,29 +1502,34 @@ class SqliteStore:
                 f"DELETE FROM {table} WHERE doc_id = ?", (doc_id,)
             )
 
-    def _doc_index_row(self, name: str) -> tuple[int, bool]:
-        """``(doc_id, has_index)`` in one statement — the gate every
-        index-aware query pays exactly once."""
+    def _find(self, name: str) -> tuple[int, bool] | None:
+        """``(doc_id, has_index)`` in one statement, or ``None`` when
+        nothing is stored under ``name``."""
         row = self._conn.execute(
             "SELECT d.doc_id, m.doc_id IS NOT NULL"
             " FROM documents d LEFT JOIN index_meta m USING (doc_id)"
             " WHERE d.name = ?", (name,),
         ).fetchone()
-        if row is None:
+        return None if row is None else (row[0], bool(row[1]))
+
+    def _doc_index_row(self, name: str) -> tuple[int, bool]:
+        """``(doc_id, has_index)`` — the gate every index-aware query
+        pays exactly once."""
+        found = self._find(name)
+        if found is None:
             raise StorageError(f"no stored document {name!r}")
-        return row[0], bool(row[1])
+        return found
 
     def has_index(self, name: str) -> bool:
+        """True when a persisted index exists for ``name``."""
         return self._doc_index_row(name)[1]
 
     def drop_index(self, name: str) -> None:
+        """Remove the persisted index (the document itself is untouched)."""
         doc_id, _ = self._document_row(name)
-
-        def transaction() -> None:
-            with self._conn:
-                self._delete_index_rows(doc_id)
-
-        self._write_retry(transaction, f"drop_index {name!r}")
+        self._write_retry(
+            lambda: self._delete_index_rows(doc_id), f"drop_index {name!r}"
+        )
 
     def _corrupt(self, name: str, exc: Exception) -> StorageError:
         """Wrap a blob-decoding failure in the module's error contract."""
@@ -1288,75 +1597,6 @@ class SqliteStore:
             "paths": paths,
             "attrs": attrs,
         }
-
-    def index_overlap_query(
-        self, name: str, start: int, end: int
-    ) -> list[tuple[str, str, int, int]] | None:
-        """Solid elements intersecting [start, end) from the overlap
-        index, or ``None`` when no index is stored (caller falls back)."""
-        doc_id, indexed = self._doc_index_row(name)
-        if not indexed:
-            return None
-        return list(
-            self._conn.execute(
-                "SELECT hierarchy, tag, start, end FROM index_overlap"
-                " WHERE doc_id = ? AND start < ? AND end > ?"
-                " ORDER BY start, end DESC, hierarchy, tag",
-                (doc_id, end, start),
-            )
-        )
-
-    def index_term_occurrences(self, name: str, needle: str) -> list[int] | None:
-        """Occurrence offsets of an alphanumeric needle from the term
-        rows, or ``None`` when no index is stored (caller falls back)."""
-        doc_id, indexed = self._doc_index_row(name)
-        if not indexed:
-            return None
-        rows = (
-            (term, unpack_u32(starts))
-            for term, starts in self._conn.execute(
-                "SELECT term, starts FROM index_terms"
-                " WHERE doc_id = ? AND instr(term, ?) > 0",
-                (doc_id, needle),
-            )
-        )
-        try:
-            return occurrences_from_terms(rows, needle)
-        except ValueError as exc:
-            raise self._corrupt(name, exc) from exc
-
-    def index_attr_count(self, name: str, attr: str, value: str) -> int | None:
-        """Elements with attribute ``attr`` = ``value`` per the persisted
-        attribute postings, or ``None`` when no index is stored or the
-        index predates the attribute table (format < 2) — the caller
-        falls back to a storage scan either way."""
-        doc_id, indexed = self._doc_index_row(name)
-        if not indexed:
-            return None
-        (fmt,) = self._conn.execute(
-            "SELECT format FROM index_meta WHERE doc_id = ?", (doc_id,)
-        ).fetchone()
-        if fmt < 2:
-            return None
-        (count,) = self._conn.execute(
-            "SELECT COALESCE(SUM(n), 0) FROM index_attrs"
-            " WHERE doc_id = ? AND name = ? AND value = ?",
-            (doc_id, attr, value),
-        ).fetchone()
-        return count
-
-    def index_tag_count(self, name: str, tag: str) -> int | None:
-        """Elements with ``tag`` per the structural summary, or ``None``
-        when no index is stored (zero rows and zero elements would be
-        indistinguishable; the caller falls back to a table count)."""
-        doc_id, indexed = self._doc_index_row(name)
-        if not indexed:
-            return None
-        (count,) = self._conn.execute(
-            "SELECT COALESCE(SUM(n), 0) FROM index_paths"
-            " WHERE doc_id = ? AND tag = ?", (doc_id, tag),
-        ).fetchone()
-        return count
 
 
 class SqliteConnectionPool:
@@ -1533,11 +1773,10 @@ class StreamIngestSession:
         doc_id = self._doc_id
 
         def transaction() -> None:
-            with conn:
-                conn.executemany(
-                    "INSERT INTO elements VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    [(doc_id, *row) for row in rows],
-                )
+            conn.executemany(
+                "INSERT INTO elements VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                [(doc_id, *row) for row in rows],
+            )
 
         self._store._write_retry(transaction, "stream elements")
         metrics.incr("storage.stream_chunks")
@@ -1549,11 +1788,10 @@ class StreamIngestSession:
         conn = self._store._conn
 
         def transaction() -> None:
-            with conn:
-                conn.execute(
-                    "UPDATE documents SET text = text || ?"
-                    " WHERE doc_id = ?", (chunk, self._doc_id),
-                )
+            conn.execute(
+                "UPDATE documents SET text = text || ?"
+                " WHERE doc_id = ?", (chunk, self._doc_id),
+            )
 
         self._store._write_retry(transaction, "stream text")
 
@@ -1570,27 +1808,26 @@ class StreamIngestSession:
         doc_id = self._doc_id
 
         def transaction() -> None:
-            with conn:
-                for hierarchy, path, tag, n, spans in rows:
-                    prior = conn.execute(
-                        "SELECT n, spans FROM index_paths WHERE doc_id = ?"
-                        " AND hierarchy = ? AND path = ?",
-                        (doc_id, hierarchy, path),
-                    ).fetchone()
-                    if prior is None:
-                        conn.execute(
-                            "INSERT INTO index_paths VALUES"
-                            " (?, ?, ?, ?, ?, ?)",
-                            (doc_id, hierarchy, path, tag, n, spans),
-                        )
-                    else:
-                        conn.execute(
-                            "UPDATE index_paths SET n = ?, spans = ?"
-                            " WHERE doc_id = ? AND hierarchy = ?"
-                            " AND path = ?",
-                            (prior[0] + n, prior[1] + spans,
-                             doc_id, hierarchy, path),
-                        )
+            for hierarchy, path, tag, n, spans in rows:
+                prior = conn.execute(
+                    "SELECT n, spans FROM index_paths WHERE doc_id = ?"
+                    " AND hierarchy = ? AND path = ?",
+                    (doc_id, hierarchy, path),
+                ).fetchone()
+                if prior is None:
+                    conn.execute(
+                        "INSERT INTO index_paths VALUES"
+                        " (?, ?, ?, ?, ?, ?)",
+                        (doc_id, hierarchy, path, tag, n, spans),
+                    )
+                else:
+                    conn.execute(
+                        "UPDATE index_paths SET n = ?, spans = ?"
+                        " WHERE doc_id = ? AND hierarchy = ?"
+                        " AND path = ?",
+                        (prior[0] + n, prior[1] + spans,
+                         doc_id, hierarchy, path),
+                    )
 
         self._store._write_retry(transaction, "stream paths")
 
@@ -1601,23 +1838,22 @@ class StreamIngestSession:
         doc_id = self._doc_id
 
         def transaction() -> None:
-            with conn:
-                for term, starts in rows:
-                    prior = conn.execute(
-                        "SELECT starts FROM index_terms WHERE doc_id = ?"
-                        " AND term = ?", (doc_id, term),
-                    ).fetchone()
-                    if prior is None:
-                        conn.execute(
-                            "INSERT INTO index_terms VALUES (?, ?, ?)",
-                            (doc_id, term, starts),
-                        )
-                    else:
-                        conn.execute(
-                            "UPDATE index_terms SET starts = ?"
-                            " WHERE doc_id = ? AND term = ?",
-                            (prior[0] + starts, doc_id, term),
-                        )
+            for term, starts in rows:
+                prior = conn.execute(
+                    "SELECT starts FROM index_terms WHERE doc_id = ?"
+                    " AND term = ?", (doc_id, term),
+                ).fetchone()
+                if prior is None:
+                    conn.execute(
+                        "INSERT INTO index_terms VALUES (?, ?, ?)",
+                        (doc_id, term, starts),
+                    )
+                else:
+                    conn.execute(
+                        "UPDATE index_terms SET starts = ?"
+                        " WHERE doc_id = ? AND term = ?",
+                        (prior[0] + starts, doc_id, term),
+                    )
 
         self._store._write_retry(transaction, "stream terms")
 
@@ -1640,63 +1876,62 @@ class StreamIngestSession:
         doc_id = self._doc_id
 
         def transaction() -> str:
-            with conn:
-                conn.executemany(
-                    "INSERT INTO hierarchies VALUES (?, ?, ?, ?)",
-                    [(doc_id, rank, hname, dtd)
-                     for rank, hname, dtd in hierarchy_rows],
-                )
-                conn.executemany(
-                    "INSERT INTO index_attrs VALUES (?, ?, ?, ?, ?)",
-                    [(doc_id, *row) for row in attr_rows],
-                )
-                conn.executemany(
-                    "INSERT INTO index_overlap VALUES (?, ?, ?, ?, ?)",
-                    [(doc_id, *row) for row in overlap_rows],
-                )
-                conn.execute(
-                    "INSERT INTO index_meta VALUES (?, ?, ?, ?)",
-                    (doc_id, STREAM_PAYLOAD_FORMAT, doc_length, stamp),
-                )
-                conn.execute(
-                    "INSERT INTO collection_summary"
-                    " SELECT doc_id, ?, tag, SUM(n) FROM index_paths"
-                    " WHERE doc_id = ? GROUP BY tag", (KIND_TAG, doc_id),
-                )
-                conn.execute(
-                    "INSERT INTO collection_summary"
-                    " SELECT doc_id, ?, path, SUM(n) FROM index_paths"
-                    " WHERE doc_id = ? GROUP BY path", (KIND_PATH, doc_id),
-                )
-                conn.execute(
-                    "INSERT INTO collection_summary"
-                    " SELECT doc_id, ?, term, length(starts) / 4"
-                    " FROM index_terms WHERE doc_id = ?",
-                    (KIND_TERM, doc_id),
-                )
-                conn.executemany(
-                    "INSERT INTO collection_summary VALUES (?, ?, ?, ?)",
-                    [(doc_id, KIND_ATTR, encode_path((aname, avalue)), n)
-                     for aname, avalue, n, _spans in attr_rows],
-                )
-                existing = conn.execute(
-                    "SELECT doc_id FROM documents WHERE name = ?",
-                    (self.name,),
-                ).fetchone()
-                if existing is not None:
-                    if not self._overwrite:
-                        raise StorageError(
-                            f"document {self.name!r} already stored"
-                        )
-                    conn.execute(
-                        "DELETE FROM documents WHERE doc_id = ?",
-                        (existing[0],),
+            conn.executemany(
+                "INSERT INTO hierarchies VALUES (?, ?, ?, ?)",
+                [(doc_id, rank, hname, dtd)
+                 for rank, hname, dtd in hierarchy_rows],
+            )
+            conn.executemany(
+                "INSERT INTO index_attrs VALUES (?, ?, ?, ?, ?)",
+                [(doc_id, *row) for row in attr_rows],
+            )
+            conn.executemany(
+                "INSERT INTO index_overlap VALUES (?, ?, ?, ?, ?)",
+                [(doc_id, *row) for row in overlap_rows],
+            )
+            conn.execute(
+                "INSERT INTO index_meta VALUES (?, ?, ?, ?)",
+                (doc_id, STREAM_PAYLOAD_FORMAT, doc_length, stamp),
+            )
+            conn.execute(
+                "INSERT INTO collection_summary"
+                " SELECT doc_id, ?, tag, SUM(n) FROM index_paths"
+                " WHERE doc_id = ? GROUP BY tag", (KIND_TAG, doc_id),
+            )
+            conn.execute(
+                "INSERT INTO collection_summary"
+                " SELECT doc_id, ?, path, SUM(n) FROM index_paths"
+                " WHERE doc_id = ? GROUP BY path", (KIND_PATH, doc_id),
+            )
+            conn.execute(
+                "INSERT INTO collection_summary"
+                " SELECT doc_id, ?, term, length(starts) / 4"
+                " FROM index_terms WHERE doc_id = ?",
+                (KIND_TERM, doc_id),
+            )
+            conn.executemany(
+                "INSERT INTO collection_summary VALUES (?, ?, ?, ?)",
+                [(doc_id, KIND_ATTR, encode_path((aname, avalue)), n)
+                 for aname, avalue, n, _spans in attr_rows],
+            )
+            existing = conn.execute(
+                "SELECT doc_id FROM documents WHERE name = ?",
+                (self.name,),
+            ).fetchone()
+            if existing is not None:
+                if not self._overwrite:
+                    raise StorageError(
+                        f"document {self.name!r} already stored"
                     )
                 conn.execute(
-                    "UPDATE documents SET name = ? WHERE doc_id = ?",
-                    (self.name, doc_id),
+                    "DELETE FROM documents WHERE doc_id = ?",
+                    (existing[0],),
                 )
-                return stamp
+            conn.execute(
+                "UPDATE documents SET name = ? WHERE doc_id = ?",
+                (self.name, doc_id),
+            )
+            return stamp
 
         result = self._store._write_retry(
             transaction, f"stream finalize {self.name!r}"

@@ -1,8 +1,9 @@
 """Streaming ingestion and lazy materialization.
 
-Everything else in the framework materializes: :func:`repro.sacx.parser
-.parse_concurrent` builds the whole GODDAG before returning, and
-``decode_document`` rehydrates every stored row before a query runs.
+Everything else in the framework materializes:
+:func:`repro.sacx.parser.parse_concurrent` builds the whole GODDAG
+before returning, and ``decode_document`` rehydrates every stored row
+before a query runs.
 This package is the bounded-memory counterpart, in three layers:
 
 - :mod:`repro.streaming.parse` — an iterparse-style streaming SACX API.

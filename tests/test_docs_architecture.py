@@ -116,7 +116,7 @@ def test_streaming_identifiers_are_real():
     from repro.collection.corpus import Corpus
     from repro.sacx import parse_concurrent
     from repro.storage.sqlite_backend import STAGING_PREFIX
-    from repro.storage.store import GoddagStore
+    from repro.storage import GoddagStore
     from repro.streaming import (
         EventStream,
         FragmentAssembler,

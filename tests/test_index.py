@@ -406,7 +406,7 @@ class TestStoredIndexes:
             store.save(corpus, "ms")
             store.build_index("ms")
             payload = IndexManager(corpus).payload("ms")
-            stored = store._sqlite.load_index("ms")
+            stored = store.load_index("ms")
             assert stored["terms"] == payload["terms"]
             for name, entry in payload["overlap"].items():
                 got = stored["overlap"][name]

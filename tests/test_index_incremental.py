@@ -137,7 +137,7 @@ def _keys(elements):
 def _store_rows(store: GoddagStore) -> dict[str, list]:
     """Every stored row, doc_id- and stamp-free (stamps are per-writer
     generation marks; everything else must be byte-identical)."""
-    conn = store._sqlite._conn
+    conn = store._conn
     tables = {
         "documents": "name, root_tag, text, root_attributes",
         "hierarchies": "rank, name, dtd_source",
@@ -211,7 +211,7 @@ class _Session:
         # a healthy journal-driven session must never need.
         self.store = GoddagStore(":memory:")
         self.full_rewrites = 0
-        backend = self.store._sqlite
+        backend = self.store
         original = backend._rewrite_rows
 
         def counting_rewrite(doc_id, document, name):
@@ -306,7 +306,7 @@ class _Session:
             materialized.save_indexed(fresh, "d", IndexManager(fresh))
             streamed.save_stream(sources, "d", chunk_elements=16)
             assert _store_rows(streamed) == _store_rows(materialized)
-            lazy = LazyDocument(streamed._sqlite, "d")
+            lazy = LazyDocument(streamed, "d")
             witness = node_rows(
                 ExtendedXPath("//w").evaluate(fresh, index=False)
             )

@@ -68,7 +68,7 @@ class TestLegacyArtifactMigration:
         conn.close()
         with GoddagStore(where) as store:
             assert store.names() == ["legacy"]
-            conn = store._sqlite._conn
+            conn = store._conn
             # Additive: the stamp column and every current table exist...
             columns = [row[1] for row in
                        conn.execute("PRAGMA table_info(index_meta)")]
@@ -107,15 +107,15 @@ class TestLegacyArtifactMigration:
     ):
         where = materialize(fixture, tmp_path)
         with GoddagStore(where) as store:
-            before = element_payload(store._sqlite._conn)
+            before = element_payload(store._conn)
             document = store.load("legacy")
             manager = IndexManager.for_document(document)
             # Not this session's artifact: consent is required, exactly
             # like overwriting any foreign document.
             store.save_indexed(document, "legacy", manager, overwrite=True)
-            after = element_payload(store._sqlite._conn)
+            after = element_payload(store._conn)
             assert after == before  # backfill adopted the stored ids
-            assert store._sqlite.index_stamp("legacy")  # stamped session
+            assert store.index_stamp("legacy")  # stamped session
             # New elements keep extending the id space past the loaded
             # maximum, and the delta path keys on the backfilled ids.
             editor = Editor(document, prevalidate=False)
@@ -123,7 +123,7 @@ class TestLegacyArtifactMigration:
                 document.element_by_ordinal(1), "n", "42")
             editor.insert_markup("linguistic", "seg", 0, 5)
             store.save_indexed(document, "legacy", manager)
-            rows = element_payload(store._sqlite._conn)
+            rows = element_payload(store._conn)
             assert set(rows) == {1, 2, 3, 4}
             assert rows[1][-1] == '{"n": "42"}'
             assert tuple(rows[4][:4]) == ("linguistic", "seg", 0, 5)

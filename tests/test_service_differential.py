@@ -130,7 +130,7 @@ class _Script:
         self.session.publish()
         self.plain_store.save_indexed(self.plain, "d", self.plain_manager)
         with self.service.pool.connection() as backend:
-            service_rows = _store_rows(GoddagStore.over(backend))
+            service_rows = _store_rows(backend)
         assert service_rows == _store_rows(self.plain_store)
 
 

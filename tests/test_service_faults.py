@@ -28,7 +28,6 @@ import pytest
 from repro import DocumentService
 from repro.errors import StoreBusyError, WriteConflictError
 from repro.obs.metrics import metrics
-from repro.storage import GoddagStore
 from repro.storage.sqlite_backend import (
     BUSY_RETRY_ATTEMPTS,
     BUSY_RETRY_BASE_S,
@@ -90,7 +89,7 @@ def _flaky_index_rows(monkeypatch, failures: int) -> dict:
 
 def _rows(service) -> dict[str, list]:
     with service.pool.connection() as backend:
-        return _store_rows(GoddagStore.over(backend))
+        return _store_rows(backend)
 
 
 def _edit(session) -> None:

@@ -1,5 +1,7 @@
 """Tests for the persistent storage layer."""
 
+import sqlite3
+
 import pytest
 
 from repro.compare import documents_isomorphic
@@ -92,8 +94,59 @@ class TestSqliteStore:
         with SqliteStore() as store:
             store.save(doc, "f")
             hits = store.elements_intersecting("f", res.start, res.end)
-        tags = {e.tag for e in hits}
+        tags = {tag for _hierarchy, tag, _start, _end in hits}
         assert "res" in tags and "line" in tags and "w" in tags
+
+    def test_elements_intersecting_skips_zero_width(self, doc):
+        doc.insert_empty_element("physical", "pb", 5)
+        with SqliteStore() as store:
+            store.save(doc, "f")
+            hits = store.elements_intersecting("f", 2, 8)
+            assert hits and all(start < end for _, _, start, end in hits)
+            assert "pb" not in {tag for _, tag, _, _ in hits}
+            # Indexed or not, the span query answers the same.
+            assert store.query_spans("f", 2, 8) == hits
+            store.build_index("f")
+            assert store.query_spans("f", 2, 8) == hits
+
+    def test_duplicate_save_across_connections_is_typed(self, doc, tmp_path):
+        """The existence check runs inside the insert transaction: a
+        second connection that misses the first one's document in a
+        pre-check still gets StorageError, not a raw IntegrityError."""
+        path = str(tmp_path / "store.db")
+        with SqliteStore(path) as first, SqliteStore(path) as second:
+            first.save(doc, "d")
+            second.has = lambda name: False  # the pre-check lost the race
+            with pytest.raises(StorageError, match="already stored"):
+                second.save(doc, "d")
+            assert first.names() == ["d"]
+
+    def test_failed_overwrite_keeps_the_old_document(self, doc, monkeypatch):
+        """save(overwrite=True) is one transaction: a failure while
+        encoding or inserting the new rows leaves the old document."""
+        import repro.storage.sqlite_backend as backend_module
+
+        real_encode = backend_module.encode_document
+        replacement = generate(WorkloadSpec(words=40, seed=3))
+
+        def failing_encode(document, name):
+            raise RuntimeError("simulated failure while encoding")
+
+        def duplicate_rows(document, name):
+            doc_row, hierarchy_rows, element_rows = real_encode(document, name)
+            return doc_row, hierarchy_rows, element_rows + element_rows[:1]
+
+        with SqliteStore() as store:
+            store.save(doc, "d")
+            store.build_index("d")
+            for broken, error in ((failing_encode, RuntimeError),
+                                  (duplicate_rows, sqlite3.IntegrityError)):
+                monkeypatch.setattr(backend_module, "encode_document", broken)
+                with pytest.raises(error):
+                    store.save(replacement, "d", overwrite=True)
+                monkeypatch.undo()
+                assert store.has("d") and store.has_index("d")
+                assert documents_isomorphic(doc, store.load("d"))
 
     def test_overlap_join_matches_memory(self, doc):
         expected = set()
@@ -121,9 +174,10 @@ class TestSqliteStore:
 
 
 class TestAttributeScanPrefilter:
-    """The instr() prefilter in count_attribute_scan must never
-    false-negative a row, whatever the attribute values contain and
-    however the row's JSON happened to be encoded."""
+    """The instr() prefilter of count_attribute's element-row scan
+    (the path of an unindexed document) must never false-negative a
+    row, whatever the attribute values contain and however the row's
+    JSON happened to be encoded."""
 
     TRICKY_VALUES = [
         'he said "hi"',
@@ -159,7 +213,7 @@ class TestAttributeScanPrefilter:
         store, expected = self._scan_store()
         with store:
             for value, count in expected.items():
-                assert store.count_attribute_scan(
+                assert store.count_attribute(
                     "tricky", "note", value
                 ) == count, value
 
@@ -172,7 +226,7 @@ class TestAttributeScanPrefilter:
         editor.set_attribute(line, "rôle", "héros")
         with SqliteStore() as store:
             store.save(doc, "accents")
-            assert store.count_attribute_scan(
+            assert store.count_attribute(
                 "accents", "rôle", "héros"
             ) == 1
 
@@ -199,7 +253,7 @@ class TestAttributeScanPrefilter:
                     rewrites,
                 )
             for value, count in expected.items():
-                assert store.count_attribute_scan(
+                assert store.count_attribute(
                     "tricky", "note", value
                 ) == count, value
 
@@ -216,10 +270,15 @@ class TestAttributeScanPrefilter:
         editor.set_attribute(lines[2], "note", "target practice")
         with SqliteStore() as store:
             store.save(doc, "near")
-            assert store.count_attribute_scan("near", "note", "target") == 1
+            assert store.count_attribute("near", "note", "target") == 1
 
 
 class TestGoddagStoreFacade:
+    def test_goddag_store_is_the_sqlite_store(self):
+        import repro
+
+        assert repro.GoddagStore is GoddagStore is SqliteStore
+
     def test_sqlite_facade(self, doc):
         with GoddagStore() as store:
             store.save(doc, "f")

@@ -240,7 +240,7 @@ def indexed_store(doc):
 
 def test_malformed_attributes_in_store_load(indexed_store, doc):
     line = first(doc, "line").ordinal
-    conn = indexed_store._sqlite._conn
+    conn = indexed_store._conn
     conn.execute("UPDATE elements SET attributes = '[1]' WHERE elem_id = ?",
                  (line,))
     with pytest.raises(StorageError, match=f"element {line}\\b"):
@@ -248,29 +248,29 @@ def test_malformed_attributes_in_store_load(indexed_store, doc):
 
 
 def test_lazy_root_attributes(indexed_store):
-    conn = indexed_store._sqlite._conn
+    conn = indexed_store._conn
     conn.execute("UPDATE documents SET root_attributes = '{bad'")
     with pytest.raises(StorageError, match="element 0\\b"):
-        LazyDocument(indexed_store._sqlite, "d")
+        LazyDocument(indexed_store, "d")
 
 
 def test_lazy_predicate_attributes(indexed_store, doc):
     line = next(e for e in doc.elements(tag="line")
                 if e.attributes["n"] == "2").ordinal
-    conn = indexed_store._sqlite._conn
+    conn = indexed_store._conn
     conn.execute("UPDATE elements SET attributes = '{\"n\": \"2\"'"
                  " WHERE elem_id = ?", (line,))
-    lazy = LazyDocument(indexed_store._sqlite, "d")
+    lazy = LazyDocument(indexed_store, "d")
     with pytest.raises(StorageError, match=f"element {line}\\b"):
         lazy.xpath("//line[@n='2']")
 
 
 def test_lazy_row_attributes(indexed_store, doc):
     line = first(doc, "line").ordinal
-    conn = indexed_store._sqlite._conn
+    conn = indexed_store._conn
     conn.execute("UPDATE elements SET attributes = '[1]' WHERE elem_id = ?",
                  (line,))
-    lazy = LazyDocument(indexed_store._sqlite, "d")
+    lazy = LazyDocument(indexed_store, "d")
     with pytest.raises(StorageError, match=f"element {line}\\b"):
         lazy.xpath("//line")
 
@@ -281,8 +281,9 @@ def test_attribute_scan_attributes(indexed_store, doc, encoded):
     # SQL prefilter and reach the decoder.
     line = next(e for e in doc.elements(tag="line")
                 if e.attributes["n"] == "2").ordinal
-    conn = indexed_store._sqlite._conn
+    conn = indexed_store._conn
     conn.execute("UPDATE elements SET attributes = ? WHERE elem_id = ?",
                  (encoded, line))
+    indexed_store.drop_index("d")  # count_attribute scans without one
     with pytest.raises(StorageError, match=f"element {line}\\b"):
-        indexed_store._sqlite.count_attribute_scan("d", "n", "2")
+        indexed_store.count_attribute("d", "n", "2")

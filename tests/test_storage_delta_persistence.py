@@ -13,6 +13,7 @@ from repro.core.goddag import GoddagBuilder
 from repro.editing import Editor
 from repro.errors import StorageError
 from repro.index import IndexManager
+from repro.obs.metrics import metrics
 from repro.storage import GoddagStore
 from repro.workloads import WorkloadSpec, generate
 from repro.xpath import ExtendedXPath
@@ -137,34 +138,79 @@ class TestDeltaAppliedRoundTrip:
                 assert store.count_attribute("ms", *key) == expected, key
 
 
+@pytest.fixture
+def observed():
+    metrics.reset()
+    metrics.enable()
+    yield metrics
+    metrics.disable()
+    metrics.reset()
+
+
+def _full_rewrites(counters) -> dict:
+    return {key: n for key, n in counters.items()
+            if key.startswith("storage.full_rewrites")}
+
+
 class TestSqliteRowLevelPath:
-    def test_second_save_uses_row_level_upserts(self, tmp_path):
-        """After the first save_indexed, a full save_index must not be
+    def test_second_save_uses_row_level_upserts(self, tmp_path, observed):
+        """After the first save_indexed, a full rewrite must not be
         needed again — the delta path alone keeps the rows fresh."""
         document = generate(WorkloadSpec(words=120, hierarchies=2))
         manager = IndexManager.for_document(document)
         with GoddagStore(tmp_path / "store.sqlite") as store:
             store.save_indexed(document, "ms", manager)
-
-            def forbidden(name, payload):
-                raise AssertionError("full save_index on the delta path")
-
-            store._sqlite.save_index = forbidden
+            before = observed.snapshot()["counters"]
             edit_session(document)
             store.save_indexed(document, "ms", manager)
+            after = observed.snapshot()["counters"]
+            assert after["storage.row_level_saves"] == \
+                before.get("storage.row_level_saves", 0) + 1
+            assert _full_rewrites(after) == _full_rewrites(before)
             assert store.count_tag("ms", "seg") == 2
+
+    def test_first_save_is_one_transaction(self, tmp_path, observed,
+                                           monkeypatch, recwarn):
+        """A document saved for the first time gets its index in the
+        same transaction: a failure while writing the index rows leaves
+        nothing stored, never a document without its index.  A first
+        save is not a fallback — no full-rewrite count, no strict-mode
+        warning."""
+        import repro.storage.sqlite_backend as backend_module
+
+        monkeypatch.setenv("REPRO_OBS_STRICT", "1")
+        document = generate(WorkloadSpec(words=80, hierarchies=2))
+        manager = IndexManager.for_document(document)
+        with GoddagStore(tmp_path / "store.sqlite") as store:
+            def failing_summary(payload):
+                raise RuntimeError("simulated failure writing the index")
+
+            # The collection-summary rows are the last index rows written.
+            monkeypatch.setattr(backend_module, "collection_summary_rows",
+                                failing_summary)
+            with pytest.raises(RuntimeError):
+                store.save_indexed(document, "e", manager)
+            monkeypatch.undo()
+            monkeypatch.setenv("REPRO_OBS_STRICT", "1")
+            assert not store.has("e")
+            store.save_indexed(document, "e", manager)
+            assert store.has_index("e")
+            assert store.count_elements("e") == document.element_count()
+        assert not _full_rewrites(observed.snapshot()["counters"])
+        assert not [w for w in recwarn
+                    if issubclass(w.category, RuntimeWarning)]
 
     def test_doc_id_survives_partial_update(self, tmp_path):
         document = generate(WorkloadSpec(words=100, hierarchies=2))
         manager = IndexManager.for_document(document)
         with GoddagStore(tmp_path / "store.sqlite") as store:
             store.save_indexed(document, "ms", manager)
-            (doc_id_before,) = store._sqlite._conn.execute(
+            (doc_id_before,) = store._conn.execute(
                 "SELECT doc_id FROM documents WHERE name = 'ms'"
             ).fetchone()
             edit_session(document)
             store.save_indexed(document, "ms", manager)
-            (doc_id_after,) = store._sqlite._conn.execute(
+            (doc_id_after,) = store._conn.execute(
                 "SELECT doc_id FROM documents WHERE name = 'ms'"
             ).fetchone()
             assert doc_id_before == doc_id_after
@@ -221,10 +267,10 @@ class TestSqliteRowLevelPath:
             assert deltas  # the edit is queued for row-level application
             # The race: the stored stamp changes between the caller's
             # check and the write transaction.
-            store._sqlite._conn.execute(
+            store._conn.execute(
                 "UPDATE index_meta SET stamp = 'intruder'")
-            store._sqlite._conn.commit()
-            store._sqlite.resave_with_index(
+            store._conn.commit()
+            store.resave_with_index(
                 document, "ms", deltas,
                 lambda h, p: [(e.start, e.end)
                               for e in manager.structural.partition(h, p)],
@@ -233,7 +279,7 @@ class TestSqliteRowLevelPath:
             )
             # Full write happened instead: everything consistent.
             assert store.count_tag("ms", "seg") == 1
-            assert store._sqlite.index_stamp("ms") == "retry"
+            assert store.index_stamp("ms") == "retry"
 
     def test_rebuilt_manager_falls_back_to_full_write(self, tmp_path):
         """An untracked mutation voids the delta backlog; save_indexed
@@ -269,7 +315,7 @@ class TestElementRowDeltas:
             editor = Editor(document, prevalidate=False)
             editor.set_attribute(
                 next(document.elements(tag="line")), "rev", "a")
-            conn = store._sqlite._conn
+            conn = store._conn
             before = conn.total_changes
             store.save_indexed(document, "ms", manager)
             written = conn.total_changes - before
@@ -288,7 +334,7 @@ class TestElementRowDeltas:
             line = next(document.elements(tag="line"))
             for i in range(10):
                 editor.set_attribute(line, "rev", str(i))
-            conn = store._sqlite._conn
+            conn = store._conn
             before = conn.total_changes
             store.save_indexed(document, "ms", manager)
             # Ten journal records, one element-row write (plus the
@@ -310,7 +356,7 @@ class TestElementRowDeltas:
             store.save_indexed(document, "ms", manager)
             assert store.element("ms", victim_id) is None
             stored = {
-                row[0] for row in store._sqlite._conn.execute(
+                row[0] for row in store._conn.execute(
                     "SELECT elem_id FROM elements")
             }
             assert stored == survivors
@@ -361,7 +407,7 @@ class TestBackwardCompatibilityAndBacklog:
         with GoddagStore(where) as store:
             store.save_indexed(document, "ms", manager)
             assert store.has_index("ms")
-            assert store._sqlite.index_stamp("ms")
+            assert store.index_stamp("ms")
             assert store.count_tag("ms", "w") > 0
 
     def test_undo_churn_cancels_in_the_backlog(self, tmp_path):
@@ -493,7 +539,7 @@ class TestCorruptArtifactRecovery:
             document = self._small_doc()
             manager = IndexManager.for_document(document)
             store.save_indexed(document, "d", manager)
-            store._sqlite._conn.execute(
+            store._conn.execute(
                 "UPDATE index_terms SET starts = X'0102'"  # not 4-aligned
             )
             with pytest.raises(StorageError) as excinfo:

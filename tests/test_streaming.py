@@ -41,7 +41,7 @@ from repro.index.manager import IndexManager
 from repro.sacx.parser import parse_concurrent
 from repro.serialize.distributed import export_distributed
 from repro.storage.sqlite_backend import STAGING_PREFIX, SqliteStore
-from repro.storage.store import GoddagStore
+from repro.storage import GoddagStore
 from repro.streaming import (
     EventStream,
     LazyDocument,
