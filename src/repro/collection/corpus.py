@@ -42,7 +42,7 @@ from ..index.manager import IndexManager
 from ..obs.metrics import metrics
 from ..storage.sqlite_backend import SqliteConnectionPool
 from ..xpath.engine import ExtendedXPath
-from .fanout import run_fanout
+from .fanout import default_workers, run_fanout
 from .router import describe, routing_features
 
 _PREFIX = "collection()"
@@ -140,15 +140,11 @@ class Corpus:
     def __init__(self, location: str | Path, *, pool_size: int = 8,
                  busy_timeout_ms: int = 5000,
                  pool_timeout_s: float = 30.0) -> None:
-        self._pool = SqliteConnectionPool(
+        self._bind(SqliteConnectionPool(
             str(location), pool_size, wal=True,
             busy_timeout_ms=busy_timeout_ms,
             acquire_timeout_s=pool_timeout_s,
-        )
-        self._owns_pool = True
-        self._thread_pool: ThreadPoolExecutor | None = None
-        self._process_pool: ProcessPoolExecutor | None = None
-        self._executor_workers = 0
+        ), owns_pool=True)
 
     @classmethod
     def over(cls, pool: SqliteConnectionPool) -> "Corpus":
@@ -156,12 +152,16 @@ class Corpus:
         the document service's (see ``DocumentService.corpus``).  The
         pool stays the lender's to close."""
         corpus = cls.__new__(cls)
-        corpus._pool = pool
-        corpus._owns_pool = False
-        corpus._thread_pool = None
-        corpus._process_pool = None
-        corpus._executor_workers = 0
+        corpus._bind(pool, owns_pool=False)
         return corpus
+
+    def _bind(self, pool: SqliteConnectionPool, owns_pool: bool) -> None:
+        """Both constructors' one path: the pool, no executors yet."""
+        self._pool = pool
+        self._owns_pool = owns_pool
+        self._thread_pool: ThreadPoolExecutor | None = None
+        self._process_pool: ProcessPoolExecutor | None = None
+        self._executor_workers = 0
 
     @property
     def location(self) -> str:
@@ -222,6 +222,8 @@ class Corpus:
                         chunk_elements=chunk_elements,
                         chunk_chars=chunk_chars,
                     )
+                    if overwrite:
+                        self._pool.snapshots.evict(name)
                     metrics.incr("collection.ingest_docs")
         return stamps
 
@@ -232,11 +234,14 @@ class Corpus:
             manager = IndexManager(document)
         backend.save_indexed(document, name, manager=manager,
                              overwrite=overwrite)
+        if overwrite:
+            self._pool.snapshots.evict(name)
         return backend.index_stamp(name)
 
     def remove(self, name: str) -> None:
         with self._pool.connection() as backend:
             backend.delete(name)
+        self._pool.snapshots.evict(name)
 
     # -- introspection ------------------------------------------------------------
 
@@ -344,10 +349,8 @@ class Corpus:
     def _executors(self, workers: int):
         """Lazily created, reusable thread/process pools (the process
         fallback path needs the thread pool too)."""
-        import os
-
         if workers <= 0:
-            workers = min(4, len(os.sched_getaffinity(0)) or 1)
+            workers = default_workers()
         if self._executor_workers and workers > self._executor_workers:
             self._shutdown_executors()
         if self._thread_pool is None:

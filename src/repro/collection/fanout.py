@@ -5,11 +5,12 @@ per-document expression against each of them in one of three execution
 modes — ``serial``, ``thread``, ``process`` — and guarantees the merged
 answer is **byte-identical** across all three:
 
-* every document is loaded with its generation stamp in one sqlite
-  read transaction (:meth:`SqliteStore.load_snapshot
-  <repro.storage.sqlite_backend.SqliteStore.load_snapshot>`), so a
-  result row set is always internally consistent with the generation
-  it reports;
+* every document is read through a
+  :class:`~repro.storage.sqlite_backend.SnapshotCache` (the pool's, or
+  a process worker's own): a frozen document of the probed generation,
+  or one loaded with its stamp in one read transaction, so a row set
+  is always consistent with the generation it reports.  A fan-out
+  routing more documents than the cache holds installs none of them;
 * node results are flattened to plain comparable tuples
   (:func:`node_rows`) — picklable for the process pool and
   order-stable, since the evaluator already emits document order;
@@ -29,19 +30,26 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 
 from ..core.node import Element
 from ..errors import ServiceError
 from ..obs import fallback as _obs_fallback
 from ..obs.metrics import metrics
-from ..storage.sqlite_backend import SqliteStore
+from ..storage.sqlite_backend import SnapshotCache, SqliteStore
 from ..xpath.axes import AttributeNode, DocumentNode
 from ..xpath.engine import ExtendedXPath
 
-#: One read-only store connection per (worker process, database path).
-#: Keyed by pid so a connection is never reused across a fork — each
-#: worker opens its own on first use.
-_process_stores: dict[tuple[int, str], SqliteStore] = {}
+#: One read-only store connection and snapshot cache per (worker
+#: process, database path).  Keyed by pid so a connection is never
+#: reused across a fork — each worker opens its own on first use.
+_process_stores: dict[tuple[int, str], tuple[SqliteStore, SnapshotCache]] = {}
+
+
+def default_workers() -> int:
+    """The default fan-out width: usable CPUs (or all CPUs), at most 4."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return min(4, (len(affinity(0)) if affinity else os.cpu_count()) or 1)
 
 
 def node_rows(value) -> tuple:
@@ -74,10 +82,12 @@ def node_rows(value) -> tuple:
 
 
 def evaluate_documents(
-    backend: SqliteStore, names: list[str], expression: str
+    backend: SqliteStore, snapshots: SnapshotCache, names: list[str],
+    expression: str, install: bool,
 ) -> list[tuple[str, str | None, tuple]]:
     """Evaluate ``expression`` per document over one borrowed
-    connection; returns ``(name, generation, rows)`` triples.
+    connection and ``snapshots`` (see :meth:`SnapshotCache.get`);
+    returns ``(name, generation, rows)`` triples.
 
     Evaluation runs the classic unindexed engine (``index=False``): the
     answers are identical by the index contract, and a cold
@@ -86,22 +96,25 @@ def evaluate_documents(
     query = ExtendedXPath(expression)
     out = []
     for name in names:
-        document, generation = backend.load_snapshot(name)
+        (generation, document, _), shared = snapshots.get(
+            nullcontext(backend), name, index=False, install=install)
+        metrics.incr("collection.snapshots.shared" if shared
+                     else "collection.snapshots.loaded")
         value = query.evaluate(document, index=False)
         out.append((name, generation, node_rows(value)))
     return out
 
 
 def _worker_chunk(
-    path: str, names: list[str], expression: str
+    path: str, names: list[str], expression: str, install: bool
 ) -> list[tuple[str, str | None, tuple]]:
     """Process-pool entry point: evaluate one chunk against a
     per-worker read-only connection (module-level so it pickles)."""
     key = (os.getpid(), path)
-    backend = _process_stores.get(key)
-    if backend is None:
-        backend = _process_stores[key] = SqliteStore(path, wal=True)
-    return evaluate_documents(backend, names, expression)
+    if key not in _process_stores:
+        _process_stores[key] = (SqliteStore(path, wal=True), SnapshotCache())
+    return evaluate_documents(*_process_stores[key], names, expression,
+                              install)
 
 
 def run_fanout(pool, names: list[str], expression: str, *,
@@ -122,11 +135,18 @@ def run_fanout(pool, names: list[str], expression: str, *,
             "or 'process'"
         )
     if workers is None:
-        workers = min(4, len(os.sched_getaffinity(0)) or 1)
+        workers = default_workers()
+    # On the whole routed list: a wider scan would only flush the cache.
+    install = len(names) <= pool.snapshots.LIMIT
+
+    def chunk_on_pool(chunk: list[str]):
+        with pool.connection() as backend:
+            return evaluate_documents(backend, pool.snapshots, chunk,
+                                      expression, install)
+
     if mode == "serial" or workers <= 1 or len(names) <= 1:
         with metrics.time("collection.fanout.serial"):
-            with pool.connection() as backend:
-                return evaluate_documents(backend, names, expression)
+            return chunk_on_pool(names)
     chunks = [names[i::workers] for i in range(workers) if names[i::workers]]
     if mode == "process" and process_pool is None:
         _obs_fallback("collection.fanout", "process-unavailable",
@@ -140,16 +160,13 @@ def run_fanout(pool, names: list[str], expression: str, *,
                     [pool.path] * len(chunks),
                     chunks,
                     [expression] * len(chunks),
+                    [install] * len(chunks),
                 ))
             return _merge(names, results)
         except (BrokenProcessPool, OSError, ImportError) as exc:
             _obs_fallback("collection.fanout", "process-unavailable",
                           str(exc))
             mode = "thread"
-
-    def chunk_on_pool(chunk: list[str]):
-        with pool.connection() as backend:
-            return evaluate_documents(backend, chunk, expression)
 
     with metrics.time("collection.fanout.thread"):
         results = list(thread_pool.map(chunk_on_pool, chunks))
@@ -164,5 +181,5 @@ def _merge(names: list[str], results) -> list:
 
 
 __all__ = [
-    "evaluate_documents", "node_rows", "run_fanout",
+    "default_workers", "evaluate_documents", "node_rows", "run_fanout",
 ]

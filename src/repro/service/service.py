@@ -8,8 +8,9 @@ database file to many threads, each of which works through short-lived
 The concurrency contract (the full version lives in
 docs/ARCHITECTURE.md, "Service layer & concurrency contract"):
 
-* **Shared snapshots are immutable.**  The service keeps at most one
-  decoded document per name, with its warm
+* **Shared snapshots are immutable.**  The pool's
+  :class:`~repro.storage.sqlite_backend.SnapshotCache` keeps at most
+  one decoded document per name, with its warm
   :class:`~repro.index.manager.IndexManager`, for the generation it was
   read at; every read session at that generation shares it, and every
   write session copies it, instead of decoding its own.  A shared
@@ -83,9 +84,7 @@ lock waits on the ``service.lock_wait`` timer, and the pool reports
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from pathlib import Path
-from typing import NamedTuple
 
 from ..core.goddag import GoddagDocument
 from ..core.node import Node
@@ -97,22 +96,9 @@ from ..errors import (
 )
 from ..index.manager import IndexManager
 from ..obs.metrics import metrics
-from ..storage.sqlite_backend import SqliteConnectionPool
+from ..storage.sqlite_backend import SharedSnapshot, SqliteConnectionPool
 from ..xpath.engine import ExtendedXPath
 from ..xpath.evaluator import XPathValue
-
-#: Document names whose shared snapshot the service keeps; the least
-#: recently opened beyond this are dropped.
-SHARED_SNAPSHOT_LIMIT = 32
-
-
-class _SharedSnapshot(NamedTuple):
-    """One generation of one document, frozen, with its warm index."""
-
-    generation: str
-    document: GoddagDocument
-    manager: IndexManager
-
 
 class _Session:
     """State shared by read and write sessions: one snapshot document,
@@ -289,11 +275,10 @@ class WriteSession(_Session):
             try:
                 self.document.freeze()
                 if self._published_version == self.document.version:
-                    self._service._install(
+                    self._service._pool.snapshots.install(
                         self.name,
-                        _SharedSnapshot(self.generation, self.document,
-                                        self.manager),
-                        None,
+                        SharedSnapshot(self.generation, self.document,
+                                       self.manager),
                     )
             finally:
                 self._lock.release()
@@ -341,14 +326,6 @@ class DocumentService:
         self._locks_guard = threading.Lock()
         self._corpus = None
         self._corpus_guard = threading.Lock()
-        # name -> the shared snapshot of its last seen generation, in
-        # least-recently-opened order.
-        self._snapshots: OrderedDict[str, _SharedSnapshot] = OrderedDict()
-        # name -> install epoch, moved by every eviction and hand-off: a
-        # reader installs its load only if the epoch it read before
-        # loading is still current.
-        self._epochs: dict[str, int] = {}
-        self._snapshots_guard = threading.Lock()
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -392,71 +369,12 @@ class DocumentService:
         with self._pool.connection() as backend:
             return backend.index_stamp(name)
 
-    def _snapshot(self, name: str) -> _SharedSnapshot:
-        """The frozen snapshot of ``name`` at its stored generation.
-
-        The stamp is probed first: when it names the shared snapshot's
-        generation, that snapshot is returned
-        (``service.snapshots.shared``).  Otherwise the document is
-        loaded with its stamp in one read transaction, indexed, frozen
-        and installed as the shared snapshot (``service.snapshots.loaded``)
-        — unless the name was evicted (a writer opened, or a delete or
-        overwrite ran) or a writer handed off since the probe, in which
-        case the load may be older than what is stored now and is only
-        returned.  The database connection is borrowed only for the
-        probe and the load.
-        """
-        with self._pool.connection() as backend:
-            generation = backend.index_stamp(name)
-            with self._snapshots_guard:
-                epoch = self._epochs.get(name, 0)
-                entry = self._snapshots.get(name)
-                if generation and entry is not None \
-                        and entry.generation == generation:
-                    self._snapshots.move_to_end(name)
-                else:
-                    entry = None
-            if entry is None:
-                document, generation = backend.load_snapshot(name)
-        if entry is not None:
-            metrics.incr("service.snapshots.shared")
-            return entry
-        metrics.incr("service.snapshots.loaded")
-        manager = IndexManager(document).attach()
-        document.freeze()
-        entry = _SharedSnapshot(generation, document, manager)
-        self._install(name, entry, epoch)
+    def _snapshot(self, name: str) -> SharedSnapshot:
+        """``name`` at its stored generation, through the pool's cache."""
+        entry, shared = self._pool.snapshots.get(self._pool.connection(), name)
+        metrics.incr("service.snapshots.shared" if shared
+                     else "service.snapshots.loaded")
         return entry
-
-    def _install(self, name: str, entry: _SharedSnapshot,
-                 epoch: int | None) -> None:
-        """Make ``entry`` — its document frozen by the caller — the
-        shared snapshot of ``name``.
-
-        ``epoch`` is the name's install epoch the caller read before it
-        loaded; when a writer has moved it since, nothing is installed.
-        A writer's hand-off passes ``None``: it moves the epoch and
-        installs.  An empty or missing stamp names no generation, so
-        nothing is installed for it.
-        """
-        if not entry.generation:
-            return
-        with self._snapshots_guard:
-            if epoch is None:
-                self._epochs[name] = self._epochs.get(name, 0) + 1
-            elif self._epochs.get(name, 0) != epoch:
-                return
-            self._snapshots[name] = entry
-            self._snapshots.move_to_end(name)
-            while len(self._snapshots) > SHARED_SNAPSHOT_LIMIT:
-                self._snapshots.popitem(last=False)
-
-    def _evict(self, name: str) -> None:
-        """Drop the shared snapshot of ``name`` and move its install
-        epoch, so no load already in flight installs over the change."""
-        with self._snapshots_guard:
-            self._snapshots.pop(name, None)
-            self._epochs[name] = self._epochs.get(name, 0) + 1
 
     # -- document administration -------------------------------------------------
 
@@ -469,7 +387,7 @@ class DocumentService:
         manager = document.index_manager
         if manager is None or manager.document is not document:
             manager = IndexManager(document)
-        self._evict(name)
+        self._pool.snapshots.evict(name)
         with self._pool.connection() as backend:
             backend.save_indexed(
                 document, name, manager, overwrite=overwrite
@@ -486,7 +404,7 @@ class DocumentService:
                 f"{self.lock_timeout_s:.1f}s"
             )
         try:
-            self._evict(name)
+            self._pool.snapshots.evict(name)
             with self._pool.connection() as backend:
                 backend.delete(name)
         finally:
@@ -551,7 +469,7 @@ class DocumentService:
             with metrics.time("service.snapshot_copy"):
                 document = source.copy()
                 manager = warm.carried_to(document).attach()
-            self._evict(name)
+            self._pool.snapshots.evict(name)
             with self._pool.connection() as backend:
                 token = backend.artifact_token(name, generation)
             # The stored artifact is exactly this manager's state (a
@@ -572,8 +490,6 @@ class DocumentService:
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        with self._snapshots_guard:
-            self._snapshots.clear()
         with self._corpus_guard:
             if self._corpus is not None:
                 self._corpus.close()  # executors only; the pool is ours

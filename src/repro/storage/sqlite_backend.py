@@ -30,9 +30,11 @@ import json
 import sqlite3
 import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 from uuid import uuid4
 
 from .._util import pack_u32, unpack_u32
@@ -1599,6 +1601,94 @@ class SqliteStore:
         }
 
 
+class SharedSnapshot(NamedTuple):
+    """One generation of one document, frozen, and its manager or None."""
+
+    generation: str | None
+    document: GoddagDocument
+    manager: IndexManager | None
+
+
+class SnapshotCache:
+    """At most one frozen :class:`SharedSnapshot` per document name,
+    LRU over :attr:`LIMIT` names.  Each :class:`SqliteConnectionPool`
+    has one, shared by the service's sessions and the corpus fan-out.
+
+    An entry is reused only while the probed stamp is non-empty and
+    equal to its generation, so an empty or missing stamp is never
+    cached.  Every :meth:`evict` and hand-off (:meth:`install` without
+    an epoch) moves the name's install epoch, and a load installs only
+    if the epoch it read at its probe is still current, so a slow load
+    never replaces a newer entry.
+    """
+
+    LIMIT = 32
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[str, SharedSnapshot] = OrderedDict()
+        self._epochs: dict[str, int] = {}
+        self._guard = threading.Lock()
+
+    def get(self, connection, name: str, *, index: bool = True,
+            install: bool = True) -> tuple[SharedSnapshot, bool]:
+        """``(snapshot of name at its stored generation, shared)``.
+
+        ``connection`` (``pool.connection()``) is held only for the
+        stamp probe and, on a miss, :meth:`SqliteStore.load_snapshot`.
+        With ``index`` a miss gets an attached :class:`IndexManager`
+        and an entry without one is a miss.  A miss is frozen, and
+        installed only with ``install`` and an unmoved epoch.
+        """
+        with connection as backend:
+            generation = backend.index_stamp(name)
+            with self._guard:
+                epoch = self._epochs.get(name, 0)
+                entry = self._entries.get(name)
+                if generation and entry is not None \
+                        and entry.generation == generation \
+                        and (entry.manager is not None or not index):
+                    self._entries.move_to_end(name)
+                    return entry, True
+            document, generation = backend.load_snapshot(name)
+        manager = IndexManager(document).attach() if index else None
+        document.freeze()
+        entry = SharedSnapshot(generation, document, manager)
+        if install:
+            self.install(name, entry, epoch)
+        return entry, False
+
+    def install(self, name: str, entry: SharedSnapshot,
+                epoch: int | None = None) -> None:
+        """Make frozen ``entry`` the snapshot of ``name`` unless the
+        ``epoch`` read before loading moved; a hand-off passes none."""
+        if not entry.generation:
+            return
+        with self._guard:
+            if epoch is None:
+                self._epochs[name] = self._epochs.get(name, 0) + 1
+            elif self._epochs.get(name, 0) != epoch:
+                return
+            self._entries[name] = entry
+            self._entries.move_to_end(name)
+            while len(self._entries) > self.LIMIT:
+                self._entries.popitem(last=False)
+
+    def evict(self, name: str) -> None:
+        """Drop ``name``'s snapshot and move its install epoch, so no
+        load already in flight installs over the change."""
+        with self._guard:
+            self._entries.pop(name, None)
+            self._epochs[name] = self._epochs.get(name, 0) + 1
+
+    def clear(self) -> None:
+        with self._guard:
+            self._entries.clear()
+
+    def __iter__(self):
+        with self._guard:  # cached names, least recently used first
+            return iter(list(self._entries))
+
+
 class SqliteConnectionPool:
     """A bounded pool of :class:`SqliteStore` connections over one file.
 
@@ -1623,7 +1713,8 @@ class SqliteConnectionPool:
 
     An in-memory path is rejected: every ``:memory:`` connection is a
     *different* database, so a pool over one is incoherent by
-    construction.
+    construction.  :attr:`snapshots` is the :class:`SnapshotCache` of
+    every reader on the pool.
     """
 
     def __init__(self, path: str, size: int = 8, *, wal: bool = True,
@@ -1645,6 +1736,7 @@ class SqliteConnectionPool:
         self._created = 0
         self._closed = False
         self._available = threading.Condition(threading.Lock())
+        self.snapshots = SnapshotCache()
 
     @property
     def in_use(self) -> int:
@@ -1723,6 +1815,7 @@ class SqliteConnectionPool:
     def close(self) -> None:
         """Close every idle connection and refuse further acquires.
         Connections currently on loan close when released."""
+        self.snapshots.clear()
         with self._available:
             self._closed = True
             while self._idle:

@@ -75,12 +75,11 @@ def test_named_identifiers_are_real():
 def test_service_identifiers_are_real():
     """Spot-check the identifiers the Service section leans on."""
     from repro.core.goddag import GoddagDocument
-    from repro.service.service import SHARED_SNAPSHOT_LIMIT
-    from repro.storage.sqlite_backend import SqliteStore
+    from repro.storage.sqlite_backend import SnapshotCache, SqliteStore
 
     assert hasattr(GoddagDocument, "freeze")
     assert hasattr(SqliteStore, "load_snapshot")
-    assert SHARED_SNAPSHOT_LIMIT == 32
+    assert SnapshotCache.LIMIT == 32
 
 
 def _metric_catalog() -> set[str]:

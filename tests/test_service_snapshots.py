@@ -29,12 +29,11 @@ import threading
 
 import pytest
 
-import repro.service.service as service_module
 from repro import DocumentService, canonical_form
 from repro.errors import EditError, MarkupConflictError
 from repro.obs.metrics import metrics
 from repro.storage import GoddagStore
-from repro.storage.sqlite_backend import SqliteStore
+from repro.storage.sqlite_backend import SnapshotCache, SqliteStore
 from repro.workloads import WorkloadSpec, generate
 
 from test_index_incremental import QUERIES, snapshot
@@ -213,25 +212,25 @@ def test_empty_stamp_document_is_never_served_stale(service, tmp_path):
 def test_delete_and_overwrite_evict(service):
     with service.read_session("doc"):
         pass
-    assert "doc" in service._snapshots
+    assert "doc" in service.pool.snapshots
     service.delete("doc")
-    assert "doc" not in service._snapshots
+    assert "doc" not in service.pool.snapshots
     service.create(generate(SPEC), "doc")
     with service.read_session("doc"):
         pass
-    assert "doc" in service._snapshots
+    assert "doc" in service.pool.snapshots
     service.create(generate(SPEC), "doc", overwrite=True)
-    assert "doc" not in service._snapshots
+    assert "doc" not in service.pool.snapshots
 
 
 def test_shared_snapshots_are_bounded_per_name(service, monkeypatch):
-    monkeypatch.setattr(service_module, "SHARED_SNAPSHOT_LIMIT", 2)
+    monkeypatch.setattr(SnapshotCache, "LIMIT", 2)
     for name in ("b", "c"):
         service.create(generate(SPEC), name)
     for name in ("doc", "b", "doc", "c"):
         with service.read_session(name):
             pass
-    assert list(service._snapshots) == ["doc", "c"]
+    assert list(service.pool.snapshots) == ["doc", "c"]
 
 
 # -- one consistent read ------------------------------------------------------
