@@ -58,7 +58,6 @@ _TABLES = [
     ("index_paths", "hierarchy, path"),
     ("index_terms", "term"),
     ("index_attrs", "name, value"),
-    ("index_overlap", "rowid"),
     ("collection_summary", "kind, key"),
 ]
 

@@ -1,6 +1,6 @@
 """E9 — indexed vs unindexed query speed, and editing-session maintenance.
 
-Measures the three query classes the index subsystem accelerates, on
+Measures the two query classes the index subsystem accelerates, on
 the synthetic corpora of ``workloads/generator.py``:
 
 * **name-test** — a selective tag lookup (``//page``): the unindexed
@@ -8,20 +8,18 @@ the synthetic corpora of ``workloads/generator.py``:
   resolves the step to its candidate list;
 * **contains** — a full-text predicate (``//w[contains(., 'gar')]``):
   unindexed, one substring scan per candidate; indexed, one binary
-  search over the term index's occurrence offsets;
-* **overlap** — a storage-level stabbing sweep over a document stored
-  in sqlite: unindexed, an element-row range query per probe
-  (``elements_intersecting``); indexed, a range probe of the persisted
-  overlap index (``query_spans``) — the document is never materialized.
-  Both return the same solid ``(hierarchy, tag, start, end)`` rows in
-  the same order, which the sweep checks.
+  search over the term index's occurrence offsets.
+
+Stored documents answer span queries from the element rows
+(``elements_intersecting``), with or without an index, so no span
+class is timed here.
 
 The **editing scenario** measures what incremental index maintenance
 buys an authoring session: k edits (milestone insertions, markup
 wrapped over existing lines, removals), each followed by a warm-index
 query.  The incremental manager absorbs each edit by replaying the
 document's delta journal; the baseline manager (``incremental=False``)
-pays a full structural + overlap rebuild per edit — exactly what every
+pays a full index rebuild per edit — exactly what every
 edit cost before the delta protocol existed.
 
 Timings are best-of-N wall times (same protocol as the E4 headline
@@ -44,7 +42,6 @@ import time
 from repro.editing import Editor
 from repro.index import IndexManager
 from repro.obs.benchjson import scenario
-from repro.storage import GoddagStore
 from repro.workloads import WorkloadSpec, generate
 from repro.xpath import ExtendedXPath
 
@@ -52,7 +49,6 @@ SIZES = (1000, 4000, 8000)
 DENSITY = 0.25
 NAME_QUERY = ExtendedXPath("//page")
 CONTAINS_QUERY = ExtendedXPath("//w[contains(., 'gar')]")
-OVERLAP_PROBES = 200
 SESSION_EDITS = 18
 
 
@@ -65,12 +61,7 @@ def best_of(fn, n: int = 5) -> float:
     return min(times)
 
 
-def overlap_probe_offsets(length: int) -> list[int]:
-    step = max(1, length // OVERLAP_PROBES)
-    return list(range(0, length, step))[:OVERLAP_PROBES]
-
-
-def measure_size(words: int, tmp_dir) -> dict[str, float]:
+def measure_size(words: int) -> dict[str, float]:
     """One row of the E9 table: per-class speedups at one corpus size."""
     document = generate(
         WorkloadSpec(words=words, hierarchies=4, overlap_density=DENSITY)
@@ -93,27 +84,6 @@ def measure_size(words: int, tmp_dir) -> dict[str, float]:
     row["name_baseline_s"] = baseline_name
     row["contains_indexed_s"] = indexed_contains
     row["contains_baseline_s"] = baseline_contains
-
-    # -- overlap: stored document, persisted index vs element rows.
-    offsets = overlap_probe_offsets(document.length)
-    with GoddagStore(tmp_dir / f"e9-{words}.sqlite") as store:
-        store.save(document, "ms")
-        baseline_sweep = best_of(
-            lambda: [store.elements_intersecting("ms", o, o + 1)
-                     for o in offsets],
-            n=3,
-        )
-        store.build_index("ms")
-        indexed_sweep = best_of(
-            lambda: [store.query_spans("ms", o, o + 1) for o in offsets],
-            n=3,
-        )
-        assert all(store.query_spans("ms", o, o + 1)
-                   == store.elements_intersecting("ms", o, o + 1)
-                   for o in offsets)
-    row["overlap"] = baseline_sweep / indexed_sweep
-    row["overlap_indexed_s"] = indexed_sweep
-    row["overlap_baseline_s"] = baseline_sweep
     document.detach_index()
     return row
 
@@ -162,8 +132,8 @@ def measure_editing(words: int, edits: int = SESSION_EDITS) -> dict[str, float]:
     }
 
 
-def run(tmp_dir) -> list[dict[str, float]]:
-    return [measure_size(words, tmp_dir) for words in SIZES]
+def run() -> list[dict[str, float]]:
+    return [measure_size(words) for words in SIZES]
 
 
 def run_editing() -> list[dict[str, float]]:
@@ -173,12 +143,12 @@ def run_editing() -> list[dict[str, float]]:
 def report(rows: list[dict[str, float]]) -> str:
     lines = [
         "E9 — index speedup (ratios > 1 favor the index)",
-        f"{'words':>8} {'name-test':>10} {'contains':>10} {'overlap':>10}",
+        f"{'words':>8} {'name-test':>10} {'contains':>10}",
     ]
     for row in rows:
         lines.append(
             f"{row['words']:>8} {row['name_test']:>9.1f}x "
-            f"{row['contains']:>9.1f}x {row['overlap']:>9.1f}x"
+            f"{row['contains']:>9.1f}x"
         )
     return "\n".join(lines)
 
@@ -212,7 +182,7 @@ def emit_json() -> None:
 def collect_query_scenarios(rows) -> None:
     for row in rows:
         words = row["words"]
-        for cls in ("name", "contains", "overlap"):
+        for cls in ("name", "contains"):
             _SCENARIOS.append(scenario(
                 f"{cls}_indexed", words, [row[f"{cls}_indexed_s"]],
                 speedup=round(row[f"{cls}_baseline_s"]
@@ -232,15 +202,15 @@ def collect_editing_scenarios(rows) -> None:
             [row["rebuild_ms"] / 1e3], edits=row["edits"]))
 
 
-def test_e9_index_speedup(tmp_path):
+def test_e9_index_speedup():
     """Acceptance bar: ≥ 2x on at least one query class at the largest
     corpus size (asserted loosely; the printed table records the rest)."""
-    rows = run(tmp_path)
+    rows = run()
     print("\n" + report(rows))
     collect_query_scenarios(rows)
     emit_json()
     largest = rows[-1]
-    best = max(largest["name_test"], largest["contains"], largest["overlap"])
+    best = max(largest["name_test"], largest["contains"])
     assert best >= 2.0, largest
 
 
@@ -255,12 +225,8 @@ def test_e9_editing_session():
 
 
 if __name__ == "__main__":
-    import tempfile
-    from pathlib import Path
-
-    with tempfile.TemporaryDirectory() as tmp:
-        rows = run(Path(tmp))
-        print(report(rows))
+    rows = run()
+    print(report(rows))
     print()
     editing_rows = run_editing()
     print(report_editing(editing_rows))

@@ -49,12 +49,11 @@ full rebuild when
 
 Applied deltas also queue for persistence: ``GoddagStore.save_indexed``
 drains them (``IndexManager.pending_persist``) into row-level sqlite
-upserts — interval rows inserted/deleted individually, only dirty
-label-path partition rows rewritten — so saving an edited document no
-longer invalidates its stored index wholesale.  The persisted
-per-hierarchy overlap rows (``index_overlap``), which answer span
-queries on *stored* documents in SQL, are derived from the document at
-payload time rather than kept as an in-memory structure.  The differential
+upserts — only dirty label-path partition and attribute posting rows
+rewritten — so saving an edited document no longer invalidates its
+stored index wholesale.  Span queries on *stored* documents need no
+index table: the element rows carry each element's ``(start, end)``
+and answer them in SQL.  The differential
 harness in ``tests/test_index_incremental.py`` holds all of this to the
 byte-identical bar against both a fresh rebuild and the unindexed
 engine after every step of randomized edit sessions.

@@ -22,8 +22,9 @@ results are always identical with and without an index.
 
 Applied deltas are additionally queued for persistence: a storage layer
 calls :meth:`IndexManager.pending_persist` to fetch the row-level
-operations (overlap row inserts/deletes plus dirty label-path
-partitions) accumulated since the last :meth:`IndexManager.mark_persisted`,
+operations (dirty label-path partitions and attribute postings, plus
+the coalesced element-row write set) accumulated since the last
+:meth:`IndexManager.mark_persisted`,
 and ``GoddagStore.save_indexed`` turns them into sqlite upserts instead
 of dropping the stored index wholesale.
 """
@@ -58,26 +59,23 @@ DELTA_REBUILD_THRESHOLD = 128
 class PersistDeltas:
     """Row-level index changes accumulated since the last persistence.
 
-    ``overlap_add``/``overlap_remove`` hold ``(hierarchy, tag, start,
-    end)`` interval rows; ``paths`` holds the ``(hierarchy, label-path)``
-    partition keys whose membership changed; ``attrs`` holds the
-    ``(name, value)`` attribute-posting keys whose membership changed
-    (the persistence layer re-writes exactly those rows, deleting the
-    ones that emptied); ``rows`` is the
+    ``paths`` holds the ``(hierarchy, label-path)`` partition keys whose
+    membership changed; ``attrs`` holds the ``(name, value)``
+    attribute-posting keys whose membership changed (the persistence
+    layer re-writes exactly those rows, deleting the ones that
+    emptied); ``rows`` is the
     :class:`~repro.core.changes.ElementRowCoalescer` folding the same
     record stream into the minimal *element-row* write set, keyed by
     persistent ``elem_id`` — what lets the sqlite backend upsert only
     the document rows the session touched instead of rewriting the
     table.
 
-    Rows are content-identified, so a removal cancels a queued insertion
-    of the same row (and vice versa) — undo churn nets out instead of
-    accumulating.  Past :attr:`LIMIT` queued operations the backlog is
-    declared :attr:`overflowed` and the owner drops it: one full payload
-    write is cheaper than replaying that many single-row statements.
+    Past :attr:`LIMIT` queued operations the backlog is declared
+    :attr:`overflowed` and the owner drops it: one full payload write
+    is cheaper than replaying that many single-row statements.
     """
 
-    __slots__ = ("overlap_add", "overlap_remove", "paths", "attrs", "rows")
+    __slots__ = ("paths", "attrs", "rows")
 
     #: Queued-operation bound beyond which a full rewrite wins.
     LIMIT = 1024
@@ -85,62 +83,24 @@ class PersistDeltas:
     def __init__(self) -> None:
         from ..core.changes import ElementRowCoalescer
 
-        self.overlap_add: list[tuple[str, str, int, int]] = []
-        self.overlap_remove: list[tuple[str, str, int, int]] = []
         self.paths: set[tuple[str, tuple[str, ...]]] = set()
         self.attrs: set[tuple[str, str]] = set()
         self.rows = ElementRowCoalescer()
 
     def __bool__(self) -> bool:
-        return bool(
-            self.overlap_add or self.overlap_remove or self.paths
-            or self.attrs or self.rows
-        )
+        return bool(self.paths or self.attrs or self.rows)
 
     @property
     def overflowed(self) -> bool:
         return (
-            len(self.overlap_add) + len(self.overlap_remove)
-            + len(self.paths) + len(self.attrs) + len(self.rows)
+            len(self.paths) + len(self.attrs) + len(self.rows)
             > self.LIMIT
         )
 
     def record(self, change, touched_paths, touched_attrs=()) -> None:
-        from ..core.changes import InsertMarkup, RemoveMarkup
-
         self.paths.update(touched_paths)
         self.attrs.update(touched_attrs)
         self.rows.record(change)
-        if not isinstance(change, (InsertMarkup, RemoveMarkup)):
-            return  # attribute edits touch no interval or partition row
-        if change.start != change.end:
-            row = (change.hierarchy, change.tag, change.start, change.end)
-            if isinstance(change, InsertMarkup):
-                try:
-                    self.overlap_remove.remove(row)
-                except ValueError:
-                    self.overlap_add.append(row)
-            else:
-                try:
-                    self.overlap_add.remove(row)
-                except ValueError:
-                    self.overlap_remove.append(row)
-
-
-def _overlap_rows(document: "GoddagDocument", hierarchy: str) -> dict:
-    """One hierarchy's overlap section: its solid elements sorted by
-    ``(start, -end, tag)`` as parallel ``starts``/``ends``/``tags``
-    lists (zero-width elements carry no interval)."""
-    rows = sorted(
-        (element.start, -element.end, element.tag)
-        for element in document.elements(hierarchy=hierarchy)
-        if not element.is_empty
-    )
-    return {
-        "starts": [start for start, _, _ in rows],
-        "ends": [-negated for _, negated, _ in rows],
-        "tags": [tag for _, _, tag in rows],
-    }
 
 
 class IndexManager:
@@ -537,11 +497,11 @@ class IndexManager:
 
         Yields ``(section, item)`` pairs: one ``("meta", header)`` first
         (``format``/``name``/``doc_length``), then one item per index
-        row — ``("overlap", (hierarchy, table_dict))``, ``("paths",
-        partition_row)``, ``("terms", (term, starts))``, ``("attrs",
-        posting_row)``.  Rows are produced lazily, so a chunked
-        consumer (a streaming storage writer) never holds more than its
-        own batch; :meth:`payload` is this stream reassembled.
+        row — ``("paths", partition_row)``, ``("terms", (term,
+        starts))``, ``("attrs", posting_row)``.  Rows are produced
+        lazily, so a chunked consumer (a streaming storage writer) never
+        holds more than its own batch; :meth:`payload` is this stream
+        reassembled.
         """
         self.refresh()
         yield "meta", {
@@ -549,9 +509,6 @@ class IndexManager:
             "name": name,
             "doc_length": self.document.length,
         }
-        document = self.document
-        for hierarchy in document.hierarchy_names():
-            yield "overlap", (hierarchy, _overlap_rows(document, hierarchy))
         for hierarchy, path, count in self.structural.label_paths():
             yield "paths", (
                 hierarchy, encode_path(path), path[-1], count,
@@ -574,19 +531,15 @@ class IndexManager:
 
         Returns:
             A JSON-shaped dict with ``format`` (see ``PAYLOAD_FORMAT``),
-            ``name``, ``doc_length``, ``overlap`` per-hierarchy
-            interval rows of the solid elements, ``terms`` posting
-            lists, ``paths`` label-path partition rows, and ``attrs``
+            ``name``, ``doc_length``, ``terms`` posting lists,
+            ``paths`` label-path partition rows, and ``attrs``
             attribute-value posting rows — the whole
             :meth:`payload_stream`, reassembled.
         """
-        payload: dict = {"overlap": {}, "terms": {}, "paths": [],
-                         "attrs": []}
+        payload: dict = {"terms": {}, "paths": [], "attrs": []}
         for section, item in self.payload_stream(name):
             if section == "meta":
                 payload.update(item)
-            elif section == "overlap":
-                payload["overlap"][item[0]] = item[1]
             elif section == "terms":
                 payload["terms"][item[0]] = item[1]
             else:

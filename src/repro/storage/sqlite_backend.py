@@ -9,8 +9,8 @@ large stored editions cheap (experiment E7).
 
 Stored documents can carry *persisted indexes*
 (:meth:`SqliteStore.build_index`) kept in dedicated tables.
-Index-aware queries — :meth:`SqliteStore.query_spans`,
-:meth:`SqliteStore.term_occurrences`, :meth:`SqliteStore.count_tag`,
+Index-aware queries — :meth:`SqliteStore.term_occurrences`,
+:meth:`SqliteStore.count_tag`,
 :meth:`SqliteStore.count_attribute` — probe once for the index and
 answer from the index rows when one exists, from the element rows when
 it does not, returning the same answers either way.  A plain
@@ -119,15 +119,6 @@ CREATE TABLE IF NOT EXISTS index_attrs (
     spans BLOB NOT NULL,
     PRIMARY KEY (doc_id, name, value)
 );
-CREATE TABLE IF NOT EXISTS index_overlap (
-    doc_id INTEGER NOT NULL REFERENCES documents(doc_id) ON DELETE CASCADE,
-    hierarchy TEXT NOT NULL,
-    tag TEXT NOT NULL,
-    start INTEGER NOT NULL,
-    end INTEGER NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_index_overlap_span
-    ON index_overlap(doc_id, start, end);
 CREATE INDEX IF NOT EXISTS idx_index_paths_tag
     ON index_paths(doc_id, tag);
 CREATE TABLE IF NOT EXISTS collection_summary (
@@ -313,7 +304,10 @@ class SqliteStore:
     def _migrate(self) -> None:
         """Bring a store created by an older release up to the current
         schema (CREATE TABLE IF NOT EXISTS never alters existing
-        tables).  Additive only: older columns are never dropped."""
+        tables).  Additive only: older columns are never dropped, and
+        the ``index_overlap`` table of stores written before span
+        queries moved to the element rows is left in place and never
+        read or written."""
         columns = [
             row[1]
             for row in self._conn.execute("PRAGMA table_info(index_meta)")
@@ -480,7 +474,7 @@ class SqliteStore:
         return document, stamp
 
     def delete(self, name: str) -> None:
-        doc_id, _ = self._document_row(name)
+        doc_id, _ = self._doc_index_row(name)
 
         def transaction() -> None:
             self._conn.execute(
@@ -519,7 +513,7 @@ class SqliteStore:
     # -- storage-level queries (no reconstruction) --------------------------------------
 
     def count_elements(self, name: str, tag: str | None = None) -> int:
-        doc_id, _ = self._document_row(name)
+        doc_id, _ = self._doc_index_row(name)
         if tag is None:
             query = "SELECT COUNT(*) FROM elements WHERE doc_id = ?"
             (count,) = self._conn.execute(query, (doc_id,)).fetchone()
@@ -529,7 +523,7 @@ class SqliteStore:
         return count
 
     def elements_by_tag(self, name: str, tag: str) -> list[StoredElement]:
-        doc_id, _ = self._document_row(name)
+        doc_id, _ = self._doc_index_row(name)
         return [
             _stored(row)
             for row in self._conn.execute(
@@ -545,30 +539,12 @@ class SqliteStore:
         """Solid elements sharing at least one character with
         [start, end), as ``(hierarchy, tag, start, end)`` ordered by
         ``(start, -end, hierarchy, tag)`` — read from the element rows,
-        without reconstruction.  Zero-width elements share no character
-        with any window and are never returned."""
+        without reconstruction, by the ``(doc_id, start, end)`` index.
+        Zero-width elements share no character with any window and are
+        never returned."""
         doc_id, _ = self._doc_index_row(name)
-        return self._solid_spans("elements", doc_id, start, end)
-
-    def query_spans(
-        self, name: str, start: int, end: int
-    ) -> list[tuple[str, str, int, int]]:
-        """Index-aware span query: what :meth:`elements_intersecting`
-        returns, in the same order.
-
-        With a persisted index the answer comes from an SQL range probe
-        of the overlap index (which holds one row per solid element);
-        without one, from the element rows.
-        """
-        doc_id, indexed = self._doc_index_row(name)
-        return self._solid_spans(
-            "index_overlap" if indexed else "elements", doc_id, start, end
-        )
-
-    def _solid_spans(self, table: str, doc_id: int, start: int,
-                     end: int) -> list[tuple[str, str, int, int]]:
         return self._conn.execute(
-            f"SELECT hierarchy, tag, start, end FROM {table}"
+            "SELECT hierarchy, tag, start, end FROM elements"
             " WHERE doc_id = ? AND start < ? AND end > ? AND start < end"
             " ORDER BY start, end DESC, hierarchy, tag",
             (doc_id, end, start),
@@ -584,7 +560,7 @@ class SqliteStore:
         :meth:`~repro.core.goddag.GoddagDocument.element_by_ordinal`)
         in any later one.
         """
-        doc_id, _ = self._document_row(name)
+        doc_id, _ = self._doc_index_row(name)
         row = self._conn.execute(
             "SELECT elem_id, hierarchy, tag, start, end, attributes"
             " FROM elements WHERE doc_id = ? AND elem_id = ?",
@@ -596,7 +572,7 @@ class SqliteStore:
         self, name: str, tag_a: str, tag_b: str
     ) -> list[tuple[StoredElement, StoredElement]]:
         """All properly-overlapping (tag_a, tag_b) pairs, by SQL self-join."""
-        doc_id, _ = self._document_row(name)
+        doc_id, _ = self._doc_index_row(name)
         rows = self._conn.execute(
             """
             SELECT a.elem_id, a.hierarchy, a.tag, a.start, a.end, a.attributes,
@@ -734,7 +710,7 @@ class SqliteStore:
 
     def text_of(self, name: str, start: int, end: int) -> str:
         """A text window, served straight from the database."""
-        doc_id, _ = self._document_row(name)
+        doc_id, _ = self._doc_index_row(name)
         (fragment,) = self._conn.execute(
             "SELECT substr(text, ?, ?) FROM documents WHERE doc_id = ?",
             (start + 1, end - start, doc_id),
@@ -744,13 +720,13 @@ class SqliteStore:
     # -- persisted indexes (see repro.index) ---------------------------------------------
     #
     # The index tables mirror the IndexManager payload: label-path
-    # partition rows with packed spans, term posting rows, and one
-    # overlap row per solid element.  Queries below answer from these
-    # tables alone — no document reconstruction.
+    # partition rows with packed spans, term posting rows and attribute
+    # posting rows.  Span queries need no index table: the element rows
+    # carry their (start, end) under idx_elements_span.
 
     def save_index(self, name: str, payload: dict, stamp: str = "") -> None:
         """Persist an ``IndexManager.payload()`` for a stored document."""
-        doc_id, _ = self._document_row(name)
+        doc_id, _ = self._doc_index_row(name)
         self._write_retry(
             lambda: self._write_index_rows(doc_id, payload, stamp),
             f"save_index {name!r}",
@@ -759,8 +735,8 @@ class SqliteStore:
     def build_index(self, name: str) -> dict:
         """Build and persist the index for a stored document.
 
-        Loads the document once, builds the four indexes (structural
-        summary, term index, attribute postings, overlap index),
+        Loads the document once, builds the three indexes (structural
+        summary, term index, attribute postings),
         persists them to the index tables, and returns the size census.
         Subsequent index-aware queries answer without loading the
         document again.
@@ -964,7 +940,7 @@ class SqliteStore:
     def element_row_full(self, name: str, elem_id: int) -> ElementRow | None:
         """The full schema row for one element — one keyed probe of the
         ``(doc_id, elem_id)`` primary key — or ``None``."""
-        doc_id, _ = self._document_row(name)
+        doc_id, _ = self._doc_index_row(name)
         row = self._conn.execute(
             f"SELECT {self._ELEMENT_ROW_COLS} FROM elements"
             " WHERE doc_id = ? AND elem_id = ?", (doc_id, elem_id),
@@ -982,7 +958,7 @@ class SqliteStore:
         filters by parent-chain reachability, since an overlapping
         hierarchy sibling can share the interval.
         """
-        doc_id, _ = self._document_row(name)
+        doc_id, _ = self._doc_index_row(name)
         return list(map(ElementRow._make, self._conn.execute(
             f"SELECT {self._ELEMENT_ROW_COLS} FROM elements"
             " WHERE doc_id = ? AND start >= ? AND end <= ?"
@@ -1002,7 +978,7 @@ class SqliteStore:
         still confirm the match on the decoded attribute dict (the
         needle never false-negatives, but may false-positive).
         """
-        doc_id, _ = self._document_row(name)
+        doc_id, _ = self._doc_index_row(name)
         query = (f"SELECT {self._ELEMENT_ROW_COLS} FROM elements"
                  " WHERE doc_id = ? AND tag = ?")
         params: list = [doc_id, tag]
@@ -1055,16 +1031,6 @@ class SqliteStore:
             ],
         )
         self._conn.executemany(
-            "INSERT INTO index_overlap VALUES (?, ?, ?, ?, ?)",
-            [
-                (doc_id, hierarchy, tag, start, end)
-                for hierarchy, entry in payload.get("overlap", {}).items()
-                for start, end, tag in zip(
-                    entry["starts"], entry["ends"], entry["tags"]
-                )
-            ],
-        )
-        self._conn.executemany(
             "INSERT INTO collection_summary VALUES (?, ?, ?, ?)",
             [(doc_id, kind, key, n)
              for kind, key, n in collection_summary_rows(payload)],
@@ -1098,28 +1064,13 @@ class SqliteStore:
         :class:`~repro.index.manager.PersistDeltas` (statements only —
         :meth:`resave_with_index` owns the transaction).
 
-        Inserts/deletes the individual ``index_overlap`` rows the edits
-        touched, upserts exactly the dirty ``index_paths`` partition
-        rows (``partition_spans(hierarchy, path)`` supplies the current
+        Upserts exactly the dirty ``index_paths`` partition rows
+        (``partition_spans(hierarchy, path)`` supplies the current
         ``(start, end)`` members; an empty answer deletes the row), and
         likewise upserts the dirty ``index_attrs`` posting rows from
         ``attr_spans(name, value)``.  Term rows never change — the text
         is immutable.
         """
-        if deltas.overlap_add:
-            self._conn.executemany(
-                "INSERT INTO index_overlap VALUES (?, ?, ?, ?, ?)",
-                [(doc_id, hierarchy, tag, start, end)
-                 for hierarchy, tag, start, end in deltas.overlap_add],
-            )
-        for hierarchy, tag, start, end in deltas.overlap_remove:
-            self._conn.execute(
-                "DELETE FROM index_overlap WHERE rowid IN ("
-                " SELECT rowid FROM index_overlap"
-                " WHERE doc_id = ? AND hierarchy = ? AND tag = ?"
-                " AND start = ? AND end = ? LIMIT 1)",
-                (doc_id, hierarchy, tag, start, end),
-            )
         for hierarchy, path in deltas.paths:
             spans = partition_spans(hierarchy, path)
             encoded = encode_path(path)
@@ -1183,12 +1134,15 @@ class SqliteStore:
     def index_stamp(self, name: str) -> str | None:
         """The generation stamp of the persisted index (empty for one
         written outside an editing session), or ``None`` when no index
-        is stored."""
-        doc_id, _ = self._document_row(name)
+        is stored — one statement, the probe every session pays."""
         row = self._conn.execute(
-            "SELECT stamp FROM index_meta WHERE doc_id = ?", (doc_id,)
+            "SELECT m.stamp FROM documents d"
+            " LEFT JOIN index_meta m USING (doc_id) WHERE d.name = ?",
+            (name,),
         ).fetchone()
-        return row[0] if row else None
+        if row is None:
+            raise StorageError(f"no stored document {name!r}")
+        return row[0]
 
     def route_documents(self, features) -> list[str]:
         """The names of every document that *can* match a query with
@@ -1498,8 +1452,7 @@ class SqliteStore:
 
     def _delete_index_rows(self, doc_id: int) -> None:
         for table in ("index_meta", "index_paths", "index_terms",
-                      "index_overlap", "index_attrs",
-                      "collection_summary"):
+                      "index_attrs", "collection_summary"):
             self._conn.execute(
                 f"DELETE FROM {table} WHERE doc_id = ?", (doc_id,)
             )
@@ -1528,7 +1481,7 @@ class SqliteStore:
 
     def drop_index(self, name: str) -> None:
         """Remove the persisted index (the document itself is untouched)."""
-        doc_id, _ = self._document_row(name)
+        doc_id, _ = self._doc_index_row(name)
         self._write_retry(
             lambda: self._delete_index_rows(doc_id), f"drop_index {name!r}"
         )
@@ -1542,24 +1495,13 @@ class SqliteStore:
 
     def load_index(self, name: str) -> dict | None:
         """The full persisted payload, or None when no index is stored."""
-        doc_id, _ = self._document_row(name)
+        doc_id, _ = self._doc_index_row(name)
         meta = self._conn.execute(
             "SELECT format, doc_length FROM index_meta WHERE doc_id = ?",
             (doc_id,),
         ).fetchone()
         if meta is None:
             return None
-        overlap: dict[str, dict[str, list]] = {}
-        for hierarchy, tag, start, end in self._conn.execute(
-            "SELECT hierarchy, tag, start, end FROM index_overlap"
-            " WHERE doc_id = ? ORDER BY hierarchy, start, end DESC", (doc_id,),
-        ):
-            entry = overlap.setdefault(
-                hierarchy, {"starts": [], "ends": [], "tags": []}
-            )
-            entry["starts"].append(start)
-            entry["ends"].append(end)
-            entry["tags"].append(tag)
         try:
             terms = {
                 term: unpack_u32(starts)
@@ -1594,7 +1536,6 @@ class SqliteStore:
             "format": meta[0],
             "name": name,
             "doc_length": meta[1],
-            "overlap": overlap,
             "terms": terms,
             "paths": paths,
             "attrs": attrs,
@@ -1619,7 +1560,9 @@ class SnapshotCache:
     cached.  Every :meth:`evict` and hand-off (:meth:`install` without
     an epoch) moves the name's install epoch, and a load installs only
     if the epoch it read at its probe is still current, so a slow load
-    never replaces a newer entry.
+    never replaces a newer entry.  Only a load in flight can read an
+    epoch back, so a name keeps one only while :meth:`get` is loading
+    it: the epoch table never outgrows the loads running at once.
     """
 
     LIMIT = 32
@@ -1627,6 +1570,7 @@ class SnapshotCache:
     def __init__(self) -> None:
         self._entries: OrderedDict[str, SharedSnapshot] = OrderedDict()
         self._epochs: dict[str, int] = {}
+        self._loads: dict[str, int] = {}  # name -> loads in flight
         self._guard = threading.Lock()
 
     def get(self, connection, name: str, *, index: bool = True,
@@ -1639,23 +1583,34 @@ class SnapshotCache:
         and an entry without one is a miss.  A miss is frozen, and
         installed only with ``install`` and an unmoved epoch.
         """
-        with connection as backend:
-            generation = backend.index_stamp(name)
-            with self._guard:
-                epoch = self._epochs.get(name, 0)
-                entry = self._entries.get(name)
-                if generation and entry is not None \
-                        and entry.generation == generation \
-                        and (entry.manager is not None or not index):
-                    self._entries.move_to_end(name)
-                    return entry, True
-            document, generation = backend.load_snapshot(name)
-        manager = IndexManager(document).attach() if index else None
-        document.freeze()
-        entry = SharedSnapshot(generation, document, manager)
-        if install:
-            self.install(name, entry, epoch)
-        return entry, False
+        epoch = None
+        try:
+            with connection as backend:
+                generation = backend.index_stamp(name)
+                with self._guard:
+                    entry = self._entries.get(name)
+                    if generation and entry is not None \
+                            and entry.generation == generation \
+                            and (entry.manager is not None or not index):
+                        self._entries.move_to_end(name)
+                        return entry, True
+                    epoch = self._epochs.get(name, 0)
+                    self._loads[name] = self._loads.get(name, 0) + 1
+                document, generation = backend.load_snapshot(name)
+            manager = IndexManager(document).attach() if index else None
+            document.freeze()
+            entry = SharedSnapshot(generation, document, manager)
+            if install:
+                self.install(name, entry, epoch)
+            return entry, False
+        finally:
+            if epoch is not None:
+                with self._guard:
+                    if self._loads[name] > 1:
+                        self._loads[name] -= 1
+                    else:
+                        del self._loads[name]
+                        self._epochs.pop(name, None)
 
     def install(self, name: str, entry: SharedSnapshot,
                 epoch: int | None = None) -> None:
@@ -1665,7 +1620,7 @@ class SnapshotCache:
             return
         with self._guard:
             if epoch is None:
-                self._epochs[name] = self._epochs.get(name, 0) + 1
+                self._move_epoch(name)
             elif self._epochs.get(name, 0) != epoch:
                 return
             self._entries[name] = entry
@@ -1678,6 +1633,12 @@ class SnapshotCache:
         load already in flight installs over the change."""
         with self._guard:
             self._entries.pop(name, None)
+            self._move_epoch(name)
+
+    def _move_epoch(self, name: str) -> None:
+        """Bump ``name``'s epoch if a load of it is in flight (the
+        caller holds the guard); with none, no load can read it."""
+        if name in self._loads:
             self._epochs[name] = self._epochs.get(name, 0) + 1
 
     def clear(self) -> None:
@@ -1842,8 +1803,8 @@ class StreamIngestSession:
     order a materialized ``IndexManager.payload()`` would emit them
     (document order — which streaming close order provides, see
     :mod:`repro.streaming.ingest`).  ``finalize`` writes everything
-    order-sensitive-at-once (hierarchies, sorted attribute and overlap
-    rows, ``index_meta``, SQL-derived ``collection_summary`` rows) and
+    order-sensitive-at-once (hierarchies, sorted attribute rows,
+    ``index_meta``, SQL-derived ``collection_summary`` rows) and
     renames the staging row to the real name in one transaction;
     ``abort`` deletes the staging rows.
     """
@@ -1953,17 +1914,13 @@ class StreamIngestSession:
     # -- closing -----------------------------------------------------------------
 
     def finalize(self, *, hierarchy_rows, doc_length: int, attr_rows,
-                 overlap_rows, stamp: str) -> str:
+                 stamp: str) -> str:
         """Publish the document: everything order-sensitive, the
         ``index_meta`` visibility gate, the SQL-derived collection
         summary, and the staging→real rename — one transaction.
 
         ``attr_rows`` are ``(name, value, n, spans_blob)`` sorted by
-        key with members in document order; ``overlap_rows`` are
-        ``(hierarchy, tag, start, end)`` in the payload's order
-        (hierarchy rank, then ``(start, -end, tag, ordinal)``), which
-        keeps ``load_index`` tie-breaks byte-identical to a
-        materialized save.
+        key with members in document order.
         """
         conn = self._store._conn
         doc_id = self._doc_id
@@ -1977,10 +1934,6 @@ class StreamIngestSession:
             conn.executemany(
                 "INSERT INTO index_attrs VALUES (?, ?, ?, ?, ?)",
                 [(doc_id, *row) for row in attr_rows],
-            )
-            conn.executemany(
-                "INSERT INTO index_overlap VALUES (?, ?, ?, ?, ?)",
-                [(doc_id, *row) for row in overlap_rows],
             )
             conn.execute(
                 "INSERT INTO index_meta VALUES (?, ?, ?, ?)",

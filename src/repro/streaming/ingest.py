@@ -23,9 +23,8 @@ How identity survives streaming, table by table:
 - **index_terms** — tokens are posted in ascending text offset; the
   streaming tokenizer (:class:`_TermAccumulator`) carries partial
   tokens across confirmed-text chunk boundaries.
-- **index_attrs / index_overlap** — cross-hierarchy document order and
-  the payload's ``(start, -end, tag, ordinal)`` order are not close
-  order, so these keep compact integer sort keys in memory (a few
+- **index_attrs** — cross-hierarchy document order is not close order,
+  so attribute postings keep compact integer sort keys in memory (a few
   dozen bytes per posting, not a node graph) and are sorted once at
   finalize.
 - **collection_summary** — derived per-document in SQL at finalize,
@@ -225,7 +224,6 @@ def _stream_rows(session, sources, hierarchy_names, bases, chunk_elements,
     doc_length = 0
     # Sorted once at finalize — compact scalar tuples, not node graphs.
     attr_postings: dict[tuple[str, str], list[tuple]] = {}
-    overlap_keys: dict[str, list[tuple]] = {h: [] for h in hierarchy_names}
 
     def on_text(chunk: str) -> None:
         nonlocal text_pending_chars, doc_length
@@ -267,11 +265,6 @@ def _stream_rows(session, sources, hierarchy_names, bases, chunk_elements,
         paths.add(fragment)
         rank = ranks[hierarchy]
         empty = fragment.start == fragment.end
-        if not empty:
-            overlap_keys[hierarchy].append(
-                (fragment.start, -fragment.end, fragment.tag,
-                 fragment.ordinal)
-            )
         for attr_name, attr_value in fragment.attributes:
             attr_postings.setdefault((attr_name, attr_value), []).append(
                 (fragment.start, 0 if empty else 1, -fragment.end, rank,
@@ -301,17 +294,11 @@ def _stream_rows(session, sources, hierarchy_names, bases, chunk_elements,
         attr_rows.append(
             (attr_name, attr_value, len(members), bytes(pack_u32(flat)))
         )
-    overlap_rows = [
-        (hname, tag, start, -neg_end)
-        for hname in hierarchy_names
-        for start, neg_end, tag, _ordinal in sorted(overlap_keys[hname])
-    ]
     hierarchy_rows = [(rank, hname, "")
                       for rank, hname in enumerate(hierarchy_names)]
     return session.finalize(
         hierarchy_rows=hierarchy_rows,
         doc_length=doc_length,
         attr_rows=attr_rows,
-        overlap_rows=overlap_rows,
         stamp=uuid4().hex,
     )

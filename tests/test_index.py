@@ -199,22 +199,10 @@ class TestIndexManager:
         payload = IndexManager(corpus).payload("ms")
         assert payload["name"] == "ms"
         assert payload["doc_length"] == corpus.length
-        assert set(payload["overlap"]) == set(corpus.hierarchy_names())
+        assert set(payload) == {"format", "name", "doc_length", "terms",
+                                "paths", "attrs"}
         assert payload["terms"]
         assert all(len(row) == 5 for row in payload["paths"])
-
-    def test_payload_overlap_rows_are_sorted_solid_elements(self, corpus):
-        overlap = IndexManager(corpus).payload("ms")["overlap"]
-        for hierarchy in corpus.hierarchy_names():
-            rows = sorted(
-                (e.start, -e.end, e.tag)
-                for e in corpus.elements(hierarchy=hierarchy)
-                if not e.is_empty
-            )
-            table = overlap[hierarchy]
-            assert table["starts"] == [s for s, _, _ in rows]
-            assert table["ends"] == [-n for _, n, _ in rows]
-            assert table["tags"] == [t for _, _, t in rows]
 
 
 # -- engine equivalence --------------------------------------------------------
@@ -294,25 +282,27 @@ class TestStoredIndexes:
     def _store(self, tmp_path):
         return GoddagStore(tmp_path / "db.sqlite")
 
-    def test_query_spans_indexed_equals_fallback(self, backend, tmp_path, corpus):
+    def test_span_query_is_unchanged_by_an_index(self, backend, tmp_path,
+                                                 corpus):
         with self._store(tmp_path) as store:
             store.save(corpus, "ms")
             windows = [(0, 60), (100, 101), (250, 500), (0, corpus.length)]
-            plain = [store.query_spans("ms", s, e) for s, e in windows]
+            plain = [store.elements_intersecting("ms", s, e)
+                     for s, e in windows]
             store.build_index("ms")
             assert store.has_index("ms")
             for (s, e), expected in zip(windows, plain):
-                assert store.query_spans("ms", s, e) == expected
+                assert store.elements_intersecting("ms", s, e) == expected
 
     def test_index_survives_reopen(self, backend, tmp_path, corpus):
         location = tmp_path / "db.sqlite"
         with GoddagStore(location) as store:
             store.save(corpus, "ms")
             store.build_index("ms")
-            expected = store.query_spans("ms", 90, 180)
+            expected = store.elements_intersecting("ms", 90, 180)
         with GoddagStore(location) as fresh:
             assert fresh.has_index("ms")
-            assert fresh.query_spans("ms", 90, 180) == expected
+            assert fresh.elements_intersecting("ms", 90, 180) == expected
 
     def test_term_occurrences(self, backend, tmp_path, corpus):
         with self._store(tmp_path) as store:
@@ -340,9 +330,8 @@ class TestStoredIndexes:
             store.build_index("ms")
             store.save(corpus, "ms", overwrite=True)
             assert not store.has_index("ms")
-            # Fallback still answers correctly.
-            hits = store.query_spans("ms", 0, 80)
-            assert hits == store.elements_intersecting("ms", 0, 80) or hits
+            # The document still answers span queries.
+            assert store.elements_intersecting("ms", 0, 80)
 
     def test_drop_index(self, backend, tmp_path, corpus):
         with self._store(tmp_path) as store:
@@ -372,7 +361,8 @@ class TestStoredIndexes:
             store.build_index("d")  # must not collide on the path key
             assert store.count_tag("d", "a/b") == 1
             assert store.count_tag("d", "b") == 1
-            assert ("h", "a/b", 6, 11) in store.query_spans("d", 0, 11)
+            assert ("h", "a/b", 6, 11) in store.elements_intersecting(
+                "d", 0, 11)
 
     def test_second_store_rewrite_is_seen(self, backend, tmp_path):
         """Two stores on one location: a rewrite + reindex through store B
@@ -390,11 +380,13 @@ class TestStoredIndexes:
         try:
             store_a.save(doc("x", "abcd efgh"), "d")
             store_a.build_index("d")
-            assert store_a.query_spans("d", 0, 4) == [("p", "x", 0, 4)]
+            assert store_a.elements_intersecting("d", 0, 4) == [
+                ("p", "x", 0, 4)]
             assert store_a.term_occurrences("d", "efgh") == [5]
             store_b.save(doc("y", "abcd wxyz"), "d", overwrite=True)
             store_b.build_index("d")
-            assert store_a.query_spans("d", 0, 4) == [("p", "y", 0, 4)]
+            assert store_a.elements_intersecting("d", 0, 4) == [
+                ("p", "y", 0, 4)]
             assert store_a.term_occurrences("d", "wxyz") == [5]
             assert store_a.term_occurrences("d", "efgh") == []
         finally:
@@ -408,8 +400,5 @@ class TestStoredIndexes:
             payload = IndexManager(corpus).payload("ms")
             stored = store.load_index("ms")
             assert stored["terms"] == payload["terms"]
-            for name, entry in payload["overlap"].items():
-                got = stored["overlap"][name]
-                assert sorted(zip(got["starts"], got["ends"], got["tags"])) \
-                    == sorted(zip(entry["starts"], entry["ends"],
-                                  entry["tags"]))
+            assert sorted(stored["paths"]) == sorted(payload["paths"])
+            assert stored["attrs"] == sorted(payload["attrs"])

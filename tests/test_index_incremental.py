@@ -147,7 +147,6 @@ def _store_rows(store: GoddagStore) -> dict[str, list]:
         "index_paths": "hierarchy, path, tag, n, spans",
         "index_terms": "term, starts",
         "index_attrs": "name, value, n, spans",
-        "index_overlap": "hierarchy, tag, start, end",
         "collection_summary": "kind, key, n",
     }
     return {

@@ -24,6 +24,7 @@ import sqlite3
 
 from repro.editing import Editor
 from repro.index import IndexManager
+from repro.obs.metrics import metrics
 from repro.storage import GoddagStore
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -86,7 +87,7 @@ class TestLegacyArtifactMigration:
             assert store.has_index("legacy")
             assert store.count_tag("legacy", "line") == 1
             assert store.term_occurrences("legacy", "world") == [6]
-            assert store.query_spans("legacy", 0, 11) == [
+            assert store.elements_intersecting("legacy", 0, 11) == [
                 ("physical", "line", 0, 11),
                 ("physical", "w", 0, 5),
                 ("linguistic", "s", 6, 11),
@@ -129,3 +130,43 @@ class TestLegacyArtifactMigration:
             assert tuple(rows[4][:4]) == ("linguistic", "seg", 0, 5)
             assert store.element("legacy", 4).tag == "seg"
             assert store.count_tag("legacy", "seg") == 1
+
+
+def test_fresh_store_has_no_overlap_table(tmp_path):
+    """Span queries read the element rows, so no current store carries
+    a second copy of every solid element's interval."""
+    with GoddagStore(tmp_path / "fresh.sqlite") as store:
+        assert "index_overlap" not in table_names(store._conn)
+
+
+def test_legacy_overlap_rows_are_left_alone_by_a_row_level_publish(tmp_path):
+    where = materialize("sqlite_store_format2.sql", tmp_path)
+    legacy_rows = "SELECT * FROM index_overlap ORDER BY rowid"
+    with GoddagStore(where) as store:
+        before = store._conn.execute(legacy_rows).fetchall()
+        document = store.load("legacy")
+        manager = IndexManager.for_document(document)
+        store.save_indexed(document, "legacy", manager, overwrite=True)
+        editor = Editor(document, prevalidate=False)
+        editor.insert_markup("linguistic", "seg", 0, 5)
+        editor.remove_markup(next(document.elements(tag="s")))
+        metrics.reset()
+        metrics.enable()
+        try:
+            store.save_indexed(document, "legacy", manager)
+            counters = metrics.snapshot()["counters"]
+        finally:
+            metrics.disable()
+            metrics.reset()
+        assert counters["storage.row_level_saves"] == 1
+        assert store._conn.execute(legacy_rows).fetchall() == before
+        stored = store.load("legacy")
+        for start, end in ((0, 11), (0, 5), (4, 7), (6, 11), (5, 6)):
+            brute = sorted(
+                ((e.hierarchy, e.tag, e.start, e.end)
+                 for e in stored.elements()
+                 if e.start < end and e.end > start and e.start < e.end),
+                key=lambda row: (row[2], -row[3], row[0], row[1]),
+            )
+            assert store.elements_intersecting("legacy", start, end) \
+                == brute

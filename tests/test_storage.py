@@ -105,9 +105,8 @@ class TestSqliteStore:
             assert hits and all(start < end for _, _, start, end in hits)
             assert "pb" not in {tag for _, tag, _, _ in hits}
             # Indexed or not, the span query answers the same.
-            assert store.query_spans("f", 2, 8) == hits
             store.build_index("f")
-            assert store.query_spans("f", 2, 8) == hits
+            assert store.elements_intersecting("f", 2, 8) == hits
 
     def test_duplicate_save_across_connections_is_typed(self, doc, tmp_path):
         """The existence check runs inside the insert transaction: a

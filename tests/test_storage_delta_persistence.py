@@ -25,7 +25,8 @@ def fresh_answers(document, windows, tags, needles):
         store.save(document, "truth")
         store.build_index("truth")
         return {
-            "spans": [store.query_spans("truth", s, e) for s, e in windows],
+            "spans": [store.elements_intersecting("truth", s, e)
+                      for s, e in windows],
             "tags": {tag: store.count_tag("truth", tag) for tag in tags},
             "terms": {needle: store.term_occurrences("truth", needle)
                       for needle in needles},
@@ -64,7 +65,7 @@ class TestDeltaAppliedRoundTrip:
             assert store.has_index("ms")  # never invalidated wholesale
             truth = fresh_answers(document, WINDOWS, TAGS, NEEDLES)
             for (s, e), expected in zip(WINDOWS, truth["spans"]):
-                assert store.query_spans("ms", s, e) == expected
+                assert store.elements_intersecting("ms", s, e) == expected
             for tag, expected in truth["tags"].items():
                 assert store.count_tag("ms", tag) == expected
             for needle, expected in truth["terms"].items():
@@ -424,7 +425,10 @@ class TestBackwardCompatibilityAndBacklog:
                 editor.undo()
             pending = manager.pending_persist()
             assert pending is not None
-            assert not pending.overlap_add and not pending.overlap_remove
+            # Forty records, yet the row backlog holds one dirty
+            # sibling list, not a write per record.
+            assert pending.rows.records_seen == 40
+            assert len(pending.rows) == 1
             store.save_indexed(document, "ms", manager)
             assert store.count_tag("ms", "seg") == 0
 

@@ -122,7 +122,6 @@ def stored_rows(path: str) -> dict[str, list]:
         ("index_paths", "hierarchy, path"),
         ("index_terms", "term"),
         ("index_attrs", "name, value"),
-        ("index_overlap", "rowid"),
         ("collection_summary", "kind, key"),
     ]
     conn = sqlite3.connect(path)
