@@ -1,6 +1,6 @@
 """E12 — batch kernels and the compiled-plan cache.
 
-Two studies on the standard synthetic corpora:
+Three studies on the standard synthetic corpora:
 
 * **batch vs object walk** — the hot query shapes of E9/E10 evaluated
   twice under the *same* cost-based plan choices: once through the flat
@@ -12,6 +12,12 @@ Two studies on the standard synthetic corpora:
   ≥ 5x at the largest size; the micro shapes (already tens of
   microseconds before this layer) must clear ≥ 2x.  Every pair of runs
   must return byte-identical node lists;
+* **overlap predicates** — ``A[overlapping::B]`` from the structural
+  summary and ``A[@n='5'][overlapping::B]`` from an attribute posting,
+  answered by the boundary-column kernel (``rows_overlapping`` over
+  ``IndexManager.overlap_bounds``) vs the per-candidate stab path of
+  the classic engine (``index=False``) in the same process.  Both must
+  return byte-identical node lists and clear ≥ 5x at the largest size;
 * **compiled-plan cache** — a repeated one-shot query served from the
   process-wide plan cache vs the same query re-parsed and re-planned
   every call (cache cleared between calls).
@@ -46,6 +52,12 @@ HOT_QUERIES = (
     ("//w[starts-with(., 'gar')]", 5.0),
     ("//page", 2.0),
     ("//line[@n='7']", 2.0),
+)
+
+#: (expression, speedup floor at the largest size) of the overlap arm.
+OVERLAP_QUERIES = (
+    ("//dmg[overlapping::line]", 5.0),
+    ("//line[@n='5'][overlapping::dmg]", 5.0),
 )
 
 CACHE_QUERY = "//line[@n='7']"
@@ -105,6 +117,33 @@ def measure_batch(document, manager, words: int) -> list[dict]:
     return rows
 
 
+def measure_overlap(document, manager, words: int) -> list[dict]:
+    """Overlap-predicate programs vs the classic per-candidate stabs."""
+    rows = []
+    for expression, floor in OVERLAP_QUERIES:
+        compiled = ExtendedXPath(expression)
+        plan = Planner(document, manager).plan(compiled.ast, expression)
+        assert plan.whole_program is not None, expression
+        served = compiled.nodes(document)
+        stabbed = compiled.nodes(document, index=False)
+        assert served, expression
+        assert len(served) == len(stabbed) and all(
+            a is b for a, b in zip(served, stabbed)
+        ), expression
+        served_time = best_of(lambda: compiled.nodes(document))
+        stab_time = best_of(lambda: compiled.nodes(document, index=False))
+        rows.append({
+            "query": expression,
+            "words": words,
+            "floor": floor,
+            "rows": len(served),
+            "batch_ms": served_time * 1e3,
+            "object_ms": stab_time * 1e3,
+            "speedup": stab_time / served_time,
+        })
+    return rows
+
+
 def measure_plan_cache(document, words: int) -> dict:
     """One-shot queries with the plan cache vs re-compiling every call."""
     clear_plan_cache()
@@ -126,10 +165,14 @@ def measure_plan_cache(document, words: int) -> dict:
     }
 
 
-def report_batch(rows) -> str:
+def report_batch(
+    rows,
+    title: str = "E12 — batch kernels vs object walk (same plan choices)",
+    baseline: str = "object",
+) -> str:
     lines = [
-        "E12 — batch kernels vs object walk (same plan choices)",
-        f"{'query':<34} {'words':>6} {'rows':>6} {'object':>10} "
+        title,
+        f"{'query':<34} {'words':>6} {'rows':>6} {baseline:>10} "
         f"{'batch':>10} {'speedup':>8}",
     ]
     for row in rows:
@@ -139,6 +182,13 @@ def report_batch(rows) -> str:
             f"{row['speedup']:>7.1f}x"
         )
     return "\n".join(lines)
+
+
+def report_overlap(rows) -> str:
+    return report_batch(
+        rows, "E12 — overlap predicates: boundary kernel vs stab path",
+        "stab",
+    )
 
 
 def report_cache(rows) -> str:
@@ -169,9 +219,9 @@ def collect_scenarios(kind: str, rows) -> None:
     from repro.obs.benchjson import scenario
 
     for row in rows:
-        if kind == "batch":
+        if kind in ("batch", "overlap"):
             _SCENARIOS.append(scenario(
-                f"batch:{row['query']}", row["words"],
+                f"{kind}:{row['query']}", row["words"],
                 [row["batch_ms"] / 1e3], speedup=round(row["speedup"], 2)))
         else:
             _SCENARIOS.append(scenario(
@@ -187,6 +237,13 @@ def run_all() -> tuple[list[dict], list[dict]]:
         batch_rows.extend(measure_batch(document, manager, words))
         cache_rows.append(measure_plan_cache(document, words))
     return batch_rows, cache_rows
+
+
+def run_overlap() -> list[dict]:
+    rows: list[dict] = []
+    for words in SIZES:
+        rows.extend(measure_overlap(*corpus(words), words))
+    return rows
 
 
 def test_e12_kernel_speedup_and_identity():
@@ -205,11 +262,28 @@ def test_e12_kernel_speedup_and_identity():
         assert row["speedup"] >= 2.0, report_cache(cache_rows)
 
 
+def test_e12_overlap_kernel_speedup_and_identity():
+    """Acceptance bar: overlap predicates through the boundary kernel
+    clear ≥ 5x over the per-candidate stab path at the largest size,
+    results byte-identical."""
+    rows = run_overlap()
+    print("\n" + report_overlap(rows))
+    collect_scenarios("overlap", rows)
+    emit_json()
+    for row in rows:
+        if row["words"] == max(SIZES):
+            assert row["speedup"] >= row["floor"], report_overlap(rows)
+
+
 if __name__ == "__main__":
     rows = run_all()
+    overlap_rows = run_overlap()
     print(report_batch(rows[0]))
+    print()
+    print(report_overlap(overlap_rows))
     print()
     print(report_cache(rows[1]))
     collect_scenarios("batch", rows[0])
+    collect_scenarios("overlap", overlap_rows)
     collect_scenarios("cache", rows[1])
     emit_json()

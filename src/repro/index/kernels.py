@@ -19,6 +19,17 @@ start is the unique one that can fit before the row's end — exactly the
 binary-search argument of :meth:`~repro.index.term.TermIndex.span_contains`,
 amortized to O(rows + occurrences) for a whole vector.
 
+The overlap kernel (:func:`rows_overlapping`) answers the Extended
+XPath overlap axes as range predicates over interval endpoints, after
+Hasibi & Bratsberg: :class:`OverlapBounds` holds one tag's solid
+members twice per hierarchy, sorted by start and sorted by end, each
+with a sparse range-max table over ends (by-start order) and over
+negated starts (by-end order).  A context ``[s, t)`` has a
+*right* partner when some member starts in ``(s, t)`` and ends after
+``t``, and a *left* partner when some member ends in ``(s, t)`` and
+starts before ``s`` — two bisections and one O(1) range query per
+hierarchy, however many members the context contains.
+
 Everything here is exact: each kernel ships with a differential test
 arm against the object-walking implementation it replaces
 (``tests/test_kernels.py``), and the engine falls back to the classic
@@ -29,7 +40,7 @@ and without the kernels.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -53,13 +64,14 @@ class CandidateVector:
     where ``Element`` objects re-enter the pipeline.
     """
 
-    __slots__ = ("elements", "starts", "ends", "ordinals")
+    __slots__ = ("elements", "starts", "ends", "ordinals", "hierarchies")
 
     def __init__(self, elements: Sequence["Element"]) -> None:
         self.elements = list(elements)
         self.starts = column(e.start for e in self.elements)
         self.ends = column(e.end for e in self.elements)
         self.ordinals = column(e.ordinal for e in self.elements)
+        self.hierarchies = [e.hierarchy for e in self.elements]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -165,3 +177,198 @@ def rows_in_ordinal_set(
     an index-served ``@name='value'`` predicate (the attribute posting's
     ordinal set stands in for per-element attribute dict probes)."""
     return [row for row in rows if ordinals[row] in members]
+
+
+# -- overlap: boundary columns and range predicates ---------------------------
+
+#: The overlap axes and which partner sides they accept: (left, right).
+OVERLAP_SIDES = {
+    "overlapping": (True, True),
+    "overlapping-left": (True, False),
+    "overlapping-right": (False, True),
+}
+
+
+def _range_max_table(values: Sequence[int]) -> list[array]:
+    """Sparse range-max table over ``values``: ``levels[k][i]`` is the
+    index of the largest value in ``values[i : i + 2**k]``, so any range
+    is two overlapping lookups."""
+    levels = [column(range(len(values)))]
+    width = 1
+    while 2 * width <= len(values):
+        prev = levels[-1]
+        levels.append(column(
+            a if values[a] >= values[b] else b
+            for a, b in zip(prev, prev[width:])
+        ))
+        width *= 2
+    return levels
+
+
+def _collect_above(values: Sequence[int], levels: list[array],
+                   ranks: Sequence[int], lo: int, hi: int, bound: int,
+                   out: list[int]) -> None:
+    """Append ``ranks[i]`` for every ``i`` in ``[lo, hi)`` whose value
+    exceeds ``bound``: split the range at its maximum until the maximum
+    is at or below ``bound`` — O(1 + k) range queries for k results."""
+    pending = [(lo, hi)]
+    while pending:
+        lo, hi = pending.pop()
+        if lo >= hi:
+            continue
+        k = (hi - lo).bit_length() - 1
+        level = levels[k]
+        a = level[lo]
+        b = level[hi - (1 << k)]
+        i = a if values[a] >= values[b] else b
+        if values[i] <= bound:
+            continue
+        out.append(ranks[i])
+        pending.append((lo, i))
+        pending.append((i + 1, hi))
+
+
+class BoundaryColumns:
+    """One hierarchy's members of an :class:`OverlapBounds`, twice.
+
+    ``starts`` / ``start_ends`` / ``start_ranks``: the members sorted by
+    start, with their ends and their rank in the bounds' document-order
+    list; ``max_end`` is the range-max table over ``start_ends``.
+    ``ends`` / ``end_neg_starts`` / ``end_ranks``: the members sorted by
+    end, with their *negated* starts, so ``max_neg_start`` (a range-max
+    table) answers "the smallest start in this slice".
+    """
+
+    __slots__ = ("hierarchy", "starts", "start_ends", "start_ranks",
+                 "max_end", "ends", "end_neg_starts", "end_ranks",
+                 "max_neg_start")
+
+    def __init__(self, hierarchy: str, spans: list[tuple[int, int, int]]):
+        self.hierarchy = hierarchy
+        by_start = sorted(spans)
+        self.starts = column(s for s, _e, _r in by_start)
+        self.start_ends = column(e for _s, e, _r in by_start)
+        self.start_ranks = column(r for _s, _e, r in by_start)
+        self.max_end = _range_max_table(self.start_ends)
+        by_end = sorted(spans, key=lambda span: (span[1], span[0], span[2]))
+        self.ends = column(e for _s, e, _r in by_end)
+        self.end_neg_starts = column(-s for s, _e, _r in by_end)
+        self.end_ranks = column(r for _s, _e, r in by_end)
+        self.max_neg_start = _range_max_table(self.end_neg_starts)
+
+    def right_partners(self, start: int, end: int, out: list[int]) -> None:
+        """Append the ranks of members starting in ``(start, end)`` and
+        ending after ``end``: O(log n + k)."""
+        lo = bisect_right(self.starts, start)
+        hi = bisect_left(self.starts, end, lo)
+        _collect_above(self.start_ends, self.max_end, self.start_ranks,
+                       lo, hi, end, out)
+
+    def left_partners(self, start: int, end: int, out: list[int]) -> None:
+        """Append the ranks of members ending in ``(start, end)`` and
+        starting before ``start``: O(log n + k)."""
+        lo = bisect_right(self.ends, start)
+        hi = bisect_left(self.ends, end, lo)
+        _collect_above(self.end_neg_starts, self.max_neg_start,
+                       self.end_ranks, lo, hi, -start, out)
+
+
+class OverlapBounds:
+    """The boundary columns of one name test's overlap partners.
+
+    ``elements`` is the name test's candidate list in document order;
+    its solid, non-root members are grouped by hierarchy into
+    :class:`BoundaryColumns` (an element only overlaps elements of
+    *other* hierarchies, so a context skips its own group).  Zero-width
+    members never overlap anything and are left out.
+    """
+
+    __slots__ = ("elements", "groups")
+
+    def __init__(self, elements: Sequence["Element"]) -> None:
+        self.elements = list(elements)
+        spans: dict[str, list[tuple[int, int, int]]] = {}
+        for rank, element in enumerate(self.elements):
+            if element.is_root or element.is_empty:
+                continue
+            spans.setdefault(element.hierarchy, []).append(
+                (element.start, element.end, rank)
+            )
+        self.groups = tuple(
+            BoundaryColumns(hierarchy, members)
+            for hierarchy, members in spans.items()
+        )
+
+    def partners(self, start: int, end: int, hierarchy: str,
+                 axis: str) -> list["Element"]:
+        """The members ``axis`` reaches from a context ``[start, end)``
+        of ``hierarchy``, in document order."""
+        left, right = OVERLAP_SIDES[axis]
+        ranks: list[int] = []
+        for group in self.groups:
+            if group.hierarchy == hierarchy:
+                continue
+            if left:
+                group.left_partners(start, end, ranks)
+            if right:
+                group.right_partners(start, end, ranks)
+        ranks.sort()
+        elements = self.elements
+        return [elements[rank] for rank in ranks]
+
+
+def rows_overlapping(
+    starts: Sequence[int], ends: Sequence[int], hierarchies: Sequence[str],
+    bounds: OverlapBounds, axis: str, rows: Iterable[int],
+) -> list[int]:
+    """Rows with at least one partner on ``axis`` — the batch form of an
+    ``[overlapping::B]`` (or ``-left`` / ``-right``) predicate.
+
+    A row ``[s, t)`` has a right partner when some member of another
+    hierarchy starts in ``(s, t)`` and ends after ``t`` (the range-max
+    of ends over the by-start slice), and a left partner when one ends
+    in ``(s, t)`` and starts before ``s`` (the range-max of negated
+    starts over the by-end slice).  A row narrower than two characters
+    has no boundary strictly inside it, so zero-width rows never match;
+    nor does the shared root, which no member can straddle.  Rows are
+    kept in input order.  The two range queries are inlined: this loop
+    runs once per candidate.
+    """
+    left, right = OVERLAP_SIDES[axis]
+    groups = bounds.groups
+    out: list[int] = []
+    if not groups:
+        return out
+    append = out.append
+    for row in rows:
+        s = starts[row]
+        t = ends[row]
+        if t - s < 2:
+            continue
+        hierarchy = hierarchies[row]
+        for group in groups:
+            if group.hierarchy == hierarchy:
+                continue
+            if right:
+                lo = bisect_right(group.starts, s)
+                hi = bisect_left(group.starts, t, lo)
+                if lo < hi:
+                    values = group.start_ends
+                    k = (hi - lo).bit_length() - 1
+                    level = group.max_end[k]
+                    if (values[level[lo]] > t
+                            or values[level[hi - (1 << k)]] > t):
+                        append(row)
+                        break
+            if left:
+                lo = bisect_right(group.ends, s)
+                hi = bisect_left(group.ends, t, lo)
+                if lo < hi:
+                    values = group.end_neg_starts
+                    k = (hi - lo).bit_length() - 1
+                    level = group.max_neg_start[k]
+                    if (values[level[lo]] > -s
+                            or values[level[hi - (1 << k)]] > -s):
+                        append(row)
+                        break
+    return out

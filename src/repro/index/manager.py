@@ -39,7 +39,7 @@ from ..errors import IndexDeltaError
 from ..obs import fallback as _obs_fallback
 from ..obs.metrics import metrics
 from ..obs.stats import stats_dict
-from .kernels import CandidateVector
+from .kernels import CandidateVector, OverlapBounds
 from .structural import StructuralSummary, encode_path
 from .term import AttributeIndex, TermIndex
 
@@ -137,11 +137,11 @@ class IndexManager:
         self._pending: PersistDeltas | None = None
         self._persist_token: object = None
         # Flat-column caches for the batch pipeline: candidate vectors
-        # keyed by posting, plus cached attr-posting ordinal sets.  Both
-        # snapshot the summary at one built version, so any catch-up or
-        # rebuild drops them wholesale (see refresh/_catch_up).  The
-        # term-occurrence arrays are text-keyed like the term index and
-        # therefore never invalidated.
+        # keyed by posting, cached attr-posting ordinal sets and overlap
+        # boundary columns.  All snapshot the summary at one built
+        # version, so any catch-up or rebuild drops them wholesale (see
+        # refresh/_catch_up).  The term-occurrence arrays are text-keyed
+        # like the term index and therefore never invalidated.
         self._vectors: dict = {}
         self._occ_arrays: dict[str, array] = {}
         if build:
@@ -465,6 +465,26 @@ class IndexManager:
             )
             self._vectors[key] = members
         return members
+
+    def overlap_bounds(
+        self, name: str, hierarchy: str | None = None
+    ) -> OverlapBounds | None:
+        """The name test's solid, non-root members as boundary columns
+        (sorted by start and by end, per hierarchy) — what the overlap
+        axes probe instead of stabbing every other hierarchy per
+        context — or ``None`` when the summary cannot prune (a bare
+        ``*``).  Cached like the candidate vectors, so any catch-up or
+        rebuild drops it."""
+        self.refresh()  # a stale snapshot must be dropped before probing
+        key = ("overlap", name, hierarchy)
+        bounds = self._vectors.get(key)
+        if bounds is None:
+            elements = self._structural.candidates_view(name, hierarchy)
+            if elements is None:
+                return None
+            bounds = OverlapBounds(elements)
+            self._vectors[key] = bounds
+        return bounds
 
     def occurrence_array(self, needle: str) -> array:
         """Sorted occurrence offsets of an indexable needle as an

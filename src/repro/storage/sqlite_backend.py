@@ -1069,9 +1069,10 @@ class SqliteStore:
         ``(start, end)`` members; an empty answer deletes the row), and
         likewise upserts the dirty ``index_attrs`` posting rows from
         ``attr_spans(name, value)``.  Term rows never change — the text
-        is immutable.
+        is immutable.  Keys are visited in sorted order, so the rows'
+        rowid order does not depend on the process's hash seed.
         """
-        for hierarchy, path in deltas.paths:
+        for hierarchy, path in sorted(deltas.paths):
             spans = partition_spans(hierarchy, path)
             encoded = encode_path(path)
             if spans:
@@ -1087,7 +1088,7 @@ class SqliteStore:
                     " AND hierarchy = ? AND path = ?",
                     (doc_id, hierarchy, encoded),
                 )
-        for attr_name, value in deltas.attrs:
+        for attr_name, value in sorted(deltas.attrs):
             spans = attr_spans(attr_name, value)
             if spans:
                 self._conn.execute(
@@ -1108,22 +1109,22 @@ class SqliteStore:
         # in SQL keeps the result byte-identical to the full-payload
         # derivation of :func:`collection_summary_rows`.  Term rows
         # never change — the text is immutable within a session.
-        for tag in {path[-1] for _hierarchy, path in deltas.paths}:
+        for tag in sorted({path[-1] for _hierarchy, path in deltas.paths}):
             self._patch_collection_rows(
                 doc_id, KIND_TAG, tag,
                 "SELECT COALESCE(SUM(n), 0) FROM index_paths"
                 " WHERE doc_id = ? AND tag = ?",
                 (doc_id, tag),
             )
-        for encoded in {encode_path(path)
-                        for _hierarchy, path in deltas.paths}:
+        for encoded in sorted({encode_path(path)
+                               for _hierarchy, path in deltas.paths}):
             self._patch_collection_rows(
                 doc_id, KIND_PATH, encoded,
                 "SELECT COALESCE(SUM(n), 0) FROM index_paths"
                 " WHERE doc_id = ? AND path = ?",
                 (doc_id, encoded),
             )
-        for attr_name, value in deltas.attrs:
+        for attr_name, value in sorted(deltas.attrs):
             self._patch_collection_rows(
                 doc_id, KIND_ATTR, encode_path((attr_name, value)),
                 "SELECT COALESCE(SUM(n), 0) FROM index_attrs"

@@ -16,6 +16,11 @@ A predicate's kind is one of:
 * ``attr-eq`` — ``@name = 'lit'``, literal on either side, one plain
   attribute step (no wildcard, hierarchy qualifier or predicates): an
   attribute posting answers it exactly;
+* ``overlap`` — ``ax::B`` with ``ax`` one of ``overlapping``,
+  ``overlapping-left``, ``overlapping-right``: a relative one-step path
+  whose name test is ``B``, ``h:B`` or ``h:*`` (not a bare ``*``) and
+  which has no predicates.  Its ``axis`` and ``test`` name the partner
+  set; the boundary columns of ``test`` answer it exactly;
 * ``generic`` — anything else.
 
 Orthogonally, ``reorder_safe`` says whether it may run out of order.
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from ..index.kernels import OVERLAP_SIDES
 from ..index.term import TermIndex
 from .ast import (
     Binary,
@@ -41,17 +47,23 @@ from .optimizer import uses_position
 CONTAINS = "contains"
 STARTS_WITH = "starts-with"
 ATTR_EQ = "attr-eq"
+OVERLAP = "overlap"
 GENERIC = "generic"
+
+#: The extension axes an ``overlap`` predicate may walk.
+OVERLAP_AXES = frozenset(OVERLAP_SIDES)
 
 
 class PredicateShape(NamedTuple):
     """What one predicate is, independent of any document or index."""
 
-    kind: str                           #: one of the four kinds above
+    kind: str                           #: one of the five kinds above
     needle: str | None = None           #: the literal of contains/starts-with
     key: tuple[str, str] | None = None  #: the (name, value) of an attr-eq
     term_indexable: bool = False        #: the term index serves the needle
     reorder_safe: bool = False          #: may run out of source order
+    axis: str | None = None             #: the axis of an overlap
+    test: NodeTest | None = None        #: the partner name test of an overlap
 
 
 class PathShape(NamedTuple):
@@ -78,6 +90,17 @@ def predicate_shape(predicate: Expr) -> PredicateShape:
         key = _attribute_key(predicate.left, predicate.right)
         if key is not None:
             return PredicateShape(ATTR_EQ, key=key, reorder_safe=safe)
+    elif _one_relative_step(predicate):
+        step = predicate.steps[0]
+        test = step.test
+        if (
+            step.axis in OVERLAP_AXES
+            and not step.predicates
+            and test.kind == "name"
+            and not (test.name == "*" and test.hierarchy is None)
+        ):
+            return PredicateShape(OVERLAP, reorder_safe=safe,
+                                  axis=step.axis, test=test)
     return PredicateShape(GENERIC, reorder_safe=safe)
 
 

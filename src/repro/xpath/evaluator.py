@@ -12,9 +12,12 @@ When the document carries an attached
 evaluator), step evaluation is driven by a cost-based access-path plan
 (:mod:`repro.xpath.planner`): name-test steps may resolve to structural
 summary candidate lists (from root *or* non-root contexts), to
-attribute-value postings, or to span-filtered overlap candidates, and
+attribute-value postings, or to overlap partners from the tag's
+boundary columns (span-filtered candidates on the containment axes), and
 ``contains(., 'lit')`` / ``starts-with(., 'lit')`` / ``@name='value'``
-predicates are answered by the term and attribute indexes — with
+predicates are answered by the term and attribute indexes, and
+``[overlapping::B]`` (or ``-left`` / ``-right``) predicates by the
+boundary-column kernel over the whole candidate list — with
 multi-predicate steps evaluated cheapest-first when provably safe.
 Every shape the plan cannot serve — and every case where a serving
 routine declines at runtime — runs the classic evaluation path, so
@@ -40,6 +43,7 @@ from typing import Iterable
 from ..core.goddag import GoddagDocument
 from ..core.node import Element, Leaf
 from ..errors import XPathEvaluationError
+from ..index.kernels import rows_overlapping
 from ..obs.drift import DriftRecord, ring as drift_ring
 from ..obs.metrics import metrics
 from ..obs.trace import current_tracer
@@ -63,7 +67,7 @@ from .axes import (
     node_test_matches,
     sorted_nodes,
 )
-from .classify import ATTR_EQ, CONTAINS, PredicateShape
+from .classify import ATTR_EQ, CONTAINS, OVERLAP, PredicateShape
 from .functions import FUNCTIONS, arity_error, string_value
 from .planner import Planner, QueryPlan, SCAN, STAB, StepPlan
 
@@ -566,9 +570,30 @@ class Evaluator:
         substring scan.  ``@name='value'`` needs no index data at all
         (one dict probe per element replaces the generic attribute-axis
         evaluation) but is still gated on an attached manager so the
-        unindexed engine stays a fully independent oracle.  ``None``
-        means fall back to generic evaluation.
+        unindexed engine stays a fully independent oracle.
+        ``ax::B`` overlap predicates run the boundary-column kernel over
+        the whole node list at once, when every node is an element of
+        *this* document.  ``None`` means fall back to generic
+        evaluation.
         """
+        if shape.kind == OVERLAP:
+            document = self.document
+            if not all(
+                isinstance(node, Element) and node.document is document
+                for node in nodes
+            ):
+                return None
+            bounds = self.index.overlap_bounds(
+                shape.test.name, shape.test.hierarchy
+            )
+            if bounds is None:
+                return None
+            rows = rows_overlapping(
+                [node.start for node in nodes], [node.end for node in nodes],
+                [node.hierarchy for node in nodes], bounds, shape.axis,
+                range(len(nodes)),
+            )
+            return [nodes[row] for row in rows]
         if shape.kind == ATTR_EQ:
             name, value = shape.key
             return [

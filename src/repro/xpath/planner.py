@@ -19,9 +19,12 @@ the applicable access paths, and picks the cheapest:
 * ``attr`` — the step's ``@name='value'`` predicate drives candidate
   enumeration from the attribute-value posting lists (the predicate is
   consumed by the access path);
-* ``overlap`` — extension-axis steps answered by filtering the tag's
-  candidate list with span arithmetic instead of per-node interval
-  stabbing (cheaper when the tag is rare).
+* ``overlap`` — extension-axis steps answered from the tag's index
+  data instead of per-node interval stabbing: the three overlap axes
+  enumerate each context's partners from the tag's boundary columns
+  (:meth:`~repro.index.manager.IndexManager.overlap_bounds`) in
+  O(log n + k); the containment axes span-filter the tag's candidate
+  list (cheaper when the tag is rare).
 
 The planner also orders multi-predicate evaluation by estimated
 selectivity (cheapest / most selective first) when every predicate of
@@ -57,13 +60,14 @@ estimates *and* actuals::
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 
-from ..core import relations
 from ..core.node import Element
 from ..index.kernels import (
     rows_in_ordinal_set,
+    rows_overlapping,
     rows_span_contains,
     rows_span_starts_with,
 )
@@ -81,6 +85,8 @@ from .axes import DocumentNode, node_test_matches
 from .classify import (
     ATTR_EQ,
     CONTAINS,
+    OVERLAP as OVERLAP_KIND,
+    OVERLAP_AXES,
     PredicateShape,
     STARTS_WITH,
     path_shape,
@@ -94,23 +100,20 @@ STAB = "stab"          #: classic extension-axis evaluation (interval stabbing)
 SUMMARY = "summary"    #: structural-summary candidate list (root context)
 SUBTREE = "subtree"    #: label-path containment (non-root descendant)
 ATTR = "attr"          #: attribute-value posting drives the step
-OVERLAP = "overlap"    #: extension axis via candidate span filtering
+OVERLAP = "overlap"    #: extension axis via the tag's index data
 
 #: Axes eligible for summary/subtree/attr candidate service.
 _DESCENDANT_AXES = ("descendant", "descendant-or-self")
 
-#: Extension axes eligible for candidate-filtered (vs stab) service.
-_OVERLAP_AXES = frozenset({
-    "overlapping", "overlapping-left", "overlapping-right",
-    "containing", "contained", "coextensive",
-})
+#: Extension axes eligible for index (vs stab) service.
+_EXTENSION_AXES = OVERLAP_AXES | {"containing", "contained", "coextensive"}
 
 # -- cost-model constants (relative units; see docs/ARCHITECTURE.md) ----------
 
 COST_VISIT = 1.0        #: examining one node in a classic axis stream
 COST_PROBE = 0.5        #: yielding one prebuilt candidate from an index list
 COST_CHECK = 0.25       #: one span/containment check on a candidate
-COST_STAB_CHAIN = 16.0  #: one interval-stab descent per context node
+COST_STAB_CHAIN = 16.0  #: one interval-stab descent (one hierarchy)
 COST_PREDICATE = 8.0    #: one generic predicate evaluation on one node
 COST_INDEX_PRED = 0.5   #: one index-served predicate check on one node
 DEFAULT_SELECTIVITY = 0.5   #: assumed pass rate of an unknown predicate
@@ -137,7 +140,7 @@ class PredicatePlan:
 
     @property
     def kind(self) -> str:
-        """'contains' | 'starts-with' | 'attr-eq' | 'generic'."""
+        """'contains' | 'starts-with' | 'attr-eq' | 'overlap' | 'generic'."""
         return self.shape.kind
 
     @property
@@ -157,6 +160,8 @@ class PredicatePlan:
             detail = f" {self.needle!r}"
         elif self.key is not None:
             detail = f" @{self.key[0]}={self.key[1]!r}"
+        elif self.shape.axis is not None:
+            detail = f" {self.shape.axis}::{self.shape.test}"
         return (
             f"[{self.position + 1}] {self.kind}{detail}"
             f" sel={self.selectivity:.4f} ({served})"
@@ -169,11 +174,12 @@ class BatchProgram:
     The compilable shape is an *absolute* single-step
     descendant/descendant-or-self name test whose predicates are all
     provably order-insensitive and index-served (``contains`` /
-    ``starts-with`` / ``@name='value'``) — the planner's SUMMARY and
-    ATTR access paths.  Execution never walks nodes: the candidate
-    posting arrives as a :class:`~repro.index.kernels.CandidateVector`,
-    predicates filter **row indices** through the merge-walk kernels,
-    and elements are materialized only for the surviving rows.
+    ``starts-with`` / ``@name='value'`` / ``[overlapping::B]``) — the
+    planner's SUMMARY and ATTR access paths.  Execution never walks
+    nodes: the candidate posting arrives as a
+    :class:`~repro.index.kernels.CandidateVector`, predicates filter
+    **row indices** through the kernels, and elements are materialized
+    only for the surviving rows.
 
     :meth:`run` re-checks its preconditions and returns ``None`` to
     decline — the evaluator then takes the classic object-walking path,
@@ -241,6 +247,13 @@ class BatchProgram:
                     vector.starts, vector.ends,
                     manager.occurrence_array(spec.needle),
                     len(spec.needle), rows,
+                )
+            elif spec.kind == OVERLAP_KIND:
+                rows = rows_overlapping(
+                    vector.starts, vector.ends, vector.hierarchies,
+                    manager.overlap_bounds(spec.test.name,
+                                           spec.test.hierarchy),
+                    spec.axis, rows,
                 )
             else:  # ATTR_EQ
                 rows = rows_in_ordinal_set(
@@ -641,11 +654,22 @@ class Planner:
             test.kind == "name"
             and not (test.name == "*" and test.hierarchy is None)
         )
-        if step.axis in _OVERLAP_AXES:
-            costs[STAB] = est_in * COST_STAB_CHAIN
+        if step.axis in _EXTENSION_AXES:
+            costs[STAB] = est_in * self._stab_chains(step.axis) \
+                * COST_STAB_CHAIN
             if self.manager is not None and name_testable:
                 tagpop = self._name_population(test.name, test.hierarchy)
-                costs[OVERLAP] = est_in * tagpop * (COST_PROBE + COST_CHECK)
+                if step.axis in OVERLAP_AXES:
+                    # Per context: four bisections into the boundary
+                    # columns, then one probe per partner produced.
+                    per_context = (
+                        4 * math.log2(tagpop + 2) * COST_CHECK
+                        + min(tagpop, OVERLAP_FANOUT) * COST_PROBE
+                    )
+                else:
+                    # Per context: one span check per tag member.
+                    per_context = tagpop * (COST_PROBE + COST_CHECK)
+                costs[OVERLAP] = est_in * per_context
         else:
             costs[SCAN] = self._scan_cost(step, est_in, paths)
             if (
@@ -732,6 +756,15 @@ class Planner:
             selectivity = min(
                 1.0, manager.attr_count(*shape.key) / max(1.0, self._total)
             )
+        elif manager is not None and shape.kind == OVERLAP_KIND:
+            # A context with a partner straddles one of a partner's two
+            # boundaries: at most two such contexts per partner in each
+            # hierarchy, over the whole element population.
+            index_served = True
+            partners = self._name_population(
+                shape.test.name, shape.test.hierarchy
+            )
+            selectivity = min(1.0, 2 * partners / max(1.0, self._total))
         return PredicatePlan(position, shape, selectivity, index_served)
 
     def _best_attr_predicate(self, predicates, all_safe):
@@ -756,6 +789,14 @@ class Planner:
         return best
 
     # -- estimation helpers ----------------------------------------------------
+
+    def _stab_chains(self, axis: str) -> int:
+        """Stab-chain descents the classic path pays per context: two
+        (one per context boundary) in every other hierarchy for the
+        overlap axes, one in every other hierarchy for the containment
+        axes."""
+        others = max(1, len(self.document.hierarchy_names()) - 1)
+        return 2 * others if axis in OVERLAP_AXES else others
 
     def _name_population(self, name: str, hierarchy: str | None) -> float:
         if self.manager is None:
@@ -817,7 +858,7 @@ class Planner:
                     test, lambda h, p: (h, p) in paths
                 ))[1]
             return est_in, paths
-        if axis in _OVERLAP_AXES:
+        if axis in _EXTENSION_AXES:
             if test.kind == "name":
                 pop = self._name_population(test.name, test.hierarchy)
                 return min(pop, est_in * OVERLAP_FANOUT), None
@@ -937,12 +978,15 @@ class Planner:
         return out, False
 
     def _serve_overlap(self, step: Step, node):
-        """Extension-axis candidates by span-filtering the tag's posting.
+        """Extension-axis candidates from the tag's index data.
 
-        The three overlap axes reuse the node-level predicates of
-        :mod:`repro.core.relations` (the same algebra the classic axes
-        realize), so their served results are equivalent by
-        construction.  The containment axes mirror the classic
+        The three overlap axes enumerate the context's partners from the
+        tag's boundary columns
+        (:meth:`~repro.index.kernels.OverlapBounds.partners`): members
+        of other hierarchies starting inside the context and ending
+        after it, or ending inside it and starting before it — the
+        proper-overlap cases of :func:`repro.core.relations.overlaps` —
+        in document order.  The containment axes mirror the classic
         implementations in :mod:`repro.xpath.axes` /
         :meth:`~repro.core.goddag.GoddagDocument.containing_elements`
         directly: other hierarchies only, solid members only (the
@@ -958,19 +1002,21 @@ class Planner:
             or node.document is not self.document
         ):
             return None
+        axis = step.axis
+        if axis in OVERLAP_AXES:
+            bounds = self.manager.overlap_bounds(
+                step.test.name, step.test.hierarchy
+            )
+            if bounds is None:
+                return None
+            return bounds.partners(
+                node.start, node.end, node.hierarchy, axis
+            ), False
         candidates = self.manager.name_candidates(
             step.test.name, step.test.hierarchy
         )
         if candidates is None:
             return None
-        axis = step.axis
-        if axis in ("overlapping", "overlapping-left", "overlapping-right"):
-            predicate = {
-                "overlapping": relations.overlaps,
-                "overlapping-left": relations.left_overlaps,
-                "overlapping-right": relations.right_overlaps,
-            }[axis]
-            return [o for o in candidates if predicate(o, node)], False
         span = node.span
         out = []
         for other in candidates:

@@ -1,17 +1,23 @@
 """Differential and edge-case tests for the flat-column batch kernels.
 
 The span/ordinal filter kernels must agree with the naive per-element
-string and dict probes, and the manager's span predicates with plain
-string operations on the document text.
+string and dict probes, the manager's span predicates with plain
+string operations on the document text, and the overlap kernel and
+partner enumeration with a brute force over :mod:`repro.core.relations`.
 """
 
 import random
 
 import pytest
 
+from repro.core import relations
+from repro.core.goddag import GoddagDocument
+from repro.errors import MarkupConflictError
 from repro.index.kernels import (
     CandidateVector,
+    OverlapBounds,
     rows_in_ordinal_set,
+    rows_overlapping,
     rows_span_contains,
     rows_span_starts_with,
 )
@@ -145,3 +151,131 @@ def test_non_indexable_predicates_answer_correctly_end_to_end():
         indexed = query.nodes(document)
         unindexed = query.nodes(document, index=False)
         assert indexed == unindexed, expression
+
+
+# -- overlap kernel vs a brute force over core.relations -----------------------
+
+#: axis -> relation(partner, context) the axis realizes.
+OVERLAP_RELATIONS = {
+    "overlapping": relations.overlaps,
+    "overlapping-left": relations.left_overlaps,
+    "overlapping-right": relations.right_overlaps,
+}
+HIERARCHIES = ("a", "b", "c")
+TAGS = ("x", "y", "z")
+#: (name, hierarchy) partner tests: plain tags (same-tag nesting across
+#: and within hierarchies), milestones only, hierarchy-qualified tags
+#: and wildcards, and tests with no member at all (empty bounds).
+PARTNER_TESTS = (
+    ("x", None), ("y", None), ("m", None), ("x", "b"), ("*", "a"),
+    ("*", "c"), ("nosuch", None), ("x", "nosuch"),
+)
+
+
+def random_overlap_document(rng, length=48, inserts=40):
+    """Random nesting per hierarchy; spans drawn from existing
+    boundaries half the time (coextensive spans and shared boundaries),
+    zero-width about one insert in five, plus one ``m`` milestone per
+    hierarchy."""
+    text = "".join(rng.choice("ab ") for _ in range(length))
+    document = GoddagDocument(text)
+    for name in HIERARCHIES:
+        document.add_hierarchy(name)
+    for _ in range(inserts):
+        bounds = sorted({0, length}
+                        | {e.start for e in document.elements()}
+                        | {e.end for e in document.elements()})
+        if rng.random() < 0.5:
+            a, b = rng.choice(bounds), rng.choice(bounds)
+        else:
+            a, b = rng.randrange(length + 1), rng.randrange(length + 1)
+        start, end = min(a, b), max(a, b)
+        if rng.random() < 0.2:
+            end = start
+        try:
+            document.insert_element(rng.choice(HIERARCHIES),
+                                    rng.choice(TAGS), start, end)
+        except MarkupConflictError:
+            pass
+    for name in HIERARCHIES:
+        offset = rng.randrange(length + 1)
+        document.insert_element(name, "m", offset, offset)
+    return document
+
+
+def brute_overlap_rows(contexts, members, axis, rows):
+    related = OVERLAP_RELATIONS[axis]
+    return [
+        row for row in rows
+        if any(related(member, contexts[row]) for member in members)
+    ]
+
+
+def test_overlap_kernel_matches_brute_force():
+    rng = random.Random(31)
+    for _ in range(40):
+        document = random_overlap_document(rng)
+        manager = IndexManager(document)
+        # The root and zero-width elements are contexts too: neither
+        # ever has a partner.
+        contexts = [document.root, *document.ordered_elements()]
+        vector = CandidateVector(contexts)
+        subset = [row for row in vector.all_rows() if rng.random() < 0.5]
+        for name, hierarchy in PARTNER_TESTS:
+            bounds = manager.overlap_bounds(name, hierarchy)
+            members = manager.name_candidates(name, hierarchy)
+            for axis in OVERLAP_RELATIONS:
+                for rows in (vector.all_rows(), subset, []):
+                    got = rows_overlapping(
+                        vector.starts, vector.ends, vector.hierarchies,
+                        bounds, axis, rows,
+                    )
+                    assert got == brute_overlap_rows(
+                        contexts, members, axis, rows
+                    ), (name, hierarchy, axis)
+
+
+def test_overlap_partners_match_brute_force_in_document_order():
+    rng = random.Random(37)
+    related = OVERLAP_RELATIONS
+    for _ in range(25):
+        document = random_overlap_document(rng)
+        manager = IndexManager(document)
+        for name, hierarchy in PARTNER_TESTS:
+            bounds = manager.overlap_bounds(name, hierarchy)
+            members = manager.name_candidates(name, hierarchy)
+            for context in document.ordered_elements():
+                for axis in related:
+                    assert bounds.partners(
+                        context.start, context.end, context.hierarchy, axis
+                    ) == [m for m in members if related[axis](m, context)], \
+                        (name, hierarchy, axis, context)
+
+
+def test_overlap_kernel_on_empty_inputs():
+    empty = OverlapBounds([])
+    assert empty.groups == ()
+    assert rows_overlapping([0, 2], [5, 9], ["a", "b"], empty,
+                            "overlapping", range(2)) == []
+    assert empty.partners(0, 5, "a", "overlapping") == []
+    document = random_overlap_document(random.Random(5))
+    bounds = IndexManager(document).overlap_bounds("x")
+    for axis in OVERLAP_RELATIONS:
+        assert rows_overlapping([], [], [], bounds, axis, range(0)) == []
+        assert rows_overlapping([0], [48], ["a"], bounds, axis, []) == []
+
+
+def test_overlap_bounds_drop_with_the_snapshot():
+    """Bounds are a version snapshot: an edit drops them, and a carried
+    manager starts without them."""
+    document = random_overlap_document(random.Random(9))
+    manager = IndexManager(document)
+    before = manager.overlap_bounds("x")
+    assert manager.overlap_bounds("x") is before
+    assert manager.overlap_bounds("*") is None
+    carried = manager.carried_to(document.copy())
+    assert carried.overlap_bounds("x") is not before
+    document.insert_element("a", "x", 0, document.length)
+    after = manager.overlap_bounds("x")
+    assert after is not before
+    assert len(after.elements) == len(before.elements) + 1

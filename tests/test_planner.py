@@ -18,6 +18,7 @@ from repro.storage import GoddagStore
 from repro.workloads import WorkloadSpec, generate
 from repro.xpath import ExtendedXPath, Planner
 from repro.xpath.classify import predicate_shape
+from repro.xpath.planner import COST_STAB_CHAIN
 from repro.xpath.parser import parse_xpath
 
 
@@ -206,12 +207,94 @@ class TestIndexServedPredicates:
         assert shape("@* = '2'").kind == "generic"
         assert shape("@n = x").kind == "generic"
         assert shape("@n = '2'").reorder_safe
+        assert shape("overlapping::w").kind == "overlap"
+        assert shape("overlapping-right::h:*").axis == "overlapping-right"
+        assert shape("overlapping::*").kind == "generic"
+        assert shape("overlapping::w[1]").kind == "generic"
+        assert shape("overlapping::w").reorder_safe
         assert shape("contains(., 'x')").reorder_safe
         assert shape("w").reorder_safe
         assert not shape("2").reorder_safe
         assert not shape("position() = 2").reorder_safe
         assert not shape("last()").reorder_safe
         assert not shape("count(//w)").reorder_safe
+
+
+class TestOverlapPredicates:
+    """``[overlapping::B]`` predicates and overlap steps on a
+    five-hierarchy manuscript (quote lives in the analysis layer)."""
+
+    @pytest.fixture(scope="class")
+    def editions(self):
+        document = generate(WorkloadSpec(words=1200, hierarchies=5,
+                                         overlap_density=0.3, seed=5))
+        IndexManager.for_document(document)
+        return document
+
+    @pytest.mark.parametrize("expression, source", [
+        ("//quote[overlapping::line]", "summary"),
+        ("//line[@n='5'][overlapping::dmg]", "attr"),
+    ])
+    def test_hot_overlap_queries_compile_to_whole_programs(
+        self, editions, expression, source
+    ):
+        plan = ExtendedXPath(expression).explain(editions)
+        program = plan.whole_program
+        assert program is not None and program.source == source
+        assert [f.kind for f in program.filters] == ["overlap"]
+        overlap = [line for line in plan.render().splitlines()
+                   if "] overlap overlapping::" in line]
+        assert len(overlap) == 1
+        assert overlap[0].endswith("(index-served)")
+        assert plan.steps[0].actual_out > 0
+        assert_equivalent(expression, editions)
+
+    @pytest.mark.parametrize("axis", [
+        "overlapping", "overlapping-left", "overlapping-right",
+    ])
+    def test_every_overlap_axis_is_an_index_served_predicate(
+        self, editions, axis
+    ):
+        expression = f"//vline[{axis}::physical:line]"
+        predicate = ExtendedXPath(expression).explain(editions) \
+            .steps[0].predicates[0]
+        assert predicate.kind == "overlap" and predicate.index_served
+        assert (predicate.shape.axis, str(predicate.shape.test)) == \
+            (axis, "physical:line")
+        assert_equivalent(expression, editions)
+
+    def test_near_misses_stay_generic(self, editions):
+        for expression in ("//vline[overlapping::line[1]]",
+                           "//vline[overlapping::*]",
+                           "//vline[not(overlapping::line)]",
+                           "//vline[../overlapping::line]",
+                           "//vline[containing::line]"):
+            predicate = ExtendedXPath(expression).explain(editions) \
+                .steps[0].predicates[0]
+            assert predicate.kind == "generic", expression
+            assert_equivalent(expression, editions)
+
+    def test_overlap_step_uses_boundary_columns_after_repricing(
+        self, editions
+    ):
+        # Five hierarchies: the classic path stabs two chains in each of
+        # the four others per context; the boundary columns answer with
+        # four bisections and the partners.
+        plan = ExtendedXPath("//res/overlapping::line").explain(editions)
+        step = plan.steps[1]
+        assert step.choice == "overlap"
+        assert step.costs["stab"] == step.est_in * 2 * 4 * COST_STAB_CHAIN
+        assert step.costs["overlap"] < step.costs["stab"]
+        assert step.served == step.actual_in > 0 and step.fallbacks == 0
+        assert_equivalent("//res/overlapping::line", editions)
+
+    def test_containment_steps_price_one_stab_per_other_hierarchy(
+        self, editions
+    ):
+        plan = ExtendedXPath("//res/containing::line").explain(editions)
+        step = plan.steps[1]
+        assert step.costs["stab"] == step.est_in * 4 * COST_STAB_CHAIN
+        assert_equivalent("//res/containing::line", editions)
 
 
 class TestTrickyShapesStayByteIdentical:
@@ -245,6 +328,9 @@ class TestTrickyShapesStayByteIdentical:
         "//a[@n='1']",
         "//c/overlapping::a",
         "//a/overlapping::c",
+        "//c[overlapping::a]",
+        "//a[overlapping-left::k:*]",
+        "//pb[overlapping::c]",
         "//a/containing::c",
         "//c/contained::a",
         "//a/coextensive::a",

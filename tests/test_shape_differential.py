@@ -12,9 +12,15 @@ subexpression of every input the classifier must agree with them:
 * ``path_shape`` as read by ``LazyDocument.xpath`` — the old
   ``descendant_tag_shape``.
 
-The one intended difference: a predicate holding a call with a wrong
-argument count is never reorder-safe (it raises wherever it runs, so an
-index path must not skip it).
+Two intended differences:
+
+* a predicate holding a call with a wrong argument count is never
+  reorder-safe (it raises wherever it runs, so an index path must not
+  skip it);
+* the ``overlap`` kind (``[overlapping::B]`` and its ``-left`` /
+  ``-right`` forms) is new, with no retired recognizer: an expression
+  the oracle calls generic must be ``overlap`` exactly when
+  :func:`overlap_key` below recognizes it.
 
 Inputs are hypothesis-generated ASTs, which reach shapes the parser
 never builds, and every expression in ``tests/test_planner.py``,
@@ -106,21 +112,42 @@ def malformed(expr) -> bool:
     )
 
 
+def overlap_key(expr):
+    """``(axis, test)`` when ``expr`` is a relative path of one
+    predicate-free overlap-axis step with a name test other than a bare
+    ``*``; else ``None``."""
+    if not isinstance(expr, LocationPath) or expr.absolute:
+        return None
+    if len(expr.steps) != 1:
+        return None
+    step = expr.steps[0]
+    if step.axis not in ("overlapping", "overlapping-left",
+                         "overlapping-right") or step.predicates:
+        return None
+    if step.test.kind != "name" or step.test == NodeTest("name", "*"):
+        return None
+    return step.axis, step.test
+
+
 def assert_agrees(root) -> None:
     for expr in subexpressions(root):
         shape = predicate_shape(expr)
         contains = oracle.indexable_contains(expr)
         starts = oracle.indexable_starts_with(expr)
         key = oracle.indexable_attr_eq(expr)
+        overlap = overlap_key(expr)
         if contains is not None:
             expected = ("contains", contains, None)
         elif starts is not None:
             expected = ("starts-with", starts, None)
         elif key is not None:
             expected = ("attr-eq", None, key)
+        elif overlap is not None:
+            expected = ("overlap", None, None)
         else:
             expected = ("generic", None, None)
         assert (shape.kind, shape.needle, shape.key) == expected, expr
+        assert (shape.axis, shape.test) == (overlap or (None, None)), expr
         needle = expected[1]
         assert shape.term_indexable == (
             needle is not None and TermIndex.is_indexable(needle)
@@ -227,8 +254,19 @@ exact_attribute_equalities = st.builds(
     literals,
     st.booleans(),
 )
+#: ``[ax::B]`` overlap predicates and near misses: another extension
+#: axis, a positional predicate, a wildcard or non-name test.
+overlap_paths = st.builds(
+    lambda axis, test, predicates: LocationPath(
+        False, (Step(axis, test, predicates),)
+    ),
+    st.sampled_from(("overlapping", "overlapping-left", "overlapping-right",
+                     "containing")),
+    node_tests,
+    st.sampled_from(((), (), (Number(1.0),))),
+)
 shaped = st.one_of(needle_calls, attribute_equalities,
-                   exact_attribute_equalities)
+                   exact_attribute_equalities, overlap_paths)
 descendant_paths = st.builds(
     lambda axis, test, predicates: LocationPath(
         True, (Step(axis, test, predicates),)

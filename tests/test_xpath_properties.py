@@ -2,11 +2,15 @@
 
 Expressions come from a small grammar over the fixture's tag names and
 hierarchies: every axis, the predicate shapes the classifier recognizes
-(``contains(., 'lit')``, ``starts-with(., 'lit')``, ``@n = 'v'``) and
-their near misses (wrong arity, a ``..`` or ``@n`` subject, a
-non-literal operand, ``@h:n``, ``@*``, ``@n[1]``), positional
-predicates, and nesting (``not``, ``and``/``or``, paths inside
-predicates), plus the occasional malformed fragment.
+(``contains(., 'lit')``, ``starts-with(., 'lit')``, ``@n = 'v'``,
+``overlapping::B`` and its ``-left`` / ``-right`` forms) and their near
+misses (wrong arity, a ``..`` or ``@n`` subject, a non-literal operand,
+``@h:n``, ``@*``, ``@n[1]``; ``overlapping::B[1]``, ``overlapping::*``,
+``overlapping::text()``, ``not(...)``, ``count(...) > 1``, a trailing
+positional predicate, ``../overlapping::B``, ``containing::B``),
+positional predicates, nesting (``not``, ``and``/``or``, paths inside
+predicates), the overlap step forms ``A/overlapping-left::B`` and
+``A/overlapping-right::B``, plus the occasional malformed fragment.
 
 Every generated expression must parse or raise ``XPathSyntaxError``.
 On a seeded indexed document it must give the same answer, or raise
@@ -65,6 +69,14 @@ attribute_tests = st.one_of(
 )
 needles = sample(NEEDLES).map(quoted)
 values = sample(VALUES).map(quoted)
+OVERLAP_AXES = ("overlapping", "overlapping-left", "overlapping-right")
+#: The partner tests an overlap predicate may carry: no bare ``*``.
+overlap_tests = st.one_of(
+    sample(TAGS),
+    st.builds("{}:{}".format, sample(HIERARCHIES), sample(TAGS)),
+    st.builds("{}:*".format, sample(HIERARCHIES)),
+)
+overlaps = st.builds("{}::{}".format, sample(OVERLAP_AXES), overlap_tests)
 
 #: The predicate shapes the classifier recognizes ...
 recognized = st.one_of(
@@ -72,9 +84,14 @@ recognized = st.one_of(
               needles),
     st.builds("@n = {}".format, values),
     st.builds("{} = @n".format, values),
+    overlaps,
 )
 #: ... and their near misses: another subject, a non-literal operand,
-#: the wrong arity, a qualified, wildcard or filtered attribute.
+#: the wrong arity, a qualified, wildcard or filtered attribute; for
+#: overlap a filtered, wildcard or non-name partner, a negated or
+#: counted path, a trailing positional predicate (``B][2`` inside the
+#: predicate brackets reads ``[ax::B][2]``), a parent hop, and the
+#: containment axes.
 near_misses = st.one_of(
     st.builds("{}({}, {})".format, sample(("contains", "starts-with")),
               sample(("..", "@n", "text()", "self::node()[1]", "/")),
@@ -86,6 +103,15 @@ near_misses = st.one_of(
     st.builds("@{} = {}".format, attribute_tests, values),
     st.builds("{} {} {}".format, sample(("@n", "@n[1]", "@*")),
               sample(("=", "!=")), sample(("@n", "'2'", "2"))),
+    st.builds("{}[{}]".format, overlaps, sample(("1", "2", "last()"))),
+    st.builds("{}::{}".format, sample(OVERLAP_AXES),
+              sample(("*", "text()", "node()"))),
+    st.builds("not({})".format, overlaps),
+    st.builds("count({}) > 1".format, overlaps),
+    st.builds("{}][{}".format, overlaps, sample(("1", "2", "last()"))),
+    st.builds("../{}".format, overlaps),
+    st.builds("{}::{}".format, sample(("containing", "contained",
+                                       "coextensive")), overlap_tests),
 )
 shapes = st.one_of(recognized, near_misses)
 positional = sample((
@@ -141,11 +167,21 @@ planned_steps = st.builds(
     st.lists(st.one_of(shapes, shapes, positional), min_size=1,
              max_size=3).map(lambda items: "".join(f"[{p}]" for p in items)),
 )
+#: ``//A/ax::B``: the overlap axes as steps, served from boundary columns.
+overlap_steps = st.builds(
+    "//{}/{}{}".format,
+    name_tests,
+    overlaps,
+    st.lists(st.one_of(shapes, positional), max_size=1).map(
+        lambda items: "".join(f"[{p}]" for p in items)
+    ),
+)
 expressions = st.one_of(
     paths,
     planned_steps,
     planned_steps,
     planned_steps,
+    overlap_steps,
     st.builds("{} | {}".format, paths, paths),
     st.builds("({})[{}]".format, absolute_paths, predicates),
     st.builds("count({})".format, paths),
