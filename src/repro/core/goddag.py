@@ -1387,11 +1387,7 @@ class GoddagBuilder:
         boundaries: set[int] = set()
         for name in self._hierarchy_names:
             hierarchy = document.add_hierarchy(name, dtd=self._hierarchy_dtds[name])
-            top_elements: list[Element] = []
-            for record in sorted(self._toplevel[name], key=_record_sibling_key):
-                top_elements.append(
-                    self._materialize(document, hierarchy, record, None, boundaries)
-                )
+            top_elements = self._materialize(document, hierarchy, boundaries)
             if name in groups:
                 if top_elements:
                     raise MarkupConflictError(
@@ -1423,27 +1419,31 @@ class GoddagBuilder:
         self,
         document: GoddagDocument,
         hierarchy: Hierarchy,
-        record: _OpenElement,
-        parent: Element | None,
         boundaries: set[int],
-    ) -> Element:
-        element = Element(
-            document,
-            hierarchy.name,
-            record.tag,
-            record.start,
-            record.end,
-            record.attributes,
-            document._next_ordinal(),
-        )
-        element._parent = parent
-        boundaries.add(record.start)
-        boundaries.add(record.end)
-        hierarchy.observe_tag(record.tag)
-        document._h_all[hierarchy.name].append(element)
-        children = sorted(record.children, key=_record_sibling_key)
-        element._children = [
-            self._materialize(document, hierarchy, child, element, boundaries)
-            for child in children
+    ) -> list[Element]:
+        """Make the event and annotation elements of ``hierarchy`` in one
+        iterative preorder walk, so document depth is not bounded by the
+        recursion limit; returns its top-level elements."""
+        name = hierarchy.name
+        elements = document._h_all[name]
+        top: list[Element] = []
+        stack: list[tuple[_OpenElement, Element | None]] = [
+            (record, None) for record in reversed(
+                sorted(self._toplevel[name], key=_record_sibling_key))
         ]
-        return element
+        while stack:
+            record, parent = stack.pop()
+            element = Element(document, name, record.tag, record.start,
+                              record.end, record.attributes,
+                              document._next_ordinal())
+            element._parent = parent
+            (top if parent is None else parent._children).append(element)
+            elements.append(element)
+            boundaries.add(record.start)
+            boundaries.add(record.end)
+            hierarchy.observe_tag(record.tag)
+            stack.extend(
+                (child, element) for child in reversed(
+                    sorted(record.children, key=_record_sibling_key))
+            )
+        return top

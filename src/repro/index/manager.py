@@ -512,37 +512,6 @@ class IndexManager:
 
     # -- persistence ------------------------------------------------------------
 
-    def payload_stream(self, name: str = ""):
-        """The payload as an incremental item stream.
-
-        Yields ``(section, item)`` pairs: one ``("meta", header)`` first
-        (``format``/``name``/``doc_length``), then one item per index
-        row — ``("paths", partition_row)``, ``("terms", (term,
-        starts))``, ``("attrs", posting_row)``.  Rows are produced
-        lazily, so a chunked consumer (a streaming storage writer) never
-        holds more than its own batch; :meth:`payload` is this stream
-        reassembled.
-        """
-        self.refresh()
-        yield "meta", {
-            "format": PAYLOAD_FORMAT,
-            "name": name,
-            "doc_length": self.document.length,
-        }
-        for hierarchy, path, count in self.structural.label_paths():
-            yield "paths", (
-                hierarchy, encode_path(path), path[-1], count,
-                [(e.start, e.end)
-                 for e in self.structural.partition(hierarchy, path)],
-            )
-        for term, starts in self.terms.items():
-            yield "terms", (term, list(starts))
-        for attr_name, value, elements in self.attrs.items():
-            yield "attrs", (
-                attr_name, value, len(elements),
-                [(e.start, e.end) for e in elements],
-            )
-
     def payload(self, name: str = "") -> dict:
         """The serializable form the store persists.
 
@@ -550,21 +519,30 @@ class IndexManager:
             name: the stored-document name stamped into the payload.
 
         Returns:
-            A JSON-shaped dict with ``format`` (see ``PAYLOAD_FORMAT``),
-            ``name``, ``doc_length``, ``terms`` posting lists,
-            ``paths`` label-path partition rows, and ``attrs``
-            attribute-value posting rows — the whole
-            :meth:`payload_stream`, reassembled.
+            A JSON-shaped dict with ``terms`` posting lists, ``paths``
+            label-path partition rows, ``attrs`` attribute-value posting
+            rows, ``format`` (see ``PAYLOAD_FORMAT``), ``name`` and
+            ``doc_length``.
         """
-        payload: dict = {"terms": {}, "paths": [], "attrs": []}
-        for section, item in self.payload_stream(name):
-            if section == "meta":
-                payload.update(item)
-            elif section == "terms":
-                payload["terms"][item[0]] = item[1]
-            else:
-                payload[section].append(item)
-        return payload
+        self.refresh()
+        structural = self.structural
+        return {
+            "terms": {term: list(starts) for term, starts in self.terms.items()},
+            "paths": [
+                (hierarchy, encode_path(path), path[-1], count,
+                 [(e.start, e.end)
+                  for e in structural.partition(hierarchy, path)])
+                for hierarchy, path, count in structural.label_paths()
+            ],
+            "attrs": [
+                (attr_name, value, len(elements),
+                 [(e.start, e.end) for e in elements])
+                for attr_name, value, elements in self.attrs.items()
+            ],
+            "format": PAYLOAD_FORMAT,
+            "name": name,
+            "doc_length": self.document.length,
+        }
 
     def stats(self) -> dict:
         """Per-index population census — the statistics the query

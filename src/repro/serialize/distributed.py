@@ -8,39 +8,37 @@ full text; uncovered text appears directly under the root.
 from __future__ import annotations
 
 from ..core.goddag import GoddagDocument
-from ..core.node import Element
 from .writer import XmlWriter
 
 
 def serialize_hierarchy(document: GoddagDocument, hierarchy: str) -> str:
     """Serialize one hierarchy of the GODDAG as a well-formed document."""
+    text = document.text
     writer = XmlWriter()
     writer.start_tag(document.root.tag, document.root.attributes)
-    position = 0
-    for element in document.top_level(hierarchy):
-        if element.start > position:
-            writer.text(document.text[position : element.start])
-        _write_element(document, element, writer)
-        position = max(position, element.end)
-    writer.text(document.text[position :])
-    writer.end_tag()
-    return writer.getvalue()
-
-
-def _write_element(document: GoddagDocument, element: Element,
-                   writer: XmlWriter) -> None:
-    if element.is_empty:
-        writer.empty_tag(element.tag, element.attributes)
-        return
-    writer.start_tag(element.tag, element.attributes)
-    position = element.start
-    for child in element.element_children:
+    # One frame per open element, the root's first: [children left to
+    # write, end offset, text written up to].  An iterative walk, so
+    # document depth is not bounded by the recursion limit.
+    stack = [[iter(document.top_level(hierarchy)), len(text), 0]]
+    while stack:
+        frame = stack[-1]
+        children, end, position = frame
+        child = next(children, None)
+        if child is None:
+            writer.text(text[position:end])
+            writer.end_tag()
+            stack.pop()
+            continue
         if child.start > position:
-            writer.text(document.text[position : child.start])
-        _write_element(document, child, writer)
-        position = max(position, child.end)
-    writer.text(document.text[position : element.end])
-    writer.end_tag()
+            writer.text(text[position : child.start])
+        frame[2] = max(position, child.end)
+        if child.is_empty:
+            writer.empty_tag(child.tag, child.attributes)
+        else:
+            writer.start_tag(child.tag, child.attributes)
+            stack.append([iter(child.element_children), child.end,
+                          child.start])
+    return writer.getvalue()
 
 
 def export_distributed(document: GoddagDocument) -> dict[str, str]:

@@ -81,27 +81,30 @@ def encode_document(
         dtd_source = hierarchy.dtd.to_source() if hierarchy.dtd else ""
         hierarchy_rows.append(HierarchyRow(rank, hierarchy_name, dtd_source))
 
+    # One iterative preorder walk per hierarchy, so document depth is
+    # not bounded by the recursion limit.
     element_rows: list[ElementRow] = []
-
-    def emit(element: Element, parent_id: int, child_rank: int) -> None:
-        element_rows.append(
-            ElementRow(
-                elem_id=element.ordinal,
-                hierarchy=element.hierarchy,
-                tag=element.tag,
-                start=element.start,
-                end=element.end,
-                parent_id=parent_id,
-                child_rank=child_rank,
-                attributes=json.dumps(element.attributes, sort_keys=True),
-            )
-        )
-        for rank, child in enumerate(element.element_children):
-            emit(child, element.ordinal, rank)
-
     for hierarchy_name in document.hierarchy_names():
-        for rank, top in enumerate(document.top_level(hierarchy_name)):
-            emit(top, ROOT_ID, rank)
+        top = document.top_level(hierarchy_name)
+        stack = [(top[rank], ROOT_ID, rank)
+                 for rank in reversed(range(len(top)))]
+        while stack:
+            element, parent_id, child_rank = stack.pop()
+            element_rows.append(
+                ElementRow(
+                    elem_id=element.ordinal,
+                    hierarchy=element.hierarchy,
+                    tag=element.tag,
+                    start=element.start,
+                    end=element.end,
+                    parent_id=parent_id,
+                    child_rank=child_rank,
+                    attributes=json.dumps(element.attributes, sort_keys=True),
+                )
+            )
+            children = element.element_children
+            stack.extend((children[rank], element.ordinal, rank)
+                         for rank in reversed(range(len(children))))
     return doc_row, hierarchy_rows, element_rows
 
 

@@ -29,7 +29,7 @@ from ..obs.metrics import metrics
 from ..obs.stats import stats_dict
 from ..obs.trace import Tracer, current_tracer
 from .ast import Expr
-from .evaluator import Evaluator, XPathValue, resolve_manager
+from .evaluator import Evaluator, XPathValue, resolve_manager, run_program
 from .optimizer import optimize
 from .parser import parse_xpath
 from .planner import Planner, QueryPlan
@@ -112,8 +112,9 @@ class PlanCache:
 
     def plan_for(
         self, expression: str, ast: Expr, document, manager
-    ) -> QueryPlan:
-        """The cached plan for this generation, or a freshly priced one.
+    ) -> tuple[QueryPlan, bool]:
+        """The cached plan for this generation, or a freshly priced one,
+        and whether it was a hit.
 
         A hit requires the same ast object, the same live document and
         manager (weakref identity — ids are never compared, CPython
@@ -132,7 +133,7 @@ class PlanCache:
                 self.misses += 1
         if plan is not None:
             metrics.incr("xpath.plan_cache.hits")
-            return plan
+            return plan, True
         metrics.incr("xpath.plan_cache.misses")
         plan = Planner(document, manager).plan(ast, expression)
         with self._lock:
@@ -141,7 +142,7 @@ class PlanCache:
             raced = self._slot_plan(entry, ast, document, manager,
                                     version, builds)
             if raced is not None:
-                return raced
+                return raced, False
             # Replace a dead-or-stale slot for this same document/manager
             # pair before spilling into a fresh slot.
             slots = entry.slots
@@ -158,7 +159,7 @@ class PlanCache:
                     version, builds, plan,
                 ))
                 del slots[_PLAN_SLOTS:]
-        return plan
+        return plan, False
 
     def clear(self) -> None:
         with self._lock:
@@ -245,7 +246,10 @@ class ExtendedXPath:
         # a plan paired with another version's key fields.
         self._plan_slot: tuple | None = None
 
-    def _cached_plan(self, document: GoddagDocument, index) -> QueryPlan:
+    def _cached_plan(
+        self, document: GoddagDocument, index
+    ) -> tuple[QueryPlan, bool]:
+        """The plan to run under, and whether it came from a cache."""
         manager = resolve_manager(document, index)
         if manager is not None:
             return _plan_cache.plan_for(
@@ -255,10 +259,10 @@ class ExtendedXPath:
         if slot is not None:
             doc_ref, version, plan = slot
             if doc_ref() is document and version == document.version:
-                return plan
+                return plan, True
         plan = Planner(document, manager).plan(self.ast, self.expression)
         self._plan_slot = (weakref.ref(document), document.version, plan)
-        return plan
+        return plan, False
 
     def evaluate(
         self, document: GoddagDocument, context: Node | None = None,
@@ -269,23 +273,22 @@ class ExtendedXPath:
         disables index acceleration for this evaluation."""
         tracer = current_tracer()
         if tracer is None:
-            plan = self._cached_plan(document, index)
+            plan, _ = self._cached_plan(document, index)
             if (
                 plan.whole_program is not None
                 and context is None
                 and not variables
-                and not metrics.enabled
             ):
                 # The whole query compiled to one batch program: run the
                 # kernels directly, skipping evaluator construction and
                 # the recursive walk.  A None result means the program
                 # declined at runtime (stale manager, root in result) —
                 # fall through to the classic engine, which computes the
-                # same answer.  Under metrics the evaluator path is kept
-                # so per-step observation stays complete.
-                result = plan.whole_program.run(
+                # same answer.
+                result = run_program(
+                    plan.whole_program, self.ast, plan,
                     resolve_manager(document, index), document,
-                    plan.steps_for(self.ast)[0],
+                    metrics.enabled,
                 )
                 if result is not None:
                     return result
@@ -293,11 +296,9 @@ class ExtendedXPath:
                 self.ast, context, variables
             )
         with tracer.span("query", expression=self.expression):
-            slot_before = self._plan_slot
-            cached_before = slot_before[2] if slot_before is not None else None
             with tracer.span("plan") as plan_span:
-                plan = self._cached_plan(document, index)
-            plan_span.set(cached=plan is cached_before)
+                plan, cached = self._cached_plan(document, index)
+            plan_span.set(cached=cached)
             with tracer.span("execute"):
                 return Evaluator(document, index=index, plan=plan).evaluate(
                     self.ast, context, variables

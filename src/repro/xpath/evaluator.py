@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable
 
 from ..core.goddag import GoddagDocument
 from ..core.node import Element, Leaf
@@ -89,6 +88,72 @@ def resolve_manager(document: GoddagDocument, index):
     if manager is not None and manager.document is not document:
         return None
     return manager
+
+
+def observe_step(tracer, plan: QueryPlan | None, index: int, step: Step,
+                 splan: StepPlan | None, rows_in: int, gather, args: tuple,
+                 finish=None):
+    """Run one step's work, ``gather(*args)``, and record it: the one
+    accounting path while metrics are enabled or a tracer is installed.
+
+    The work is a step's per-context-node gather (``finish`` sorts it
+    into document order) or a compiled batch program (one context in,
+    the document node; its rows out).  Records ``StepPlan.actual_ns``,
+    the ``step`` span with a child ``access-path`` span (nested
+    predicate paths run inside it), the ``xpath.steps`` /
+    ``rows_examined`` / ``rows_produced`` counters, the ``xpath.step``
+    timer and one :class:`DriftRecord`.  A program that declines
+    (``None``) is marked ``declined`` on its span and nothing else.
+    """
+    if splan is not None:
+        axis, test, choice = splan.axis, splan.test, splan.choice
+        served, fell = splan.served, splan.fallbacks
+    else:
+        axis, test, choice = step.axis, step.test.kind, "NONE"
+    start_ns = time.perf_counter_ns()
+    if tracer is None:
+        out = gather(*args)
+        if out is not None and finish is not None:
+            out = finish(out)
+    else:
+        with tracer.span(
+            "step", axis=axis, test=test, choice=choice
+        ) as step_span:
+            with tracer.span("access-path", choice=choice) as path_span:
+                out = gather(*args)
+                if splan is not None:
+                    path_span.set(served=splan.served - served,
+                                  fallbacks=splan.fallbacks - fell)
+            if out is None:
+                step_span.set(declined=True)
+                return None
+            path_span.set(rows=len(out))
+            if finish is not None:
+                out = finish(out)
+            step_span.set(rows_in=rows_in, rows_out=len(out))
+    if out is None:
+        return None
+    elapsed_ns = time.perf_counter_ns() - start_ns
+    metrics.incr("xpath.steps")
+    metrics.incr("xpath.rows_examined", rows_in)
+    metrics.incr("xpath.rows_produced", len(out))
+    metrics.record_ns("xpath.step", elapsed_ns)
+    if splan is not None:
+        splan.actual_ns += elapsed_ns
+        drift_ring.record(DriftRecord(plan.expression, index, axis, test,
+                                      choice, splan.est_out, len(out)))
+    return out
+
+
+def run_program(program, path: LocationPath, plan: QueryPlan, manager,
+                document: GoddagDocument, observing: bool, tracer=None):
+    """The answer of ``path``'s compiled batch ``program``, or ``None``
+    when it declines; observed, it is accounted as the path's one step."""
+    splan = plan.steps_for(path)[0]
+    if not observing:
+        return program.run(manager, document, splan)
+    return observe_step(tracer, plan, 0, path.steps[0], splan, 1,
+                        program.run, (manager, document, splan))
 
 
 @dataclass
@@ -159,8 +224,9 @@ class Evaluator:
         # Observation override: None (the default) auto-detects — steps
         # are timed/traced only while repro.obs metrics are enabled or a
         # tracer is installed, so the unobserved hot path pays a single
-        # flag check per path.  True/False force it either way (the
-        # overhead bench uses False as its baseline arm).
+        # flag check per step.  True/False force it either way (the
+        # overhead bench uses False as its baseline arm); either way the
+        # same steps and batch programs run.
         self._observe = observe
         self._observing = False
         self._tracer = None
@@ -186,12 +252,10 @@ class Evaluator:
         self._variables = variables or {}
         self._active_plan = self._resolve_plan(expr)
         # Resolved once per evaluation, not per step (see __init__).
-        if self._observe is None:
-            self._tracer = current_tracer()
+        self._tracer = current_tracer() if self._observe is not False else None
+        self._observing = self._observe
+        if self._observing is None:
             self._observing = metrics.enabled or self._tracer is not None
-        else:
-            self._observing = self._observe
-            self._tracer = current_tracer() if self._observing else None
         context = Context(context_node, 1, 1, self.document, self._variables)
         return self._eval(expr, context)
 
@@ -361,25 +425,20 @@ class Evaluator:
         if expr.absolute:
             # Fully kernel-servable absolute paths run as a compiled
             # batch program over flat candidate columns; a None return
-            # (or observation, which wants per-step spans and drift)
             # falls through to the object-walking evaluation.
-            if (
-                plan is not None
-                and not self._observing
-                and self.index is not None
-            ):
+            if plan is not None and self.index is not None:
                 program = plan.program_for(expr)
                 if program is not None:
-                    step_plans = plan.steps_for(expr)
-                    result = program.run(
-                        self.index, self.document, step_plans[0]
+                    result = run_program(
+                        program, expr, plan, self.index, self.document,
+                        self._observing, self._tracer,
                     )
                     if result is not None:
                         return result
             start: list[XNode] = [DocumentNode(self.document)]
         else:
             start = [context.node]
-        return self._eval_steps(expr.steps, start, self._step_plans(expr))
+        return self._eval_steps(expr, start)
 
     def _eval_filter(self, expr: FilterExpr, context: Context) -> XPathValue:
         value = self._eval(expr.primary, context)
@@ -396,101 +455,38 @@ class Evaluator:
                 )
                 nodes = self._filter_nodes(nodes, predicate, shape)
             if expr.steps:
-                nodes = self._eval_steps(expr.steps, nodes,
-                                         self._step_plans(expr))
+                nodes = self._eval_steps(expr, nodes)
             return nodes
         return value
 
-    def _step_plans(self, expr: Expr) -> list[StepPlan] | None:
+    def _eval_steps(self, expr: LocationPath | FilterExpr,
+                    start: list[XNode]) -> list[XNode]:
         plan = self._active_plan
-        if plan is None:
-            return None
-        return plan.steps_for(expr)
-
-    def _eval_steps(
-        self, steps: Iterable[Step], start: list[XNode],
-        step_plans: list[StepPlan] | None = None,
-    ) -> list[XNode]:
-        if self._observing:
-            return self._eval_steps_observed(steps, start, step_plans)
+        step_plans = plan.steps_for(expr) if plan is not None else None
         current = start
-        for i, step in enumerate(steps):
+        for i, step in enumerate(expr.steps):
             splan = step_plans[i] if step_plans is not None else None
             if splan is not None:
                 splan.actual_in += len(current)
-            gathered: list[XNode] = []
-            for node in current:
-                gathered.extend(self._eval_step(step, node, splan))
-            current = sorted_nodes(gathered)
+            if self._observing:
+                current = observe_step(
+                    self._tracer, plan, i, step, splan,
+                    len(current), self._gather, (step, current, splan),
+                    sorted_nodes,
+                )
+            else:
+                current = sorted_nodes(self._gather(step, current, splan))
             if splan is not None:
                 splan.actual_out += len(current)
         return current
 
-    def _eval_steps_observed(
-        self, steps: Iterable[Step], start: list[XNode],
-        step_plans: list[StepPlan] | None,
-    ) -> list[XNode]:
-        """The observed twin of :meth:`_eval_steps`.
-
-        Identical node semantics, plus per-step wall time (accumulated
-        on ``StepPlan.actual_ns`` — what ``explain(analyze=True)``
-        reports), tracer spans (``step`` with a child ``access-path``
-        around the per-context-node gather loop), rows-examined metrics,
-        and one :class:`DriftRecord` per step per run into the process
-        drift ring.  Nested predicate paths re-enter this method inside
-        the gather loop, so their spans nest under the access-path span
-        of the step that triggered them.
-        """
-        tracer = self._tracer
-        plan = self._active_plan
-        expression = plan.expression if plan is not None else ""
-        current = start
-        for i, step in enumerate(steps):
-            splan = step_plans[i] if step_plans is not None else None
-            rows_in = len(current)
-            axis = splan.axis if splan is not None else step.axis
-            test = splan.test if splan is not None else step.test.kind
-            choice = splan.choice if splan is not None else "NONE"
-            if splan is not None:
-                splan.actual_in += rows_in
-            served_before = splan.served if splan is not None else 0
-            fell_before = splan.fallbacks if splan is not None else 0
-            start_ns = time.perf_counter_ns()
-            if tracer is not None:
-                with tracer.span(
-                    "step", axis=axis, test=test, choice=choice
-                ) as step_span:
-                    with tracer.span("access-path", choice=choice) as ap:
-                        gathered: list[XNode] = []
-                        for node in current:
-                            gathered.extend(self._eval_step(step, node, splan))
-                        if splan is not None:
-                            ap.set(
-                                served=splan.served - served_before,
-                                fallbacks=splan.fallbacks - fell_before,
-                            )
-                        ap.set(rows=len(gathered))
-                    current = sorted_nodes(gathered)
-                    step_span.set(rows_in=rows_in, rows_out=len(current))
-            else:
-                gathered = []
-                for node in current:
-                    gathered.extend(self._eval_step(step, node, splan))
-                current = sorted_nodes(gathered)
-            elapsed_ns = time.perf_counter_ns() - start_ns
-            rows_out = len(current)
-            metrics.incr("xpath.steps")
-            metrics.incr("xpath.rows_examined", rows_in)
-            metrics.incr("xpath.rows_produced", rows_out)
-            metrics.record_ns("xpath.step", elapsed_ns)
-            if splan is not None:
-                splan.actual_out += rows_out
-                splan.actual_ns += elapsed_ns
-                drift_ring.record(DriftRecord(
-                    expression, i, axis, test, choice,
-                    splan.est_out, rows_out,
-                ))
-        return current
+    def _gather(self, step: Step, current: list[XNode],
+                splan: StepPlan | None) -> list[XNode]:
+        """One step's matches from every context node, unsorted."""
+        gathered: list[XNode] = []
+        for node in current:
+            gathered.extend(self._eval_step(step, node, splan))
+        return gathered
 
     def _eval_step(self, step: Step, node: XNode,
                    splan: StepPlan | None = None) -> list[XNode]:

@@ -294,7 +294,7 @@ class StepPlan:
     actual_out: int = 0
     served: int = 0
     fallbacks: int = 0
-    actual_ns: int = 0      #: measured wall time (explain(analyze=True) only)
+    actual_ns: int = 0      #: measured wall time (observed runs only)
 
     @property
     def drift(self) -> float:
