@@ -55,9 +55,6 @@ _TABLES = [
     ("hierarchies", "rank"),
     ("elements", "elem_id"),
     ("index_meta", "format"),
-    ("index_paths", "hierarchy, path"),
-    ("index_terms", "term"),
-    ("index_attrs", "name, value"),
     ("collection_summary", "kind, key"),
 ]
 

@@ -3,43 +3,9 @@
 from __future__ import annotations
 
 import re
-import sys
-from array import array
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
-
-
-# The persisted index blobs in sqlite are defined as little-endian u32;
-# Python only guarantees array("I") a *minimum* of 2 bytes, so pick
-# whichever code is exactly 4 bytes on this platform.
-for _code in ("I", "L"):
-    if array(_code).itemsize == 4:
-        _U32 = _code
-        break
-else:  # pragma: no cover - no 4-byte unsigned type
-    raise ImportError("no 4-byte unsigned array type on this platform")
-
-
-def pack_u32(values) -> bytes:
-    """Pack an iterable of ints as little-endian u32 bytes."""
-    if isinstance(values, array) and values.typecode == _U32:
-        packed = values
-    else:
-        packed = array(_U32, values)
-    if sys.byteorder == "big":  # pragma: no cover - big-endian hosts
-        packed = array(_U32, packed)
-        packed.byteswap()
-    return packed.tobytes()
-
-
-def unpack_u32(data: bytes) -> list[int]:
-    """Inverse of :func:`pack_u32`."""
-    packed = array(_U32)
-    packed.frombytes(data)
-    if sys.byteorder == "big":  # pragma: no cover - big-endian hosts
-        packed.byteswap()
-    return packed.tolist()
 
 
 def stable_unique(items: Iterable[T]) -> list[T]:

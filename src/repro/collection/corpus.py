@@ -173,7 +173,7 @@ class Corpus:
             overwrite: bool = False) -> str | None:
         """Store ``document`` under ``name``, indexed, and return its
         generation stamp.  The collection summary rows are written in
-        the same transaction as the index rows."""
+        the same transaction as the document rows."""
         with self._pool.connection() as backend:
             return self._add_on(backend, document, name, overwrite)
 

@@ -49,11 +49,12 @@ full rebuild when
 
 Applied deltas also queue for persistence: ``GoddagStore.save_indexed``
 drains them (``IndexManager.pending_persist``) into row-level sqlite
-upserts — only dirty label-path partition and attribute posting rows
-rewritten — so saving an edited document no longer invalidates its
-stored index wholesale.  Span queries on *stored* documents need no
-index table: the element rows carry each element's ``(start, end)``
-and answer them in SQL.  The differential
+upserts — only the collection-summary counts of dirty label paths,
+tags and attribute values rewritten — so saving an edited document no
+longer invalidates its stored index wholesale.  The store keeps counts
+only: span queries on *stored* documents read the element rows, which
+carry each element's ``(start, end)``, and term queries scan the
+stored text.  The differential
 harness in ``tests/test_index_incremental.py`` holds all of this to the
 byte-identical bar against both a fresh rebuild and the unindexed
 engine after every step of randomized edit sessions.

@@ -48,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..core.node import Element
 
 #: Current persisted payload format.  Format 2 added the attribute-value
-#: posting rows; format-1 artifacts read back with an empty table.
+#: postings; a store's format-1 index has no attribute counts.
 PAYLOAD_FORMAT = 2
 
 #: Default delta backlog beyond which catching up incrementally is
@@ -513,7 +513,10 @@ class IndexManager:
     # -- persistence ------------------------------------------------------------
 
     def payload(self, name: str = "") -> dict:
-        """The serializable form the store persists.
+        """The serializable form of the three indexes; the store
+        persists ``format`` and ``doc_length`` in ``index_meta`` and the
+        counts :func:`~repro.storage.sqlite_backend.collection_summary_rows`
+        derives from the rest.
 
         Args:
             name: the stored-document name stamped into the payload.

@@ -363,6 +363,13 @@ class StructuralSummary:
             if hierarchy is None or name == hierarchy:
                 yield name, path, len(elements)
 
+    def path_count(self, path: tuple[str, ...]) -> int:
+        """Elements whose label path is ``path``, in any hierarchy."""
+        return sum(
+            len(self._partitions.get((hierarchy, path), ()))
+            for hierarchy in self._by_hierarchy
+        )
+
     def partition_count(self) -> int:
         return len(self._partitions)
 

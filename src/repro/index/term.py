@@ -25,8 +25,8 @@ This module also hosts the **attribute-value posting table**
 (:class:`AttributeIndex`): document-order posting lists keyed by
 ``(attribute name, value)``.  Unlike the term postings it indexes
 *markup*, not text, so it is maintained through the same delta protocol
-as the structural summary (:meth:`AttributeIndex.apply`) and persisted
-alongside the other index sections by the store.  A
+as the structural summary (:meth:`AttributeIndex.apply`); the store
+persists its posting lengths as collection-summary counts.  A
 worked example::
 
     >>> index = TermIndex.from_text("sing a song of sixpence")
@@ -125,7 +125,13 @@ class TermIndex:
             return cached
         if not self.is_indexable(needle):
             raise ValueError(f"needle {needle!r} is not indexable")
-        out = occurrences_from_terms(self._postings.items(), needle)
+        out: list[int] = []
+        for term, starts in self._postings.items():
+            in_term = find_all(term, needle)
+            if in_term:
+                for start in starts:
+                    out.extend(start + offset for offset in in_term)
+        out.sort()
         self._occurrences[needle] = out
         return out
 
@@ -276,12 +282,6 @@ class AttributeIndex:
         planner's selectivity statistic)."""
         return len(self._postings.get((name, value), ()))
 
-    def spans(self, name: str, value: str) -> list[tuple[int, int]]:
-        """The ``(start, end)`` spans of one posting (persistence form)."""
-        return [
-            (e.start, e.end) for e in self._postings.get((name, value), ())
-        ]
-
     @property
     def key_count(self) -> int:
         return len(self._postings)
@@ -295,18 +295,3 @@ class AttributeIndex:
         for name, value in sorted(self._postings):
             yield name, value, self._postings[(name, value)]
 
-
-def occurrences_from_terms(rows, needle: str) -> list[int]:
-    """Occurrence offsets of ``needle`` from raw ``(term, starts)`` rows.
-
-    The store uses this to answer term queries from persisted
-    posting rows without instantiating a :class:`TermIndex`.
-    """
-    out: list[int] = []
-    for term, starts in rows:
-        in_term = find_all(term, needle)
-        if in_term:
-            for start in starts:
-                out.extend(start + offset for offset in in_term)
-    out.sort()
-    return out

@@ -7,13 +7,14 @@ relational encoding of :mod:`repro.storage.schema` with the indexes
 cross-hierarchy queries need, which is what makes selective queries on
 large stored editions cheap (experiment E7).
 
-Stored documents can carry *persisted indexes*
-(:meth:`SqliteStore.build_index`) kept in dedicated tables.
-Index-aware queries — :meth:`SqliteStore.term_occurrences`,
-:meth:`SqliteStore.count_tag`,
-:meth:`SqliteStore.count_attribute` — probe once for the index and
-answer from the index rows when one exists, from the element rows when
-it does not, returning the same answers either way.  A plain
+Stored documents can carry a *persisted index*
+(:meth:`SqliteStore.build_index`): an ``index_meta`` row and the
+document's ``collection_summary`` counts — elements per tag and per
+label path, occurrences per term, elements per attribute value.
+:meth:`SqliteStore.count_tag` and :meth:`SqliteStore.count_attribute`
+probe once for the index and read one count when it exists, and count
+the element rows when it does not, returning the same answers either
+way.  A plain
 :meth:`SqliteStore.save` over (or delete of) a document drops its
 index; editing sessions use :meth:`SqliteStore.save_indexed` instead,
 which re-saves the document *and* propagates the index manager's
@@ -37,14 +38,13 @@ from pathlib import Path
 from typing import NamedTuple
 from uuid import uuid4
 
-from .._util import pack_u32, unpack_u32
 from ..core.goddag import GoddagDocument
 from ..errors import PoolExhaustedError, StorageError, StoreBusyError, \
     WriteConflictError
 from ..index.manager import PAYLOAD_FORMAT as STREAM_PAYLOAD_FORMAT
 from ..index.manager import IndexManager
 from ..index.structural import encode_path
-from ..index.term import TermIndex, find_all, occurrences_from_terms
+from ..index.term import find_all
 from ..obs import fallback as _obs_fallback
 from ..obs.metrics import metrics
 from ..obs.stats import stats_dict
@@ -96,31 +96,6 @@ CREATE TABLE IF NOT EXISTS index_meta (
     doc_length INTEGER NOT NULL,
     stamp TEXT NOT NULL DEFAULT ''
 );
-CREATE TABLE IF NOT EXISTS index_paths (
-    doc_id INTEGER NOT NULL REFERENCES documents(doc_id) ON DELETE CASCADE,
-    hierarchy TEXT NOT NULL,
-    path TEXT NOT NULL,
-    tag TEXT NOT NULL,
-    n INTEGER NOT NULL,
-    spans BLOB NOT NULL,
-    PRIMARY KEY (doc_id, hierarchy, path)
-);
-CREATE TABLE IF NOT EXISTS index_terms (
-    doc_id INTEGER NOT NULL REFERENCES documents(doc_id) ON DELETE CASCADE,
-    term TEXT NOT NULL,
-    starts BLOB NOT NULL,
-    PRIMARY KEY (doc_id, term)
-);
-CREATE TABLE IF NOT EXISTS index_attrs (
-    doc_id INTEGER NOT NULL REFERENCES documents(doc_id) ON DELETE CASCADE,
-    name TEXT NOT NULL,
-    value TEXT NOT NULL,
-    n INTEGER NOT NULL,
-    spans BLOB NOT NULL,
-    PRIMARY KEY (doc_id, name, value)
-);
-CREATE INDEX IF NOT EXISTS idx_index_paths_tag
-    ON index_paths(doc_id, tag);
 CREATE TABLE IF NOT EXISTS collection_summary (
     doc_id INTEGER NOT NULL REFERENCES documents(doc_id) ON DELETE CASCADE,
     kind INTEGER NOT NULL,
@@ -133,12 +108,14 @@ CREATE INDEX IF NOT EXISTS idx_collection_summary_doc
 """
 
 #: Schema version recorded in ``PRAGMA user_version``.  Version 1 added
-#: the ``collection_summary`` routing table; opening an older store
-#: backfills it from the per-document index tables (see :meth:`_migrate`).
+#: the ``collection_summary`` table; opening an older store backfills it
+#: from the index tables those stores kept (see
+#: :meth:`SqliteStore._migrate`).
 SCHEMA_VERSION = 1
 
 #: ``collection_summary.kind`` values — the four feature families the
-#: collection router consults (see :mod:`repro.collection.router`).
+#: collection router consults (see :mod:`repro.collection.router`), and
+#: the counts ``count_tag`` and ``count_attribute`` read.
 KIND_TAG = 0      # key = tag; n = elements with that tag
 KIND_TERM = 1     # key = term-index token; n = occurrences
 KIND_ATTR = 2     # key = encode_path((name, value)); n = posting length
@@ -154,16 +131,17 @@ STAGING_PREFIX = "__repro_ingest__"
 
 def collection_summary_rows(payload: dict) -> list[tuple[int, str, int]]:
     """The ``(kind, key, n)`` collection-summary rows of one document,
-    derived from its ``IndexManager.payload()``.
+    derived from its ``IndexManager.payload()`` — the whole persisted
+    index besides ``index_meta``.
 
-    The same aggregation the row-level delta path recomputes in SQL
-    (:meth:`SqliteStore._patch_collection_rows`): tag populations are
-    label-path counts summed per tag, path populations are summed
-    across hierarchies (routing has no hierarchy context), term rows
-    carry posting lengths, and attribute rows the ``(name, value)``
-    posting length under the injective :func:`~repro.index.structural.encode_path`
-    key.  Keeping both producers aggregation-identical is what makes a
-    delta-patched store byte-identical to a rebuilt one.
+    Tag populations are label-path counts summed per tag, path
+    populations are summed across hierarchies (routing has no hierarchy
+    context), term rows carry posting lengths, and attribute rows the
+    ``(name, value)`` posting length under the injective
+    :func:`~repro.index.structural.encode_path` key.  The row-level
+    publish (:meth:`SqliteStore._apply_index_delta_rows`) and the
+    streaming ingest (:class:`StreamIngestSession`) produce the same
+    counts, which is what keeps their stores identical to a rebuilt one.
     """
     tags: dict[str, int] = {}
     paths: dict[str, int] = {}
@@ -246,10 +224,14 @@ class SqliteStore:
             # set it is a property of the *file*, shared by every
             # connection.  synchronous=NORMAL is the documented safe
             # pairing: a crash can lose the tail of the WAL but never
-            # corrupt the database.
-            (self.journal_mode,) = self._conn.execute(
-                "PRAGMA journal_mode = WAL"
-            ).fetchone()
+            # corrupt the database.  The switch can fail with
+            # SQLITE_BUSY despite the busy timeout while another
+            # connection opens the same file, so it retries.
+            (self.journal_mode,) = self._busy_retry(
+                lambda: self._conn.execute(
+                    "PRAGMA journal_mode = WAL").fetchone(),
+                "journal_mode = WAL",
+            )
             self._conn.execute("PRAGMA synchronous = NORMAL")
         self._conn.executescript(_DDL)
         self._migrate()
@@ -279,13 +261,21 @@ class SqliteStore:
         exhausting the budget raises
         :class:`~repro.errors.StoreBusyError` with the attempt count.
         """
+        def transaction():
+            with self._conn:
+                if not self._conn.in_transaction:
+                    self._conn.execute("BEGIN IMMEDIATE")
+                return operation()
+
+        return self._busy_retry(transaction, what)
+
+    def _busy_retry(self, operation, what: str):
+        """Run ``operation``, retrying it on SQLITE_BUSY with the bounded
+        backoff of :meth:`_write_retry`."""
         attempt = 1
         while True:
             try:
-                with self._conn:
-                    if not self._conn.in_transaction:
-                        self._conn.execute("BEGIN IMMEDIATE")
-                    return operation()
+                return operation()
             except sqlite3.OperationalError as exc:
                 if not _is_busy(exc):
                     raise
@@ -305,32 +295,62 @@ class SqliteStore:
         """Bring a store created by an older release up to the current
         schema (CREATE TABLE IF NOT EXISTS never alters existing
         tables).  Additive only: older columns are never dropped, and
-        the ``index_overlap`` table of stores written before span
-        queries moved to the element rows is left in place and never
-        read or written."""
-        columns = [
-            row[1]
-            for row in self._conn.execute("PRAGMA table_info(index_meta)")
-        ]
-        if "stamp" not in columns:
-            with self._conn:
+        the index tables of older stores are left in place, read only
+        by the one-time :meth:`_backfill_collection_summary`.
+
+        The whole migration — the ``index_meta.stamp`` column, the
+        backfill and the version bump — is one write transaction that
+        re-reads the schema inside it, so connections opening the same
+        old store at once migrate it exactly once."""
+        if self._schema_current():
+            return
+
+        def transaction() -> None:
+            columns = [
+                row[1] for row in
+                self._conn.execute("PRAGMA table_info(index_meta)")
+            ]
+            if "stamp" not in columns:
                 self._conn.execute(
                     "ALTER TABLE index_meta"
                     " ADD COLUMN stamp TEXT NOT NULL DEFAULT ''"
                 )
+            (version,) = self._conn.execute(
+                "PRAGMA user_version").fetchone()
+            if version < SCHEMA_VERSION:
+                self._backfill_collection_summary()
+                self._conn.execute(
+                    f"PRAGMA user_version = {int(SCHEMA_VERSION)}"
+                )
+
+        self._write_retry(transaction, "schema migration")
+
+    def _schema_current(self) -> bool:
+        columns = [
+            row[1]
+            for row in self._conn.execute("PRAGMA table_info(index_meta)")
+        ]
         (version,) = self._conn.execute("PRAGMA user_version").fetchone()
-        if version < SCHEMA_VERSION:
-            self._backfill_collection_summary()
+        return "stamp" in columns and version >= SCHEMA_VERSION
 
     def _backfill_collection_summary(self) -> None:
         """Populate ``collection_summary`` for a store written before
-        schema version 1, from the per-document index tables already on
-        disk — same aggregation as :func:`collection_summary_rows`, so a
-        migrated store routes identically to a freshly built one.
-        Without this, routing would treat every pre-collection indexed
-        document as matching nothing and silently prune it."""
-        def transaction() -> None:
-            self._conn.execute("DELETE FROM collection_summary")
+        schema version 1, from the index tables such stores kept
+        (``index_paths`` and ``index_terms``, and ``index_attrs`` from
+        payload format 2 on) — same aggregation as
+        :func:`collection_summary_rows`, so a migrated store routes and
+        counts like a freshly built one.  An indexed document those
+        tables say nothing about (a store without them) is counted from
+        its own rows instead.  A fresh store has no documents and gets
+        no rows.  Statements only: :meth:`_migrate` owns the
+        transaction."""
+        tables = {
+            name for (name,) in self._conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+        self._conn.execute("DELETE FROM collection_summary")
+        if "index_paths" in tables:
             self._conn.execute(
                 "INSERT INTO collection_summary"
                 " SELECT doc_id, ?, tag, SUM(n) FROM index_paths"
@@ -341,11 +361,14 @@ class SqliteStore:
                 " SELECT doc_id, ?, path, SUM(n) FROM index_paths"
                 " GROUP BY doc_id, path", (KIND_PATH,),
             )
+        if "index_terms" in tables:
+            # Each posting is one little-endian u32 start offset.
             self._conn.execute(
                 "INSERT INTO collection_summary"
                 " SELECT doc_id, ?, term, length(starts) / 4"
                 " FROM index_terms", (KIND_TERM,),
             )
+        if "index_attrs" in tables:
             # Attribute keys need the injective python-side
             # encoding, so these rows go through a fetch loop.
             attr_rows = self._conn.execute(
@@ -356,11 +379,15 @@ class SqliteStore:
                 [(doc_id, KIND_ATTR, encode_path((name, value)), n)
                  for doc_id, name, value, n in attr_rows],
             )
-            self._conn.execute(
-                f"PRAGMA user_version = {int(SCHEMA_VERSION)}"
-            )
-
-        self._write_retry(transaction, "collection-summary backfill")
+        uncounted = self._conn.execute(
+            "SELECT d.doc_id, d.name FROM documents d"
+            " JOIN index_meta m USING (doc_id) WHERE NOT EXISTS"
+            " (SELECT 1 FROM collection_summary s"
+            " WHERE s.doc_id = d.doc_id)"
+        ).fetchall()
+        for doc_id, name in uncounted:
+            self._insert_summary_rows(
+                doc_id, IndexManager(self.load(name)).payload(name))
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -591,25 +618,33 @@ class SqliteStore:
         return [(_stored(row[:6]), _stored(row[6:])) for row in rows]
 
     def count_tag(self, name: str, tag: str) -> int:
-        """Number of elements with ``tag``: the structural summary's
-        path counts when indexed (a metadata read), a count of the
-        element rows otherwise."""
+        """Number of elements with ``tag``: the document's tag count in
+        ``collection_summary`` when indexed (one keyed read), a count
+        of the element rows otherwise."""
         doc_id, indexed = self._doc_index_row(name)
-        query = (
-            "SELECT COALESCE(SUM(n), 0) FROM index_paths" if indexed
-            else "SELECT COUNT(*) FROM elements"
-        )
+        if indexed:
+            return self._summary_count(doc_id, KIND_TAG, tag)
         (count,) = self._conn.execute(
-            query + " WHERE doc_id = ? AND tag = ?", (doc_id, tag)
+            "SELECT COUNT(*) FROM elements WHERE doc_id = ? AND tag = ?",
+            (doc_id, tag),
         ).fetchone()
         return count
+
+    def _summary_count(self, doc_id: int, kind: int, key: str) -> int:
+        """One ``collection_summary`` count; 0 when the row is absent."""
+        row = self._conn.execute(
+            "SELECT n FROM collection_summary"
+            " WHERE kind = ? AND key = ? AND doc_id = ?",
+            (kind, key, doc_id),
+        ).fetchone()
+        return 0 if row is None else row[0]
 
     def count_attribute(self, name: str, attr: str, value: str) -> int:
         """Number of elements with attribute ``attr`` = ``value``.
 
-        With a persisted format-2 index the answer comes from the
-        attribute posting rows — a metadata read, no document
-        materialization.  Older or missing indexes fall back to a scan
+        With a persisted format-2 index the answer is the document's
+        attribute count in ``collection_summary`` — one keyed read, no
+        document materialization.  Older or missing indexes fall back to a scan
         of the element rows' attribute JSON.  The shared root's
         attributes are not counted — attribute postings index elements,
         matching the in-memory :class:`~repro.index.term.AttributeIndex`.
@@ -634,12 +669,8 @@ class SqliteStore:
                 "SELECT format FROM index_meta WHERE doc_id = ?", (doc_id,)
             ).fetchone()
             if fmt >= 2:
-                (count,) = self._conn.execute(
-                    "SELECT COALESCE(SUM(n), 0) FROM index_attrs"
-                    " WHERE doc_id = ? AND name = ? AND value = ?",
-                    (doc_id, attr, value),
-                ).fetchone()
-                return count
+                return self._summary_count(
+                    doc_id, KIND_ATTR, encode_path((attr, value)))
         cursor = self._conn.cursor()
         try:
             cursor.execute(
@@ -658,27 +689,13 @@ class SqliteStore:
             cursor.close()
 
     def term_occurrences(self, name: str, needle: str) -> list[int]:
-        """Start offsets of ``needle`` in the stored text (sorted).
-
-        Alphanumeric needles are answered from the persisted term index
-        when one exists; other needles (or unindexed documents) scan the
-        stored text — read on its own, never through a document
-        reconstruction.
+        """Start offsets of ``needle`` in the stored text (sorted,
+        overlapping occurrences included): a scan of the stored text,
+        read on its own, never through a document reconstruction.
+        Indexed or not, the answer is the same — an alphanumeric needle
+        lies inside one term-index token wherever it occurs.
         """
-        doc_id, indexed = self._doc_index_row(name)
-        if indexed and TermIndex.is_indexable(needle):
-            rows = (
-                (term, unpack_u32(starts))
-                for term, starts in self._conn.execute(
-                    "SELECT term, starts FROM index_terms"
-                    " WHERE doc_id = ? AND instr(term, ?) > 0",
-                    (doc_id, needle),
-                )
-            )
-            try:
-                return occurrences_from_terms(rows, needle)
-            except ValueError as exc:
-                raise self._corrupt(name, exc) from exc
+        doc_id, _ = self._doc_index_row(name)
         (text,) = self._conn.execute(
             "SELECT text FROM documents WHERE doc_id = ?", (doc_id,)
         ).fetchone()
@@ -719,10 +736,10 @@ class SqliteStore:
 
     # -- persisted indexes (see repro.index) ---------------------------------------------
     #
-    # The index tables mirror the IndexManager payload: label-path
-    # partition rows with packed spans, term posting rows and attribute
-    # posting rows.  Span queries need no index table: the element rows
-    # carry their (start, end) under idx_elements_span.
+    # A persisted index is one index_meta row plus the document's
+    # collection_summary counts, derived from the IndexManager payload.
+    # Positions are never stored twice: span queries read the element
+    # rows under idx_elements_span, and term queries scan the text.
 
     def save_index(self, name: str, payload: dict, stamp: str = "") -> None:
         """Persist an ``IndexManager.payload()`` for a stored document."""
@@ -736,10 +753,10 @@ class SqliteStore:
         """Build and persist the index for a stored document.
 
         Loads the document once, builds the three indexes (structural
-        summary, term index, attribute postings),
-        persists them to the index tables, and returns the size census.
-        Subsequent index-aware queries answer without loading the
-        document again.
+        summary, term index, attribute postings), persists their counts
+        (``index_meta`` and ``collection_summary``), and returns the
+        size census.  Subsequent index-aware queries answer without
+        loading the document again.
         """
         manager = IndexManager(self.load(name))
         self.save_index(name, manager.payload(name))
@@ -761,7 +778,7 @@ class SqliteStore:
         journal's coalesced :class:`~repro.core.changes.UpdateElementRow`
         set upserts and deletes exactly the element rows the session
         touched (keyed by persistent ``elem_id`` — an attribute-only
-        edit writes O(1) rows) and the index rows are patched likewise;
+        edit writes O(1) rows) and the summary counts are patched likewise;
         anything else (journal overflow, untracked mutations, foreign
         artifacts) takes a full rewrite.  A document not stored yet is
         written whole, document and index in one transaction.  Either
@@ -825,16 +842,10 @@ class SqliteStore:
             )
         stamp = uuid4().hex
         self.resave_with_index(
-            document, name, deltas,
-            lambda hierarchy, path: [
-                (e.start, e.end)
-                for e in manager.structural.partition(hierarchy, path)
-            ],
-            lambda: manager.payload(name),
+            document, name, deltas, manager,
             stamp=stamp,
             # None tells the transaction that nothing was stored.
             expected_stamp=(generation or "") if exists else None,
-            attr_spans=manager.attrs.spans,
             strict_stamp=strict_stamp,
         )
         manager.mark_persisted(self.artifact_token(name, stamp))
@@ -880,7 +891,7 @@ class SqliteStore:
         Reclaims any staging rows a crashed ingest left behind, then
         inserts a placeholder document row under a reserved staging
         name (see :data:`STAGING_PREFIX`).  The returned session
-        accepts element rows, text chunks and index postings in chunks;
+        accepts element rows, text chunks and index counts in chunks;
         nothing is visible under ``name`` until its ``finalize``
         renames the staging row in the same transaction that writes
         ``index_meta``.  ``root_attributes`` is the JSON encoding the
@@ -995,142 +1006,65 @@ class SqliteStore:
 
     def _write_index_rows(self, doc_id: int, payload: dict,
                           stamp: str) -> None:
-        """Replace the index rows of ``doc_id`` with the full payload —
-        the index half of every full write (statements only — the
-        caller owns the transaction).  ``stamp`` is the session
-        generation mark an editing-session writer leaves so it can
-        later recognize its own artifact."""
+        """Replace the index rows of ``doc_id`` with the full payload's
+        ``index_meta`` row and :func:`collection_summary_rows` — the
+        index half of every full write (statements only — the caller
+        owns the transaction).  ``stamp`` is the session generation
+        mark an editing-session writer leaves so it can later recognize
+        its own artifact."""
         self._delete_index_rows(doc_id)
         self._conn.execute(
             "INSERT INTO index_meta VALUES (?, ?, ?, ?)",
             (doc_id, payload.get("format", 1),
              payload.get("doc_length", 0), stamp),
         )
-        self._conn.executemany(
-            "INSERT INTO index_paths VALUES (?, ?, ?, ?, ?, ?)",
-            [
-                (doc_id, hierarchy, path, tag, count,
-                 pack_u32([v for span in spans for v in span]))
-                for hierarchy, path, tag, count, spans
-                in payload.get("paths", [])
-            ],
-        )
-        self._conn.executemany(
-            "INSERT INTO index_terms VALUES (?, ?, ?)",
-            [
-                (doc_id, term, pack_u32(starts))
-                for term, starts in payload.get("terms", {}).items()
-            ],
-        )
-        self._conn.executemany(
-            "INSERT INTO index_attrs VALUES (?, ?, ?, ?, ?)",
-            [
-                (doc_id, name, value, count,
-                 pack_u32([v for span in spans for v in span]))
-                for name, value, count, spans in payload.get("attrs", [])
-            ],
-        )
+        self._insert_summary_rows(doc_id, payload)
+
+    def _insert_summary_rows(self, doc_id: int, payload: dict) -> None:
         self._conn.executemany(
             "INSERT INTO collection_summary VALUES (?, ?, ?, ?)",
             [(doc_id, kind, key, n)
              for kind, key, n in collection_summary_rows(payload)],
         )
 
-    def _patch_collection_rows(self, doc_id: int, kind: int, key: str,
-                               count_sql: str, params: tuple) -> None:
-        """Bring one ``collection_summary`` row in step with the index
-        tables just patched (statements only — the caller owns the
-        transaction).  ``count_sql`` recomputes the population from the
-        per-document index rows; zero deletes the summary row, so the
-        routing table never holds a key the document can no longer
-        match."""
-        (n,) = self._conn.execute(count_sql, params).fetchone()
-        if n:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO collection_summary"
-                " VALUES (?, ?, ?, ?)",
-                (doc_id, kind, key, n),
-            )
-        else:
-            self._conn.execute(
-                "DELETE FROM collection_summary"
-                " WHERE doc_id = ? AND kind = ? AND key = ?",
-                (doc_id, kind, key),
-            )
-
     def _apply_index_delta_rows(self, doc_id: int, deltas,
-                                partition_spans, attr_spans) -> None:
+                                manager: IndexManager) -> None:
         """Row-level index maintenance from a
         :class:`~repro.index.manager.PersistDeltas` (statements only —
         :meth:`resave_with_index` owns the transaction).
 
-        Upserts exactly the dirty ``index_paths`` partition rows
-        (``partition_spans(hierarchy, path)`` supplies the current
-        ``(start, end)`` members; an empty answer deletes the row), and
-        likewise upserts the dirty ``index_attrs`` posting rows from
-        ``attr_spans(name, value)``.  Term rows never change — the text
-        is immutable.  Keys are visited in sorted order, so the rows'
-        rowid order does not depend on the process's hash seed.
+        Re-counts exactly the ``collection_summary`` keys the dirty
+        ``deltas.paths`` and ``deltas.attrs`` name — the tag and the
+        hierarchy-agnostic label path of each dirty partition, and each
+        dirty ``(name, value)`` posting — from ``manager``, which the
+        caller has refreshed to the document being written.  A nonzero
+        count upserts its row; zero deletes it, so the summary never
+        holds a key the document can no longer match.  Term counts
+        never change: the text is immutable within a session.
         """
-        for hierarchy, path in sorted(deltas.paths):
-            spans = partition_spans(hierarchy, path)
-            encoded = encode_path(path)
-            if spans:
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO index_paths"
-                    " VALUES (?, ?, ?, ?, ?, ?)",
-                    (doc_id, hierarchy, encoded, path[-1], len(spans),
-                     pack_u32([v for span in spans for v in span])),
-                )
-            else:
-                self._conn.execute(
-                    "DELETE FROM index_paths WHERE doc_id = ?"
-                    " AND hierarchy = ? AND path = ?",
-                    (doc_id, hierarchy, encoded),
-                )
-        for attr_name, value in sorted(deltas.attrs):
-            spans = attr_spans(attr_name, value)
-            if spans:
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO index_attrs"
-                    " VALUES (?, ?, ?, ?, ?)",
-                    (doc_id, attr_name, value, len(spans),
-                     pack_u32([v for span in spans for v in span])),
-                )
-            else:
-                self._conn.execute(
-                    "DELETE FROM index_attrs WHERE doc_id = ?"
-                    " AND name = ? AND value = ?",
-                    (doc_id, attr_name, value),
-                )
-        # Collection-summary maintenance: recompute exactly the touched
-        # routing keys from the index rows patched above (same
-        # transaction, so the SELECTs see the new state).  Aggregating
-        # in SQL keeps the result byte-identical to the full-payload
-        # derivation of :func:`collection_summary_rows`.  Term rows
-        # never change — the text is immutable within a session.
-        for tag in sorted({path[-1] for _hierarchy, path in deltas.paths}):
-            self._patch_collection_rows(
-                doc_id, KIND_TAG, tag,
-                "SELECT COALESCE(SUM(n), 0) FROM index_paths"
-                " WHERE doc_id = ? AND tag = ?",
-                (doc_id, tag),
-            )
-        for encoded in sorted({encode_path(path)
-                               for _hierarchy, path in deltas.paths}):
-            self._patch_collection_rows(
-                doc_id, KIND_PATH, encoded,
-                "SELECT COALESCE(SUM(n), 0) FROM index_paths"
-                " WHERE doc_id = ? AND path = ?",
-                (doc_id, encoded),
-            )
-        for attr_name, value in sorted(deltas.attrs):
-            self._patch_collection_rows(
-                doc_id, KIND_ATTR, encode_path((attr_name, value)),
-                "SELECT COALESCE(SUM(n), 0) FROM index_attrs"
-                " WHERE doc_id = ? AND name = ? AND value = ?",
-                (doc_id, attr_name, value),
-            )
+        structural = manager.structural
+        counts = [
+            (KIND_TAG, tag, structural.tag_count(tag))
+            for tag in {path[-1] for _hierarchy, path in deltas.paths}
+        ]
+        counts.extend(
+            (KIND_PATH, encode_path(path), structural.path_count(path))
+            for path in {path for _hierarchy, path in deltas.paths}
+        )
+        counts.extend(
+            (KIND_ATTR, encode_path((attr_name, value)),
+             manager.attr_count(attr_name, value))
+            for attr_name, value in deltas.attrs
+        )
+        self._conn.executemany(
+            "INSERT OR REPLACE INTO collection_summary VALUES (?, ?, ?, ?)",
+            [(doc_id, kind, key, n) for kind, key, n in counts if n],
+        )
+        self._conn.executemany(
+            "DELETE FROM collection_summary"
+            " WHERE kind = ? AND key = ? AND doc_id = ?",
+            [(kind, key, doc_id) for kind, key, n in counts if not n],
+        )
 
     def index_stamp(self, name: str) -> str | None:
         """The generation stamp of the persisted index (empty for one
@@ -1158,11 +1092,14 @@ class SqliteStore:
         always route (they have no summary rows to consult), a tag
         feature also accepts a matching root tag (the shared GODDAG
         root is reachable by ``//x`` yet is not an element row), and an
-        attribute feature falls back to an ``instr`` prefilter over the
-        stored root-attribute JSON (root attributes are not in the
-        posting index).  False positives cost a wasted per-document
-        evaluation; a false negative would change answers — so there
-        are none by construction.
+        attribute feature holds for every document indexed before
+        attribute counts existed (``index_meta.format`` below 2) and
+        falls back to an ``instr`` prefilter over the stored
+        root-attribute JSON (root attributes are not in the posting
+        index).  False positives cost a wasted per-document evaluation;
+        a false negative would change answers — so there are none by
+        construction.  The staging rows of an in-flight streaming
+        ingest never route, exactly as :meth:`names` hides them.
         """
         where = ["m.doc_id IS NULL"]
         conj: list[str] = []
@@ -1189,7 +1126,8 @@ class SqliteStore:
             elif kind == "attr":
                 name, value = key, feature[2]
                 conj.append(
-                    "(EXISTS(SELECT 1 FROM collection_summary s"
+                    "(m.format < 2"
+                    " OR EXISTS(SELECT 1 FROM collection_summary s"
                     " WHERE s.doc_id = d.doc_id AND s.kind = ?"
                     " AND s.key = ?) OR (instr(d.root_attributes, ?) > 0"
                     " AND instr(d.root_attributes, ?) > 0))"
@@ -1215,52 +1153,62 @@ class SqliteStore:
             name for (name,) in self._conn.execute(
                 "SELECT d.name FROM documents d"
                 " LEFT JOIN index_meta m USING (doc_id)"
-                f" WHERE {' OR '.join(where)} ORDER BY d.name",
-                params,
+                f" WHERE d.name NOT GLOB ? AND ({' OR '.join(where)})"
+                " ORDER BY d.name",
+                [STAGING_PREFIX + "*", *params],
             )
         ]
 
     def corpus_counts(self) -> dict[str, int]:
         """Raw corpus-level counters for the ``repro-stats/1`` stats
         surfaces (:meth:`stats` and
-        :meth:`repro.collection.Corpus.stats`)."""
+        :meth:`repro.collection.Corpus.stats`).  The rows of in-flight
+        streaming ingests are not counted, as :meth:`names` hides
+        them."""
         counts = {
             "documents": 0, "indexed_documents": 0, "element_rows": 0,
             "summary_rows": 0, "tag_keys": 0, "term_keys": 0,
             "attr_keys": 0, "path_keys": 0,
         }
+        live = ("doc_id NOT IN"
+                " (SELECT doc_id FROM documents WHERE name GLOB ?)")
+        staging = (STAGING_PREFIX + "*",)
         (counts["documents"],) = self._conn.execute(
-            "SELECT COUNT(*) FROM documents").fetchone()
+            f"SELECT COUNT(*) FROM documents WHERE {live}", staging
+        ).fetchone()
         (counts["indexed_documents"],) = self._conn.execute(
             "SELECT COUNT(*) FROM index_meta").fetchone()
         (counts["element_rows"],) = self._conn.execute(
-            "SELECT COUNT(*) FROM elements").fetchone()
+            f"SELECT COUNT(*) FROM elements WHERE {live}", staging
+        ).fetchone()
         names = {KIND_TAG: "tag_keys", KIND_TERM: "term_keys",
                  KIND_ATTR: "attr_keys", KIND_PATH: "path_keys"}
         for kind, n in self._conn.execute(
-            "SELECT kind, COUNT(*) FROM collection_summary GROUP BY kind"
+            "SELECT kind, COUNT(*) FROM collection_summary"
+            f" WHERE {live} GROUP BY kind", staging,
         ):
             counts["summary_rows"] += n
             counts[names[kind]] = n
         return counts
 
     def resave_with_index(self, document: GoddagDocument, name: str,
-                          deltas, partition_spans, payload_factory,
+                          deltas, manager: IndexManager,
                           stamp: str = "",
                           expected_stamp: str | None = None,
-                          attr_spans=None,
                           strict_stamp: bool = False) -> None:
         """Atomically bring a stored document's rows *and* its index in
         step, in one transaction — a crash can never pair a newer
-        document with a stale index.  ``deltas`` (when applicable and an
-        index is stored) patches row-level — element rows through the
-        journal's :class:`~repro.core.changes.ElementRowCoalescer`
-        (``deltas.rows``), index rows through
+        document with a stale index.  ``manager`` is ``document``'s
+        index manager, already refreshed.  ``deltas`` (when applicable
+        and an index is stored) patches row-level — element rows
+        through the journal's
+        :class:`~repro.core.changes.ElementRowCoalescer`
+        (``deltas.rows``), summary counts through
         :meth:`_apply_index_delta_rows` — so an attribute-only edit
         persists in O(1) element-row writes instead of an
         O(document) delete-and-reinsert.  Otherwise every row is
-        rewritten from ``document`` and ``payload_factory()``.  Either
-        way the index generation mark becomes ``stamp``.
+        rewritten from ``document`` and ``manager.payload(name)``.
+        Either way the index generation mark becomes ``stamp``.
 
         The delta path re-verifies ``expected_stamp`` *inside* the
         transaction (a conditional stamp update): if another writer
@@ -1271,16 +1219,12 @@ class SqliteStore:
         mutations, and a broken row coalescer (the caller passes
         ``deltas=None`` for the first two — mirroring
         :class:`~repro.index.manager.IndexManager`'s own rebuild rules —
-        and ``deltas.rows.broken`` guards the third).  Dirty attribute
-        postings likewise need the ``attr_spans(name, value)`` supplier;
-        deltas that touched attributes without one take the full-write
-        path rather than guessing (a wrong guess would silently delete
-        posting rows).
+        and ``deltas.rows.broken`` guards the third).
 
         Every full-rewrite fallback is reason-coded into the
         ``storage.full_rewrites.*`` metrics ('stale-deltas',
-        'broken-coalescer', 'missing-attr-spans', 'no-stored-index',
-        'stamp-mismatch') and warns under ``REPRO_OBS_STRICT=1``.
+        'broken-coalescer', 'no-stored-index', 'stamp-mismatch') and
+        warns under ``REPRO_OBS_STRICT=1``.
 
         ``strict_stamp=True`` turns the stamp-mismatch fallback into a
         typed :class:`~repro.errors.WriteConflictError` instead: the
@@ -1310,9 +1254,8 @@ class SqliteStore:
         with span_cm as txn_span:
             row_level, reason = self._write_retry(
                 lambda: self._resave_transaction(
-                    document, name, deltas, partition_spans,
-                    payload_factory, stamp, expected_stamp, attr_spans,
-                    strict_stamp,
+                    document, name, deltas, manager, stamp,
+                    expected_stamp, strict_stamp,
                 ),
                 f"resave_with_index {name!r}",
             )
@@ -1320,10 +1263,9 @@ class SqliteStore:
                 txn_span.set(row_level=row_level, reason=reason)
 
     def _resave_transaction(self, document: GoddagDocument, name: str,
-                            deltas, partition_spans, payload_factory,
-                            stamp: str, expected_stamp: str | None,
-                            attr_spans, strict_stamp: bool
-                            ) -> tuple[bool, str | None]:
+                            deltas, manager: IndexManager, stamp: str,
+                            expected_stamp: str | None,
+                            strict_stamp: bool) -> tuple[bool, str | None]:
         """The statements of :meth:`resave_with_index`; returns
         ``(row_level, full-rewrite reason)``."""
         found = self._find(name)
@@ -1331,7 +1273,7 @@ class SqliteStore:
             if expected_stamp is not None:
                 raise StorageError(f"no stored document {name!r}")
             doc_id = self._insert_document(*encode_document(document, name))
-            self._write_index_rows(doc_id, payload_factory(), stamp)
+            self._write_index_rows(doc_id, manager.payload(name), stamp)
             return False, None
         if expected_stamp is None:
             raise StorageError(f"document {name!r} already stored")
@@ -1353,8 +1295,6 @@ class SqliteStore:
             reason = "stale-deltas"
         elif deltas.rows.broken:
             reason = "broken-coalescer"
-        elif deltas.attrs and attr_spans is None:
-            reason = "missing-attr-spans"
         elif not indexed:
             reason = "no-stored-index"
         else:
@@ -1396,16 +1336,13 @@ class SqliteStore:
             metrics.incr("storage.rows_deleted", deleted)
             metrics.incr("storage.rows_upserted", len(updates) - deleted)
             self._apply_element_row_deltas(doc_id, updates)
-            self._apply_index_delta_rows(
-                doc_id, deltas, partition_spans,
-                attr_spans or (lambda name, value: []),
-            )
+            self._apply_index_delta_rows(doc_id, deltas, manager)
         else:
             _obs_fallback(
                 "storage.full_rewrites", reason, f"document {name!r}"
             )
             self._rewrite_rows(doc_id, document, name)
-            self._write_index_rows(doc_id, payload_factory(), stamp)
+            self._write_index_rows(doc_id, manager.payload(name), stamp)
         return row_level, reason
 
     def _rewrite_rows(
@@ -1452,8 +1389,7 @@ class SqliteStore:
         )
 
     def _delete_index_rows(self, doc_id: int) -> None:
-        for table in ("index_meta", "index_paths", "index_terms",
-                      "index_attrs", "collection_summary"):
+        for table in ("index_meta", "collection_summary"):
             self._conn.execute(
                 f"DELETE FROM {table} WHERE doc_id = ?", (doc_id,)
             )
@@ -1486,61 +1422,6 @@ class SqliteStore:
         self._write_retry(
             lambda: self._delete_index_rows(doc_id), f"drop_index {name!r}"
         )
-
-    def _corrupt(self, name: str, exc: Exception) -> StorageError:
-        """Wrap a blob-decoding failure in the module's error contract."""
-        return StorageError(
-            f"corrupt persisted index for {name!r}: {exc} — "
-            f"drop_index({name!r}) removes it and restores unindexed queries"
-        )
-
-    def load_index(self, name: str) -> dict | None:
-        """The full persisted payload, or None when no index is stored."""
-        doc_id, _ = self._doc_index_row(name)
-        meta = self._conn.execute(
-            "SELECT format, doc_length FROM index_meta WHERE doc_id = ?",
-            (doc_id,),
-        ).fetchone()
-        if meta is None:
-            return None
-        try:
-            terms = {
-                term: unpack_u32(starts)
-                for term, starts in self._conn.execute(
-                    "SELECT term, starts FROM index_terms WHERE doc_id = ?",
-                    (doc_id,),
-                )
-            }
-            paths = []
-            for hierarchy, path, tag, count, spans in self._conn.execute(
-                "SELECT hierarchy, path, tag, n, spans FROM index_paths"
-                " WHERE doc_id = ? ORDER BY hierarchy, path", (doc_id,),
-            ):
-                flat = unpack_u32(spans)
-                paths.append(
-                    (hierarchy, path, tag, count,
-                     [(flat[2 * i], flat[2 * i + 1]) for i in range(count)])
-                )
-            attrs = []
-            for attr_name, value, count, spans in self._conn.execute(
-                "SELECT name, value, n, spans FROM index_attrs"
-                " WHERE doc_id = ? ORDER BY name, value", (doc_id,),
-            ):
-                flat = unpack_u32(spans)
-                attrs.append(
-                    (attr_name, value, count,
-                     [(flat[2 * i], flat[2 * i + 1]) for i in range(count)])
-                )
-        except (ValueError, IndexError) as exc:
-            raise self._corrupt(name, exc) from exc
-        return {
-            "format": meta[0],
-            "name": name,
-            "doc_length": meta[1],
-            "terms": terms,
-            "paths": paths,
-            "attrs": attrs,
-        }
 
 
 class SharedSnapshot(NamedTuple):
@@ -1796,18 +1677,14 @@ class StreamIngestSession:
     """A chunked streaming write of one document and its index.
 
     Created by :meth:`SqliteStore.begin_stream_ingest`.  Element rows,
-    text and posting appends each commit in their own bounded
+    text and per-chunk index counts each commit in their own bounded
     transaction against the staging document row, so peak memory is the
-    caller's chunk size, not the document.  Append order is the
-    caller's proof obligation: path-partition spans and term posting
-    starts are concatenated blob-wise, so they must arrive in the same
-    order a materialized ``IndexManager.payload()`` would emit them
-    (document order — which streaming close order provides, see
-    :mod:`repro.streaming.ingest`).  ``finalize`` writes everything
-    order-sensitive-at-once (hierarchies, sorted attribute rows,
-    ``index_meta``, SQL-derived ``collection_summary`` rows) and
-    renames the staging row to the real name in one transaction;
-    ``abort`` deletes the staging rows.
+    caller's chunk size, not the document.  Counts add onto the staging
+    document's ``collection_summary`` rows, so they may arrive in any
+    order and any split.  ``finalize`` writes the hierarchies, the
+    attribute counts and ``index_meta``, and renames the staging row to
+    the real name, in one transaction; ``abort`` deletes the staging
+    rows.
     """
 
     def __init__(self, store: SqliteStore, doc_id: int, staging: str,
@@ -1851,77 +1728,44 @@ class StreamIngestSession:
         self._store._write_retry(transaction, "stream text")
 
     def append_paths(self, rows) -> None:
-        """Upsert-append label-path partition postings: rows of
-        ``(hierarchy, encoded_path, tag, n, spans_blob)`` whose spans
-        concatenate onto any prior append for the same partition.
-
-        The blob append happens in Python (read, concat, update) — SQL
-        ``||`` converts BLOB operands to TEXT, which would corrupt the
-        packed u32 spans as soon as they stop being valid UTF-8.
-        """
-        conn = self._store._conn
-        doc_id = self._doc_id
-
-        def transaction() -> None:
-            for hierarchy, path, tag, n, spans in rows:
-                prior = conn.execute(
-                    "SELECT n, spans FROM index_paths WHERE doc_id = ?"
-                    " AND hierarchy = ? AND path = ?",
-                    (doc_id, hierarchy, path),
-                ).fetchone()
-                if prior is None:
-                    conn.execute(
-                        "INSERT INTO index_paths VALUES"
-                        " (?, ?, ?, ?, ?, ?)",
-                        (doc_id, hierarchy, path, tag, n, spans),
-                    )
-                else:
-                    conn.execute(
-                        "UPDATE index_paths SET n = ?, spans = ?"
-                        " WHERE doc_id = ? AND hierarchy = ?"
-                        " AND path = ?",
-                        (prior[0] + n, prior[1] + spans,
-                         doc_id, hierarchy, path),
-                    )
-
-        self._store._write_retry(transaction, "stream paths")
+        """Add label-path counts: rows of ``(encoded_path, tag, n)``,
+        each adding ``n`` to the path's and the tag's summary counts."""
+        self._add_counts(
+            [(KIND_PATH, path, n) for path, _tag, n in rows]
+            + [(KIND_TAG, tag, n) for _path, tag, n in rows],
+            "stream paths",
+        )
 
     def append_terms(self, rows) -> None:
-        """Upsert-append term postings: rows of ``(term, starts_blob)``
-        (Python-side blob concat — see :meth:`append_paths`)."""
+        """Add term counts: rows of ``(term, n)``."""
+        self._add_counts(
+            [(KIND_TERM, term, n) for term, n in rows], "stream terms"
+        )
+
+    def _add_counts(self, counts, what: str) -> None:
         conn = self._store._conn
         doc_id = self._doc_id
 
         def transaction() -> None:
-            for term, starts in rows:
-                prior = conn.execute(
-                    "SELECT starts FROM index_terms WHERE doc_id = ?"
-                    " AND term = ?", (doc_id, term),
-                ).fetchone()
-                if prior is None:
-                    conn.execute(
-                        "INSERT INTO index_terms VALUES (?, ?, ?)",
-                        (doc_id, term, starts),
-                    )
-                else:
-                    conn.execute(
-                        "UPDATE index_terms SET starts = ?"
-                        " WHERE doc_id = ? AND term = ?",
-                        (prior[0] + starts, doc_id, term),
-                    )
+            conn.executemany(
+                "INSERT INTO collection_summary VALUES (?, ?, ?, ?)"
+                " ON CONFLICT(kind, key, doc_id)"
+                " DO UPDATE SET n = n + excluded.n",
+                [(doc_id, kind, key, n) for kind, key, n in counts],
+            )
 
-        self._store._write_retry(transaction, "stream terms")
+        self._store._write_retry(transaction, what)
 
     # -- closing -----------------------------------------------------------------
 
     def finalize(self, *, hierarchy_rows, doc_length: int, attr_rows,
                  stamp: str) -> str:
-        """Publish the document: everything order-sensitive, the
-        ``index_meta`` visibility gate, the SQL-derived collection
-        summary, and the staging→real rename — one transaction.
+        """Publish the document: the hierarchy rows, the attribute
+        counts, the ``index_meta`` visibility gate and the
+        staging→real rename — one transaction.
 
-        ``attr_rows`` are ``(name, value, n, spans_blob)`` sorted by
-        key with members in document order.
+        ``attr_rows`` are ``(name, value, n)``: ``n`` elements carry
+        attribute ``name`` = ``value``.
         """
         conn = self._store._conn
         doc_id = self._doc_id
@@ -1932,34 +1776,14 @@ class StreamIngestSession:
                 [(doc_id, rank, hname, dtd)
                  for rank, hname, dtd in hierarchy_rows],
             )
-            conn.executemany(
-                "INSERT INTO index_attrs VALUES (?, ?, ?, ?, ?)",
-                [(doc_id, *row) for row in attr_rows],
-            )
             conn.execute(
                 "INSERT INTO index_meta VALUES (?, ?, ?, ?)",
                 (doc_id, STREAM_PAYLOAD_FORMAT, doc_length, stamp),
             )
-            conn.execute(
-                "INSERT INTO collection_summary"
-                " SELECT doc_id, ?, tag, SUM(n) FROM index_paths"
-                " WHERE doc_id = ? GROUP BY tag", (KIND_TAG, doc_id),
-            )
-            conn.execute(
-                "INSERT INTO collection_summary"
-                " SELECT doc_id, ?, path, SUM(n) FROM index_paths"
-                " WHERE doc_id = ? GROUP BY path", (KIND_PATH, doc_id),
-            )
-            conn.execute(
-                "INSERT INTO collection_summary"
-                " SELECT doc_id, ?, term, length(starts) / 4"
-                " FROM index_terms WHERE doc_id = ?",
-                (KIND_TERM, doc_id),
-            )
             conn.executemany(
                 "INSERT INTO collection_summary VALUES (?, ?, ?, ?)",
                 [(doc_id, KIND_ATTR, encode_path((aname, avalue)), n)
-                 for aname, avalue, n, _spans in attr_rows],
+                 for aname, avalue, n in attr_rows],
             )
             existing = conn.execute(
                 "SELECT doc_id FROM documents WHERE name = ?",

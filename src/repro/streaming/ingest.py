@@ -5,9 +5,9 @@ a :class:`~repro.storage.sqlite_backend.SqliteStore` in chunked
 transactions while the SACX merge is still running.  The resulting
 rows are byte-identical to ``GoddagStore.save_indexed(parse_concurrent
 (sources), name)`` — same element rows (including ``elem_id`` birth
-ordinals, parent links and child ranks), same packed posting blobs,
-same collection-summary aggregates — without ever materializing the
-GODDAG, the full text, or the payload dict.
+ordinals, parent links and child ranks), same ``index_meta`` row, same
+collection-summary counts — without ever materializing the GODDAG, the
+full text, or the payload dict.
 
 How identity survives streaming, table by table:
 
@@ -16,19 +16,11 @@ How identity survives streaming, table by table:
   counting pre-pass (:func:`count_content_events`); rows are keyed by
   ``(doc_id, elem_id)`` and read back ordered, so chunk insertion
   order is free.
-- **index_paths** — elements of one ``(hierarchy, label path)``
-  partition never nest or overlap (same path ⇒ sibling subtrees), so
-  their close order *is* their document order and blob-appending spans
-  per close chunk reproduces the one-shot packed blob.
-- **index_terms** — tokens are posted in ascending text offset; the
-  streaming tokenizer (:class:`_TermAccumulator`) carries partial
-  tokens across confirmed-text chunk boundaries.
-- **index_attrs** — cross-hierarchy document order is not close order,
-  so attribute postings keep compact integer sort keys in memory (a few
-  dozen bytes per posting, not a node graph) and are sorted once at
-  finalize.
-- **collection_summary** — derived per-document in SQL at finalize,
-  using the same aggregations as ``collection_summary_rows``.
+- **collection_summary** — counts only, so order is free too: label
+  path and tag counts (:class:`_PathAccumulator`) and term counts
+  (:class:`_TermAccumulator`, which carries a token split by a
+  confirmed-text chunk boundary to the next chunk) are added onto the
+  staging rows per flush; attribute counts are written at finalize.
 
 Sources may be strings, paths, or — for true streaming — zero-argument
 callables returning a fresh chunk iterator or file object per call
@@ -38,10 +30,10 @@ callables returning a fresh chunk iterator or file object per call
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Callable, Mapping
 from uuid import uuid4
 
-from .._util import pack_u32
 from ..errors import StorageError
 from ..index.structural import encode_path
 from ..index.term import TERM_RUN
@@ -54,7 +46,7 @@ from .parse import Fragment, FragmentAssembler
 #: Element rows buffered per chunked transaction.
 DEFAULT_CHUNK_ELEMENTS = 1024
 
-#: Pending index postings (spans/starts) buffered before a flush.
+#: Index postings (elements, tokens) counted before a flush.
 _POSTING_FLUSH = 8192
 
 #: Confirmed text buffered before an append, in characters.
@@ -92,72 +84,62 @@ def count_content_events(
 class _TermAccumulator:
     """Streaming counterpart of :func:`repro.index.term.tokenize`.
 
-    Feeds confirmed text chunks; a trailing alphanumeric run is carried
-    to the next chunk so tokens split by chunk boundaries post whole,
-    at their true start offsets, in ascending order.
+    Feeds confirmed text chunks and counts tokens; a trailing
+    alphanumeric run is carried to the next chunk so a token split by a
+    chunk boundary counts once, whole.
     """
 
     def __init__(self) -> None:
-        self._pending: dict[str, list[int]] = {}
+        self._pending: Counter[str] = Counter()
         self._carry = ""
-        self._offset = 0
         self.pending_postings = 0
 
     def feed(self, chunk: str) -> None:
         if not chunk:
             return
         run = self._carry + chunk
-        base = self._offset - len(self._carry)
-        self._offset += len(chunk)
         self._carry = ""
         for match in TERM_RUN.finditer(run):
             if match.end() == len(run):
                 # A run touching the chunk end may continue in the next.
                 self._carry = match[0]
             else:
-                self._post(base + match.start(), match[0])
+                self._post(match[0])
 
     def finish(self) -> None:
         if self._carry:
-            self._post(self._offset - len(self._carry), self._carry)
+            self._post(self._carry)
             self._carry = ""
 
-    def _post(self, start: int, token: str) -> None:
-        self._pending.setdefault(token, []).append(start)
+    def _post(self, token: str) -> None:
+        self._pending[token] += 1
         self.pending_postings += 1
 
-    def drain(self) -> list[tuple[str, bytes]]:
-        rows = [
-            (term, bytes(pack_u32(starts)))
-            for term, starts in self._pending.items()
-        ]
+    def drain(self) -> list[tuple[str, int]]:
+        rows = list(self._pending.items())
         self._pending.clear()
         self.pending_postings = 0
         return rows
 
 
 class _PathAccumulator:
-    """Per-partition span buffers; close order == document order."""
+    """Element counts per label path (summed across hierarchies)."""
 
     def __init__(self) -> None:
-        self._pending: dict[tuple[str, tuple[str, ...]], list] = {}
-        self.pending_spans = 0
+        self._pending: Counter[tuple[str, ...]] = Counter()
+        self.pending_postings = 0
 
     def add(self, fragment: Fragment) -> None:
-        entry = self._pending.setdefault((fragment.hierarchy, fragment.path),
-                                         [])
-        entry.append(fragment.start)
-        entry.append(fragment.end)
-        self.pending_spans += 1
+        self._pending[fragment.path] += 1
+        self.pending_postings += 1
 
-    def drain(self) -> list[tuple[str, str, str, int, bytes]]:
+    def drain(self) -> list[tuple[str, str, int]]:
         rows = [
-            (hierarchy, encode_path(path), path[-1],
-             len(flat) // 2, bytes(pack_u32(flat)))
-            for (hierarchy, path), flat in self._pending.items()
+            (encode_path(path), path[-1], n)
+            for path, n in self._pending.items()
         ]
         self._pending.clear()
-        self.pending_spans = 0
+        self.pending_postings = 0
         return rows
 
 
@@ -215,15 +197,13 @@ def _stream_save(store, sources, name, overwrite, chunk_elements,
 
 def _stream_rows(session, sources, hierarchy_names, bases, chunk_elements,
                  chunk_chars) -> str:
-    ranks = {hname: rank for rank, hname in enumerate(hierarchy_names)}
     terms = _TermAccumulator()
     paths = _PathAccumulator()
     element_rows: list[tuple] = []
     text_pending: list[str] = []
     text_pending_chars = 0
     doc_length = 0
-    # Sorted once at finalize — compact scalar tuples, not node graphs.
-    attr_postings: dict[tuple[str, str], list[tuple]] = {}
+    attr_counts: Counter[tuple[str, str]] = Counter()
 
     def on_text(chunk: str) -> None:
         nonlocal text_pending_chars, doc_length
@@ -242,7 +222,7 @@ def _stream_rows(session, sources, hierarchy_names, bases, chunk_elements,
             text_pending_chars = 0
 
     def flush_postings() -> None:
-        if paths.pending_spans:
+        if paths.pending_postings:
             session.append_paths(paths.drain())
         if terms.pending_postings:
             session.append_terms(terms.drain())
@@ -263,17 +243,11 @@ def _stream_rows(session, sources, hierarchy_names, bases, chunk_elements,
             json.dumps(dict(fragment.attributes), sort_keys=True),
         ))
         paths.add(fragment)
-        rank = ranks[hierarchy]
-        empty = fragment.start == fragment.end
-        for attr_name, attr_value in fragment.attributes:
-            attr_postings.setdefault((attr_name, attr_value), []).append(
-                (fragment.start, 0 if empty else 1, -fragment.end, rank,
-                 fragment.depth, fragment.ordinal, fragment.end)
-            )
+        attr_counts.update(fragment.attributes)
         if len(element_rows) >= chunk_elements:
             session.add_elements(element_rows)
             element_rows.clear()
-            if (paths.pending_spans >= _POSTING_FLUSH
+            if (paths.pending_postings >= _POSTING_FLUSH
                     or terms.pending_postings >= _POSTING_FLUSH):
                 flush_postings()
 
@@ -284,21 +258,12 @@ def _stream_rows(session, sources, hierarchy_names, bases, chunk_elements,
     flush_postings()
     flush_text()
 
-    attr_rows = []
-    for (attr_name, attr_value) in sorted(attr_postings):
-        members = sorted(attr_postings[(attr_name, attr_value)])
-        flat: list[int] = []
-        for member in members:
-            flat.append(member[0])     # start
-            flat.append(member[6])     # end
-        attr_rows.append(
-            (attr_name, attr_value, len(members), bytes(pack_u32(flat)))
-        )
     hierarchy_rows = [(rank, hname, "")
                       for rank, hname in enumerate(hierarchy_names)]
     return session.finalize(
         hierarchy_rows=hierarchy_rows,
         doc_length=doc_length,
-        attr_rows=attr_rows,
+        attr_rows=[(attr_name, attr_value, n) for (attr_name, attr_value), n
+                   in attr_counts.items()],
         stamp=uuid4().hex,
     )

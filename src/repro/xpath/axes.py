@@ -121,14 +121,18 @@ def _axis_child(node: XNode, document: GoddagDocument, elements_only=False):
 
 
 def _descend(element: Element, elements_only: bool) -> list[Node]:
+    """Descendants of ``element`` in preorder, by an explicit stack, so
+    document depth is not bounded by the recursion limit."""
     out: list[Node] = []
-    children = (
-        element.element_children if elements_only else element.child_nodes()
-    )
-    for child in children:
-        out.append(child)
-        if isinstance(child, Element):
-            out.extend(_descend(child, elements_only))
+    stack: list[Node] = [element]
+    while stack:
+        node = stack.pop()
+        if node is not element:
+            out.append(node)
+        if isinstance(node, Element):
+            children = (node.element_children if elements_only
+                        else node.child_nodes())
+            stack.extend(reversed(children))
     return out
 
 

@@ -144,9 +144,6 @@ def _store_rows(store: GoddagStore) -> dict[str, list]:
         "elements": "elem_id, hierarchy, tag, start, end, parent_id,"
                     " child_rank, attributes",
         "index_meta": "format, doc_length",
-        "index_paths": "hierarchy, path, tag, n, spans",
-        "index_terms": "term, starts",
-        "index_attrs": "name, value, n, spans",
         "collection_summary": "kind, key, n",
     }
     return {

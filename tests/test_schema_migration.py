@@ -17,11 +17,13 @@ ids verbatim as birth ordinals, and the first ``save_indexed`` must
 backfill ``elem_id`` = ordinal without losing a byte of document data.
 """
 
+import threading
 from pathlib import Path
 
 import pytest
 import sqlite3
 
+from repro.collection.corpus import Corpus
 from repro.editing import Editor
 from repro.index import IndexManager
 from repro.obs.metrics import metrics
@@ -75,8 +77,7 @@ class TestLegacyArtifactMigration:
                        conn.execute("PRAGMA table_info(index_meta)")]
             assert "stamp" in columns
             assert {"documents", "hierarchies", "elements", "index_meta",
-                    "index_paths", "index_terms", "index_attrs",
-                    "index_overlap"} <= table_names(conn)
+                    "collection_summary"} <= table_names(conn)
             # ... and nothing was dropped or rewritten.
             assert tables_before <= table_names(conn)
             assert element_payload(conn) == rows_before
@@ -84,24 +85,51 @@ class TestLegacyArtifactMigration:
     def test_loads_and_queries_through_the_old_index(self, fixture, tmp_path):
         where = materialize(fixture, tmp_path)
         with GoddagStore(where) as store:
-            assert store.has_index("legacy")
-            assert store.count_tag("legacy", "line") == 1
-            assert store.term_occurrences("legacy", "world") == [6]
-            assert store.elements_intersecting("legacy", 0, 11) == [
-                ("physical", "line", 0, 11),
-                ("physical", "w", 0, 5),
-                ("linguistic", "s", 6, 11),
-            ]
-            # Attribute counts answer either way: format-2 postings, or
-            # the format-1 fallback scan over the element rows.
-            assert store.count_attribute("legacy", "n", "1") == 1
-            assert store.count_attribute("legacy", "resp", "ed") == 1
-            document = store.load("legacy")
-            assert not document.check_invariants()
-            # Old ids are adopted verbatim as the birth ordinals.
-            assert {(e.tag, e.elem_id) for e in document.elements()} == {
-                ("line", 1), ("w", 2), ("s", 3)
-            }
+            check_old_index_answers(store)
+
+    def test_concurrent_opens_migrate_once(self, fixture, tmp_path):
+        """Connections opening one old store at once: each re-reads the
+        schema inside the migration transaction, so exactly one adds
+        the stamp column and backfills, and none raises."""
+        for trial in range(40):
+            (tmp_path / str(trial)).mkdir()
+            where = materialize(fixture, tmp_path / str(trial))
+            barrier = threading.Barrier(4)
+            errors: list[BaseException] = []
+
+            def open_store() -> None:
+                barrier.wait()
+                try:
+                    GoddagStore(where, wal=True).close()
+                except BaseException as exc:  # noqa: BLE001 - reported
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=open_store)
+                       for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert errors == [], trial
+        with GoddagStore(where) as store:
+            check_old_index_answers(store)
+
+    def test_routed_answers_match_unrouted(self, fixture, tmp_path):
+        """Format-1 documents have no attribute counts, so an attribute
+        feature must not prune them."""
+        corpus = Corpus(materialize(fixture, tmp_path), pool_size=2)
+        try:
+            for expression in ("collection()//*[@n='1']",
+                               "collection()//*[@resp='ed']",
+                               "collection()//line[@n='1']/w",
+                               "collection()//s[contains(., 'world')]",
+                               "collection()//*[@n='2']"):
+                routed = corpus.query(expression).hits
+                assert routed == corpus.query(expression,
+                                              routing=False).hits
+                assert len(routed) == (expression != "collection()//*[@n='2']")
+        finally:
+            corpus.close()
 
     def test_first_save_indexed_backfills_without_data_loss(
         self, fixture, tmp_path
@@ -132,11 +160,44 @@ class TestLegacyArtifactMigration:
             assert store.count_tag("legacy", "seg") == 1
 
 
+def check_old_index_answers(store) -> None:
+    assert store.has_index("legacy")
+    assert store.count_tag("legacy", "line") == 1
+    assert store.term_occurrences("legacy", "world") == [6]
+    assert store.elements_intersecting("legacy", 0, 11) == [
+        ("physical", "line", 0, 11),
+        ("physical", "w", 0, 5),
+        ("linguistic", "s", 6, 11),
+    ]
+    # Attribute counts answer either way: format-2 summary counts, or
+    # the format-1 fallback scan over the element rows.
+    assert store.count_attribute("legacy", "n", "1") == 1
+    assert store.count_attribute("legacy", "resp", "ed") == 1
+    document = store.load("legacy")
+    assert not document.check_invariants()
+    # Old ids are adopted verbatim as the birth ordinals.
+    assert {(e.tag, e.elem_id) for e in document.elements()} == {
+        ("line", 1), ("w", 2), ("s", 3)
+    }
+
+
 def test_fresh_store_has_no_overlap_table(tmp_path):
     """Span queries read the element rows, so no current store carries
     a second copy of every solid element's interval."""
     with GoddagStore(tmp_path / "fresh.sqlite") as store:
         assert "index_overlap" not in table_names(store._conn)
+
+
+def test_fresh_store_keeps_only_counts(tmp_path):
+    """Span queries read the element rows and term queries the text, so
+    no current store carries a second copy of any element's interval
+    or any token's offset: the persisted index is ``index_meta`` plus
+    ``collection_summary``."""
+    with GoddagStore(tmp_path / "fresh.sqlite") as store:
+        assert table_names(store._conn) == {
+            "documents", "hierarchies", "elements", "index_meta",
+            "collection_summary",
+        }
 
 
 def test_legacy_overlap_rows_are_left_alone_by_a_row_level_publish(tmp_path):

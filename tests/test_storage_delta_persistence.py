@@ -4,12 +4,10 @@
 persisted index in step across an editing session — via row-level
 upserts under a stable ``doc_id`` — and every index-aware query
 afterwards must answer exactly as a from-scratch ``build_index`` would.
-Also covered: the corrupt-artifact → ``StorageError`` recovery path.
 """
 
 import pytest
 
-from repro.core.goddag import GoddagBuilder
 from repro.editing import Editor
 from repro.errors import StorageError
 from repro.index import IndexManager
@@ -272,10 +270,7 @@ class TestSqliteRowLevelPath:
                 "UPDATE index_meta SET stamp = 'intruder'")
             store._conn.commit()
             store.resave_with_index(
-                document, "ms", deltas,
-                lambda h, p: [(e.start, e.end)
-                              for e in manager.structural.partition(h, p)],
-                lambda: manager.payload("ms"),
+                document, "ms", deltas, manager,
                 stamp="retry", expected_stamp="stamp-read-before-the-race",
             )
             # Full write happened instead: everything consistent.
@@ -530,24 +525,3 @@ class TestSaveIndexedGuards:
             store.save_indexed(document, "a", manager, overwrite=True)
             assert store.count_tag("a", "seg") == 1
 
-
-class TestCorruptArtifactRecovery:
-    def _small_doc(self, tag="x", text="abcd efgh"):
-        builder = GoddagBuilder(text)
-        builder.add_hierarchy("p")
-        builder.add_annotation("p", tag, 0, 4)
-        return builder.build()
-
-    def test_corrupt_sqlite_blob_raises_then_recovers(self, tmp_path):
-        with GoddagStore(tmp_path / "store.sqlite") as store:
-            document = self._small_doc()
-            manager = IndexManager.for_document(document)
-            store.save_indexed(document, "d", manager)
-            store._conn.execute(
-                "UPDATE index_terms SET starts = X'0102'"  # not 4-aligned
-            )
-            with pytest.raises(StorageError) as excinfo:
-                store.term_occurrences("d", "abcd")
-            assert "drop_index" in str(excinfo.value)
-            store.drop_index("d")
-            assert store.term_occurrences("d", "abcd") == [0]

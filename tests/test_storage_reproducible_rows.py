@@ -1,12 +1,11 @@
 """Stored index rows do not depend on the process's hash seed.
 
 A row-level publish (``save_indexed`` after an editing session)
-upserts the dirty ``index_paths`` partitions, ``index_attrs`` postings
-and ``collection_summary`` routing keys.  The same seeded edit and
+upserts or deletes the ``collection_summary`` counts its dirty label
+paths, tags and attribute values name.  The same seeded edit and
 publish, run in two interpreters with different ``PYTHONHASHSEED``
-values, must leave those three tables byte-identical, row for row in
-storage order: rowid order, and primary-key order for the
-``WITHOUT ROWID`` ``collection_summary``.
+values, must leave that table byte-identical, row for row in storage
+order (primary-key order: the table is ``WITHOUT ROWID``).
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: table -> the order its rows are stored in.
 TABLES = {
-    "index_paths": "rowid",
-    "index_attrs": "rowid",
     "collection_summary": "kind, key, doc_id",
 }
 

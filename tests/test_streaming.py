@@ -119,9 +119,6 @@ def stored_rows(path: str) -> dict[str, list]:
         ("hierarchies", "rank"),
         ("elements", "elem_id"),
         ("index_meta", "format"),
-        ("index_paths", "hierarchy, path"),
-        ("index_terms", "term"),
-        ("index_attrs", "name, value"),
         ("collection_summary", "kind, key"),
     ]
     conn = sqlite3.connect(path)
@@ -428,6 +425,46 @@ class TestCorpusStreams:
         finally:
             obs.disable()
             obs.reset()
+            corpus.close()
+
+    def test_an_open_ingest_is_invisible_to_collection_queries(
+            self, tmp_path):
+        """Per-chunk counts reach the staging document's summary rows
+        before ``finalize``; routing must skip them, as ``names()``
+        does, so a query answers as if the ingest had not begun."""
+        path = tmp_path / "corpus.db"
+        corpus = Corpus(path, pool_size=2)
+        ingest = SqliteStore(str(path), wal=True)
+        try:
+            corpus.add_streams([(sources_for("hand"), "hand")])
+            expressions = ("collection()//w", "collection()//line",
+                           "collection()//*[@x='1']",
+                           "collection()//w[contains(., 'wo')]")
+            before = {e: corpus.query(e).hits for e in expressions}
+            before_stats = corpus.stats()["counts"]
+
+            def unchanged() -> None:
+                assert ingest.route_documents([("tag", "line")]) == []
+                assert ingest.route_documents([("tag", "w")]) == ["hand"]
+                for expression in expressions:
+                    assert corpus.query(expression).hits \
+                        == before[expression]
+                    assert corpus.query(expression, routing=False).hits \
+                        == before[expression]
+                assert corpus.stats()["counts"] == before_stats
+
+            session = ingest.begin_stream_ingest("late", "d", "{}")
+            session.add_elements(
+                [(1, "physical", "line", 0, 2, 0, 0, '{"x": "1"}'),
+                 (2, "physical", "w", 0, 2, 1, 0, "{}")])
+            session.append_text("wo")
+            unchanged()
+            session.append_paths([("line", "line", 1), ("line/w", "w", 1)])
+            session.append_terms([("wo", 1)])
+            unchanged()
+            session.abort()
+        finally:
+            ingest.close()
             corpus.close()
 
 
