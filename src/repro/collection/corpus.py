@@ -42,7 +42,7 @@ from ..index.manager import IndexManager
 from ..obs.metrics import metrics
 from ..storage.sqlite_backend import SqliteConnectionPool
 from ..xpath.engine import ExtendedXPath
-from .fanout import default_workers, run_fanout
+from .fanout import default_workers, installs, row_served, run_fanout
 from .router import describe, routing_features
 
 _PREFIX = "collection()"
@@ -79,6 +79,9 @@ class CollectionPlan:
     features: tuple[str, ...]
     total: int
     routed: tuple[str, ...]
+    #: Members are answered from element rows, not decoded snapshots
+    #: (:func:`~repro.collection.fanout.row_served`).
+    from_rows: bool
 
     @property
     def routed_count(self) -> int:
@@ -95,6 +98,8 @@ class CollectionPlan:
             f"  per-document:   {self.per_document}",
             f"  routed {self.routed_count} of {self.total} documents"
             f" ({self.pruned} pruned)",
+            "  members read " + ("from rows" if self.from_rows
+                                 else "from snapshots"),
         ]
         if self.features:
             lines.append("  necessary features:")
@@ -291,7 +296,8 @@ class Corpus:
     def explain(self, expression: str, *, routing: bool = True
                 ) -> CollectionPlan:
         """The routing decision for ``expression`` — which documents
-        would be visited and which necessary features pruned the rest —
+        would be visited, which necessary features pruned the rest, and
+        whether their members are read from rows or from snapshots —
         without running the query."""
         per_document = split_collection_expression(expression)
         compiled = ExtendedXPath(per_document)
@@ -305,6 +311,9 @@ class Corpus:
             features=tuple(describe(features)),
             total=total,
             routed=tuple(routed),
+            from_rows=row_served(
+                compiled, installs(self._pool.snapshots, len(routed))
+            ) is not None,
         )
 
     def query(self, expression: str, *, routing: bool = True,

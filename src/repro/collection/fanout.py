@@ -11,6 +11,15 @@ answer is **byte-identical** across all three:
   or one loaded with its stamp in one read transaction, so a row set
   is always consistent with the generation it reports.  A fan-out
   routing more documents than the cache holds installs none of them;
+* such a wide fan-out decodes nothing it can answer from rows: when
+  the per-document expression is a one-step name test the lazy row
+  path serves (``//tag``, ``//h:tag``, one optional ``[@a='v']``), the
+  members the cache does not hold are answered from their element
+  rows, read for the whole chunk in one transaction with their stamps
+  (:func:`row_served` decides, for
+  :meth:`~repro.collection.corpus.Corpus.explain` too).  Members
+  without an index, and members whose root element the name test
+  selects, are still decoded;
 * node results are flattened to plain comparable tuples
   (:func:`node_rows`) — picklable for the process pool and
   order-stable, since the evaluator already emits document order;
@@ -31,12 +40,14 @@ import os
 from concurrent.futures import ThreadPoolExecutor, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
+from functools import partial
 
 from ..core.node import Element
 from ..errors import ServiceError
 from ..obs import fallback as _obs_fallback
 from ..obs.metrics import metrics
 from ..storage.sqlite_backend import SnapshotCache, SqliteStore
+from ..streaming.lazy import _row_query, names_root, row_answer
 from ..xpath.axes import AttributeNode, DocumentNode
 from ..xpath.engine import ExtendedXPath
 
@@ -81,6 +92,23 @@ def node_rows(value) -> tuple:
     return tuple(rows)
 
 
+def installs(snapshots: SnapshotCache, routed: int) -> bool:
+    """Whether a fan-out over ``routed`` members installs what it loads
+    in ``snapshots``: only when they all fit, since a wider scan would
+    only flush the cache."""
+    return routed <= snapshots.LIMIT
+
+
+def row_served(query: ExtendedXPath, install: bool) -> tuple | None:
+    """The :func:`~repro.streaming.lazy._row_query` that answers a
+    fan-out's members from element rows, or ``None`` when they are read
+    from snapshots: a fan-out that installs nothing reads rows whenever
+    that row path serves the per-document expression.  The one rule
+    behind :func:`evaluate_documents` and
+    :meth:`~repro.collection.corpus.Corpus.explain`."""
+    return None if install else _row_query(query.ast)
+
+
 def evaluate_documents(
     backend: SqliteStore, snapshots: SnapshotCache, names: list[str],
     expression: str, install: bool,
@@ -91,11 +119,19 @@ def evaluate_documents(
 
     Evaluation runs the classic unindexed engine (``index=False``): the
     answers are identical by the index contract, and a cold
-    per-document manager build would dominate a one-shot visit.
+    per-document manager build would dominate a one-shot visit.  When
+    :func:`row_served` admits the query, the members it can are
+    answered from element rows instead (:func:`_answer_from_rows`).
     """
     query = ExtendedXPath(expression)
+    served = row_served(query, install)
+    answered = {} if served is None else _answer_from_rows(
+        backend, snapshots, names, served)
     out = []
     for name in names:
+        if name in answered:
+            out.append(answered[name])
+            continue
         (generation, document, _), shared = snapshots.get(
             nullcontext(backend), name, index=False, install=install)
         metrics.incr("collection.snapshots.shared" if shared
@@ -103,6 +139,43 @@ def evaluate_documents(
         value = query.evaluate(document, index=False)
         out.append((name, generation, node_rows(value)))
     return out
+
+
+def _answer_from_rows(
+    backend: SqliteStore, snapshots: SnapshotCache, names: list[str],
+    served: tuple,
+) -> dict[str, tuple[str, str | None, tuple]]:
+    """The ``(name, generation, rows)`` answers of the ``names`` that the
+    row query ``served`` can answer from element rows, by name.
+
+    One read transaction holds every statement — the members' stamps,
+    their hierarchy ranks, all their candidate rows in one ``elements``
+    statement, and any parent probes — so each generation reported is
+    exactly the generation of its rows.  A member is left to the caller
+    (and the snapshot cache) when the cache already holds it at that
+    generation, when it has no index, or when the name test selects
+    its root element, which has no element row.
+    """
+    tag, hierarchy, attr, value = served
+    with backend.read_transaction():
+        members = [
+            (name, doc_id, stamp)
+            for name, doc_id, root_tag, stamp in backend.member_stamps(names)
+            if stamp is not None and not names_root(served, root_tag)
+            and not snapshots.holds(name, stamp)
+        ]
+        doc_ids = [doc_id for _, doc_id, _ in members]
+        ranks = backend.hierarchy_ranks(doc_ids)
+        rows = backend.element_rows_by_tag_of(doc_ids, tag, hierarchy,
+                                              attr, value)
+        answered = {
+            name: (name, stamp, row_answer(
+                rows.get(doc_id, []), served, ranks.get(doc_id, {}),
+                partial(backend.element_row_at, doc_id), {}))
+            for name, doc_id, stamp in members
+        }
+    metrics.incr("collection.rows.served", len(answered))
+    return answered
 
 
 def _worker_chunk(
@@ -136,8 +209,7 @@ def run_fanout(pool, names: list[str], expression: str, *,
         )
     if workers is None:
         workers = default_workers()
-    # On the whole routed list: a wider scan would only flush the cache.
-    install = len(names) <= pool.snapshots.LIMIT
+    install = installs(pool.snapshots, len(names))
 
     def chunk_on_pool(chunk: list[str]):
         with pool.connection() as backend:
@@ -181,5 +253,6 @@ def _merge(names: list[str], results) -> list:
 
 
 __all__ = [
-    "default_workers", "evaluate_documents", "node_rows", "run_fanout",
+    "default_workers", "evaluate_documents", "installs", "node_rows",
+    "row_served", "run_fanout",
 ]

@@ -488,17 +488,27 @@ class SqliteStore:
         rows belong to.
 
         A writer that commits between the stamp read and the row reads
-        is invisible to both (WAL gives the transaction one consistent
-        view; in rollback-journal mode the transaction's shared lock
-        holds the writer off until it ends), so no retry is needed.
+        is invisible to both (see :meth:`read_transaction`), so no retry
+        is needed.
+        """
+        with self.read_transaction():
+            stamp = self.index_stamp(name)
+            document = self.load(name)
+        return document, stamp
+
+    @contextmanager
+    def read_transaction(self):
+        """Run the block's statements in one sqlite read transaction.
+
+        They all see one generation of the database: WAL gives the
+        transaction one consistent view, and in rollback-journal mode
+        its shared lock holds a writer off until it ends.
         """
         self._conn.execute("BEGIN")
         try:
-            stamp = self.index_stamp(name)
-            document = self.load(name)
+            yield self
         finally:
             self._conn.execute("COMMIT")
-        return document, stamp
 
     def delete(self, name: str) -> None:
         doc_id, _ = self._doc_index_row(name)
@@ -952,6 +962,10 @@ class SqliteStore:
         """The full schema row for one element — one keyed probe of the
         ``(doc_id, elem_id)`` primary key — or ``None``."""
         doc_id, _ = self._doc_index_row(name)
+        return self.element_row_at(doc_id, elem_id)
+
+    def element_row_at(self, doc_id: int, elem_id: int) -> ElementRow | None:
+        """:meth:`element_row_full` for a ``doc_id`` already resolved."""
         row = self._conn.execute(
             f"SELECT {self._ELEMENT_ROW_COLS} FROM elements"
             " WHERE doc_id = ? AND elem_id = ?", (doc_id, elem_id),
@@ -990,19 +1004,56 @@ class SqliteStore:
         needle never false-negatives, but may false-positive).
         """
         doc_id, _ = self._doc_index_row(name)
-        query = (f"SELECT {self._ELEMENT_ROW_COLS} FROM elements"
-                 " WHERE doc_id = ? AND tag = ?")
-        params: list = [doc_id, tag]
-        if hierarchy is not None:
-            query += " AND hierarchy = ?"
-            params.append(hierarchy)
-        if attr is not None and value is not None:
-            query += " AND instr(attributes, ?) > 0 AND instr(attributes, ?) > 0"
-            params.extend((_json_token_prefix(attr),
-                           _json_token_prefix(value)))
-        query += " ORDER BY elem_id"
-        return list(map(ElementRow._make,
-                        self._conn.execute(query, tuple(params))))
+        where, params = _tag_filter(tag, hierarchy, attr, value)
+        # Sorted here, not by ORDER BY, which would make sqlite scan
+        # every row of the document by primary key instead.
+        return sorted(map(ElementRow._make, self._conn.execute(
+            f"SELECT {self._ELEMENT_ROW_COLS} FROM elements"
+            f" WHERE doc_id = ? AND {where}", (doc_id, *params),
+        )))
+
+    def element_rows_by_tag_of(
+        self, doc_ids: list[int], tag: str, hierarchy: str | None = None,
+        attr: str | None = None, value: str | None = None,
+    ) -> dict[int, list[ElementRow]]:
+        """:meth:`element_rows_by_tag` of many documents in one
+        statement, by the ``(doc_id, tag)`` index: ``doc_id`` → its
+        rows, in no set order (a document with none is absent)."""
+        where, params = _tag_filter(tag, hierarchy, attr, value)
+        found: dict[int, list[ElementRow]] = {}
+        for doc_id, *row in self._conn.execute(
+            f"SELECT doc_id, {self._ELEMENT_ROW_COLS} FROM elements"
+            f" WHERE doc_id IN (SELECT value FROM json_each(?)) AND {where}",
+            (json.dumps(doc_ids), *params),
+        ):
+            found.setdefault(doc_id, []).append(ElementRow._make(row))
+        return found
+
+    def member_stamps(self, names: list[str]
+                      ) -> list[tuple[str, int, str, str | None]]:
+        """``(name, doc_id, root_tag, index stamp)`` of every stored
+        name in ``names``, in one statement; the stamp is ``None`` when
+        the document has no index (see :meth:`index_stamp`)."""
+        return self._conn.execute(
+            "SELECT d.name, d.doc_id, d.root_tag, m.stamp FROM documents d"
+            " LEFT JOIN index_meta m USING (doc_id)"
+            " WHERE d.name IN (SELECT value FROM json_each(?))",
+            (json.dumps(names),),
+        ).fetchall()
+
+    def hierarchy_ranks(self, doc_ids: list[int]
+                        ) -> dict[int, dict[str, int]]:
+        """``doc_id`` → hierarchy name → rank (declaration order), in
+        one statement."""
+        ranks: dict[int, dict[str, int]] = {}
+        for doc_id, hname in self._conn.execute(
+            "SELECT doc_id, name FROM hierarchies"
+            " WHERE doc_id IN (SELECT value FROM json_each(?))"
+            " ORDER BY doc_id, rank", (json.dumps(doc_ids),),
+        ):
+            names = ranks.setdefault(doc_id, {})
+            names[hname] = len(names)
+        return ranks
 
     def _write_index_rows(self, doc_id: int, payload: dict,
                           stamp: str) -> None:
@@ -1470,10 +1521,8 @@ class SnapshotCache:
             with connection as backend:
                 generation = backend.index_stamp(name)
                 with self._guard:
-                    entry = self._entries.get(name)
-                    if generation and entry is not None \
-                            and entry.generation == generation \
-                            and (entry.manager is not None or not index):
+                    entry = self._hit(name, generation, index)
+                    if entry is not None:
                         self._entries.move_to_end(name)
                         return entry, True
                     epoch = self._epochs.get(name, 0)
@@ -1493,6 +1542,23 @@ class SnapshotCache:
                     else:
                         del self._loads[name]
                         self._epochs.pop(name, None)
+
+    def holds(self, name: str, generation: str | None) -> bool:
+        """True when :meth:`get` (``index=False``) at ``generation``
+        would be served from the cache; looks without touching."""
+        with self._guard:
+            return self._hit(name, generation, False) is not None
+
+    def _hit(self, name: str, generation: str | None,
+             index: bool) -> SharedSnapshot | None:
+        """The entry :meth:`get` shares, or ``None`` (the caller holds
+        the guard)."""
+        entry = self._entries.get(name)
+        if generation and entry is not None \
+                and entry.generation == generation \
+                and (entry.manager is not None or not index):
+            return entry
+        return None
 
     def install(self, name: str, entry: SharedSnapshot,
                 epoch: int | None = None) -> None:
@@ -1825,6 +1891,24 @@ def _stored(row) -> StoredElement:
     elem_id, hierarchy, tag, start, end, attributes = row
     return StoredElement(elem_id, hierarchy, tag, start, end,
                          decode_attributes(attributes, elem_id))
+
+
+def _tag_filter(tag: str, hierarchy: str | None, attr: str | None,
+                value: str | None) -> tuple[str, tuple]:
+    """The ``WHERE`` conjuncts (after ``doc_id``) and parameters that
+    select rows with ``tag``, optionally of ``hierarchy`` and
+    prefiltered for ``[@attr='value']`` by :func:`_json_token_prefix`
+    needles (which never false-negative, but may false-positive)."""
+    where, params = "tag = ?", [tag]
+    if hierarchy is not None:
+        # Unary + keeps sqlite on the (doc_id, tag) index rather than
+        # the less selective (doc_id, hierarchy) one.
+        where += " AND +hierarchy = ?"
+        params.append(hierarchy)
+    if attr is not None and value is not None:
+        where += " AND instr(attributes, ?) > 0 AND instr(attributes, ?) > 0"
+        params.extend((_json_token_prefix(attr), _json_token_prefix(value)))
+    return where, tuple(params)
 
 
 def _json_token_prefix(value: str) -> str:

@@ -14,13 +14,18 @@ stored document that fetches rows only as they are asked for:
   from the element rows, hydrating only candidates that can actually
   appear in the answer, and falls back to a full materialized
   evaluation — reported on the ``streaming.lazy_xpath`` fallback
-  metric — for every other shape.
+  metric, by reason — for every other shape, for a document without an
+  index, and for a name test that selects the root element (which has
+  no element row).
 
 Results are :func:`repro.collection.fanout.node_rows`-shaped tuples, so
 a lazy answer can be compared byte-for-byte against a materialized
-witness.  :attr:`LazyDocument.rows_decoded` counts every element row
-the view has hydrated, which is what the benchmarks use to show the
-≥4× row savings of serving from the index.
+witness.  :func:`row_answer` turns candidate rows into that answer; the
+collection fan-out (:mod:`repro.collection.fanout`) calls it too when it
+answers a wide fan-out's members from rows read in one statement.
+:attr:`LazyDocument.rows_decoded` counts every element row the view has
+hydrated, which is what the benchmarks use to show the ≥4× row savings
+of serving from the index.
 """
 
 from __future__ import annotations
@@ -53,6 +58,17 @@ def _row_query(ast: Expr) -> tuple | None:
         return None
     attr, value = shape.predicates[0].key if shape.predicates else (None, None)
     return shape.test.name, shape.test.hierarchy, attr, value
+
+
+def names_root(served: tuple, root_tag: str) -> bool:
+    """True when the name test of the row query ``served`` also selects
+    a document's shared root element (tag ``root_tag``), which has no
+    element row — the case
+    :meth:`~repro.xpath.planner.BatchProgram.run` declines on too.  A
+    hierarchy-qualified test never selects the root
+    (:func:`repro.xpath.axes.node_test_matches`)."""
+    tag, hierarchy, _, _ = served
+    return hierarchy is None and tag == root_tag
 
 
 @dataclass(frozen=True)
@@ -172,8 +188,10 @@ class LazyDocument:
         ``[@a='v']`` predicate — after optimization) are answered from
         the tag-indexed element rows, decoding only the candidates the
         SQL prefilter admits.  Everything else falls back to a full
-        materialized evaluation.  Either way the result is the
-        ``node_rows`` tuple encoding of the engine's answer.
+        materialized evaluation, and so does a name test that selects
+        the root element, which is not an element row.  Either way the
+        result is the ``node_rows`` tuple encoding of the engine's
+        answer.
         """
         query = ExtendedXPath(expression)
         served = _row_query(query.ast)
@@ -181,26 +199,17 @@ class LazyDocument:
             return self._xpath_materialized(query, "unsupported-shape")
         if not self._backend.has_index(self._name):
             return self._xpath_materialized(query, "no-index")
+        if names_root(served, self.root_tag):
+            return self._xpath_materialized(query, "root-match")
         tag, hierarchy, attr, value = served
         with metrics.time("lazy.xpath_rows"):
             rows = self._backend.element_rows_by_tag(
                 self._name, tag, hierarchy=hierarchy, attr=attr, value=value,
             )
-            survivors = []
-            decoded: dict[int, dict[str, str]] = {}
             for row in rows:
                 self._remember(row)
-                attributes = decode_attributes(row.attributes, row.elem_id)
-                if attr is not None and attributes.get(attr) != value:
-                    continue  # instr prefilter false positive
-                decoded[row.elem_id] = attributes
-                survivors.append(row)
-            ordered = self._document_order(survivors)
-        return tuple(
-            ("element", row.elem_id, row.hierarchy, row.tag,
-             row.start, row.end, tuple(sorted(decoded[row.elem_id].items())))
-            for row in ordered
-        )
+            return row_answer(rows, served, self._ranks, self.element,
+                              self._depths)
 
     def _xpath_materialized(self, query: ExtendedXPath, reason: str) -> tuple:
         from ..collection.fanout import node_rows
@@ -211,44 +220,77 @@ class LazyDocument:
         value = query.evaluate(document, index=False)
         return node_rows(value)
 
-    # -- document order over rows -----------------------------------------------------
 
-    def _depth(self, row: ElementRow) -> int:
-        """Parent hops to a top-level element (top level = depth 0)."""
-        if row.parent_id == ROOT_ID:
-            return 0
-        cached = self._depths.get(row.elem_id)
-        if cached is not None:
-            return cached
-        depth = self._depth(self.element(row.parent_id)) + 1
-        self._depths[row.elem_id] = depth
-        return depth
+# -- answers from rows -------------------------------------------------------------
 
-    def _document_order(self, rows: list[ElementRow]) -> list[ElementRow]:
-        """Sort rows by GODDAG document order (see
-        :func:`repro.core.navigation.order_key`).
 
-        The leading key — ``(start, zero-width-first, -end, hierarchy
-        rank)`` — comes straight from the rows; the ``(depth, ordinal)``
-        tail only matters inside tie groups, so parent chains are
-        walked (and their rows hydrated) for those alone.
-        """
-        ranks = self._ranks
-        keyed = [
-            ((row.start, 0 if row.start == row.end else 1,
-              -row.end, ranks[row.hierarchy]), row)
-            for row in rows
-        ]
-        keyed.sort(key=lambda pair: pair[0])
-        ordered: list[ElementRow] = []
-        at = 0
-        while at < len(keyed):
-            upto = at + 1
-            while upto < len(keyed) and keyed[upto][0] == keyed[at][0]:
-                upto += 1
-            group = [row for _, row in keyed[at:upto]]
-            if len(group) > 1:
-                group.sort(key=lambda row: (self._depth(row), row.elem_id))
-            ordered.extend(group)
-            at = upto
-        return ordered
+def row_answer(rows: list[ElementRow], served: tuple, ranks: dict[str, int],
+               element, depths: dict[int, int]) -> tuple:
+    """The ``node_rows`` answer of the row query ``served`` (see
+    :func:`_row_query`) over its candidate ``rows`` of one document.
+
+    Rows the ``instr`` prefilter admitted without holding
+    ``[@attr='value']`` are dropped, and the rest are sorted into
+    document order: ``ranks`` maps the document's hierarchy names to
+    their rank, ``element(elem_id)`` returns any row of the document
+    (parents are hydrated through it for tie groups only), and
+    ``depths`` memoizes depths by ``elem_id``.  The one conversion
+    behind :meth:`LazyDocument.xpath` and the collection fan-out.
+    """
+    _, _, attr, value = served
+    survivors = []
+    decoded: dict[int, dict[str, str]] = {}
+    for row in rows:
+        attributes = decode_attributes(row.attributes, row.elem_id)
+        if attr is not None and attributes.get(attr) != value:
+            continue  # instr prefilter false positive
+        decoded[row.elem_id] = attributes
+        survivors.append(row)
+    return tuple(
+        ("element", row.elem_id, row.hierarchy, row.tag,
+         row.start, row.end, tuple(sorted(decoded[row.elem_id].items())))
+        for row in _document_order(survivors, ranks, element, depths)
+    )
+
+
+def _document_order(rows: list[ElementRow], ranks: dict[str, int], element,
+                    depths: dict[int, int]) -> list[ElementRow]:
+    """Sort rows by GODDAG document order (see
+    :func:`repro.core.navigation.order_key`).
+
+    The leading key — ``(start, zero-width-first, -end, hierarchy
+    rank)`` — comes straight from the rows; the ``(depth, ordinal)``
+    tail only matters inside tie groups, so parent chains are walked
+    (and their rows hydrated) for those alone.
+    """
+    keyed = [
+        ((row.start, 0 if row.start == row.end else 1,
+          -row.end, ranks[row.hierarchy]), row)
+        for row in rows
+    ]
+    keyed.sort(key=lambda pair: pair[0])
+    ordered: list[ElementRow] = []
+    at = 0
+    while at < len(keyed):
+        upto = at + 1
+        while upto < len(keyed) and keyed[upto][0] == keyed[at][0]:
+            upto += 1
+        group = [row for _, row in keyed[at:upto]]
+        if len(group) > 1:
+            group.sort(key=lambda row: (_depth(row, element, depths),
+                                        row.elem_id))
+        ordered.extend(group)
+        at = upto
+    return ordered
+
+
+def _depth(row: ElementRow, element, depths: dict[int, int]) -> int:
+    """Parent hops to a top-level element (top level = depth 0)."""
+    if row.parent_id == ROOT_ID:
+        return 0
+    cached = depths.get(row.elem_id)
+    if cached is not None:
+        return cached
+    depth = _depth(element(row.parent_id), element, depths) + 1
+    depths[row.elem_id] = depth
+    return depth

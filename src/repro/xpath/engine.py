@@ -315,8 +315,9 @@ class ExtendedXPath:
             document: the document to plan (and run) against.
             context: optional context node, as for :meth:`evaluate`.
             variables: optional ``$name`` bindings.
-            index: an explicit manager, ``None`` for the attached one,
-                or ``False`` to plan without index acceleration.
+            index: an explicit manager, ``None`` or ``True`` for the
+                attached one, or ``False`` to plan without index
+                acceleration.
             execute: when True (the default) the query is evaluated
                 under the fresh plan, so the returned
                 :class:`~repro.xpath.planner.QueryPlan` carries actual

@@ -78,13 +78,15 @@ def resolve_manager(document: GoddagDocument, index):
 
     One shared resolution for the engine (planning) and the evaluator
     (execution), so a plan is always priced against the manager that
-    will serve it: ``index=False`` disables index service outright, an
-    explicit manager wins over the document's attached one, and a
-    manager built for another document is ignored.
+    will serve it: ``index=False`` disables index service outright,
+    ``None`` and ``True`` use the document's attached manager, an
+    explicit manager wins over it, and a manager built for another
+    document is ignored.
     """
     if index is False:
         return None
-    manager = index if index is not None else document.index_manager
+    manager = document.index_manager if index is None or index is True \
+        else index
     if manager is not None and manager.document is not document:
         return None
     return manager

@@ -205,12 +205,14 @@ def test_broad_query_installs_nothing(corpus, mode, monkeypatch, observed):
     broad, _ = _query(corpus, BROAD, mode)
     assert broad == _witness(corpus.location, BROAD)
     assert sorted(cache) == ["doc-0", "doc-3"]
+    # The four members the cache does not hold are answered from rows.
     counters = observed.snapshot()["counters"]
-    assert counters["collection.snapshots.loaded"] == 2 + 4
+    assert counters["collection.snapshots.loaded"] == 2
+    assert counters["collection.rows.served"] == 4
     assert counters["collection.snapshots.shared"] == 2
     _query(corpus, SELECTIVE, mode)
     counters = observed.snapshot()["counters"]
-    assert counters["collection.snapshots.loaded"] == 6
+    assert counters["collection.snapshots.loaded"] == 2
     assert counters["collection.snapshots.shared"] == 4
 
 

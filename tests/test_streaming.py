@@ -566,6 +566,36 @@ class TestLazyDocument:
             assert lazy.root_tag == "d"
 
 
+#: The root is ``<r a="v">``; hierarchy ``h`` also holds an ``<r>``.
+ROOTED = {"h": '<r a="v"><r n="1">ab</r><x>cd</x></r>',
+          "g": '<r a="v"><y>abc</y>d</r>'}
+
+
+@pytest.mark.parametrize("query, declined", [
+    ("//r", True), ("//r[@a='v']", True), ("//h:r", False),
+])
+def test_lazy_name_test_selecting_the_root(query, declined):
+    """The root element has no element row: a name test that can select
+    it is answered from the decoded document, reason-coded; a
+    hierarchy-qualified test never selects it and stays on the rows."""
+    document = parse_concurrent(ROOTED)
+    backend = SqliteStore(":memory:")
+    backend.save_indexed(document, "d", manager=IndexManager(document))
+    want = node_rows(ExtendedXPath(query).evaluate(backend.load("d"),
+                                                   index=False))
+    obs.reset()
+    obs.enable()
+    try:
+        assert LazyDocument(backend, "d").xpath(query) == want
+        counters = obs.metrics.snapshot()["counters"]
+    finally:
+        obs.disable()
+        obs.reset()
+        backend.close()
+    assert counters.get("streaming.lazy_xpath.root-match", 0) == declined
+    assert ("r" in {row[3] for row in want if row[2] == ""}) == declined
+
+
 # -- hard memory cap (CI's memory-bounded step) ---------------------------------
 
 

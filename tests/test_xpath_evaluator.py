@@ -385,6 +385,17 @@ class TestEngineFacade:
         line2 = xpath(doc, "//line[2]")[0]
         assert len(ExtendedXPath("//w").nodes(doc, line2)) == 6
 
+    def test_index_true_uses_the_attached_manager(self, doc):
+        from repro.index.manager import IndexManager
+
+        manager = IndexManager.for_document(doc)
+        query = ExtendedXPath("//line[@n='2']")
+        want = query.evaluate(doc, index=False)
+        assert query.evaluate(doc, index=True) == want
+        assert query.evaluate(doc, index=manager) == want
+        assert query.explain(doc, index=True, execute=False).to_dict() \
+            == query.explain(doc, execute=False).to_dict()
+
 
 class TestVariables:
     def test_variable_in_comparison(self, doc):
