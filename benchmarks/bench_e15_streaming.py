@@ -9,7 +9,9 @@ The bounded-memory subsystem's experiment, in two halves:
   its own and does not depend on the heap the test process left
   behind.  The stored databases must digest byte-identically, the
   streaming arm must stay within a fixed budget per source size, and
-  the materialized arm must exceed that same budget.
+  the materialized arm must exceed that same budget.  The streaming
+  arm reads its sources through counting factories and must read each
+  hierarchy's source exactly once.
 
 * **Lazy** — answer a rare-tag query (``//pb``, page-break milestones:
   well under 10% of the element rows) from a
@@ -25,6 +27,7 @@ Timings land in ``BENCH_e15_streaming.json`` next to the memory fields
 import hashlib
 import os
 import sqlite3
+from collections import Counter
 
 import pytest
 
@@ -84,9 +87,30 @@ def _ingest_materialized(sources, path: str) -> str:
     return _db_digest(path)
 
 
+def _counting(sources):
+    """``sources`` behind factories, and the reads of each."""
+    reads: Counter[str] = Counter()
+
+    def factory(hierarchy):
+        def read():
+            reads[hierarchy] += 1
+            return sources[hierarchy]
+        return read
+
+    return {hierarchy: factory(hierarchy) for hierarchy in sources}, reads
+
+
+def _stream_once(backend, sources) -> None:
+    counted, reads = _counting(sources)
+    stream_save(backend, counted, "doc")
+    assert reads == {hierarchy: 1 for hierarchy in sources}, (
+        f"stream_save read its sources {dict(reads)} times, not once each"
+    )
+
+
 def _ingest_streaming(sources, path: str) -> str:
     backend = SqliteStore(path)
-    stream_save(backend, sources, "doc")
+    _stream_once(backend, sources)
     backend.close()
     return _db_digest(path)
 
@@ -100,7 +124,7 @@ def test_e15_stream_ingest(benchmark, tmp_path, words):
     def run():
         path = tmp_path / f"timed{next(counter)}.db"
         backend = SqliteStore(str(path))
-        stream_save(backend, sources, "doc")
+        _stream_once(backend, sources)
         backend.close()
         path.unlink()
 

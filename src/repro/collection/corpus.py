@@ -42,7 +42,13 @@ from ..index.manager import IndexManager
 from ..obs.metrics import metrics
 from ..storage.sqlite_backend import SqliteConnectionPool
 from ..xpath.engine import ExtendedXPath
-from .fanout import default_workers, installs, row_served, run_fanout
+from .fanout import (
+    default_workers,
+    installs,
+    row_members,
+    row_served,
+    run_fanout,
+)
 from .router import describe, routing_features
 
 _PREFIX = "collection()"
@@ -79,8 +85,9 @@ class CollectionPlan:
     features: tuple[str, ...]
     total: int
     routed: tuple[str, ...]
-    #: Members are answered from element rows, not decoded snapshots
-    #: (:func:`~repro.collection.fanout.row_served`).
+    #: Some routed member is answered from element rows, not a decoded
+    #: snapshot (:func:`~repro.collection.fanout.row_served` and
+    #: :func:`~repro.collection.fanout.row_members`).
     from_rows: bool
 
     @property
@@ -302,18 +309,20 @@ class Corpus:
         per_document = split_collection_expression(expression)
         compiled = ExtendedXPath(per_document)
         features = routing_features(compiled.ast) if routing else frozenset()
+        snapshots = self._pool.snapshots
         with self._pool.connection() as backend:
             total = len(backend.names())
             routed = backend.route_documents(features)
+            served = row_served(compiled, installs(snapshots, len(routed)))
+            from_rows = served is not None and bool(
+                row_members(backend, snapshots, routed, served))
         return CollectionPlan(
             expression=expression,
             per_document=per_document,
             features=tuple(describe(features)),
             total=total,
             routed=tuple(routed),
-            from_rows=row_served(
-                compiled, installs(self._pool.snapshots, len(routed))
-            ) is not None,
+            from_rows=from_rows,
         )
 
     def query(self, expression: str, *, routing: bool = True,

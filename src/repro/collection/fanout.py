@@ -141,6 +141,24 @@ def evaluate_documents(
     return out
 
 
+def row_members(
+    backend: SqliteStore, snapshots: SnapshotCache, names: list[str],
+    served: tuple,
+) -> list[tuple[str, int, str]]:
+    """``(name, doc_id, stamp)`` of the ``names`` that the row query
+    ``served`` answers from element rows: every member but those the
+    cache holds at their generation, those without an index, and those
+    whose root element (which has no row) the name test selects.  The
+    one admission rule behind :func:`_answer_from_rows` and
+    :meth:`~repro.collection.corpus.Corpus.explain`."""
+    return [
+        (name, doc_id, stamp)
+        for name, doc_id, root_tag, stamp in backend.member_stamps(names)
+        if stamp is not None and not names_root(served, root_tag)
+        and not snapshots.holds(name, stamp)
+    ]
+
+
 def _answer_from_rows(
     backend: SqliteStore, snapshots: SnapshotCache, names: list[str],
     served: tuple,
@@ -151,19 +169,12 @@ def _answer_from_rows(
     One read transaction holds every statement — the members' stamps,
     their hierarchy ranks, all their candidate rows in one ``elements``
     statement, and any parent probes — so each generation reported is
-    exactly the generation of its rows.  A member is left to the caller
-    (and the snapshot cache) when the cache already holds it at that
-    generation, when it has no index, or when the name test selects
-    its root element, which has no element row.
+    exactly the generation of its rows.  The members :func:`row_members`
+    does not admit are left to the caller (and the snapshot cache).
     """
     tag, hierarchy, attr, value = served
     with backend.read_transaction():
-        members = [
-            (name, doc_id, stamp)
-            for name, doc_id, root_tag, stamp in backend.member_stamps(names)
-            if stamp is not None and not names_root(served, root_tag)
-            and not snapshots.holds(name, stamp)
-        ]
+        members = row_members(backend, snapshots, names, served)
         doc_ids = [doc_id for _, doc_id, _ in members]
         ranks = backend.hierarchy_ranks(doc_ids)
         rows = backend.element_rows_by_tag_of(doc_ids, tag, hierarchy,

@@ -34,6 +34,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 from uuid import uuid4
@@ -53,6 +54,7 @@ from .schema import (
     DocumentRow,
     ElementRow,
     HierarchyRow,
+    ROOT_ID,
     decode_attributes,
     decode_document,
     encode_document,
@@ -867,10 +869,11 @@ class SqliteStore:
 
         The bounded-memory counterpart of ``parse_concurrent`` +
         :meth:`save_indexed`: ``sources`` maps hierarchy names to XML
-        sources (strings, paths, open files, or zero-argument factories
-        returning fresh chunk iterators — the scan makes two passes),
-        and the stored rows — document, elements, and the full persisted
-        index — are byte-identical to the materialized path.  The write
+        sources (strings, paths, open files, chunk iterables, or
+        zero-argument factories returning one — each is read once, by
+        the merge itself), and the stored rows — document, elements,
+        and the full persisted index — are byte-identical to the
+        materialized path.  The write
         proceeds in chunked transactions while the SACX merge runs (see
         :func:`repro.streaming.ingest.stream_save`), never holding the
         whole document; readers see nothing under ``name`` until the
@@ -893,19 +896,18 @@ class SqliteStore:
 
         return LazyDocument(self, name)
 
-    def begin_stream_ingest(self, name: str, root_tag: str,
-                            root_attributes: str, *,
+    def begin_stream_ingest(self, name: str, *,
                             overwrite: bool = False) -> "StreamIngestSession":
         """Open a chunked streaming write of one document + its index.
 
         Reclaims any staging rows a crashed ingest left behind, then
-        inserts a placeholder document row under a reserved staging
-        name (see :data:`STAGING_PREFIX`).  The returned session
-        accepts element rows, text chunks and index counts in chunks;
-        nothing is visible under ``name`` until its ``finalize``
-        renames the staging row in the same transaction that writes
-        ``index_meta``.  ``root_attributes`` is the JSON encoding the
-        schema layer uses (``json.dumps(attrs, sort_keys=True)``).
+        inserts a placeholder document row, with an empty root, under a
+        reserved staging name (see :data:`STAGING_PREFIX`).  The
+        returned session accepts element rows, text chunks and index
+        counts in chunks; nothing is visible under ``name`` until its
+        ``finalize`` renames the staging row in the same transaction
+        that writes ``index_meta`` and the root element's tag and
+        attributes.
         """
         if self.has(name) and not overwrite:
             raise StorageError(f"document {name!r} already stored")
@@ -924,8 +926,8 @@ class SqliteStore:
             return self._conn.execute(
                 "INSERT INTO documents"
                 " (name, root_tag, text, root_attributes)"
-                " VALUES (?, ?, '', ?)",
-                (staging, root_tag, root_attributes),
+                " VALUES (?, '', '', '{}')",
+                (staging,),
             ).lastrowid
 
         doc_id = self._write_retry(transaction, f"stream_ingest {name!r}")
@@ -1747,10 +1749,10 @@ class StreamIngestSession:
     transaction against the staging document row, so peak memory is the
     caller's chunk size, not the document.  Counts add onto the staging
     document's ``collection_summary`` rows, so they may arrive in any
-    order and any split.  ``finalize`` writes the hierarchies, the
-    attribute counts and ``index_meta``, and renames the staging row to
-    the real name, in one transaction; ``abort`` deletes the staging
-    rows.
+    order and any split.  ``finalize`` renumbers the element rows,
+    writes the last of them, the hierarchies, the attribute counts and
+    ``index_meta``, and renames the staging row to the real name, in
+    one transaction; ``abort`` deletes the staging rows.
     """
 
     def __init__(self, store: SqliteStore, doc_id: int, staging: str,
@@ -1767,17 +1769,16 @@ class StreamIngestSession:
     def add_elements(self, rows) -> None:
         """Insert element rows ``(elem_id, hierarchy, tag, start, end,
         parent_id, child_rank, attributes_json)`` — any order."""
-        conn = self._store._conn
-        doc_id = self._doc_id
-
-        def transaction() -> None:
-            conn.executemany(
-                "INSERT INTO elements VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                [(doc_id, *row) for row in rows],
-            )
-
-        self._store._write_retry(transaction, "stream elements")
+        self._store._write_retry(partial(self._insert_elements, rows),
+                                 "stream elements")
         metrics.incr("storage.stream_chunks")
+
+    def _insert_elements(self, rows) -> None:
+        doc_id = self._doc_id
+        self._store._conn.executemany(
+            "INSERT INTO elements VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            [(doc_id, *row) for row in rows],
+        )
 
     def append_text(self, chunk: str) -> None:
         """Append a confirmed text chunk to the document row."""
@@ -1825,18 +1826,37 @@ class StreamIngestSession:
     # -- closing -----------------------------------------------------------------
 
     def finalize(self, *, hierarchy_rows, doc_length: int, attr_rows,
-                 stamp: str) -> str:
-        """Publish the document: the hierarchy rows, the attribute
-        counts, the ``index_meta`` visibility gate and the
-        staging→real rename — one transaction.
+                 stamp: str, root_tag: str, root_attributes: str, shifts,
+                 element_rows) -> str:
+        """Publish the document: the element renumbering and last
+        element rows, the hierarchy rows, the attribute counts, the
+        ``index_meta`` visibility gate and the staging→real rename with
+        the root element — one transaction.
 
         ``attr_rows`` are ``(name, value, n)``: ``n`` elements carry
-        attribute ``name`` = ``value``.
+        attribute ``name`` = ``value``.  ``root_attributes`` is the
+        JSON encoding the schema layer uses (``json.dumps(attrs,
+        sort_keys=True)``).  ``shifts`` are ``(hierarchy, shift)``: the
+        element rows of ``hierarchy`` move ``elem_id`` and a non-root
+        ``parent_id`` down by ``shift`` (a parent is always of its
+        child's hierarchy); the shifted ids must not meet any other
+        row's, before or after its move.  ``element_rows`` are a last
+        chunk as :meth:`add_elements` takes it, inserted after the
+        shifts, so with final ids.
         """
         conn = self._store._conn
         doc_id = self._doc_id
 
         def transaction() -> str:
+            conn.executemany(
+                "UPDATE elements SET elem_id = elem_id - ?1,"
+                f" parent_id = CASE parent_id WHEN {ROOT_ID} THEN {ROOT_ID}"
+                " ELSE parent_id - ?1 END"
+                " WHERE doc_id = ?2 AND hierarchy = ?3",
+                [(shift, doc_id, hierarchy) for hierarchy, shift in shifts],
+            )
+            if element_rows:
+                self._insert_elements(element_rows)
             conn.executemany(
                 "INSERT INTO hierarchies VALUES (?, ?, ?, ?)",
                 [(doc_id, rank, hname, dtd)
@@ -1865,14 +1885,17 @@ class StreamIngestSession:
                     (existing[0],),
                 )
             conn.execute(
-                "UPDATE documents SET name = ? WHERE doc_id = ?",
-                (self.name, doc_id),
+                "UPDATE documents SET name = ?, root_tag = ?,"
+                " root_attributes = ? WHERE doc_id = ?",
+                (self.name, root_tag, root_attributes, doc_id),
             )
             return stamp
 
         result = self._store._write_retry(
             transaction, f"stream finalize {self.name!r}"
         )
+        if element_rows:
+            metrics.incr("storage.stream_chunks")
         self._done = True
         return result
 

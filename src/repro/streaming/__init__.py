@@ -19,9 +19,9 @@ This package is the bounded-memory counterpart, in three layers:
 
 - :mod:`repro.streaming.ingest` — streaming ingestion to storage.
   :func:`stream_save` writes element rows and index postings in chunked
-  transactions while the parse is still running, never holding the full
-  document text or node set; the resulting rows are byte-identical to
-  a materialized ``save_indexed``.
+  transactions while the parse is still running, reading each source
+  once and never holding the full document text or node set; the
+  resulting rows are byte-identical to a materialized ``save_indexed``.
 
 - :mod:`repro.streaming.lazy` — :class:`LazyDocument`, an on-demand
   view over a stored document: ``element(...)`` / ``subtree(...)``

@@ -9,29 +9,38 @@ ordinals, parent links and child ranks), same ``index_meta`` row, same
 collection-summary counts — without ever materializing the GODDAG, the
 full text, or the payload dict.
 
+Each source is read once, in the merge itself.
+
 How identity survives streaming, table by table:
 
 - **elements** — :class:`~repro.streaming.parse.FragmentAssembler`
-  reproduces builder ordinals given per-hierarchy bases from a cheap
-  counting pre-pass (:func:`count_content_events`); rows are keyed by
+  numbers hierarchy ``rank`` from a staged base of
+  ``1 + rank * 2**32`` while the merge runs; no staged id can equal a
+  final id ``1..N``, so the ``(doc_id, elem_id)`` key holds
+  throughout.  Once the merge has counted every hierarchy, each
+  hierarchy's ``elem_id`` and ``parent_id`` shift down to the
+  builder's base: flushed rows in the publishing transaction, the
+  last chunk before it is inserted there.  Rows are keyed by
   ``(doc_id, elem_id)`` and read back ordered, so chunk insertion
   order is free.
+- **documents** — text is appended per flush; the root tag and
+  attributes, which the merge reads from the first part, are written
+  at finalize.
 - **collection_summary** — counts only, so order is free too: label
   path and tag counts (:class:`_PathAccumulator`) and term counts
   (:class:`_TermAccumulator`, which carries a token split by a
   confirmed-text chunk boundary to the next chunk) are added onto the
   staging rows per flush; attribute counts are written at finalize.
 
-Sources may be strings, paths, or — for true streaming — zero-argument
-callables returning a fresh chunk iterator or file object per call
-(two passes are made: the ordinal-counting pre-pass and the merge).
+Sources may be strings, paths, open files, chunk iterables, or
+zero-argument callables returning a chunk iterator or file object.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Callable, Mapping
+from typing import Mapping
 from uuid import uuid4
 
 from ..errors import StorageError
@@ -41,7 +50,7 @@ from ..obs.metrics import metrics
 from ..sacx import events as ev
 from ..sacx import scanner as sc
 from ..sacx.parser import EventStream
-from .parse import Fragment, FragmentAssembler
+from .parse import ROOT_ORDINAL, Fragment, FragmentAssembler
 
 #: Element rows buffered per chunked transaction.
 DEFAULT_CHUNK_ELEMENTS = 1024
@@ -52,9 +61,13 @@ _POSTING_FLUSH = 8192
 #: Confirmed text buffered before an append, in characters.
 _TEXT_FLUSH = 1 << 16
 
+#: Distance between consecutive hierarchies' staged ordinal bases: far
+#: above any final ``elem_id``, so staged and final ids never collide.
+_STAGE_STRIDE = 1 << 32
+
 
 def _fresh(source):
-    """A scannable source for one pass: call factories, pass the rest."""
+    """A scannable source: call factories, pass the rest."""
     return source() if callable(source) else source
 
 
@@ -65,8 +78,10 @@ def count_content_events(
 
     The count covers non-root start and empty-element events — exactly
     the elements :class:`~repro.core.goddag.GoddagBuilder` will number
-    for this hierarchy, which is what turns per-hierarchy counts into
-    the ordinal bases :class:`FragmentAssembler` needs.
+    for this hierarchy, so running counts give the builder's ordinal
+    bases for :func:`~repro.streaming.parse.iterparse` ahead of a
+    merge.  An optional helper costing a scan of its own:
+    :func:`stream_save` does not use it.
     """
     count = 0
     root_tag = ""
@@ -79,6 +94,12 @@ def count_content_events(
         elif kind == ev.ROOT:
             root_tag, root_attributes = item[1], item[2]
     return count, root_tag, root_attributes
+
+
+def _encode_attributes(attributes: tuple[tuple[str, str], ...]) -> str:
+    """The schema layer's attribute encoding
+    (:func:`repro.storage.schema.encode_document`)."""
+    return json.dumps(dict(attributes), sort_keys=True)
 
 
 class _TermAccumulator:
@@ -166,28 +187,9 @@ def _stream_save(store, sources, name, overwrite, chunk_elements,
     hierarchy_names = list(sources)
     if not hierarchy_names:
         raise StorageError("a streaming save needs at least one source")
-
-    # Pass 1 — ordinal bases and the reference root, without a merge.
-    bases: dict[str, int] = {}
-    next_base = 1
-    root_tag = ""
-    root_attributes_json = "{}"
-    for rank, hname in enumerate(hierarchy_names):
-        count, part_root, part_attrs = count_content_events(
-            _fresh(sources[hname]), chunk_chars
-        )
-        bases[hname] = next_base
-        next_base += count
-        if rank == 0:
-            root_tag = part_root
-            root_attributes_json = json.dumps(dict(part_attrs),
-                                              sort_keys=True)
-
-    session = store.begin_stream_ingest(
-        name, root_tag, root_attributes_json, overwrite=overwrite
-    )
+    session = store.begin_stream_ingest(name, overwrite=overwrite)
     try:
-        stamp = _stream_rows(session, sources, hierarchy_names, bases,
+        stamp = _stream_rows(session, sources, hierarchy_names,
                              chunk_elements, chunk_chars)
     except BaseException:
         session.abort()
@@ -195,7 +197,7 @@ def _stream_save(store, sources, name, overwrite, chunk_elements,
     return stamp
 
 
-def _stream_rows(session, sources, hierarchy_names, bases, chunk_elements,
+def _stream_rows(session, sources, hierarchy_names, chunk_elements,
                  chunk_chars) -> str:
     terms = _TermAccumulator()
     paths = _PathAccumulator()
@@ -204,6 +206,9 @@ def _stream_rows(session, sources, hierarchy_names, bases, chunk_elements,
     text_pending_chars = 0
     doc_length = 0
     attr_counts: Counter[tuple[str, str]] = Counter()
+    # Attribute JSON per distinct attribute tuple, for the rows of one
+    # flush; most elements carry none.
+    encoded_attributes = {(): "{}"}
 
     def on_text(chunk: str) -> None:
         nonlocal text_pending_chars, doc_length
@@ -231,33 +236,47 @@ def _stream_rows(session, sources, hierarchy_names, bases, chunk_elements,
         {h: _fresh(sources[h]) for h in hierarchy_names},
         chunk_chars=chunk_chars, text_sink=on_text,
     )
-    assembler = FragmentAssembler(hierarchy_names, bases)
+    staged = {hname: 1 + rank * _STAGE_STRIDE
+              for rank, hname in enumerate(hierarchy_names)}
+    assembler = FragmentAssembler(hierarchy_names, staged)
     for hierarchy, event in stream:
         fragment = assembler.feed(hierarchy, event)
         if fragment is None:
             continue
+        attributes = fragment.attributes
+        encoded = encoded_attributes.get(attributes)
+        if encoded is None:
+            encoded = encoded_attributes[attributes] = \
+                _encode_attributes(attributes)
         element_rows.append((
             fragment.ordinal, fragment.hierarchy, fragment.tag,
             fragment.start, fragment.end, fragment.parent_ordinal,
-            fragment.child_rank,
-            json.dumps(dict(fragment.attributes), sort_keys=True),
+            fragment.child_rank, encoded,
         ))
         paths.add(fragment)
-        attr_counts.update(fragment.attributes)
+        attr_counts.update(attributes)
         if len(element_rows) >= chunk_elements:
             session.add_elements(element_rows)
             element_rows.clear()
+            encoded_attributes.clear()
+            encoded_attributes[()] = "{}"
             if (paths.pending_postings >= _POSTING_FLUSH
                     or terms.pending_postings >= _POSTING_FLUSH):
                 flush_postings()
 
     terms.finish()
-    if element_rows:
-        session.add_elements(element_rows)
-        element_rows.clear()
     flush_postings()
     flush_text()
 
+    # The builder's bases: each hierarchy's first ordinal is one past
+    # the elements of the hierarchies declared before it.  Flushed rows
+    # shift in the finalize transaction; the last chunk shifts here.
+    shifts = {}
+    base = 1
+    for hname, count in assembler.counts().items():
+        if staged[hname] != base:
+            shifts[hname] = staged[hname] - base
+        base += count
     hierarchy_rows = [(rank, hname, "")
                       for rank, hname in enumerate(hierarchy_names)]
     return session.finalize(
@@ -266,4 +285,24 @@ def _stream_rows(session, sources, hierarchy_names, bases, chunk_elements,
         attr_rows=[(attr_name, attr_value, n) for (attr_name, attr_value), n
                    in attr_counts.items()],
         stamp=uuid4().hex,
+        root_tag=stream.root_tag,
+        root_attributes=_encode_attributes(stream.root_attributes),
+        shifts=list(shifts.items()),
+        element_rows=_shifted(element_rows, shifts),
     )
+
+
+def _shifted(rows: list[tuple], shifts: dict[str, int]) -> list[tuple]:
+    """Element rows with each hierarchy's ``elem_id`` and non-root
+    ``parent_id`` moved down by its shift."""
+    out = []
+    for row in rows:
+        shift = shifts.get(row[1])
+        if shift:
+            elem_id, hierarchy, tag, start, end, parent, rank, attrs = row
+            if parent != ROOT_ORDINAL:
+                parent -= shift
+            row = (elem_id - shift, hierarchy, tag, start, end, parent,
+                   rank, attrs)
+        out.append(row)
+    return out

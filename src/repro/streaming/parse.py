@@ -46,13 +46,15 @@ ROOT_ORDINAL = 0
 class Fragment:
     """A completed element, as emitted by the streaming parse.
 
-    Carries the full storage identity of the element: ``ordinal`` is
-    the birth ordinal :class:`~repro.core.goddag.GoddagBuilder` would
-    assign (the persistent ``elem_id``) when the assembler was given
-    ordinal bases, or a per-hierarchy ordinal (base 1) otherwise;
-    ``parent_ordinal`` is :data:`ROOT_ORDINAL` for top-level elements;
-    ``depth`` counts ancestors below the root (0 for top-level); and
-    ``path`` is the label path the structural summary partitions by
+    Carries the full storage identity of the element: ``ordinal``
+    counts from the assembler's base for the hierarchy — the birth
+    ordinal :class:`~repro.core.goddag.GoddagBuilder` would assign (the
+    persistent ``elem_id``) under the builder's bases (see
+    :class:`FragmentAssembler`), a per-hierarchy ordinal from 1
+    without bases; ``parent_ordinal`` is :data:`ROOT_ORDINAL` for
+    top-level elements; ``depth`` counts ancestors below the root (0
+    for top-level); and ``path`` is the label path the structural
+    summary partitions by
     (top-level tag first, own tag last — the root tag excluded).
     """
 
@@ -93,25 +95,34 @@ class FragmentAssembler:
     """Replays the builder's per-hierarchy open stacks over a merged
     event stream, closing one :class:`Fragment` per element.
 
-    With ``bases`` — ``{hierarchy: first ordinal}``, see
-    :func:`repro.streaming.ingest.count_content_events` — fragment
-    ordinals reproduce :class:`GoddagBuilder` birth ordinals exactly:
-    the builder materializes hierarchies in declaration order and,
-    within one hierarchy, numbers elements in source open order (its
-    top-level sort key ``(start, solidity, -end, seq)`` provably
-    restores source order for parser input).  Without ``bases`` each
-    hierarchy numbers its own elements from 1.
+    Each hierarchy numbers its elements in source open order from its
+    entry in ``bases`` (``{hierarchy: first ordinal}``), or from 1
+    without ``bases``.  The builder materializes hierarchies in
+    declaration order and, within one hierarchy, numbers elements in
+    source open order (its top-level sort key ``(start, solidity,
+    -end, seq)`` provably restores source order for parser input), so
+    with each base one past the previous hierarchies' element counts
+    fragment ordinals equal :class:`GoddagBuilder` birth ordinals
+    exactly.  Those counts are only known once the merge is over:
+    :func:`repro.streaming.ingest.stream_save` numbers from bases far
+    apart and shifts the stored ordinals by :meth:`counts` afterwards;
+    :func:`repro.streaming.ingest.count_content_events` can supply them
+    up front at the cost of a scan of its own.
     """
 
     def __init__(self, hierarchies, bases: Mapping[str, int] | None = None):
         self._stacks: dict[str, list[_OpenFragment]] = {
             name: [] for name in hierarchies
         }
-        if bases is None:
-            self._next = {name: 1 for name in hierarchies}
-        else:
-            self._next = {name: bases[name] for name in hierarchies}
+        self._bases = {name: 1 if bases is None else bases[name]
+                       for name in hierarchies}
+        self._next = dict(self._bases)
         self._top_rank = {name: 0 for name in hierarchies}
+
+    def counts(self) -> dict[str, int]:
+        """Elements numbered so far, per hierarchy."""
+        return {name: self._next[name] - base
+                for name, base in self._bases.items()}
 
     def feed(self, hierarchy: str, event: ev.MarkupEvent) -> Fragment | None:
         """Apply one merged event; returns the closed fragment, if any."""
@@ -191,9 +202,10 @@ def iterparse(
     its closed children until the overlap context resolves.
 
     ``bases`` optionally fixes each hierarchy's first ordinal (see
-    :class:`FragmentAssembler`); with per-hierarchy counts from
-    :func:`repro.streaming.ingest.count_content_events` the fragment
-    ordinals equal the ids a materialized parse would assign.
+    :class:`FragmentAssembler`).  To get the ids a materialized parse
+    would assign, derive them from per-hierarchy counts; the optional
+    helper :func:`repro.streaming.ingest.count_content_events` takes
+    them with a scan of each part ahead of this one.
     """
     stream = EventStream(sources, chunk_chars=chunk_chars,
                          text_sink=text_sink)

@@ -132,6 +132,20 @@ def test_explain_names_the_read_path(corpus, monkeypatch):
     assert "members read from snapshots" in corpus.explain(BROAD).render()
 
 
+@pytest.mark.parametrize("expression, from_rows", [
+    ("collection()//r", False),           # every member's root is <r>
+    ("collection()//line[@n='1']", True),
+])
+def test_explain_reads_the_members_root_tags(corpus, expression, from_rows,
+                                             observed):
+    plan = corpus.explain(expression)
+    assert plan.routed_count > SnapshotCache.LIMIT
+    assert plan.from_rows is from_rows
+    assert ("members read from rows" in plan.render()) is from_rows
+    _run(corpus, expression, "serial")
+    assert (_counter("collection.rows.served") > 0) is from_rows
+
+
 def test_rows_served_is_in_the_catalog():
     assert "collection.rows.served" in _metric_catalog()
 

@@ -180,17 +180,17 @@ class TestCharacterReferences:
         path = str(tmp_path / "doc.db")
         reads = []
 
-        def changing():
-            # Well formed for the counting pass, bad for the merge pass,
+        def factory():
+            # The staging row exists before the merge reads a source,
             # so the error is raised while staging rows exist.
             reads.append(1)
-            return f"<d><w>t{'&#65;' if len(reads) == 1 else ref}il</w></d>"
+            return f"<d><w>t{ref}il</w></d>"
 
         backend = SqliteStore(path)
         try:
             for source in ({"a": f"<d><w>t{ref}il</w></d>",
                             "b": "<d>tAil</d>"},
-                           {"a": changing, "b": "<d>tAil</d>"}):
+                           {"a": factory, "b": "<d>tAil</d>"}):
                 with pytest.raises(WellFormednessError) as info:
                     stream_save(backend, source, "doc")
                 assert (info.value.line, info.value.column) == (1, 7)
@@ -209,4 +209,4 @@ class TestCharacterReferences:
                 conn.close()
         finally:
             backend.close()
-        assert len(reads) == 2
+        assert len(reads) == 1

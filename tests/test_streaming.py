@@ -26,9 +26,11 @@ ceiling a materializing parse has no business fitting in.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import sqlite3
+from collections import Counter
 
 import pytest
 
@@ -52,6 +54,9 @@ from repro.streaming import (
 from repro.streaming import ingest as ingest_mod
 from repro.workloads import WorkloadSpec, generate
 from repro.xpath.engine import ExtendedXPath
+
+from test_merge_differential import SINGLE_DEFECTS, fed, outcome
+from test_merge_differential import SPECS as SEEDED_SPECS
 
 #: Hand-built torture case: entities, numeric references, CDATA,
 #: comments, empty elements, attributes on the root — two hierarchies
@@ -295,6 +300,78 @@ class TestStreamSave:
         assert stored_rows(str(tmp_path / "stream.db")) == \
             stored_rows(str(tmp_path / "ref.db"))
 
+    @pytest.mark.parametrize("spec", SEEDED_SPECS,
+                             ids=lambda spec: f"seed{spec.seed}")
+    @pytest.mark.parametrize("chunk_elements", [3, 1024])
+    def test_row_identity_on_seeded_documents(self, spec, chunk_elements,
+                                              tmp_path):
+        sources = export_distributed(generate(spec))
+        save_materialized(sources, str(tmp_path / "ref.db"))
+        save_streaming(sources, str(tmp_path / "stream.db"),
+                       chunk_elements=chunk_elements)
+        assert stored_rows(str(tmp_path / "stream.db")) == \
+            stored_rows(str(tmp_path / "ref.db"))
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("kind", ["file", "generator"])
+    def test_one_shot_sources(self, case, kind, tmp_path):
+        """An open file or a chunk generator can be read only once."""
+        sources = sources_for(case)
+        if kind == "file":
+            one_shot = {h: io.StringIO(text) for h, text in sources.items()}
+        else:
+            one_shot = {h: (chunk for chunk in chunks)
+                        for h, chunks in chunked(sources, 29).items()}
+        save_materialized(sources, str(tmp_path / "ref.db"))
+        save_streaming(one_shot, str(tmp_path / "stream.db"),
+                       chunk_elements=7, chunk_chars=29)
+        assert stored_rows(str(tmp_path / "stream.db")) == \
+            stored_rows(str(tmp_path / "ref.db"))
+
+    def test_reads_each_source_once(self, tmp_path):
+        sources = sources_for("three-overlapping")
+        reads: Counter[str] = Counter()
+
+        def factory(hierarchy):
+            def chunks():
+                reads[hierarchy] += 1
+                return iter(chunked(sources, 64)[hierarchy])
+            return chunks
+
+        save_streaming({h: factory(h) for h in sources},
+                       str(tmp_path / "stream.db"), chunk_elements=7)
+        assert reads == {h: 1 for h in sources}
+        save_materialized(sources, str(tmp_path / "ref.db"))
+        assert stored_rows(str(tmp_path / "stream.db")) == \
+            stored_rows(str(tmp_path / "ref.db"))
+
+    @pytest.mark.parametrize("case", sorted(SINGLE_DEFECTS))
+    def test_defect_raises_like_parse_concurrent(self, case, tmp_path):
+        """A defect found mid-merge, after element rows were flushed,
+        raises what ``parse_concurrent`` raises and leaves no rows."""
+        path = str(tmp_path / "doc.db")
+        backend = SqliteStore(path)
+
+        def save(sources):
+            stream_save(backend, sources, "doc", chunk_elements=1)
+
+        try:
+            for label, sources in fed(SINGLE_DEFECTS[case]):
+                want = outcome(parse_concurrent, sources)
+                assert want is not None, label
+                assert outcome(save, sources) == want, label
+                assert backend.names() == [], label
+        finally:
+            backend.close()
+        conn = sqlite3.connect(path)
+        try:
+            for table in ("documents", "elements", "collection_summary"):
+                assert conn.execute(
+                    f"SELECT count(*) FROM {table}"
+                ).fetchone() == (0,), table
+        finally:
+            conn.close()
+
     def test_refuses_existing_name_then_overwrites(self, tmp_path):
         path = str(tmp_path / "doc.db")
         backend = SqliteStore(path)
@@ -313,7 +390,7 @@ class TestStreamSave:
         path = str(tmp_path / "doc.db")
         backend = SqliteStore(path)
         try:
-            session = backend.begin_stream_ingest("doc", "d", "{}")
+            session = backend.begin_stream_ingest("doc")
             session.add_elements(
                 [(1, "a", "w", 0, 2, 0, 0, "{}")]
             )
@@ -358,7 +435,7 @@ class TestStreamSave:
         try:
             # A "crashed" ingest: the session is simply never finalized
             # nor aborted (process death leaves exactly this residue).
-            backend.begin_stream_ingest("doc", "d", "{}").add_elements(
+            backend.begin_stream_ingest("doc").add_elements(
                 [(1, "a", "w", 0, 2, 0, 0, "{}")]
             )
             conn = sqlite3.connect(path)
@@ -453,7 +530,7 @@ class TestCorpusStreams:
                         == before[expression]
                 assert corpus.stats()["counts"] == before_stats
 
-            session = ingest.begin_stream_ingest("late", "d", "{}")
+            session = ingest.begin_stream_ingest("late")
             session.add_elements(
                 [(1, "physical", "line", 0, 2, 0, 0, '{"x": "1"}'),
                  (2, "physical", "w", 0, 2, 1, 0, "{}")])
