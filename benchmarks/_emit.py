@@ -1,30 +1,15 @@
-"""Where the machine-readable bench results land.
+"""Peak-RSS sampling for the benches (E1, E15).
 
-Every bench run — pytest or standalone ``__main__`` — funnels its rows
-through :func:`emit`, which writes ``BENCH_<name>.json`` in the
-``repro-bench/1`` schema (see :mod:`repro.obs.benchjson`).  Output goes
-to ``benchmarks/results/`` unless ``REPRO_BENCH_DIR`` points elsewhere;
-``benchmarks/check_regression.py`` diffs that directory against the
-committed baselines in ``benchmarks/baselines/``.
+:func:`measure_peak_rss` isolates one call in a forked child;
+:func:`measure_spawned_peak_rss` in a freshly spawned interpreter, for
+numbers a bench asserts a budget on.
 """
 
 from __future__ import annotations
 
 import os
-import sys
-from pathlib import Path
 
-BENCH_ROOT = Path(__file__).resolve().parent
-
-try:
-    import repro  # noqa: F401  (standalone runs may lack PYTHONPATH=src)
-except ModuleNotFoundError:
-    sys.path.insert(0, str(BENCH_ROOT.parent / "src"))
-
-from repro.obs.benchjson import scenario, write_bench_json  # noqa: E402
-
-__all__ = ["scenario", "emit", "output_dir", "measure_peak_rss",
-           "measure_spawned_peak_rss"]
+__all__ = ["measure_peak_rss", "measure_spawned_peak_rss"]
 
 
 def _rss_child(pipe, fn, args, kwargs):
@@ -87,8 +72,8 @@ def _in_child(method: str, target, fn, args, kwargs):
 def measure_peak_rss(fn, *args, **kwargs):
     """Run ``fn(*args, **kwargs)`` and sample its peak RSS.
 
-    Returns ``(result, sample)`` where ``sample`` is a dict of the
-    ``repro-bench/1`` memory fields: ``peak_rss_kb`` — the high-water
+    Returns ``(result, sample)`` where ``sample`` is a dict of two
+    memory fields: ``peak_rss_kb`` — the high-water
     RSS attributable to the call — plus ``rss_mode`` saying how it was
     measured.  The primary mode forks a child process (``ru_maxrss``
     is a per-process high-water mark that never resets, so only a
@@ -138,22 +123,3 @@ def measure_spawned_peak_rss(fn, *args, **kwargs):
         return measure_peak_rss(fn, *args, **kwargs)
     result, peak = _in_child("spawn", _spawned_rss_child, fn, args, kwargs)
     return result, {"peak_rss_kb": peak, "rss_mode": "spawn"}
-
-
-def output_dir() -> Path:
-    directory = Path(os.environ.get("REPRO_BENCH_DIR")
-                     or BENCH_ROOT / "results")
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
-
-
-def emit(name: str, scenarios: list, metrics_snapshot: dict | None = None):
-    """Write one ``BENCH_<name>.json`` and return its path."""
-    if metrics_snapshot is None:
-        from repro.obs import metrics
-
-        metrics_snapshot = metrics.snapshot()
-    path = write_bench_json(output_dir(), name, scenarios,
-                            metrics_snapshot=metrics_snapshot)
-    print(f"[bench-json] wrote {path}")
-    return path

@@ -235,46 +235,12 @@ def report_quality(rows) -> str:
     return "\n".join(lines)
 
 
-#: Scenarios accumulate across the module's tests; every emit rewrites
-#: the file with everything gathered so far (see _emit.emit).
-_SCENARIOS: list[dict] = []
-
-
-def emit_json() -> None:
-    from _emit import emit
-
-    emit("e10_planner", list(_SCENARIOS))
-
-
-def collect_scenarios(kind: str, rows) -> None:
-    from repro.obs.benchjson import scenario
-
-    for row in rows:
-        if kind == "reorder":
-            _SCENARIOS.append(scenario(
-                f"reorder:{row['query']}", WORDS,
-                [row["reordered_ms"] / 1e3],
-                speedup=round(row["speedup"], 2)))
-        elif kind == "shapes":
-            _SCENARIOS.append(scenario(
-                f"shape:{row['query']}", WORDS,
-                [row["indexed_ms"] / 1e3], choice=row["choice"],
-                speedup=round(row["speedup"], 2)))
-        else:
-            _SCENARIOS.append(scenario(
-                f"quality:{row['query']}", WORDS,
-                [row["chosen_ms"] / 1e3], chosen=row["chosen"],
-                win=row["win"]))
-
-
 def test_e10_predicate_reordering():
     """Acceptance bar: ≥ 2x on at least one multi-predicate scenario
     from selectivity-ordered predicate evaluation alone."""
     document, manager = corpus()
     rows = measure_reordering(document, manager)
     print("\n" + report_reordering(rows))
-    collect_scenarios("reorder", rows)
-    emit_json()
     assert max(row["speedup"] for row in rows) >= 2.0, rows
 
 
@@ -284,8 +250,6 @@ def test_e10_new_shapes_hit_the_index():
     document, manager = corpus()
     rows = check_new_shapes(document, manager)
     print("\n" + report_shapes(rows))
-    collect_scenarios("shapes", rows)
-    emit_json()
 
 
 def test_e10_plan_quality():
@@ -294,8 +258,6 @@ def test_e10_plan_quality():
     document, manager = corpus()
     rows = measure_quality(document, manager)
     print("\n" + report_quality(rows))
-    collect_scenarios("quality", rows)
-    emit_json()
     wins = sum(row["win"] for row in rows)
     assert rows and wins / len(rows) >= 0.9, report_quality(rows)
 
@@ -310,7 +272,3 @@ if __name__ == "__main__":
     print()
     quality_rows = measure_quality(doc, mgr)
     print(report_quality(quality_rows))
-    collect_scenarios("reorder", reorder_rows)
-    collect_scenarios("shapes", shape_rows)
-    collect_scenarios("quality", quality_rows)
-    emit_json()

@@ -107,30 +107,11 @@ def report(rows: list[dict[str, float]]) -> str:
     return "\n".join(lines)
 
 
-def emit_json(rows) -> None:
-    """E11's honest metric is rows written, not wall time, so the
-    scenario samples carry row counts (marked ``units: rows``) — the
-    regression check still pairs and ratios them like timings."""
-    from _emit import emit
-    from repro.obs.benchjson import scenario
-
-    scenarios = []
-    for row in rows:
-        scenarios.append(scenario(
-            "delta_rows", row["words"], [float(row["delta_rows"])],
-            units="rows", reduction=round(row["reduction"], 1)))
-        scenarios.append(scenario(
-            "rewrite_rows", row["words"], [float(row["rewrite_rows"])],
-            units="rows"))
-    emit("e11_delta_saves", scenarios)
-
-
 def test_e11_small_delta_save_is_o1_rows(tmp_path):
     """CI smoke (small corpus): the delta save writes a constant handful
     of rows — bounded absolutely, not merely relatively."""
     row = measure_size(SIZES[0], tmp_path)
     print("\n" + report([row]))
-    emit_json([row])
     assert row["delta_rows"] <= 10, row
     assert row["reduction"] >= REDUCTION_BAR, row
 
@@ -141,7 +122,6 @@ def test_e11_delta_saves_meet_the_reduction_bar(tmp_path):
     sizes — O(1), not a smaller O(n))."""
     rows = run(tmp_path)
     print("\n" + report(rows))
-    emit_json(rows)
     largest = rows[-1]
     assert largest["reduction"] >= REDUCTION_BAR, largest
     deltas = [row["delta_rows"] for row in rows]
@@ -157,4 +137,3 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         rows = run(Path(tmp))
     sys.stdout.write(report(rows) + "\n")
-    emit_json(rows)

@@ -204,31 +204,6 @@ def report_cache(rows) -> str:
     return "\n".join(lines)
 
 
-#: Scenarios accumulate across the module's tests; every emit rewrites
-#: the file with everything gathered so far (see _emit.emit).
-_SCENARIOS: list[dict] = []
-
-
-def emit_json() -> None:
-    from _emit import emit
-
-    emit("e12_kernels", list(_SCENARIOS))
-
-
-def collect_scenarios(kind: str, rows) -> None:
-    from repro.obs.benchjson import scenario
-
-    for row in rows:
-        if kind in ("batch", "overlap"):
-            _SCENARIOS.append(scenario(
-                f"{kind}:{row['query']}", row["words"],
-                [row["batch_ms"] / 1e3], speedup=round(row["speedup"], 2)))
-        else:
-            _SCENARIOS.append(scenario(
-                f"plan-cache:{row['query']}", row["words"],
-                [row["cached_ms"] / 1e3], speedup=round(row["speedup"], 2)))
-
-
 def run_all() -> tuple[list[dict], list[dict]]:
     batch_rows: list[dict] = []
     cache_rows: list[dict] = []
@@ -252,9 +227,6 @@ def test_e12_kernel_speedup_and_identity():
     batch_rows, cache_rows = run_all()
     print("\n" + report_batch(batch_rows))
     print("\n" + report_cache(cache_rows))
-    collect_scenarios("batch", batch_rows)
-    collect_scenarios("cache", cache_rows)
-    emit_json()
     largest = [row for row in batch_rows if row["words"] == max(SIZES)]
     for row in largest:
         assert row["speedup"] >= row["floor"], report_batch(largest)
@@ -268,8 +240,6 @@ def test_e12_overlap_kernel_speedup_and_identity():
     results byte-identical."""
     rows = run_overlap()
     print("\n" + report_overlap(rows))
-    collect_scenarios("overlap", rows)
-    emit_json()
     for row in rows:
         if row["words"] == max(SIZES):
             assert row["speedup"] >= row["floor"], report_overlap(rows)
@@ -283,7 +253,3 @@ if __name__ == "__main__":
     print(report_overlap(overlap_rows))
     print()
     print(report_cache(rows[1]))
-    collect_scenarios("batch", rows[0])
-    collect_scenarios("overlap", overlap_rows)
-    collect_scenarios("cache", rows[1])
-    emit_json()

@@ -188,9 +188,15 @@ def run_all(directory: Path) -> list[dict]:
     return [drive(readers, directory) for readers in THREADS]
 
 
-def report(rows: list[dict]) -> str:
-    from repro.obs.benchjson import percentile
+def percentile(samples, fraction: float) -> float:
+    """Linearly interpolated percentile of a non-empty sample list."""
+    ordered = sorted(samples)
+    rank = fraction * (len(ordered) - 1)
+    low, high = int(rank), min(int(rank) + 1, len(ordered) - 1)
+    return ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
 
+
+def report(rows: list[dict]) -> str:
     lines = [
         f"E13 — service traffic: reader sweep + 1 writer "
         f"({WORDS} words, {PUBLISHES} publishes, {len(QUERY_MIX)} queries "
@@ -212,29 +218,6 @@ def report(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def emit_json(rows: list[dict]) -> None:
-    from _emit import emit
-    from repro.obs.benchjson import percentile, scenario
-
-    scenarios = []
-    for row in rows:
-        scenarios.append(scenario(
-            f"read-session:readers={row['readers']}", WORDS,
-            row["read_latencies"],
-            p50_s=percentile(row["read_latencies"], 0.5),
-            p99_s=percentile(row["read_latencies"], 0.99),
-            sessions=row["sessions"],
-        ))
-        scenarios.append(scenario(
-            f"publish:readers={row['readers']}", WORDS,
-            row["publish_latencies"],
-            p50_s=percentile(row["publish_latencies"], 0.5),
-            p99_s=percentile(row["publish_latencies"], 0.99),
-            publishes=row["publishes"],
-        ))
-    emit("e13_service", scenarios)
-
-
 def check(rows: list[dict]) -> None:
     """The acceptance bars, shared by pytest and standalone runs."""
     for row in rows:
@@ -254,11 +237,10 @@ def check(rows: list[dict]) -> None:
 
 def test_e13_service_traffic():
     """>= 8 concurrent readers + 1 writer: byte-identical answers, zero
-    deadlocks, zero timeouts, latency recorded against the baseline."""
+    deadlocks, zero timeouts; the latency table is printed, not gated."""
     with tempfile.TemporaryDirectory() as tmp:
         rows = run_all(Path(tmp))
     print("\n" + report(rows))
-    emit_json(rows)
     check(rows)
     assert max(row["readers"] for row in rows) >= 8
 
@@ -267,5 +249,4 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         rows = run_all(Path(tmp))
     print(report(rows))
-    emit_json(rows)
     check(rows)

@@ -189,29 +189,6 @@ def report(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def emit_json(rows: list[dict]) -> None:
-    from _emit import emit, scenario
-
-    scenarios = []
-    for row in rows:
-        scenarios.append(scenario(
-            "routed", row["size"], row["routed_samples"],
-            visited=row["routed_visited"], hits=row["hits"],
-        ))
-        scenarios.append(scenario(
-            "unrouted", row["size"], row["unrouted_samples"],
-            visited=row["unrouted_visited"],
-        ))
-        scenarios.append(scenario(
-            "ingest", row["size"], [row["ingest_s"]],
-        ))
-        for workers, entry in sorted(row["sweep"].items()):
-            scenarios.append(scenario(
-                f"fanout:workers={workers}", row["size"], entry["samples"],
-            ))
-    emit("e14_collection", scenarios)
-
-
 def check(rows: list[dict]) -> None:
     """The acceptance bars, shared by pytest and standalone runs."""
     cores = _effective_cores()
@@ -248,7 +225,6 @@ def test_e14_collection_routing():
     with tempfile.TemporaryDirectory() as tmp:
         rows = run_all(Path(tmp))
     print("\n" + report(rows))
-    emit_json(rows)
     check(rows)
 
 
@@ -256,5 +232,4 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         rows = run_all(Path(tmp))
     print(report(rows))
-    emit_json(rows)
     check(rows)

@@ -29,8 +29,8 @@ def _count_elements(sources):
 def test_e1_sacx_parse(benchmark, words):
     sources = workload_sources(words=words)
     document = benchmark(parse_concurrent, sources)
-    # One fork-isolated parse samples the memory fields (``peak_rss_kb``)
-    # that ride along in the repro-bench/1 row next to the timings.
+    # One fork-isolated parse samples the memory fields (``peak_rss_kb``),
+    # reported in the benchmark's extra info next to the timings.
     _, rss = measure_peak_rss(_count_elements, sources)
     paper_row(
         benchmark,

@@ -41,7 +41,6 @@ import time
 
 from repro.editing import Editor
 from repro.index import IndexManager
-from repro.obs.benchjson import scenario
 from repro.workloads import WorkloadSpec, generate
 from repro.xpath import ExtendedXPath
 
@@ -168,47 +167,11 @@ def report_editing(rows: list[dict[str, float]]) -> str:
     return "\n".join(lines)
 
 
-#: Scenarios accumulate across the module's tests; every emit rewrites
-#: the file with everything gathered so far (see _emit.emit).
-_SCENARIOS: list[dict] = []
-
-
-def emit_json() -> None:
-    from _emit import emit
-
-    emit("e9_index_speedup", list(_SCENARIOS))
-
-
-def collect_query_scenarios(rows) -> None:
-    for row in rows:
-        words = row["words"]
-        for cls in ("name", "contains"):
-            _SCENARIOS.append(scenario(
-                f"{cls}_indexed", words, [row[f"{cls}_indexed_s"]],
-                speedup=round(row[f"{cls}_baseline_s"]
-                              / row[f"{cls}_indexed_s"], 2)))
-            _SCENARIOS.append(scenario(
-                f"{cls}_unindexed", words, [row[f"{cls}_baseline_s"]]))
-
-
-def collect_editing_scenarios(rows) -> None:
-    for row in rows:
-        _SCENARIOS.append(scenario(
-            "editing_incremental", row["words"],
-            [row["incremental_ms"] / 1e3], edits=row["edits"],
-            speedup=round(row["speedup"], 2)))
-        _SCENARIOS.append(scenario(
-            "editing_rebuild", row["words"],
-            [row["rebuild_ms"] / 1e3], edits=row["edits"]))
-
-
 def test_e9_index_speedup():
     """Acceptance bar: ≥ 2x on at least one query class at the largest
     corpus size (asserted loosely; the printed table records the rest)."""
     rows = run()
     print("\n" + report(rows))
-    collect_query_scenarios(rows)
-    emit_json()
     largest = rows[-1]
     best = max(largest["name_test"], largest["contains"])
     assert best >= 2.0, largest
@@ -219,8 +182,6 @@ def test_e9_editing_session():
     rebuild-per-edit for a k-edit session at the 8k-word corpus."""
     row = measure_editing(SIZES[-1])
     print("\n" + report_editing([row]))
-    collect_editing_scenarios([row])
-    emit_json()
     assert row["speedup"] >= 5.0, row
 
 
@@ -230,6 +191,3 @@ if __name__ == "__main__":
     print()
     editing_rows = run_editing()
     print(report_editing(editing_rows))
-    collect_query_scenarios(rows)
-    collect_editing_scenarios(editing_rows)
-    emit_json()

@@ -26,7 +26,6 @@ from __future__ import annotations
 import time
 
 from repro.index import IndexManager
-from repro.obs.benchjson import scenario
 from repro.workloads import WorkloadSpec, generate
 from repro.xpath import ExtendedXPath
 from repro.xpath.evaluator import Evaluator
@@ -105,26 +104,12 @@ def report(rows) -> str:
     return "\n".join(lines)
 
 
-def emit_json(rows) -> None:
-    from _emit import emit
-
-    emit("obs_overhead", [
-        scenario(f"noop:{row['query']}", WORDS, [row["default_s"]],
-                 overhead=round(row["overhead"], 4))
-        for row in rows
-    ] + [
-        scenario(f"off:{row['query']}", WORDS, [row["forced_off_s"]])
-        for row in rows
-    ])
-
-
 def test_obs_noop_overhead_under_bar():
     """Acceptance bar: the no-op observability default costs < 3% (plus
     a fixed timer-noise epsilon) on the bench_e9 hot shapes."""
     document, _ = corpus()
     rows = measure(document)
     print("\n" + report(rows))
-    emit_json(rows)
     for row in rows:
         budget = row["forced_off_s"] * (1 + OVERHEAD_BAR) + NOISE_FLOOR_S
         assert row["default_s"] <= budget, row
@@ -134,4 +119,3 @@ if __name__ == "__main__":
     document, _ = corpus()
     rows = measure(document)
     print(report(rows))
-    emit_json(rows)

@@ -7,8 +7,6 @@ parameterized benchmarks don't regenerate documents.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from repro.serialize import export_distributed
@@ -59,48 +57,3 @@ def report_lines():
     yield lines
     if lines:
         print("\n" + "\n".join(lines))
-
-
-# --- machine-readable output: one BENCH_<module>.json per bench module.
-
-_SIZE_KEYS = ("words", "size", "elements", "hierarchies", "probes")
-
-
-def _size_of(record) -> int:
-    """Best-effort scalar 'size' for regression pairing: a well-known
-    numeric param or extra_info entry, else the first numeric param."""
-    pools = (record.extra_info or {}, record.params or {})
-    for key in _SIZE_KEYS:
-        for pool in pools:
-            value = pool.get(key)
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                return int(value)
-    for pool in pools:
-        for value in pool.values():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                return int(value)
-    return 0
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Write ``BENCH_<module>.json`` for every bench module that ran
-    pytest-benchmark fixtures this session (the custom-timer benches
-    e9–e11 emit their own files through :mod:`_emit`)."""
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    if bench_session is None:
-        return
-    from _emit import emit, scenario
-
-    by_module: dict[str, list] = {}
-    for record in bench_session.benchmarks:
-        if not record.stats or not getattr(record.stats, "data", None):
-            continue
-        module = Path(record.fullname.split("::", 1)[0]).stem
-        name = module.removeprefix("bench_")
-        by_module.setdefault(name, []).append(
-            scenario(record.name, _size_of(record), list(record.stats.data),
-                     **{k: v for k, v in (record.extra_info or {}).items()
-                        if isinstance(v, (int, float, str, bool))})
-        )
-    for name, scenarios in sorted(by_module.items()):
-        emit(name, scenarios)

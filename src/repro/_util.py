@@ -3,30 +3,6 @@
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Sequence, TypeVar
-
-T = TypeVar("T")
-
-
-def stable_unique(items: Iterable[T]) -> list[T]:
-    """Return ``items`` with duplicates removed, preserving first-seen order.
-
-    Works for hashable items only; nodes of the GODDAG are hashable by
-    identity, which is the equality the library wants.
-    """
-    seen: set[T] = set()
-    out: list[T] = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
-
-
-def pairwise(items: Sequence[T]) -> Iterator[tuple[T, T]]:
-    """Yield consecutive pairs ``(items[i], items[i+1])``."""
-    for i in range(len(items) - 1):
-        yield items[i], items[i + 1]
 
 
 def escape_text(text: str) -> str:

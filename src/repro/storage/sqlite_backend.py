@@ -738,7 +738,16 @@ class SqliteStore:
         return row.text
 
     def text_of(self, name: str, start: int, end: int) -> str:
-        """A text window, served straight from the database."""
+        """A text window, served straight from the database.
+
+        An ``end`` past the text is clamped to it.  A negative ``start``
+        or an ``end`` before ``start`` raises
+        :class:`~repro.errors.StorageError` naming the window (SQL
+        ``substr`` would count a negative length backwards).
+        """
+        if start < 0 or end < start:
+            raise StorageError(f"bad text window [{start}, {end}) of "
+                               f"{name!r}: need 0 <= start <= end")
         doc_id, _ = self._doc_index_row(name)
         (fragment,) = self._conn.execute(
             "SELECT substr(text, ?, ?) FROM documents WHERE doc_id = ?",

@@ -1,9 +1,9 @@
-"""Link check for docs/ARCHITECTURE.md (and the README's pointer to it).
+"""Link check for docs/ARCHITECTURE.md and the README.
 
-The architecture guide names concrete source files, modules, and
-identifiers; this check keeps those references real so the guide cannot
-silently rot as the codebase moves.  CI runs it alongside the doctest
-pass.
+The architecture guide and the README name concrete source files,
+modules, and identifiers; this check keeps those references real so
+the docs cannot silently rot as the codebase moves.  CI runs it
+alongside the doctest pass.
 """
 
 from __future__ import annotations
@@ -13,6 +13,10 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 ARCHITECTURE = REPO / "docs" / "ARCHITECTURE.md"
+README = REPO / "README.md"
+
+#: The documents whose path and module references are checked.
+LINKED_DOCS = (ARCHITECTURE, README)
 
 
 def test_architecture_guide_exists():
@@ -20,40 +24,47 @@ def test_architecture_guide_exists():
 
 
 def test_readme_links_the_architecture_guide():
-    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     assert "docs/ARCHITECTURE.md" in readme
 
 
 def test_every_referenced_path_exists():
-    """Every repo-relative path mentioned in the guide must exist."""
-    text = ARCHITECTURE.read_text(encoding="utf-8")
-    referenced = set(re.findall(
-        r"(?:src/repro|tests|benchmarks|docs)/[\w./-]+\.(?:py|md)", text
-    ))
-    assert referenced, "the guide should reference concrete files"
-    missing = sorted(path for path in referenced if not (REPO / path).exists())
+    """Every repo-relative path mentioned in the docs must exist."""
+    missing = []
+    for doc in LINKED_DOCS:
+        referenced = set(re.findall(
+            r"(?:src/repro|tests|benchmarks|docs)/[\w./-]+\.(?:py|md)",
+            doc.read_text(encoding="utf-8"),
+        ))
+        assert referenced, f"{doc.name} should reference concrete files"
+        missing += [f"{doc.name}: {path}" for path in sorted(referenced)
+                    if not (REPO / path).exists()]
     assert not missing, f"dangling path references: {missing}"
 
 
-def test_every_referenced_module_imports():
-    """Every ``repro.<pkg>`` dotted module named in the guide must exist."""
-    text = ARCHITECTURE.read_text(encoding="utf-8")
-    modules = set(re.findall(r"\brepro(?:\.\w+)+\b", text))
-    assert modules
+def _module_exists(module: str) -> bool:
+    """A package dir, a module, or an attribute of a module."""
+    parts = module.split(".")
     src = REPO / "src"
+    candidates = [
+        src / Path(*parts) / "__init__.py",
+        src / (Path(*parts).with_suffix(".py")),
+        src / Path(*parts[:-1]) / "__init__.py",
+        src / (Path(*parts[:-1]).with_suffix(".py")) if len(parts) > 1
+        else None,
+    ]
+    return any(c is not None and c.exists() for c in candidates)
+
+
+def test_every_referenced_module_imports():
+    """Every ``repro.<pkg>`` dotted module named in the docs must exist."""
     missing = []
-    for module in modules:
-        parts = module.split(".")
-        # Accept package dirs, modules, or attributes of a module.
-        candidates = [
-            src / Path(*parts) / "__init__.py",
-            src / (Path(*parts).with_suffix(".py")),
-            src / Path(*parts[:-1]) / "__init__.py",
-            src / (Path(*parts[:-1]).with_suffix(".py")) if len(parts) > 1
-            else None,
-        ]
-        if not any(c is not None and c.exists() for c in candidates):
-            missing.append(module)
+    for doc in LINKED_DOCS:
+        modules = set(re.findall(r"\brepro(?:\.\w+)+\b",
+                                 doc.read_text(encoding="utf-8")))
+        assert modules, f"{doc.name} should name repro modules"
+        missing += [f"{doc.name}: {module}" for module in sorted(modules)
+                    if not _module_exists(module)]
     assert not missing, f"dangling module references: {missing}"
 
 
@@ -146,7 +157,6 @@ def test_observability_identifiers_are_real():
     import inspect
 
     import repro.obs as obs
-    from repro.obs.benchjson import BENCH_SCHEMA, compare  # noqa: F401
     from repro.obs.drift import DriftRing
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.stats import STATS_SCHEMA, stats_dict  # noqa: F401
@@ -159,7 +169,6 @@ def test_observability_identifiers_are_real():
     assert hasattr(Tracer, "export_jsonl") and SPAN_LIMIT == 50_000
     assert hasattr(MetricsRegistry, "snapshot")
     assert DriftRing().capacity == 256
-    assert BENCH_SCHEMA == "repro-bench/1"
     assert STATS_SCHEMA == "repro-stats/1"
     # explain() grew the analyze knob the guide documents.
     from repro.xpath import ExtendedXPath

@@ -17,7 +17,6 @@ import repro.obs as obs
 from repro.core.goddag import GoddagBuilder
 from repro.editing import Editor
 from repro.index import IndexManager
-from repro.obs.benchjson import compare, load, scenario, write_bench_json
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stats import stats_dict
 from repro.obs.trace import Tracer
@@ -258,41 +257,3 @@ class TestSaveTracing:
         assert transaction.attributes["row_level"] is True
         (coalesce,) = tracer.find("coalesce")
         assert coalesce.attributes["row_writes"] == 1
-
-
-class TestBenchJson:
-    def test_write_load_compare_roundtrip(self, tmp_path):
-        baseline = write_bench_json(tmp_path, "demo", [
-            scenario("q", 100, [1.0, 1.1, 1.2], extra_info="x"),
-            scenario("r", 100, [2.0, 2.0, 2.0]),
-        ])
-        current = write_bench_json(tmp_path / "..", "demo2", [
-            scenario("q", 100, [1.5, 1.6, 1.4]),   # +36%: regression
-            scenario("r", 100, [0.5, 0.5, 0.5]),   # -75%: improvement
-            scenario("new", 200, [1.0]),           # unmatched
-        ])
-        assert baseline.name == "BENCH_demo.json"
-        result = compare(load(baseline), load(current))
-        assert [r["scenario"] for r in result["regressions"]] == ["q"]
-        assert [r["scenario"] for r in result["improvements"]] == ["r"]
-        assert result["matched"] == 2
-        assert result["unmatched"] == [{"scenario": "new", "size": 200}]
-
-    def test_load_rejects_foreign_schema(self, tmp_path):
-        bogus = tmp_path / "BENCH_x.json"
-        bogus.write_text('{"schema": "something-else"}', encoding="utf-8")
-        with pytest.raises(ValueError, match="repro-bench/1"):
-            load(bogus)
-
-    def test_percentiles(self):
-        from repro.obs.benchjson import percentile
-
-        assert percentile([3.0], 0.9) == 3.0
-        assert percentile([1.0, 2.0, 3.0, 4.0, 5.0], 0.5) == 3.0
-        assert percentile([1.0, 2.0], 0.9) == pytest.approx(1.9)
-
-    def test_percentile_of_no_samples_is_a_value_error(self):
-        from repro.obs.benchjson import percentile
-
-        with pytest.raises(ValueError, match="empty"):
-            percentile([], 0.5)

@@ -162,6 +162,15 @@ class TestSqliteStore:
         with SqliteStore() as store:
             store.save(doc, "f")
             assert store.text_of("f", 0, 5) == "Hwaet"
+            assert store.text_of("f", 0, len(doc.text) + 10) == doc.text
+
+    @pytest.mark.parametrize("start, end", [(5, 2), (-1, 3)])
+    def test_text_window_rejects_a_reversed_or_negative_window(
+            self, doc, start, end):
+        with SqliteStore() as store:
+            store.save(doc, "f")
+            with pytest.raises(StorageError, match=rf"\[{start}, {end}\)"):
+                store.text_of("f", start, end)
 
     def test_file_persistence(self, doc, tmp_path):
         path = str(tmp_path / "store.db")

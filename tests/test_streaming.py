@@ -623,9 +623,18 @@ class TestLazyDocument:
         assert lazy.length == len(reference.text)
         assert lazy.text(0, 25) == reference.text[:25]
         assert lazy.text(5, 5) == ""
+        assert lazy.text(0, len(reference.text) + 10) == reference.text
         assert lazy.root_tag == reference.root.tag
         assert dict(lazy.root_attributes) == dict(reference.root.attributes)
         assert lazy.hierarchies == list(reference.hierarchy_names())
+
+    @pytest.mark.parametrize("start, end", [(5, 2), (-1, 3)])
+    def test_text_rejects_a_reversed_or_negative_window(
+            self, lazy_fixture, start, end):
+        backend, _ = lazy_fixture
+        lazy = LazyDocument(backend, "doc")
+        with pytest.raises(StorageError, match=rf"\[{start}, {end}\)"):
+            lazy.text(start, end)
 
     def test_rows_decoded_counts_cache_misses_once(self, lazy_fixture):
         backend, _ = lazy_fixture
