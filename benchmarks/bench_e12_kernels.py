@@ -18,6 +18,12 @@ Three studies on the standard synthetic corpora:
   ``IndexManager.overlap_bounds``) vs the per-candidate stab path of
   the classic engine (``index=False``) in the same process.  Both must
   return byte-identical node lists and clear ≥ 5x at the largest size;
+* **probe vs walk** — the two exact term kernels on the same whole
+  ``w`` vector: the occurrence-driven probe (``probe_span_contains``,
+  ``probe_span_starts_with``) vs the merge walk over every row
+  (``rows_span_contains``, ``rows_span_starts_with``).  Both must
+  return identical rows, and the probe must clear ≥ 2x at the largest
+  size for a needle that is sparse against the vector;
 * **compiled-plan cache** — a repeated one-shot query served from the
   process-wide plan cache vs the same query re-parsed and re-planned
   every call (cache cleared between calls).
@@ -36,6 +42,12 @@ from __future__ import annotations
 import time
 
 from repro.index import IndexManager
+from repro.index.kernels import (
+    probe_span_contains,
+    probe_span_starts_with,
+    rows_span_contains,
+    rows_span_starts_with,
+)
 from repro.workloads import WorkloadSpec, generate
 from repro.xpath import Evaluator, ExtendedXPath, Planner, clear_plan_cache
 from repro.xpath import xpath as xpath_once
@@ -61,6 +73,16 @@ OVERLAP_QUERIES = (
 )
 
 CACHE_QUERY = "//line[@n='7']"
+
+#: The probe-vs-walk arm: (filter, probe kernel, walk kernel), run on the
+#: whole ``w`` vector with a needle that is sparse against it.
+KERNEL_PAIRS = (
+    ("contains", probe_span_contains, rows_span_contains),
+    ("starts-with", probe_span_starts_with, rows_span_starts_with),
+)
+KERNEL_NEEDLE = "gar"
+KERNEL_FLOOR = 2.0
+KERNEL_REPEATS = 31
 
 
 def corpus(words: int):
@@ -144,6 +166,43 @@ def measure_overlap(document, manager, words: int) -> list[dict]:
     return rows
 
 
+def measure_kernels(manager, words: int) -> list[dict]:
+    """The probe and the walk on the same whole ``w`` vector."""
+    vector = manager.candidate_vector("w")
+    assert vector.ends_sorted(), "the w vector must admit the probe"
+    occurrences = manager.occurrence_array(KERNEL_NEEDLE)
+    size = len(KERNEL_NEEDLE)
+    rows = []
+    for label, probe, walk in KERNEL_PAIRS:
+        def probed():
+            return probe(vector.starts, vector.ends, occurrences, size)
+
+        def walked():
+            return walk(vector.starts, vector.ends, occurrences, size,
+                        vector.all_rows())
+
+        answer = probed()
+        assert answer == walked(), label
+        # The arms alternate, so a slow phase of the machine lands on
+        # both instead of deciding their ratio.
+        probe_times, walk_times = [], []
+        for _ in range(KERNEL_REPEATS):
+            probe_times.append(best_of(probed, n=1))
+            walk_times.append(best_of(walked, n=1))
+        probe_time, walk_time = min(probe_times), min(walk_times)
+        rows.append({
+            "query": f"{label}(., {KERNEL_NEEDLE!r}) on //w",
+            "words": words,
+            "floor": KERNEL_FLOOR,
+            "rows": len(answer),
+            "occurrences": len(occurrences),
+            "batch_ms": probe_time * 1e3,
+            "object_ms": walk_time * 1e3,
+            "speedup": walk_time / probe_time,
+        })
+    return rows
+
+
 def measure_plan_cache(document, words: int) -> dict:
     """One-shot queries with the plan cache vs re-compiling every call."""
     clear_plan_cache()
@@ -169,11 +228,12 @@ def report_batch(
     rows,
     title: str = "E12 — batch kernels vs object walk (same plan choices)",
     baseline: str = "object",
+    served: str = "batch",
 ) -> str:
     lines = [
         title,
         f"{'query':<34} {'words':>6} {'rows':>6} {baseline:>10} "
-        f"{'batch':>10} {'speedup':>8}",
+        f"{served:>10} {'speedup':>8}",
     ]
     for row in rows:
         lines.append(
@@ -188,6 +248,13 @@ def report_overlap(rows) -> str:
     return report_batch(
         rows, "E12 — overlap predicates: boundary kernel vs stab path",
         "stab",
+    )
+
+
+def report_kernels(rows) -> str:
+    return report_batch(
+        rows, "E12 — term kernels: occurrence probe vs row walk (same "
+        "vector)", "walk", "probe",
     )
 
 
@@ -212,6 +279,14 @@ def run_all() -> tuple[list[dict], list[dict]]:
         batch_rows.extend(measure_batch(document, manager, words))
         cache_rows.append(measure_plan_cache(document, words))
     return batch_rows, cache_rows
+
+
+def run_kernels() -> list[dict]:
+    rows: list[dict] = []
+    for words in SIZES:
+        _document, manager = corpus(words)
+        rows.extend(measure_kernels(manager, words))
+    return rows
 
 
 def run_overlap() -> list[dict]:
@@ -245,11 +320,25 @@ def test_e12_overlap_kernel_speedup_and_identity():
             assert row["speedup"] >= row["floor"], report_overlap(rows)
 
 
+def test_e12_probe_kernel_speedup_and_identity():
+    """Acceptance bar: on the same whole ``w`` vector the occurrence
+    probe returns the walk's rows and clears ≥ 2x at the largest size,
+    for ``contains`` and ``starts-with`` alike."""
+    rows = run_kernels()
+    print("\n" + report_kernels(rows))
+    for row in rows:
+        if row["words"] == max(SIZES):
+            assert row["speedup"] >= row["floor"], report_kernels(rows)
+
+
 if __name__ == "__main__":
     rows = run_all()
     overlap_rows = run_overlap()
+    kernel_rows = run_kernels()
     print(report_batch(rows[0]))
     print()
     print(report_overlap(overlap_rows))
+    print()
+    print(report_kernels(kernel_rows))
     print()
     print(report_cache(rows[1]))

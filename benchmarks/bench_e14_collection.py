@@ -105,6 +105,20 @@ def _timed(callable_, repeats: int):
     return samples, result
 
 
+def _timed_pair(first, second, repeats: int):
+    """``_timed`` for two arms, alternated per repeat (first, second,
+    first, ...), so a slow phase of the machine lands on both arms
+    instead of deciding their ratio."""
+    first_samples, second_samples = [], []
+    first_result = second_result = None
+    for _ in range(repeats):
+        samples, first_result = _timed(first, 1)
+        first_samples += samples
+        samples, second_result = _timed(second, 1)
+        second_samples += samples
+    return (first_samples, first_result), (second_samples, second_result)
+
+
 def drive(size: int, directory: Path) -> dict:
     """One sweep point: build a ``size``-document corpus, measure the
     routing win and the worker sweep."""
@@ -119,10 +133,10 @@ def drive(size: int, directory: Path) -> dict:
     ingest_s = time.perf_counter() - t0
 
     repeats = _repeats(size)
-    routed_samples, routed = _timed(
-        lambda: corpus.query(SELECTIVE_QUERY, routing=True), repeats)
-    unrouted_samples, unrouted = _timed(
-        lambda: corpus.query(SELECTIVE_QUERY, routing=False), repeats)
+    (routed_samples, routed), (unrouted_samples, unrouted) = _timed_pair(
+        lambda: corpus.query(SELECTIVE_QUERY, routing=True),
+        lambda: corpus.query(SELECTIVE_QUERY, routing=False),
+        repeats)
 
     # The feature-bearing subset, counted directly: routing must visit
     # no more than the documents that actually hold the tag.

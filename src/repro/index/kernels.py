@@ -6,18 +6,30 @@ parallel ``starts`` / ``ends`` / ``ordinals`` columns of signed 64-bit
 integers (``array('q')``) next to the element list, instead of per-node
 Python objects.  Batch query execution (:mod:`repro.xpath.planner`'s
 :class:`~repro.xpath.planner.BatchProgram`) filters *row indices*
-through the merge-walk kernels below and materializes ``Element``
-objects only for the rows that survive every filter — the
-ordinal-vector flow of the batch pipeline.
+through the kernels below and materializes ``Element`` objects only
+for the rows that survive every filter — the ordinal-vector flow of
+the batch pipeline.
 
-The filter kernels (:func:`rows_span_contains`,
-:func:`rows_span_starts_with`) are single merge walks: candidate rows
-arrive in document order, so their start offsets are non-decreasing and
-one forward pointer into the (sorted) term-occurrence array serves
-every row.  For each row the first occurrence at or after the row's
-start is the unique one that can fit before the row's end — exactly the
+The term filters (:func:`span_contains_rows`,
+:func:`span_starts_with_rows`) pick one of two exact kernels by a size
+comparison.  The *walk* (:func:`rows_span_contains`,
+:func:`rows_span_starts_with`) is a single merge: candidate rows arrive
+in document order, so their start offsets are non-decreasing and one
+forward pointer into the (sorted) term-occurrence array serves every
+row.  For each row the first occurrence at or after the row's start is
+the unique one that can fit before the row's end — exactly the
 binary-search argument of :meth:`~repro.index.term.TermIndex.span_contains`,
-amortized to O(rows + occurrences) for a whole vector.
+amortized to O(rows + occurrences) for a whole vector.  The *probe*
+(:func:`probe_span_contains`, :func:`probe_span_starts_with`) is
+output-sensitive: when a filter sees the whole vector and the needle
+occurs far less often than the vector has rows, it loops over the
+occurrences and bisects into the ``starts`` column instead — a needle
+occurrence is a short interval, and containment is a range predicate
+over ``(start, end)`` (Hasibi & Bratsberg), so the cost is
+O(occurrences · log rows + output).  ``contains`` also needs the
+vector's ends non-decreasing (no member lies inside an earlier one),
+which :meth:`CandidateVector.ends_sorted` checks once per vector; row
+subsets, dense needles and nested vectors keep the walk.
 
 The overlap kernel (:func:`rows_overlapping`) answers the Extended
 XPath overlap axes as range predicates over interval endpoints, after
@@ -41,6 +53,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import islice
+from operator import le
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -64,7 +78,8 @@ class CandidateVector:
     where ``Element`` objects re-enter the pipeline.
     """
 
-    __slots__ = ("elements", "starts", "ends", "ordinals", "hierarchies")
+    __slots__ = ("elements", "starts", "ends", "ordinals", "hierarchies",
+                 "_ends_sorted")
 
     def __init__(self, elements: Sequence["Element"]) -> None:
         self.elements = list(elements)
@@ -72,9 +87,22 @@ class CandidateVector:
         self.ends = column(e.end for e in self.elements)
         self.ordinals = column(e.ordinal for e in self.elements)
         self.hierarchies = [e.hierarchy for e in self.elements]
+        self._ends_sorted: bool | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    def ends_sorted(self) -> bool:
+        """True when the ``ends`` column is non-decreasing: no member
+        lies inside an earlier one, so :func:`probe_span_contains` may
+        serve the vector.  Checked on first use and kept with one
+        store (concurrent readers compute the same flag)."""
+        flag = self._ends_sorted
+        if flag is None:
+            ends = self.ends
+            flag = all(map(le, ends, islice(ends, 1, None)))
+            self._ends_sorted = flag
+        return flag
 
     def all_rows(self) -> range:
         return range(len(self.elements))
@@ -166,6 +194,129 @@ def rows_span_starts_with(
             cur = occurrences[i]
         if cur == start and start + needle_length <= ends[row]:
             append(row)
+    return out
+
+
+def probe_span_contains(
+    starts: Sequence[int], ends: Sequence[int],
+    occurrences: Sequence[int], needle_length: int,
+) -> list[int]:
+    """Every row whose span contains a needle occurrence, driven by the
+    occurrences — what :func:`rows_span_contains` answers for the whole
+    vector, in O(occurrences · log rows + output).
+
+    Both ``starts`` and ``ends`` must be non-decreasing.  For occurrence
+    ``o`` let ``r`` be the last row starting at or before ``o``: the
+    rows up to ``r`` that contain ``o`` are exactly those ending at or
+    after ``o + needle_length``, a contiguous run ending at ``r``.  A
+    row up to ``r`` that fails ``o`` fails every later occurrence too
+    (its end is at most ``ends[r]``), so the next search starts after
+    ``r``, and no row is emitted twice.
+    """
+    out: list[int] = []
+    extend = out.extend
+    floor = 0
+    for occurrence in occurrences:
+        last = bisect_right(starts, occurrence, floor) - 1
+        if last < floor:
+            continue
+        need = occurrence + needle_length
+        if ends[last] >= need:
+            extend(range(bisect_left(ends, need, floor, last), last + 1))
+        floor = last + 1
+    return out
+
+
+def probe_span_starts_with(
+    starts: Sequence[int], ends: Sequence[int],
+    occurrences: Sequence[int], needle_length: int,
+) -> list[int]:
+    """Every row whose span begins with a needle occurrence, driven by
+    the occurrences: the rows starting at ``o`` (one bisection from a
+    moving floor) that end at or after ``o + needle_length``.  Needs
+    only ``starts`` non-decreasing."""
+    out: list[int] = []
+    append = out.append
+    n = len(starts)
+    floor = 0
+    for occurrence in occurrences:
+        row = bisect_left(starts, occurrence, floor)
+        need = occurrence + needle_length
+        while row < n and starts[row] == occurrence:
+            if ends[row] >= need:
+                append(row)
+            row += 1
+        floor = row
+    return out
+
+
+#: A probe costs about as much per occurrence (two bisections into
+#: ``array('q')`` columns, about 1 µs) as a walk over this many rows, so
+#: the term filters probe only when the vector has more than this many
+#: rows per needle occurrence.
+PROBE_ROWS_PER_OCCURRENCE = 8
+
+
+def _probes(vector: CandidateVector, occurrences: Sequence[int],
+            rows: Iterable[int]) -> bool:
+    """Whether a term filter should probe: it sees the whole vector and
+    the needle is sparse against it."""
+    return (
+        isinstance(rows, range)
+        and len(rows) == len(vector)
+        and len(occurrences) * PROBE_ROWS_PER_OCCURRENCE < len(rows)
+    )
+
+
+def _walked(starts: Sequence[int], occurrences: Sequence[int],
+            rows: Sequence[int]) -> int:
+    """Rows a walk reads: up to and including the first row starting
+    after the last occurrence, where it stops."""
+    if not occurrences:
+        return 0
+    stop = bisect_right(rows, occurrences[-1], key=starts.__getitem__)
+    return min(stop + 1, len(rows))
+
+
+def span_contains_rows(
+    vector: CandidateVector, occurrences: Sequence[int],
+    needle_length: int, rows: Iterable[int],
+    tally: list[int] | None = None,
+) -> list[int]:
+    """The rows of ``vector`` among ``rows`` whose span contains a
+    needle occurrence: the probe when it pays and the vector's ends are
+    sorted, the walk otherwise.  ``tally``, when given, receives the
+    work done — occurrences probed plus rows emitted, or rows walked."""
+    if _probes(vector, occurrences, rows) and vector.ends_sorted():
+        out = probe_span_contains(vector.starts, vector.ends, occurrences,
+                                  needle_length)
+        if tally is not None:
+            tally.append(len(occurrences) + len(out))
+        return out
+    out = rows_span_contains(vector.starts, vector.ends, occurrences,
+                             needle_length, rows)
+    if tally is not None:
+        tally.append(_walked(vector.starts, occurrences, rows))
+    return out
+
+
+def span_starts_with_rows(
+    vector: CandidateVector, occurrences: Sequence[int],
+    needle_length: int, rows: Iterable[int],
+    tally: list[int] | None = None,
+) -> list[int]:
+    """The ``starts-with`` twin of :func:`span_contains_rows`; the probe
+    needs no condition on the ends."""
+    if _probes(vector, occurrences, rows):
+        out = probe_span_starts_with(vector.starts, vector.ends,
+                                     occurrences, needle_length)
+        if tally is not None:
+            tally.append(len(occurrences) + len(out))
+        return out
+    out = rows_span_starts_with(vector.starts, vector.ends, occurrences,
+                                needle_length, rows)
+    if tally is not None:
+        tally.append(_walked(vector.starts, occurrences, rows))
     return out
 
 

@@ -144,6 +144,9 @@ class IndexManager:
         # like the term index and therefore never invalidated.
         self._vectors: dict = {}
         self._occ_arrays: dict[str, array] = {}
+        # The planner census of one built version, as one tuple
+        # (version, element count, label-path rows) stored at once.
+        self._census: tuple | None = None
         if build:
             self.refresh()
 
@@ -406,6 +409,26 @@ class IndexManager:
         """Number of occurrences of an indexable needle in the text (the
         planner's ``contains``/``starts-with`` selectivity statistic)."""
         return self.terms.count(needle)
+
+    def census(self) -> tuple[float, tuple]:
+        """The structural census the planner prices plans from: the
+        element count and the ``(hierarchy, path, population)``
+        label-path rows, as an immutable tuple.
+
+        Taken once per built version and kept in one attribute store,
+        so every planner of one version shares it (concurrent readers
+        of a frozen snapshot compute the same value), and a catch-up
+        prices plans exactly as a fresh manager would.
+        """
+        self.refresh()
+        census = self._census
+        if census is None or census[0] != self._built_version:
+            structural = self._structural
+            census = (self._built_version,
+                      float(structural.element_count()),
+                      tuple(structural.label_paths()))
+            self._census = census
+        return census[1], census[2]
 
     def attr_candidates(self, name: str, value: str) -> "list[Element]":
         """Document-order elements with attribute ``name`` = ``value``."""

@@ -76,11 +76,14 @@ def tokenize(text: str) -> Iterator[tuple[int, str]]:
 class TermIndex:
     """Posting lists of text tokens, with exact substring acceleration."""
 
-    __slots__ = ("text_length", "_postings", "_occurrences")
+    __slots__ = ("text_length", "posting_count", "_postings", "_occurrences")
 
     def __init__(self, text_length: int, postings: dict[str, list[int]]) -> None:
         self.text_length = text_length
         self._postings = postings
+        #: Total posting entries.  The postings never change (they are
+        #: keyed on the immutable text), so this is summed once.
+        self.posting_count = sum(len(starts) for starts in postings.values())
         self._occurrences: dict[str, list[int]] = {}
 
     @classmethod
@@ -96,10 +99,6 @@ class TermIndex:
     @property
     def term_count(self) -> int:
         return len(self._postings)
-
-    @property
-    def posting_count(self) -> int:
-        return sum(len(starts) for starts in self._postings.values())
 
     def vocabulary(self) -> Iterator[str]:
         return iter(self._postings)

@@ -93,15 +93,17 @@ def resolve_manager(document: GoddagDocument, index):
 
 
 def observe_step(tracer, plan: QueryPlan | None, index: int, step: Step,
-                 splan: StepPlan | None, rows_in: int, gather, args: tuple,
+                 splan: StepPlan | None, rows_in, gather, args: tuple,
                  finish=None):
     """Run one step's work, ``gather(*args)``, and record it: the one
     accounting path while metrics are enabled or a tracer is installed.
 
     The work is a step's per-context-node gather (``finish`` sorts it
-    into document order) or a compiled batch program (one context in,
-    the document node; its rows out).  Records ``StepPlan.actual_ns``,
-    the ``step`` span with a child ``access-path`` span (nested
+    into document order) or a compiled batch program.  ``rows_in``
+    holds the counts the rows examined are summed from once the work
+    has run: the gather's context nodes, or the list a program tallies
+    the rows its kernels read into.  Records ``StepPlan.actual_ns``, the
+    ``step`` span with a child ``access-path`` span (nested
     predicate paths run inside it), the ``xpath.steps`` /
     ``rows_examined`` / ``rows_produced`` counters, the ``xpath.step``
     timer and one :class:`DriftRecord`.  A program that declines
@@ -132,12 +134,12 @@ def observe_step(tracer, plan: QueryPlan | None, index: int, step: Step,
             path_span.set(rows=len(out))
             if finish is not None:
                 out = finish(out)
-            step_span.set(rows_in=rows_in, rows_out=len(out))
+            step_span.set(rows_in=sum(rows_in), rows_out=len(out))
     if out is None:
         return None
     elapsed_ns = time.perf_counter_ns() - start_ns
     metrics.incr("xpath.steps")
-    metrics.incr("xpath.rows_examined", rows_in)
+    metrics.incr("xpath.rows_examined", sum(rows_in))
     metrics.incr("xpath.rows_produced", len(out))
     metrics.record_ns("xpath.step", elapsed_ns)
     if splan is not None:
@@ -150,12 +152,14 @@ def observe_step(tracer, plan: QueryPlan | None, index: int, step: Step,
 def run_program(program, path: LocationPath, plan: QueryPlan, manager,
                 document: GoddagDocument, observing: bool, tracer=None):
     """The answer of ``path``'s compiled batch ``program``, or ``None``
-    when it declines; observed, it is accounted as the path's one step."""
+    when it declines; observed, it is accounted as the path's one step,
+    with the rows its kernels read as the rows examined."""
     splan = plan.steps_for(path)[0]
     if not observing:
         return program.run(manager, document, splan)
-    return observe_step(tracer, plan, 0, path.steps[0], splan, 1,
-                        program.run, (manager, document, splan))
+    tally: list[int] = []
+    return observe_step(tracer, plan, 0, path.steps[0], splan, tally,
+                        program.run, (manager, document, splan, tally))
 
 
 @dataclass
@@ -473,7 +477,7 @@ class Evaluator:
             if self._observing:
                 current = observe_step(
                     self._tracer, plan, i, step, splan,
-                    len(current), self._gather, (step, current, splan),
+                    (len(current),), self._gather, (step, current, splan),
                     sorted_nodes,
                 )
             else:

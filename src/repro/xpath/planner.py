@@ -68,8 +68,8 @@ from ..core.node import Element
 from ..index.kernels import (
     rows_in_ordinal_set,
     rows_overlapping,
-    rows_span_contains,
-    rows_span_starts_with,
+    span_contains_rows,
+    span_starts_with_rows,
 )
 from .ast import (
     Binary,
@@ -199,8 +199,15 @@ class BatchProgram:
         self.attr_key = attr_key        #: candidate source when ATTR
         self.filters = filters          #: in planned evaluation order
 
-    def run(self, manager, document, splan: "StepPlan"):
-        """The path's result node-set, or ``None`` to decline."""
+    def run(self, manager, document, splan: "StepPlan",
+            tally: list[int] | None = None):
+        """The path's result node-set, or ``None`` to decline.
+
+        ``tally`` (observed runs only) receives the rows the program
+        reads: the document node, the attribute posting's rows when a
+        name test narrows them, then what each kernel reads — see
+        :func:`~repro.index.kernels.span_contains_rows`.
+        """
         if manager is None or self._manager_ref() is not manager:
             return None
         if splan.choice != self.source:
@@ -211,6 +218,8 @@ class BatchProgram:
         test = self.test
         if node_test_matches(test, document.root):
             return None  # root would join the result; classic path handles it
+        if tally is not None:
+            tally.append(1)  # the context: the document node
         if self.source == ATTR:
             vector = manager.attr_vector(*self.attr_key)
             elements = vector.elements
@@ -228,6 +237,8 @@ class BatchProgram:
                 ]
             else:
                 rows = vector.all_rows()
+            if tally is not None and not isinstance(rows, range):
+                tally.append(len(vector))
         else:
             vector = manager.candidate_vector(test.name, test.hierarchy)
             if vector is None:
@@ -237,18 +248,20 @@ class BatchProgram:
             if not rows:
                 break
             if spec.kind == CONTAINS:
-                rows = rows_span_contains(
-                    vector.starts, vector.ends,
-                    manager.occurrence_array(spec.needle),
-                    len(spec.needle), rows,
+                rows = span_contains_rows(
+                    vector, manager.occurrence_array(spec.needle),
+                    len(spec.needle), rows, tally,
                 )
-            elif spec.kind == STARTS_WITH:
-                rows = rows_span_starts_with(
-                    vector.starts, vector.ends,
-                    manager.occurrence_array(spec.needle),
-                    len(spec.needle), rows,
+                continue
+            if spec.kind == STARTS_WITH:
+                rows = span_starts_with_rows(
+                    vector, manager.occurrence_array(spec.needle),
+                    len(spec.needle), rows, tally,
                 )
-            elif spec.kind == OVERLAP_KIND:
+                continue
+            if tally is not None:
+                tally.append(len(rows))
+            if spec.kind == OVERLAP_KIND:
                 rows = rows_overlapping(
                     vector.starts, vector.ends, vector.hierarchies,
                     manager.overlap_bounds(spec.test.name,
@@ -520,18 +533,18 @@ class Planner:
         self.batch = batch
         # The population census is taken lazily on the first plan() call:
         # a planner used only to *serve* a prebuilt plan never pays it.
+        # With a manager it is the manager's census of its built version
+        # (shared by every planner of that version, never mutated here).
         self._census_taken = False
         self._total = 0.0
-        self._label_paths: list = []
+        self._label_paths: tuple = ()
         self._tokens = 1.0
 
     def _take_census(self) -> None:
         if self._census_taken:
             return
         if self.manager is not None:
-            structural = self.manager.structural
-            self._total = float(structural.element_count())
-            self._label_paths = list(structural.label_paths())
+            self._total, self._label_paths = self.manager.census()
             self._tokens = float(max(1, self.manager.terms.posting_count))
         else:
             self._total = float(self.document.element_count())

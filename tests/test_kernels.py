@@ -7,22 +7,28 @@ partner enumeration with a brute force over :mod:`repro.core.relations`.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import relations
 from repro.core.goddag import GoddagDocument
 from repro.errors import MarkupConflictError
+from repro.index import kernels
 from repro.index.kernels import (
     CandidateVector,
     OverlapBounds,
+    probe_span_contains,
+    probe_span_starts_with,
     rows_in_ordinal_set,
     rows_overlapping,
     rows_span_contains,
     rows_span_starts_with,
+    span_contains_rows,
+    span_starts_with_rows,
 )
 from repro.index.manager import IndexManager
-from repro.index.term import TermIndex
+from repro.index.term import TermIndex, find_all
 from repro.workloads import WorkloadSpec, generate
 
 
@@ -71,6 +77,196 @@ def test_span_filter_kernels_match_naive():
 def test_span_filter_kernels_empty_occurrences():
     assert rows_span_contains([0, 5], [4, 9], [], 3, range(2)) == []
     assert rows_span_starts_with([0, 5], [4, 9], [], 3, range(2)) == []
+
+
+# -- the probe and the walk on the same inputs ---------------------------------
+
+def span_vector(spans, hierarchies=None):
+    """A candidate vector over stand-in elements with the given spans
+    (in the given order), one hierarchy unless ``hierarchies`` says."""
+    hierarchies = hierarchies or ["h"] * len(spans)
+    return CandidateVector([
+        SimpleNamespace(start=start, end=end, ordinal=ordinal,
+                        hierarchy=hierarchy)
+        for ordinal, ((start, end), hierarchy)
+        in enumerate(zip(spans, hierarchies))
+    ])
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Records which term kernel each filter ran: 'probe' or 'walk'."""
+    calls: list[str] = []
+    for name, label in (("probe_span_contains", "probe"),
+                        ("probe_span_starts_with", "probe"),
+                        ("rows_span_contains", "walk"),
+                        ("rows_span_starts_with", "walk")):
+        kernel = getattr(kernels, name)
+
+        def spy(*args, kernel=kernel, label=label):
+            calls.append(label)
+            return kernel(*args)
+
+        monkeypatch.setattr(kernels, name, spy)
+    return calls
+
+
+def random_tiling(rng, length):
+    """Non-nested spans in document order: consecutive segments of
+    ``[0, length)`` with gaps, zero-width rows and equal spans, so both
+    columns are non-decreasing."""
+    cuts = sorted(rng.randrange(length + 1) for _ in range(rng.randrange(1, 40)))
+    spans = []
+    for start, end in zip(cuts, cuts[1:]):
+        if rng.random() < 0.2:
+            continue  # a gap
+        spans.append((start, end))
+        if rng.random() < 0.1:
+            spans.append((start, end))  # an equal span
+    return spans
+
+
+def test_probe_and_walk_agree_on_non_nested_vectors():
+    rng = random.Random(41)
+    for _ in range(300):
+        length = rng.randrange(1, 60)
+        text = "".join(rng.choice("aab") for _ in range(length))
+        spans = random_tiling(rng, length)
+        starts = [s for s, _ in spans]
+        ends = [e for _, e in spans]
+        full = range(len(spans))
+        for needle in ("a", "aa", "ab", "aab", "b", "bb"):
+            occurrences = find_all(text, needle)
+            size = len(needle)
+            contains = naive_contains(starts, ends, occurrences, size, full)
+            starting = naive_starts_with(starts, ends, occurrences, size, full)
+            assert probe_span_contains(starts, ends, occurrences, size) \
+                == rows_span_contains(starts, ends, occurrences, size,
+                                      full) == contains, (text, spans, needle)
+            assert probe_span_starts_with(starts, ends, occurrences, size) \
+                == rows_span_starts_with(starts, ends, occurrences, size,
+                                         full) == starting
+
+
+def test_starts_with_probe_agrees_on_nested_vectors():
+    """``starts-with`` probes need only sorted starts: nested vectors in
+    document order (equal starts, longer first) agree with the walk."""
+    rng = random.Random(43)
+    for _ in range(300):
+        length = rng.randrange(1, 60)
+        text = "".join(rng.choice("aab") for _ in range(length))
+        spans = sorted(
+            ((min(a, b), max(a, b)) for a, b in (
+                (rng.randrange(length + 1), rng.randrange(length + 1))
+                for _ in range(rng.randrange(0, 30)))),
+            key=lambda span: (span[0], -span[1]),
+        )
+        starts = [s for s, _ in spans]
+        ends = [e for _, e in spans]
+        full = range(len(spans))
+        for needle in ("a", "aa", "ab", "b"):
+            occurrences = find_all(text, needle)
+            assert probe_span_starts_with(
+                starts, ends, occurrences, len(needle)
+            ) == rows_span_starts_with(
+                starts, ends, occurrences, len(needle), full
+            ) == naive_starts_with(
+                starts, ends, occurrences, len(needle), full
+            )
+
+
+def test_probe_edge_cases():
+    # Overlapping occurrences: 'aa' occurs at 0, 1 and 2 of 'aaaa'.
+    occurrences = find_all("aaaa", "aa")
+    assert occurrences == [0, 1, 2]
+    starts, ends = [0, 1, 2, 3], [2, 3, 4, 4]
+    assert probe_span_contains(starts, ends, occurrences, 2) == [0, 1, 2]
+    assert probe_span_starts_with(starts, ends, occurrences, 2) == [0, 1, 2]
+    # Zero-width rows never contain or start with a needle.
+    starts, ends = [0, 1, 1, 3], [1, 1, 3, 3]
+    assert probe_span_contains(starts, ends, [1], 1) == [2]
+    assert probe_span_starts_with(starts, ends, [1], 1) == [2]
+    # A needle that ends at the end of the text, in the last row.
+    text = "xx ab"
+    occurrences = find_all(text, "ab")
+    starts, ends = [0, 3], [2, len(text)]
+    for kernel in (probe_span_contains, probe_span_starts_with):
+        assert kernel(starts, ends, occurrences, 2) == [1]
+    # Occurrences before, between and after every row.
+    starts, ends = [4, 10], [6, 12]
+    assert probe_span_contains(starts, ends, [0, 7, 20], 1) == []
+    assert probe_span_contains(starts, ends, [0, 5, 11, 20], 1) == [0, 1]
+    # An empty occurrence list.
+    assert probe_span_contains(starts, ends, [], 1) == []
+    assert probe_span_starts_with(starts, ends, [], 1) == []
+
+
+def test_term_filters_probe_sparse_needles_over_whole_vectors(kernel_calls):
+    text = "ab" * 20 + "c" + "ab" * 20
+    vector = span_vector([(i, i + 2) for i in range(0, len(text) - 1, 2)])
+    occurrences = find_all(text, "c")
+    assert vector._ends_sorted is None  # nothing checked yet
+    tally: list[int] = []
+    got = span_contains_rows(vector, occurrences, 1, vector.all_rows(), tally)
+    assert kernel_calls == ["probe"] and vector._ends_sorted is True
+    assert got == naive_contains(vector.starts, vector.ends, occurrences, 1,
+                                 vector.all_rows())
+    assert tally == [len(occurrences) + len(got)]
+    del kernel_calls[:]
+    got = span_starts_with_rows(vector, occurrences, 1, vector.all_rows())
+    assert kernel_calls == ["probe"] and got == [20]
+
+
+@pytest.mark.parametrize("case", ["subset", "dense", "nested", "hierarchies"])
+def test_term_filters_walk_where_the_probe_does_not_apply(kernel_calls,
+                                                          case):
+    """Row subsets and dense needles walk; so does ``contains`` over a
+    vector whose ends are not sorted — nested members, or members of
+    two hierarchies — and each answer still matches the naive probe."""
+    text = "ab" * 20 + "c" + "ab" * 20
+    spans = [(i, i + 2) for i in range(0, len(text) - 1, 2)]
+    hierarchies = None
+    needle = "c"
+    rows = range(len(spans))
+    if case == "subset":
+        rows = list(range(0, len(spans), 2))
+    elif case == "dense":
+        needle = "a"
+    elif case == "nested":
+        spans = sorted(spans + [(0, len(text))],
+                       key=lambda span: (span[0], -span[1]))
+        rows = range(len(spans))
+    else:  # a tag in two hierarchies: one long member, then words
+        spans = [(0, 30)] + spans[1:]
+        hierarchies = ["a"] + ["b"] * (len(spans) - 1)
+    vector = span_vector(spans, hierarchies)
+    occurrences = find_all(text, needle)
+    tally: list[int] = []
+    got = span_contains_rows(vector, occurrences, len(needle), rows, tally)
+    assert kernel_calls == ["walk"]
+    assert got == naive_contains(vector.starts, vector.ends, occurrences,
+                                 len(needle), rows)
+    assert 0 < tally[0] <= len(rows)
+    if case in ("subset", "dense"):
+        assert vector._ends_sorted is None  # no probe, no check
+    else:
+        assert vector._ends_sorted is False
+    del kernel_calls[:]
+    got = span_starts_with_rows(vector, occurrences, len(needle), rows)
+    assert got == naive_starts_with(vector.starts, vector.ends, occurrences,
+                                    len(needle), rows)
+    # starts-with probes whole vectors whatever their ends.
+    expected = "walk" if case in ("subset", "dense") else "probe"
+    assert kernel_calls == [expected]
+
+
+def test_term_filters_on_an_empty_occurrence_list(kernel_calls):
+    vector = span_vector([(0, 2), (2, 4)])
+    for rows in (vector.all_rows(), [1]):
+        tally: list[int] = []
+        assert span_contains_rows(vector, [], 1, rows, tally) == []
+        assert span_starts_with_rows(vector, [], 1, rows, tally) == []
+        assert tally == [0, 0]
 
 
 def test_ordinal_set_kernel():

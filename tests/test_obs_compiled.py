@@ -56,8 +56,8 @@ def program_runs(monkeypatch):
     runs: list[bool] = []
     run = BatchProgram.run
 
-    def counted(self, manager, document, splan):
-        result = run(self, manager, document, splan)
+    def counted(self, *args):
+        result = run(self, *args)
         runs.append(result is not None)
         return result
 
@@ -122,13 +122,44 @@ def test_analyze_runs_the_program_and_accounts_it(document, program_runs,
 
 
 def test_metrics_count_the_program_as_one_step(document):
+    """One step; its rows examined are the document node plus what the
+    kernel read — here the probe: the needle's occurrences and the rows
+    it emitted."""
     query = ExtendedXPath("//w[contains(., 'gar')]")
     answer = query.evaluate(document)
     evaluate_metrics(query, document)
     counters = obs.report()["metrics"]["counters"]
+    occurrences = document.index_manager.occurrence_array("gar")
     assert counters["xpath.steps"] == 1
-    assert counters["xpath.rows_examined"] == 1
+    assert counters["xpath.rows_examined"] == \
+        1 + len(occurrences) + len(answer)
     assert counters["xpath.rows_produced"] == len(answer)
+
+
+@pytest.mark.parametrize("expression", [
+    "//w[contains(., 'a')]",               # dense needle: the walk
+    "//quote[overlapping::line]",          # every candidate row read
+    "//line[@n='5'][overlapping::dmg]",    # attr posting, then its rows
+])
+def test_metrics_count_the_rows_the_kernels_read(document, expression):
+    manager = document.index_manager
+    plan = ExtendedXPath(expression).explain(document)
+    (step,) = plan.steps
+    if step.choice == "attr":
+        vector = manager.attr_vector(*step.attr_key)
+        read = len(vector) + sum(
+            element.tag == "line" for element in vector.elements
+        )
+    elif "contains" in expression:
+        vector = manager.candidate_vector("w")
+        last = manager.occurrence_array("a")[-1]
+        read = min(len(vector),
+                   sum(start <= last for start in vector.starts) + 1)
+    else:
+        read = len(manager.candidate_vector("quote"))
+    evaluate_metrics(ExtendedXPath(expression), document)
+    counters = obs.report()["metrics"]["counters"]
+    assert counters["xpath.rows_examined"] == 1 + read
 
 
 def test_a_compiled_query_keeps_the_span_shape(document):

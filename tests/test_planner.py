@@ -444,3 +444,82 @@ class TestStoredAttributeCounts:
             assert store.count_attribute("ms", "n", "2") == unindexed
             assert store.count_attribute("ms", "n", "nope") == 0
             assert store.count_attribute("ms", "nope", "2") == 0
+
+
+class TestCensusMemo:
+    """The planner census is the manager's, taken once per built
+    version: planners share it, and a catch-up after an edit prices
+    plans exactly as a freshly built manager would."""
+
+    QUERIES = (
+        "//w[contains(., 'gar')]",
+        "//page[@n='2']/line[@n='3']",
+        "//s/descendant::w",
+        "//line[@n='2'][contains(., 'en')][starts-with(., 'a')]",
+        "//page/descendant::pb",
+    )
+
+    def test_two_planners_take_one_census(self, monkeypatch):
+        from repro.index.structural import StructuralSummary
+
+        document = generate(WorkloadSpec(words=300, hierarchies=3, seed=8))
+        manager = IndexManager.for_document(document)
+        calls = {"element_count": 0, "label_paths": 0, "values": 0}
+        for name in ("element_count", "label_paths"):
+            method = getattr(StructuralSummary, name)
+
+            def counted(self, *args, method=method, name=name):
+                calls[name] += 1
+                return method(self, *args)
+
+            monkeypatch.setattr(StructuralSummary, name, counted)
+
+        class CountingPostings(dict):
+            def values(self):
+                calls["values"] += 1
+                return super().values()
+
+        terms = manager.terms
+        terms._postings = CountingPostings(terms._postings)
+        for _ in range(2):
+            planner = Planner(document, manager)
+            for expression in self.QUERIES:
+                planner.plan(parse_xpath(expression), expression)
+        # The structure is counted once for both planners, and the
+        # postings (fixed with the text) are never summed again.
+        assert calls == {"element_count": 1, "label_paths": 1, "values": 0}
+        assert manager.stats()["counts"]["index.postings"] == sum(
+            len(starts) for _, starts in terms.items())
+        assert calls["values"] == 0
+
+    def test_a_caught_up_memo_prices_like_a_fresh_manager(self):
+        document = generate(WorkloadSpec(words=300, hierarchies=3, seed=9))
+        manager = IndexManager.for_document(document)
+        before = manager.census()
+        for expression in self.QUERIES:
+            Planner(document, manager).plan(parse_xpath(expression))
+        Editor(document).insert_markup(
+            document.hierarchy_names()[0], "seg", 10, 40)
+        caught_up = manager.census()
+        assert manager.build_count == 1 and manager.delta_count == 1
+        assert caught_up[0] == before[0] + 1  # one more element
+        assert caught_up[1] != before[1]  # a new label path
+        fresh = IndexManager(document)
+        assert fresh.census() == caught_up
+        for expression in self.QUERIES:
+            ast = parse_xpath(expression)
+            memo_plan = Planner(document, manager).plan(ast, expression)
+            fresh_plan = Planner(document, fresh).plan(ast, expression)
+            assert memo_plan.render() == fresh_plan.render(), expression
+            assert memo_plan.to_dict() == fresh_plan.to_dict(), expression
+
+    def test_the_census_is_immutable_and_shared_per_version(self):
+        document = generate(WorkloadSpec(words=120, hierarchies=2, seed=4))
+        manager = IndexManager.for_document(document)
+        total, label_paths = manager.census()
+        assert isinstance(label_paths, tuple)
+        assert manager.census()[1] is label_paths
+        planner = Planner(document, manager)
+        planner.plan(parse_xpath("//w"))
+        assert planner._label_paths is label_paths
+        assert total == float(manager.structural.element_count())

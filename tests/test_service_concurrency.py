@@ -44,6 +44,7 @@ from repro.errors import (
 )
 from repro.obs.metrics import metrics
 from repro.workloads import WorkloadSpec, generate
+from repro.xpath import ExtendedXPath
 
 from test_index_incremental import EDIT_TAGS, QUERIES, snapshot
 
@@ -475,3 +476,102 @@ def test_writers_copy_the_snapshot_readers_query(tmp_path, seed):
         assert answer == witness[generation][expression], (
             f"generation {generation!r}, query {expression!r}: an answer "
             "read during a writer's copy diverged from the witness")
+
+
+#: Term queries for the shared-snapshot harness: sparse needles over the
+#: whole ``w`` vector probe the occurrences, a dense needle walks, and
+#: vectors whose members nest (``physical:*``) keep the walk for
+#: ``contains``; the multi-step shapes plan cold, reading the census.
+TERM_QUERIES = tuple(ExtendedXPath(expression) for expression in (
+    "//w[contains(., 'gar')]",
+    "//w[starts-with(., 'gar')]",
+    "//w[contains(., 'en')]",
+    "//w[starts-with(., 'hwa')]",
+    "//w[contains(., 'a')]",
+    "//line[contains(., 'gar')]",
+    "//physical:*[contains(., 'gar')]",
+    "//physical:*[starts-with(., 'gar')]",
+    "//line[@n='2'][contains(., 'en')]",
+    "//page/line[contains(., 'gar')]",
+))
+
+#: Generations the term harness publishes after the first.
+TERM_ROUNDS = 3
+
+
+@pytest.mark.parametrize("seed", [7000 + n for n in range(SEEDS)])
+def test_readers_race_the_term_kernels_on_one_snapshot(tmp_path, seed):
+    """Each round, ``READERS`` threads open read sessions on one shared
+    snapshot and start their term queries together, so they race to fill
+    every lazy cache a term filter reads on first use: the candidate
+    vectors, the occurrence arrays, each vector's ends-sorted flag and
+    the manager's planner census.  A write session then publishes an
+    edit, so the next round races on a new generation's empty caches.
+    Every answer must equal the unindexed witness of its generation."""
+    from repro.index.kernels import CandidateVector
+
+    rng = random.Random(seed)
+    spec = WorkloadSpec(words=900, hierarchies=2, overlap_density=0.3,
+                        seed=seed)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with DocumentService(tmp_path / "svc.db", pool_size=4,
+                             lock_timeout_s=30.0) as svc:
+            svc.create(generate(spec), "doc")
+            for round_ in range(TERM_ROUNDS + 1):
+                if round_:
+                    with svc.write_session("doc") as session:
+                        _random_edit(session.editor, rng,
+                                     session.document.length)
+                with svc.read_session("doc") as session:
+                    document = session.document
+                    witness = {
+                        query.expression: snapshot(
+                            query.evaluate(document, index=False))
+                        for query in TERM_QUERIES
+                    }
+                results: list[tuple] = []
+                errors: list[BaseException] = []
+                sources: list = []
+                lock = threading.Lock()
+                together = threading.Barrier(READERS)
+
+                def reading(reader_seed: int):
+                    order = list(TERM_QUERIES)
+                    random.Random(reader_seed).shuffle(order)
+                    try:
+                        with svc.read_session("doc") as held:
+                            together.wait(timeout=30)
+                            mine = [(held.generation, query.expression,
+                                     snapshot(held.query(query.expression)))
+                                    for query in order]
+                            with lock:
+                                sources.append(held.document)
+                                results.extend(mine)
+                    except BaseException as exc:  # noqa: BLE001
+                        errors.append(exc)
+                        together.abort()
+
+                threads = [threading.Thread(target=reading,
+                                            args=(seed * 100 + n,))
+                           for n in range(READERS)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not errors, errors
+                assert all(held is document for held in sources)
+                assert len(results) == READERS * len(TERM_QUERIES)
+                for _generation, expression, answer in results:
+                    assert answer == witness[expression], (
+                        f"round {round_}, query {expression!r}: a racing "
+                        "reader diverged from the witness")
+                # The races really reached the probe: the shared w
+                # vector's ends-sorted flag was filled (and is True).
+                vector = document.index_manager._vectors[("name", "w", None)]
+                assert isinstance(vector, CandidateVector)
+                assert vector._ends_sorted is True
+    finally:
+        sys.setswitchinterval(interval)
