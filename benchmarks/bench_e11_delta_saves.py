@@ -18,6 +18,13 @@ inserted + updated + deleted — the honest write-amplification metric):
   recipe: a full ``save(overwrite=True)`` plus ``build_index`` (what
   keeping a fresh document + index used to cost per save).
 
+A second arm publishes structural edits: one element inserted among N
+top-level siblings (wrapping two of them), then removed again.  Sibling
+order is not stored — it follows from ``(start, end, elem_id)`` — so
+each publish writes the edited element's row and the two rows whose
+parent changed, plus the document, stamp and summary rows: a constant,
+flat in N.
+
 The acceptance bar is a ≥ 10x row reduction at the 8k-word corpus (in
 practice it is three orders of magnitude — the delta save writes a
 constant handful of rows).  Run standalone for the report table::
@@ -31,6 +38,7 @@ or through pytest (the CI smoke step runs the small size only)::
 
 from __future__ import annotations
 
+from repro.core import GoddagBuilder
 from repro.editing import Editor
 from repro.index import IndexManager
 from repro.storage import GoddagStore
@@ -44,6 +52,9 @@ HIERARCHIES = 4
 #: attribute-only save must write at least 10x fewer rows than the full
 #: rewrite it replaces.
 REDUCTION_BAR = 10.0
+
+#: Top-level sibling counts of the structural-edit arm.
+SIBLINGS = (120, 1200)
 
 
 def measure_size(words: int, tmp_dir) -> dict[str, float]:
@@ -85,6 +96,62 @@ def measure_size(words: int, tmp_dir) -> dict[str, float]:
         "rewrite_rows": rewrite_rows,
         "reduction": rewrite_rows / max(1, delta_rows),
     }
+
+
+def sibling_document(siblings: int):
+    """``siblings`` top-level words in hierarchy ``h`` (one ``s`` over
+    all of them in ``g``); returns the document and the word spans."""
+    spans, at = [], 0
+    for i in range(siblings):
+        spans.append((at, at + len(f"w{i}")))
+        at = spans[-1][1] + 1
+    builder = GoddagBuilder(" ".join(f"w{i}" for i in range(siblings)))
+    builder.add_hierarchy("h")
+    builder.add_hierarchy("g")
+    for start, end in spans:
+        builder.add_annotation("h", "w", start, end)
+    builder.add_annotation("g", "s", 0, spans[-1][1])
+    return builder.build(), spans
+
+
+def measure_structural(siblings: int, tmp_dir) -> dict[str, int]:
+    """Rows written by an insert publish and a removal publish among
+    ``siblings`` top-level elements."""
+    document, spans = sibling_document(siblings)
+    manager = IndexManager.for_document(document)
+    editor = Editor(document, prevalidate=False)
+    store = GoddagStore(tmp_dir / f"e11-siblings-{siblings}.sqlite")
+    conn = store._conn
+    middle = siblings // 2
+    try:
+        store.save_indexed(document, "ms", manager)
+        before = conn.total_changes
+        seg = editor.insert_markup("h", "seg", spans[middle][0],
+                                   spans[middle + 1][1])
+        adopted = len(seg.element_children)
+        store.save_indexed(document, "ms", manager)
+        insert_rows = conn.total_changes - before
+        before = conn.total_changes
+        editor.remove_markup(seg)
+        store.save_indexed(document, "ms", manager)
+        remove_rows = conn.total_changes - before
+    finally:
+        store.close()
+        document.detach_index()
+    return {"siblings": siblings, "adopted": adopted,
+            "insert_rows": insert_rows, "remove_rows": remove_rows}
+
+
+def report_structural(rows: list[dict[str, int]]) -> str:
+    lines = [
+        "E11 — rows written per structural publish among N top-level "
+        "siblings",
+        f"{'siblings':>9} {'insert':>7} {'remove':>7}",
+    ]
+    for row in rows:
+        lines.append(f"{row['siblings']:>9} {row['insert_rows']:>7} "
+                     f"{row['remove_rows']:>7}")
+    return "\n".join(lines)
 
 
 def run(tmp_dir) -> list[dict[str, float]]:
@@ -129,6 +196,17 @@ def test_e11_delta_saves_meet_the_reduction_bar(tmp_path):
     assert largest["rewrite_rows"] > largest["elements"]  # the old cost
 
 
+def test_e11_structural_publishes_are_flat_in_siblings(tmp_path):
+    """An insert and a removal among N top-level siblings each write a
+    constant handful of rows at every N."""
+    rows = [measure_structural(n, tmp_path) for n in SIBLINGS]
+    print("\n" + report_structural(rows))
+    assert all(row["adopted"] == 2 for row in rows), rows
+    writes = [row[key] for row in rows
+              for key in ("insert_rows", "remove_rows")]
+    assert max(writes) <= 10, rows  # flat: O(1) per publish
+
+
 if __name__ == "__main__":
     import sys
     import tempfile
@@ -136,4 +214,6 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         rows = run(Path(tmp))
-    sys.stdout.write(report(rows) + "\n")
+        structural = [measure_structural(n, Path(tmp)) for n in SIBLINGS]
+    sys.stdout.write(report(rows) + "\n\n"
+                     + report_structural(structural) + "\n")

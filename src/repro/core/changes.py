@@ -21,9 +21,10 @@ mutation that undoes ``record``, which is exactly what the editing
 layer's undo/redo emits when it reverts or replays a command.  Structural
 records additionally carry the *re-pathing context* an incremental
 structural summary needs: the label path of the parent the element was
-attached under (plus the parent element itself, for row-level storage
-re-ranking), and the elements whose root-to-self label path changed
+attached under, and the elements whose root-to-self label path changed
 because the insertion adopted them (or the removal spliced them up).
+The direct children among those are named apart (``reparented``): their
+stored ``parent_id`` changed, so row-level storage rewrites their rows.
 
 The records hold live :class:`~repro.core.node.Element` references on
 purpose — the journal is an in-memory, same-process protocol; persisted
@@ -64,9 +65,8 @@ class InsertMarkup:
     #: Elements whose label path gained ``tag`` at ``len(parent_path)``
     #: because the insertion adopted their subtree.
     repathed: tuple["Element", ...] = field(default=(), repr=False)
-    #: The parent element it was attached under (``None`` = shared root)
-    #: — the sibling list whose child ranks the insertion shifted.
-    parent: "Element | None" = field(default=None, repr=False)
+    #: The adopted children: their parent is now the inserted element.
+    reparented: tuple["Element", ...] = field(default=(), repr=False)
 
     @property
     def is_milestone(self) -> bool:
@@ -83,7 +83,7 @@ class InsertMarkup:
             start=self.start, end=self.end,
             attributes=self.attributes, ordinal=self.ordinal,
             element=self.element, parent_path=self.parent_path,
-            repathed=self.repathed, parent=self.parent,
+            repathed=self.repathed, reparented=self.reparented,
         )
 
 
@@ -104,9 +104,9 @@ class RemoveMarkup:
     #: Elements whose label path lost ``tag`` at ``len(parent_path)``
     #: because the removal spliced their subtree up.
     repathed: tuple["Element", ...] = field(default=(), repr=False)
-    #: The parent it was removed from (``None`` = shared root) — the
-    #: sibling list the removal re-ranked (spliced children included).
-    parent: "Element | None" = field(default=None, repr=False)
+    #: The spliced-up children: their parent is now the removed
+    #: element's parent.
+    reparented: tuple["Element", ...] = field(default=(), repr=False)
 
     @property
     def is_milestone(self) -> bool:
@@ -121,7 +121,7 @@ class RemoveMarkup:
             start=self.start, end=self.end,
             attributes=self.attributes, ordinal=self.ordinal,
             element=self.element, parent_path=self.parent_path,
-            repathed=self.repathed, parent=self.parent,
+            repathed=self.repathed, reparented=self.reparented,
         )
 
 
@@ -155,18 +155,12 @@ class UpdateElementRow:
 
     ``element`` is the live element whose row must be (re)written —
     the storage layer encodes its *current* state at save time — or
-    ``None`` for a row deletion.  ``parent_id``/``child_rank`` are
-    placement hints pre-computed by the coalescer's container
-    enumeration (which knows both for free); left ``None``, the storage
-    layer derives them from the element's sibling list.  Produced only
-    by :class:`ElementRowCoalescer`; never enters the delta journal
-    itself.
+    ``None`` for a row deletion.  Produced only by
+    :class:`ElementRowCoalescer`; never enters the delta journal itself.
     """
 
     ordinal: int
     element: "Element | None" = field(default=None, repr=False)
-    parent_id: int | None = None
-    child_rank: int | None = None
 
     @property
     def is_delete(self) -> bool:
@@ -183,10 +177,9 @@ class ElementRowCoalescer:
 
     * N edits to one element collapse to one row write;
     * an element born and removed inside the window produces nothing;
-    * every row whose ``parent_id`` or ``child_rank`` an insertion or
-      removal shifted is re-written (the record's ``parent`` names the
-      sibling list that re-ranked; the inserted element names the list
-      of children it adopted);
+    * every row whose ``parent_id`` an insertion or removal changed
+      (the record's ``reparented`` children) is re-written — sibling
+      order is not stored, so no other sibling's row changes;
     * row *contents* are read from the live elements at
       :meth:`updates` time, so intermediate states are never persisted.
 
@@ -196,22 +189,15 @@ class ElementRowCoalescer:
     — the same contract as an untracked mutation.
     """
 
-    __slots__ = ("_touched", "_containers", "_deleted", "_born", "broken",
-                 "records_seen")
+    __slots__ = ("_touched", "_deleted", "_born", "broken", "records_seen")
 
     def __init__(self) -> None:
         #: Journal records folded so far — the numerator of the fold
         #: ratio (records seen / row writes produced) reported by
         #: :meth:`updates` to the ``journal.coalesce.*`` metrics.
         self.records_seen = 0
-        # ordinal -> live element whose own row content changed
+        # ordinal -> live element whose row (content or parent) changed
         self._touched: dict[int, "Element"] = {}
-        # container key -> parent element whose child list changed:
-        # every current child re-ranks at save time.  Non-root parents
-        # key by ordinal; the shared root keys *per hierarchy* (value
-        # ``None``) so a top-level edit in one hierarchy never rewrites
-        # the top-level rows of the others.
-        self._containers: dict[object, "Element | None"] = {}
         # ordinals whose rows must be deleted
         self._deleted: set[int] = set()
         # ordinals born inside this window (their delete is a no-op)
@@ -219,17 +205,10 @@ class ElementRowCoalescer:
         self.broken = False
 
     def __len__(self) -> int:
-        return len(self._touched) + len(self._containers) + len(self._deleted)
+        return len(self._touched) + len(self._deleted)
 
     def __bool__(self) -> bool:
         return len(self) > 0
-
-    def _dirty_container(self, parent: "Element | None",
-                         hierarchy: str) -> None:
-        if parent is None:
-            self._containers[("root", hierarchy)] = None
-        else:
-            self._containers[parent.ordinal] = parent
 
     def record(self, change: ChangeRecord) -> None:
         """Fold one journal record into the pending write set."""
@@ -253,30 +232,26 @@ class ElementRowCoalescer:
                 return
             self._touched[element.ordinal] = element
             self._born.add(element.ordinal)
-            self._dirty_container(change.parent, change.hierarchy)
-            # Adopted children re-parent (and re-rank) under the new
-            # element; its child list is the second dirtied container.
-            self._containers[element.ordinal] = element
-            return
-        if isinstance(change, RemoveMarkup):
+        elif isinstance(change, RemoveMarkup):
             element = change.element
             self._touched.pop(element.ordinal, None)
-            self._containers.pop(element.ordinal, None)
             if element.ordinal in self._born:
                 self._born.discard(element.ordinal)
             else:
                 self._deleted.add(element.ordinal)
-            self._dirty_container(change.parent, change.hierarchy)
+        else:
+            self.broken = True  # unknown record type: cannot coalesce
             return
-        self.broken = True  # unknown record type: cannot coalesce
+        for child in change.reparented:
+            self._touched[child.ordinal] = child
 
-    def updates(self, document) -> list[UpdateElementRow]:
-        """The coalesced write set against ``document``'s final state.
+    def updates(self) -> list[UpdateElementRow]:
+        """The coalesced write set against the document's final state.
 
         Returns row deletions first, then one upsert per distinct
-        surviving element (deduplicated across all dirty containers).
-        Raises :class:`ValueError` when :attr:`broken` — callers must
-        check first and fall back to a full rewrite.
+        surviving element, both in ordinal order.  Raises
+        :class:`ValueError` when :attr:`broken` — callers must check
+        first and fall back to a full rewrite.
         """
         if self.broken:
             raise ValueError("broken coalescer cannot produce row updates")
@@ -284,30 +259,8 @@ class ElementRowCoalescer:
 
         ops = [UpdateElementRow(ordinal=ordinal)
                for ordinal in sorted(self._deleted)]
-        upserts: dict[int, UpdateElementRow] = {
-            ordinal: UpdateElementRow(ordinal=ordinal, element=element)
-            for ordinal, element in self._touched.items()
-        }
-        # Container enumeration overwrites plain upserts with hinted
-        # ones: each child's (parent_id, child_rank) falls out of one
-        # O(children) pass, so a re-ranked sibling list never pays a
-        # per-child index() scan downstream.
-        for key, container in self._containers.items():
-            if container is None:
-                hierarchy = key[1]  # ("root", hierarchy) key
-                children = document.top_level(hierarchy)
-                parent_id = 0
-            elif key not in self._deleted:
-                children = container.element_children
-                parent_id = container.ordinal
-            else:
-                continue
-            for rank, child in enumerate(children):
-                upserts[child.ordinal] = UpdateElementRow(
-                    ordinal=child.ordinal, element=child,
-                    parent_id=parent_id, child_rank=rank,
-                )
-        ops.extend(op for _, op in sorted(upserts.items()))
+        ops.extend(UpdateElementRow(ordinal=ordinal, element=element)
+                   for ordinal, element in sorted(self._touched.items()))
         if metrics.enabled:
             metrics.incr("journal.coalesce.records", self.records_seen)
             metrics.incr("journal.coalesce.row_writes", len(ops))

@@ -52,13 +52,13 @@ from .spans import Span, SpanTable
 JOURNAL_LIMIT = 512
 
 
-def _sibling_order(start: int, end: int, tiebreak: int) -> tuple[int, bool, int, int]:
-    """Sibling order ``(start, zero-width-first, -end, tiebreak)``.
-
-    Elements break ties by birth ordinal (the module docstring's order),
-    builder records by input sequence, stored rows by child rank.
+def _sibling_order(start: int, end: int, ordinal: int) -> tuple[int, bool, int, int]:
+    """Sibling order ``(start, zero-width-first, -end, ordinal)``: the
+    one rule for elements, stored rows (``elem_id``) and lazily read
+    rows alike.  Builder records pass their input sequence, which their
+    birth ordinals follow.
     """
-    return (start, start != end, -end, tiebreak)
+    return (start, start != end, -end, ordinal)
 
 
 def _sibling_key(element: Element) -> tuple[int, bool, int, int]:
@@ -865,13 +865,13 @@ class GoddagDocument:
                 hierarchy=hierarchy, tag=tag, start=start, end=end,
                 attributes=tuple(sorted(element.attributes.items())),
                 ordinal=element.ordinal, element=element,
-                parent=None if parent.is_root else parent,
                 parent_path=self._label_path(parent),
                 repathed=tuple(
                     node
                     for child in adopted
                     for node in (child, *child.descendants())
                 ),
+                reparented=tuple(adopted),
             )
         self._dirty(hierarchy, change)
         return element
@@ -917,13 +917,13 @@ class GoddagDocument:
                 start=element.start, end=element.end,
                 attributes=tuple(sorted(element.attributes.items())),
                 ordinal=element.ordinal, element=element,
-                parent=None if parent.is_root else parent,
                 parent_path=self._label_path(parent),
                 repathed=tuple(
                     node
                     for child in element._children
                     for node in (child, *child.descendants())
                 ),
+                reparented=tuple(element._children),
             )
         replacement = element._children
         for child in replacement:
@@ -1082,8 +1082,8 @@ def _record_sibling_key(record: _OpenElement) -> tuple[int, bool, int, int]:
 
 
 def _stored_sibling_key(row: Sequence) -> tuple[int, bool, int, int]:
-    """Rows are ``ElementRow`` fields: start, end, child rank at 3, 4, 6."""
-    return _sibling_order(row[3], row[4], row[6])
+    """Rows are ``ElementRow`` fields: ordinal, start, end at 0, 3, 4."""
+    return _sibling_order(row[3], row[4], row[0])
 
 
 class GoddagBuilder:
@@ -1100,9 +1100,9 @@ class GoddagBuilder:
       :meth:`add_annotation` with ``(tag, start, end)``; nesting is derived
       from spans using the placement conventions of this module;
     * **stored rows** (used by :func:`repro.storage.schema.decode_document`):
-      :meth:`add_rows` with each element's parent and sibling rank; the
-      stored nesting is restored exactly, one element per row, in a
-      single walk at :meth:`build`.
+      :meth:`add_rows` with each element's parent; the stored nesting
+      is restored exactly, one element per row, in a single walk at
+      :meth:`build`.
 
     Stored rows keep the birth ordinals their elements were stored under.
     Event and annotation elements draw fresh ordinals *above* the largest
@@ -1225,11 +1225,11 @@ class GoddagBuilder:
         """Record stored elements, each to be placed as its row says.
 
         Each row is ``(ordinal, hierarchy, tag, start, end, parent_ordinal,
-        child_rank, attributes)`` — the field order of
+        attributes)`` — the field order of
         :class:`repro.storage.schema.ElementRow`, attributes decoded —
         with ``parent_ordinal`` 0 for a top-level element.  :meth:`build`
         makes one element per row under its stored parent; siblings take
-        the order ``(start, zero-width-first, -end, child_rank)``.
+        the order ``(start, zero-width-first, -end, ordinal)``.
 
         An unknown hierarchy, an ordinal below 1 or an element ending
         before it starts is rejected here, as by the other inputs.  Rows
@@ -1242,7 +1242,7 @@ class GoddagBuilder:
         ordinals = self._row_ordinals
         append = self._rows.append
         for row in rows:
-            ordinal, hierarchy, tag, start, end, _, _, _ = row
+            ordinal, hierarchy, tag, start, end, _, _ = row
             if hierarchy not in known:
                 raise HierarchyError(f"unknown hierarchy {hierarchy!r}")
             if ordinal < 1:
@@ -1303,7 +1303,7 @@ class GoddagBuilder:
         ]
         while stack:
             row, parent = stack.pop()
-            ordinal, _, tag, start, end, _, _, attributes = row
+            ordinal, _, tag, start, end, _, attributes = row
             element = Element(document, name, tag, start, end, attributes,
                               ordinal)
             element._parent = parent

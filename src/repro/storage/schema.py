@@ -3,9 +3,11 @@
 The paper lists persistent storage as work underway; this package
 builds it.  The encoding is the natural one: the shared text is stored
 once, hierarchies are rows, and every element is a row carrying its
-span, its parent element id, and its rank among its siblings — enough
-to reconstruct the GODDAG exactly (including zero-width placement and
-equal-span nesting, which spans alone cannot recover).
+span and its parent element id — enough to reconstruct the GODDAG
+exactly (including zero-width placement and equal-span nesting, which
+spans alone cannot recover).  Sibling order is not stored: it follows
+from ``(start, zero-width-first, -end, elem_id)``, the GODDAG's own
+order, so an edit rewrites only the rows whose parent it changed.
 
 ``elem_id`` is the element's birth ordinal — the *stable persistent
 identity* of the GODDAG core.  It round-trips: :func:`decode_document`
@@ -61,7 +63,6 @@ class ElementRow(NamedTuple):
     start: int
     end: int
     parent_id: int
-    child_rank: int
     attributes: str  # JSON object
 
 
@@ -85,11 +86,10 @@ def encode_document(
     # not bounded by the recursion limit.
     element_rows: list[ElementRow] = []
     for hierarchy_name in document.hierarchy_names():
-        top = document.top_level(hierarchy_name)
-        stack = [(top[rank], ROOT_ID, rank)
-                 for rank in reversed(range(len(top)))]
+        stack = [(element, ROOT_ID) for element in
+                 reversed(document.top_level(hierarchy_name))]
         while stack:
-            element, parent_id, child_rank = stack.pop()
+            element, parent_id = stack.pop()
             element_rows.append(
                 ElementRow(
                     elem_id=element.ordinal,
@@ -98,56 +98,35 @@ def encode_document(
                     start=element.start,
                     end=element.end,
                     parent_id=parent_id,
-                    child_rank=child_rank,
                     attributes=json.dumps(element.attributes, sort_keys=True),
                 )
             )
-            children = element.element_children
-            stack.extend((children[rank], element.ordinal, rank)
-                         for rank in reversed(range(len(children))))
+            stack.extend((child, element.ordinal)
+                         for child in reversed(element.element_children))
     return doc_row, hierarchy_rows, element_rows
 
 
-def element_row(
-    element: Element,
-    parent_id: int | None = None,
-    child_rank: int | None = None,
-) -> ElementRow:
+def element_row(element: Element) -> ElementRow:
     """The relational row of one live element, from its current state.
 
     The single-element counterpart of :func:`encode_document`, used by
     the journal-driven row upserts: ``elem_id`` is the element's birth
-    ordinal, ``parent_id`` the parent's (``ROOT_ID`` at top level), and
-    ``child_rank`` the element's position in its current sibling list —
-    for top-level elements, the rank within their hierarchy's top-level
-    sequence, matching the full encoder exactly.  Callers that already
-    know the placement (the coalescer's container enumeration) pass
-    both hints and skip the sibling-list scan.
+    ordinal and ``parent_id`` the parent's (``ROOT_ID`` at top level).
+    An element that is not attached to its document raises
+    :class:`~repro.errors.StorageError`.
     """
-    if parent_id is None or child_rank is None:
-        parent = element.parent
-        if parent.is_root:
-            parent_id = ROOT_ID
-            siblings: tuple[Element, ...] = element.document.top_level(
-                element.hierarchy
-            )
-        else:
-            parent_id = parent.ordinal
-            siblings = parent.element_children
-        try:
-            child_rank = siblings.index(element)
-        except ValueError:
-            raise StorageError(
-                f"element {element!r} is not attached to its document"
-            ) from None
+    if element.document.element_by_ordinal(element.ordinal) is not element:
+        raise StorageError(
+            f"element {element!r} is not attached to its document"
+        )
+    parent = element.parent
     return ElementRow(
         elem_id=element.ordinal,
         hierarchy=element.hierarchy,
         tag=element.tag,
         start=element.start,
         end=element.end,
-        parent_id=parent_id,
-        child_rank=child_rank,
+        parent_id=ROOT_ID if parent.is_root else parent.ordinal,
         attributes=json.dumps(element.attributes, sort_keys=True),
     )
 
@@ -183,7 +162,7 @@ def decode_document(
 
     The element rows go to :meth:`GoddagBuilder.add_rows` with their
     attributes decoded; the builder places every element under its
-    stored parent at its stored sibling rank in one walk, so nesting
+    stored parent in sibling order in one walk, so nesting
     (including equal spans and zero-width placement) is restored exactly
     as stored.  Every element is reconstructed under its stored
     ``elem_id`` as its birth ordinal — the persistent-identity half of
@@ -198,10 +177,10 @@ def decode_document(
         dtd = parse_dtd(row.dtd_source, name=row.name) if row.dtd_source else None
         builder.add_hierarchy(row.name, dtd=dtd)
     builder.add_rows([
-        (elem_id, hierarchy, tag, start, end, parent_id, child_rank,
+        (elem_id, hierarchy, tag, start, end, parent_id,
          decode_attributes(attributes, elem_id))
-        for elem_id, hierarchy, tag, start, end, parent_id, child_rank,
-        attributes in element_rows
+        for elem_id, hierarchy, tag, start, end, parent_id, attributes
+        in element_rows
     ])
     document = builder.build()
     document.root.attributes.update(

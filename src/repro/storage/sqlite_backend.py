@@ -84,6 +84,8 @@ CREATE TABLE IF NOT EXISTS elements (
     start INTEGER NOT NULL,
     end INTEGER NOT NULL,
     parent_id INTEGER NOT NULL,
+    -- Legacy: sibling order follows from (start, end, elem_id); every
+    -- write puts 0 here and nothing reads it.
     child_rank INTEGER NOT NULL,
     attributes TEXT NOT NULL,
     PRIMARY KEY (doc_id, elem_id)
@@ -114,6 +116,11 @@ CREATE INDEX IF NOT EXISTS idx_collection_summary_doc
 #: from the index tables those stores kept (see
 #: :meth:`SqliteStore._migrate`).
 SCHEMA_VERSION = 1
+
+#: The element-row INSERT of full saves and streaming chunks:
+#: ``(doc_id, *ElementRow)``, with 0 in the legacy ``child_rank`` column
+#: (the row-level upsert writes the same).
+_INSERT_ELEMENT = "INSERT INTO elements VALUES (?, ?, ?, ?, ?, ?, ?, 0, ?)"
 
 #: ``collection_summary.kind`` values — the four feature families the
 #: collection router consults (see :mod:`repro.collection.router`), and
@@ -461,10 +468,7 @@ class SqliteStore:
              for row in hierarchy_rows],
         )
         self._conn.executemany(
-            "INSERT INTO elements VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            [(doc_id, row.elem_id, row.hierarchy, row.tag, row.start,
-              row.end, row.parent_id, row.child_rank, row.attributes)
-             for row in element_rows],
+            _INSERT_ELEMENT, [(doc_id, *row) for row in element_rows]
         )
 
     def load(self, name: str) -> GoddagDocument:
@@ -478,8 +482,7 @@ class SqliteStore:
             )
         ]
         element_rows = list(map(ElementRow._make, self._conn.execute(
-            "SELECT elem_id, hierarchy, tag, start, end, parent_id,"
-            " child_rank, attributes FROM elements"
+            f"SELECT {self._ELEMENT_ROW_COLS} FROM elements"
             " WHERE doc_id = ? ORDER BY elem_id", (doc_id,),
         )))
         return decode_document(doc_row, hierarchy_rows, element_rows)
@@ -967,7 +970,7 @@ class SqliteStore:
         ]
 
     _ELEMENT_ROW_COLS = ("elem_id, hierarchy, tag, start, end,"
-                         " parent_id, child_rank, attributes")
+                         " parent_id, attributes")
 
     def element_row_full(self, name: str, elem_id: int) -> ElementRow | None:
         """The full schema row for one element — one keyed probe of the
@@ -1386,13 +1389,13 @@ class SqliteStore:
             tracer = current_tracer()
             if tracer is not None:
                 with tracer.span("coalesce") as coalesce_span:
-                    updates = deltas.rows.updates(document)
+                    updates = deltas.rows.updates()
                 coalesce_span.set(
                     records=deltas.rows.records_seen,
                     row_writes=len(updates),
                 )
             else:
-                updates = deltas.rows.updates(document)
+                updates = deltas.rows.updates()
             deleted = sum(1 for op in updates if op.is_delete)
             metrics.incr("storage.row_level_saves")
             metrics.incr("storage.rows_deleted", deleted)
@@ -1429,7 +1432,7 @@ class SqliteStore:
         ``updates`` is the coalesced write set of
         :meth:`~repro.core.changes.ElementRowCoalescer.updates`: one
         ``DELETE`` per removed element, one keyed upsert per element
-        whose row content, parent, or sibling rank changed.  Rows are
+        whose row content or parent changed.  Rows are
         keyed by ``(doc_id, elem_id)`` — the persistent birth ordinal —
         so the result is byte-identical to a full rewrite.
         """
@@ -1438,16 +1441,10 @@ class SqliteStore:
             [(doc_id, op.ordinal) for op in updates if op.is_delete],
         )
         self._conn.executemany(
-            "INSERT OR REPLACE INTO elements VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            [
-                (doc_id, row.elem_id, row.hierarchy, row.tag, row.start,
-                 row.end, row.parent_id, row.child_rank, row.attributes)
-                for row in (
-                    element_row(op.element, op.parent_id, op.child_rank)
-                    for op in updates
-                    if not op.is_delete
-                )
-            ],
+            "INSERT OR REPLACE INTO elements"
+            " VALUES (?, ?, ?, ?, ?, ?, ?, 0, ?)",
+            [(doc_id, *element_row(op.element))
+             for op in updates if not op.is_delete],
         )
 
     def _delete_index_rows(self, doc_id: int) -> None:
@@ -1777,7 +1774,7 @@ class StreamIngestSession:
 
     def add_elements(self, rows) -> None:
         """Insert element rows ``(elem_id, hierarchy, tag, start, end,
-        parent_id, child_rank, attributes_json)`` — any order."""
+        parent_id, attributes_json)`` — any order."""
         self._store._write_retry(partial(self._insert_elements, rows),
                                  "stream elements")
         metrics.incr("storage.stream_chunks")
@@ -1785,8 +1782,7 @@ class StreamIngestSession:
     def _insert_elements(self, rows) -> None:
         doc_id = self._doc_id
         self._store._conn.executemany(
-            "INSERT INTO elements VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            [(doc_id, *row) for row in rows],
+            _INSERT_ELEMENT, [(doc_id, *row) for row in rows]
         )
 
     def append_text(self, chunk: str) -> None:

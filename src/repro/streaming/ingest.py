@@ -5,7 +5,7 @@ a :class:`~repro.storage.sqlite_backend.SqliteStore` in chunked
 transactions while the SACX merge is still running.  The resulting
 rows are byte-identical to ``GoddagStore.save_indexed(parse_concurrent
 (sources), name)`` — same element rows (including ``elem_id`` birth
-ordinals, parent links and child ranks), same ``index_meta`` row, same
+ordinals and parent links), same ``index_meta`` row, same
 collection-summary counts — without ever materializing the GODDAG, the
 full text, or the payload dict.
 
@@ -250,8 +250,7 @@ def _stream_rows(session, sources, hierarchy_names, chunk_elements,
                 _encode_attributes(attributes)
         element_rows.append((
             fragment.ordinal, fragment.hierarchy, fragment.tag,
-            fragment.start, fragment.end, fragment.parent_ordinal,
-            fragment.child_rank, encoded,
+            fragment.start, fragment.end, fragment.parent_ordinal, encoded,
         ))
         paths.add(fragment)
         attr_counts.update(attributes)
@@ -299,10 +298,10 @@ def _shifted(rows: list[tuple], shifts: dict[str, int]) -> list[tuple]:
     for row in rows:
         shift = shifts.get(row[1])
         if shift:
-            elem_id, hierarchy, tag, start, end, parent, rank, attrs = row
+            elem_id, hierarchy, tag, start, end, parent, attrs = row
             if parent != ROOT_ORDINAL:
                 parent -= shift
             row = (elem_id - shift, hierarchy, tag, start, end, parent,
-                   rank, attrs)
+                   attrs)
         out.append(row)
     return out

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.goddag import _sibling_order
 from ..errors import StorageError
 from ..obs import fallback as _obs_fallback
 from ..obs.metrics import metrics
@@ -89,10 +90,10 @@ class LazySubtree:
         return tuple(row.elem_id for row in self.rows)
 
     def children(self, elem_id: int) -> tuple[ElementRow, ...]:
-        """Child rows of one member, in ``child_rank`` order."""
+        """Child rows of one member, in sibling order."""
         found = sorted(
             (row for row in self.rows if row.parent_id == elem_id),
-            key=lambda row: row.child_rank,
+            key=lambda row: _sibling_order(row.start, row.end, row.elem_id),
         )
         return tuple(found)
 

@@ -16,8 +16,8 @@ characters) that gap — not the document size — bounds peak memory.
 On top of the stream, :class:`FragmentAssembler` replays the per-
 hierarchy open stacks of :class:`~repro.core.goddag.GoddagBuilder` and
 emits a :class:`Fragment` per closed element carrying the exact
-identity the builder would assign (ordinal, parent, child rank, depth,
-label path) — the proof obligation behind byte-identical streaming
+identity the builder would assign (ordinal, parent, depth, label
+path) — the proof obligation behind byte-identical streaming
 ingest.  :func:`iterparse` is the public cursor: fragments are
 released in watermark order under ``high_water`` with overlap-aware
 retention (never before every element that could overlap them has
@@ -26,9 +26,8 @@ closed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from ..sacx import events as ev
 from ..sacx import scanner as sc
@@ -42,8 +41,7 @@ DEFAULT_HIGH_WATER = 1024
 ROOT_ORDINAL = 0
 
 
-@dataclass(frozen=True)
-class Fragment:
+class Fragment(NamedTuple):
     """A completed element, as emitted by the streaming parse.
 
     Carries the full storage identity of the element: ``ordinal``
@@ -65,7 +63,6 @@ class Fragment:
     attributes: tuple[tuple[str, str], ...]
     ordinal: int
     parent_ordinal: int
-    child_rank: int
     depth: int
     path: tuple[str, ...]
 
@@ -76,19 +73,17 @@ class Fragment:
 
 class _OpenFragment:
     __slots__ = ("tag", "start", "attributes", "ordinal", "parent_ordinal",
-                 "child_rank", "depth", "path", "children_seen")
+                 "depth", "path")
 
     def __init__(self, tag, start, attributes, ordinal, parent_ordinal,
-                 child_rank, depth, path) -> None:
+                 depth, path) -> None:
         self.tag = tag
         self.start = start
         self.attributes = attributes
         self.ordinal = ordinal
         self.parent_ordinal = parent_ordinal
-        self.child_rank = child_rank
         self.depth = depth
         self.path = path
-        self.children_seen = 0
 
 
 class FragmentAssembler:
@@ -117,7 +112,6 @@ class FragmentAssembler:
         self._bases = {name: 1 if bases is None else bases[name]
                        for name in hierarchies}
         self._next = dict(self._bases)
-        self._top_rank = {name: 0 for name in hierarchies}
 
     def counts(self) -> dict[str, int]:
         """Elements numbered so far, per hierarchy."""
@@ -137,27 +131,23 @@ class FragmentAssembler:
         return Fragment(
             hierarchy, record.tag, record.start, event.offset,
             record.attributes, record.ordinal, record.parent_ordinal,
-            record.child_rank, record.depth, record.path,
+            record.depth, record.path,
         )
 
     def _open(self, hierarchy: str, stack: list[_OpenFragment],
               event: ev.MarkupEvent) -> _OpenFragment:
         parent = stack[-1] if stack else None
         if parent is None:
-            child_rank = self._top_rank[hierarchy]
-            self._top_rank[hierarchy] = child_rank + 1
             parent_ordinal = ROOT_ORDINAL
             path = (event.tag,)
         else:
-            child_rank = parent.children_seen
-            parent.children_seen += 1
             parent_ordinal = parent.ordinal
             path = parent.path + (event.tag,)
         ordinal = self._next[hierarchy]
         self._next[hierarchy] = ordinal + 1
         return _OpenFragment(
             event.tag, event.offset, event.attributes, ordinal,
-            parent_ordinal, child_rank, len(stack), path,
+            parent_ordinal, len(stack), path,
         )
 
     def open_frontier(self) -> int | None:

@@ -31,7 +31,7 @@ from repro.streaming import LazyDocument
 from repro.workloads import WorkloadSpec, figure_one_document, generate
 
 FIELDS = ("elem_id", "hierarchy", "tag", "start", "end", "parent_id",
-          "child_rank", "attributes")
+          "attributes")
 
 
 def changed(row, **changes):
@@ -164,7 +164,7 @@ def test_row_rejected_with_typed_error(doc, changes, error):
 def test_stored_rows_and_annotations_in_one_hierarchy():
     builder = GoddagBuilder("abc")
     builder.add_hierarchy("h")
-    builder.add_rows([ElementRow(5, "h", "x", 0, 1, 0, 0, {})])
+    builder.add_rows([ElementRow(5, "h", "x", 0, 1, 0, {})])
     builder.add_annotation("h", "y", 1, 2)
     with pytest.raises(MarkupConflictError, match="'h'"):
         builder.build()
@@ -174,8 +174,8 @@ def test_new_elements_number_above_stored_rows():
     builder = GoddagBuilder("abc")
     builder.add_hierarchy("h")
     builder.add_hierarchy("g")
-    builder.add_rows([ElementRow(5, "h", "x", 0, 1, 0, 0, {}),
-                      ElementRow(7, "h", "y", 0, 1, 5, 0, {})])
+    builder.add_rows([ElementRow(5, "h", "x", 0, 1, 0, {}),
+                      ElementRow(7, "h", "y", 0, 1, 5, {})])
     builder.add_annotation("g", "z", 1, 3)
     document = builder.build()
     assert [e.ordinal for e in document.elements("h")] == [5, 7]

@@ -8,6 +8,7 @@ afterwards must answer exactly as a from-scratch ``build_index`` would.
 
 import pytest
 
+from repro.core import GoddagBuilder
 from repro.editing import Editor
 from repro.errors import StorageError
 from repro.index import IndexManager
@@ -382,6 +383,111 @@ class TestElementRowDeltas:
         assert hasattr(SqliteStore, "_apply_element_row_deltas")
 
 
+def flat_document(words=120):
+    """``words`` top-level ``w`` elements in hierarchy ``h``, words
+    50..53 inside one ``phrase`` (117 top-level siblings), and two
+    ``s`` elements in hierarchy ``g``; returns the document and the
+    word spans."""
+    spans, at = [], 0
+    for i in range(words):
+        spans.append((at, at + len(f"w{i}")))
+        at = spans[-1][1] + 1
+    builder = GoddagBuilder(" ".join(f"w{i}" for i in range(words)))
+    builder.add_hierarchy("h")
+    builder.add_hierarchy("g")
+    for start, end in spans:
+        builder.add_annotation("h", "w", start, end)
+    builder.add_annotation("h", "phrase", spans[50][0], spans[53][1])
+    builder.add_annotation("g", "s", 0, spans[60][1])
+    builder.add_annotation("g", "s", spans[61][0], spans[-1][1])
+    return builder.build(), spans
+
+
+def element_rows(store, name):
+    """Every stored column of ``name``'s element rows, by ``elem_id``."""
+    return store._conn.execute(
+        "SELECT elem_id, hierarchy, tag, start, end, parent_id, child_rank,"
+        " attributes FROM elements JOIN documents USING (doc_id)"
+        " WHERE name = ? ORDER BY elem_id", (name,),
+    ).fetchall()
+
+
+class TestStructuralEditsWriteOnlyMovedRows:
+    """Sibling order is not stored, so an insertion or removal writes
+    its own row and the rows of the children it moved — never the
+    following siblings — and the rows still equal a full rewrite's."""
+
+    @pytest.fixture
+    def session(self, tmp_path, observed):
+        document, spans = flat_document()
+        assert len(document.top_level("h")) >= 100
+        manager = IndexManager.for_document(document)
+        with GoddagStore(tmp_path / "store.sqlite") as store:
+            store.save_indexed(document, "ms", manager)
+            editor = Editor(document, prevalidate=False)
+
+            def publish():
+                """Save the window; ``(rows upserted, rows deleted)``."""
+                before = observed.snapshot()["counters"]
+                store.save_indexed(document, "ms", manager)
+                after = observed.snapshot()["counters"]
+                with GoddagStore() as full:
+                    full.save(document, "ms")
+                    assert element_rows(store, "ms") == \
+                        element_rows(full, "ms")
+                return tuple(
+                    after.get(key, 0) - before.get(key, 0)
+                    for key in ("storage.rows_upserted",
+                                "storage.rows_deleted"))
+
+            yield document, spans, editor, publish, store
+
+    def test_insert_writes_itself_and_the_adopted_children(self, session):
+        document, spans, editor, publish, store = session
+        seg = editor.insert_markup("h", "seg", spans[10][0], spans[12][1])
+        assert len(seg.element_children) == 3
+        assert publish() == (1 + 3, 0)
+        assert store.element("ms", seg.elem_id).tag == "seg"
+
+    def test_milestone_insert_writes_one_row(self, session):
+        document, spans, editor, publish, _ = session
+        editor.insert_milestone("h", "pb", spans[-1][1])
+        assert publish() == (1, 0)
+
+    def test_remove_deletes_itself_and_writes_the_spliced_children(
+            self, session):
+        document, spans, editor, publish, store = session
+        (phrase,) = document.elements("h", "phrase")
+        assert len(phrase.element_children) == 4
+        editor.remove_markup(phrase)
+        assert publish() == (4, 1)
+        assert store.element("ms", phrase.elem_id) is None
+
+    def test_a_spliced_child_removed_later_is_deleted_not_upserted(
+            self, session):
+        document, spans, editor, publish, store = session
+        (phrase,) = document.elements("h", "phrase")
+        first, *rest = phrase.element_children
+        editor.remove_markup(phrase)
+        editor.remove_markup(first)
+        assert publish() == (len(rest), 2)
+        assert store.element("ms", first.elem_id) is None
+        assert all(store.element_row_full("ms", word.elem_id).parent_id == 0
+                   for word in rest)
+
+    def test_insert_then_remove_nets_out(self, session):
+        document, spans, editor, publish, store = session
+        milestone = editor.insert_milestone("h", "pb", spans[5][0])
+        editor.remove_markup(milestone)
+        assert publish() == (0, 0)
+        # A wrapper nets out too; its adopted children were moved and
+        # moved back, so their rows are rewritten unchanged.
+        seg = editor.insert_markup("h", "seg", spans[10][0], spans[12][1])
+        editor.remove_markup(seg)
+        assert publish() == (3, 0)
+        assert store.element("ms", seg.elem_id) is None
+
+
 class TestBackwardCompatibilityAndBacklog:
     def test_old_schema_store_is_migrated(self, tmp_path):
         """A store created before the stamp column existed must keep
@@ -420,8 +526,9 @@ class TestBackwardCompatibilityAndBacklog:
                 editor.undo()
             pending = manager.pending_persist()
             assert pending is not None
-            # Forty records, yet the row backlog holds one dirty
-            # sibling list, not a write per record.
+            # Forty records, yet the row backlog holds one row: the
+            # line's one child, which each insert adopted and each undo
+            # spliced back — not a write per record.
             assert pending.rows.records_seen == 40
             assert len(pending.rows) == 1
             store.save_indexed(document, "ms", manager)

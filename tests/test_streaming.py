@@ -392,7 +392,7 @@ class TestStreamSave:
         try:
             session = backend.begin_stream_ingest("doc")
             session.add_elements(
-                [(1, "a", "w", 0, 2, 0, 0, "{}")]
+                [(1, "a", "w", 0, 2, 0, "{}")]
             )
             session.append_text("hi")
             assert backend.names() == []
@@ -436,7 +436,7 @@ class TestStreamSave:
             # A "crashed" ingest: the session is simply never finalized
             # nor aborted (process death leaves exactly this residue).
             backend.begin_stream_ingest("doc").add_elements(
-                [(1, "a", "w", 0, 2, 0, 0, "{}")]
+                [(1, "a", "w", 0, 2, 0, "{}")]
             )
             conn = sqlite3.connect(path)
             staged = conn.execute(
@@ -532,8 +532,8 @@ class TestCorpusStreams:
 
             session = ingest.begin_stream_ingest("late")
             session.add_elements(
-                [(1, "physical", "line", 0, 2, 0, 0, '{"x": "1"}'),
-                 (2, "physical", "w", 0, 2, 1, 0, "{}")])
+                [(1, "physical", "line", 0, 2, 0, '{"x": "1"}'),
+                 (2, "physical", "w", 0, 2, 1, "{}")])
             session.append_text("wo")
             unchanged()
             session.append_paths([("line", "line", 1), ("line/w", "w", 1)])
