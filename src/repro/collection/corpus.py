@@ -25,9 +25,10 @@ rows.  Execution fans out per document in serial, threaded, or
 process mode (:mod:`repro.collection.fanout`) with identical merged
 results.
 
-Every mutation goes through ``GoddagStore.save_indexed``, so documents
-are always indexed on arrival and the collection summary is maintained
-as a delta — adding or editing one document never rescans the corpus.
+Every member is stored with its index (``GoddagStore.save_with_index``
+counts a new member's summary rows from the document itself; editing
+sessions patch them as deltas), so adding or editing one document
+never rescans the corpus.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from pathlib import Path
 
 from ..core.goddag import GoddagDocument
 from ..errors import StorageError
-from ..index.manager import IndexManager
 from ..obs.metrics import metrics
 from ..storage.sqlite_backend import SqliteConnectionPool
 from ..xpath.engine import ExtendedXPath
@@ -241,14 +241,10 @@ class Corpus:
 
     def _add_on(self, backend, document: GoddagDocument, name: str,
                 overwrite: bool) -> str | None:
-        manager = document.index_manager
-        if manager is None or manager.document is not document:
-            manager = IndexManager(document)
-        backend.save_indexed(document, name, manager=manager,
-                             overwrite=overwrite)
+        stamp = backend.save_with_index(document, name, overwrite=overwrite)
         if overwrite:
             self._pool.snapshots.evict(name)
-        return backend.index_stamp(name)
+        return stamp
 
     def remove(self, name: str) -> None:
         with self._pool.connection() as backend:

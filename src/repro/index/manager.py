@@ -536,10 +536,11 @@ class IndexManager:
     # -- persistence ------------------------------------------------------------
 
     def payload(self, name: str = "") -> dict:
-        """The serializable form of the three indexes; the store
-        persists ``format`` and ``doc_length`` in ``index_meta`` and the
-        counts :func:`~repro.storage.sqlite_backend.collection_summary_rows`
-        derives from the rest.
+        """The serializable form of the three indexes, positions
+        included: the witness that an incrementally maintained manager
+        equals a rebuilt one.  No store reads it; stores count a
+        document's summary rows from the document itself
+        (:func:`~repro.storage.schema.summary_rows`).
 
         Args:
             name: the stored-document name stamped into the payload.

@@ -384,15 +384,10 @@ class DocumentService:
         generation stamp.  ``overwrite=True`` replaces an existing
         document wholesale (take the write lock first — via
         :meth:`write_session` — if writers may be active on it)."""
-        manager = document.index_manager
-        if manager is None or manager.document is not document:
-            manager = IndexManager(document)
         self._pool.snapshots.evict(name)
         with self._pool.connection() as backend:
-            backend.save_indexed(
-                document, name, manager, overwrite=overwrite
-            )
-            return backend.index_stamp(name)
+            return backend.save_with_index(document, name,
+                                           overwrite=overwrite)
 
     def delete(self, name: str) -> None:
         """Delete a stored document (under its write lock, so an active

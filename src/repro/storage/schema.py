@@ -26,13 +26,17 @@ than the children it adopted), and nothing here relies on that anymore.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from ..core.goddag import GoddagBuilder, GoddagDocument
 from ..core.node import Element
 from ..dtd.parser import parse_dtd
 from ..errors import StorageError
+from ..index.structural import encode_path
+from ..index.term import TERM_RUN
 
 #: parent_id of top-level elements.
 ROOT_ID = 0
@@ -66,6 +70,22 @@ class ElementRow(NamedTuple):
     attributes: str  # JSON object
 
 
+#: ``collection_summary.kind`` values — the four feature families the
+#: collection router consults (see :mod:`repro.collection.router`), and
+#: the counts ``count_tag`` and ``count_attribute`` read.
+KIND_TAG = 0      # key = tag; n = elements with that tag
+KIND_TERM = 1     # key = term-index token; n = occurrences
+KIND_ATTR = 2     # key = encode_path((name, value)); n = posting length
+KIND_PATH = 3     # key = encoded label path (hierarchy-agnostic); n = members
+
+
+@lru_cache(maxsize=4096)
+def encode_attributes(items: tuple[tuple[str, str], ...]) -> str:
+    """The stored JSON object of ``(name, value)`` pairs, keys sorted;
+    memoized, as most elements carry none or repeat a few."""
+    return json.dumps(dict(items), sort_keys=True)
+
+
 def encode_document(
     document: GoddagDocument, name: str
 ) -> tuple[DocumentRow, list[HierarchyRow], list[ElementRow]]:
@@ -74,7 +94,8 @@ def encode_document(
         name=name,
         root_tag=document.root.tag,
         text=document.text,
-        root_attributes=json.dumps(document.root.attributes, sort_keys=True),
+        root_attributes=encode_attributes(
+            tuple(document.root.attributes.items())),
     )
     hierarchy_rows = []
     for rank, hierarchy_name in enumerate(document.hierarchy_names()):
@@ -98,12 +119,44 @@ def encode_document(
                     start=element.start,
                     end=element.end,
                     parent_id=parent_id,
-                    attributes=json.dumps(element.attributes, sort_keys=True),
+                    attributes=encode_attributes(
+                        tuple(element.attributes.items())),
                 )
             )
             stack.extend((child, element.ordinal)
                          for child in reversed(element.element_children))
     return doc_row, hierarchy_rows, element_rows
+
+
+def summary_rows(document: GoddagDocument) -> list[tuple[int, str, int]]:
+    """The document's ``(kind, key, n)`` collection-summary rows,
+    counted from the document itself with no position copied and no
+    index built: elements per tag and per label path (summed across
+    hierarchies, keyed by the injective
+    :func:`~repro.index.structural.encode_path`) and per ``(name,
+    value)`` attribute pair, and occurrences per
+    :data:`~repro.index.term.TERM_RUN` token.  The root counts nowhere.
+    """
+    paths: Counter[tuple[str, ...]] = Counter()
+    pairs: Counter[tuple[str, str]] = Counter()
+    stack = [(element, (element.tag,))
+             for hierarchy_name in document.hierarchy_names()
+             for element in document.top_level(hierarchy_name)]
+    while stack:
+        element, path = stack.pop()
+        paths[path] += 1
+        if element.attributes:
+            pairs.update(element.attributes.items())
+        stack.extend((child, path + (child.tag,))
+                     for child in element.element_children)
+    tags: Counter[str] = Counter()
+    for path, n in paths.items():
+        tags[path[-1]] += n
+    terms = Counter(TERM_RUN.findall(document.text))
+    return [*((KIND_TAG, tag, n) for tag, n in tags.items()),
+            *((KIND_PATH, encode_path(path), n) for path, n in paths.items()),
+            *((KIND_TERM, term, n) for term, n in terms.items()),
+            *((KIND_ATTR, encode_path(pair), n) for pair, n in pairs.items())]
 
 
 def element_row(element: Element) -> ElementRow:
@@ -127,7 +180,7 @@ def element_row(element: Element) -> ElementRow:
         start=element.start,
         end=element.end,
         parent_id=ROOT_ID if parent.is_root else parent.ordinal,
-        attributes=json.dumps(element.attributes, sort_keys=True),
+        attributes=encode_attributes(tuple(element.attributes.items())),
     )
 
 

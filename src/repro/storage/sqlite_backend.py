@@ -42,8 +42,7 @@ from uuid import uuid4
 from ..core.goddag import GoddagDocument
 from ..errors import PoolExhaustedError, StorageError, StoreBusyError, \
     WriteConflictError
-from ..index.manager import PAYLOAD_FORMAT as STREAM_PAYLOAD_FORMAT
-from ..index.manager import IndexManager
+from ..index.manager import PAYLOAD_FORMAT, IndexManager
 from ..index.structural import encode_path
 from ..index.term import find_all
 from ..obs import fallback as _obs_fallback
@@ -51,14 +50,20 @@ from ..obs.metrics import metrics
 from ..obs.stats import stats_dict
 from ..obs.trace import current_tracer
 from .schema import (
+    KIND_ATTR,
+    KIND_PATH,
+    KIND_TAG,
+    KIND_TERM,
     DocumentRow,
     ElementRow,
     HierarchyRow,
     ROOT_ID,
     decode_attributes,
     decode_document,
+    encode_attributes,
     encode_document,
     element_row,
+    summary_rows,
 )
 
 _DDL = """
@@ -122,52 +127,12 @@ SCHEMA_VERSION = 1
 #: (the row-level upsert writes the same).
 _INSERT_ELEMENT = "INSERT INTO elements VALUES (?, ?, ?, ?, ?, ?, ?, 0, ?)"
 
-#: ``collection_summary.kind`` values — the four feature families the
-#: collection router consults (see :mod:`repro.collection.router`), and
-#: the counts ``count_tag`` and ``count_attribute`` read.
-KIND_TAG = 0      # key = tag; n = elements with that tag
-KIND_TERM = 1     # key = term-index token; n = occurrences
-KIND_ATTR = 2     # key = encode_path((name, value)); n = posting length
-KIND_PATH = 3     # key = encoded label path (hierarchy-agnostic); n = members
-
 #: Reserved name prefix for in-flight streaming ingests.  A
 #: :class:`StreamIngestSession` accumulates rows under a staging name
 #: with this prefix; ``names()`` hides such rows and the next streaming
 #: ingest reclaims any left behind by a crash, so a partially-written
 #: document is never observable under its real name.
 STAGING_PREFIX = "__repro_ingest__"
-
-
-def collection_summary_rows(payload: dict) -> list[tuple[int, str, int]]:
-    """The ``(kind, key, n)`` collection-summary rows of one document,
-    derived from its ``IndexManager.payload()`` — the whole persisted
-    index besides ``index_meta``.
-
-    Tag populations are label-path counts summed per tag, path
-    populations are summed across hierarchies (routing has no hierarchy
-    context), term rows carry posting lengths, and attribute rows the
-    ``(name, value)`` posting length under the injective
-    :func:`~repro.index.structural.encode_path` key.  The row-level
-    publish (:meth:`SqliteStore._apply_index_delta_rows`) and the
-    streaming ingest (:class:`StreamIngestSession`) produce the same
-    counts, which is what keeps their stores identical to a rebuilt one.
-    """
-    tags: dict[str, int] = {}
-    paths: dict[str, int] = {}
-    for _hierarchy, encoded, tag, count, _spans in payload.get("paths", []):
-        tags[tag] = tags.get(tag, 0) + count
-        paths[encoded] = paths.get(encoded, 0) + count
-    rows = [(KIND_TAG, tag, n) for tag, n in tags.items()]
-    rows.extend((KIND_PATH, encoded, n) for encoded, n in paths.items())
-    rows.extend(
-        (KIND_TERM, term, len(starts))
-        for term, starts in payload.get("terms", {}).items()
-    )
-    rows.extend(
-        (KIND_ATTR, encode_path((name, value)), count)
-        for name, value, count, _spans in payload.get("attrs", [])
-    )
-    return rows
 
 
 @dataclass(frozen=True)
@@ -304,8 +269,8 @@ class SqliteStore:
         """Bring a store created by an older release up to the current
         schema (CREATE TABLE IF NOT EXISTS never alters existing
         tables).  Additive only: older columns are never dropped, and
-        the index tables of older stores are left in place, read only
-        by the one-time :meth:`_backfill_collection_summary`.
+        the index tables of older stores are left in place, unread
+        (:meth:`_backfill_collection_summary` counts from the rows).
 
         The whole migration — the ``index_meta.stamp`` column, the
         backfill and the version bump — is one write transaction that
@@ -344,59 +309,17 @@ class SqliteStore:
 
     def _backfill_collection_summary(self) -> None:
         """Populate ``collection_summary`` for a store written before
-        schema version 1, from the index tables such stores kept
-        (``index_paths`` and ``index_terms``, and ``index_attrs`` from
-        payload format 2 on) — same aggregation as
-        :func:`collection_summary_rows`, so a migrated store routes and
-        counts like a freshly built one.  An indexed document those
-        tables say nothing about (a store without them) is counted from
-        its own rows instead.  A fresh store has no documents and gets
-        no rows.  Statements only: :meth:`_migrate` owns the
-        transaction."""
-        tables = {
-            name for (name,) in self._conn.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'table'"
-            )
-        }
+        schema version 1: every indexed document is counted from its
+        own rows (:func:`~repro.storage.schema.summary_rows`), so a
+        migrated store routes and counts like a freshly built one.  A
+        fresh store has no documents and gets no rows.  Statements
+        only: :meth:`_migrate` owns the transaction."""
         self._conn.execute("DELETE FROM collection_summary")
-        if "index_paths" in tables:
-            self._conn.execute(
-                "INSERT INTO collection_summary"
-                " SELECT doc_id, ?, tag, SUM(n) FROM index_paths"
-                " GROUP BY doc_id, tag", (KIND_TAG,),
-            )
-            self._conn.execute(
-                "INSERT INTO collection_summary"
-                " SELECT doc_id, ?, path, SUM(n) FROM index_paths"
-                " GROUP BY doc_id, path", (KIND_PATH,),
-            )
-        if "index_terms" in tables:
-            # Each posting is one little-endian u32 start offset.
-            self._conn.execute(
-                "INSERT INTO collection_summary"
-                " SELECT doc_id, ?, term, length(starts) / 4"
-                " FROM index_terms", (KIND_TERM,),
-            )
-        if "index_attrs" in tables:
-            # Attribute keys need the injective python-side
-            # encoding, so these rows go through a fetch loop.
-            attr_rows = self._conn.execute(
-                "SELECT doc_id, name, value, n FROM index_attrs"
-            ).fetchall()
-            self._conn.executemany(
-                "INSERT INTO collection_summary VALUES (?, ?, ?, ?)",
-                [(doc_id, KIND_ATTR, encode_path((name, value)), n)
-                 for doc_id, name, value, n in attr_rows],
-            )
-        uncounted = self._conn.execute(
-            "SELECT d.doc_id, d.name FROM documents d"
-            " JOIN index_meta m USING (doc_id) WHERE NOT EXISTS"
-            " (SELECT 1 FROM collection_summary s"
-            " WHERE s.doc_id = d.doc_id)"
-        ).fetchall()
-        for doc_id, name in uncounted:
-            self._insert_summary_rows(
-                doc_id, IndexManager(self.load(name)).payload(name))
+        for doc_id, name in self._conn.execute(
+            "SELECT doc_id, name FROM documents JOIN index_meta"
+            " USING (doc_id)"
+        ).fetchall():
+            self._insert_summary_rows(doc_id, summary_rows(self.load(name)))
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -761,30 +684,29 @@ class SqliteStore:
     # -- persisted indexes (see repro.index) ---------------------------------------------
     #
     # A persisted index is one index_meta row plus the document's
-    # collection_summary counts, derived from the IndexManager payload.
-    # Positions are never stored twice: span queries read the element
-    # rows under idx_elements_span, and term queries scan the text.
+    # collection_summary counts, counted from the document itself
+    # (schema.summary_rows).  Positions are never stored twice: span
+    # queries read the element rows under idx_elements_span, and term
+    # queries scan the text.
 
-    def save_index(self, name: str, payload: dict, stamp: str = "") -> None:
-        """Persist an ``IndexManager.payload()`` for a stored document."""
+    def save_index(self, name: str, document: GoddagDocument,
+                   stamp: str = "") -> None:
+        """Persist the index of ``document``, which is what is stored
+        under ``name``: its ``index_meta`` row and its
+        ``collection_summary`` counts
+        (:func:`~repro.storage.schema.summary_rows`)."""
         doc_id, _ = self._doc_index_row(name)
         self._write_retry(
-            lambda: self._write_index_rows(doc_id, payload, stamp),
+            lambda: self._write_index_rows(doc_id, document, stamp),
             f"save_index {name!r}",
         )
 
-    def build_index(self, name: str) -> dict:
-        """Build and persist the index for a stored document.
-
-        Loads the document once, builds the three indexes (structural
-        summary, term index, attribute postings), persists their counts
-        (``index_meta`` and ``collection_summary``), and returns the
-        size census.  Subsequent index-aware queries answer without
-        loading the document again.
+    def build_index(self, name: str) -> None:
+        """Count and persist the index of a stored document; loads it
+        once and builds no :class:`~repro.index.manager.IndexManager`.
+        Subsequent index-aware queries answer without loading it again.
         """
-        manager = IndexManager(self.load(name))
-        self.save_index(name, manager.payload(name))
-        return manager.stats()
+        self.save_index(name, self.load(name))
 
     def save_indexed(self, document: GoddagDocument, name: str,
                      manager: IndexManager | None = None,
@@ -824,7 +746,7 @@ class SqliteStore:
         :class:`~repro.errors.WriteConflictError` and leaves the store
         exactly as the other writer published it.
 
-        Returns the manager's size census, like :meth:`build_index`.
+        Returns the manager's size census.
         """
         if manager is None:
             manager = document.index_manager
@@ -833,46 +755,62 @@ class SqliteStore:
                 "save_indexed needs an IndexManager for this document "
                 "(attach one, or pass manager=)"
             )
-        tracer = current_tracer()
-        if tracer is None:
-            with metrics.time("storage.save"):
-                self._save_indexed(document, name, manager, overwrite,
-                                   strict_stamp)
-        else:
-            with tracer.span("save", document=name):
-                with metrics.time("storage.save"):
-                    self._save_indexed(document, name, manager, overwrite,
-                                       strict_stamp)
+        self._save_indexed(document, name, manager, overwrite, strict_stamp)
         return manager.stats()
 
+    def save_with_index(self, document: GoddagDocument, name: str, *,
+                        overwrite: bool = False) -> str:
+        """Store ``document`` and its index under ``name`` in one
+        transaction, like :meth:`save_indexed`; returns the new
+        generation stamp.
+
+        A document whose attached manager is its own is saved with it,
+        so the manager keeps its delta accounting.  Any other is written
+        whole with no manager built, its index counted from the
+        document itself; replacing a stored one (``overwrite=True``) is
+        a plain full write, not a fallback.
+        """
+        manager = document.index_manager
+        if manager is not None and manager.document is not document:
+            manager = None
+        return self._save_indexed(document, name, manager, overwrite, False)
+
     def _save_indexed(self, document: GoddagDocument, name: str,
-                      manager: IndexManager, overwrite: bool,
-                      strict_stamp: bool) -> None:
-        exists = self.has(name)
-        generation = self.index_stamp(name) if exists else None
-        token = self.artifact_token(name, generation)
-        deltas = manager.pending_persist(token)  # refreshes the manager
-        if exists and not overwrite and not manager.persisted_to(token):
-            if strict_stamp:
-                metrics.incr("service.conflicts")
-                raise WriteConflictError(
-                    f"document {name!r} was published by another "
-                    "writer during this session; nothing was written",
-                    name=name, found=generation or "",
+                      manager: IndexManager | None, overwrite: bool,
+                      strict_stamp: bool) -> str:
+        tracer = current_tracer()
+        with (tracer.span("save", document=name) if tracer is not None
+              else nullcontext()), metrics.time("storage.save"):
+            exists = self.has(name)
+            generation = self.index_stamp(name) if exists else None
+            token = self.artifact_token(name, generation)
+            deltas = own = None
+            if manager is not None:
+                deltas = manager.pending_persist(token)  # refreshes it
+                own = manager.persisted_to(token)
+            if exists and not overwrite and not own:
+                if strict_stamp:
+                    metrics.incr("service.conflicts")
+                    raise WriteConflictError(
+                        f"document {name!r} was published by another "
+                        "writer during this session; nothing was written",
+                        name=name, found=generation or "",
+                    )
+                raise StorageError(
+                    f"document {name!r} already stored and is not this "
+                    "session's artifact; pass overwrite=True to replace it"
                 )
-            raise StorageError(
-                f"document {name!r} already stored and is not this "
-                "session's artifact; pass overwrite=True to replace it"
+            stamp = uuid4().hex
+            self.resave_with_index(
+                document, name, deltas, manager,
+                stamp=stamp,
+                # None tells the transaction that nothing was stored.
+                expected_stamp=(generation or "") if exists else None,
+                strict_stamp=strict_stamp,
             )
-        stamp = uuid4().hex
-        self.resave_with_index(
-            document, name, deltas, manager,
-            stamp=stamp,
-            # None tells the transaction that nothing was stored.
-            expected_stamp=(generation or "") if exists else None,
-            strict_stamp=strict_stamp,
-        )
-        manager.mark_persisted(self.artifact_token(name, stamp))
+            if manager is not None:
+                manager.mark_persisted(self.artifact_token(name, stamp))
+        return stamp
 
     def save_stream(self, sources, name: str, *, overwrite: bool = False,
                     chunk_elements: int = 1024,
@@ -1069,27 +1007,26 @@ class SqliteStore:
             names[hname] = len(names)
         return ranks
 
-    def _write_index_rows(self, doc_id: int, payload: dict,
+    def _write_index_rows(self, doc_id: int, document: GoddagDocument,
                           stamp: str) -> None:
-        """Replace the index rows of ``doc_id`` with the full payload's
-        ``index_meta`` row and :func:`collection_summary_rows` — the
-        index half of every full write (statements only — the caller
-        owns the transaction).  ``stamp`` is the session generation
-        mark an editing-session writer leaves so it can later recognize
-        its own artifact."""
+        """Replace the index rows of ``doc_id`` with ``document``'s
+        ``index_meta`` row and
+        :func:`~repro.storage.schema.summary_rows` — the index half of
+        every full write (statements only — the caller owns the
+        transaction).  ``stamp`` is the session generation mark an
+        editing-session writer leaves so it can later recognize its own
+        artifact."""
         self._delete_index_rows(doc_id)
         self._conn.execute(
             "INSERT INTO index_meta VALUES (?, ?, ?, ?)",
-            (doc_id, payload.get("format", 1),
-             payload.get("doc_length", 0), stamp),
+            (doc_id, PAYLOAD_FORMAT, document.length, stamp),
         )
-        self._insert_summary_rows(doc_id, payload)
+        self._insert_summary_rows(doc_id, summary_rows(document))
 
-    def _insert_summary_rows(self, doc_id: int, payload: dict) -> None:
+    def _insert_summary_rows(self, doc_id: int, summary) -> None:
         self._conn.executemany(
             "INSERT INTO collection_summary VALUES (?, ?, ?, ?)",
-            [(doc_id, kind, key, n)
-             for kind, key, n in collection_summary_rows(payload)],
+            [(doc_id, kind, key, n) for kind, key, n in summary],
         )
 
     def _apply_index_delta_rows(self, doc_id: int, deltas,
@@ -1257,23 +1194,24 @@ class SqliteStore:
         return counts
 
     def resave_with_index(self, document: GoddagDocument, name: str,
-                          deltas, manager: IndexManager,
+                          deltas, manager: IndexManager | None,
                           stamp: str = "",
                           expected_stamp: str | None = None,
                           strict_stamp: bool = False) -> None:
         """Atomically bring a stored document's rows *and* its index in
         step, in one transaction — a crash can never pair a newer
         document with a stale index.  ``manager`` is ``document``'s
-        index manager, already refreshed.  ``deltas`` (when applicable
-        and an index is stored) patches row-level — element rows
-        through the journal's
+        index manager, already refreshed, or ``None`` (then ``deltas``
+        is ``None`` too, and the full write is no fallback).
+        ``deltas`` (when applicable and an index is stored) patches
+        row-level — element rows through the journal's
         :class:`~repro.core.changes.ElementRowCoalescer`
         (``deltas.rows``), summary counts through
         :meth:`_apply_index_delta_rows` — so an attribute-only edit
         persists in O(1) element-row writes instead of an
         O(document) delete-and-reinsert.  Otherwise every row is
-        rewritten from ``document`` and ``manager.payload(name)``.
-        Either way the index generation mark becomes ``stamp``.
+        rewritten from ``document``, its index counted from the document
+        itself.  Either way the index generation mark becomes ``stamp``.
 
         The delta path re-verifies ``expected_stamp`` *inside* the
         transaction (a conditional stamp update): if another writer
@@ -1328,7 +1266,8 @@ class SqliteStore:
                 txn_span.set(row_level=row_level, reason=reason)
 
     def _resave_transaction(self, document: GoddagDocument, name: str,
-                            deltas, manager: IndexManager, stamp: str,
+                            deltas, manager: IndexManager | None,
+                            stamp: str,
                             expected_stamp: str | None,
                             strict_stamp: bool) -> tuple[bool, str | None]:
         """The statements of :meth:`resave_with_index`; returns
@@ -1338,7 +1277,7 @@ class SqliteStore:
             if expected_stamp is not None:
                 raise StorageError(f"no stored document {name!r}")
             doc_id = self._insert_document(*encode_document(document, name))
-            self._write_index_rows(doc_id, manager.payload(name), stamp)
+            self._write_index_rows(doc_id, document, stamp)
             return False, None
         if expected_stamp is None:
             raise StorageError(f"document {name!r} already stored")
@@ -1352,12 +1291,13 @@ class SqliteStore:
             "UPDATE documents SET root_tag = ?, text = ?,"
             " root_attributes = ? WHERE doc_id = ?",
             (document.root.tag, document.text,
-             json.dumps(document.root.attributes, sort_keys=True), doc_id),
+             encode_attributes(tuple(document.root.attributes.items())),
+             doc_id),
         )
         row_level = False
         reason = None
         if deltas is None:
-            reason = "stale-deltas"
+            reason = None if manager is None else "stale-deltas"
         elif deltas.rows.broken:
             reason = "broken-coalescer"
         elif not indexed:
@@ -1403,11 +1343,12 @@ class SqliteStore:
             self._apply_element_row_deltas(doc_id, updates)
             self._apply_index_delta_rows(doc_id, deltas, manager)
         else:
-            _obs_fallback(
-                "storage.full_rewrites", reason, f"document {name!r}"
-            )
+            if reason is not None:
+                _obs_fallback(
+                    "storage.full_rewrites", reason, f"document {name!r}"
+                )
             self._rewrite_rows(doc_id, document, name)
-            self._write_index_rows(doc_id, manager.payload(name), stamp)
+            self._write_index_rows(doc_id, document, stamp)
         return row_level, reason
 
     def _rewrite_rows(
@@ -1840,8 +1781,8 @@ class StreamIngestSession:
 
         ``attr_rows`` are ``(name, value, n)``: ``n`` elements carry
         attribute ``name`` = ``value``.  ``root_attributes`` is the
-        JSON encoding the schema layer uses (``json.dumps(attrs,
-        sort_keys=True)``).  ``shifts`` are ``(hierarchy, shift)``: the
+        schema layer's encoding (``schema.encode_attributes``).
+        ``shifts`` are ``(hierarchy, shift)``: the
         element rows of ``hierarchy`` move ``elem_id`` and a non-root
         ``parent_id`` down by ``shift`` (a parent is always of its
         child's hierarchy); the shifted ids must not meet any other
@@ -1869,7 +1810,7 @@ class StreamIngestSession:
             )
             conn.execute(
                 "INSERT INTO index_meta VALUES (?, ?, ?, ?)",
-                (doc_id, STREAM_PAYLOAD_FORMAT, doc_length, stamp),
+                (doc_id, PAYLOAD_FORMAT, doc_length, stamp),
             )
             conn.executemany(
                 "INSERT INTO collection_summary VALUES (?, ?, ?, ?)",

@@ -38,7 +38,6 @@ zero-argument callables returning a chunk iterator or file object.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from typing import Mapping
 from uuid import uuid4
@@ -50,6 +49,7 @@ from ..obs.metrics import metrics
 from ..sacx import events as ev
 from ..sacx import scanner as sc
 from ..sacx.parser import EventStream
+from ..storage.schema import encode_attributes
 from .parse import ROOT_ORDINAL, Fragment, FragmentAssembler
 
 #: Element rows buffered per chunked transaction.
@@ -94,12 +94,6 @@ def count_content_events(
         elif kind == ev.ROOT:
             root_tag, root_attributes = item[1], item[2]
     return count, root_tag, root_attributes
-
-
-def _encode_attributes(attributes: tuple[tuple[str, str], ...]) -> str:
-    """The schema layer's attribute encoding
-    (:func:`repro.storage.schema.encode_document`)."""
-    return json.dumps(dict(attributes), sort_keys=True)
 
 
 class _TermAccumulator:
@@ -206,9 +200,6 @@ def _stream_rows(session, sources, hierarchy_names, chunk_elements,
     text_pending_chars = 0
     doc_length = 0
     attr_counts: Counter[tuple[str, str]] = Counter()
-    # Attribute JSON per distinct attribute tuple, for the rows of one
-    # flush; most elements carry none.
-    encoded_attributes = {(): "{}"}
 
     def on_text(chunk: str) -> None:
         nonlocal text_pending_chars, doc_length
@@ -244,21 +235,16 @@ def _stream_rows(session, sources, hierarchy_names, chunk_elements,
         if fragment is None:
             continue
         attributes = fragment.attributes
-        encoded = encoded_attributes.get(attributes)
-        if encoded is None:
-            encoded = encoded_attributes[attributes] = \
-                _encode_attributes(attributes)
         element_rows.append((
             fragment.ordinal, fragment.hierarchy, fragment.tag,
-            fragment.start, fragment.end, fragment.parent_ordinal, encoded,
+            fragment.start, fragment.end, fragment.parent_ordinal,
+            encode_attributes(attributes),
         ))
         paths.add(fragment)
         attr_counts.update(attributes)
         if len(element_rows) >= chunk_elements:
             session.add_elements(element_rows)
             element_rows.clear()
-            encoded_attributes.clear()
-            encoded_attributes[()] = "{}"
             if (paths.pending_postings >= _POSTING_FLUSH
                     or terms.pending_postings >= _POSTING_FLUSH):
                 flush_postings()
@@ -285,7 +271,7 @@ def _stream_rows(session, sources, hierarchy_names, chunk_elements,
                    in attr_counts.items()],
         stamp=uuid4().hex,
         root_tag=stream.root_tag,
-        root_attributes=_encode_attributes(stream.root_attributes),
+        root_attributes=encode_attributes(stream.root_attributes),
         shifts=list(shifts.items()),
         element_rows=_shifted(element_rows, shifts),
     )

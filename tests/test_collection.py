@@ -22,11 +22,12 @@ from repro.storage.sqlite_backend import (
     KIND_TAG,
     KIND_TERM,
     SqliteStore,
-    collection_summary_rows,
 )
 from repro.workloads import generate
 from repro.workloads.generator import WorkloadSpec
 from repro.xpath.engine import ExtendedXPath
+
+from _summary_oracle import collection_summary_rows
 
 QUERIES = (
     "collection()//line",
@@ -113,6 +114,88 @@ def test_corpus_add_requires_overwrite_consent(tmp_path):
     stamp = corpus.add(replacement, "d", overwrite=True)
     assert stamp and corpus.generation("d") == stamp
     corpus.close()
+
+
+def _stored_rows(path) -> dict[str, list]:
+    """Every row of the five live tables, in a fixed order, with the
+    generation stamp reduced to whether it is set."""
+    store = SqliteStore(str(path), wal=True)
+    try:
+        rows = {
+            table: store._conn.execute(
+                f"SELECT * FROM {table} ORDER BY {order}").fetchall()
+            for table, order in (
+                ("documents", "doc_id"),
+                ("hierarchies", "doc_id, rank"),
+                ("elements", "doc_id, elem_id"),
+                ("collection_summary", "kind, key, doc_id"),
+            )
+        }
+        rows["index_meta"] = store._conn.execute(
+            "SELECT doc_id, format, doc_length, stamp != ''"
+            " FROM index_meta ORDER BY doc_id").fetchall()
+    finally:
+        store.close()
+    return rows
+
+
+def test_corpus_add_builds_no_index_manager(tmp_path, monkeypatch):
+    """Adding unmanaged members counts their summary rows from the
+    documents themselves: no IndexManager is constructed, and the rows
+    equal what save_indexed writes with a manager, stamps aside."""
+    built = []
+    real_init = IndexManager.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IndexManager, "__init__", spy)
+    docs = _mixed_docs(5)
+    replacement = generate(WorkloadSpec(words=25, hierarchies=3, seed=2))
+    with Corpus(tmp_path / "corpus.db") as corpus:
+        stamps = {docs[0][1]: corpus.add(*docs[0])}
+        stamps.update(corpus.add_many(docs[1:]))
+        stamps["doc-002"] = corpus.add(replacement, "doc-002",
+                                       overwrite=True)
+        for name, stamp in stamps.items():
+            assert corpus.generation(name) == stamp
+    assert built == []
+    monkeypatch.undo()
+
+    with SqliteStore(str(tmp_path / "witness.db"), wal=True) as witness:
+        for document, name in _mixed_docs(5):
+            witness.save_indexed(document, name, IndexManager(document))
+        replacement = generate(WorkloadSpec(words=25, hierarchies=3, seed=2))
+        witness.save_indexed(replacement, "doc-002",
+                             IndexManager(replacement), overwrite=True)
+    assert _stored_rows(tmp_path / "corpus.db") == \
+        _stored_rows(tmp_path / "witness.db")
+
+
+def test_replacing_a_member_is_no_fallback(tmp_path, monkeypatch, recwarn):
+    """A replacement with no manager is a plain full write: no
+    ``storage.full_rewrites`` count, no strict-mode warning."""
+    from repro.obs.metrics import metrics
+
+    monkeypatch.setenv("REPRO_OBS_STRICT", "1")
+    metrics.reset()
+    metrics.enable()
+    try:
+        with Corpus(tmp_path / "c.db") as corpus:
+            corpus.add(generate(WorkloadSpec(words=20, seed=1)), "d")
+            stamp = corpus.add(generate(WorkloadSpec(words=30, seed=2)), "d",
+                               overwrite=True)
+            assert corpus.generation("d") == stamp
+            assert corpus.document("d").length == \
+                generate(WorkloadSpec(words=30, seed=2)).length
+        counters = metrics.snapshot()["counters"]
+    finally:
+        metrics.disable()
+        metrics.reset()
+    assert not [key for key in counters
+                if key.startswith("storage.full_rewrites")]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_collection_expression_validation(corpus):
@@ -237,7 +320,7 @@ def test_summary_rows_match_payload_derivation(tmp_path):
     store = SqliteStore(str(tmp_path / "s.db"), wal=True)
     store.save(doc, "d")
     payload = IndexManager(doc).payload("d")
-    store.save_index("d", payload)
+    store.save_index("d", doc)
     rows = set(store._conn.execute(
         "SELECT kind, key, n FROM collection_summary").fetchall())
     assert rows == set(collection_summary_rows(payload))

@@ -35,10 +35,10 @@ from repro.collection import split_collection_expression
 from repro.collection.fanout import node_rows
 from repro.errors import EditError, MarkupConflictError
 from repro.index.manager import IndexManager
-from repro.storage.sqlite_backend import collection_summary_rows
 from repro.workloads import WorkloadSpec, generate
 from repro.xpath.engine import ExtendedXPath
 
+from _summary_oracle import collection_summary_rows
 from test_index_incremental import EDIT_TAGS
 
 SEEDS = max(1, int(os.environ.get("REPRO_DIFF_SEEDS", "1")))

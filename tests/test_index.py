@@ -15,9 +15,10 @@ from repro.index import (
     tokenize,
 )
 from repro.storage import GoddagStore
-from repro.storage.sqlite_backend import collection_summary_rows
 from repro.workloads import WorkloadSpec, generate
 from repro.xpath import ExtendedXPath
+
+from _summary_oracle import collection_summary_rows
 
 
 def small_document():

@@ -182,11 +182,12 @@ class TestSqliteRowLevelPath:
         document = generate(WorkloadSpec(words=80, hierarchies=2))
         manager = IndexManager.for_document(document)
         with GoddagStore(tmp_path / "store.sqlite") as store:
-            def failing_summary(payload):
+            def failing_summary(doc):
                 raise RuntimeError("simulated failure writing the index")
 
-            # The collection-summary rows are the last index rows written.
-            monkeypatch.setattr(backend_module, "collection_summary_rows",
+            # The collection-summary rows are the last index rows
+            # written: the document and element rows are in by then.
+            monkeypatch.setattr(backend_module, "summary_rows",
                                 failing_summary)
             with pytest.raises(RuntimeError):
                 store.save_indexed(document, "e", manager)
