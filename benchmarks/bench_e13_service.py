@@ -15,6 +15,17 @@ sampled answer byte-identical to a single-threaded unindexed witness of
 its generation, every thread joined within the bound (zero deadlocks,
 zero stray exceptions, zero lock timeouts).
 
+A second arm prices one three-edit write session (insert, attribute,
+remove, publish) on a 2000-word, 4-hierarchy document, in one process:
+
+* the write's ``freeze``, which patches the copy's document order from
+  the delta journal, against the same ``freeze`` forced into the full
+  re-key by an untracked ``touch`` (bar: the patch at least
+  ``FREEZE_SPEEDUP_FLOOR`` times faster);
+* the GC-tracked objects one write session leaves allocated (the
+  ``gc.get_count()`` delta with the collector off), per document
+  element (bar: at most ``ALLOCATIONS_PER_ELEMENT``).
+
 Run standalone for the report table::
 
     PYTHONPATH=src python benchmarks/bench_e13_service.py
@@ -26,13 +37,16 @@ or through pytest (the assertions are the acceptance bars)::
 
 from __future__ import annotations
 
+import gc
 import random
+import statistics
 import tempfile
 import threading
 import time
 from pathlib import Path
 
 from repro import DocumentService
+from repro.editing import Editor
 from repro.errors import EditError, MarkupConflictError
 from repro.workloads import WorkloadSpec, generate
 from repro.xpath import ExtendedXPath
@@ -61,6 +75,12 @@ QUERY_MIX = [ExtendedXPath(expression) for expression in (
 EDIT_TAGS = ("seg", "note", "mark")
 
 JOIN_TIMEOUT_S = 120
+
+#: The write-session arm: document size, sessions measured, and bars.
+WRITE_SPEC = WorkloadSpec(words=2000, hierarchies=4, seed=2005)
+WRITE_ROUNDS = 15
+FREEZE_SPEEDUP_FLOOR = 4.0
+ALLOCATIONS_PER_ELEMENT = 3.0
 
 
 def _snapshot(value):
@@ -235,6 +255,116 @@ def check(rows: list[dict]) -> None:
             f"{row['mismatches'][:5]}")
 
 
+def _write_edits(editor, rng) -> None:
+    """The write session's three edits: wrap one to four words in new
+    editorial markup, set an attribute, remove an editorial element."""
+    document = editor.document
+    words = list(document.elements("linguistic", "w"))
+    for _ in range(20):  # skip spans that cross editorial markup
+        first = rng.randrange(len(words) - 4)
+        last = first + rng.randrange(4)
+        try:
+            editor.insert_markup("editorial", rng.choice(("dmg", "res")),
+                                 words[first].start, words[last].end)
+            break
+        except MarkupConflictError:
+            continue
+    editor.set_attribute(rng.choice(words), "resp", f"ed{rng.randrange(9)}")
+    editor.remove_markup(rng.choice(list(document.elements("editorial"))))
+
+
+def _timed_freeze(document) -> int:
+    gc.disable()
+    try:
+        t0 = time.perf_counter_ns()
+        document.freeze()
+        return time.perf_counter_ns() - t0
+    finally:
+        gc.enable()
+
+
+def drive_write_sessions(directory: Path) -> dict:
+    """The write-session arm: patched vs forced freeze, allocations."""
+    with DocumentService(directory / "writes.db", pool_size=2) as service:
+        service.create(generate(WRITE_SPEC), "doc")
+        rng = random.Random(2005)
+        for _ in range(2):  # the first opens by decoding the store
+            with service.write_session("doc", prevalidate=False) as session:
+                _write_edits(session.editor, rng)
+        allocations = []
+        for _ in range(WRITE_ROUNDS):
+            gc.collect()
+            gc.disable()
+            try:
+                before = gc.get_count()[0]
+                with service.write_session("doc",
+                                           prevalidate=False) as session:
+                    _write_edits(session.editor, rng)
+                allocations.append(gc.get_count()[0] - before)
+            finally:
+                gc.enable()
+        with service.read_session("doc") as reader:
+            source = reader.document
+        elements = source.element_count()
+        patched, forced = [], []
+        for round_ in range(WRITE_ROUNDS):
+            copies = []
+            for _ in range(2):
+                copy = source.copy()
+                _write_edits(Editor(copy, prevalidate=False),
+                             random.Random(round_))
+                copies.append(copy)
+            copies[1].touch()  # untracked: the journal cannot bridge it
+            if round_ % 2:
+                forced.append(_timed_freeze(copies[1]))
+                patched.append(_timed_freeze(copies[0]))
+            else:
+                patched.append(_timed_freeze(copies[0]))
+                forced.append(_timed_freeze(copies[1]))
+            assert [e.ordinal for e in copies[0].ordered_elements()] == \
+                [e.ordinal for e in copies[1].ordered_elements()]
+        return {
+            "elements": elements,
+            "allocations": allocations,
+            "patched_ns": patched,
+            "forced_ns": forced,
+        }
+
+
+def write_report(row: dict) -> str:
+    patched = statistics.median(row["patched_ns"]) / 1e6
+    forced = statistics.median(row["forced_ns"]) / 1e6
+    allocations = statistics.median(row["allocations"])
+    return "\n".join([
+        f"E13 — write session ({WRITE_SPEC.words} words, "
+        f"{WRITE_SPEC.hierarchies} hierarchies, {row['elements']} elements, "
+        f"{WRITE_ROUNDS} sessions; medians)",
+        f"  freeze: patched {patched:.3f}ms, forced full re-key "
+        f"{forced:.3f}ms ({forced / patched:.1f}x)",
+        f"  GC-tracked allocations per write session: {allocations:.0f} "
+        f"({allocations / row['elements']:.2f} per element)",
+    ])
+
+
+def check_write(row: dict) -> None:
+    speedup = (statistics.median(row["forced_ns"])
+               / statistics.median(row["patched_ns"]))
+    assert speedup >= FREEZE_SPEEDUP_FLOOR, (
+        f"patched freeze only {speedup:.1f}x faster than the full re-key")
+    per_element = statistics.median(row["allocations"]) / row["elements"]
+    assert per_element <= ALLOCATIONS_PER_ELEMENT, (
+        f"a write session allocates {per_element:.2f} objects per element")
+
+
+def test_e13_write_session_patch_and_allocations():
+    """A write's freeze patches the order (>= 4x the full re-key) and a
+    write allocates at most 3 GC-tracked objects per element."""
+    with tempfile.TemporaryDirectory() as tmp:
+        row = drive_write_sessions(Path(tmp))
+    print("\n" + write_report(row))
+    check_write(row)
+
+
 def test_e13_service_traffic():
     """>= 8 concurrent readers + 1 writer: byte-identical answers, zero
     deadlocks, zero timeouts; the latency table is printed, not gated."""
@@ -248,5 +378,8 @@ def test_e13_service_traffic():
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         rows = run_all(Path(tmp))
+        write_row = drive_write_sessions(Path(tmp))
     print(report(rows))
+    print(write_report(write_row))
     check(rows)
+    check_write(write_row)

@@ -43,7 +43,7 @@ from ..errors import (
 from ..obs.metrics import metrics as _metrics
 from .changes import ChangeRecord, InsertMarkup, RemoveMarkup, SetAttribute
 from .hierarchy import Hierarchy
-from .node import Element, Leaf, Node, Root
+from .node import NO_CHILDREN, Element, Leaf, Node, Root
 from .spans import Span, SpanTable
 
 #: Upper bound of the per-document delta journal.  Older entries fall
@@ -225,12 +225,15 @@ class GoddagDocument:
         :class:`~repro.errors.EditError` from then on, before it changes
         any state.  The lazy caches a read fills are made safe to share
         first: the ordered-element list and its order-key stamps are
-        filled now, and an ordinal map that a reader would patch from
-        the journal is dropped, so readers rebuild it whole and publish
-        it with one store, like the per-hierarchy containment lists (see
-        docs/ARCHITECTURE.md, "Service layer & concurrency contract").
-        Idempotent.  A frozen document stays frozen; to edit one, edit
-        its :meth:`copy`.
+        brought to the current version now (:meth:`ordered_elements`;
+        for a document edited since its list was current, such as a
+        write session's copy, that patches the list from the journal
+        and re-keys only the elements the edits moved), and an ordinal
+        map that a reader would patch from the journal is dropped, so
+        readers rebuild it whole and publish it with one store, like the
+        per-hierarchy containment lists (see docs/ARCHITECTURE.md,
+        "Service layer & concurrency contract").  Idempotent.  A frozen
+        document stays frozen; to edit one, edit its :meth:`copy`.
         """
         if self._frozen:
             return
@@ -247,15 +250,22 @@ class GoddagDocument:
         The copy keeps the text, the root's tag and attributes, the
         hierarchies (order, DTDs, observed tags), the leaf boundaries,
         and every element's ordinal, tag, span, parent and sibling
-        order, with fresh ``attributes`` dicts and child lists.  Each
-        hierarchy's element list is in preorder, as a load makes it.
-        The copy is at this document's version with an empty journal
-        floored there, and is never frozen.  Its fresh-ordinal counter
-        resumes at the largest live ordinal, as
-        :meth:`GoddagBuilder.build` does for stored rows, so a later
-        insert mints the ordinal a reload would.  The ordered-element
-        list, the order-key stamps and the ordinal map are carried over
-        at that version instead of being recomputed.
+        order.  Each element gets a fresh ``attributes`` dict, and a
+        child list only if it has children (a childless one holds the
+        shared empty tuple, as in a load).  Each hierarchy's element
+        list is in preorder, as a load makes it.  The copy is at this
+        document's version with an empty journal floored there, and is
+        never frozen.  Its fresh-ordinal counter resumes at the largest
+        live ordinal, as :meth:`GoddagBuilder.build` does for stored
+        rows, so a later insert mints the ordinal a reload would.
+
+        The ordered-element list and the ordinal map are carried over
+        at that version instead of being recomputed, and each element
+        shares its order-key tuple with its source element.  As the
+        journal is floored at the copy's version, the copy's first
+        :meth:`ordered_elements` after edits (its :meth:`freeze`, say)
+        patches that list from the journal, and the elements the edits
+        did not move keep sharing their key tuples with the source.
 
         A write session copies the service's frozen snapshot this way
         (see :mod:`repro.service.service`); reading the source changes
@@ -288,8 +298,10 @@ class GoddagDocument:
                 (top if parent is None else parent._children).append(element)
                 elements.append(element)
                 by_ordinal[old.ordinal] = element
-                for child in reversed(old._children):
-                    stack.append((child, element))
+                if old._children:
+                    element._children = []
+                    for child in reversed(old._children):
+                        stack.append((child, element))
             copy._h_top[name] = top
             copy._h_all[name] = elements
         copy._ordinal = max(by_ordinal, default=0)
@@ -385,13 +397,22 @@ class GoddagDocument:
         element after ``GoddagStore.load``, so consumers resolve handles
         directly instead of positionally re-matching spans or document
         order.  Ordinal 0 resolves to the shared root.  O(1) per
-        lookup: a stale map catches up from the delta journal (one dict
-        op per structural record) and pays a full rebuild only when the
-        journal cannot bridge the gap — the same contract as the
-        indexes.
+        lookup, through :meth:`elements_by_ordinal`.
         """
         if ordinal == 0:
             return self._root
+        return self.elements_by_ordinal().get(ordinal)
+
+    def elements_by_ordinal(self) -> dict[int, Element]:
+        """Every attached element but the root, keyed by its birth
+        ordinal, at the current version.
+
+        The map is the document's own cache: read it, never change it.
+        A stale map catches up from the delta journal (one dict op per
+        structural record) and pays a full rebuild only when the
+        journal cannot bridge the gap — the same contract as the
+        indexes.  :meth:`copy` hands its copy the map it built anyway.
+        """
         if self._ordinal_map_version != self._version:
             changes = (
                 self.changes_since(self._ordinal_map_version)
@@ -410,7 +431,7 @@ class GoddagDocument:
                     elif isinstance(change, RemoveMarkup):
                         self._ordinal_map.pop(change.ordinal, None)
             self._ordinal_map_version = self._version
-        return self._ordinal_map.get(ordinal)
+        return self._ordinal_map
 
     # -- hierarchies ---------------------------------------------------------------
 
@@ -559,38 +580,130 @@ class GoddagDocument:
         zero-width element is anchored at the start of its own ancestor;
         sorting here pins one order so the descendant axis, the
         structural summary's candidate lists, and incremental index
-        maintenance all agree positionally.)
+        maintenance all agree positionally.)  Every listed element's
+        cached ``order_key`` is stamped with the current version, so
+        readers of a frozen document never write one.
 
-        One preorder walk per hierarchy computes every element's key —
-        the depth is its parent's plus one, so no parent chain is walked
-        — and stamps it as the element's cached ``order_key``; the walk
-        output is then sorted by those keys.  The query engine's
-        descendant axis runs off this list; the cache invalidates
-        automatically on any mutation (version bump).
+        A stale list is brought up to date from the delta journal
+        (:meth:`_patch_order`): only the elements an edit inserted,
+        removed or re-parented get a new key and a new place, every
+        other element keeps its key tuple, and the list is a new list
+        (one returned earlier never changes).  Where the journal cannot
+        bridge the gap (:meth:`changes_since` returns ``None``: an
+        untracked :meth:`touch`, :meth:`add_hierarchy`, a cancelled
+        speculation pair around the cached version, an overflow past
+        :data:`JOURNAL_LIMIT`) or holds a record of an unknown kind,
+        one preorder walk per hierarchy re-keys every element — the
+        depth is its parent's plus one, so no parent chain is walked —
+        and sorts the walk output.  With metrics enabled the two paths
+        count as ``core.order.patched`` and ``core.order.rebuilt`` (by
+        reason).
         """
-        if self._ordered_cache_version != self._version:
-            from .navigation import element_key
+        version = self._version
+        cached = self._ordered_cache_version
+        if cached == version:
+            return self._ordered_cache
+        changes = self.changes_since(cached) if cached >= 0 else None
+        if changes is not None and self._patch_order(changes):
+            if _metrics.enabled:
+                _metrics.incr("core.order.patched")
+            return self._ordered_cache
+        if _metrics.enabled:
+            reason = ("first-build" if cached < 0
+                      else "journal-gap" if changes is None
+                      else "unknown-record")
+            _metrics.incr("core.order.rebuilt", reason=reason)
+        from .navigation import element_key
 
-            version = self._version
-            ordered: list[Element] = []
-            for name, hierarchy in self._hierarchies.items():
-                rank = hierarchy.rank
-                stack = [(top, 0) for top in reversed(self._h_top[name])]
-                while stack:
-                    element, depth = stack.pop()
-                    element._okey = element_key(element, rank, depth)
-                    element._okey_version = version
-                    ordered.append(element)
-                    if element._children:
-                        depth += 1
-                        stack.extend(
-                            (child, depth)
-                            for child in reversed(element._children)
-                        )
-            ordered.sort(key=_okey_of)
-            self._ordered_cache = ordered
-            self._ordered_cache_version = version
-        return self._ordered_cache
+        ordered: list[Element] = []
+        for name, hierarchy in self._hierarchies.items():
+            rank = hierarchy.rank
+            stack = [(top, 0) for top in reversed(self._h_top[name])]
+            while stack:
+                element, depth = stack.pop()
+                element._okey = element_key(element, rank, depth)
+                element._okey_version = version
+                ordered.append(element)
+                if element._children:
+                    depth += 1
+                    stack.extend(
+                        (child, depth)
+                        for child in reversed(element._children)
+                    )
+        ordered.sort(key=_okey_of)
+        self._ordered_cache = ordered
+        self._ordered_cache_version = version
+        return ordered
+
+    def _patch_order(self, changes: list[ChangeRecord]) -> bool:
+        """Bring the ordered-element cache from its version to the
+        current one by replaying ``changes`` (the journal since then);
+        False, with nothing changed, on a record of an unknown kind.
+
+        Only structural records move keys: an insertion gives its
+        element a key and deepens its ``repathed`` subtree by one, a
+        removal drops its element and raises its ``repathed`` nodes by
+        one.  One pass over the list drops every element a record
+        names; those still attached get a fresh key and are merged
+        back by bisection, so the patch copies the list once however
+        many elements the records name.  Every other element keeps its
+        key tuple and only has its stamp moved to the current version
+        — except one whose key :func:`~repro.core.navigation.order_key`
+        re-stamped at a version in between, which is keyed again (a
+        cancelled speculation pair leaves no record of the depth it
+        saw); its key is then the one the list was sorted by.
+        """
+        # The elements the records name; value: attached now.
+        moved: dict[Element, bool] = {}
+        for change in changes:
+            kind = type(change)
+            if kind is SetAttribute:
+                continue
+            if kind is InsertMarkup:
+                moved[change.element] = True
+            elif kind is RemoveMarkup:
+                moved[change.element] = False
+            else:
+                return False
+            for node in change.repathed:
+                moved[node] = True
+        from .navigation import element_key
+
+        cached, version = self._ordered_cache_version, self._version
+        hierarchies = self._hierarchies
+
+        def rekey(element: Element) -> None:
+            element._okey = element_key(
+                element, hierarchies[element.hierarchy].rank, element.depth()
+            )
+            element._okey_version = version
+
+        kept: list[Element] = []
+        keep = kept.append
+        for element in self._ordered_cache:
+            if element in moved:
+                continue
+            stamp = element._okey_version
+            if stamp != cached and stamp != version:
+                rekey(element)
+            else:
+                element._okey_version = version
+            keep(element)
+        placed = [element for element, attached in moved.items() if attached]
+        for element in placed:
+            rekey(element)
+        placed.sort(key=_okey_of)
+        ordered: list[Element] = []
+        lo = 0
+        for element in placed:
+            hi = bisect_left(kept, element._okey, lo, key=_okey_of)
+            ordered += kept[lo:hi]
+            ordered.append(element)
+            lo = hi
+        ordered += kept[lo:]
+        self._ordered_cache = ordered
+        self._ordered_cache_version = version
+        return True
 
     def element_count(self, hierarchy: str | None = None) -> int:
         """Number of elements, overall or for one hierarchy."""
@@ -854,9 +967,13 @@ class GoddagDocument:
         for child in adopted:
             siblings.remove(child)
             child._parent = element
-        element._children = sorted(adopted, key=_sibling_key)
+        if adopted:
+            element._children = sorted(adopted, key=_sibling_key)
         element._parent = None if parent.is_root else parent
-        insort(siblings, element, key=_sibling_key)
+        if siblings is NO_CHILDREN:
+            parent._children = [element]
+        else:
+            insort(siblings, element, key=_sibling_key)
         self._h_all[hierarchy].append(element)
         self._hierarchies[hierarchy].observe_tag(tag)
         change = None
@@ -929,7 +1046,7 @@ class GoddagDocument:
         for child in replacement:
             child._parent = None if parent.is_root else parent
         siblings[position : position + 1] = replacement
-        element._children = []
+        element._children = NO_CHILDREN
         element._parent = None
         self._h_all[hierarchy].remove(element)
         self._dirty(hierarchy, change)
@@ -1318,6 +1435,7 @@ class GoddagBuilder:
                     raise StorageError(
                         f"zero-width element {ordinal} has children"
                     )
+                element._children = []
                 for child in reversed(children):
                     if child[1] != name:
                         raise StorageError(
@@ -1442,8 +1560,10 @@ class GoddagBuilder:
             boundaries.add(record.start)
             boundaries.add(record.end)
             hierarchy.observe_tag(record.tag)
-            stack.extend(
-                (child, element) for child in reversed(
-                    sorted(record.children, key=_record_sibling_key))
-            )
+            if record.children:
+                element._children = []
+                stack.extend(
+                    (child, element) for child in reversed(
+                        sorted(record.children, key=_record_sibling_key))
+                )
         return top

@@ -39,7 +39,8 @@ def order_key(node: Node) -> tuple:
     ``depth()`` walks the parent chain, which would otherwise dominate
     large sorts (every structural mutation bumps the version and
     invalidates the cache).  ``GoddagDocument.ordered_elements`` stamps
-    the :func:`element_key` of every element in one tree walk.
+    the :func:`element_key` of every element, in one tree walk or, after
+    tracked edits, by re-keying only the elements the edits moved.
     """
     if isinstance(node, Element):
         if node.is_root:

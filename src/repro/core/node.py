@@ -16,7 +16,10 @@ model of the paper's DOM-style GODDAG API.
 Element children lists store only *element* children.  Leaf children are
 derived on demand from the document's shared :class:`~repro.core.spans.SpanTable`,
 so splitting a leaf (an editing operation) never invalidates stored child
-lists.
+lists.  A childless element holds the shared empty tuple
+:data:`NO_CHILDREN` instead of a list of its own; whoever gives it its
+first child allocates the list (most elements of a document never get
+one).
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 #: Sort rank used by document order: elements precede the leaf they start with.
 KIND_ELEMENT = 0
 KIND_LEAF = 1
+
+#: The child sequence of every childless element: one shared empty tuple,
+#: replaced by a list at the element's first child.
+NO_CHILDREN: tuple = ()
 
 
 class Node:
@@ -201,7 +208,8 @@ class Element(Node):
         self._start = start
         self._end = end
         self._parent: Element | None = None
-        self._children: list[Element] = []
+        # A list once the element has a child (see NO_CHILDREN).
+        self._children: list[Element] | tuple = NO_CHILDREN
         # Cached document-order key, stamped with the document version
         # (see repro.core.navigation.order_key).
         self._okey: tuple | None = None

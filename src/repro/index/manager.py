@@ -171,7 +171,8 @@ class IndexManager:
         document at its current version — without a rebuild.
 
         The structural summary and the attribute postings are remapped
-        to the copy's elements by ordinal, in their order; the term
+        to the copy's elements by ordinal, in their order, through the
+        copy's own ordinal map (which the copy was made with); the term
         index is keyed on the shared immutable text and is shared as-is.
         The new manager is fresh at the copy's version, has no persist
         backlog (call :meth:`mark_persisted`), and is not attached.
@@ -186,8 +187,7 @@ class IndexManager:
                 f"document version {document.version} is not the built "
                 f"version {self._built_version}: not a copy of this state"
             )
-        by_ordinal = {element.ordinal: element
-                      for element in document.ordered_elements()}
+        by_ordinal = document.elements_by_ordinal()
         manager = IndexManager(document, build=False,
                                incremental=self.incremental,
                                delta_threshold=self.delta_threshold)

@@ -275,3 +275,69 @@ def test_writer_leaves_its_source_unchanged(tmp_path, outcome, observed):
                 query.expression)) for query in QUERIES} == answers
             assert {query.expression: snapshot(query.evaluate(
                 source, index=False)) for query in QUERIES} == answers
+
+
+@pytest.mark.parametrize("outcome", ["abort", "publish"])
+def test_writer_edits_leave_the_source_child_lists_and_keys(tmp_path,
+                                                             outcome):
+    """An insert gives a childless element its first child and a removal
+    empties a child list in the writer's copy; the source's child
+    sequences, its ordered list and its cached keys stay as they were,
+    and it still equals a fresh load of its generation."""
+    with DocumentService(tmp_path / "svc.db", pool_size=2) as service:
+        service.create(generate(_spec(4)), "doc")
+        loaded, generation = _load(service)
+        with service.read_session("doc") as reader:
+            source = reader.document
+            assert reader.generation == generation
+            children = {element: (element._children,
+                                  tuple(element._children))
+                        for element in source.elements()}
+            ordered = source.ordered_elements()
+            keys = [(element._okey, element._okey_version)
+                    for element in ordered]
+
+            with pytest.raises(RuntimeError) if outcome == "abort" \
+                    else nullcontext():
+                with service.write_session("doc",
+                                           prevalidate=False) as writer:
+                    copy = writer.document
+                    childless = next(
+                        e for e in copy.elements()
+                        if not e.element_children and not e.is_empty)
+                    only_child = next(
+                        e for e in copy.elements()
+                        if not e.element_children and not e.parent.is_root
+                        and len(e.parent.element_children) == 1)
+                    emptied = only_child.parent
+                    gained = writer.editor.insert_markup(
+                        childless.hierarchy, "seg", childless.start,
+                        childless.end)
+                    writer.editor.remove_markup(only_child)
+                    assert childless.element_children == (gained,)
+                    assert emptied.element_children == ()
+                    if outcome == "abort":
+                        raise RuntimeError("abort the session")
+            assert copy.check_invariants() == []
+            check = sorted(copy.elements(), key=lambda e: (
+                e.start, e.start != e.end, -e.end,
+                copy.hierarchy(e.hierarchy).rank, e.depth(), e.ordinal))
+            assert copy.ordered_elements() == check
+
+            source_childless = source.element_by_ordinal(childless.ordinal)
+            source_emptied = source.element_by_ordinal(emptied.ordinal)
+            assert source_childless.element_children == ()
+            assert [e.ordinal for e in source_emptied.element_children] == \
+                [only_child.ordinal]
+            assert all(element._children is before and
+                       tuple(element._children) == contents
+                       for element, (before, contents) in children.items())
+            assert source.ordered_elements() is ordered
+            assert [(element._okey, element._okey_version)
+                    for element in ordered] == keys
+            assert all(order_key(element) is key
+                       for element, (key, _) in zip(ordered, keys))
+            assert canonical_form(source) == canonical_form(loaded)
+            assert _element_rows(source) == _element_rows(loaded)
+            assert [order_key(e) for e in ordered] == \
+                [order_key(e) for e in loaded.ordered_elements()]
