@@ -15,8 +15,9 @@ inserted + updated + deleted — the honest write-amplification metric):
 * **delta rows** — one attribute edit, then ``save_indexed`` on the
   session's own artifact (journal-driven row upserts);
 * **rewrite rows** — the same edit persisted by the pre-identity
-  recipe: a full ``save(overwrite=True)`` plus ``build_index`` (what
-  keeping a fresh document + index used to cost per save).
+  recipe: a full ``save(overwrite=True)``, which rewrites the document
+  and its index whole (what keeping a fresh document + index used to
+  cost per save).
 
 A second arm publishes structural edits: one element inserted among N
 top-level siblings (wrapping two of them), then removed again.  Sibling
@@ -79,11 +80,10 @@ def measure_size(words: int, tmp_dir) -> dict[str, float]:
         delta_rows = conn.total_changes - before
 
         # Full rewrite: the same class of edit persisted the
-        # pre-identity way (document rewrite + index rebuild).
+        # pre-identity way (document and index rewritten whole).
         editor.set_attribute(lines[1], "rev", "full")
         before = conn.total_changes
         store.save(document, "ms", overwrite=True)
-        store.build_index("ms")
         rewrite_rows = conn.total_changes - before
     finally:
         store.close()

@@ -11,8 +11,8 @@ the synthetic corpora of ``workloads/generator.py``:
   search over the term index's occurrence offsets.
 
 Stored documents answer span queries from the element rows
-(``elements_intersecting``), with or without an index, so no span
-class is timed here.
+(``elements_intersecting``), not from their persisted index, so no
+span class is timed here.
 
 The **editing scenario** measures what incremental index maintenance
 buys an authoring session: k edits (milestone insertions, markup

@@ -22,8 +22,12 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         with GoddagStore(str(Path(tmp) / "editions.db")) as store:
             t0 = time.perf_counter()
-            store.save(doc, "boethius-36v")
-            print(f"saved in {1000 * (time.perf_counter() - t0):.1f} ms")
+            stamp = store.save(doc, "boethius-36v")
+            print(f"saved with its index in "
+                  f"{1000 * (time.perf_counter() - t0):.1f} ms "
+                  f"(generation {stamp[:8]})")
+            print(f"lines counted from the index: "
+                  f"{store.count_tag('boethius-36v', 'line')}")
 
             t0 = time.perf_counter()
             hits = store.elements_intersecting("boethius-36v", 100, 160)

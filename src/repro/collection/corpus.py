@@ -25,10 +25,10 @@ rows.  Execution fans out per document in serial, threaded, or
 process mode (:mod:`repro.collection.fanout`) with identical merged
 results.
 
-Every member is stored with its index (``GoddagStore.save_with_index``
-counts a new member's summary rows from the document itself; editing
-sessions patch them as deltas), so adding or editing one document
-never rescans the corpus.
+Every member is stored with its index (``GoddagStore.save`` counts a
+new member's summary rows from the document itself; editing sessions
+patch them as deltas), so adding or editing one document never rescans
+the corpus.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class CollectionResult:
     plan: CollectionPlan
     mode: str
     workers: int
-    documents: tuple[tuple[str, str | None], ...]
+    documents: tuple[tuple[str, str], ...]
     rows_by_document: dict[str, tuple] = field(repr=False)
 
     @property
@@ -182,14 +182,14 @@ class Corpus:
     # -- population ---------------------------------------------------------------
 
     def add(self, document: GoddagDocument, name: str, *,
-            overwrite: bool = False) -> str | None:
+            overwrite: bool = False) -> str:
         """Store ``document`` under ``name``, indexed, and return its
         generation stamp.  The collection summary rows are written in
         the same transaction as the document rows."""
         with self._pool.connection() as backend:
             return self._add_on(backend, document, name, overwrite)
 
-    def add_many(self, items, *, overwrite: bool = False) -> dict[str, str | None]:
+    def add_many(self, items, *, overwrite: bool = False) -> dict[str, str]:
         """Bulk ingest: ``items`` yields ``(document, name)`` pairs;
         one borrowed connection serves the whole batch.  Returns the
         per-document generation stamps.
@@ -200,7 +200,7 @@ class Corpus:
         observable per document on the ``collection.ingest_docs``
         counter (next to the batch-level ``collection.ingest`` timer).
         """
-        stamps: dict[str, str | None] = {}
+        stamps: dict[str, str] = {}
         with metrics.time("collection.ingest"):
             with self._pool.connection() as backend:
                 for document, name in items:
@@ -240,8 +240,8 @@ class Corpus:
         return stamps
 
     def _add_on(self, backend, document: GoddagDocument, name: str,
-                overwrite: bool) -> str | None:
-        stamp = backend.save_with_index(document, name, overwrite=overwrite)
+                overwrite: bool) -> str:
+        stamp = backend.save(document, name, overwrite=overwrite)
         if overwrite:
             self._pool.snapshots.evict(name)
         return stamp
@@ -266,9 +266,9 @@ class Corpus:
         with self._pool.connection() as backend:
             return backend.load(name)
 
-    def generation(self, name: str) -> str | None:
+    def generation(self, name: str) -> str:
         """The document's current generation stamp (its persisted-index
-        stamp; ``None`` when it has no index)."""
+        stamp)."""
         with self._pool.connection() as backend:
             return backend.index_stamp(name)
 
@@ -283,8 +283,8 @@ class Corpus:
 
     def stats(self) -> dict:
         """Corpus-level counts in the ``repro-stats/1`` envelope:
-        documents, indexed documents, element rows, and the collection
-        summary's size by feature family."""
+        documents, element rows, and the collection summary's size by
+        feature family."""
         from ..obs.stats import stats_dict
 
         with self._pool.connection() as backend:

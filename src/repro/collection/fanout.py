@@ -17,9 +17,8 @@ answer is **byte-identical** across all three:
   members the cache does not hold are answered from their element
   rows, read for the whole chunk in one transaction with their stamps
   (:func:`row_served` decides, for
-  :meth:`~repro.collection.corpus.Corpus.explain` too).  Members
-  without an index, and members whose root element the name test
-  selects, are still decoded;
+  :meth:`~repro.collection.corpus.Corpus.explain` too).  Members whose
+  root element the name test selects are still decoded;
 * node results are flattened to plain comparable tuples
   (:func:`node_rows`) — picklable for the process pool and
   order-stable, since the evaluator already emits document order;
@@ -112,7 +111,7 @@ def row_served(query: ExtendedXPath, install: bool) -> tuple | None:
 def evaluate_documents(
     backend: SqliteStore, snapshots: SnapshotCache, names: list[str],
     expression: str, install: bool,
-) -> list[tuple[str, str | None, tuple]]:
+) -> list[tuple[str, str, tuple]]:
     """Evaluate ``expression`` per document over one borrowed
     connection and ``snapshots`` (see :meth:`SnapshotCache.get`);
     returns ``(name, generation, rows)`` triples.
@@ -147,14 +146,14 @@ def row_members(
 ) -> list[tuple[str, int, str]]:
     """``(name, doc_id, stamp)`` of the ``names`` that the row query
     ``served`` answers from element rows: every member but those the
-    cache holds at their generation, those without an index, and those
-    whose root element (which has no row) the name test selects.  The
-    one admission rule behind :func:`_answer_from_rows` and
+    cache holds at their generation and those whose root element (which
+    has no row) the name test selects.  The one admission rule behind
+    :func:`_answer_from_rows` and
     :meth:`~repro.collection.corpus.Corpus.explain`."""
     return [
         (name, doc_id, stamp)
         for name, doc_id, root_tag, stamp in backend.member_stamps(names)
-        if stamp is not None and not names_root(served, root_tag)
+        if not names_root(served, root_tag)
         and not snapshots.holds(name, stamp)
     ]
 
@@ -162,7 +161,7 @@ def row_members(
 def _answer_from_rows(
     backend: SqliteStore, snapshots: SnapshotCache, names: list[str],
     served: tuple,
-) -> dict[str, tuple[str, str | None, tuple]]:
+) -> dict[str, tuple[str, str, tuple]]:
     """The ``(name, generation, rows)`` answers of the ``names`` that the
     row query ``served`` can answer from element rows, by name.
 
@@ -191,7 +190,7 @@ def _answer_from_rows(
 
 def _worker_chunk(
     path: str, names: list[str], expression: str, install: bool
-) -> list[tuple[str, str | None, tuple]]:
+) -> list[tuple[str, str, tuple]]:
     """Process-pool entry point: evaluate one chunk against a
     per-worker read-only connection (module-level so it pickles)."""
     key = (os.getpid(), path)
@@ -204,7 +203,7 @@ def _worker_chunk(
 def run_fanout(pool, names: list[str], expression: str, *,
                mode: str = "serial", workers: int | None = None,
                process_pool=None, thread_pool=None
-               ) -> list[tuple[str, str | None, tuple]]:
+               ) -> list[tuple[str, str, tuple]]:
     """Fan ``expression`` out over ``names`` and merge the answers back
     in the caller's name order (the stable ``(doc, document-order)``
     contract — identical whatever mode ran).

@@ -48,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..core.node import Element
 
 #: Current persisted payload format.  Format 2 added the attribute-value
-#: postings; a store's format-1 index has no attribute counts.
+#: postings; opening a store migrates a format-1 index to it.
 PAYLOAD_FORMAT = 2
 
 #: Default delta backlog beyond which catching up incrementally is

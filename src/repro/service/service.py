@@ -29,10 +29,10 @@ docs/ARCHITECTURE.md, "Service layer & concurrency contract"):
   shared snapshot when the stamp matches it, otherwise a fresh load
   read in one database transaction with its stamp — and the snapshot
   never changes afterwards: a writer publishing a new version does not
-  disturb open readers.  An empty or missing stamp names no generation,
-  so such a document is loaded per session and never shared.
-  Staleness is observable, not imposed: :meth:`ReadSession.is_current`
-  / :meth:`ReadSession.require_current` surface a newer published
+  disturb open readers.  Every write mints a new stamp, so a document
+  replaced by any write is a new generation.  Staleness is observable,
+  not imposed: :meth:`ReadSession.is_current` /
+  :meth:`ReadSession.require_current` surface a newer published
   generation as the typed :class:`~repro.errors.SnapshotSupersededError`;
   re-open to see it.
 * **Write sessions serialize per document.**  :meth:`write_session`
@@ -112,13 +112,12 @@ class _Session:
 
     def __init__(self, service: "DocumentService", name: str,
                  document: GoddagDocument, manager: IndexManager,
-                 generation: str | None) -> None:
+                 generation: str) -> None:
         self._service = service
         self.name = name
         self.document = document
         self.manager = manager
-        #: The stored index stamp this session's snapshot corresponds
-        #: to (``None`` when the document was stored without an index).
+        #: The stored index stamp this session's snapshot corresponds to.
         self.generation = generation
         self._open = True
 
@@ -157,8 +156,7 @@ class _Session:
             raise SnapshotSupersededError(
                 f"document {self.name!r} was republished after this "
                 "session opened; re-open to see the new version",
-                name=self.name, snapshot=self.generation or "",
-                current=current or "",
+                name=self.name, snapshot=self.generation, current=current,
             )
 
     def close(self) -> None:
@@ -211,7 +209,7 @@ class WriteSession(_Session):
 
     def __init__(self, service: "DocumentService", name: str,
                  document: GoddagDocument, manager: IndexManager,
-                 generation: str | None, lock: threading.Lock,
+                 generation: str, lock: threading.Lock,
                  prevalidate: bool = True) -> None:
         super().__init__(service, name, document, manager, generation)
         self._lock = lock
@@ -221,7 +219,7 @@ class WriteSession(_Session):
         # :attr:`generation` (None: nothing to hand off).
         self._published_version: int | None = None
 
-    def publish(self) -> str | None:
+    def publish(self) -> str:
         """Persist the session's edits as one new stored generation.
 
         Atomic (one transaction brings document rows and index rows in
@@ -365,7 +363,7 @@ class DocumentService:
                 lock = self._write_locks[name] = threading.Lock()
             return lock
 
-    def _generation(self, name: str) -> str | None:
+    def _generation(self, name: str) -> str:
         with self._pool.connection() as backend:
             return backend.index_stamp(name)
 
@@ -379,15 +377,14 @@ class DocumentService:
     # -- document administration -------------------------------------------------
 
     def create(self, document: GoddagDocument, name: str,
-               overwrite: bool = False) -> str | None:
+               overwrite: bool = False) -> str:
         """Store and index ``document`` under ``name``; returns the new
         generation stamp.  ``overwrite=True`` replaces an existing
         document wholesale (take the write lock first — via
         :meth:`write_session` — if writers may be active on it)."""
         self._pool.snapshots.evict(name)
         with self._pool.connection() as backend:
-            return backend.save_with_index(document, name,
-                                           overwrite=overwrite)
+            return backend.save(document, name, overwrite=overwrite)
 
     def delete(self, name: str) -> None:
         """Delete a stored document (under its write lock, so an active

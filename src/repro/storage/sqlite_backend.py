@@ -7,19 +7,17 @@ relational encoding of :mod:`repro.storage.schema` with the indexes
 cross-hierarchy queries need, which is what makes selective queries on
 large stored editions cheap (experiment E7).
 
-Stored documents can carry a *persisted index*
-(:meth:`SqliteStore.build_index`): an ``index_meta`` row and the
-document's ``collection_summary`` counts — elements per tag and per
-label path, occurrences per term, elements per attribute value.
-:meth:`SqliteStore.count_tag` and :meth:`SqliteStore.count_attribute`
-probe once for the index and read one count when it exists, and count
-the element rows when it does not, returning the same answers either
-way.  A plain
-:meth:`SqliteStore.save` over (or delete of) a document drops its
-index; editing sessions use :meth:`SqliteStore.save_indexed` instead,
-which re-saves the document *and* propagates the index manager's
-applied deltas as row-level upserts under a stable ``doc_id``, so the
-stored index never invalidates wholesale.
+Every stored document carries its *persisted index*: an ``index_meta``
+row with a non-empty generation stamp, and the document's
+``collection_summary`` counts — elements per tag and per label path,
+occurrences per term, elements per attribute value.  Every write that
+stores a document writes its index in the same transaction and mints a
+fresh stamp: :meth:`SqliteStore.save` counts the index from the
+document, :meth:`SqliteStore.save_indexed` (editing sessions)
+propagates the index manager's applied deltas as row-level upserts
+under a stable ``doc_id``, and :meth:`SqliteStore.build_index`
+re-counts a stored document's index.  :meth:`SqliteStore.count_tag`
+and :meth:`SqliteStore.count_attribute` each read one summary count.
 
 Every write that replaces a whole document is one transaction, so a
 failure leaves the old generation or the new one, never neither.
@@ -117,10 +115,11 @@ CREATE INDEX IF NOT EXISTS idx_collection_summary_doc
 """
 
 #: Schema version recorded in ``PRAGMA user_version``.  Version 1 added
-#: the ``collection_summary`` table; opening an older store backfills it
-#: from the index tables those stores kept (see
+#: the ``collection_summary`` table; version 2 gives every document an
+#: index at the current format with a non-empty stamp.  Opening an older
+#: store counts what it lacks from the rows (see
 #: :meth:`SqliteStore._migrate`).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: The element-row INSERT of full saves and streaming chunks:
 #: ``(doc_id, *ElementRow)``, with 0 in the legacy ``child_rank`` column
@@ -270,12 +269,12 @@ class SqliteStore:
         schema (CREATE TABLE IF NOT EXISTS never alters existing
         tables).  Additive only: older columns are never dropped, and
         the index tables of older stores are left in place, unread
-        (:meth:`_backfill_collection_summary` counts from the rows).
+        (:meth:`_index_every_document` counts from the rows).
 
         The whole migration — the ``index_meta.stamp`` column, the
-        backfill and the version bump — is one write transaction that
-        re-reads the schema inside it, so connections opening the same
-        old store at once migrate it exactly once."""
+        index of every document and the version bump — is one write
+        transaction that re-reads the schema inside it, so connections
+        opening the same old store at once migrate it exactly once."""
         if self._schema_current():
             return
 
@@ -292,7 +291,7 @@ class SqliteStore:
             (version,) = self._conn.execute(
                 "PRAGMA user_version").fetchone()
             if version < SCHEMA_VERSION:
-                self._backfill_collection_summary()
+                self._index_every_document(version)
                 self._conn.execute(
                     f"PRAGMA user_version = {int(SCHEMA_VERSION)}"
                 )
@@ -307,19 +306,32 @@ class SqliteStore:
         (version,) = self._conn.execute("PRAGMA user_version").fetchone()
         return "stamp" in columns and version >= SCHEMA_VERSION
 
-    def _backfill_collection_summary(self) -> None:
-        """Populate ``collection_summary`` for a store written before
-        schema version 1: every indexed document is counted from its
-        own rows (:func:`~repro.storage.schema.summary_rows`), so a
-        migrated store routes and counts like a freshly built one.  A
-        fresh store has no documents and gets no rows.  Statements
-        only: :meth:`_migrate` owns the transaction."""
-        self._conn.execute("DELETE FROM collection_summary")
-        for doc_id, name in self._conn.execute(
-            "SELECT doc_id, name FROM documents JOIN index_meta"
-            " USING (doc_id)"
+    def _index_every_document(self, version: int) -> None:
+        """Give every document of a store at schema ``version`` an index
+        at :data:`PAYLOAD_FORMAT` with a non-empty stamp.
+
+        A document is counted from its own rows
+        (:func:`~repro.storage.schema.summary_rows`) when it has no
+        ``index_meta`` row, an index older than format 2, or — below
+        version 1 — no summary rows at all; it keeps a stamp it has.
+        Any other document with an empty stamp gets a fresh one.  So a
+        migrated store routes and counts like a freshly written one.
+        Staging rows of an interrupted streaming ingest are left for
+        the next ingest to reclaim.  Statements only: :meth:`_migrate`
+        owns the transaction."""
+        for doc_id, name, fmt, stamp in self._conn.execute(
+            "SELECT d.doc_id, d.name, m.format, m.stamp FROM documents d"
+            " LEFT JOIN index_meta m USING (doc_id) WHERE d.name NOT GLOB ?",
+            (STAGING_PREFIX + "*",),
         ).fetchall():
-            self._insert_summary_rows(doc_id, summary_rows(self.load(name)))
+            if version < 1 or fmt is None or fmt < 2:
+                self._write_index_rows(doc_id, self.load(name),
+                                       stamp or uuid4().hex)
+            elif not stamp:
+                self._conn.execute(
+                    "UPDATE index_meta SET stamp = ? WHERE doc_id = ?",
+                    (uuid4().hex, doc_id),
+                )
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -344,28 +356,20 @@ class SqliteStore:
     # -- save / load ---------------------------------------------------------------
 
     def save(self, document: GoddagDocument, name: str,
-             overwrite: bool = False) -> int:
-        """Persist ``document`` under ``name``; returns its doc_id.
+             overwrite: bool = False) -> str:
+        """Store ``document`` and its index under ``name`` in one
+        transaction; returns the new generation stamp.
 
-        One transaction checks for a document already stored under
-        ``name`` (a :class:`~repro.errors.StorageError` unless
-        ``overwrite``), deletes it — its index rows die with the old
-        doc_id (ON DELETE CASCADE) — and inserts the new rows, so a
-        failure anywhere leaves the old document in place.
+        A document already stored under ``name`` raises
+        :class:`~repro.errors.StorageError` unless ``overwrite``.  The
+        rows are written whole, the index counted from the document
+        itself; no :class:`~repro.index.manager.IndexManager` is built
+        or consulted, so an attached one keeps its own delta accounting
+        (editing sessions use :meth:`save_indexed`).  Replacing a stored
+        document is a plain full write, not a fallback, and a failure
+        anywhere leaves the old generation in place.
         """
-        rows = encode_document(document, name)
-
-        def transaction() -> int:
-            found = self._find(name)
-            if found is not None:
-                if not overwrite:
-                    raise StorageError(f"document {name!r} already stored")
-                self._conn.execute(
-                    "DELETE FROM documents WHERE doc_id = ?", (found[0],)
-                )
-            return self._insert_document(*rows)
-
-        return self._write_retry(transaction, f"save {name!r}")
+        return self._save_indexed(document, name, None, overwrite, False)
 
     def _insert_document(self, doc_row: DocumentRow, hierarchy_rows,
                          element_rows) -> int:
@@ -410,7 +414,7 @@ class SqliteStore:
         )))
         return decode_document(doc_row, hierarchy_rows, element_rows)
 
-    def load_snapshot(self, name: str) -> tuple[GoddagDocument, str | None]:
+    def load_snapshot(self, name: str) -> tuple[GoddagDocument, str]:
         """``(document, index stamp)`` of ``name``, read in one sqlite
         read transaction, so the stamp names exactly the generation the
         rows belong to.
@@ -439,7 +443,7 @@ class SqliteStore:
             self._conn.execute("COMMIT")
 
     def delete(self, name: str) -> None:
-        doc_id, _ = self._doc_index_row(name)
+        doc_id = self._doc_id(name)
 
         def transaction() -> None:
             self._conn.execute(
@@ -478,7 +482,7 @@ class SqliteStore:
     # -- storage-level queries (no reconstruction) --------------------------------------
 
     def count_elements(self, name: str, tag: str | None = None) -> int:
-        doc_id, _ = self._doc_index_row(name)
+        doc_id = self._doc_id(name)
         if tag is None:
             query = "SELECT COUNT(*) FROM elements WHERE doc_id = ?"
             (count,) = self._conn.execute(query, (doc_id,)).fetchone()
@@ -488,7 +492,7 @@ class SqliteStore:
         return count
 
     def elements_by_tag(self, name: str, tag: str) -> list[StoredElement]:
-        doc_id, _ = self._doc_index_row(name)
+        doc_id = self._doc_id(name)
         return [
             _stored(row)
             for row in self._conn.execute(
@@ -507,7 +511,7 @@ class SqliteStore:
         without reconstruction, by the ``(doc_id, start, end)`` index.
         Zero-width elements share no character with any window and are
         never returned."""
-        doc_id, _ = self._doc_index_row(name)
+        doc_id = self._doc_id(name)
         return self._conn.execute(
             "SELECT hierarchy, tag, start, end FROM elements"
             " WHERE doc_id = ? AND start < ? AND end > ? AND start < end"
@@ -525,7 +529,7 @@ class SqliteStore:
         :meth:`~repro.core.goddag.GoddagDocument.element_by_ordinal`)
         in any later one.
         """
-        doc_id, _ = self._doc_index_row(name)
+        doc_id = self._doc_id(name)
         row = self._conn.execute(
             "SELECT elem_id, hierarchy, tag, start, end, attributes"
             " FROM elements WHERE doc_id = ? AND elem_id = ?",
@@ -537,7 +541,7 @@ class SqliteStore:
         self, name: str, tag_a: str, tag_b: str
     ) -> list[tuple[StoredElement, StoredElement]]:
         """All properly-overlapping (tag_a, tag_b) pairs, by SQL self-join."""
-        doc_id, _ = self._doc_index_row(name)
+        doc_id = self._doc_id(name)
         rows = self._conn.execute(
             """
             SELECT a.elem_id, a.hierarchy, a.tag, a.start, a.end, a.attributes,
@@ -557,16 +561,8 @@ class SqliteStore:
 
     def count_tag(self, name: str, tag: str) -> int:
         """Number of elements with ``tag``: the document's tag count in
-        ``collection_summary`` when indexed (one keyed read), a count
-        of the element rows otherwise."""
-        doc_id, indexed = self._doc_index_row(name)
-        if indexed:
-            return self._summary_count(doc_id, KIND_TAG, tag)
-        (count,) = self._conn.execute(
-            "SELECT COUNT(*) FROM elements WHERE doc_id = ? AND tag = ?",
-            (doc_id, tag),
-        ).fetchone()
-        return count
+        ``collection_summary`` (one keyed read)."""
+        return self._summary_count(self._doc_id(name), KIND_TAG, tag)
 
     def _summary_count(self, doc_id: int, kind: int, key: str) -> int:
         """One ``collection_summary`` count; 0 when the row is absent."""
@@ -578,62 +574,21 @@ class SqliteStore:
         return 0 if row is None else row[0]
 
     def count_attribute(self, name: str, attr: str, value: str) -> int:
-        """Number of elements with attribute ``attr`` = ``value``.
-
-        With a persisted format-2 index the answer is the document's
-        attribute count in ``collection_summary`` — one keyed read, no
-        document materialization.  Older or missing indexes fall back to a scan
-        of the element rows' attribute JSON.  The shared root's
+        """Number of elements with attribute ``attr`` = ``value``: the
+        document's attribute count in ``collection_summary`` — one keyed
+        read, no document materialization.  The shared root's
         attributes are not counted — attribute postings index elements,
         matching the in-memory :class:`~repro.index.term.AttributeIndex`.
-
-        The scan streams a dedicated cursor instead of materializing the
-        document's attribute blobs, and pushes a cheap prefilter into
-        SQL: only rows whose raw JSON contains both the encoded key
-        token and the encoded value token are decoded at all.  The
-        tokens are matched separately — never joined with a ``": "``
-        separator, which is writer-dependent (``separators=(",", ":")``
-        emits no space) — and each is truncated at the first non-ASCII
-        character, whose escape depends on the writer's ``ensure_ascii``
-        choice.  That keeps the prefilter complete for any JSON the
-        standard encoder can have produced; it is not exact (a longer
-        key shares the same token bytes), so each candidate is confirmed
-        by decoding its attributes; a candidate whose attributes are not
-        a JSON object raises :class:`~repro.errors.StorageError` naming it.
         """
-        doc_id, indexed = self._doc_index_row(name)
-        if indexed:
-            (fmt,) = self._conn.execute(
-                "SELECT format FROM index_meta WHERE doc_id = ?", (doc_id,)
-            ).fetchone()
-            if fmt >= 2:
-                return self._summary_count(
-                    doc_id, KIND_ATTR, encode_path((attr, value)))
-        cursor = self._conn.cursor()
-        try:
-            cursor.execute(
-                "SELECT elem_id, attributes FROM elements"
-                " WHERE doc_id = ? AND attributes != '{}'"
-                " AND instr(attributes, ?) > 0"
-                " AND instr(attributes, ?) > 0",
-                (doc_id, _json_token_prefix(attr),
-                 _json_token_prefix(value)),
-            )
-            return sum(
-                1 for elem_id, encoded in cursor
-                if decode_attributes(encoded, elem_id).get(attr) == value
-            )
-        finally:
-            cursor.close()
+        return self._summary_count(self._doc_id(name), KIND_ATTR,
+                                   encode_path((attr, value)))
 
     def term_occurrences(self, name: str, needle: str) -> list[int]:
         """Start offsets of ``needle`` in the stored text (sorted,
         overlapping occurrences included): a scan of the stored text,
         read on its own, never through a document reconstruction.
-        Indexed or not, the answer is the same — an alphanumeric needle
-        lies inside one term-index token wherever it occurs.
         """
-        doc_id, _ = self._doc_index_row(name)
+        doc_id = self._doc_id(name)
         (text,) = self._conn.execute(
             "SELECT text FROM documents WHERE doc_id = ?", (doc_id,)
         ).fetchone()
@@ -674,7 +629,7 @@ class SqliteStore:
         if start < 0 or end < start:
             raise StorageError(f"bad text window [{start}, {end}) of "
                                f"{name!r}: need 0 <= start <= end")
-        doc_id, _ = self._doc_index_row(name)
+        doc_id = self._doc_id(name)
         (fragment,) = self._conn.execute(
             "SELECT substr(text, ?, ?) FROM documents WHERE doc_id = ?",
             (start + 1, end - start, doc_id),
@@ -689,31 +644,33 @@ class SqliteStore:
     # queries read the element rows under idx_elements_span, and term
     # queries scan the text.
 
-    def save_index(self, name: str, document: GoddagDocument,
-                   stamp: str = "") -> None:
-        """Persist the index of ``document``, which is what is stored
+    def save_index(self, name: str, document: GoddagDocument) -> str:
+        """Re-count the index of ``document``, which is what is stored
         under ``name``: its ``index_meta`` row and its
         ``collection_summary`` counts
-        (:func:`~repro.storage.schema.summary_rows`)."""
-        doc_id, _ = self._doc_index_row(name)
+        (:func:`~repro.storage.schema.summary_rows`), under a fresh
+        generation stamp, which it returns."""
+        doc_id = self._doc_id(name)
+        stamp = uuid4().hex
         self._write_retry(
             lambda: self._write_index_rows(doc_id, document, stamp),
             f"save_index {name!r}",
         )
+        return stamp
 
-    def build_index(self, name: str) -> None:
-        """Count and persist the index of a stored document; loads it
+    def build_index(self, name: str) -> str:
+        """Re-count the index of a stored document from its rows, under
+        a fresh generation stamp, which it returns; loads the document
         once and builds no :class:`~repro.index.manager.IndexManager`.
-        Subsequent index-aware queries answer without loading it again.
         """
-        self.save_index(name, self.load(name))
+        return self.save_index(name, self.load(name))
 
     def save_indexed(self, document: GoddagDocument, name: str,
                      manager: IndexManager | None = None,
                      overwrite: bool = False,
                      strict_stamp: bool = False) -> dict:
         """Save (or re-save) a document *and* keep its persisted index in
-        step — the editing-session alternative to save + :meth:`build_index`.
+        step — the editing-session form of :meth:`save`.
 
         ``manager`` defaults to the document's attached index manager;
         it is refreshed (incrementally, when the delta journal allows)
@@ -758,31 +715,14 @@ class SqliteStore:
         self._save_indexed(document, name, manager, overwrite, strict_stamp)
         return manager.stats()
 
-    def save_with_index(self, document: GoddagDocument, name: str, *,
-                        overwrite: bool = False) -> str:
-        """Store ``document`` and its index under ``name`` in one
-        transaction, like :meth:`save_indexed`; returns the new
-        generation stamp.
-
-        A document whose attached manager is its own is saved with it,
-        so the manager keeps its delta accounting.  Any other is written
-        whole with no manager built, its index counted from the
-        document itself; replacing a stored one (``overwrite=True``) is
-        a plain full write, not a fallback.
-        """
-        manager = document.index_manager
-        if manager is not None and manager.document is not document:
-            manager = None
-        return self._save_indexed(document, name, manager, overwrite, False)
-
     def _save_indexed(self, document: GoddagDocument, name: str,
                       manager: IndexManager | None, overwrite: bool,
                       strict_stamp: bool) -> str:
         tracer = current_tracer()
         with (tracer.span("save", document=name) if tracer is not None
               else nullcontext()), metrics.time("storage.save"):
-            exists = self.has(name)
-            generation = self.index_stamp(name) if exists else None
+            generation = self._stamp_of(name)
+            exists = generation is not None
             token = self.artifact_token(name, generation)
             deltas = own = None
             if manager is not None:
@@ -794,7 +734,7 @@ class SqliteStore:
                     raise WriteConflictError(
                         f"document {name!r} was published by another "
                         "writer during this session; nothing was written",
-                        name=name, found=generation or "",
+                        name=name, found=generation,
                     )
                 raise StorageError(
                     f"document {name!r} already stored and is not this "
@@ -805,7 +745,7 @@ class SqliteStore:
                 document, name, deltas, manager,
                 stamp=stamp,
                 # None tells the transaction that nothing was stored.
-                expected_stamp=(generation or "") if exists else None,
+                expected_stamp=generation,
                 strict_stamp=strict_stamp,
             )
             if manager is not None:
@@ -913,7 +853,7 @@ class SqliteStore:
     def element_row_full(self, name: str, elem_id: int) -> ElementRow | None:
         """The full schema row for one element — one keyed probe of the
         ``(doc_id, elem_id)`` primary key — or ``None``."""
-        doc_id, _ = self._doc_index_row(name)
+        doc_id = self._doc_id(name)
         return self.element_row_at(doc_id, elem_id)
 
     def element_row_at(self, doc_id: int, elem_id: int) -> ElementRow | None:
@@ -935,7 +875,7 @@ class SqliteStore:
         filters by parent-chain reachability, since an overlapping
         hierarchy sibling can share the interval.
         """
-        doc_id, _ = self._doc_index_row(name)
+        doc_id = self._doc_id(name)
         return list(map(ElementRow._make, self._conn.execute(
             f"SELECT {self._ELEMENT_ROW_COLS} FROM elements"
             " WHERE doc_id = ? AND start >= ? AND end <= ?"
@@ -955,7 +895,7 @@ class SqliteStore:
         still confirm the match on the decoded attribute dict (the
         needle never false-negatives, but may false-positive).
         """
-        doc_id, _ = self._doc_index_row(name)
+        doc_id = self._doc_id(name)
         where, params = _tag_filter(tag, hierarchy, attr, value)
         # Sorted here, not by ORDER BY, which would make sqlite scan
         # every row of the document by primary key instead.
@@ -982,13 +922,12 @@ class SqliteStore:
         return found
 
     def member_stamps(self, names: list[str]
-                      ) -> list[tuple[str, int, str, str | None]]:
+                      ) -> list[tuple[str, int, str, str]]:
         """``(name, doc_id, root_tag, index stamp)`` of every stored
-        name in ``names``, in one statement; the stamp is ``None`` when
-        the document has no index (see :meth:`index_stamp`)."""
+        name in ``names``, in one statement (see :meth:`index_stamp`)."""
         return self._conn.execute(
             "SELECT d.name, d.doc_id, d.root_tag, m.stamp FROM documents d"
-            " LEFT JOIN index_meta m USING (doc_id)"
+            " JOIN index_meta m USING (doc_id)"
             " WHERE d.name IN (SELECT value FROM json_each(?))",
             (json.dumps(names),),
         ).fetchall()
@@ -1013,20 +952,20 @@ class SqliteStore:
         ``index_meta`` row and
         :func:`~repro.storage.schema.summary_rows` — the index half of
         every full write (statements only — the caller owns the
-        transaction).  ``stamp`` is the session generation mark an
-        editing-session writer leaves so it can later recognize its own
-        artifact."""
-        self._delete_index_rows(doc_id)
+        transaction).  ``stamp`` is the generation mark a writer leaves
+        so it can later recognize its own artifact."""
+        for table in ("index_meta", "collection_summary"):
+            self._conn.execute(
+                f"DELETE FROM {table} WHERE doc_id = ?", (doc_id,)
+            )
         self._conn.execute(
             "INSERT INTO index_meta VALUES (?, ?, ?, ?)",
             (doc_id, PAYLOAD_FORMAT, document.length, stamp),
         )
-        self._insert_summary_rows(doc_id, summary_rows(document))
-
-    def _insert_summary_rows(self, doc_id: int, summary) -> None:
         self._conn.executemany(
             "INSERT INTO collection_summary VALUES (?, ?, ?, ?)",
-            [(doc_id, kind, key, n) for kind, key, n in summary],
+            [(doc_id, kind, key, n)
+             for kind, key, n in summary_rows(document)],
         )
 
     def _apply_index_delta_rows(self, doc_id: int, deltas,
@@ -1068,18 +1007,21 @@ class SqliteStore:
             [(kind, key, doc_id) for kind, key, n in counts if not n],
         )
 
-    def index_stamp(self, name: str) -> str | None:
-        """The generation stamp of the persisted index (empty for one
-        written outside an editing session), or ``None`` when no index
-        is stored — one statement, the probe every session pays."""
+    def index_stamp(self, name: str) -> str:
+        """The generation stamp of the stored document's index — one
+        statement, the probe every session pays."""
+        stamp = self._stamp_of(name)
+        if stamp is None:
+            raise StorageError(f"no stored document {name!r}")
+        return stamp
+
+    def _stamp_of(self, name: str) -> str | None:
+        """:meth:`index_stamp`, or ``None`` when nothing is stored."""
         row = self._conn.execute(
             "SELECT m.stamp FROM documents d"
-            " LEFT JOIN index_meta m USING (doc_id) WHERE d.name = ?",
-            (name,),
+            " JOIN index_meta m USING (doc_id) WHERE d.name = ?", (name,),
         ).fetchone()
-        if row is None:
-            raise StorageError(f"no stored document {name!r}")
-        return row[0]
+        return None if row is None else row[0]
 
     def route_documents(self, features) -> list[str]:
         """The names of every document that *can* match a query with
@@ -1089,21 +1031,17 @@ class SqliteStore:
         (:func:`repro.collection.router.routing_features`): tuples of
         ``("root", tag)``, ``("tag", tag)``, ``("term", needle)``,
         ``("attr", name, value)`` or ``("path", encoded)``.  A document
-        survives only if *every* feature holds — but the test errs
-        strictly on the side of keeping documents: unindexed documents
-        always route (they have no summary rows to consult), a tag
-        feature also accepts a matching root tag (the shared GODDAG
-        root is reachable by ``//x`` yet is not an element row), and an
-        attribute feature holds for every document indexed before
-        attribute counts existed (``index_meta.format`` below 2) and
-        falls back to an ``instr`` prefilter over the stored
-        root-attribute JSON (root attributes are not in the posting
-        index).  False positives cost a wasted per-document evaluation;
-        a false negative would change answers — so there are none by
-        construction.  The staging rows of an in-flight streaming
+        survives only if *every* feature holds, read from its summary
+        rows — but the test errs strictly on the side of keeping
+        documents: a tag feature also accepts a matching root tag (the
+        shared GODDAG root is reachable by ``//x`` yet is not an element
+        row), and an attribute feature also accepts an ``instr``
+        prefilter match over the stored root-attribute JSON (root
+        attributes are not in the posting index).  False positives cost
+        a wasted per-document evaluation; a false negative would change
+        answers — so there are none by construction.  The staging rows of an in-flight streaming
         ingest never route, exactly as :meth:`names` hides them.
         """
-        where = ["m.doc_id IS NULL"]
         conj: list[str] = []
         params: list = []
         for feature in features:
@@ -1128,8 +1066,7 @@ class SqliteStore:
             elif kind == "attr":
                 name, value = key, feature[2]
                 conj.append(
-                    "(m.format < 2"
-                    " OR EXISTS(SELECT 1 FROM collection_summary s"
+                    "(EXISTS(SELECT 1 FROM collection_summary s"
                     " WHERE s.doc_id = d.doc_id AND s.kind = ?"
                     " AND s.key = ?) OR (instr(d.root_attributes, ?) > 0"
                     " AND instr(d.root_attributes, ?) > 0))"
@@ -1148,14 +1085,12 @@ class SqliteStore:
                 raise StorageError(f"unknown routing feature kind {kind!r}")
         if not conj:
             # No necessary condition extracted — every document is a
-            # candidate, indexed or not.
+            # candidate.
             return self.names()
-        where.append("(" + " AND ".join(conj) + ")")
         return [
             name for (name,) in self._conn.execute(
                 "SELECT d.name FROM documents d"
-                " LEFT JOIN index_meta m USING (doc_id)"
-                f" WHERE d.name NOT GLOB ? AND ({' OR '.join(where)})"
+                f" WHERE d.name NOT GLOB ? AND {' AND '.join(conj)}"
                 " ORDER BY d.name",
                 [STAGING_PREFIX + "*", *params],
             )
@@ -1168,7 +1103,7 @@ class SqliteStore:
         streaming ingests are not counted, as :meth:`names` hides
         them."""
         counts = {
-            "documents": 0, "indexed_documents": 0, "element_rows": 0,
+            "documents": 0, "element_rows": 0,
             "summary_rows": 0, "tag_keys": 0, "term_keys": 0,
             "attr_keys": 0, "path_keys": 0,
         }
@@ -1178,8 +1113,6 @@ class SqliteStore:
         (counts["documents"],) = self._conn.execute(
             f"SELECT COUNT(*) FROM documents WHERE {live}", staging
         ).fetchone()
-        (counts["indexed_documents"],) = self._conn.execute(
-            "SELECT COUNT(*) FROM index_meta").fetchone()
         (counts["element_rows"],) = self._conn.execute(
             f"SELECT COUNT(*) FROM elements WHERE {live}", staging
         ).fetchone()
@@ -1195,7 +1128,7 @@ class SqliteStore:
 
     def resave_with_index(self, document: GoddagDocument, name: str,
                           deltas, manager: IndexManager | None,
-                          stamp: str = "",
+                          stamp: str,
                           expected_stamp: str | None = None,
                           strict_stamp: bool = False) -> None:
         """Atomically bring a stored document's rows *and* its index in
@@ -1226,7 +1159,7 @@ class SqliteStore:
 
         Every full-rewrite fallback is reason-coded into the
         ``storage.full_rewrites.*`` metrics ('stale-deltas',
-        'broken-coalescer', 'no-stored-index', 'stamp-mismatch') and
+        'broken-coalescer', 'stamp-mismatch') and
         warns under ``REPRO_OBS_STRICT=1``.
 
         ``strict_stamp=True`` turns the stamp-mismatch fallback into a
@@ -1272,8 +1205,8 @@ class SqliteStore:
                             strict_stamp: bool) -> tuple[bool, str | None]:
         """The statements of :meth:`resave_with_index`; returns
         ``(row_level, full-rewrite reason)``."""
-        found = self._find(name)
-        if found is None:
+        doc_id = self._find(name)
+        if doc_id is None:
             if expected_stamp is not None:
                 raise StorageError(f"no stored document {name!r}")
             doc_id = self._insert_document(*encode_document(document, name))
@@ -1281,7 +1214,6 @@ class SqliteStore:
             return False, None
         if expected_stamp is None:
             raise StorageError(f"document {name!r} already stored")
-        doc_id, indexed = found
         # The document row always rewrites: root attributes may have
         # changed, and it is one row either way.  (The text and the
         # hierarchy set are immutable within a tracked session — a
@@ -1300,8 +1232,6 @@ class SqliteStore:
             reason = None if manager is None else "stale-deltas"
         elif deltas.rows.broken:
             reason = "broken-coalescer"
-        elif not indexed:
-            reason = "no-stored-index"
         else:
             # Stamp re-verification, inside the transaction: the
             # conditional UPDATE succeeds only against the exact
@@ -1388,46 +1318,26 @@ class SqliteStore:
              for op in updates if not op.is_delete],
         )
 
-    def _delete_index_rows(self, doc_id: int) -> None:
-        for table in ("index_meta", "collection_summary"):
-            self._conn.execute(
-                f"DELETE FROM {table} WHERE doc_id = ?", (doc_id,)
-            )
-
-    def _find(self, name: str) -> tuple[int, bool] | None:
-        """``(doc_id, has_index)`` in one statement, or ``None`` when
-        nothing is stored under ``name``."""
+    def _find(self, name: str) -> int | None:
+        """The doc_id stored under ``name``, or ``None``."""
         row = self._conn.execute(
-            "SELECT d.doc_id, m.doc_id IS NOT NULL"
-            " FROM documents d LEFT JOIN index_meta m USING (doc_id)"
-            " WHERE d.name = ?", (name,),
+            "SELECT doc_id FROM documents WHERE name = ?", (name,)
         ).fetchone()
-        return None if row is None else (row[0], bool(row[1]))
+        return None if row is None else row[0]
 
-    def _doc_index_row(self, name: str) -> tuple[int, bool]:
-        """``(doc_id, has_index)`` — the gate every index-aware query
-        pays exactly once."""
-        found = self._find(name)
-        if found is None:
+    def _doc_id(self, name: str) -> int:
+        """The doc_id stored under ``name``; raises
+        :class:`~repro.errors.StorageError` when there is none."""
+        doc_id = self._find(name)
+        if doc_id is None:
             raise StorageError(f"no stored document {name!r}")
-        return found
-
-    def has_index(self, name: str) -> bool:
-        """True when a persisted index exists for ``name``."""
-        return self._doc_index_row(name)[1]
-
-    def drop_index(self, name: str) -> None:
-        """Remove the persisted index (the document itself is untouched)."""
-        doc_id, _ = self._doc_index_row(name)
-        self._write_retry(
-            lambda: self._delete_index_rows(doc_id), f"drop_index {name!r}"
-        )
+        return doc_id
 
 
 class SharedSnapshot(NamedTuple):
     """One generation of one document, frozen, and its manager or None."""
 
-    generation: str | None
+    generation: str
     document: GoddagDocument
     manager: IndexManager | None
 
@@ -1437,9 +1347,8 @@ class SnapshotCache:
     LRU over :attr:`LIMIT` names.  Each :class:`SqliteConnectionPool`
     has one, shared by the service's sessions and the corpus fan-out.
 
-    An entry is reused only while the probed stamp is non-empty and
-    equal to its generation, so an empty or missing stamp is never
-    cached.  Every :meth:`evict` and hand-off (:meth:`install` without
+    An entry is reused only while the probed stamp equals its
+    generation.  Every :meth:`evict` and hand-off (:meth:`install` without
     an epoch) moves the name's install epoch, and a load installs only
     if the epoch it read at its probe is still current, so a slow load
     never replaces a newer entry.  Only a load in flight can read an
@@ -1492,19 +1401,18 @@ class SnapshotCache:
                         del self._loads[name]
                         self._epochs.pop(name, None)
 
-    def holds(self, name: str, generation: str | None) -> bool:
+    def holds(self, name: str, generation: str) -> bool:
         """True when :meth:`get` (``index=False``) at ``generation``
         would be served from the cache; looks without touching."""
         with self._guard:
             return self._hit(name, generation, False) is not None
 
-    def _hit(self, name: str, generation: str | None,
+    def _hit(self, name: str, generation: str,
              index: bool) -> SharedSnapshot | None:
         """The entry :meth:`get` shares, or ``None`` (the caller holds
         the guard)."""
         entry = self._entries.get(name)
-        if generation and entry is not None \
-                and entry.generation == generation \
+        if entry is not None and entry.generation == generation \
                 and (entry.manager is not None or not index):
             return entry
         return None
@@ -1513,8 +1421,6 @@ class SnapshotCache:
                 epoch: int | None = None) -> None:
         """Make frozen ``entry`` the snapshot of ``name`` unless the
         ``epoch`` read before loading moved; a hand-off passes none."""
-        if not entry.generation:
-            return
         with self._guard:
             if epoch is None:
                 self._move_epoch(name)
@@ -1692,14 +1598,15 @@ class StreamIngestSession:
     """A chunked streaming write of one document and its index.
 
     Created by :meth:`SqliteStore.begin_stream_ingest`.  Element rows,
-    text and per-chunk index counts each commit in their own bounded
-    transaction against the staging document row, so peak memory is the
-    caller's chunk size, not the document.  Counts add onto the staging
-    document's ``collection_summary`` rows, so they may arrive in any
-    order and any split.  ``finalize`` renumbers the element rows,
-    writes the last of them, the hierarchies, the attribute counts and
-    ``index_meta``, and renames the staging row to the real name, in
-    one transaction; ``abort`` deletes the staging rows.
+    text and per-chunk index counts flushed in the middle of a stream
+    each commit in their own bounded transaction against the staging
+    document row, so peak memory is the caller's chunk size, not the
+    document.  Counts add onto the staging document's
+    ``collection_summary`` rows, so they may arrive in any order and any
+    split.  ``finalize`` renumbers the element rows, writes the last
+    element rows, text and counts, the hierarchies, the attribute
+    counts and ``index_meta``, and renames the staging row to the real
+    name, in one transaction; ``abort`` deletes the staging rows.
     """
 
     def __init__(self, store: SqliteStore, doc_id: int, staging: str,
@@ -1728,59 +1635,52 @@ class StreamIngestSession:
 
     def append_text(self, chunk: str) -> None:
         """Append a confirmed text chunk to the document row."""
-        if not chunk:
-            return
-        conn = self._store._conn
+        if chunk:
+            self._store._write_retry(partial(self._append_text, chunk),
+                                     "stream text")
 
-        def transaction() -> None:
-            conn.execute(
-                "UPDATE documents SET text = text || ?"
-                " WHERE doc_id = ?", (chunk, self._doc_id),
-            )
-
-        self._store._write_retry(transaction, "stream text")
+    def _append_text(self, chunk: str) -> None:
+        self._store._conn.execute(
+            "UPDATE documents SET text = text || ? WHERE doc_id = ?",
+            (chunk, self._doc_id),
+        )
 
     def append_paths(self, rows) -> None:
         """Add label-path counts: rows of ``(encoded_path, tag, n)``,
         each adding ``n`` to the path's and the tag's summary counts."""
-        self._add_counts(
-            [(KIND_PATH, path, n) for path, _tag, n in rows]
-            + [(KIND_TAG, tag, n) for _path, tag, n in rows],
-            "stream paths",
-        )
+        self._store._write_retry(
+            partial(self._add_counts, _path_counts(rows)), "stream paths")
 
     def append_terms(self, rows) -> None:
         """Add term counts: rows of ``(term, n)``."""
-        self._add_counts(
-            [(KIND_TERM, term, n) for term, n in rows], "stream terms"
-        )
+        self._store._write_retry(
+            partial(self._add_counts, _term_counts(rows)), "stream terms")
 
-    def _add_counts(self, counts, what: str) -> None:
-        conn = self._store._conn
+    def _add_counts(self, counts) -> None:
         doc_id = self._doc_id
-
-        def transaction() -> None:
-            conn.executemany(
-                "INSERT INTO collection_summary VALUES (?, ?, ?, ?)"
-                " ON CONFLICT(kind, key, doc_id)"
-                " DO UPDATE SET n = n + excluded.n",
-                [(doc_id, kind, key, n) for kind, key, n in counts],
-            )
-
-        self._store._write_retry(transaction, what)
+        self._store._conn.executemany(
+            "INSERT INTO collection_summary VALUES (?, ?, ?, ?)"
+            " ON CONFLICT(kind, key, doc_id)"
+            " DO UPDATE SET n = n + excluded.n",
+            [(doc_id, kind, key, n) for kind, key, n in counts],
+        )
 
     # -- closing -----------------------------------------------------------------
 
     def finalize(self, *, hierarchy_rows, doc_length: int, attr_rows,
-                 stamp: str, root_tag: str, root_attributes: str, shifts,
-                 element_rows) -> str:
+                 path_rows, term_rows, text: str, stamp: str, root_tag: str,
+                 root_attributes: str, shifts, element_rows) -> str:
         """Publish the document: the element renumbering and last
-        element rows, the hierarchy rows, the attribute counts, the
-        ``index_meta`` visibility gate and the staging→real rename with
-        the root element — one transaction.
+        element rows, text and path and term counts, the hierarchy
+        rows, the attribute counts, the ``index_meta`` visibility gate
+        and the staging→real rename with the root element — one
+        transaction.
 
-        ``attr_rows`` are ``(name, value, n)``: ``n`` elements carry
-        attribute ``name`` = ``value``.  ``root_attributes`` is the
+        ``path_rows``, ``term_rows`` and ``text`` are the stream's last
+        flushes, as :meth:`append_paths`, :meth:`append_terms` and
+        :meth:`append_text` take them.  ``attr_rows`` are
+        ``(name, value, n)``: ``n`` elements carry attribute ``name`` =
+        ``value``.  ``root_attributes`` is the
         schema layer's encoding (``schema.encode_attributes``).
         ``shifts`` are ``(hierarchy, shift)``: the
         element rows of ``hierarchy`` move ``elem_id`` and a non-root
@@ -1803,6 +1703,8 @@ class StreamIngestSession:
             )
             if element_rows:
                 self._insert_elements(element_rows)
+            if text:
+                self._append_text(text)
             conn.executemany(
                 "INSERT INTO hierarchies VALUES (?, ?, ?, ?)",
                 [(doc_id, rank, hname, dtd)
@@ -1812,10 +1714,10 @@ class StreamIngestSession:
                 "INSERT INTO index_meta VALUES (?, ?, ?, ?)",
                 (doc_id, PAYLOAD_FORMAT, doc_length, stamp),
             )
-            conn.executemany(
-                "INSERT INTO collection_summary VALUES (?, ?, ?, ?)",
-                [(doc_id, KIND_ATTR, encode_path((aname, avalue)), n)
-                 for aname, avalue, n in attr_rows],
+            self._add_counts(
+                _path_counts(path_rows) + _term_counts(term_rows)
+                + [(KIND_ATTR, encode_path((aname, avalue)), n)
+                   for aname, avalue, n in attr_rows]
             )
             existing = conn.execute(
                 "SELECT doc_id FROM documents WHERE name = ?",
@@ -1854,6 +1756,18 @@ class StreamIngestSession:
             self._store.delete(self._staging)
         except StorageError:  # already gone (e.g. reclaimed)
             pass
+
+
+def _path_counts(rows) -> list[tuple[int, str, int]]:
+    """Summary ``(kind, key, n)`` rows of label-path count rows
+    ``(encoded_path, tag, n)``: each adds to its path and its tag."""
+    return ([(KIND_PATH, path, n) for path, _tag, n in rows]
+            + [(KIND_TAG, tag, n) for _path, tag, n in rows])
+
+
+def _term_counts(rows) -> list[tuple[int, str, int]]:
+    """Summary ``(kind, key, n)`` rows of term count rows ``(term, n)``."""
+    return [(KIND_TERM, term, n) for term, n in rows]
 
 
 def _stored(row) -> StoredElement:

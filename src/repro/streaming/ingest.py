@@ -23,14 +23,16 @@ How identity survives streaming, table by table:
   last chunk before it is inserted there.  Rows are keyed by
   ``(doc_id, elem_id)`` and read back ordered, so chunk insertion
   order is free.
-- **documents** — text is appended per flush; the root tag and
-  attributes, which the merge reads from the first part, are written
-  at finalize.
+- **documents** — text is appended per flush, its tail at finalize;
+  the root tag and attributes, which the merge reads from the first
+  part, are written at finalize.
 - **collection_summary** — counts only, so order is free too: label
   path and tag counts (:class:`_PathAccumulator`) and term counts
   (:class:`_TermAccumulator`, which carries a token split by a
   confirmed-text chunk boundary to the next chunk) are added onto the
-  staging rows per flush; attribute counts are written at finalize.
+  staging rows per flush and at finalize; attribute counts are written
+  at finalize.  So a one-chunk document commits in two transactions:
+  the staging row, then finalize.
 
 Sources may be strings, paths, open files, chunk iterables, or
 zero-argument callables returning a chunk iterator or file object.
@@ -250,8 +252,6 @@ def _stream_rows(session, sources, hierarchy_names, chunk_elements,
                 flush_postings()
 
     terms.finish()
-    flush_postings()
-    flush_text()
 
     # The builder's bases: each hierarchy's first ordinal is one past
     # the elements of the hierarchies declared before it.  Flushed rows
@@ -269,6 +269,9 @@ def _stream_rows(session, sources, hierarchy_names, chunk_elements,
         doc_length=doc_length,
         attr_rows=[(attr_name, attr_value, n) for (attr_name, attr_value), n
                    in attr_counts.items()],
+        path_rows=paths.drain(),
+        term_rows=terms.drain(),
+        text="".join(text_pending),
         stamp=uuid4().hex,
         root_tag=stream.root_tag,
         root_attributes=encode_attributes(stream.root_attributes),

@@ -14,9 +14,8 @@ stored document that fetches rows only as they are asked for:
   from the element rows, hydrating only candidates that can actually
   appear in the answer, and falls back to a full materialized
   evaluation — reported on the ``streaming.lazy_xpath`` fallback
-  metric, by reason — for every other shape, for a document without an
-  index, and for a name test that selects the root element (which has
-  no element row).
+  metric, by reason — for every other shape and for a name test that
+  selects the root element (which has no element row).
 
 Results are :func:`repro.collection.fanout.node_rows`-shaped tuples, so
 a lazy answer can be compared byte-for-byte against a materialized
@@ -198,8 +197,6 @@ class LazyDocument:
         served = _row_query(query.ast)
         if served is None:
             return self._xpath_materialized(query, "unsupported-shape")
-        if not self._backend.has_index(self._name):
-            return self._xpath_materialized(query, "no-index")
         if names_root(served, self.root_tag):
             return self._xpath_materialized(query, "root-match")
         tag, hierarchy, attr, value = served

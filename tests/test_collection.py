@@ -21,6 +21,7 @@ from repro.storage.sqlite_backend import (
     KIND_PATH,
     KIND_TAG,
     KIND_TERM,
+    SCHEMA_VERSION,
     SqliteStore,
 )
 from repro.workloads import generate
@@ -265,14 +266,21 @@ def test_routing_prunes_selective_queries(corpus):
     assert "routed" in rendered and "tag 'dmg'" in rendered
 
 
-def test_unindexed_documents_always_route(corpus, tmp_path):
+def test_store_saved_documents_route_by_their_summary(corpus, tmp_path):
+    """A document stored by ``SqliteStore.save`` outside the corpus has
+    its summary rows like any member: it routes exactly when it can
+    match, under the stamp ``save`` returned."""
     store = SqliteStore(str(tmp_path / "corpus.db"), wal=True)
-    store.save(generate(WorkloadSpec(words=15, hierarchies=4, seed=999)),
-               "unindexed")
+    stamp = store.save(
+        generate(WorkloadSpec(words=15, hierarchies=4, seed=999)), "plain")
     store.close()
-    for expression in ("collection()//dmg", "collection()//nosuchtag"):
+    for expression, routed in (("collection()//vline", True),
+                               ("collection()//dmg", False),
+                               ("collection()//nosuchtag", False)):
         result = corpus.query(expression)
-        assert "unindexed" in dict(result.documents), expression
+        assert ("plain" in result.plan.routed) is routed, expression
+        if routed:
+            assert dict(result.documents)["plain"] == stamp
         assert result.hits == corpus.query(expression, routing=False).hits
 
 
@@ -347,7 +355,7 @@ def test_migration_backfills_pre_collection_stores(tmp_path):
         "SELECT doc_id, kind, key, n FROM collection_summary").fetchall()
     ) == expected
     (version,) = reopened._conn.execute("PRAGMA user_version").fetchone()
-    assert version == 1
+    assert version == SCHEMA_VERSION
     reopened.close()
 
 
@@ -387,7 +395,6 @@ def test_corpus_stats_envelope(corpus):
     assert stats["source"] == "collection.corpus"
     counts = stats["counts"]
     assert counts["collection.documents"] == 8
-    assert counts["collection.indexed_documents"] == 8
     assert counts["collection.summary_rows"] == (
         counts["collection.tag_keys"] + counts["collection.term_keys"]
         + counts["collection.attr_keys"] + counts["collection.path_keys"]

@@ -13,8 +13,9 @@ process) and checks:
 
 * answers equal ``routing=False`` and a fresh-load ``index=False``
   witness, and nothing is decoded or installed;
-* the members that must still be decoded are: a query whose name test
-  selects the root element, and a member without an index;
+* a query whose name test selects the root element is still decoded,
+  and a member stored by ``SqliteStore.save`` is served from rows like
+  any other;
 * an ``instr`` prefilter false positive is dropped, and tie groups of
   equal and zero-width spans come out in document order;
 * overwrite, remove and add, and a service publish are never served
@@ -122,6 +123,18 @@ def test_wide_fanout_decodes_nothing(corpus, mode, observed):
     assert all(list(cache) == [] for cache in _caches(corpus))
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_store_saved_member_is_served_from_rows(corpus, mode, observed):
+    store = SqliteStore(corpus.location, wal=True)
+    stamp = store.save(_member(7), "doc-7")  # stored with its index
+    store.close()
+    hits, documents = _run(corpus, BROAD, mode)
+    assert hits == _witness(corpus.location, BROAD)
+    assert dict(documents)["doc-7"] == stamp
+    assert _counter("collection.snapshots.loaded") == 0
+    assert _counter("collection.rows.served") == 7
+
+
 def test_explain_names_the_read_path(corpus, monkeypatch):
     assert "members read from rows" in corpus.explain(BROAD).render()
     # Not a one-step name test: decoded.
@@ -165,18 +178,6 @@ def test_root_tag_query_is_decoded(corpus, mode, expression, observed):
     _run(corpus, expression, mode)
     assert _counter("collection.rows.served") == 0
     assert _counter("collection.snapshots.loaded") == 6
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_unindexed_member_is_decoded(corpus, mode, observed):
-    store = SqliteStore(corpus.location, wal=True)
-    store.save(_member(7), "doc-7")  # no index: routed to every query
-    store.close()
-    hits, documents = _run(corpus, BROAD, mode)
-    assert hits == _witness(corpus.location, BROAD)
-    assert dict(documents)["doc-7"] is None
-    assert _counter("collection.snapshots.loaded") == 1
-    assert _counter("collection.rows.served") == 6
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -93,6 +93,23 @@ def test_service_identifiers_are_real():
     assert SnapshotCache.LIMIT == 32
 
 
+def test_storage_identifiers_are_real():
+    """The save-pipeline section names one kind of stored document: the
+    write paths it describes exist, and the retired unindexed-document
+    API is neither on the store nor named in the docs."""
+    from repro.storage.sqlite_backend import SqliteStore
+
+    for name in ("save", "save_indexed", "save_index", "build_index",
+                 "resave_with_index", "index_stamp"):
+        assert hasattr(SqliteStore, name), name
+    texts = [doc.read_text(encoding="utf-8") for doc in LINKED_DOCS]
+    for retired in ("has_index", "drop_index", "save_with_index",
+                    "indexed_documents"):
+        assert not hasattr(SqliteStore, retired), retired
+        assert not any(re.search(rf"\b{retired}\b", text)
+                       for text in texts), retired
+
+
 def _metric_catalog() -> set[str]:
     """Every backticked name in the Metrics section's catalog table."""
     text = ARCHITECTURE.read_text(encoding="utf-8")

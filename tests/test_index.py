@@ -287,12 +287,12 @@ class TestStoredIndexes:
     def test_span_query_is_unchanged_by_an_index(self, backend, tmp_path,
                                                  corpus):
         with self._store(tmp_path) as store:
-            store.save(corpus, "ms")
+            saved = store.save(corpus, "ms")
             windows = [(0, 60), (100, 101), (250, 500), (0, corpus.length)]
             plain = [store.elements_intersecting("ms", s, e)
                      for s, e in windows]
-            store.build_index("ms")
-            assert store.has_index("ms")
+            rebuilt = store.build_index("ms")
+            assert store.index_stamp("ms") == rebuilt != saved
             for (s, e), expected in zip(windows, plain):
                 assert store.elements_intersecting("ms", s, e) == expected
 
@@ -300,10 +300,10 @@ class TestStoredIndexes:
         location = tmp_path / "db.sqlite"
         with GoddagStore(location) as store:
             store.save(corpus, "ms")
-            store.build_index("ms")
+            stamp = store.build_index("ms")
             expected = store.elements_intersecting("ms", 90, 180)
         with GoddagStore(location) as fresh:
-            assert fresh.has_index("ms")
+            assert fresh.index_stamp("ms") == stamp
             assert fresh.elements_intersecting("ms", 90, 180) == expected
 
     def test_term_occurrences(self, backend, tmp_path, corpus):
@@ -321,35 +321,38 @@ class TestStoredIndexes:
     def test_count_tag(self, backend, tmp_path, corpus):
         with self._store(tmp_path) as store:
             store.save(corpus, "ms")
-            unindexed = store.count_tag("ms", "line")
+            lines = sum(1 for _ in corpus.elements(tag="line"))
+            assert store.count_tag("ms", "line") == lines
             store.build_index("ms")
-            assert store.count_tag("ms", "line") == unindexed
+            assert store.count_tag("ms", "line") == lines
             assert store.count_tag("ms", "nope") == 0
 
     def test_overwrite_drops_index(self, backend, tmp_path, corpus):
+        """An overwrite drops the old document's index with its rows and
+        stores the new document's index under a fresh stamp, in the same
+        transaction."""
+        replacement = GoddagBuilder("one two")
+        replacement.add_hierarchy("h")
+        replacement.add_annotation("h", "line", 0, 3)
         with self._store(tmp_path) as store:
             store.save(corpus, "ms")
-            store.build_index("ms")
-            store.save(corpus, "ms", overwrite=True)
-            assert not store.has_index("ms")
-            # The document still answers span queries.
-            assert store.elements_intersecting("ms", 0, 80)
-
-    def test_drop_index(self, backend, tmp_path, corpus):
-        with self._store(tmp_path) as store:
-            store.save(corpus, "ms")
-            store.build_index("ms")
-            store.drop_index("ms")
-            assert not store.has_index("ms")
+            built = store.build_index("ms")
+            stamp = store.save(replacement.build(), "ms", overwrite=True)
+            assert store.index_stamp("ms") == stamp != built
+            assert store.count_tag("ms", "line") == 1
+            assert store.count_tag("ms", "w") == 0
+            assert store.elements_intersecting("ms", 0, 80) == [
+                ("h", "line", 0, 3)]
 
     def test_delete_document_removes_index(self, backend, tmp_path, corpus):
         with self._store(tmp_path) as store:
-            store.save(corpus, "ms")
-            store.build_index("ms")
+            first = store.save(corpus, "ms")
             store.delete("ms")
             assert not store.has("ms")
-            store.save(corpus, "ms")
-            assert not store.has_index("ms")
+            for table in ("index_meta", "collection_summary"):
+                assert store._conn.execute(
+                    f"SELECT COUNT(*) FROM {table}").fetchone() == (0,)
+            assert store.save(corpus, "ms") != first
 
     def test_separator_tags_index_on_both_backends(self, backend, tmp_path):
         builder = GoddagBuilder("hello world")

@@ -258,16 +258,15 @@ class TestSaveTracing:
         (coalesce,) = tracer.find("coalesce")
         assert coalesce.attributes["row_writes"] == 1
 
-    def test_save_with_index_emits_the_same_chain_without_a_manager(
-            self, tmp_path):
-        """A document with no manager is written whole: the same save
-        and transaction spans, no coalesce, and no fallback reason —
-        a replacement included."""
+    def test_save_emits_the_same_chain_without_a_manager(self, tmp_path):
+        """``save`` writes a document whole with no manager: the same
+        save and transaction spans, no coalesce, and no fallback reason
+        — a replacement included."""
         document = build_document()
         with GoddagStore(tmp_path / "s.sqlite") as store:
             with obs.tracing() as tracer:
-                store.save_with_index(document, "d")
-                store.save_with_index(document, "d", overwrite=True)
+                store.save(document, "d")
+                store.save(document, "d", overwrite=True)
         names = [span.name for span in tracer.walk()]
         assert names == ["save", "transaction"] * 2
         assert document.index_manager is None

@@ -435,13 +435,13 @@ class TestStoredAttributeCounts:
         document = generate(WorkloadSpec(words=160, hierarchies=3, seed=6))
         with GoddagStore(tmp_path / "s.sqlite") as store:
             store.save(document, "ms")
-            unindexed = store.count_attribute("ms", "n", "2")
-            assert unindexed == sum(
+            counted = store.count_attribute("ms", "n", "2")
+            assert counted == sum(
                 1 for e in document.elements()
                 if e.attributes.get("n") == "2"
             )
             store.build_index("ms")
-            assert store.count_attribute("ms", "n", "2") == unindexed
+            assert store.count_attribute("ms", "n", "2") == counted
             assert store.count_attribute("ms", "n", "nope") == 0
             assert store.count_attribute("ms", "nope", "2") == 0
 

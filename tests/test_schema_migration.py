@@ -15,6 +15,12 @@ store must migrate the schema *additively* (missing column/table added,
 nothing dropped, every stored row intact), loading must adopt the old
 ids verbatim as birth ordinals, and the first ``save_indexed`` must
 backfill ``elem_id`` = ordinal without losing a byte of document data.
+
+Every migrated document is indexed at the current format under a
+non-empty stamp, with summary counts equal to the payload-derived
+oracle (``tests/_summary_oracle.py``) — the two fixtures, and a
+version-1 store holding a document without an index, one at format 1
+and one with an empty stamp.
 """
 
 import threading
@@ -26,8 +32,13 @@ import sqlite3
 from repro.collection.corpus import Corpus
 from repro.editing import Editor
 from repro.index import IndexManager
+from repro.index.manager import PAYLOAD_FORMAT
 from repro.obs.metrics import metrics
 from repro.storage import GoddagStore
+from repro.storage.sqlite_backend import SCHEMA_VERSION, SqliteStore
+from repro.workloads import WorkloadSpec, generate
+
+from _summary_oracle import collection_summary_rows
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -87,36 +98,21 @@ class TestLegacyArtifactMigration:
         with GoddagStore(where) as store:
             check_old_index_answers(store)
 
-    def test_concurrent_opens_migrate_once(self, fixture, tmp_path):
+    def test_concurrent_opens_migrate_once(self, fixture, tmp_path,
+                                           monkeypatch):
         """Connections opening one old store at once: each re-reads the
         schema inside the migration transaction, so exactly one adds
-        the stamp column and backfills, and none raises."""
+        the stamp column and indexes every document, and none raises."""
         for trial in range(40):
             (tmp_path / str(trial)).mkdir()
             where = materialize(fixture, tmp_path / str(trial))
-            barrier = threading.Barrier(4)
-            errors: list[BaseException] = []
-
-            def open_store() -> None:
-                barrier.wait()
-                try:
-                    GoddagStore(where, wal=True).close()
-                except BaseException as exc:  # noqa: BLE001 - reported
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=open_store)
-                       for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert errors == [], trial
+            assert race_opens(where, monkeypatch) == 1, trial
         with GoddagStore(where) as store:
             check_old_index_answers(store)
 
     def test_routed_answers_match_unrouted(self, fixture, tmp_path):
-        """Format-1 documents have no attribute counts, so an attribute
-        feature must not prune them."""
+        """The migration counts a format-1 document's attribute counts
+        from its rows, so an attribute feature prunes it correctly."""
         corpus = Corpus(materialize(fixture, tmp_path), pool_size=2)
         try:
             for expression in ("collection()//*[@n='1']",
@@ -160,8 +156,63 @@ class TestLegacyArtifactMigration:
             assert store.count_tag("legacy", "seg") == 1
 
 
+def race_opens(where, monkeypatch) -> int:
+    """Open the store at ``where`` from four threads at once; returns
+    how many of them indexed the documents (ran the migration)."""
+    migrations = []
+    real = SqliteStore._index_every_document
+
+    def counted(self, version):
+        migrations.append(version)
+        real(self, version)
+
+    monkeypatch.setattr(SqliteStore, "_index_every_document", counted)
+    barrier = threading.Barrier(4)
+    errors: list[BaseException] = []
+
+    def open_store() -> None:
+        try:
+            barrier.wait(timeout=30)
+            GoddagStore(where, wal=True).close()
+        except BaseException as exc:  # noqa: BLE001 - reported
+            errors.append(exc)
+
+    threads = [threading.Thread(target=open_store) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    monkeypatch.undo()
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    return len(migrations)
+
+
+def check_every_document_indexed(store) -> None:
+    """Each document has one ``index_meta`` row at the current format
+    with a non-empty stamp, and summary rows equal to the oracle's."""
+    assert store._conn.execute("PRAGMA user_version").fetchone() == (
+        SCHEMA_VERSION,)
+    for name in store.names():
+        (doc_id,) = store._conn.execute(
+            "SELECT doc_id FROM documents WHERE name = ?", (name,)
+        ).fetchone()
+        meta = store._conn.execute(
+            "SELECT format, doc_length, stamp FROM index_meta"
+            " WHERE doc_id = ?", (doc_id,)).fetchall()
+        document = store.load(name)
+        assert len(meta) == 1, name
+        assert meta[0][:2] == (PAYLOAD_FORMAT, document.length), name
+        assert meta[0][2], name
+        stored = set(store._conn.execute(
+            "SELECT kind, key, n FROM collection_summary WHERE doc_id = ?",
+            (doc_id,)).fetchall())
+        assert stored == set(collection_summary_rows(
+            IndexManager(document).payload(name))), name
+
+
 def check_old_index_answers(store) -> None:
-    assert store.has_index("legacy")
+    check_every_document_indexed(store)
     assert store.count_tag("legacy", "line") == 1
     assert store.term_occurrences("legacy", "world") == [6]
     assert store.elements_intersecting("legacy", 0, 11) == [
@@ -169,8 +220,7 @@ def check_old_index_answers(store) -> None:
         ("physical", "w", 0, 5),
         ("linguistic", "s", 6, 11),
     ]
-    # Attribute counts answer either way: format-2 summary counts, or
-    # the format-1 fallback scan over the element rows.
+    # Attribute counts are summary counts, format-1 documents included.
     assert store.count_attribute("legacy", "n", "1") == 1
     assert store.count_attribute("legacy", "resp", "ed") == 1
     document = store.load("legacy")
@@ -231,3 +281,73 @@ def test_legacy_overlap_rows_are_left_alone_by_a_row_level_publish(tmp_path):
             )
             assert store.elements_intersecting("legacy", start, end) \
                 == brute
+
+
+def version_one_store(where) -> dict[str, list]:
+    """A store of schema version 1 holding a document with no index, one
+    indexed at format 1 and one whose stamp is empty (plus one current);
+    returns each document's element rows."""
+    with GoddagStore(where) as store:
+        for seed, name in enumerate(("bare", "format1", "unstamped",
+                                     "current")):
+            store.save(generate(WorkloadSpec(words=40, hierarchies=3,
+                                             seed=seed)), name)
+        conn = store._conn
+        with conn:
+            conn.execute(
+                "DELETE FROM index_meta WHERE doc_id IN (SELECT doc_id"
+                " FROM documents WHERE name = 'bare')")
+            conn.execute(
+                "DELETE FROM collection_summary WHERE doc_id IN (SELECT"
+                " doc_id FROM documents WHERE name IN ('bare', 'format1'))")
+            conn.execute(
+                "UPDATE index_meta SET format = 1 WHERE doc_id IN (SELECT"
+                " doc_id FROM documents WHERE name = 'format1')")
+            conn.execute(
+                "UPDATE index_meta SET stamp = '' WHERE doc_id IN (SELECT"
+                " doc_id FROM documents WHERE name = 'unstamped')")
+            conn.execute("PRAGMA user_version = 1")
+        return {name: rows_of(store, name) for name in store.names()}
+
+
+def rows_of(store, name: str) -> list:
+    return store._conn.execute(
+        "SELECT * FROM elements WHERE doc_id = (SELECT doc_id FROM"
+        " documents WHERE name = ?) ORDER BY elem_id", (name,)).fetchall()
+
+
+def test_version_one_store_gets_every_document_indexed(tmp_path):
+    where = tmp_path / "v1.sqlite"
+    before = version_one_store(where)
+    conn = sqlite3.connect(where)
+    current = conn.execute(
+        "SELECT stamp FROM index_meta JOIN documents USING (doc_id)"
+        " WHERE name = 'current'").fetchone()
+    conn.close()
+    with GoddagStore(where) as store:
+        check_every_document_indexed(store)
+        assert {name: rows_of(store, name) for name in store.names()} \
+            == before
+        # A document that had a stamp keeps it.
+        assert store.index_stamp("current") == current[0]
+    corpus = Corpus(where, pool_size=2)
+    try:
+        for expression in ("collection()//line[@n='1']",
+                           "collection()//dmg", "collection()//w",
+                           "collection()//nosuchtag",
+                           "collection()//*[contains(., 'e')]"):
+            assert corpus.query(expression).hits == \
+                corpus.query(expression, routing=False).hits, expression
+    finally:
+        corpus.close()
+
+
+def test_version_one_store_racing_opens_migrate_once(tmp_path, monkeypatch):
+    for trial in range(10):
+        where = tmp_path / f"v1-{trial}.sqlite"
+        before = version_one_store(where)
+        assert race_opens(where, monkeypatch) == 1, trial
+        with GoddagStore(where) as store:
+            check_every_document_indexed(store)
+            assert {name: rows_of(store, name)
+                    for name in store.names()} == before

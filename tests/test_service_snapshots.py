@@ -11,8 +11,9 @@ overwrites drop the entry.  These tests pin down:
   sessions keep theirs;
 * immutability: every frozen mutator raises
   :class:`~repro.errors.EditError` and changes nothing;
-* no stale sharing: aborted or unpublished writers install nothing, an
-  empty stamp is never shared, deletes and overwrites evict;
+* no stale sharing: aborted or unpublished writers install nothing,
+  every write outside the service is a new generation that open
+  sessions see as newer, deletes and overwrites evict;
 * one consistent read: the stamp and the rows of a load come from one
   database transaction, even when a writer commits in between;
 * a reader whose load finishes after a writer handed off a newer
@@ -30,7 +31,11 @@ import threading
 import pytest
 
 from repro import DocumentService, canonical_form
-from repro.errors import EditError, MarkupConflictError
+from repro.errors import (
+    EditError,
+    MarkupConflictError,
+    SnapshotSupersededError,
+)
 from repro.obs.metrics import metrics
 from repro.storage import GoddagStore
 from repro.storage.sqlite_backend import SnapshotCache, SqliteStore
@@ -188,23 +193,53 @@ def test_aborted_write_session_installs_nothing(service):
         assert reader.query("//seg") == []
 
 
-def test_empty_stamp_document_is_never_served_stale(service, tmp_path):
+def test_store_level_replacements_are_never_served_stale(service, tmp_path):
     with service.read_session("doc") as reader:
-        assert reader.generation
-    # Re-save outside the service: build_index stamps '' for every
-    # version, so the stamp cannot tell these generations apart.
+        seen = {reader.generation}
+    # Re-save outside the service: every write mints a fresh stamp, so
+    # each replacement is a new generation, shared once loaded.
     store = GoddagStore(tmp_path / "svc.db")
     try:
         for seed in (3, 4):
             replacement = generate(WorkloadSpec(
                 words=60, hierarchies=2, overlap_density=0.3, seed=seed))
-            store.save(replacement, "doc", overwrite=True)
-            store.build_index("doc")
+            saved = store.save(replacement, "doc", overwrite=True)
+            built = store.build_index("doc")
             with service.read_session("doc") as first, \
                     service.read_session("doc") as second:
-                assert first.generation == ""
-                assert first.document is not second.document
+                assert first.generation == built
+                assert first.document is second.document
                 assert _answers(first) == _witness(replacement)
+            assert not {saved, built} & seen and saved != built
+            seen |= {saved, built}
+    finally:
+        store.close()
+
+
+def _assert_superseded(session) -> None:
+    assert not session.is_current()
+    with pytest.raises(SnapshotSupersededError):
+        session.require_current()
+
+
+def test_session_on_a_store_saved_document_sees_each_rewrite(service,
+                                                             tmp_path):
+    """A read session on a document stored by ``save`` is superseded by
+    an overwrite and by each ``build_index``: every write stores a new
+    stamp, so none of them can look like the session's generation."""
+    store = GoddagStore(tmp_path / "svc.db")
+    try:
+        store.save(generate(SPEC), "plain")
+        with service.read_session("plain") as reader:
+            assert reader.is_current()
+            store.save(generate(WorkloadSpec(words=40, seed=5)), "plain",
+                       overwrite=True)
+            _assert_superseded(reader)
+        store.build_index("plain")
+        with service.read_session("plain") as reader:
+            reader.require_current()
+            store.build_index("plain")
+            _assert_superseded(reader)
     finally:
         store.close()
 

@@ -12,6 +12,7 @@ from repro.storage import (
     decode_document,
     encode_document,
 )
+from repro.storage.schema import decode_attributes
 from repro.workloads import WorkloadSpec, figure_one_document, generate
 
 
@@ -137,14 +138,14 @@ class TestSqliteStore:
 
         with SqliteStore() as store:
             store.save(doc, "d")
-            store.build_index("d")
+            stamp = store.build_index("d")
             for broken, error in ((failing_encode, RuntimeError),
                                   (duplicate_rows, sqlite3.IntegrityError)):
                 monkeypatch.setattr(backend_module, "encode_document", broken)
                 with pytest.raises(error):
                     store.save(replacement, "d", overwrite=True)
                 monkeypatch.undo()
-                assert store.has("d") and store.has_index("d")
+                assert store.index_stamp("d") == stamp
                 assert documents_isomorphic(doc, store.load("d"))
 
     def test_overlap_join_matches_memory(self, doc):
@@ -181,11 +182,22 @@ class TestSqliteStore:
             assert documents_isomorphic(doc, store.load("f"))
 
 
+def _matching_rows(store, name: str, tag: str, attr: str, value: str) -> int:
+    """Rows ``element_rows_by_tag`` admits for ``[@attr=value]`` that
+    really hold it (the lazy view and a wide fan-out confirm alike)."""
+    return sum(
+        1 for row in store.element_rows_by_tag(name, tag, attr=attr,
+                                               value=value)
+        if decode_attributes(row.attributes, row.elem_id).get(attr) == value
+    )
+
+
 class TestAttributeScanPrefilter:
-    """The instr() prefilter of count_attribute's element-row scan
-    (the path of an unindexed document) must never false-negative a
-    row, whatever the attribute values contain and however the row's
-    JSON happened to be encoded."""
+    """The instr() prefilter of the element-row scan
+    (``element_rows_by_tag``, which the lazy view and a wide fan-out
+    read) must never false-negative a row, whatever the attribute values
+    contain and however the row's JSON happened to be encoded; the
+    summary count of ``count_attribute`` agrees."""
 
     TRICKY_VALUES = [
         'he said "hi"',
@@ -224,6 +236,8 @@ class TestAttributeScanPrefilter:
                 assert store.count_attribute(
                     "tricky", "note", value
                 ) == count, value
+                assert _matching_rows(
+                    store, "tricky", "line", "note", value) == count, value
 
     def test_non_ascii_attribute_name(self):
         doc = figure_one_document()
@@ -237,6 +251,8 @@ class TestAttributeScanPrefilter:
             assert store.count_attribute(
                 "accents", "rôle", "héros"
             ) == 1
+            assert _matching_rows(
+                store, "accents", "line", "rôle", "héros") == 1
 
     def test_externally_normalized_rows_still_match(self):
         # A legal writer may re-encode the attribute JSON with compact
@@ -261,9 +277,8 @@ class TestAttributeScanPrefilter:
                     rewrites,
                 )
             for value, count in expected.items():
-                assert store.count_attribute(
-                    "tricky", "note", value
-                ) == count, value
+                assert _matching_rows(
+                    store, "tricky", "line", "note", value) == count, value
 
     def test_prefilter_still_exact_on_near_misses(self):
         doc = figure_one_document()
@@ -279,6 +294,8 @@ class TestAttributeScanPrefilter:
         with SqliteStore() as store:
             store.save(doc, "near")
             assert store.count_attribute("near", "note", "target") == 1
+            assert _matching_rows(
+                store, "near", "line", "note", "target") == 1
 
 
 class TestGoddagStoreFacade:

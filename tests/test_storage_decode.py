@@ -7,11 +7,12 @@ a row naming itself), a parent in another hierarchy, a zero-width
 parent, an element id stored twice.  Attribute columns that do not hold
 a JSON object raise the same typed error, naming the element, on every
 path that decodes them: full loads, the document's root attributes, the
-lazy row-level view and the unindexed attribute scan.
+lazy row-level view and a wide corpus fan-out answered from rows.
 """
 
 import pytest
 
+from repro.collection import Corpus
 from repro.compare import documents_isomorphic
 from repro.core import GoddagBuilder
 from repro.errors import (
@@ -27,6 +28,7 @@ from repro.storage import (
     decode_document,
     encode_document,
 )
+from repro.storage.sqlite_backend import SnapshotCache
 from repro.streaming import LazyDocument
 from repro.workloads import WorkloadSpec, figure_one_document, generate
 
@@ -276,14 +278,17 @@ def test_lazy_row_attributes(indexed_store, doc):
 
 
 @pytest.mark.parametrize("encoded", ['{"n": "2"', '["n", "2"]'])
-def test_attribute_scan_attributes(indexed_store, doc, encoded):
-    # Both values hold the key and value tokens, so they pass the scan's
-    # SQL prefilter and reach the decoder.
+def test_attribute_scan_attributes(doc, encoded, tmp_path, monkeypatch):
+    # Both values hold the key and value tokens, so they pass the row
+    # scan's SQL prefilter and reach the decoder.  A cache of no entries
+    # makes the fan-out wide, so it answers the member from its rows.
+    monkeypatch.setattr(SnapshotCache, "LIMIT", 0)
     line = next(e for e in doc.elements(tag="line")
                 if e.attributes["n"] == "2").ordinal
-    conn = indexed_store._conn
-    conn.execute("UPDATE elements SET attributes = ? WHERE elem_id = ?",
-                 (encoded, line))
-    indexed_store.drop_index("d")  # count_attribute scans without one
-    with pytest.raises(StorageError, match=f"element {line}\\b"):
-        indexed_store.count_attribute("d", "n", "2")
+    with Corpus(tmp_path / "c.db", pool_size=1) as corpus:
+        corpus.add(doc, "d")
+        with corpus._pool.connection() as backend, backend._conn as conn:
+            conn.execute("UPDATE elements SET attributes = ?"
+                         " WHERE elem_id = ?", (encoded, line))
+        with pytest.raises(StorageError, match=f"element {line}\\b"):
+            corpus.query("collection()//line[@n='2']")

@@ -312,6 +312,26 @@ class TestStreamSave:
         assert stored_rows(str(tmp_path / "stream.db")) == \
             stored_rows(str(tmp_path / "ref.db"))
 
+    @pytest.mark.parametrize("chunk_elements", [1024, 200])
+    def test_write_transactions(self, chunk_elements, tmp_path):
+        """A one-chunk document commits in two write transactions, the
+        staging row and finalize: the tail element rows, text, path and
+        term counts all join finalize.  Each full element chunk before
+        the tail adds one."""
+        sources = export_distributed(generate(WorkloadSpec(
+            words=600, hierarchies=4, overlap_density=0.25, seed=5)))
+        elements = sum(1 for _ in parse_concurrent(sources).elements())
+        statements: list[str] = []
+        with GoddagStore(str(tmp_path / "doc.db")) as store:
+            store._conn.set_trace_callback(statements.append)
+            store.save_stream(sources, "doc", chunk_elements=chunk_elements)
+            store._conn.set_trace_callback(None)
+            assert store.count_elements("doc") == elements
+        begun = [s for s in statements if s.startswith("BEGIN IMMEDIATE")]
+        assert len(begun) == 2 + elements // chunk_elements
+        if chunk_elements == 1024:
+            assert elements < chunk_elements and len(begun) == 2
+
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("kind", ["file", "generator"])
     def test_one_shot_sources(self, case, kind, tmp_path):
@@ -466,14 +486,14 @@ class TestStreamSave:
         with GoddagStore(path) as store:
             document = store.load("doc")
             assert census(document) == census(parse_concurrent(sources))
-            assert store.has_index("doc")
+            assert store.index_stamp("doc")
 
     def test_store_facade_save_stream(self, tmp_path):
         with GoddagStore(str(tmp_path / "doc.db")) as store:
             stamp = store.save_stream(HAND, "doc")
             assert stamp
             assert store.names() == ["doc"]
-            assert store.has_index("doc")
+            assert store.index_stamp("doc") == stamp
 
 
 class TestCorpusStreams:
