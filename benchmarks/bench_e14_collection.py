@@ -13,8 +13,8 @@ For each corpus size the bench reports
 * routed vs route-everything latency on the selective query, plus the
   documents visited either way — the tentpole claim is that latency
   scales with the matching subset, not the corpus;
-* a worker sweep (1, 4, 8) of process fan-out over the ``vline``
-  routed set;
+* a worker sweep (1, 4, 8) of the fan-out over the ``vline`` routed
+  set (one worker runs serially, more on the process pool);
 
 and enforces the acceptance bars on the same runs: routing visits no
 more documents than actually contain the feature, answers are
@@ -148,8 +148,7 @@ def drive(size: int, directory: Path) -> dict:
     fanout_hits = None
     for workers in WORKER_SWEEP:
         samples, result = _timed(
-            lambda w=workers: corpus.query(FANOUT_QUERY, mode="process",
-                                           workers=w),
+            lambda w=workers: corpus.query(FANOUT_QUERY, workers=w),
             repeats)
         if fanout_hits is None:
             fanout_hits = result.hits

@@ -9,8 +9,8 @@ The three pieces of the collection layer (see docs/ARCHITECTURE.md,
 * :mod:`.router` — necessary-condition feature extraction against the
   delta-maintained ``collection_summary`` table, so a selective query
   visits only the documents that can match;
-* :mod:`.fanout` — serial / threaded / process per-document execution
-  with byte-identical merged answers.
+* :mod:`.fanout` — per-document execution, serial with one worker and
+  on a process pool with more, with byte-identical merged answers.
 """
 
 from .corpus import (

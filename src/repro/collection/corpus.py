@@ -21,9 +21,9 @@ consulted so only candidate documents are visited — latency scales
 with the matching subset, not the corpus.  Routing never changes
 answers (pruned documents are exactly those that must return nothing);
 ``routing=False`` visits every document and produces byte-identical
-rows.  Execution fans out per document in serial, threaded, or
-process mode (:mod:`repro.collection.fanout`) with identical merged
-results.
+rows.  Execution fans out per document (:mod:`repro.collection.fanout`):
+serially with one worker, on a process pool with more, with identical
+merged results.
 
 Every member is stored with its index (``GoddagStore.save`` counts a
 new member's summary rows from the document itself; editing sessions
@@ -33,7 +33,7 @@ the corpus.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,13 +42,7 @@ from ..errors import StorageError
 from ..obs.metrics import metrics
 from ..storage.sqlite_backend import SqliteConnectionPool
 from ..xpath.engine import ExtendedXPath
-from .fanout import (
-    default_workers,
-    installs,
-    row_members,
-    row_served,
-    run_fanout,
-)
+from .fanout import installs, row_members, row_served, run_fanout
 from .router import describe, routing_features
 
 _PREFIX = "collection()"
@@ -123,13 +117,12 @@ class CollectionResult:
     ``hits`` is the flat, stable ``(document, row)`` sequence — rows
     are :func:`~repro.collection.fanout.node_rows` tuples in document
     order within each document, documents in sorted-name order; this is
-    the byte-identity surface across routing and execution modes.
+    the byte-identity surface across routing and worker counts.
     ``documents`` records each visited document with the generation
     stamp its snapshot carried.
     """
 
     plan: CollectionPlan
-    mode: str
     workers: int
     documents: tuple[tuple[str, str], ...]
     rows_by_document: dict[str, tuple] = field(repr=False)
@@ -168,12 +161,11 @@ class Corpus:
         return corpus
 
     def _bind(self, pool: SqliteConnectionPool, owns_pool: bool) -> None:
-        """Both constructors' one path: the pool, no executors yet."""
+        """Both constructors' one path: the pool, no process pool yet."""
         self._pool = pool
         self._owns_pool = owns_pool
-        self._thread_pool: ThreadPoolExecutor | None = None
         self._process_pool: ProcessPoolExecutor | None = None
-        self._executor_workers = 0
+        self._process_workers = 0
 
     @property
     def location(self) -> str:
@@ -311,7 +303,7 @@ class Corpus:
             routed = backend.route_documents(features)
             served = row_served(compiled, installs(snapshots, len(routed)))
             from_rows = served is not None and bool(
-                row_members(backend, snapshots, routed, served))
+                row_members(backend, snapshots, routed))
         return CollectionPlan(
             expression=expression,
             per_document=per_document,
@@ -322,14 +314,13 @@ class Corpus:
         )
 
     def query(self, expression: str, *, routing: bool = True,
-              mode: str = "serial", workers: int | None = None
-              ) -> CollectionResult:
+              workers: int = 1) -> CollectionResult:
         """Run a cross-document query and merge the per-document
         answers in stable ``(document, document-order)`` order.
 
         ``routing=False`` skips the collection summary and visits every
-        document; ``mode`` selects the fan-out execution
-        (``serial``/``thread``/``process``).  The merged rows are
+        document; ``workers`` is how many processes the fan-out may use
+        (one runs serially in this process).  The merged rows are
         byte-identical across every combination.
         """
         with metrics.time("collection.query"):
@@ -338,19 +329,12 @@ class Corpus:
             metrics.incr("collection.routed", plan.routed_count)
             metrics.incr("collection.pruned", plan.pruned)
             names = list(plan.routed)
-            workers = workers or 0
-            thread_pool = process_pool = None
-            if mode in ("thread", "process"):
-                thread_pool, process_pool = self._executors(workers)
-            triples = run_fanout(
-                self._pool, names, plan.per_document,
-                mode=mode, workers=workers or None,
-                process_pool=process_pool,
-                thread_pool=thread_pool,
-            )
+            process_pool = (self._process_pool_of(workers)
+                            if workers > 1 and len(names) > 1 else None)
+            triples = run_fanout(self._pool, names, plan.per_document,
+                                 workers=workers, process_pool=process_pool)
         return CollectionResult(
             plan=plan,
-            mode=mode,
             workers=workers,
             documents=tuple(
                 (name, generation) for name, generation, _rows in triples
@@ -360,38 +344,29 @@ class Corpus:
             },
         )
 
-    def _executors(self, workers: int):
-        """Lazily created, reusable thread/process pools (the process
-        fallback path needs the thread pool too)."""
-        if workers <= 0:
-            workers = default_workers()
-        if self._executor_workers and workers > self._executor_workers:
-            self._shutdown_executors()
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="corpus-fanout"
-            )
-            self._executor_workers = workers
+    def _process_pool_of(self, workers: int) -> ProcessPoolExecutor | None:
+        """A lazily created, reusable pool of at least ``workers``
+        processes, or ``None`` when none can be created."""
+        if workers > self._process_workers:
+            self._shutdown_process_pool()
         if self._process_pool is None:
             try:
                 self._process_pool = ProcessPoolExecutor(max_workers=workers)
+                self._process_workers = workers
             except (OSError, ValueError):
-                self._process_pool = None
-        return self._thread_pool, self._process_pool
+                pass
+        return self._process_pool
 
-    def _shutdown_executors(self) -> None:
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=True)
-            self._thread_pool = None
+    def _shutdown_process_pool(self) -> None:
         if self._process_pool is not None:
             self._process_pool.shutdown(wait=True)
             self._process_pool = None
-        self._executor_workers = 0
+        self._process_workers = 0
 
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
-        self._shutdown_executors()
+        self._shutdown_process_pool()
         if self._owns_pool:
             self._pool.close()
 

@@ -1,9 +1,10 @@
 """Per-document fan-out for cross-document queries.
 
 One routed query visits many documents; this module evaluates the
-per-document expression against each of them in one of three execution
-modes — ``serial``, ``thread``, ``process`` — and guarantees the merged
-answer is **byte-identical** across all three:
+per-document expression against each of them — serially in the
+caller's process when the query may use one worker, on a process pool
+when it may use more — and guarantees the merged answer is
+**byte-identical** either way:
 
 * every document is read through a
   :class:`~repro.storage.sqlite_backend.SnapshotCache` (the pool's, or
@@ -17,8 +18,9 @@ answer is **byte-identical** across all three:
   members the cache does not hold are answered from their element
   rows, read for the whole chunk in one transaction with their stamps
   (:func:`row_served` decides, for
-  :meth:`~repro.collection.corpus.Corpus.explain` too).  Members whose
-  root element the name test selects are still decoded;
+  :meth:`~repro.collection.corpus.Corpus.explain` too).  A member whose
+  root element (which has no row) the name test selects gets the
+  root's row from its document columns, read for those members only;
 * node results are flattened to plain comparable tuples
   (:func:`node_rows`) — picklable for the process pool and
   order-stable, since the evaluator already emits document order;
@@ -29,14 +31,13 @@ Process workers re-open the store read-only from the database *path*
 (one cached connection per worker process — never a connection
 inherited across ``fork``, which SQLite forbids).  When a process pool
 cannot be used (no ``fork``/spawn support, pickling trouble, a broken
-pool), the fan-out falls back to threads and reports itself on the
+pool), the fan-out runs serially instead and reports itself on the
 ``collection.fanout`` fallback metric rather than failing the query.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from functools import partial
@@ -46,7 +47,8 @@ from ..errors import ServiceError
 from ..obs import fallback as _obs_fallback
 from ..obs.metrics import metrics
 from ..storage.sqlite_backend import SnapshotCache, SqliteStore
-from ..streaming.lazy import _row_query, names_root, row_answer
+from ..storage.schema import ROOT_ID, decode_attributes
+from ..streaming.lazy import _row_query, row_answer
 from ..xpath.axes import AttributeNode, DocumentNode
 from ..xpath.engine import ExtendedXPath
 
@@ -54,12 +56,6 @@ from ..xpath.engine import ExtendedXPath
 #: process, database path).  Keyed by pid so a connection is never
 #: reused across a fork — each worker opens its own on first use.
 _process_stores: dict[tuple[int, str], tuple[SqliteStore, SnapshotCache]] = {}
-
-
-def default_workers() -> int:
-    """The default fan-out width: usable CPUs (or all CPUs), at most 4."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return min(4, (len(affinity(0)) if affinity else os.cpu_count()) or 1)
 
 
 def node_rows(value) -> tuple:
@@ -116,9 +112,9 @@ def evaluate_documents(
     connection and ``snapshots`` (see :meth:`SnapshotCache.get`);
     returns ``(name, generation, rows)`` triples.
 
-    Evaluation runs the classic unindexed engine (``index=False``): the
-    answers are identical by the index contract, and a cold
-    per-document manager build would dominate a one-shot visit.  When
+    Evaluation runs the classic unindexed engine (``index=False``), which
+    builds no plan: the answers are identical by the index contract, and
+    a cold per-document manager build would dominate a one-shot visit.  When
     :func:`row_served` admits the query, the members it can are
     answered from element rows instead (:func:`_answer_from_rows`).
     """
@@ -142,19 +138,16 @@ def evaluate_documents(
 
 def row_members(
     backend: SqliteStore, snapshots: SnapshotCache, names: list[str],
-    served: tuple,
 ) -> list[tuple[str, int, str]]:
-    """``(name, doc_id, stamp)`` of the ``names`` that the row query
-    ``served`` answers from element rows: every member but those the
-    cache holds at their generation and those whose root element (which
-    has no row) the name test selects.  The one admission rule behind
+    """``(name, doc_id, stamp)`` of the ``names`` that a row query
+    answers from element rows: every member but those the cache holds at
+    their generation.  The one admission rule behind
     :func:`_answer_from_rows` and
     :meth:`~repro.collection.corpus.Corpus.explain`."""
     return [
         (name, doc_id, stamp)
-        for name, doc_id, root_tag, stamp in backend.member_stamps(names)
-        if not names_root(served, root_tag)
-        and not snapshots.holds(name, stamp)
+        for name, doc_id, stamp in backend.member_stamps(names)
+        if not snapshots.holds(name, stamp)
     ]
 
 
@@ -167,21 +160,28 @@ def _answer_from_rows(
 
     One read transaction holds every statement — the members' stamps,
     their hierarchy ranks, all their candidate rows in one ``elements``
-    statement, and any parent probes — so each generation reported is
+    statement, the root columns of the members whose root tag the name
+    test names, and any parent probes — so each generation reported is
     exactly the generation of its rows.  The members :func:`row_members`
     does not admit are left to the caller (and the snapshot cache).
     """
     tag, hierarchy, attr, value = served
     with backend.read_transaction():
-        members = row_members(backend, snapshots, names, served)
+        members = row_members(backend, snapshots, names)
         doc_ids = [doc_id for _, doc_id, _ in members]
         ranks = backend.hierarchy_ranks(doc_ids)
         rows = backend.element_rows_by_tag_of(doc_ids, tag, hierarchy,
                                               attr, value)
+        roots = {} if hierarchy is not None else {
+            doc_id: (tag, decode_attributes(attributes, ROOT_ID), length)
+            for doc_id, attributes, length
+            in backend.root_columns_of(doc_ids, tag)
+        }
         answered = {
             name: (name, stamp, row_answer(
                 rows.get(doc_id, []), served, ranks.get(doc_id, {}),
-                partial(backend.element_row_at, doc_id), {}))
+                partial(backend.element_row_at, doc_id), {},
+                roots.get(doc_id)))
             for name, doc_id, stamp in members
         }
     metrics.incr("collection.rows.served", len(answered))
@@ -201,58 +201,47 @@ def _worker_chunk(
 
 
 def run_fanout(pool, names: list[str], expression: str, *,
-               mode: str = "serial", workers: int | None = None,
-               process_pool=None, thread_pool=None
+               workers: int = 1, process_pool=None
                ) -> list[tuple[str, str, tuple]]:
     """Fan ``expression`` out over ``names`` and merge the answers back
     in the caller's name order (the stable ``(doc, document-order)``
-    contract — identical whatever mode ran).
+    contract — identical however it ran).
 
-    ``pool`` is the corpus's :class:`SqliteConnectionPool`; ``mode`` is
-    ``"serial"``, ``"thread"`` or ``"process"``; ``process_pool`` /
-    ``thread_pool`` are reusable executors owned by the caller.
+    ``pool`` is the corpus's :class:`SqliteConnectionPool`; ``workers``
+    is how many processes the query may use.  One worker, or one name,
+    runs serially in the caller's process; more run in chunks on
+    ``process_pool``, a reusable executor owned by the caller.  Without
+    a usable process pool the fan-out runs serially too.
     """
-    if mode not in ("serial", "thread", "process"):
+    if workers < 1:
         raise ServiceError(
-            f"unknown fan-out mode {mode!r}: use 'serial', 'thread' "
-            "or 'process'"
+            f"a fan-out needs at least one worker: got {workers!r}"
         )
-    if workers is None:
-        workers = default_workers()
     install = installs(pool.snapshots, len(names))
-
-    def chunk_on_pool(chunk: list[str]):
-        with pool.connection() as backend:
-            return evaluate_documents(backend, pool.snapshots, chunk,
-                                      expression, install)
-
-    if mode == "serial" or workers <= 1 or len(names) <= 1:
-        with metrics.time("collection.fanout.serial"):
-            return chunk_on_pool(names)
-    chunks = [names[i::workers] for i in range(workers) if names[i::workers]]
-    if mode == "process" and process_pool is None:
-        _obs_fallback("collection.fanout", "process-unavailable",
-                      "no process pool could be created")
-        mode = "thread"
-    if mode == "process":
-        try:
-            with metrics.time("collection.fanout.process"):
-                results = list(process_pool.map(
-                    _worker_chunk,
-                    [pool.path] * len(chunks),
-                    chunks,
-                    [expression] * len(chunks),
-                    [install] * len(chunks),
-                ))
-            return _merge(names, results)
-        except (BrokenProcessPool, OSError, ImportError) as exc:
+    if workers > 1 and len(names) > 1:
+        if process_pool is None:
             _obs_fallback("collection.fanout", "process-unavailable",
-                          str(exc))
-            mode = "thread"
-
-    with metrics.time("collection.fanout.thread"):
-        results = list(thread_pool.map(chunk_on_pool, chunks))
-    return _merge(names, results)
+                          "no process pool could be created")
+        else:
+            chunks = [names[i::workers] for i in range(workers)
+                      if names[i::workers]]
+            try:
+                with metrics.time("collection.fanout.process"):
+                    results = list(process_pool.map(
+                        _worker_chunk,
+                        [pool.path] * len(chunks),
+                        chunks,
+                        [expression] * len(chunks),
+                        [install] * len(chunks),
+                    ))
+                return _merge(names, results)
+            except (BrokenProcessPool, OSError, ImportError) as exc:
+                _obs_fallback("collection.fanout", "process-unavailable",
+                              str(exc))
+    with metrics.time("collection.fanout.serial"):
+        with pool.connection() as backend:
+            return evaluate_documents(backend, pool.snapshots, names,
+                                      expression, install)
 
 
 def _merge(names: list[str], results) -> list:
@@ -263,6 +252,6 @@ def _merge(names: list[str], results) -> list:
 
 
 __all__ = [
-    "default_workers", "evaluate_documents", "installs", "node_rows",
-    "row_served", "run_fanout",
+    "evaluate_documents", "installs", "node_rows", "row_served",
+    "run_fanout",
 ]

@@ -347,15 +347,6 @@ class DocumentService:
                 self._corpus = Corpus.over(self._pool)
             return self._corpus
 
-    def collection_query(self, expression: str, *, routing: bool = True,
-                         mode: str = "serial",
-                         workers: int | None = None):
-        """Run a cross-document ``collection()...`` query over every
-        stored document (see :meth:`repro.collection.Corpus.query`)."""
-        return self.corpus.query(
-            expression, routing=routing, mode=mode, workers=workers
-        )
-
     def _write_lock(self, name: str) -> threading.Lock:
         with self._locks_guard:
             lock = self._write_locks.get(name)
@@ -484,7 +475,7 @@ class DocumentService:
     def close(self) -> None:
         with self._corpus_guard:
             if self._corpus is not None:
-                self._corpus.close()  # executors only; the pool is ours
+                self._corpus.close()  # its process pool only; the pool is ours
                 self._corpus = None
         self._pool.close()
 

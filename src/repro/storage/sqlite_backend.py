@@ -922,14 +922,25 @@ class SqliteStore:
         return found
 
     def member_stamps(self, names: list[str]
-                      ) -> list[tuple[str, int, str, str]]:
-        """``(name, doc_id, root_tag, index stamp)`` of every stored
-        name in ``names``, in one statement (see :meth:`index_stamp`)."""
+                      ) -> list[tuple[str, int, str]]:
+        """``(name, doc_id, index stamp)`` of every stored name in
+        ``names``, in one statement (see :meth:`index_stamp`)."""
         return self._conn.execute(
-            "SELECT d.name, d.doc_id, d.root_tag, m.stamp FROM documents d"
+            "SELECT d.name, d.doc_id, m.stamp FROM documents d"
             " JOIN index_meta m USING (doc_id)"
             " WHERE d.name IN (SELECT value FROM json_each(?))",
             (json.dumps(names),),
+        ).fetchall()
+
+    def root_columns_of(self, doc_ids: list[int], tag: str
+                        ) -> list[tuple[int, str, int]]:
+        """``(doc_id, root_attributes_json, text_length)`` of the
+        documents among ``doc_ids`` whose root element is tagged
+        ``tag``, in one statement (see :meth:`document_meta`)."""
+        return self._conn.execute(
+            "SELECT doc_id, root_attributes, length(text) FROM documents"
+            " WHERE doc_id IN (SELECT value FROM json_each(?))"
+            " AND root_tag = ?", (json.dumps(doc_ids), tag),
         ).fetchall()
 
     def hierarchy_ranks(self, doc_ids: list[int]

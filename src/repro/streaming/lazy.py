@@ -11,11 +11,11 @@ stored document that fetches rows only as they are asked for:
 - :meth:`LazyDocument.text` slices stored text by offset in SQL;
 - :meth:`LazyDocument.xpath` answers row-servable queries (``//tag``
   shapes, read from :func:`repro.xpath.classify.path_shape`) straight
-  from the element rows, hydrating only candidates that can actually
-  appear in the answer, and falls back to a full materialized
+  from the element rows — and the root element, which has no row, from
+  the document's own columns — hydrating only candidates that can
+  actually appear in the answer, and falls back to a full materialized
   evaluation — reported on the ``streaming.lazy_xpath`` fallback
-  metric, by reason — for every other shape and for a name test that
-  selects the root element (which has no element row).
+  metric, by reason — for every other shape.
 
 Results are :func:`repro.collection.fanout.node_rows`-shaped tuples, so
 a lazy answer can be compared byte-for-byte against a materialized
@@ -58,17 +58,6 @@ def _row_query(ast: Expr) -> tuple | None:
         return None
     attr, value = shape.predicates[0].key if shape.predicates else (None, None)
     return shape.test.name, shape.test.hierarchy, attr, value
-
-
-def names_root(served: tuple, root_tag: str) -> bool:
-    """True when the name test of the row query ``served`` also selects
-    a document's shared root element (tag ``root_tag``), which has no
-    element row — the case
-    :meth:`~repro.xpath.planner.BatchProgram.run` declines on too.  A
-    hierarchy-qualified test never selects the root
-    (:func:`repro.xpath.axes.node_test_matches`)."""
-    tag, hierarchy, _, _ = served
-    return hierarchy is None and tag == root_tag
 
 
 @dataclass(frozen=True)
@@ -187,18 +176,16 @@ class LazyDocument:
         Row-servable shapes (``//tag``, ``//h:tag``, one optional
         ``[@a='v']`` predicate — after optimization) are answered from
         the tag-indexed element rows, decoding only the candidates the
-        SQL prefilter admits.  Everything else falls back to a full
-        materialized evaluation, and so does a name test that selects
-        the root element, which is not an element row.  Either way the
-        result is the ``node_rows`` tuple encoding of the engine's
-        answer.
+        SQL prefilter admits; a name test that selects the root element,
+        which is not an element row, reads it from the columns the view
+        already holds.  Everything else falls back to a full
+        materialized evaluation.  Either way the result is the
+        ``node_rows`` tuple encoding of the engine's answer.
         """
         query = ExtendedXPath(expression)
         served = _row_query(query.ast)
         if served is None:
             return self._xpath_materialized(query, "unsupported-shape")
-        if names_root(served, self.root_tag):
-            return self._xpath_materialized(query, "root-match")
         tag, hierarchy, attr, value = served
         with metrics.time("lazy.xpath_rows"):
             rows = self._backend.element_rows_by_tag(
@@ -207,7 +194,9 @@ class LazyDocument:
             for row in rows:
                 self._remember(row)
             return row_answer(rows, served, self._ranks, self.element,
-                              self._depths)
+                              self._depths, (self.root_tag,
+                                             self.root_attributes,
+                                             self.length))
 
     def _xpath_materialized(self, query: ExtendedXPath, reason: str) -> tuple:
         from ..collection.fanout import node_rows
@@ -223,7 +212,8 @@ class LazyDocument:
 
 
 def row_answer(rows: list[ElementRow], served: tuple, ranks: dict[str, int],
-               element, depths: dict[int, int]) -> tuple:
+               element, depths: dict[int, int],
+               root: tuple[str, dict[str, str], int] | None) -> tuple:
     """The ``node_rows`` answer of the row query ``served`` (see
     :func:`_row_query`) over its candidate ``rows`` of one document.
 
@@ -232,10 +222,20 @@ def row_answer(rows: list[ElementRow], served: tuple, ranks: dict[str, int],
     document order: ``ranks`` maps the document's hierarchy names to
     their rank, ``element(elem_id)`` returns any row of the document
     (parents are hydrated through it for tie groups only), and
-    ``depths`` memoizes depths by ``elem_id``.  The one conversion
+    ``depths`` memoizes depths by ``elem_id``.  ``root`` is the root
+    element's ``(tag, attributes, text length)``, or ``None`` when the
+    caller knows the name test does not select it; a selected root has
+    no row and comes first, as in document order.  The one conversion
     behind :meth:`LazyDocument.xpath` and the collection fan-out.
     """
-    _, _, attr, value = served
+    tag, hierarchy, attr, value = served
+    head = ()
+    if root is not None and hierarchy is None and root[0] == tag and (
+            attr is None or root[1].get(attr) == value):
+        # A hierarchy-qualified test never selects the shared root
+        # (:func:`repro.xpath.axes.node_test_matches`).
+        head = (("element", ROOT_ID, "", tag, 0, root[2],
+                 tuple(sorted(root[1].items()))),)
     survivors = []
     decoded: dict[int, dict[str, str]] = {}
     for row in rows:
@@ -244,7 +244,7 @@ def row_answer(rows: list[ElementRow], served: tuple, ranks: dict[str, int],
             continue  # instr prefilter false positive
         decoded[row.elem_id] = attributes
         survivors.append(row)
-    return tuple(
+    return head + tuple(
         ("element", row.elem_id, row.hierarchy, row.tag,
          row.start, row.end, tuple(sorted(decoded[row.elem_id].items())))
         for row in _document_order(survivors, ranks, element, depths)

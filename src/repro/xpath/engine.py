@@ -11,9 +11,12 @@ Hits and misses are counted on ``repro.obs`` metrics
 by :func:`plan_cache_stats`; repeated queries — including one-shot
 :func:`xpath` calls, which additionally reuse whole compiled query
 objects — skip parse *and* plan entirely.  Unindexed evaluation
-(``index=False`` or no attached manager) bypasses the cache: those
-plans carry no index statistics worth sharing, and the differential
-harness relies on the unindexed arm staying an independent oracle.
+(``index=False`` or no attached manager) builds no plan at all: with no
+manager a plan has no access path to choose and nothing to reorder, so
+the evaluator runs the classic engine directly, and the differential
+harness keeps the unindexed arm as an independent oracle.
+:meth:`ExtendedXPath.explain` still plans an unindexed query, for its
+EXPLAIN text.
 """
 
 from __future__ import annotations
@@ -232,37 +235,18 @@ class ExtendedXPath:
         else:
             self.ast = optimize(parse_xpath(expression))
             _plan_cache.ensure_entry(expression, self.ast)
-        # One-slot *unindexed* plan cache, keyed by (document, version).
-        # Indexed plans live in the process-wide PlanCache instead (see
-        # module docstring); ``index=False``/manager-less evaluation
-        # bypasses that cache by contract, but re-planning is cheap and
-        # the common pattern is many evaluations of one compiled query
-        # against one document, so a private slot still pays.  Identity
-        # is held via weakrefs (never raw id(), which CPython recycles
-        # after GC), so the cache cannot serve a plan priced against a
-        # dead document's statistics.  The slot is one tuple written in
-        # a single store: a compiled query shared across threads (the
-        # one-shot ``xpath()`` cache hands them out) can never observe
-        # a plan paired with another version's key fields.
-        self._plan_slot: tuple | None = None
 
     def _cached_plan(
         self, document: GoddagDocument, index
-    ) -> tuple[QueryPlan, bool]:
-        """The plan to run under, and whether it came from a cache."""
+    ) -> tuple[QueryPlan | None, bool]:
+        """The plan to run under — ``None`` for unindexed evaluation —
+        and whether it came from the cache."""
         manager = resolve_manager(document, index)
-        if manager is not None:
-            return _plan_cache.plan_for(
-                self.expression, self.ast, document, manager
-            )
-        slot = self._plan_slot
-        if slot is not None:
-            doc_ref, version, plan = slot
-            if doc_ref() is document and version == document.version:
-                return plan, True
-        plan = Planner(document, manager).plan(self.ast, self.expression)
-        self._plan_slot = (weakref.ref(document), document.version, plan)
-        return plan, False
+        if manager is None:
+            return None, False
+        return _plan_cache.plan_for(
+            self.expression, self.ast, document, manager
+        )
 
     def evaluate(
         self, document: GoddagDocument, context: Node | None = None,
@@ -275,7 +259,8 @@ class ExtendedXPath:
         if tracer is None:
             plan, _ = self._cached_plan(document, index)
             if (
-                plan.whole_program is not None
+                plan is not None
+                and plan.whole_program is not None
                 and context is None
                 and not variables
             ):

@@ -1,4 +1,4 @@
-"""The collection layer: corpus API, summary routing, fan-out modes.
+"""The collection layer: corpus API, summary routing, fan-out.
 
 Routing soundness is the load-bearing property: every query in the
 battery runs routing-on, routing-off, and as an unindexed per-document
@@ -9,13 +9,17 @@ arm of the same property lives in ``test_collection_differential.py``.
 
 from __future__ import annotations
 
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro import Corpus, DocumentService, GoddagStore
+from repro.collection import corpus as corpus_module
 from repro.collection import routing_features, split_collection_expression
 from repro.collection.fanout import node_rows
 from repro.errors import ServiceError, StorageError
 from repro.index.manager import IndexManager
+from repro.obs.metrics import metrics
 from repro.storage.sqlite_backend import (
     KIND_ATTR,
     KIND_PATH,
@@ -27,6 +31,7 @@ from repro.storage.sqlite_backend import (
 from repro.workloads import generate
 from repro.workloads.generator import WorkloadSpec
 from repro.xpath.engine import ExtendedXPath
+from repro.xpath.planner import Planner
 
 from _summary_oracle import collection_summary_rows
 
@@ -317,8 +322,8 @@ def test_summary_rows_delta_maintained_through_publishes(tmp_path):
     rebuilt = set(collection_summary_rows(IndexManager(fresh).payload("play")))
     assert _summary_rows(path, "play") == rebuilt
     # The routing view reflects the edits: phrase is gone, marked is on.
-    assert service.collection_query("collection()//phrase").plan.routed == ()
-    marked = service.collection_query("collection()//line[@marked='yes']")
+    assert service.corpus.query("collection()//phrase").plan.routed == ()
+    marked = service.corpus.query("collection()//line[@marked='yes']")
     assert marked.plan.routed == ("play",) and len(marked) == 1
     service.close()
 
@@ -365,16 +370,76 @@ def test_migration_backfills_pre_collection_stores(tmp_path):
 def test_fanout_modes_byte_identical(corpus):
     for expression in ("collection()//line", "collection()//vline",
                        "collection()//line/@n"):
-        serial = corpus.query(expression, mode="serial")
-        threaded = corpus.query(expression, mode="thread", workers=3)
-        process = corpus.query(expression, mode="process", workers=2)
-        assert serial.hits == threaded.hits == process.hits, expression
-        assert serial.documents == threaded.documents == process.documents
+        serial = corpus.query(expression)
+        process = corpus.query(expression, workers=2)
+        assert serial.hits == process.hits, expression
+        assert serial.documents == process.documents
+        assert (serial.workers, process.workers) == (1, 2)
 
 
-def test_fanout_rejects_unknown_mode(corpus):
+@pytest.mark.parametrize("workers", (0, -1))
+def test_fanout_rejects_fewer_than_one_worker(corpus, workers):
     with pytest.raises(ServiceError):
-        corpus.query("collection()//line", mode="fiber")
+        corpus.query("collection()//line", workers=workers)
+
+
+class _BrokenPool:
+    """A process pool whose workers have died."""
+
+    def __init__(self, max_workers: int) -> None:
+        pass
+
+    def map(self, *args):
+        raise BrokenProcessPool("a worker died")
+
+    def shutdown(self, wait: bool = True) -> None:
+        pass
+
+
+def _uncreatable_pool(max_workers: int):
+    raise OSError("no process support")
+
+
+@pytest.mark.parametrize("executor", (_uncreatable_pool, _BrokenPool),
+                         ids=("uncreatable", "broken"))
+def test_process_unavailable_runs_serially(corpus, tmp_path, monkeypatch,
+                                           executor):
+    monkeypatch.setattr(corpus_module, "ProcessPoolExecutor", executor)
+    monkeypatch.setenv("REPRO_OBS_STRICT", "1")
+    expressions = ("collection()//line", "collection()//vline",
+                   "collection()//line/@n")
+    metrics.reset()
+    metrics.enable()
+    try:
+        for expression in expressions:
+            assert corpus.explain(expression).routed_count > 1
+            with pytest.warns(RuntimeWarning, match="process-unavailable"):
+                answer = corpus.query(expression, workers=2)
+            assert answer.hits == corpus.query(expression,
+                                               routing=False).hits
+            assert answer.hits == _witness(tmp_path / "corpus.db",
+                                           expression)
+        observed = metrics.snapshot()
+    finally:
+        metrics.disable()
+        metrics.reset()
+    counters = observed["counters"]
+    assert counters["collection.fanout.process-unavailable"] == 3
+    assert observed["timers"]["collection.fanout.serial"]["count"] == 6
+
+
+def test_fanout_evaluation_builds_no_plan(corpus, monkeypatch):
+    calls = []
+    real_plan = Planner.plan
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return real_plan(self, *args, **kwargs)
+
+    monkeypatch.setattr(Planner, "plan", spy)
+    result = corpus.query("collection()//line[@n='2']", routing=False)
+    assert len(result.documents) == 8 and len(result) > 0
+    assert calls == []
 
 
 def test_node_rows_covers_scalars_and_attributes():
@@ -422,7 +487,7 @@ def test_service_collection_query_shares_the_pool(tmp_path):
     service = DocumentService(tmp_path / "svc.db", pool_size=2)
     for doc, name in _mixed_docs(4, words=20):
         service.create(doc, name)
-    result = service.collection_query("collection()//line")
+    result = service.corpus.query("collection()//line")
     assert len(result) > 0
     assert service.corpus is service.corpus  # cached view
     assert result.hits == service.corpus.query(

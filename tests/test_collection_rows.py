@@ -7,15 +7,15 @@ When the per-document expression is a one-step name test the lazy row
 path serves, those members are answered from their element rows
 instead (``collection.rows.served``), read with their stamps in one
 read transaction.  ``SnapshotCache.LIMIT`` is patched to 3 so a corpus
-of six members fans out wide.  Every case runs in serial, thread and
-process mode (an inline executor runs the worker entry point in this
-process) and checks:
+of six members fans out wide.  Every case runs the fan-out serially,
+serially from another thread, and with two workers (an inline executor
+runs the worker entry point in this process) and checks:
 
 * answers equal ``routing=False`` and a fresh-load ``index=False``
   witness, and nothing is decoded or installed;
-* a query whose name test selects the root element is still decoded,
-  and a member stored by ``SqliteStore.save`` is served from rows like
-  any other;
+* a query whose name test selects the root element (which has no row)
+  is served from rows too, and so is a member stored by
+  ``SqliteStore.save``;
 * an ``instr`` prefilter false positive is dropped, and tie groups of
   equal and zero-width spans come out in document order;
 * overwrite, remove and add, and a service publish are never served
@@ -32,7 +32,6 @@ import pytest
 
 from repro import Corpus, DocumentService
 from repro.collection import fanout
-from repro.collection.fanout import run_fanout
 from repro.core.goddag import GoddagDocument
 from repro.index.manager import IndexManager
 from repro.obs.metrics import metrics
@@ -40,14 +39,14 @@ from repro.sacx.parser import parse_concurrent
 from repro.storage.sqlite_backend import SnapshotCache, SqliteStore
 
 from test_collection_snapshots import (
-    _InlinePool,
+    MODES,
     _drop_worker_stores,
     _member,
+    _query as _run,
     _witness,
 )
 from test_docs_architecture import _metric_catalog
 
-MODES = ("serial", "thread", "process")
 BROAD = "collection()//line"
 ROW_QUERIES = (BROAD, "collection()//line[@n='1']",
                "collection()//physical:line[@n='2']", "collection()//linguistic:w")
@@ -73,20 +72,6 @@ def corpus(tmp_path):
         corpus.add_many((_member(i), f"doc-{i}") for i in range(6))
         yield corpus
     _drop_worker_stores()
-
-
-def _run(corpus: Corpus, expression: str, mode: str, routing: bool = True):
-    """``(hits, documents)`` of ``expression`` in ``mode``."""
-    if mode != "process":
-        result = corpus.query(expression, routing=routing, mode=mode,
-                              workers=2)
-        return result.hits, result.documents
-    plan = corpus.explain(expression, routing=routing)
-    triples = run_fanout(corpus._pool, list(plan.routed), plan.per_document,
-                         mode="process", workers=2,
-                         process_pool=_InlinePool())
-    hits = [(name, row) for name, _, rows in triples for row in rows]
-    return hits, tuple((name, generation) for name, generation, _ in triples)
 
 
 def _counter(name: str) -> int:
@@ -145,39 +130,57 @@ def test_explain_names_the_read_path(corpus, monkeypatch):
     assert "members read from snapshots" in corpus.explain(BROAD).render()
 
 
-@pytest.mark.parametrize("expression, from_rows", [
-    ("collection()//r", False),           # every member's root is <r>
-    ("collection()//line[@n='1']", True),
-])
-def test_explain_reads_the_members_root_tags(corpus, expression, from_rows,
-                                             observed):
-    plan = corpus.explain(expression)
-    assert plan.routed_count > SnapshotCache.LIMIT
-    assert plan.from_rows is from_rows
-    assert ("members read from rows" in plan.render()) is from_rows
-    _run(corpus, expression, "serial")
-    assert (_counter("collection.rows.served") > 0) is from_rows
+def test_explain_serves_a_root_tag_query_from_rows(corpus, observed):
+    # Every member's root is <r>, which has no element row.
+    plan = corpus.explain("collection()//r")
+    assert plan.routed_count > SnapshotCache.LIMIT and plan.from_rows
+    assert "members read from rows" in plan.render()
+    _run(corpus, "collection()//r", "serial")
+    assert _counter("collection.rows.served") == 6
 
 
 def test_rows_served_is_in_the_catalog():
     assert "collection.rows.served" in _metric_catalog()
 
 
-# -- members that are still decoded ---------------------------------------------
+# -- the root element -----------------------------------------------------------
+
+#: Members whose roots are ``<r a="v">``, ``<r>`` and ``<q a="v">``;
+#: one hierarchy also holds an ``<r n="1">``.
+ROOTS = ('<r a="v"><r n="1">ab</r><line n="1">cd</line></r>',
+         '<r><line n="1">ab</line>cd</r>',
+         '<q a="v"><r n="1">a</r><line n="2">bcd</line></q>')
+
+
+@pytest.fixture
+def rooted(tmp_path):
+    with Corpus(tmp_path / "rooted.db", pool_size=4) as corpus:
+        corpus.add_many((parse_concurrent({"h": ROOTS[i % 3]}), f"root-{i}")
+                        for i in range(6))
+        yield corpus
+    _drop_worker_stores()
 
 
 @pytest.mark.parametrize("expression", ("collection()//r",
-                                        "collection()//r[@n='1']"))
+                                        "collection()//r[@n='1']",
+                                        "collection()//r[@a='v']"))
 @pytest.mark.parametrize("mode", MODES)
-def test_root_tag_query_is_decoded(corpus, mode, expression, observed):
-    # Every member's root is <r>, which has no element row.
-    hits, _ = _run(corpus, expression, mode)
-    assert hits == _witness(corpus.location, expression)
-    assert hits == _run(corpus, expression, mode, routing=False)[0]
+def test_root_tag_query_is_served_from_rows(rooted, mode, expression,
+                                            observed):
+    # The root element has no row: it is answered from its columns.
+    plan = rooted.explain(expression)
+    assert plan.from_rows and plan.routed_count > SnapshotCache.LIMIT
+    hits, documents = _run(rooted, expression, mode)
+    assert hits == _witness(rooted.location, expression)
+    assert any(row[1] == 0 for _, row in hits) is ("@n" not in expression)
+    assert hits == _run(rooted, expression, mode, routing=False)[0]
+    assert documents == tuple((name, rooted.generation(name))
+                              for name in plan.routed)
     metrics.reset()
-    _run(corpus, expression, mode)
-    assert _counter("collection.rows.served") == 0
-    assert _counter("collection.snapshots.loaded") == 6
+    _run(rooted, expression, mode)
+    assert _counter("collection.rows.served") == plan.routed_count
+    assert _counter("collection.snapshots.loaded") == 0
+    assert all(list(cache) == [] for cache in _caches(rooted))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -293,7 +296,7 @@ def test_write_between_stamp_and_rows_is_invisible(corpus, mode,
     old_hits = _witness(corpus.location, BROAD)
     old_stamp = corpus.generation("doc-1")
     store = SqliteStore(corpus.location, wal=True)
-    ((_, doc_id, _, _),) = store.member_stamps(["doc-1"])
+    ((_, doc_id, _),) = store.member_stamps(["doc-1"])
     real_ranks = SqliteStore.hierarchy_ranks
     written = threading.Event()
 

@@ -3,8 +3,9 @@
 Every reader on one :class:`~repro.storage.SqliteConnectionPool` — the
 document service's sessions and the corpus fan-out — shares the pool's
 :class:`~repro.storage.sqlite_backend.SnapshotCache`; each process
-worker keeps its own next to its connection.  These tests pin down, in
-serial, thread and process modes:
+worker keeps its own next to its connection.  These tests pin down,
+for a serial fan-out, one called from another thread (as a service
+session's thread calls it) and a two-worker one:
 
 * no stale answers: a member is re-read after ``add(overwrite=True)``,
   after ``remove`` and ``add`` of the same name, and after a
@@ -12,27 +13,25 @@ serial, thread and process modes:
   between two queries;
 * scan resistance: a fan-out that routes more members than the cache
   holds installs nothing, and the entries already cached survive it;
-* sharing: thread-mode chunks read the same frozen documents, and
-  mutating one raises :class:`~repro.errors.EditError`;
-* the default worker count where ``os.sched_getaffinity`` is missing.
+* sharing: a service session replaces a fan-out's manager-less entry.
 
-Process mode runs the worker entry point in this process (an inline
-executor), so its per-worker cache can be inspected; one test also runs
-a real process pool.
+The two-worker fan-out runs the worker entry point in this process (an
+inline executor), so its per-worker cache can be inspected; one test
+also runs a real process pool.  Cross-thread sharing of frozen
+snapshots is covered by the service concurrency tests.
 """
 
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro import Corpus, DocumentService
 from repro.collection import split_collection_expression
 from repro.collection import fanout
-from repro.collection.fanout import default_workers, node_rows, run_fanout
-from repro.errors import EditError
+from repro.collection.fanout import node_rows, run_fanout
 from repro.obs.metrics import metrics
 from repro.storage.sqlite_backend import SnapshotCache, SqliteStore
 from repro.workloads import WorkloadSpec, generate
@@ -41,6 +40,8 @@ from repro.xpath.engine import ExtendedXPath
 
 from test_docs_architecture import _metric_catalog
 
+#: How a test runs the fan-out: serially, serially from another thread,
+#: or with two workers (:func:`_query`).
 MODES = ("serial", "thread", "process")
 BROAD = "collection()//line"
 SELECTIVE = "collection()//vline"
@@ -61,15 +62,19 @@ class _InlinePool:
         return map(function, *iterables)
 
 
-def _query(corpus: Corpus, expression: str, mode: str):
-    """``(hits, documents)`` of a routed query in ``mode``."""
-    if mode != "process":
-        result = corpus.query(expression, mode=mode, workers=2)
+def _query(corpus: Corpus, expression: str, mode: str, routing: bool = True):
+    """``(hits, documents)`` of ``expression`` run as ``mode`` says."""
+    if mode == "serial":
+        result = corpus.query(expression, routing=routing)
         return result.hits, result.documents
-    plan = corpus.explain(expression)
+    if mode == "thread":
+        with ThreadPoolExecutor(1) as thread:
+            result = thread.submit(corpus.query, expression,
+                                   routing=routing).result()
+        return result.hits, result.documents
+    plan = corpus.explain(expression, routing=routing)
     triples = run_fanout(corpus._pool, list(plan.routed), plan.per_document,
-                         mode="process", workers=2,
-                         process_pool=_InlinePool())
+                         workers=2, process_pool=_InlinePool())
     hits = [(name, row) for name, _, rows in triples for row in rows]
     return hits, tuple((name, generation) for name, generation, _ in triples)
 
@@ -181,12 +186,12 @@ def test_stream_overwrite_evicts(corpus):
 
 def test_real_process_workers_are_never_served_stale(corpus):
     for _ in range(3):  # let every worker cache every member
-        assert corpus.query(BROAD, mode="process", workers=2).hits == \
+        assert corpus.query(BROAD, workers=2).hits == \
             _witness(corpus.location, BROAD)
     corpus.add(_member(12, words=70), "doc-4", overwrite=True)
     corpus.remove("doc-5")
     corpus.add(_member(13, words=70), "doc-5")
-    assert corpus.query(BROAD, mode="process", workers=2).hits == \
+    assert corpus.query(BROAD, workers=2).hits == \
         _witness(corpus.location, BROAD)
 
 
@@ -200,8 +205,8 @@ def test_broad_query_installs_nothing(corpus, mode, monkeypatch, observed):
     _query(corpus, SELECTIVE, mode)
     cache = _cache(corpus, mode)
     assert sorted(cache) == ["doc-0", "doc-3"]
-    # Six routed members, more than the cache holds; each thread chunk
-    # of three alone would fit.
+    # Six routed members, more than the cache holds; each two-worker
+    # chunk of three alone would fit.
     broad, _ = _query(corpus, BROAD, mode)
     assert broad == _witness(corpus.location, BROAD)
     assert sorted(cache) == ["doc-0", "doc-3"]
@@ -219,36 +224,13 @@ def test_broad_query_installs_nothing(corpus, mode, monkeypatch, observed):
 def test_selective_query_installs_what_it_loads(corpus, observed):
     corpus.query(BROAD)
     assert sorted(corpus._pool.snapshots) == [f"doc-{i}" for i in range(6)]
-    corpus.query(BROAD, mode="thread", workers=2)
+    corpus.query(BROAD)
     counters = observed.snapshot()["counters"]
     assert counters["collection.snapshots.loaded"] == 6
     assert counters["collection.snapshots.shared"] == 6
 
 
 # -- sharing ------------------------------------------------------------------
-
-
-def test_thread_chunks_share_one_frozen_document(corpus, monkeypatch):
-    real_evaluate = ExtendedXPath.evaluate
-    seen: list[tuple[int, object]] = []
-
-    def recording(self, document, *args, **kwargs):
-        seen.append((threading.get_ident(), document))
-        return real_evaluate(self, document, *args, **kwargs)
-
-    monkeypatch.setattr(ExtendedXPath, "evaluate", recording)
-    corpus.query(BROAD, mode="thread", workers=2)
-    first = [document for _, document in seen]
-    seen.clear()
-    corpus.query(BROAD, mode="thread", workers=2)
-    assert threading.get_ident() not in {thread for thread, _ in seen}
-    assert {id(document) for _, document in seen} == \
-        {id(document) for document in first}
-    for document in first:
-        element = document.ordered_elements()[0]
-        with pytest.raises(EditError):
-            document.set_attribute(element, "n", "changed")
-        assert element.attributes.get("n") != "changed"
 
 
 def test_service_treats_a_manager_less_entry_as_a_miss(tmp_path):
@@ -268,15 +250,7 @@ def test_service_treats_a_manager_less_entry_as_a_miss(tmp_path):
         assert shared and entry.document is session.document
 
 
-# -- workers and counters -------------------------------------------------------
-
-
-@pytest.mark.parametrize("mode", ("thread", "process"))
-def test_default_workers_without_sched_getaffinity(corpus, mode,
-                                                   monkeypatch):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert default_workers() == min(4, os.cpu_count() or 1)
-    assert corpus.query(BROAD, mode=mode).hits == corpus.query(BROAD).hits
+# -- counters -------------------------------------------------------
 
 
 def test_collection_snapshot_counters_are_in_the_catalog():

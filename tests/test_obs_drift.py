@@ -19,6 +19,7 @@ import pytest
 
 import repro.obs as obs
 from repro.core.goddag import GoddagBuilder
+from repro.index.manager import IndexManager
 from repro.obs.drift import DriftRecord, DriftRing
 from repro.workloads import WorkloadSpec, generate
 from repro.xpath import ExtendedXPath, explain
@@ -82,8 +83,12 @@ class TestDriftRing:
 
 
 class TestDriftCapture:
+    # Evaluation plans, and so records drift, only with an index
+    # attached; an unindexed evaluation has no estimates to drift from.
+
     def test_skewed_corpus_produces_drift_records(self):
         document = skewed_document()
+        IndexManager(document).attach()
         queries = ["//w", "//line/contained::w", "//page//w"]
         with obs.tracing():
             for expression in queries:
@@ -99,6 +104,7 @@ class TestDriftCapture:
 
     def test_ring_stays_bounded_under_query_storms(self):
         document = skewed_document()
+        IndexManager(document).attach()
         query = ExtendedXPath("//line/contained::w")
         obs.enable()
         reps = 0

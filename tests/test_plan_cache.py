@@ -19,6 +19,7 @@ from repro.xpath import (
     xpath,
 )
 from repro.xpath.engine import PlanCache, _plan_cache
+from repro.xpath.planner import Planner
 
 
 @pytest.fixture(autouse=True)
@@ -155,6 +156,40 @@ class TestBypassContract:
         query.nodes(document)
         query.nodes(document)
         assert counters() == (0, 0)
+
+
+class TestUnindexedPlanning:
+    """Unindexed evaluation builds no plan; EXPLAIN still does."""
+
+    @pytest.fixture()
+    def plan_calls(self, monkeypatch):
+        calls = []
+        real_plan = Planner.plan
+
+        def spy(self, *args, **kwargs):
+            calls.append(self.manager)
+            return real_plan(self, *args, **kwargs)
+
+        monkeypatch.setattr(Planner, "plan", spy)
+        return calls
+
+    @pytest.mark.parametrize("attached", (False, True),
+                             ids=("plain", "managed"))
+    def test_evaluate_index_false_plans_nothing(self, plan_calls, attached):
+        document = generate(WorkloadSpec(words=120, seed=5))
+        if attached:
+            IndexManager(document).attach()
+        query = ExtendedXPath(QUERY)
+        for _ in range(2):
+            query.evaluate(document, index=False)
+        assert plan_calls == []
+        assert counters() == (0, 0)
+
+    def test_explain_index_false_plans_once(self, plan_calls, corpus):
+        document, _ = corpus
+        plan = ExtendedXPath(QUERY).explain(document, index=False)
+        assert plan_calls == [None]
+        assert plan.render()
 
 
 class TestBatchIdentity:

@@ -677,13 +677,14 @@ ROOTED = {"h": '<r a="v"><r n="1">ab</r><x>cd</x></r>',
           "g": '<r a="v"><y>abc</y>d</r>'}
 
 
-@pytest.mark.parametrize("query, declined", [
+@pytest.mark.parametrize("query, selects_root", [
     ("//r", True), ("//r[@a='v']", True), ("//h:r", False),
 ])
-def test_lazy_name_test_selecting_the_root(query, declined):
-    """The root element has no element row: a name test that can select
-    it is answered from the decoded document, reason-coded; a
-    hierarchy-qualified test never selects it and stays on the rows."""
+def test_lazy_name_test_selecting_the_root(query, selects_root):
+    """The root element has no element row: a name test that selects it
+    is answered from the root columns the view holds, with no fallback
+    and no row decoded for it; a hierarchy-qualified test never selects
+    it."""
     document = parse_concurrent(ROOTED)
     backend = SqliteStore(":memory:")
     backend.save_indexed(document, "d", manager=IndexManager(document))
@@ -692,14 +693,32 @@ def test_lazy_name_test_selecting_the_root(query, declined):
     obs.reset()
     obs.enable()
     try:
-        assert LazyDocument(backend, "d").xpath(query) == want
+        lazy = LazyDocument(backend, "d")
+        assert lazy.xpath(query) == want
         counters = obs.metrics.snapshot()["counters"]
     finally:
         obs.disable()
         obs.reset()
         backend.close()
-    assert counters.get("streaming.lazy_xpath.root-match", 0) == declined
-    assert ("r" in {row[3] for row in want if row[2] == ""}) == declined
+    assert not any(name.startswith("streaming.lazy_xpath")
+                   for name in counters)
+    assert lazy.rows_decoded == len(want) - selects_root
+    assert ("r" in {row[3] for row in want if row[2] == ""}) == selects_root
+
+
+def test_lazy_root_only_query_decodes_nothing():
+    document = parse_concurrent({"g": ROOTED["g"]})
+    backend = SqliteStore(":memory:")
+    backend.save(document, "d")
+    lazy = LazyDocument(backend, "d")
+    try:
+        want = node_rows(ExtendedXPath("//r").evaluate(backend.load("d"),
+                                                       index=False))
+        assert lazy.xpath("//r") == want == (
+            ("element", 0, "", "r", 0, 4, (("a", "v"),)),)
+        assert lazy.rows_decoded == 0
+    finally:
+        backend.close()
 
 
 # -- hard memory cap (CI's memory-bounded step) ---------------------------------
